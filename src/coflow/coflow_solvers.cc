@@ -40,8 +40,10 @@ class CoflowPolicySolver : public Solver {
              "and port overloads (benchmarks turn this off)"},
             {"warmstart",
              "0/1 (default 1, maxweight only): reuse the previous round's "
-             "Hungarian work via the incremental matcher; bit-exact, so the "
-             "schedule is identical either way"},
+             "Hungarian work via the incremental matcher; pays only when "
+             "consecutive rounds share matrix rows (an identical problem or "
+             "an unchanged row prefix); bit-exact, so the schedule is "
+             "identical either way"},
             {"approx",
              "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
              "auction matcher; each round's matched weight is within "

@@ -68,7 +68,8 @@ class FabricPolicySolver : public Solver {
             {"warmstart",
              "0/1 (default 1, maxweight only): reuse each pod's previous "
              "round of Hungarian work via the incremental matcher "
-             "(bit-exact)"},
+             "(bit-exact); pays only when consecutive rounds share matrix "
+             "rows"},
             {"approx",
              "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
              "auction matcher inside each pod"}};

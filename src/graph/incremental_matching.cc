@@ -5,19 +5,31 @@
 
 namespace flowsched {
 
-int IncrementalMatcher::FirstChangedRow() const {
-  const int n = core_.rows_;
-  const int m = core_.cols_;
-  // Bitwise row compare: conservative (a -0.0 vs +0.0 flip reads as a
-  // change and merely costs a resume), never unsound.
+namespace {
+
+// 0-based index of the first row where two row-major n x m matrices differ
+// bitwise; n when they are identical. Conservative (a -0.0 vs +0.0 flip
+// reads as a change and merely costs a resume), never unsound.
+template <typename T>
+int FirstDifferingRow(const std::vector<T>& a, const std::vector<T>& b,
+                      int n, int m) {
   for (int r = 0; r < n; ++r) {
     const std::size_t off = static_cast<std::size_t>(r) * m;
-    if (std::memcmp(core_.cost_.data() + off, prev_cost_.data() + off,
-                    sizeof(double) * m) != 0) {
+    if (std::memcmp(a.data() + off, b.data() + off, sizeof(T) * m) != 0) {
       return r;
     }
   }
   return n;
+}
+
+}  // namespace
+
+int IncrementalMatcher::FirstChangedRow() const {
+  const int n = core_.rows_;
+  const int m = core_.cols_;
+  return core_.int_lane_
+             ? FirstDifferingRow(core_.ilane_.cost, prev_icost_, n, m)
+             : FirstDifferingRow(core_.dlane_.cost, prev_dcost_, n, m);
 }
 
 void IncrementalMatcher::Solve(const BipartiteGraph& g,
@@ -25,10 +37,14 @@ void IncrementalMatcher::Solve(const BipartiteGraph& g,
                                std::vector<int>* out) {
   out->clear();
   ++stats_.solves;
-  // Zero-copy history: PrepareProblem overwrites the whole cost matrix, so
-  // handing it last round's buffer and keeping the freshly built one as
-  // prev_cost_ costs a pointer swap instead of a per-round memcpy.
-  std::swap(prev_cost_, core_.cost_);
+  // Zero-copy history: PrepareProblem overwrites the whole matrix of the
+  // lane it picks, so handing each lane last round's buffer and keeping the
+  // freshly built one as its prev_*cost_ costs two pointer swaps instead of
+  // a per-round memcpy. The other lane's pair just trades places; it is
+  // only diffed after a round of its own lane, and a lane switch never
+  // diffs (see same_dims).
+  std::swap(prev_dcost_, core_.dlane_.cost);
+  std::swap(prev_icost_, core_.ilane_.cost);
   if (!core_.PrepareProblem(g, weight)) {
     // No edges: nothing to match, and no state worth diffing against.
     ++stats_.empty_graphs;
@@ -39,7 +55,8 @@ void IncrementalMatcher::Solve(const BipartiteGraph& g,
   const int m = core_.cols_;
   stats_.total_rows += n;
 
-  const bool same_dims = valid_ && n == prev_rows_ && m == prev_cols_;
+  const bool same_dims = valid_ && n == prev_rows_ && m == prev_cols_ &&
+                         core_.int_lane_ == prev_int_lane_;
   const int first_changed = same_dims ? FirstChangedRow() : 0;
   const bool shares_prefix = same_dims && first_changed >= 1;
   if (same_dims && first_changed == n) {
@@ -83,6 +100,7 @@ void IncrementalMatcher::Solve(const BipartiteGraph& g,
 
   prev_rows_ = n;
   prev_cols_ = m;
+  prev_int_lane_ = core_.int_lane_;
   valid_ = true;
 }
 
@@ -101,9 +119,9 @@ double IncrementalMatcher::MaxDualViolation() const {
   const int m = prev_cols_;
   double worst = 0.0;
   for (int i = 1; i <= n; ++i) {
-    const double* row = core_.cost_.data() + static_cast<std::size_t>(i - 1) * m;
     for (int j = 1; j <= m; ++j) {
-      const double slack = core_.u_[i] + core_.v_[j] - row[j - 1];
+      const double slack = core_.PotentialU(i) + core_.PotentialV(j) -
+                           core_.CostAt(i - 1, j - 1);
       if (slack > worst) worst = slack;
     }
   }
@@ -117,9 +135,8 @@ double IncrementalMatcher::MaxMatchedSlack() const {
   for (int j = 1; j <= m; ++j) {
     const int i = core_.p_[j];
     if (i == 0) continue;
-    const double c =
-        core_.cost_[static_cast<std::size_t>(i - 1) * m + (j - 1)];
-    const double slack = std::fabs(core_.u_[i] + core_.v_[j] - c);
+    const double slack = std::fabs(core_.PotentialU(i) + core_.PotentialV(j) -
+                                   core_.CostAt(i - 1, j - 1));
     if (slack > worst) worst = slack;
   }
   return worst;

@@ -16,8 +16,8 @@
 //      solver restores the per-row checkpoint recorded by the previous
 //      solve and replays only rows k+1..n. The replay performs the exact
 //      IEEE operation sequence of a from-scratch solve.
-//   3. Full solve — anything else (dims changed, row 1 changed, no usable
-//      history): plain InitDuals + RunRows(1).
+//   3. Full solve — anything else (dims or value lane changed, row 1
+//      changed, no usable history): plain InitDuals + RunRows(1).
 // Warm-started duals in the classic sense (reusing final potentials as a
 // starting point) are deliberately NOT used by default: per-round optima
 // are almost never unique here, and different-but-optimal duals change the
@@ -84,11 +84,13 @@ class IncrementalMatcher {
   // Evidence-driven recording: set when the last solve shared a row prefix
   // with its predecessor. Starts true so the first solve records.
   bool record_next_ = true;
-  // Previous round's dense problem, for diffing.
+  // Previous round's dense problem, for diffing, in its value lane.
   bool valid_ = false;
   int prev_rows_ = 0;
   int prev_cols_ = 0;
-  std::vector<double> prev_cost_;
+  bool prev_int_lane_ = false;
+  std::vector<double> prev_dcost_;
+  std::vector<std::int32_t> prev_icost_;
   Stats stats_;
 };
 

@@ -2,242 +2,26 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
 #include "util/check.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define FLOWSCHED_MWM_X86 1
-#include <immintrin.h>
-#endif
 
 namespace flowsched {
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// The fused Hungarian row scan + delta search over all m columns:
-//   minv[j] = min(minv[j] - delta, arow[j] - ui - vv[j])
-// recording way[j] = j0 where the fresh candidate wins, and returning
-// (best, j1) = the minimum updated minv and the FIRST column attaining it.
-//
-// `delta` folds the previous iteration's uniform "minv -= delta" update
-// into this scan (one subtraction either way — identical value, one fewer
-// memory pass). Used columns carry vv[j] = -inf, which drives their
-// candidate to +inf so they can never win a comparison; their minv is
-// already pinned to +inf, and +inf - delta stays +inf, so they also never
-// win the delta search. Every element sees the same IEEE operations in the
-// same order as the classic formulation, and the first-column tie-break of
-// the sequential strict-< scan is reproduced exactly, so the returned pair
-// — and therefore the final matching — is identical on every code path.
-struct ScanResult {
-  double best;
-  int j1;  // 0-based column, -1 when every entry is +inf.
-};
-
-ScanResult ScanRowScalar(const double* arow, double ui, const double* vv,
-                         double* minv, std::int64_t* way, int m, double delta,
-                         std::int64_t j0) {
-  double best = kInf;
-  int j1 = -1;
-  for (int j = 0; j < m; ++j) {
-    const double mv = minv[j] - delta;
-    const double cur = arow[j] - ui - vv[j];
-    const bool better = cur < mv;
-    const double nm = better ? cur : mv;
-    minv[j] = nm;
-    way[j] = better ? j0 : way[j];
-    if (nm < best) {
-      best = nm;
-      j1 = j;
-    }
-  }
-  return {best, j1};
+// vector::assign that grows capacity by half again when it has to grow: a
+// backlog ramping up round by round then reallocates the 100+ KB matrices
+// a few times instead of nearly every round (each reallocation also
+// fragments the heap).
+template <typename T>
+void AssignGrowing(std::vector<T>& v, std::size_t n, T value) {
+  if (v.capacity() < n) v.reserve(n + n / 2);
+  v.assign(n, value);
 }
 
-#if FLOWSCHED_MWM_X86
-
-__attribute__((target("avx2"))) ScanResult ScanRowAvx2(
-    const double* arow, double ui, const double* vv, double* minv,
-    std::int64_t* way, int m, double delta, std::int64_t j0) {
-  const __m256d delta_b = _mm256_set1_pd(delta);
-  const __m256d ui_b = _mm256_set1_pd(ui);
-  const __m256i j0_b = _mm256_set1_epi64x(j0);
-  __m256d run_min = _mm256_set1_pd(kInf);
-  __m256i run_idx = _mm256_set1_epi64x(-1);
-  __m256i jvec = _mm256_setr_epi64x(0, 1, 2, 3);
-  const __m256i four = _mm256_set1_epi64x(4);
-  int j = 0;
-  if (delta == 0.0) {
-    // Tie-heavy instances produce many zero deltas; x - (+/-0.0) differs
-    // from x at most in the sign of a zero, which no comparison can see, so
-    // minv only changes where a candidate wins — skip the stores (and the
-    // way load) whenever the win mask is empty.
-    for (; j + 4 <= m; j += 4) {
-      const __m256d mv = _mm256_loadu_pd(minv + j);
-      const __m256d cur = _mm256_sub_pd(
-          _mm256_sub_pd(_mm256_loadu_pd(arow + j), ui_b),
-          _mm256_loadu_pd(vv + j));
-      const __m256d better = _mm256_cmp_pd(cur, mv, _CMP_LT_OQ);
-      __m256d nm = mv;
-      if (_mm256_movemask_pd(better) != 0) {
-        nm = _mm256_blendv_pd(mv, cur, better);
-        _mm256_storeu_pd(minv + j, nm);
-        const __m256i wv =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(way + j));
-        _mm256_storeu_si256(
-            reinterpret_cast<__m256i*>(way + j),
-            _mm256_blendv_epi8(wv, j0_b, _mm256_castpd_si256(better)));
-      }
-      const __m256d lt = _mm256_cmp_pd(nm, run_min, _CMP_LT_OQ);
-      run_min = _mm256_blendv_pd(run_min, nm, lt);
-      run_idx = _mm256_blendv_epi8(run_idx, jvec, _mm256_castpd_si256(lt));
-      jvec = _mm256_add_epi64(jvec, four);
-    }
-  }
-  for (; j + 4 <= m; j += 4) {
-    const __m256d mv =
-        _mm256_sub_pd(_mm256_loadu_pd(minv + j), delta_b);
-    const __m256d cur = _mm256_sub_pd(
-        _mm256_sub_pd(_mm256_loadu_pd(arow + j), ui_b),
-        _mm256_loadu_pd(vv + j));
-    const __m256d better = _mm256_cmp_pd(cur, mv, _CMP_LT_OQ);
-    const __m256d nm = _mm256_blendv_pd(mv, cur, better);
-    _mm256_storeu_pd(minv + j, nm);
-    const __m256i wv =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(way + j));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(way + j),
-        _mm256_blendv_epi8(wv, j0_b, _mm256_castpd_si256(better)));
-    // Per-lane strict-< argmin: each lane keeps the first index (within its
-    // stride-4 subsequence) attaining its running minimum.
-    const __m256d lt = _mm256_cmp_pd(nm, run_min, _CMP_LT_OQ);
-    run_min = _mm256_blendv_pd(run_min, nm, lt);
-    run_idx = _mm256_blendv_epi8(run_idx, jvec, _mm256_castpd_si256(lt));
-    jvec = _mm256_add_epi64(jvec, four);
-  }
-  // Lane combine: strictly smaller value wins; equal values keep the
-  // smaller column — together this reproduces the sequential first-argmin.
-  alignas(32) double lane_min[4];
-  alignas(32) std::int64_t lane_idx[4];
-  _mm256_store_pd(lane_min, run_min);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lane_idx), run_idx);
-  double best = kInf;
-  std::int64_t j1 = -1;
-  for (int lane = 0; lane < 4; ++lane) {
-    if (lane_idx[lane] < 0) continue;  // Lane never saw a finite value.
-    if (lane_min[lane] < best ||
-        (lane_min[lane] == best && lane_idx[lane] < j1)) {
-      best = lane_min[lane];
-      j1 = lane_idx[lane];
-    }
-  }
-  // Tail columns come after every vectorized column, so strict < keeps the
-  // earlier winner on ties.
-  for (; j < m; ++j) {
-    const double mv = minv[j] - delta;
-    const double cur = arow[j] - ui - vv[j];
-    const bool better = cur < mv;
-    const double nm = better ? cur : mv;
-    minv[j] = nm;
-    way[j] = better ? j0 : way[j];
-    if (nm < best) {
-      best = nm;
-      j1 = j;
-    }
-  }
-  return {best, static_cast<int>(j1)};
-}
-
-__attribute__((target("avx512f"))) ScanResult ScanRowAvx512(
-    const double* arow, double ui, const double* vv, double* minv,
-    std::int64_t* way, int m, double delta, std::int64_t j0) {
-  const __m512d delta_b = _mm512_set1_pd(delta);
-  const __m512d ui_b = _mm512_set1_pd(ui);
-  const __m512i j0_b = _mm512_set1_epi64(j0);
-  __m512d run_min = _mm512_set1_pd(kInf);
-  __m512i run_idx = _mm512_set1_epi64(-1);
-  __m512i jvec = _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m512i eight = _mm512_set1_epi64(8);
-  int j = 0;
-  if (delta == 0.0) {
-    // See the AVX2 path: zero deltas leave minv bitwise unchanged (up to
-    // invisible zero signs) except where a candidate wins, so stores and
-    // the way load are masked out entirely on empty win masks.
-    for (; j + 8 <= m; j += 8) {
-      const __m512d mv = _mm512_loadu_pd(minv + j);
-      const __m512d cur = _mm512_sub_pd(
-          _mm512_sub_pd(_mm512_loadu_pd(arow + j), ui_b),
-          _mm512_loadu_pd(vv + j));
-      const __mmask8 better = _mm512_cmp_pd_mask(cur, mv, _CMP_LT_OQ);
-      __m512d nm = mv;
-      if (better != 0) {
-        nm = _mm512_mask_blend_pd(better, mv, cur);
-        _mm512_storeu_pd(minv + j, nm);
-        _mm512_mask_storeu_epi64(way + j, better, j0_b);
-      }
-      const __mmask8 lt = _mm512_cmp_pd_mask(nm, run_min, _CMP_LT_OQ);
-      run_min = _mm512_mask_blend_pd(lt, run_min, nm);
-      run_idx = _mm512_mask_blend_epi64(lt, run_idx, jvec);
-      jvec = _mm512_add_epi64(jvec, eight);
-    }
-  }
-  for (; j + 8 <= m; j += 8) {
-    const __m512d mv = _mm512_sub_pd(_mm512_loadu_pd(minv + j), delta_b);
-    const __m512d cur = _mm512_sub_pd(
-        _mm512_sub_pd(_mm512_loadu_pd(arow + j), ui_b),
-        _mm512_loadu_pd(vv + j));
-    const __mmask8 better = _mm512_cmp_pd_mask(cur, mv, _CMP_LT_OQ);
-    const __m512d nm = _mm512_mask_blend_pd(better, mv, cur);
-    _mm512_storeu_pd(minv + j, nm);
-    const __m512i wv = _mm512_loadu_si512(way + j);
-    _mm512_storeu_si512(way + j, _mm512_mask_blend_epi64(better, wv, j0_b));
-    const __mmask8 lt = _mm512_cmp_pd_mask(nm, run_min, _CMP_LT_OQ);
-    run_min = _mm512_mask_blend_pd(lt, run_min, nm);
-    run_idx = _mm512_mask_blend_epi64(lt, run_idx, jvec);
-    jvec = _mm512_add_epi64(jvec, eight);
-  }
-  alignas(64) double lane_min[8];
-  alignas(64) std::int64_t lane_idx[8];
-  _mm512_store_pd(lane_min, run_min);
-  _mm512_store_si512(lane_idx, run_idx);
-  double best = kInf;
-  std::int64_t j1 = -1;
-  for (int lane = 0; lane < 8; ++lane) {
-    if (lane_idx[lane] < 0) continue;  // Lane never saw a finite value.
-    if (lane_min[lane] < best ||
-        (lane_min[lane] == best && lane_idx[lane] < j1)) {
-      best = lane_min[lane];
-      j1 = lane_idx[lane];
-    }
-  }
-  for (; j < m; ++j) {
-    const double mv = minv[j] - delta;
-    const double cur = arow[j] - ui - vv[j];
-    const bool better = cur < mv;
-    const double nm = better ? cur : mv;
-    minv[j] = nm;
-    way[j] = better ? j0 : way[j];
-    if (nm < best) {
-      best = nm;
-      j1 = j;
-    }
-  }
-  return {best, static_cast<int>(j1)};
-}
-
-#endif  // FLOWSCHED_MWM_X86
-
-using ScanRowFn = ScanResult (*)(const double*, double, const double*,
-                                 double*, std::int64_t*, int, double,
-                                 std::int64_t);
-
-ScanRowFn ResolveScanRow() {
-#if FLOWSCHED_MWM_X86
-  if (__builtin_cpu_supports("avx512f")) return ScanRowAvx512;
-  if (__builtin_cpu_supports("avx2")) return ScanRowAvx2;
-#endif
-  return ScanRowScalar;
+// True when `w` (already checked >= 0) is an integer the int32 lane takes.
+bool FitsIntLane(double w) {
+  return w <= MaxWeightMatcher::kIntLaneMaxWeight &&
+         w == static_cast<double>(static_cast<std::int32_t>(w));
 }
 
 }  // namespace
@@ -253,48 +37,102 @@ bool MaxWeightMatcher::PrepareProblem(const BipartiteGraph& g,
   right_index_.assign(g.num_right(), -1);
   left_ids_.clear();
   right_ids_.clear();
-  for (const auto& e : g.edges()) {
-    if (left_index_[e.u] == -1) {
-      left_index_[e.u] = static_cast<int>(left_ids_.size());
-      left_ids_.push_back(e.u);
+  int_lane_ = true;
+  for (int e = 0; e < g.num_edges(); ++e) {
+    FS_CHECK_GE(weight[e], 0.0);
+    int_lane_ = int_lane_ && FitsIntLane(weight[e]);
+    const BipartiteGraph::Edge& edge = g.edge(e);
+    if (left_index_[edge.u] == -1) {
+      left_index_[edge.u] = static_cast<int>(left_ids_.size());
+      left_ids_.push_back(edge.u);
     }
-    if (right_index_[e.v] == -1) {
-      right_index_[e.v] = static_cast<int>(right_ids_.size());
-      right_ids_.push_back(e.v);
+    if (right_index_[edge.v] == -1) {
+      right_index_[edge.v] = static_cast<int>(right_ids_.size());
+      right_ids_.push_back(edge.v);
     }
   }
   const int nl = static_cast<int>(left_ids_.size());
   const int nr = static_cast<int>(right_ids_.size());
-  // Keep, per (u, v) cell, the best (max-weight) edge; parallel edges can
-  // never both be matched. Cells without an edge cost 0 == "leave unmatched".
   transpose_ = nl > nr;
   rows_ = transpose_ ? nr : nl;
   cols_ = transpose_ ? nl : nr;
-  cost_.assign(static_cast<std::size_t>(rows_) * cols_, 0.0);
-  best_edge_.assign(static_cast<std::size_t>(rows_) * cols_, -1);
+  BuildCost(g, weight);
+  return true;
+}
+
+void MaxWeightMatcher::BuildCost(const BipartiteGraph& g,
+                                 std::span<const double> weight) {
+  if (int_lane_) {
+    FillCost(g, weight, ilane_.cost);
+  } else {
+    FillCost(g, weight, dlane_.cost);
+  }
+}
+
+template <typename T>
+void MaxWeightMatcher::FillCost(const BipartiteGraph& g,
+                                std::span<const double> weight,
+                                std::vector<T>& cost) {
+  // Keep, per (u, v) cell, the best (max-weight) edge; parallel edges can
+  // never both be matched. Cells without an edge cost 0 == "leave unmatched".
+  const std::size_t cells = static_cast<std::size_t>(rows_) * cols_;
+  AssignGrowing(cost, cells, T{0});
+  AssignGrowing(best_edge_, cells, -1);
   for (int e = 0; e < g.num_edges(); ++e) {
-    FS_CHECK_GE(weight[e], 0.0);
     int r = left_index_[g.edge(e).u];
     int c = right_index_[g.edge(e).v];
     if (transpose_) std::swap(r, c);
     const std::size_t rc = static_cast<std::size_t>(r) * cols_ + c;
-    if (best_edge_[rc] == -1 || weight[e] > -cost_[rc]) {
-      cost_[rc] = -weight[e];
+    if (best_edge_[rc] == -1 || weight[e] > -cost[rc]) {
+      cost[rc] = static_cast<T>(-weight[e]);
       best_edge_[rc] = e;
     }
   }
-  return true;
+}
+
+template <typename T>
+void MaxWeightMatcher::InitLane(LaneState<T>& lane) {
+  const int n = rows_;
+  const int m = cols_;
+  lane.u.assign(n + 1, 0);
+  lane.v.assign(m + 1, 0);
+  lane.vv.assign(m + 1, 0);
+  lane.way.assign(m + 1, 0);
+  lane.minv.resize(m + 1);
 }
 
 void MaxWeightMatcher::InitDuals() {
+  p_.assign(cols_ + 1, 0);
+  if (int_lane_) {
+    InitLane(ilane_);
+  } else {
+    InitLane(dlane_);
+  }
+}
+
+template <typename T>
+void MaxWeightMatcher::RestoreLane(const HungarianCheckpoints& from, int row,
+                                   LaneState<T>& lane) {
   const int n = rows_;
   const int m = cols_;
-  u_.assign(n + 1, 0.0);
-  v_.assign(m + 1, 0.0);
-  vv_.assign(m + 1, 0.0);  // == v_ while a column is open, -inf once used.
-  p_.assign(m + 1, 0);     // p_[j] = row matched to column j (1-based).
-  way_.assign(m + 1, 0);
-  minv_.resize(m + 1);
+  const std::size_t slot = static_cast<std::size_t>(row - 1);
+  const double* cu = from.u.data() + slot * (n + 1);
+  const double* cv = from.v.data() + slot * (m + 1);
+  // The warm-start layer only restores a snapshot into the lane that took
+  // it, so int32 values come back exactly.
+  lane.u.resize(n + 1);
+  lane.v.resize(m + 1);
+  std::transform(cu, cu + n + 1, lane.u.begin(),
+                 [](double x) { return static_cast<T>(x); });
+  std::transform(cv, cv + m + 1, lane.v.begin(),
+                 [](double x) { return static_cast<T>(x); });
+  // Between row insertions every column is open, so the masked copy of the
+  // potentials is just the potentials (vv[0] is never read).
+  lane.vv = lane.v;
+  // way and minv are write-before-read within each row; reset them the same
+  // way InitLane does so resumed state matches a fresh run exactly.
+  lane.way.assign(m + 1, 0);
+  lane.minv.resize(m + 1);
 }
 
 void MaxWeightMatcher::RestoreCheckpoint(const HungarianCheckpoints& from,
@@ -303,70 +141,78 @@ void MaxWeightMatcher::RestoreCheckpoint(const HungarianCheckpoints& from,
   FS_CHECK_EQ(from.m, cols_);
   FS_CHECK_GE(row, 1);
   FS_CHECK_LE(row, from.recorded);
-  const int n = rows_;
-  const int m = cols_;
-  const std::size_t slot = static_cast<std::size_t>(row - 1);
-  const double* cu = from.u.data() + slot * (n + 1);
-  const double* cv = from.v.data() + slot * (m + 1);
-  const int* cp = from.p.data() + slot * (m + 1);
-  u_.assign(cu, cu + n + 1);
-  v_.assign(cv, cv + m + 1);
-  // Between row insertions every column is open, so the masked copy of the
-  // potentials is just the potentials (vv_[0] is never read).
-  vv_.assign(cv, cv + m + 1);
-  p_.assign(cp, cp + m + 1);
-  // way_ and minv_ are write-before-read within each row; reset them the
-  // same way InitDuals does so resumed state matches a fresh run exactly.
-  way_.assign(m + 1, 0);
-  minv_.resize(m + 1);
+  const int* cp =
+      from.p.data() + static_cast<std::size_t>(row - 1) * (cols_ + 1);
+  p_.assign(cp, cp + cols_ + 1);
+  if (int_lane_) {
+    RestoreLane(from, row, ilane_);
+  } else {
+    RestoreLane(from, row, dlane_);
+  }
 }
 
 void MaxWeightMatcher::RunRows(int first_row, HungarianCheckpoints* record) {
+  if (record != nullptr) {
+    FS_CHECK_EQ(record->n, rows_);
+    FS_CHECK_EQ(record->m, cols_);
+  }
+  if (int_lane_) {
+    RunLaneRows(ilane_, first_row, record);
+  } else {
+    RunLaneRows(dlane_, first_row, record);
+  }
+}
+
+template <typename T>
+void MaxWeightMatcher::RunLaneRows(LaneState<T>& lane, int first_row,
+                                   HungarianCheckpoints* record) {
   // Hungarian algorithm (potentials + shortest augmenting path), minimizing
   // cost over the dense rows x cols matrix with rows <= cols. Classic
   // cp-algorithms formulation restructured for streaming over flat reused
-  // arrays; the restructure is value-preserving (see ScanRowScalar and the
-  // masked-potential scheme), so the matching comes back identical to the
-  // historical implementation edge for edge.
-  static const ScanRowFn scan_row = ResolveScanRow();
+  // arrays; the restructure is value-preserving (see hungarian_scan.cc and
+  // the masked-potential scheme), so the matching comes back identical to
+  // the historical implementation edge for edge.
+  using L = hungarian::Lane<T>;
+  const hungarian::ScanRowFn<T> scan_row = hungarian::BestScanRow<T>();
   const int n = rows_;
   const int m = cols_;
-  if (record != nullptr) {
-    FS_CHECK_EQ(record->n, n);
-    FS_CHECK_EQ(record->m, m);
-  }
   for (int i = first_row; i <= n; ++i) {
     p_[0] = i;
     int j0 = 0;
-    for (int j = 1; j <= m; ++j) minv_[j] = kInf;
+    std::fill(lane.minv.begin() + 1, lane.minv.end(), L::kInf);
     used_cols_.clear();
-    double delta = 0.0;  // Folded into the next row scan.
+    T delta = 0;  // Folded into the next row scan.
     do {
-      used_cols_.push_back(j0);
-      if (j0 >= 1) vv_[j0] = -kInf;
-      minv_[j0] = kInf;
+      // Real columns only: the virtual column 0 has no potential to keep
+      // (its v would drift by the sum of all deltas, past int32 range).
+      if (j0 >= 1) {
+        used_cols_.push_back(j0);
+        lane.vv[j0] = L::kUsed;
+        lane.minv[j0] = L::kInf;
+      }
       const int i0 = p_[j0];
-      const double* arow =
-          cost_.data() + static_cast<std::size_t>(i0 - 1) * m;
-      const ScanResult scan =
-          scan_row(arow, u_[i0], vv_.data() + 1, minv_.data() + 1,
-                   way_.data() + 1, m, delta, j0);
+      const T* arow = lane.cost.data() + static_cast<std::size_t>(i0 - 1) * m;
+      const hungarian::ScanResult<T> scan =
+          scan_row(arow, lane.u[i0], lane.vv.data() + 1, lane.minv.data() + 1,
+                   lane.way.data() + 1, m, delta, j0);
       const int j1 = scan.j1 + 1;  // Back to 1-based columns.
-      FS_CHECK_GE(scan.j1, 0);
-      if (scan.best != 0.0) {  // +/- 0 updates cannot change any comparison.
+      // The minimum is always an open column; a violation (non-finite
+      // weights, or a broken lane sentinel) would otherwise loop forever.
+      FS_CHECK(scan.j1 >= 0 && scan.best < L::kInf &&
+               lane.vv[j1] != L::kUsed);
+      if (scan.best != 0) {  // +/- 0 updates cannot change any comparison.
+        lane.u[i] += scan.best;  // The root row, under the virtual column.
         for (int j : used_cols_) {
-          u_[p_[j]] += scan.best;
-          v_[j] -= scan.best;
+          lane.u[p_[j]] += scan.best;
+          lane.v[j] -= scan.best;
         }
       }
       delta = scan.best;
       j0 = j1;
     } while (p_[j0] != 0);
-    for (int j : used_cols_) {
-      if (j >= 1) vv_[j] = v_[j];  // Re-open the column for the next row.
-    }
+    for (int j : used_cols_) lane.vv[j] = lane.v[j];  // Re-open them.
     do {
-      const int j1 = static_cast<int>(way_[j0]);
+      const int j1 = static_cast<int>(lane.way[j0]);
       p_[j0] = p_[j1];
       j0 = j1;
     } while (j0 != 0);
@@ -375,8 +221,10 @@ void MaxWeightMatcher::RunRows(int first_row, HungarianCheckpoints* record) {
       // snapshot it so a later solve whose matrix first differs at some row
       // k > i can resume here instead of re-running the unchanged prefix.
       const std::size_t slot = static_cast<std::size_t>(i - 1);
-      std::copy(u_.begin(), u_.end(), record->u.begin() + slot * (n + 1));
-      std::copy(v_.begin(), v_.end(), record->v.begin() + slot * (m + 1));
+      std::copy(lane.u.begin(), lane.u.end(),
+                record->u.begin() + slot * (n + 1));
+      std::copy(lane.v.begin(), lane.v.end(),
+                record->v.begin() + slot * (m + 1));
       std::copy(p_.begin(), p_.end(), record->p.begin() + slot * (m + 1));
       record->recorded = i;
     }
@@ -394,13 +242,11 @@ void MaxWeightMatcher::EmitMatching(std::span<const double> weight,
   for (int r = 0; r < n; ++r) {
     const int c = assignment_[r];
     if (c < 0) continue;
-    // Zero-weight cells are "unmatched" pads; only keep real positive picks
-    // plus real zero-weight edges (harmless either way, so require an edge).
-    const std::size_t rc = static_cast<std::size_t>(r) * m + c;
-    if (best_edge_[rc] != -1 && weight[best_edge_[rc]] >= 0.0 &&
-        cost_[rc] < 0.0) {
-      out->push_back(best_edge_[rc]);
-    }
+    // Zero-cost cells are "unmatched" pads (no edge, or a zero-weight
+    // one); a cell costs minus its best edge's weight, so keep only real
+    // positive picks.
+    const int e = best_edge_[static_cast<std::size_t>(r) * m + c];
+    if (e != -1 && weight[e] > 0.0) out->push_back(e);
   }
 }
 

@@ -14,6 +14,15 @@
 // every floating-point operation sequence that feeds a comparison is
 // preserved, so the same matching comes back edge for edge.
 //
+// Two value lanes share one Hungarian loop. When every edge weight is an
+// integer in [0, kIntLaneMaxWeight] (MaxWeight's queue lengths, MinRTime's
+// ages), the solve runs in int32: the double solve of such a problem only
+// ever adds and subtracts integers far below 2^53, so it is exact integer
+// arithmetic and the int32 run makes the same comparisons and returns the
+// same matching, at twice the SIMD width. Any other weights (coflow
+// 1+1/(1+rem), hybrid age+0.5*pressure) run in double. The choice depends
+// on the weights alone.
+//
 // The solve is decomposed into resumable phases (PrepareProblem / InitDuals
 // / RunRows / EmitMatching) so the warm-start layer in
 // graph/incremental_matching.h can snapshot the per-row Hungarian state and
@@ -29,6 +38,7 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
+#include "graph/hungarian_scan.h"
 
 namespace flowsched {
 
@@ -37,7 +47,8 @@ namespace flowsched {
 // layer. State after row i (1-based) lives in slot i-1. The state after row
 // i is a pure function of matrix rows 1..i, so restoring slot k and running
 // rows k+1..n replays the exact from-scratch operation sequence — this is
-// what makes warm-started solves provably bit-identical.
+// what makes warm-started solves provably bit-identical. Both value lanes
+// store here; int32 potentials convert to double and back exactly.
 struct HungarianCheckpoints {
   int n = 0;         // Rows of the problem the snapshots belong to.
   int m = 0;         // Columns.
@@ -61,6 +72,10 @@ struct HungarianCheckpoints {
 
 class MaxWeightMatcher {
  public:
+  // Largest weight the int32 lane accepts; see hungarian::Lane<int32_t> for
+  // why this bound keeps every intermediate value exact and in range.
+  static constexpr double kIntLaneMaxWeight = 1 << 26;
+
   // Overwrites *out with edge indices of a maximum-weight matching of `g`
   // under the given per-edge weights (weight.size() == g.num_edges(), all
   // weights >= 0). Runs the O(n^3) Hungarian algorithm on a dense matrix
@@ -69,13 +84,29 @@ class MaxWeightMatcher {
              std::vector<int>* out);
 
  private:
-  // The warm-start layer drives the phase entry points directly.
+  // The warm-start layer drives the phase entry points directly; the lane
+  // test reads the lane choice and forces the double lane on integral
+  // problems to compare the two.
   friend class IncrementalMatcher;
+  friend struct MaxWeightMatcherTestPeer;
 
-  // Phase 1: vertex compaction + dense matrix build. Returns false when the
-  // graph has no edges (nothing to solve; *out must just stay empty). Does
-  // not touch the Hungarian state, so a caller that detects an unchanged
-  // matrix afterwards can still EmitMatching() from the previous solve.
+  // Hungarian state of one value lane (1-based over cols, index 0 is the
+  // virtual column).
+  template <typename T>
+  struct LaneState {
+    std::vector<T> cost;  // Dense rows_ x cols_ matrix, row-major.
+    std::vector<T> u;
+    std::vector<T> v;
+    std::vector<T> minv;
+    std::vector<T> vv;  // == v for open columns, Lane<T>::kUsed once used.
+    std::vector<typename hungarian::Lane<T>::Index> way;
+  };
+
+  // Phase 1: vertex compaction + dense matrix build + lane choice. Returns
+  // false when the graph has no edges (nothing to solve; *out must just stay
+  // empty). Does not touch the Hungarian state, so a caller that detects an
+  // unchanged matrix afterwards can still EmitMatching() from the previous
+  // solve.
   bool PrepareProblem(const BipartiteGraph& g, std::span<const double> weight);
   // Phase 2: resets duals and matching for a from-scratch run.
   void InitDuals();
@@ -92,24 +123,51 @@ class MaxWeightMatcher {
   // caller clears).
   void EmitMatching(std::span<const double> weight, std::vector<int>* out);
 
+  // Fills the current lane's cost matrix and best_edge_ (PrepareProblem's
+  // last step, after compaction and the lane choice).
+  void BuildCost(const BipartiteGraph& g, std::span<const double> weight);
+  template <typename T>
+  void FillCost(const BipartiteGraph& g, std::span<const double> weight,
+                std::vector<T>& cost);
+  template <typename T>
+  void InitLane(LaneState<T>& lane);
+  template <typename T>
+  void RestoreLane(const HungarianCheckpoints& from, int row,
+                   LaneState<T>& lane);
+  template <typename T>
+  void RunLaneRows(LaneState<T>& lane, int first_row,
+                   HungarianCheckpoints* record);
+
+  // The current lane's matrix entry (0-based) and dual potentials (1-based),
+  // for the warm-start layer's dual audits.
+  double CostAt(int r, int c) const {
+    const std::size_t rc = static_cast<std::size_t>(r) * cols_ + c;
+    return int_lane_ ? ilane_.cost[rc] : dlane_.cost[rc];
+  }
+  double PotentialU(int i) const {
+    return int_lane_ ? ilane_.u[i] : dlane_.u[i];
+  }
+  double PotentialV(int j) const {
+    return int_lane_ ? ilane_.v[j] : dlane_.v[j];
+  }
+
   // Vertex compaction scratch.
   std::vector<int> left_index_;
   std::vector<int> right_index_;
   std::vector<int> left_ids_;
   std::vector<int> right_ids_;
-  // Dense matrix over compacted vertices, row-major (rows_ <= cols_).
+  // Dense matrix shape over compacted vertices (rows_ <= cols_); the matrix
+  // itself lives in the lane (LaneState::cost).
   int rows_ = 0;
   int cols_ = 0;
   bool transpose_ = false;
-  std::vector<double> cost_;
   std::vector<int> best_edge_;
-  // Hungarian state (1-based over cols, index 0 is the virtual column).
-  std::vector<double> u_;
-  std::vector<double> v_;
-  std::vector<double> minv_;
-  std::vector<double> vv_;  // == v_ for open columns, -inf once used.
-  std::vector<int> p_;
-  std::vector<std::int64_t> way_;
+  // The current problem's lane; only that lane's state is meaningful.
+  bool int_lane_ = false;
+  LaneState<double> dlane_;
+  LaneState<std::int32_t> ilane_;
+  // Lane-independent Hungarian state.
+  std::vector<int> p_;  // p_[j] = row matched to column j (1-based).
   std::vector<int> used_cols_;
   std::vector<int> assignment_;
 };

@@ -278,6 +278,10 @@ int ServeSocket(int listen_fd, const SwitchSpec& sw,
     FdStreamBuf buf(client);
     std::istream in(&buf);
     std::ostream out(&buf);
+    // Like std::cin and std::cout: reading the next command flushes the
+    // pending replies, so a client that waits for a round's reply before
+    // sending the next round gets it.
+    in.tie(&out);
     const StreamingSummary summary = RunWireSession(sw, in, out, options);
     if (summary.source_error) {
       std::fprintf(stderr, "flowsched_serve: session error: %s (continuing)\n",
