@@ -8,9 +8,10 @@
 // Lemma 3.1: the optimum lower-bounds the total response time of any
 // schedule. The paper's LP ranges over an unbounded horizon; we solve over a
 // finite horizon H and certify optimality for the unbounded LP from duals
-// (see DESIGN.md §4.1): per-flow covering duals alpha_e can only price a
-// column (e, t >= H) negative if alpha_e > w_{e,t}, and w is increasing in t,
-// so alpha_e <= w_{e,H} for all e proves nothing beyond H helps.
+// (docs/architecture.md, "LP layer"): per-flow covering duals alpha_e can
+// only price a column (e, t >= H) negative if alpha_e > w_{e,t}, and w is
+// increasing in t, so alpha_e <= w_{e,H} for all e proves nothing beyond H
+// helps.
 #ifndef FLOWSCHED_CORE_ART_LP_H_
 #define FLOWSCHED_CORE_ART_LP_H_
 

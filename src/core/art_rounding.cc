@@ -126,11 +126,16 @@ PseudoSchedule ArtIterativeRounding(const Instance& instance,
                   4.0 * static_cast<double>(sw.output_capacity(q)));
       }
     }
+    // One column per flow per window, at the flow's first round in it. A
+    // later round of the same window has the same three rows and a strictly
+    // higher cost; it sits after that column, and Dantzig and Bland pricing
+    // both keep the lower index on ties, so it could never enter the basis
+    // (docs/architecture.md, "LP layer"). Dropping it leaves every pivot.
     vars.clear();
     std::vector<std::pair<int, double>> entries(3);
     for (int e = 0; e < n; ++e) {
       const Flow& f = instance.flow(e);
-      for (Round t = f.release; t < horizon; ++t) {
+      for (Round t = f.release; t < horizon; t = (t / 4 + 1) * 4) {
         entries[0] = {flow_row[e], 1.0};
         entries[1] = {in_row(f.src, t), 1.0};
         entries[2] = {out_row(f.dst, t), 1.0};

@@ -4,13 +4,13 @@
 // Given a fractional solution x of LP (19)-(21), produces an integral
 // assignment (every flow in exactly one active round) whose per-(port,round)
 // load exceeds the capacity by at most an additive term. We implement an
-// iterative LP-relaxation rounder (see DESIGN.md §5 for the substitution
-// rationale): re-solve for a vertex, permanently fix (numerically) integral
-// variables, and when a vertex fixes nothing, relax one capacity row —
-// first to c_p + (2*dmax - 1) (the paper's bound), then, only if still
-// stuck, to unbounded (counted as `hard_drops`; violations beyond
-// 2*dmax - 1 can only originate from those, and the realized worst violation
-// is measured and reported).
+// iterative LP-relaxation rounder (docs/architecture.md, "LP layer", has
+// the substitution rationale): re-solve for a vertex, permanently fix
+// (numerically) integral variables, and when a vertex fixes nothing, relax
+// one capacity row — first to c_p + (2*dmax - 1) (the paper's bound), then,
+// only if still stuck, to unbounded (counted as `hard_drops`; violations
+// beyond 2*dmax - 1 can only originate from those, and the realized worst
+// violation is measured and reported).
 #ifndef FLOWSCHED_CORE_GROUP_ROUNDING_H_
 #define FLOWSCHED_CORE_GROUP_ROUNDING_H_
 

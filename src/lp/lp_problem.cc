@@ -17,14 +17,8 @@ int LpProblem::AddColumn(double objective,
     matrix_ = ColumnMatrix(num_rows());
     frozen_ = true;
   }
-  SparseColumn col;
-  col.rows.reserve(entries.size());
-  col.values.reserve(entries.size());
-  for (const auto& [row, value] : entries) {
-    col.Add(row, value);
-  }
   objective_.push_back(objective);
-  return matrix_.AddColumn(std::move(col));
+  return matrix_.AddColumn(entries);
 }
 
 }  // namespace flowsched

@@ -30,7 +30,7 @@ class LpProblem {
   RowSense sense(int i) const { return senses_[i]; }
   double rhs(int i) const { return rhs_[i]; }
   double objective(int j) const { return objective_[j]; }
-  const SparseColumn& col(int j) const { return matrix_.col(j); }
+  const ColumnMatrix& matrix() const { return matrix_; }
 
  private:
   std::vector<RowSense> senses_;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "lp/simplex_kernels.h"
 #include "util/check.h"
 
 namespace flowsched {
@@ -19,7 +20,10 @@ enum class ColKind { kStructural, kSlack, kArtificial };
 class RevisedSimplex {
  public:
   RevisedSimplex(const LpProblem& lp, const SimplexOptions& options)
-      : lp_(lp), opt_(options), m_(lp.num_rows()) {
+      : lp_(lp),
+        opt_(options),
+        m_(lp.num_rows()),
+        kernels_(simplex_kernels::BestKernels()) {
     Setup();
   }
 
@@ -102,22 +106,34 @@ class RevisedSimplex {
     const int n = lp_.num_cols();
     kind_.assign(n, ColKind::kStructural);
     slack_row_.assign(n, -1);
+    unit_value_.assign(n, 0.0);
+    std::vector<int> slack_of_row(m_, -1);
     for (int i = 0; i < m_; ++i) {
       if (eff_sense_[i] != RowSense::kEq) {
+        slack_of_row[i] = static_cast<int>(kind_.size());
         kind_.push_back(ColKind::kSlack);
         slack_row_.push_back(i);
+        unit_value_.push_back(eff_sense_[i] == RowSense::kLe ? 1.0 : -1.0);
       }
+    }
+    // Structural coefficients in the normalized rows. Scaling by +/-1 is
+    // exact, so y_r * (s_r * v) below equals (y_r * s_r) * v bit for bit.
+    const ColumnMatrix& a = lp_.matrix();
+    scaled_values_.resize(a.values().size());
+    for (std::size_t k = 0; k < scaled_values_.size(); ++k) {
+      scaled_values_[k] = a.values()[k] * row_scale_[a.rows()[k]];
     }
     // Initial basis: slack for <= rows, artificial otherwise.
     basis_.assign(m_, -1);
     needs_phase1_ = false;
     for (int i = 0; i < m_; ++i) {
       if (eff_sense_[i] == RowSense::kLe) {
-        basis_[i] = SlackColumnFor(i);
+        basis_[i] = slack_of_row[i];
       } else {
         basis_[i] = static_cast<int>(kind_.size());
         kind_.push_back(ColKind::kArtificial);
         slack_row_.push_back(i);
+        unit_value_.push_back(1.0);
         needs_phase1_ = true;
       }
     }
@@ -130,24 +146,6 @@ class RevisedSimplex {
     xb_ = rhs_;
     y_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
-  }
-
-  int SlackColumnFor(int row) const {
-    // Slack columns were appended in row order for non-equality rows.
-    int idx = lp_.num_cols();
-    for (int i = 0; i < row; ++i) {
-      if (eff_sense_[i] != RowSense::kEq) ++idx;
-    }
-    FS_CHECK(kind_[idx] == ColKind::kSlack && slack_row_[idx] == row);
-    return idx;
-  }
-
-  double ColumnCoefficient(int j, int row) const {
-    // Only used on slack/artificial columns (single nonzero).
-    FS_CHECK(kind_[j] != ColKind::kStructural);
-    if (slack_row_[j] != row) return 0.0;
-    if (kind_[j] == ColKind::kArtificial) return 1.0;
-    return eff_sense_[row] == RowSense::kLe ? 1.0 : -1.0;
   }
 
   void SetPhaseCosts(bool phase1) {
@@ -167,47 +165,67 @@ class RevisedSimplex {
     for (int i = 0; i < m_; ++i) {
       const double cb = cost_[basis_[i]];
       if (cb == 0.0) continue;
-      const double* row = &binv_[static_cast<std::size_t>(i) * m_];
-      for (int r = 0; r < m_; ++r) y_[r] += cb * row[r];
+      kernels_.add_scaled(cb, &binv_[static_cast<std::size_t>(i) * m_],
+                          y_.data(), m_);
     }
-  }
-
-  // Reduced cost of column j given current y.
-  double ReducedCost(int j) const {
-    double yaj;
-    if (kind_[j] == ColKind::kStructural) {
-      const SparseColumn& col = lp_.col(j);
-      yaj = 0.0;
-      for (std::size_t k = 0; k < col.rows.size(); ++k) {
-        yaj += y_[col.rows[k]] * row_scale_[col.rows[k]] * col.values[k];
-      }
-    } else {
-      const int r = slack_row_[j];
-      yaj = y_[r] * ColumnCoefficient(j, r);
-    }
-    return cost_[j] - yaj;
   }
 
   // w = Binv * A_j.
   void ComputeDirection(int j) {
-    std::fill(w_.begin(), w_.end(), 0.0);
     if (kind_[j] == ColKind::kStructural) {
-      const SparseColumn& col = lp_.col(j);
-      for (std::size_t k = 0; k < col.rows.size(); ++k) {
-        const int r = col.rows[k];
-        const double a = col.values[k] * row_scale_[r];
-        if (a == 0.0) continue;
-        for (int i = 0; i < m_; ++i) {
-          w_[i] += binv_[static_cast<std::size_t>(i) * m_ + r] * a;
-        }
-      }
+      const std::vector<int>& start = lp_.matrix().starts();
+      const int k = start[j];
+      kernels_.column_product(binv_.data(), m_,
+                              lp_.matrix().rows().data() + k,
+                              scaled_values_.data() + k, start[j + 1] - k,
+                              w_.data());
     } else {
       const int r = slack_row_[j];
-      const double a = ColumnCoefficient(j, r);
+      const double a = unit_value_[j];
       for (int i = 0; i < m_; ++i) {
         w_[i] = binv_[static_cast<std::size_t>(i) * m_ + r] * a;
       }
     }
+  }
+
+  // Dantzig pricing (the most negative reduced cost, lowest index on ties),
+  // or Bland's rule (the lowest eligible index) when `bland`. Returns -1
+  // when no column prices below -optimality_tol. In phase 2, artificials
+  // may never enter.
+  int Price(bool phase1, bool bland) const {
+    int entering = -1;
+    double best = -opt_.optimality_tol;
+    // Structural columns, straight from the column store.
+    const ColumnMatrix& a = lp_.matrix();
+    const int* start = a.starts().data();
+    const int* rows = a.rows().data();
+    const double* values = scaled_values_.data();
+    const int n = lp_.num_cols();
+    for (int j = 0; j < n; ++j) {
+      if (in_basis_[j]) continue;
+      double yaj = 0.0;
+      for (int k = start[j]; k < start[j + 1]; ++k) {
+        yaj += y_[rows[k]] * values[k];
+      }
+      const double d = cost_[j] - yaj;
+      if (d < best) {
+        entering = j;
+        if (bland) return entering;  // First eligible index (Bland).
+        best = d;
+      }
+    }
+    // Slacks and artificials: one unit entry each.
+    for (int j = n; j < total_cols_; ++j) {
+      if (in_basis_[j]) continue;
+      if (kind_[j] == ColKind::kArtificial && !phase1) continue;
+      const double d = cost_[j] - y_[slack_row_[j]] * unit_value_[j];
+      if (d < best) {
+        entering = j;
+        if (bland) return entering;
+        best = d;
+      }
+    }
+    return entering;
   }
 
   SimplexStatus Iterate(bool phase1) {
@@ -215,20 +233,7 @@ class RevisedSimplex {
     while (iterations_ < max_iterations_) {
       ++iterations_;
       ComputeY();
-      const bool bland = stall >= opt_.stall_limit;
-      // Pricing. In phase 2, artificials may never enter.
-      int entering = -1;
-      double best = -opt_.optimality_tol;
-      for (int j = 0; j < total_cols_; ++j) {
-        if (in_basis_[j]) continue;
-        if (kind_[j] == ColKind::kArtificial && !phase1) continue;
-        const double d = ReducedCost(j);
-        if (d < best) {
-          entering = j;
-          if (bland) break;  // First eligible index (Bland).
-          best = d;
-        }
-      }
+      const int entering = Price(phase1, stall >= opt_.stall_limit);
       if (entering == -1) return SimplexStatus::kOptimal;
 
       ComputeDirection(entering);
@@ -287,8 +292,10 @@ class RevisedSimplex {
       if (i == leaving) continue;
       const double f = w_[i];
       if (f == 0.0) continue;
-      double* row = &binv_[static_cast<std::size_t>(i) * m_];
-      for (int r = 0; r < m_; ++r) row[r] -= f * pivot_row[r];
+      // row - f * pivot_row, written as row + (-f) * pivot_row: negation
+      // is exact and IEEE defines x - y as x + (-y), so the bits agree.
+      kernels_.add_scaled(-f, pivot_row,
+                          &binv_[static_cast<std::size_t>(i) * m_], m_);
     }
     in_basis_[basis_[leaving]] = 0;
     in_basis_[entering] = 1;
@@ -327,6 +334,7 @@ class RevisedSimplex {
   const LpProblem& lp_;
   SimplexOptions opt_;
   int m_;
+  const simplex_kernels::KernelVariant& kernels_;
   long max_iterations_ = 0;
   long iterations_ = 0;
   bool needs_phase1_ = false;
@@ -336,7 +344,10 @@ class RevisedSimplex {
   std::vector<double> rhs_;
   std::vector<RowSense> eff_sense_;
   std::vector<ColKind> kind_;
-  std::vector<int> slack_row_;  // Row of the single nonzero, per non-structural col.
+  // Row and value of the single nonzero, per non-structural column.
+  std::vector<int> slack_row_;
+  std::vector<double> unit_value_;
+  std::vector<double> scaled_values_;  // Matrix values times their row scale.
   std::vector<int> basis_;      // basis_[i] = column in basis position i.
   std::vector<char> in_basis_;
   std::vector<double> binv_;    // Row-major m x m.
@@ -348,11 +359,11 @@ class RevisedSimplex {
   double PrimalResidual(const std::vector<double>& x) const {
     // Recompute structural row activity and compare against senses.
     std::vector<double> activity(m_, 0.0);
+    const ColumnMatrix& a = lp_.matrix();
     for (int j = 0; j < lp_.num_cols(); ++j) {
       if (x[j] == 0.0) continue;
-      const SparseColumn& col = lp_.col(j);
-      for (std::size_t k = 0; k < col.rows.size(); ++k) {
-        activity[col.rows[k]] += col.values[k] * x[j];
+      for (int k = a.starts()[j]; k < a.starts()[j + 1]; ++k) {
+        activity[a.rows()[k]] += a.values()[k] * x[j];
       }
     }
     double worst = 0.0;

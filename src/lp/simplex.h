@@ -1,17 +1,21 @@
 // Two-phase revised primal simplex with an explicit dense basis inverse.
 //
-// Design targets (see DESIGN.md §4): the scheduling LPs have a few thousand
-// rows, tens of thousands of columns, and ~3 nonzeros per column. A revised
-// simplex with a dense row-major B^{-1} gives O(m^2) per pivot with fully
-// contiguous inner loops, which is fast at this scale and has no external
-// dependencies. Basic optimal solutions (vertices) are guaranteed, which the
-// iterative-rounding algorithms require.
+// Design targets (docs/architecture.md, "LP layer"): Theorem 1's LP(0) on
+// the offline-art benchmark instances (8 ports, ~64 unit flows) has about
+// 170 rows and, with one column per round, 1.5k columns of 3 nonzeros each
+// (390 once window-dominated columns are dropped). A revised simplex with a
+// dense row-major B^{-1} gives O(m^2) per pivot with contiguous inner loops
+// (vectorized in lp/simplex_kernels.h), which is fast at this scale and has
+// no external dependencies. Basic optimal solutions (vertices) are
+// guaranteed, which the iterative-rounding algorithms require.
 //
 // Guarantees and conventions:
 //  * Rows may be <=, >= or =; variables are non-negative.
 //  * Returned duals y satisfy objective == y . rhs at optimality, with
 //    y_i <= 0 for <= rows and y_i >= 0 for >= rows (minimization convention).
 //  * Anti-cycling: Dantzig pricing switches to Bland's rule after a stall.
+//    Both keep the lowest column index on ties, so a column with the same
+//    entries as an earlier one and a strictly higher cost never enters.
 #ifndef FLOWSCHED_LP_SIMPLEX_H_
 #define FLOWSCHED_LP_SIMPLEX_H_
 

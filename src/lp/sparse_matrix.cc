@@ -1,43 +1,26 @@
 #include "lp/sparse_matrix.h"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/check.h"
 
 namespace flowsched {
 
-int ColumnMatrix::AddColumn(SparseColumn col) {
-  FS_CHECK_EQ(col.rows.size(), col.values.size());
-  // Sort by row and merge duplicates so downstream code can assume clean
-  // columns.
-  std::vector<int> order(col.rows.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return col.rows[a] < col.rows[b]; });
-  SparseColumn clean;
-  clean.rows.reserve(col.rows.size());
-  clean.values.reserve(col.values.size());
-  for (int idx : order) {
-    const int r = col.rows[idx];
-    FS_CHECK(r >= 0 && r < num_rows_);
-    if (!clean.rows.empty() && clean.rows.back() == r) {
-      clean.values.back() += col.values[idx];
-    } else {
-      clean.Add(r, col.values[idx]);
+int ColumnMatrix::AddColumn(std::span<const std::pair<int, double>> entries) {
+  // Insertion-sort each entry into the column's tail by row, merging a
+  // duplicate row into the entry already there.
+  const std::size_t begin = rows_.size();
+  for (const auto& [row, value] : entries) {
+    FS_CHECK(row >= 0 && row < num_rows_);
+    std::size_t k = rows_.size();
+    while (k > begin && rows_[k - 1] > row) --k;
+    if (k > begin && rows_[k - 1] == row) {
+      values_[k - 1] += value;
+      continue;
     }
+    rows_.insert(rows_.begin() + k, row);
+    values_.insert(values_.begin() + k, value);
   }
-  cols_.push_back(std::move(clean));
+  start_.push_back(static_cast<int>(rows_.size()));
   return num_cols() - 1;
-}
-
-double ColumnMatrix::DotColumn(std::span<const double> y, int j) const {
-  const SparseColumn& c = cols_[j];
-  double acc = 0.0;
-  for (std::size_t k = 0; k < c.rows.size(); ++k) {
-    acc += y[c.rows[k]] * c.values[k];
-  }
-  return acc;
 }
 
 }  // namespace flowsched

@@ -3,7 +3,7 @@
 # Debug and Release, a CLI smoke test, the docs checks (generated
 # docs/solvers.md freshness + markdown link resolution), and the Debug
 # ASan/UBSan leg over the graph + coflow + fabric + workload + model +
-# serve + scenario + traffic suites.
+# serve + scenario + traffic + online + lp + core suites.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -141,11 +141,11 @@ EOF
   fi
 done
 
-echo "=== Debug ASan/UBSan (graph + coflow + fabric + workload + model + serve + scenario + traffic + online) ==="
+echo "=== Debug ASan/UBSan (graph + coflow + fabric + workload + model + serve + scenario + traffic + online + lp + core) ==="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_SANITIZE=address,undefined \
     -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'graph|coflow|fabric|workload|model|serve|scenario|traffic|online')
+    -R 'graph|coflow|fabric|workload|model|serve|scenario|traffic|online|lp|core')
 echo "CI OK"
