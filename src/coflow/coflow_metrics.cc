@@ -31,9 +31,10 @@ CoflowMetrics ComputeCoflowMetrics(const Instance& instance,
     m.total_cct = cct_stats.sum();
     m.avg_cct = cct_stats.mean();
     m.max_cct = cct_stats.max();
-    m.p50_cct = Percentile(m.cct, 50.0);
-    m.p95_cct = Percentile(m.cct, 95.0);
-    m.p99_cct = Percentile(m.cct, 99.0);
+    const std::vector<double> p = Percentiles(m.cct, {50.0, 95.0, 99.0});
+    m.p50_cct = p[0];
+    m.p95_cct = p[1];
+    m.p99_cct = p[2];
     RunningStats slow_stats;
     for (double s : m.slowdown) slow_stats.Add(s);
     m.avg_slowdown = slow_stats.mean();

@@ -22,18 +22,12 @@
 
 namespace flowsched {
 
-// A backlog entry. `id` refers to the realized instance being simulated.
-// The coflow tag rides along so group-aware policies (src/coflow/) can rank
-// the backlog by coflow without any side-channel mapping; flow-level
-// policies ignore it.
-struct PendingFlow {
-  FlowId id = 0;
-  PortId src = 0;
-  PortId dst = 0;
-  Capacity demand = 1;
-  Round release = 0;
-  CoflowId coflow = kNoCoflow;
-};
+// A backlog entry: the backlogged flow itself, so the simulators can hand a
+// fault-free round's backlog to the policy without copying it. `id` refers
+// to the realized instance being simulated. The coflow tag rides along so
+// group-aware policies (src/coflow/) can rank the backlog by coflow without
+// any side-channel mapping; flow-level policies ignore it.
+using PendingFlow = Flow;
 
 // Matching-kernel knobs for the maxweight policy family (graph/
 // incremental_matching.h, graph/auction_matching.h). Non-matching policies

@@ -1,8 +1,9 @@
 /// SimulationContext: the reusable buffer set behind the round-based
 /// simulator's zero-allocation hot loop.
 ///
-/// One context owns the backlog, the PendingFlow view handed to policies,
-/// the arrival staging buffer, the per-flow assignment table, and the
+/// One context owns the backlog (handed to policies as-is on fault-free
+/// rounds), the filtered PendingFlow view of degraded rounds, the arrival
+/// staging buffer, the per-flow assignment table, and the
 /// per-port load scratch used by opt-in selection validation. Simulate()
 /// creates one internally by default; drivers running many simulations
 /// back-to-back (benchmarks, sweeps, fabric pods) pass the same context to
@@ -41,10 +42,13 @@ class SimulationContext {
   // Round-loop state (managed by Simulate()).
   std::vector<Flow> backlog;          ///< Released, unscheduled flows.
   std::vector<Flow> arrivals;         ///< Staging for ArrivalsInto.
-  std::vector<PendingFlow> pending;   ///< Backlog view handed to the policy.
-  std::vector<int> pending_map;       ///< pending index -> backlog index
-                                      ///< (scenario rounds filter blocked
-                                      ///< flows, so the view is not 1:1).
+  std::vector<PendingFlow> pending;   ///< Policy view on degraded rounds
+                                      ///< only: the backlog minus flows on
+                                      ///< dead ports. Fault-free rounds hand
+                                      ///< the policy the backlog itself.
+  std::vector<int> pending_map;       ///< pending index -> backlog index,
+                                      ///< filled with `pending` (degraded
+                                      ///< rounds only).
   std::vector<int> picked;            ///< Policy selection for the round.
   std::vector<Round> assigned_round;  ///< Indexed by realized flow id.
   std::vector<char> remove;           ///< Backlog compaction flags.

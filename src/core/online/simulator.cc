@@ -1,6 +1,7 @@
 #include "core/online/simulator.h"
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -138,29 +139,26 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalProcess& arrivals,
       if (next > t + 1) t = next - 1;  // ++t lands on `next`.
       continue;
     }
-    ctx.pending.clear();
+    // The policy sees the backlog itself, unless the switch is degraded.
+    std::span<const PendingFlow> pending = ctx.backlog;
     const bool mapped = has_scenario && scen.degraded();
     if (mapped) {
       // Flows touching a dead port stay backlogged and are withheld from
       // the policy; pending_map remembers each survivor's backlog slot.
+      ctx.pending.clear();
       ctx.pending_map.clear();
       for (std::size_t i = 0; i < ctx.backlog.size(); ++i) {
         const Flow& f = ctx.backlog[i];
         if (scen.IsBlocked(f.src, f.dst)) continue;
-        ctx.pending.push_back(
-            PendingFlow{f.id, f.src, f.dst, f.demand, f.release, f.coflow});
+        ctx.pending.push_back(f);
         ctx.pending_map.push_back(static_cast<int>(i));
       }
-    } else {
-      for (const Flow& f : ctx.backlog) {
-        ctx.pending.push_back(
-            PendingFlow{f.id, f.src, f.dst, f.demand, f.release, f.coflow});
-      }
+      pending = ctx.pending;
     }
     result.peak_backlog =
         std::max(result.peak_backlog, static_cast<int>(ctx.backlog.size()));
     if (has_scenario && scen.AnyPortDown()) ++result.downtime_rounds;
-    if (ctx.pending.empty()) {
+    if (pending.empty()) {
       // Every backlogged flow is blocked. The round idles — unless nothing
       // can ever unblock them, in which case the run is stranded.
       if (arrivals.Exhausted(t + 1) && !scen.HasOpAfter(t)) {
@@ -179,13 +177,13 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalProcess& arrivals,
     // Selection and validation audit against the round's *effective*
     // capacities, not the base spec.
     const SwitchSpec& round_sw = mapped ? scen.view() : sw;
-    policy.SelectFlowsInto(round_sw, t, ctx.pending, &ctx.picked);
+    policy.SelectFlowsInto(round_sw, t, pending, &ctx.picked);
     if (options.validate) {
-      ValidatePolicySelection(round_sw, ctx.pending, ctx.picked, ctx);
+      ValidatePolicySelection(round_sw, pending, ctx.picked, ctx);
     }
     ctx.remove.assign(ctx.backlog.size(), 0);
     for (int i : ctx.picked) {
-      ctx.assigned_round[ctx.pending[i].id] = t;
+      ctx.assigned_round[pending[i].id] = t;
       ctx.remove[mapped ? ctx.pending_map[i] : i] = 1;
     }
     // Stable in-place compaction of the surviving backlog.

@@ -14,7 +14,7 @@ void SrptPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   // Greedy pack by (demand, release, id): cheapest flows first, FIFO ties.
   order_.resize(pending.size());
   std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
+  const auto before = [&](int a, int b) {
     if (pending[a].demand != pending[b].demand) {
       return pending[a].demand < pending[b].demand;
     }
@@ -22,7 +22,13 @@ void SrptPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
       return pending[a].release < pending[b].release;
     }
     return pending[a].id < pending[b].id;
-  });
+  };
+  // The simulators keep the backlog in admission order, which is already
+  // this order whenever demands are uniform. Ids are unique, so the order
+  // is total and sorting a sorted range would leave it as it is.
+  if (!std::is_sorted(order_.begin(), order_.end(), before)) {
+    std::stable_sort(order_.begin(), order_.end(), before);
+  }
   in_res_.assign(sw.input_capacities().begin(), sw.input_capacities().end());
   out_res_.assign(sw.output_capacities().begin(), sw.output_capacities().end());
   for (int i : order_) {

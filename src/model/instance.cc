@@ -22,33 +22,33 @@ FlowId Instance::AddFlow(PortId src, PortId dst, Capacity demand,
 }
 
 std::optional<std::string> Instance::ValidationError() const {
-  for (const Flow& e : flows_) {
+  // Every flow is checked with plain comparisons; the message stream is
+  // built only for the one flow that fails.
+  const auto error = [](const auto&... parts) {
     std::ostringstream os;
+    (os << ... << parts);
+    return std::optional<std::string>(os.str());
+  };
+  for (const Flow& e : flows_) {
     if (e.src < 0 || e.src >= switch_.num_inputs()) {
-      os << "flow " << e.id << ": input port " << e.src << " out of range";
-      return os.str();
+      return error("flow ", e.id, ": input port ", e.src, " out of range");
     }
     if (e.dst < 0 || e.dst >= switch_.num_outputs()) {
-      os << "flow " << e.id << ": output port " << e.dst << " out of range";
-      return os.str();
+      return error("flow ", e.id, ": output port ", e.dst, " out of range");
     }
     if (e.demand < 1) {
-      os << "flow " << e.id << ": demand " << e.demand << " < 1";
-      return os.str();
+      return error("flow ", e.id, ": demand ", e.demand, " < 1");
     }
     if (e.demand > switch_.Kappa(e)) {
       // The model (paper §2) requires d_e <= kappa_e = min(c_p, c_q).
-      os << "flow " << e.id << ": demand " << e.demand << " exceeds kappa "
-         << switch_.Kappa(e);
-      return os.str();
+      return error("flow ", e.id, ": demand ", e.demand, " exceeds kappa ",
+                   switch_.Kappa(e));
     }
     if (e.release < 0) {
-      os << "flow " << e.id << ": negative release " << e.release;
-      return os.str();
+      return error("flow ", e.id, ": negative release ", e.release);
     }
     if (e.coflow < kNoCoflow) {
-      os << "flow " << e.id << ": invalid coflow tag " << e.coflow;
-      return os.str();
+      return error("flow ", e.id, ": invalid coflow tag ", e.coflow);
     }
   }
   return std::nullopt;

@@ -24,9 +24,10 @@ ScheduleMetrics ComputeMetrics(const Instance& instance,
     m.avg_response = stats.mean();
     m.max_response = stats.max();
     m.stddev_response = stats.stddev();
-    m.p50_response = Percentile(m.response, 50.0);
-    m.p95_response = Percentile(m.response, 95.0);
-    m.p99_response = Percentile(m.response, 99.0);
+    const std::vector<double> p = Percentiles(m.response, {50.0, 95.0, 99.0});
+    m.p50_response = p[0];
+    m.p95_response = p[1];
+    m.p99_response = p[2];
   }
   return m;
 }

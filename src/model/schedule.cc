@@ -86,17 +86,19 @@ PortLoads Schedule::ComputeLoads(const Instance& instance) const {
 std::optional<std::string> Schedule::ValidationError(
     const Instance& instance, const CapacityAllowance& allowance) const {
   FS_CHECK_EQ(num_flows(), instance.num_flows());
+  // Plain comparisons per flow and per (port, round); the message stream is
+  // built only on the failing branch.
+  const auto error = [](const auto&... parts) {
+    std::ostringstream os;
+    (os << ... << parts);
+    return std::optional<std::string>(os.str());
+  };
   for (const Flow& e : instance.flows()) {
     const Round t = assigned_[e.id];
-    std::ostringstream os;
-    if (t == kUnassigned) {
-      os << "flow " << e.id << " is unassigned";
-      return os.str();
-    }
+    if (t == kUnassigned) return error("flow ", e.id, " is unassigned");
     if (t < e.release) {
-      os << "flow " << e.id << " scheduled at round " << t
-         << " before its release " << e.release;
-      return os.str();
+      return error("flow ", e.id, " scheduled at round ", t,
+                   " before its release ", e.release);
     }
   }
   const PortLoads loads = ComputeLoads(instance);
@@ -105,10 +107,8 @@ std::optional<std::string> Schedule::ValidationError(
     const Capacity allowed = allowance.Allowed(sw.input_capacity(p));
     for (Round t = 0; t < loads.horizon; ++t) {
       if (loads.input[p][t] > allowed) {
-        std::ostringstream os;
-        os << "input port " << p << " overloaded at round " << t << ": load "
-           << loads.input[p][t] << " > allowed " << allowed;
-        return os.str();
+        return error("input port ", p, " overloaded at round ", t, ": load ",
+                     loads.input[p][t], " > allowed ", allowed);
       }
     }
   }
@@ -116,10 +116,8 @@ std::optional<std::string> Schedule::ValidationError(
     const Capacity allowed = allowance.Allowed(sw.output_capacity(q));
     for (Round t = 0; t < loads.horizon; ++t) {
       if (loads.output[q][t] > allowed) {
-        std::ostringstream os;
-        os << "output port " << q << " overloaded at round " << t << ": load "
-           << loads.output[q][t] << " > allowed " << allowed;
-        return os.str();
+        return error("output port ", q, " overloaded at round ", t, ": load ",
+                     loads.output[q][t], " > allowed ", allowed);
       }
     }
   }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <ostream>
+#include <span>
 
 #include "util/check.h"
 
@@ -102,38 +103,36 @@ void StreamingSimulator::Admit(Flow f) {
 
 void StreamingSimulator::RunRound() {
   scenario_.AdvanceTo(round_);
-  ctx_.pending.clear();
+  // As in the batch loop, the policy sees the backlog itself unless the
+  // switch is degraded.
+  std::span<const PendingFlow> pending = ctx_.backlog;
   const bool mapped = scenario_.degraded();
   if (mapped) {
     // Mirror the batch loop: blocked flows stay backlogged and never reach
     // the policy; pending_map remembers each survivor's backlog slot.
+    ctx_.pending.clear();
     ctx_.pending_map.clear();
     for (std::size_t i = 0; i < ctx_.backlog.size(); ++i) {
       const Flow& f = ctx_.backlog[i];
       if (scenario_.IsBlocked(f.src, f.dst)) continue;
-      ctx_.pending.push_back(
-          PendingFlow{f.id, f.src, f.dst, f.demand, f.release, f.coflow});
+      ctx_.pending.push_back(f);
       ctx_.pending_map.push_back(static_cast<int>(i));
     }
-  } else {
-    for (const Flow& f : ctx_.backlog) {
-      ctx_.pending.push_back(
-          PendingFlow{f.id, f.src, f.dst, f.demand, f.release, f.coflow});
-    }
+    pending = ctx_.pending;
   }
   peak_backlog_ =
       std::max(peak_backlog_, static_cast<int>(ctx_.backlog.size()));
   if (scenario_.AnyPortDown()) ++downtime_rounds_;
-  round_blocked_ = ctx_.pending.empty();
+  round_blocked_ = pending.empty();
   if (round_blocked_) {
     // Every backlogged flow touches a dead port: the round idles.
     ctx_.picked.clear();
     return;
   }
   const SwitchSpec& round_sw = mapped ? scenario_.view() : sw_;
-  policy_.SelectFlowsInto(round_sw, round_, ctx_.pending, &ctx_.picked);
+  policy_.SelectFlowsInto(round_sw, round_, pending, &ctx_.picked);
   if (options_.validate) {
-    ValidatePolicySelection(round_sw, ctx_.pending, ctx_.picked, ctx_);
+    ValidatePolicySelection(round_sw, pending, ctx_.picked, ctx_);
   }
   if (options_.match_out != nullptr && !ctx_.picked.empty()) {
     std::ostream& out = *options_.match_out;

@@ -123,15 +123,26 @@ double P2Quantile::Estimate() const {
 }
 
 double Percentile(std::span<const double> values, double p) {
+  return Percentiles(values, {p})[0];
+}
+
+std::vector<double> Percentiles(std::span<const double> values,
+                                std::initializer_list<double> ps) {
   FS_CHECK(!values.empty());
-  FS_CHECK(p >= 0.0 && p <= 100.0);
   std::vector<double> sorted(values.begin(), values.end());
   std::sort(sorted.begin(), sorted.end());
   const auto n = sorted.size();
-  // Nearest-rank definition: smallest value with >= p% of mass at or below.
-  const auto rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(n)));
-  return sorted[rank == 0 ? 0 : rank - 1];
+  std::vector<double> out;
+  out.reserve(ps.size());
+  for (double p : ps) {
+    FS_CHECK(p >= 0.0 && p <= 100.0);
+    // Nearest-rank definition: smallest value with >= p% of mass at or
+    // below.
+    const auto rank = static_cast<std::size_t>(
+        std::ceil(p / 100.0 * static_cast<double>(n)));
+    out.push_back(sorted[rank == 0 ? 0 : rank - 1]);
+  }
+  return out;
 }
 
 double Mean(std::span<const double> values) {

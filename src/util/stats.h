@@ -3,6 +3,7 @@
 #define FLOWSCHED_UTIL_STATS_H_
 
 #include <cstddef>
+#include <initializer_list>
 #include <span>
 #include <vector>
 
@@ -60,6 +61,11 @@ class P2Quantile {
 
 // Exact percentile of a sample (nearest-rank). `p` in [0, 100].
 double Percentile(std::span<const double> values, double p);
+
+// Several nearest-rank percentiles of one sample from a single sorted copy:
+// element i equals Percentile(values, ps[i]).
+std::vector<double> Percentiles(std::span<const double> values,
+                                std::initializer_list<double> ps);
 
 double Mean(std::span<const double> values);
 double Max(std::span<const double> values);

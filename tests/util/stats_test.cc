@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace flowsched {
 namespace {
@@ -48,6 +53,60 @@ TEST(StatsTest, PercentileNearestRank) {
   EXPECT_DOUBLE_EQ(Percentile(v, 50.0), 3.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 100.0), 5.0);
   EXPECT_DOUBLE_EQ(Percentile(v, 90.0), 5.0);
+}
+
+// Nearest rank without sorting: the smallest sample value with at least
+// ceil(p% of n) values (at least one) at or below it.
+double BruteForceNearestRank(const std::vector<double>& v, double p) {
+  const auto want = std::max<std::size_t>(
+      1, static_cast<std::size_t>(
+             std::ceil(p / 100.0 * static_cast<double>(v.size()))));
+  double best = 0.0;
+  bool found = false;
+  for (double x : v) {
+    const auto at_or_below = static_cast<std::size_t>(
+        std::count_if(v.begin(), v.end(), [&](double y) { return y <= x; }));
+    if (at_or_below >= want && (!found || x < best)) {
+      best = x;
+      found = true;
+    }
+  }
+  return best;
+}
+
+void ExpectPercentilesMatch(const std::vector<double>& v) {
+  const std::vector<double> got =
+      Percentiles(v, {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0});
+  const double ps[] = {0.0, 1.0, 50.0, 95.0, 99.0, 99.9, 100.0};
+  ASSERT_EQ(got.size(), std::size(ps));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], Percentile(v, ps[i])) << "p=" << ps[i];
+    EXPECT_EQ(got[i], BruteForceNearestRank(v, ps[i])) << "p=" << ps[i];
+  }
+}
+
+TEST(StatsTest, PercentilesMatchPercentileOnRandomSamples) {
+  Rng rng(17);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> v(rng.UniformInt(1, 120));
+    for (double& x : v) {
+      // Half the trials draw from a few values so ties are common.
+      x = trial % 2 == 0 ? rng.UniformReal() * 100.0 : rng.UniformInt(0, 4);
+    }
+    ExpectPercentilesMatch(v);
+  }
+}
+
+TEST(StatsTest, PercentilesSingleValueAndDuplicates) {
+  ExpectPercentilesMatch({7.5});
+  EXPECT_EQ(Percentiles(std::vector<double>{7.5}, {0.0, 50.0, 100.0}),
+            (std::vector<double>{7.5, 7.5, 7.5}));
+  ExpectPercentilesMatch({3.0, 3.0, 3.0, 3.0});
+  ExpectPercentilesMatch({2.0, 1.0, 2.0, 1.0, 2.0, 9.0});
+  // Order of the requested percentiles is kept, endpoints included.
+  const std::vector<double> v = {5.0, 1.0, 3.0, 2.0, 4.0};
+  EXPECT_EQ(Percentiles(v, {100.0, 0.0, 50.0, 90.0}),
+            (std::vector<double>{5.0, 1.0, 3.0, 5.0}));
 }
 
 TEST(StatsTest, MeanAndMax) {

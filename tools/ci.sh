@@ -141,11 +141,11 @@ EOF
   fi
 done
 
-echo "=== Debug ASan/UBSan (graph + coflow + fabric + workload + model + serve + scenario + traffic + online + lp + core) ==="
+echo "=== Debug ASan/UBSan (graph + coflow + fabric + workload + model + serve + scenario + traffic + online + lp + core + util + api) ==="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_SANITIZE=address,undefined \
     -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)" \
-    -R 'graph|coflow|fabric|workload|model|serve|scenario|traffic|online|lp|core')
+    -R 'graph|coflow|fabric|workload|model|serve|scenario|traffic|online|lp|core|util|api')
 echo "CI OK"
