@@ -6,8 +6,11 @@
 // filtering, or the downtime accounting shows up here first.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/instance_source.h"
 #include "api/stream_source.h"
@@ -35,10 +38,10 @@ constexpr char kScript[] =
     "SET_CAPACITY 16 2 1\n"
     "PORT_UP 24 1\n";
 
-ScenarioScript MustParseScript() {
+ScenarioScript MustParseScript(const char* text = kScript) {
   ScenarioScript script;
   std::string error;
-  EXPECT_TRUE(ScenarioScript::ParseText(kScript, &script, &error)) << error;
+  EXPECT_TRUE(ScenarioScript::ParseText(text, &script, &error)) << error;
   return script;
 }
 
@@ -56,12 +59,14 @@ std::string ScheduleBytes(const Schedule& schedule) {
 }
 
 SimulationResult RunBatch(const Instance& instance, const std::string& policy,
-                          const ScenarioScript& script) {
+                          const ScenarioScript& script,
+                          Round max_rounds = SimulationOptions().max_rounds) {
   std::string error;
   const auto p = MakeServePolicy(policy, &error);
   EXPECT_NE(p, nullptr) << error;
   SimulationOptions options;
   options.scenario = &script;
+  options.max_rounds = max_rounds;
   return Simulate(instance, *p, options);
 }
 
@@ -147,6 +152,169 @@ TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderScenarioSrpt) {
 
 TEST(ScenarioGoldenTest, StreamingMatchesBatchUnderScenarioSebf) {
   CheckStreamingMatchesBatchUnderScenario(kCoflowSpec, "coflow.sebf");
+}
+
+// The loop contract beyond the fault-free path: every scripted case below
+// runs the same instance through batch Simulate() and a streaming path and
+// requires them to agree — on the schedule bytes when the run drains, and
+// on the truncation fields when it cannot.
+constexpr char kContractSpec[] =
+    "poisson:ports=8,cap=2,load=0.9,rounds=60,seed=11";
+// Two outages that overlap, then both recover.
+constexpr char kTwoOutages[] =
+    "PORT_DOWN 10 3\n"
+    "PORT_DOWN 10 5\n"
+    "PORT_UP 40 3\n"
+    "PORT_UP 40 5\n";
+// Re-home 60% of host 1's arrivals to host 6 from round 20, then take host
+// 6 down and bring it back.
+constexpr char kMigrate[] =
+    "MIGRATE 20 1 6 0.6\n"
+    "PORT_DOWN 25 6\n"
+    "PORT_UP 45 6\n";
+// Host 2 never comes back: its flows strand once arrivals end.
+constexpr char kStranding[] = "PORT_DOWN 5 2\n";
+
+struct StreamRun {
+  StreamingSummary summary;
+  Schedule schedule;
+};
+
+// The pull path: StreamingSimulator::Run over the replay source.
+StreamRun RunPull(const Instance& instance, const std::string& policy,
+                  const ScenarioScript& script, Round max_rounds = -1) {
+  std::string error;
+  const auto p = MakeServePolicy(policy, &error);
+  EXPECT_NE(p, nullptr) << error;
+  std::ostringstream match;
+  StreamingOptions options;
+  options.match_out = &match;
+  options.scenario = &script;
+  options.max_rounds = max_rounds;
+  InstanceStreamSource source(instance);
+  StreamingSimulator sim(source.sw(), *p, options);
+  StreamRun run;
+  run.summary = sim.Run(source);
+  run.schedule = ScheduleFromMatchLines(match.str(), instance.num_flows());
+  return run;
+}
+
+// The wire path: each round's arrivals are Inject()ed under their batch
+// ids (admission order: by release, stable by flow id), then the round is
+// Step()ped — flowsched_serve's ARRIVE lines followed by TICK.
+StreamRun RunWire(const Instance& instance, const std::string& policy,
+                  const ScenarioScript& script) {
+  std::string error;
+  const auto p = MakeServePolicy(policy, &error);
+  EXPECT_NE(p, nullptr) << error;
+  std::vector<FlowId> order(instance.num_flows());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
+    return instance.flow(a).release < instance.flow(b).release;
+  });
+  std::ostringstream match;
+  StreamingOptions options;
+  options.match_out = &match;
+  options.scenario = &script;
+  StreamingSimulator sim(instance.sw(), *p, options);
+  std::size_t next = 0;
+  while (next < order.size() || sim.backlog_size() > 0) {
+    for (; next < order.size() &&
+           instance.flow(order[next]).release <= sim.round();
+         ++next) {
+      Flow f = instance.flow(order[next]);
+      f.id = static_cast<FlowId>(next);
+      EXPECT_TRUE(sim.Inject(f, &error)) << error;
+    }
+    sim.Step();
+  }
+  StreamRun run;
+  run.summary = sim.Summarize();
+  run.schedule = ScheduleFromMatchLines(match.str(), instance.num_flows());
+  return run;
+}
+
+void ExpectDrainedRunMatchesBatch(const SimulationResult& batch,
+                                  const StreamRun& run) {
+  ASSERT_FALSE(batch.truncated) << batch.error;
+  EXPECT_FALSE(run.summary.truncated) << run.summary.error;
+  EXPECT_EQ(run.summary.flows, batch.realized.num_flows());
+  EXPECT_EQ(run.summary.rounds, batch.rounds);
+  EXPECT_EQ(run.summary.peak_backlog, batch.peak_backlog);
+  EXPECT_EQ(run.summary.total_response, batch.metrics.total_response);
+  EXPECT_EQ(run.summary.downtime_rounds,
+            static_cast<long long>(batch.downtime_rounds));
+  EXPECT_EQ(run.summary.migrated_flows, batch.migrated_flows);
+  EXPECT_EQ(ScheduleBytes(run.schedule), ScheduleBytes(batch.schedule));
+}
+
+TEST(ScenarioGoldenTest, WireMatchesBatchFaultFree) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript none;
+  ExpectDrainedRunMatchesBatch(RunBatch(instance, "online.srpt", none),
+                               RunWire(instance, "online.srpt", none));
+}
+
+TEST(ScenarioGoldenTest, WireMatchesBatchUnderOutages) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript script = MustParseScript(kTwoOutages);
+  const SimulationResult batch = RunBatch(instance, "online.srpt", script);
+  EXPECT_GT(batch.downtime_rounds, 0);
+  ExpectDrainedRunMatchesBatch(batch, RunWire(instance, "online.srpt", script));
+}
+
+TEST(ScenarioGoldenTest, WireMatchesBatchUnderMigrate) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript script = MustParseScript(kMigrate);
+  const SimulationResult batch = RunBatch(instance, "online.srpt", script);
+  EXPECT_EQ(batch.migrated_flows, 35);
+  ExpectDrainedRunMatchesBatch(batch, RunWire(instance, "online.srpt", script));
+}
+
+TEST(ScenarioGoldenTest, PullMatchesBatchUnderMigrate) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript script = MustParseScript(kMigrate);
+  const SimulationResult batch = RunBatch(instance, "online.srpt", script);
+  EXPECT_EQ(batch.migrated_flows, 35);
+  ExpectDrainedRunMatchesBatch(batch, RunPull(instance, "online.srpt", script));
+}
+
+TEST(ScenarioGoldenTest, PullMatchesBatchWhenStranded) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript script = MustParseScript(kStranding);
+  const SimulationResult batch = RunBatch(instance, "online.srpt", script);
+  const StreamRun run = RunPull(instance, "online.srpt", script);
+  ASSERT_TRUE(batch.truncated);
+  EXPECT_EQ(batch.rounds, 59);
+  EXPECT_EQ(batch.downtime_rounds, 55);
+  EXPECT_EQ(batch.peak_backlog, 82);
+  EXPECT_EQ(batch.error,
+            "scenario leaves " +
+                std::to_string(run.summary.arrived - run.summary.flows) +
+                " flows on dead ports with no recovery event after round 59");
+  EXPECT_TRUE(run.summary.truncated);
+  EXPECT_FALSE(run.summary.source_error);
+  EXPECT_EQ(run.summary.rounds, batch.rounds);
+  EXPECT_EQ(run.summary.downtime_rounds,
+            static_cast<long long>(batch.downtime_rounds));
+  EXPECT_EQ(run.summary.peak_backlog, batch.peak_backlog);
+  EXPECT_EQ(run.summary.error, batch.error);
+}
+
+TEST(ScenarioGoldenTest, PullMatchesBatchAtScriptedRoundCap) {
+  const Instance instance = MustLoad(kContractSpec);
+  const ScenarioScript script = MustParseScript(kStranding);
+  const SimulationResult batch =
+      RunBatch(instance, "online.srpt", script, /*max_rounds=*/50);
+  const StreamRun run =
+      RunPull(instance, "online.srpt", script, /*max_rounds=*/50);
+  ASSERT_TRUE(batch.truncated);
+  EXPECT_EQ(batch.rounds, 50);
+  EXPECT_EQ(batch.downtime_rounds, 45);
+  EXPECT_TRUE(run.summary.truncated);
+  EXPECT_EQ(run.summary.rounds, batch.rounds);
+  EXPECT_EQ(run.summary.downtime_rounds,
+            static_cast<long long>(batch.downtime_rounds));
 }
 
 // Delegating source that raises the shared stop flag once arrivals for

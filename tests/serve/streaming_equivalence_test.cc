@@ -6,9 +6,12 @@
 // the streaming rewrite to the batch loop.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/instance_source.h"
 #include "api/stream_source.h"
@@ -67,6 +70,39 @@ StreamRun RunStreaming(StreamingFlowSource& source, const std::string& policy,
   StreamRun run;
   run.summary = sim.Run(source);
   run.schedule = ScheduleFromMatchLines(match.str(), num_flows);
+  return run;
+}
+
+// The wire path flowsched_serve takes for ARRIVE lines followed by TICK:
+// each round's arrivals are Inject()ed under their batch ids (admission
+// order: by release, stable by flow id), then the round is Step()ped.
+StreamRun RunWire(const Instance& instance, const std::string& policy) {
+  std::string error;
+  const auto p = MakeServePolicy(policy, &error);
+  EXPECT_NE(p, nullptr) << error;
+  std::vector<FlowId> order(instance.num_flows());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
+    return instance.flow(a).release < instance.flow(b).release;
+  });
+  std::ostringstream match;
+  StreamingOptions options;
+  options.match_out = &match;
+  StreamingSimulator sim(instance.sw(), *p, options);
+  std::size_t next = 0;
+  while (next < order.size() || sim.backlog_size() > 0) {
+    for (; next < order.size() &&
+           instance.flow(order[next]).release <= sim.round();
+         ++next) {
+      Flow f = instance.flow(order[next]);
+      f.id = static_cast<FlowId>(next);
+      EXPECT_TRUE(sim.Inject(f, &error)) << error;
+    }
+    sim.Step();
+  }
+  StreamRun run;
+  run.summary = sim.Summarize();
+  run.schedule = ScheduleFromMatchLines(match.str(), instance.num_flows());
   return run;
 }
 
@@ -134,6 +170,13 @@ void CheckTracePath(const std::string& spec, const std::string& policy) {
   ExpectStreamingMatchesBatch(instance, policy, run);
 }
 
+// Same, but every arrival is injected through the wire-mode API.
+void CheckWirePath(const std::string& spec, const std::string& policy) {
+  SCOPED_TRACE(spec + " / " + policy + " / wire");
+  const Instance instance = MustLoad(spec);
+  ExpectStreamingMatchesBatch(instance, policy, RunWire(instance, policy));
+}
+
 // Specs sized to drain with idle gaps in the middle (low load) and
 // sustained backlog (high load). Matching-based policies need dmax=1.
 constexpr char kPoissonUnit[] =
@@ -189,6 +232,19 @@ TEST(StreamingEquivalenceTest, CoflowMaxWeightReplay) {
 
 TEST(StreamingEquivalenceTest, CoflowMaxWeightTrace) {
   CheckTracePath(kCoflows, "coflow.maxweight");
+}
+
+// The wire path (Inject per arrival, Step per round) walks idle rounds one
+// by one instead of fast-forwarding them, and must still land on batch's
+// schedule, round count and aggregates: with sustained backlog and with
+// idle gaps between sparse arrivals.
+TEST(StreamingEquivalenceTest, SrptWire) {
+  CheckWirePath(kPoissonHeavy, "online.srpt");
+  CheckWirePath(kPoissonSparse, "online.srpt");
+}
+
+TEST(StreamingEquivalenceTest, SebfWire) {
+  CheckWirePath(kCoflows, "coflow.sebf");
 }
 
 // The generator sources must *also* reproduce batch exactly: the per-round
