@@ -6,9 +6,10 @@
 // (b) Lemma 5.2 — seven ports, six flows, two rounds: every online policy
 //     is forced to max response 3 while hindsight achieves 2.
 //
-// The adaptive adversaries generate flows in *reaction* to the policy, so
-// they drive the simulator's ArrivalProcess interface directly — the one
-// workload shape outside the instance-based Solver facade. Everything
+// The adaptive adversaries generate flows in *reaction* to the policy: they
+// are ArrivalSources (workload/arrival_source.h) that read the backlog the
+// round loop hands them each round, so they drive Simulate() directly —
+// the one workload shape outside the instance-based Solver facade. Everything
 // downstream of the realized instances (hindsight optima, replaying the
 // canonical fixed instances) goes through the registry.
 //

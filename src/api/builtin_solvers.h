@@ -5,6 +5,13 @@
 #ifndef FLOWSCHED_API_BUILTIN_SOLVERS_H_
 #define FLOWSCHED_API_BUILTIN_SOLVERS_H_
 
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <string_view>
+
+#include "api/solver.h"
+#include "core/online/policy.h"
 #include "model/instance.h"
 #include "model/schedule.h"
 
@@ -32,6 +39,20 @@ void RegisterFabricSolvers(SolverRegistry& registry);
 // maps a realized-order schedule back onto the instance's flow ids.
 Schedule MapRealizedSchedule(const Instance& instance,
                              const Schedule& realized);
+
+// MakePolicy or MakeCoflowPolicy.
+using PolicyFactory = std::unique_ptr<SchedulingPolicy> (*)(
+    std::string_view, std::uint64_t, const MatchingOptions&);
+
+// The body both adapters share: checks max_rounds against the safe
+// horizon, reads the record_backlog, validate, warmstart, approx and
+// scenario params, replays `instance` under make_policy(policy, ...), and
+// reports the realized schedule with the simulation and matcher
+// diagnostics, plus, under a scenario, the robustness diagnostics against
+// a fault-free twin run.
+SolveReport ReplayPolicy(const Instance& instance,
+                         const SolveOptions& options,
+                         const std::string& policy, PolicyFactory make_policy);
 
 }  // namespace internal
 }  // namespace flowsched

@@ -89,88 +89,7 @@ class OnlinePolicySolver : public Solver {
                      " is matching-based and requires unit demands";
       return report;
     }
-    SimulationOptions sim;
-    if (options.max_rounds > 0) {
-      // The simulator FS_CHECK-aborts when flows are still pending at its
-      // horizon; refuse horizons that cannot drain any instance.
-      if (options.max_rounds < instance.SafeHorizon()) {
-        report.error = "max_rounds " + std::to_string(options.max_rounds) +
-                       " is below the safe horizon " +
-                       std::to_string(instance.SafeHorizon());
-        return report;
-      }
-      sim.max_rounds = options.max_rounds;
-    }
-    std::string perr;
-    sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
-    sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
-    MatchingOptions matching;
-    matching.warmstart = options.IntParamOr("warmstart", 1, &perr) != 0;
-    matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
-    if (!perr.empty()) {
-      report.error = perr;
-      return report;
-    }
-    if (matching.approx_eps < 0.0) {
-      report.error = "approx must be >= 0";
-      return report;
-    }
-    ScenarioScript script;
-    bool has_scenario = false;
-    if (!LoadScenarioOption(options, &script, &has_scenario, &report.error)) {
-      return report;
-    }
-    if (has_scenario) sim.scenario = &script;
-    auto policy = MakePolicy(policy_, options.seed, matching);
-    const SimulationResult r = Simulate(instance, *policy, sim);
-    if (r.truncated) {
-      report.error = r.error;
-      return report;
-    }
-    report.schedule = MapRealizedSchedule(instance, r.schedule);
-
-    report.ok = true;
-    // MIGRATE re-homes arrivals onto other hosts, but the facade audits
-    // the schedule against the *original* instance's ports — grant the
-    // destinations' capacity as additive slack (scenario/scenario.h).
-    report.allowance =
-        has_scenario && script.has_migrations()
-            ? CapacityAllowance::Additive(
-                  MigrationCapacityAllowance(script, instance.sw()))
-            : CapacityAllowance::Exact();
-    report.diagnostics["rounds_simulated"] = r.rounds;
-    report.diagnostics["avg_port_utilization"] = r.avg_port_utilization;
-    report.diagnostics["peak_backlog"] = r.peak_backlog;
-    const PolicyMatchingStats ms = policy->matching_stats();
-    if (ms.matcher_solves > 0) {
-      report.diagnostics["matcher_cache_hits"] = ms.matcher_cache_hits;
-      report.diagnostics["matcher_prefix_resumes"] = ms.matcher_prefix_resumes;
-      report.diagnostics["matcher_full_solves"] = ms.matcher_full_solves;
-      report.diagnostics["matcher_reused_rows"] = ms.matcher_reused_rows;
-      report.diagnostics["matcher_total_rows"] = ms.matcher_total_rows;
-    }
-    if (ms.auction_bids > 0) {
-      report.diagnostics["auction_bids"] = ms.auction_bids;
-      report.diagnostics["auction_cold_restarts"] = ms.auction_cold_restarts;
-    }
-    if (sim.record_backlog && !r.backlog_trace.empty()) {
-      report.diagnostics["max_backlog"] =
-          *std::max_element(r.backlog_trace.begin(), r.backlog_trace.end());
-    }
-    if (has_scenario) {
-      // The fault-free baseline (same policy, same seed) anchors the
-      // robustness diagnostics.
-      SimulationOptions base_sim = sim;
-      base_sim.scenario = nullptr;
-      base_sim.record_backlog = false;
-      auto base_policy = MakePolicy(policy_, options.seed, matching);
-      const SimulationResult base = Simulate(instance, *base_policy, base_sim);
-      AddScenarioDiagnostics(script, r.rounds, r.downtime_rounds,
-                             r.peak_backlog, r.metrics.total_response,
-                             base.peak_backlog, base.metrics.total_response,
-                             r.migrated_flows, &report);
-    }
-    return report;
+    return ReplayPolicy(instance, options, policy_, MakePolicy);
   }
 
  private:
@@ -192,6 +111,94 @@ Schedule MapRealizedSchedule(const Instance& instance,
     schedule.Assign(order[k], realized.round_of(k));
   }
   return schedule;
+}
+
+SolveReport ReplayPolicy(const Instance& instance,
+                         const SolveOptions& options,
+                         const std::string& policy, PolicyFactory make_policy) {
+  SolveReport report;
+  report.objective_name = "total_response";
+  SimulationOptions sim;
+  if (options.max_rounds > 0) {
+    // The simulator FS_CHECK-aborts when flows are still pending at its
+    // horizon; refuse horizons that cannot drain any instance.
+    if (options.max_rounds < instance.SafeHorizon()) {
+      report.error = "max_rounds " + std::to_string(options.max_rounds) +
+                     " is below the safe horizon " +
+                     std::to_string(instance.SafeHorizon());
+      return report;
+    }
+    sim.max_rounds = options.max_rounds;
+  }
+  std::string perr;
+  sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
+  sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
+  MatchingOptions matching;
+  matching.warmstart = options.IntParamOr("warmstart", 1, &perr) != 0;
+  matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
+  if (!perr.empty()) {
+    report.error = perr;
+    return report;
+  }
+  if (matching.approx_eps < 0.0) {
+    report.error = "approx must be >= 0";
+    return report;
+  }
+  ScenarioScript script;
+  bool has_scenario = false;
+  if (!LoadScenarioOption(options, &script, &has_scenario, &report.error)) {
+    return report;
+  }
+  if (has_scenario) sim.scenario = &script;
+  auto replayed = make_policy(policy, options.seed, matching);
+  const SimulationResult r = Simulate(instance, *replayed, sim);
+  if (r.truncated) {
+    report.error = r.error;
+    return report;
+  }
+  report.schedule = MapRealizedSchedule(instance, r.schedule);
+  report.ok = true;
+  // MIGRATE re-homes arrivals onto other hosts, but the facade audits
+  // the schedule against the *original* instance's ports — grant the
+  // destinations' capacity as additive slack (scenario/scenario.h).
+  report.allowance =
+      has_scenario && script.has_migrations()
+          ? CapacityAllowance::Additive(
+                MigrationCapacityAllowance(script, instance.sw()))
+          : CapacityAllowance::Exact();
+  report.diagnostics["rounds_simulated"] = r.rounds;
+  report.diagnostics["avg_port_utilization"] = r.avg_port_utilization;
+  report.diagnostics["peak_backlog"] = r.peak_backlog;
+  const PolicyMatchingStats ms = replayed->matching_stats();
+  if (ms.matcher_solves > 0) {
+    report.diagnostics["matcher_cache_hits"] = ms.matcher_cache_hits;
+    report.diagnostics["matcher_prefix_resumes"] = ms.matcher_prefix_resumes;
+    report.diagnostics["matcher_full_solves"] = ms.matcher_full_solves;
+    report.diagnostics["matcher_reused_rows"] = ms.matcher_reused_rows;
+    report.diagnostics["matcher_total_rows"] = ms.matcher_total_rows;
+  }
+  if (ms.auction_bids > 0) {
+    report.diagnostics["auction_bids"] = ms.auction_bids;
+    report.diagnostics["auction_cold_restarts"] = ms.auction_cold_restarts;
+  }
+  if (sim.record_backlog && !r.backlog_trace.empty()) {
+    report.diagnostics["max_backlog"] =
+        *std::max_element(r.backlog_trace.begin(), r.backlog_trace.end());
+  }
+  if (has_scenario) {
+    // The fault-free baseline (same policy, same seed) anchors the
+    // robustness diagnostics.
+    SimulationOptions base_sim = sim;
+    base_sim.scenario = nullptr;
+    base_sim.record_backlog = false;
+    auto base_policy = make_policy(policy, options.seed, matching);
+    const SimulationResult base = Simulate(instance, *base_policy, base_sim);
+    AddScenarioDiagnostics(script, r.rounds, r.downtime_rounds,
+                           r.peak_backlog, r.metrics.total_response,
+                           base.peak_backlog, base.metrics.total_response,
+                           r.migrated_flows, &report);
+  }
+  return report;
 }
 
 void RegisterOnlineSolvers(SolverRegistry& registry) {

@@ -21,27 +21,16 @@ void Fail(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
 }
 
-// Owns the file stream a TraceStreamSource reads from; everything else
-// forwards.
-class FileTraceSource : public StreamingFlowSource {
+// A TraceStreamSource that owns its file stream (a base, so it is opened
+// before the trace reads its header).
+struct TraceFile {
+  explicit TraceFile(const std::string& path) : in(path) {}
+  std::ifstream in;
+};
+class FileTraceSource : private TraceFile, public TraceStreamSource {
  public:
   explicit FileTraceSource(const std::string& path)
-      : in_(path), trace_(in_) {}
-
-  const SwitchSpec& sw() const override { return trace_.sw(); }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override {
-    trace_.ArrivalsInto(t, out);
-  }
-  bool Exhausted(Round t) override { return trace_.Exhausted(t); }
-  Round NextArrivalRound(Round t) override {
-    return trace_.NextArrivalRound(t);
-  }
-  bool ok() const override { return trace_.ok(); }
-  std::string error() const override { return trace_.error(); }
-
- private:
-  std::ifstream in_;
-  TraceStreamSource trace_;
+      : TraceFile(path), TraceStreamSource(in) {}
 };
 
 // Pulls the `rounds` key out before SpecReader sees it, so `rounds=inf`
@@ -58,7 +47,7 @@ Round TakeHorizon(Spec& spec, long long fallback) {
 
 }  // namespace
 
-std::unique_ptr<StreamingFlowSource> MakeStreamSource(
+std::unique_ptr<ArrivalSource> MakeStreamSource(
     const std::string& source, std::string* error) {
   if (!IsGeneratorSpec(source)) {
     std::ifstream probe(source);
@@ -86,7 +75,7 @@ std::unique_ptr<StreamingFlowSource> MakeStreamSource(
   }
   const Round taken = TakeHorizon(spec, /*fallback=*/10);
   SpecReader r(spec);
-  std::unique_ptr<StreamingFlowSource> result;
+  std::unique_ptr<ArrivalSource> result;
   if (spec.generator == "poisson") {
     PoissonConfig cfg;
     cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));

@@ -1,5 +1,5 @@
 // Streaming counterpart of api/instance_source.h: turns a --spec / --trace
-// argument into a pull-based StreamingFlowSource without materializing the
+// argument into a pull-based ArrivalSource without materializing the
 // stream.
 //
 // Supported sources:
@@ -19,14 +19,14 @@
 #include <memory>
 #include <string>
 
-#include "serve/flow_source.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 
 // Null + *error on failure (unknown generator, bad key, unreadable file,
 // malformed trace header). The returned source owns any backing file
 // stream.
-std::unique_ptr<StreamingFlowSource> MakeStreamSource(
+std::unique_ptr<ArrivalSource> MakeStreamSource(
     const std::string& source, std::string* error = nullptr);
 
 }  // namespace flowsched

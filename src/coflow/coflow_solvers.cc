@@ -14,7 +14,6 @@
 #include "api/scenario_support.h"
 #include "coflow/coflow_metrics.h"
 #include "coflow/coflow_policies.h"
-#include "core/online/simulator.h"
 #include "model/coflow.h"
 
 namespace flowsched {
@@ -33,7 +32,8 @@ class CoflowPolicySolver : public Solver {
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
     return {{"record_backlog",
-             "0/1 (default 0): keep per-round backlog sizes"},
+             "0/1 (default 0): keep per-round backlog sizes; the maximum "
+             "surfaces as diagnostics max_backlog"},
             ScenarioParamDoc(),
             {"validate",
              "0/1 (default 1): audit every policy selection for duplicates "
@@ -55,6 +55,8 @@ class CoflowPolicySolver : public Solver {
         {"avg_port_utilization",
          "scheduled demand / available bandwidth over the run"},
         {"peak_backlog", "largest backlog at any policy round"},
+        {"max_backlog",
+         "largest recorded backlog (only with record_backlog=1)"},
         {"num_coflows",
          "groups in the instance (untagged flows count as singletons)"},
         {"num_tagged_coflows", "groups that carry a real coflow tag"},
@@ -93,69 +95,8 @@ class CoflowPolicySolver : public Solver {
           "coflow.maxweight is matching-based and requires unit demands";
       return report;
     }
-    SimulationOptions sim;
-    if (options.max_rounds > 0) {
-      if (options.max_rounds < instance.SafeHorizon()) {
-        report.error = "max_rounds " + std::to_string(options.max_rounds) +
-                       " is below the safe horizon " +
-                       std::to_string(instance.SafeHorizon());
-        return report;
-      }
-      sim.max_rounds = options.max_rounds;
-    }
-    std::string perr;
-    sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
-    sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
-    MatchingOptions matching;
-    matching.warmstart = options.IntParamOr("warmstart", 1, &perr) != 0;
-    matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
-    if (!perr.empty()) {
-      report.error = perr;
-      return report;
-    }
-    if (matching.approx_eps < 0.0) {
-      report.error = "approx must be >= 0";
-      return report;
-    }
-    ScenarioScript script;
-    bool has_scenario = false;
-    if (!LoadScenarioOption(options, &script, &has_scenario, &report.error)) {
-      return report;
-    }
-    if (has_scenario) sim.scenario = &script;
-    auto policy = MakeCoflowPolicy(policy_, options.seed, matching);
-    const SimulationResult r = Simulate(instance, *policy, sim);
-    if (r.truncated) {
-      report.error = r.error;
-      return report;
-    }
-    report.schedule = MapRealizedSchedule(instance, r.schedule);
-
-    report.ok = true;
-    // MIGRATE runs are audited against the original instance's ports;
-    // grant the destinations' capacity as additive slack (see
-    // scenario/scenario.h).
-    report.allowance =
-        has_scenario && script.has_migrations()
-            ? CapacityAllowance::Additive(
-                  MigrationCapacityAllowance(script, instance.sw()))
-            : CapacityAllowance::Exact();
-    report.diagnostics["rounds_simulated"] = r.rounds;
-    report.diagnostics["avg_port_utilization"] = r.avg_port_utilization;
-    report.diagnostics["peak_backlog"] = r.peak_backlog;
-    const PolicyMatchingStats ms = policy->matching_stats();
-    if (ms.matcher_solves > 0) {
-      report.diagnostics["matcher_cache_hits"] = ms.matcher_cache_hits;
-      report.diagnostics["matcher_prefix_resumes"] = ms.matcher_prefix_resumes;
-      report.diagnostics["matcher_full_solves"] = ms.matcher_full_solves;
-      report.diagnostics["matcher_reused_rows"] = ms.matcher_reused_rows;
-      report.diagnostics["matcher_total_rows"] = ms.matcher_total_rows;
-    }
-    if (ms.auction_bids > 0) {
-      report.diagnostics["auction_bids"] = ms.auction_bids;
-      report.diagnostics["auction_cold_restarts"] = ms.auction_cold_restarts;
-    }
-
+    report = ReplayPolicy(instance, options, policy_, MakeCoflowPolicy);
+    if (!report.ok) return report;
     const CoflowSet coflows(instance);
     const CoflowMetrics cm =
         ComputeCoflowMetrics(instance, coflows, report.schedule);
@@ -169,19 +110,6 @@ class CoflowPolicySolver : public Solver {
     report.diagnostics["max_cct"] = cm.max_cct;
     report.diagnostics["avg_slowdown"] = cm.avg_slowdown;
     report.diagnostics["max_slowdown"] = cm.max_slowdown;
-    if (has_scenario) {
-      // Fault-free baseline (same policy, same seed) for the robustness
-      // diagnostics.
-      SimulationOptions base_sim = sim;
-      base_sim.scenario = nullptr;
-      base_sim.record_backlog = false;
-      auto base_policy = MakeCoflowPolicy(policy_, options.seed, matching);
-      const SimulationResult base = Simulate(instance, *base_policy, base_sim);
-      AddScenarioDiagnostics(script, r.rounds, r.downtime_rounds,
-                             r.peak_backlog, r.metrics.total_response,
-                             base.peak_backlog, base.metrics.total_response,
-                             r.migrated_flows, &report);
-    }
     return report;
   }
 

@@ -86,11 +86,12 @@ class SchedulingPolicy {
   // error instead of aborting.
   virtual bool RequiresUnitDemands() const { return false; }
 
-  // Retirement hook for unbounded streams (src/serve/): after a round, the
-  // streaming simulator reports untagged flows that completed and coflow
-  // groups that fully drained, so policies holding per-flow or per-group
-  // state (src/coflow/) can recycle those slots and keep resident memory
-  // proportional to the live backlog. Batch Simulate() never calls this.
+  // Retirement hook for unbounded streams (src/serve/): after each round,
+  // the StreamingSimulator's round-loop driver reports untagged flows that
+  // completed and coflow groups that fully drained, so policies holding
+  // per-flow or per-group state (src/coflow/) can recycle those slots and
+  // keep resident memory proportional to the live backlog. The batch
+  // driver, Simulate(), never calls this.
   // Default no-op: the flow-level policies here key nothing on flow ids.
   virtual void RetireFlows(std::span<const FlowId> /*completed_untagged*/,
                            std::span<const CoflowId> /*drained_groups*/) {}

@@ -6,9 +6,12 @@
 // those flows complete within the round. Per-port queues are open — the
 // policy may pick any backlog flow, not just the oldest.
 //
-// The round loop is allocation-free at steady state: every per-round buffer
-// lives in a SimulationContext that is reused across rounds (and, when the
-// caller passes one in, across whole simulations).
+// The round loop itself is the RoundEngine (core/online/round_engine.h),
+// shared with the streaming simulator; Simulate() records each flow's
+// round and scores the realized schedule. It is allocation-free at steady
+// state: every per-round buffer lives in a SimulationContext that is
+// reused across rounds (and, when the caller passes one in, across whole
+// simulations).
 #ifndef FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 #define FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 
@@ -19,7 +22,7 @@
 #include "model/metrics.h"
 #include "model/schedule.h"
 #include "scenario/scenario.h"
-#include "workload/adversarial.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 
@@ -69,22 +72,12 @@ SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
                           const SimulationOptions& options = {},
                           SimulationContext* context = nullptr);
 
-// Drives an arrival process (possibly adaptive) until it is exhausted and
+// Drives an arrival source (possibly adaptive) until it is exhausted and
 // the backlog drains.
-SimulationResult Simulate(const SwitchSpec& sw, ArrivalProcess& arrivals,
+SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
                           SchedulingPolicy& policy,
                           const SimulationOptions& options = {},
                           SimulationContext* context = nullptr);
-
-// Audits one policy selection: in-range indices, no duplicates, no port
-// overloads (aborts via FS_CHECK on violation; three O(backlog + ports)
-// scans). Shared by the batch loop above and the streaming simulator
-// (src/serve/); uses ctx's scratch vectors, so it allocates nothing at
-// steady state.
-void ValidatePolicySelection(const SwitchSpec& sw,
-                             std::span<const PendingFlow> pending,
-                             std::span<const int> picked,
-                             SimulationContext& ctx);
 
 }  // namespace flowsched
 

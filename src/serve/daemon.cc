@@ -124,7 +124,7 @@ StreamingSummary RunWireSession(const SwitchSpec& sw, std::istream& in,
   return summary;
 }
 
-StreamingSummary RunSourceSession(StreamingFlowSource& source,
+StreamingSummary RunSourceSession(ArrivalSource& source,
                                   std::ostream& out,
                                   const ServeOptions& options) {
   std::string policy_error;

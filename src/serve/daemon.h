@@ -19,8 +19,8 @@
 
 #include "core/online/policy.h"
 #include "scenario/scenario.h"
-#include "serve/flow_source.h"
 #include "serve/streaming_simulator.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 
@@ -60,7 +60,7 @@ StreamingSummary RunWireSession(const SwitchSpec& sw, std::istream& in,
 
 // Pull session over a source (generator spec or trace): runs the stream to
 // completion, writing MATCH/STATS lines and the final DONE summary.
-StreamingSummary RunSourceSession(StreamingFlowSource& source,
+StreamingSummary RunSourceSession(ArrivalSource& source,
                                   std::ostream& out,
                                   const ServeOptions& options);
 

@@ -18,7 +18,8 @@ void RoundGeneratorSource::DrawUntilNonEmpty() {
   }
 }
 
-void RoundGeneratorSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
+void RoundGeneratorSource::ArrivalsInto(Round t, std::span<const Flow>,
+                                        std::vector<Flow>* out) {
   DrawThrough(t);
   // The buffer may extend past t when Exhausted()/NextArrivalRound() drew
   // ahead; releases are non-decreasing, so the due arrivals are a prefix.
@@ -29,9 +30,10 @@ void RoundGeneratorSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
 }
 
 bool RoundGeneratorSource::Exhausted(Round /*t*/) {
-  // Mirrors batch ReplayArrivals::Exhausted ("every flow emitted"): draw
+  // Mirrors InstanceStreamSource::Exhausted ("every flow emitted"): draw
   // forward past any empty tail so a stream whose last arrivals are long
-  // gone reports done at the same round the batch loop breaks.
+  // gone reports done at the same round a replay of the batch instance
+  // does.
   DrawUntilNonEmpty();
   return buffer_.empty();
 }
@@ -40,67 +42,6 @@ Round RoundGeneratorSource::NextArrivalRound(Round t) {
   DrawThrough(t);
   DrawUntilNonEmpty();
   return buffer_.empty() ? t : std::max(t, buffer_.front().release);
-}
-
-PoissonStreamSource::PoissonStreamSource(const PoissonConfig& config,
-                                         Round horizon)
-    : RoundGeneratorSource(
-          SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                              config.port_capacity),
-          horizon),
-      config_(config),
-      rng_(config.seed) {}
-
-void PoissonStreamSource::DrawRound(Round t, std::vector<Flow>* out) {
-  AppendPoissonRound(config_, t, rng_, out);
-}
-
-CoflowStreamSource::CoflowStreamSource(const CoflowGenConfig& config,
-                                       Round horizon)
-    : RoundGeneratorSource(
-          SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                              config.port_capacity),
-          horizon),
-      config_(config),
-      rng_(config.seed) {}
-
-void CoflowStreamSource::DrawRound(Round t, std::vector<Flow>* out) {
-  AppendCoflowRound(config_, t, rng_, &next_coflow_, out);
-}
-
-TrafficStreamSource::TrafficStreamSource(const TrafficConfig& config,
-                                         Round horizon)
-    : RoundGeneratorSource(
-          SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                              config.port_capacity),
-          horizon),
-      config_(config),
-      rng_(config.seed) {}
-
-void TrafficStreamSource::DrawRound(Round t, std::vector<Flow>* out) {
-  AppendTrafficRound(config_, t, rng_, &next_coflow_, out);
-}
-
-InstanceStreamSource::InstanceStreamSource(const Instance& instance)
-    : instance_(&instance) {
-  order_.reserve(instance.num_flows());
-  for (const Flow& e : instance.flows()) order_.push_back(e.id);
-  std::stable_sort(order_.begin(), order_.end(), [&](FlowId a, FlowId b) {
-    return instance.flow(a).release < instance.flow(b).release;
-  });
-  releases_.reserve(order_.size());
-  for (FlowId id : order_) releases_.push_back(instance.flow(id).release);
-}
-
-void InstanceStreamSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
-  while (next_ < order_.size() && releases_[next_] <= t) {
-    out->push_back(instance_->flow(order_[next_]));
-    ++next_;
-  }
-}
-
-Round InstanceStreamSource::NextArrivalRound(Round t) {
-  return next_ < order_.size() ? std::max(t, releases_[next_]) : t;
 }
 
 TraceStreamSource::TraceStreamSource(std::istream& in) : reader_(in) {
@@ -131,7 +72,8 @@ void TraceStreamSource::Pull() {
   have_lookahead_ = true;
 }
 
-void TraceStreamSource::ArrivalsInto(Round t, std::vector<Flow>* out) {
+void TraceStreamSource::ArrivalsInto(Round t, std::span<const Flow>,
+                                     std::vector<Flow>* out) {
   while (have_lookahead_ && lookahead_.release <= t) {
     out->push_back(lookahead_);
     Pull();

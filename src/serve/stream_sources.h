@@ -1,8 +1,7 @@
-// Concrete StreamingFlowSource adapters:
+// Generator- and trace-backed ArrivalSources (workload/arrival_source.h,
+// which also holds InstanceStreamSource, the replay of a materialized
+// Instance):
 //
-//   InstanceStreamSource   replays a materialized Instance (tests, smoke
-//                          checks) — the streaming twin of the simulator's
-//                          internal ReplayArrivals.
 //   PoissonStreamSource    draws workload/poisson.h rounds on demand; with
 //                          a negative horizon the stream never ends.
 //   CoflowStreamSource     likewise for workload/coflow_gen.h.
@@ -20,12 +19,13 @@
 #define FLOWSCHED_SERVE_STREAM_SOURCES_H_
 
 #include <istream>
+#include <type_traits>
 #include <vector>
 
 #include "model/trace_io.h"
-#include "serve/flow_source.h"
 #include "traffic/traffic_gen.h"
 #include "util/rng.h"
+#include "workload/arrival_source.h"
 #include "workload/coflow_gen.h"
 #include "workload/poisson.h"
 
@@ -36,10 +36,11 @@ namespace flowsched {
 // (rounds=inf specs). Unbounded streams require a positive arrival rate —
 // otherwise the draw-ahead scan for the next nonempty round would never
 // terminate; MakeStreamSource enforces that.
-class RoundGeneratorSource : public StreamingFlowSource {
+class RoundGeneratorSource : public ArrivalSource {
  public:
   const SwitchSpec& sw() const override { return sw_; }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override;
+  void ArrivalsInto(Round t, std::span<const Flow> backlog,
+                    std::vector<Flow>* out) override;
   bool Exhausted(Round t) override;
   Round NextArrivalRound(Round t) override;
 
@@ -61,74 +62,52 @@ class RoundGeneratorSource : public StreamingFlowSource {
   std::vector<Flow> buffer_;  // Drawn, unemitted; releases non-decreasing.
 };
 
-class PoissonStreamSource : public RoundGeneratorSource {
+// The source over one batch generator, named by its config type; each
+// round is drawn by that generator's Append*Round primitive.
+// config.num_rounds is ignored (the horizon rules); a TrafficConfig must
+// pass GenerateTraffic's validation.
+template <class Config>
+class GeneratorStreamSource : public RoundGeneratorSource {
  public:
-  // `horizon` < 0 streams forever; config.num_rounds is ignored.
-  PoissonStreamSource(const PoissonConfig& config, Round horizon);
+  GeneratorStreamSource(const Config& config, Round horizon)
+      : RoundGeneratorSource(
+            SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
+                                config.port_capacity),
+            horizon),
+        config_(config),
+        rng_(config.seed) {}
 
  protected:
-  void DrawRound(Round t, std::vector<Flow>* out) override;
+  void DrawRound(Round t, std::vector<Flow>* out) override {
+    if constexpr (std::is_same_v<Config, PoissonConfig>) {
+      AppendPoissonRound(config_, t, rng_, out);
+    } else if constexpr (std::is_same_v<Config, CoflowGenConfig>) {
+      AppendCoflowRound(config_, t, rng_, &next_coflow_, out);
+    } else {
+      AppendTrafficRound(config_, t, rng_, &next_coflow_, out);
+    }
+  }
 
  private:
-  PoissonConfig config_;
+  Config config_;
   Rng rng_;
+  CoflowId next_coflow_ = 0;  // Unused by the Poisson generator.
 };
 
-class CoflowStreamSource : public RoundGeneratorSource {
- public:
-  CoflowStreamSource(const CoflowGenConfig& config, Round horizon);
-
- protected:
-  void DrawRound(Round t, std::vector<Flow>* out) override;
-
- private:
-  CoflowGenConfig config_;
-  Rng rng_;
-  CoflowId next_coflow_ = 0;
-};
-
-class TrafficStreamSource : public RoundGeneratorSource {
- public:
-  // `config` must pass GenerateTraffic's validation; config.num_rounds is
-  // ignored (the horizon rules).
-  TrafficStreamSource(const TrafficConfig& config, Round horizon);
-
- protected:
-  void DrawRound(Round t, std::vector<Flow>* out) override;
-
- private:
-  TrafficConfig config_;
-  Rng rng_;
-  CoflowId next_coflow_ = 0;
-};
-
-// Replays `instance` (borrowed; must outlive the source) in release order,
-// stable by flow id — exactly the order batch simulation admits them.
-class InstanceStreamSource : public StreamingFlowSource {
- public:
-  explicit InstanceStreamSource(const Instance& instance);
-
-  const SwitchSpec& sw() const override { return instance_->sw(); }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override;
-  bool Exhausted(Round /*t*/) override { return next_ >= order_.size(); }
-  Round NextArrivalRound(Round t) override;
-
- private:
-  const Instance* instance_;
-  std::vector<FlowId> order_;    // Flow ids sorted by (release, id).
-  std::vector<Round> releases_;  // Aligned with order_, non-decreasing.
-  std::size_t next_ = 0;
-};
+using PoissonStreamSource = GeneratorStreamSource<PoissonConfig>;
+using CoflowStreamSource = GeneratorStreamSource<CoflowGenConfig>;
+using TrafficStreamSource = GeneratorStreamSource<TrafficConfig>;
 
 // Streams instance-CSV rows from `in` (borrowed; must outlive the source)
 // without materializing the file. Requires rows sorted by release; a
 // malformed or out-of-order row flips ok() and ends the stream.
-class TraceStreamSource : public StreamingFlowSource {
+class TraceStreamSource : public ArrivalSource {
  public:
   explicit TraceStreamSource(std::istream& in);
 
   const SwitchSpec& sw() const override { return reader_.sw(); }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override;
+  void ArrivalsInto(Round t, std::span<const Flow> backlog,
+                    std::vector<Flow>* out) override;
   bool Exhausted(Round /*t*/) override { return !have_lookahead_; }
   Round NextArrivalRound(Round t) override;
   bool ok() const override { return error_.empty(); }

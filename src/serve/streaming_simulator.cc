@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <ostream>
-#include <span>
 
 #include "util/check.h"
 
@@ -72,180 +72,120 @@ std::string StreamingSummary::ToJson() const {
   return out;
 }
 
+// The streaming driver's RoundEngine hooks: picks are written as MATCH
+// lines, folded into the metrics and retired at the end of the round.
+struct StreamingSimulator::Hooks {
+  StreamingSimulator& sim;
+
+  bool Stop() const {
+    return sim.options_.stop != nullptr && *sim.options_.stop != 0;
+  }
+  // Pull mode only; wire Inject admits on its own.
+  bool Admit(const Flow& arrival) {
+    if (arrival.demand != 1 && sim.policy_.RequiresUnitDemands()) {
+      sim.source_error_ = true;
+      sim.error_ = "policy " + std::string(sim.policy_.name()) +
+                   " requires unit demands, got a flow with demand " +
+                   std::to_string(arrival.demand);
+      return false;
+    }
+    sim.engine_.Admit(arrival, [&](const Flow& f) {
+      sim.Track(f);
+      return sim.next_id_++;
+    });
+    return true;
+  }
+  void Pick(const Flow& f) {
+    const Round t = sim.engine_.round();
+    if (sim.options_.match_out != nullptr) {
+      std::ostream& out = *sim.options_.match_out;
+      if (!sim.match_open_) out << "MATCH " << t;
+      sim.match_open_ = true;
+      out << ' ' << f.id;
+    }
+    const auto response = static_cast<double>(t + 1 - f.release);
+    sim.metrics_.RecordResponse(response);
+    ++sim.completed_;
+    if (sim.wire_mode_) sim.live_ids_.erase(f.id);
+    if (f.coflow == kNoCoflow) {
+      // Untagged flows are singleton groups (model/coflow.h), so their CCT
+      // is their response.
+      sim.completed_untagged_.push_back(f.id);
+      sim.metrics_.RecordCct(response);
+      ++sim.coflows_completed_;
+    } else {
+      const auto it = sim.groups_.find(f.coflow);
+      FS_CHECK(it != sim.groups_.end());
+      if (--it->second.live == 0) {
+        sim.metrics_.RecordCct(static_cast<double>(t + 1 - it->second.arrival));
+        sim.drained_groups_.push_back(f.coflow);
+        ++sim.coflows_completed_;
+        sim.groups_.erase(it);
+      }
+    }
+  }
+  // Closes the round's MATCH line, retires what completed in it and
+  // writes the periodic stats line when one is due.
+  void EndRound() {
+    if (sim.match_open_) *sim.options_.match_out << '\n';
+    sim.match_open_ = false;
+    if (!sim.completed_untagged_.empty() || !sim.drained_groups_.empty()) {
+      sim.policy_.RetireFlows(sim.completed_untagged_, sim.drained_groups_);
+      sim.completed_untagged_.clear();
+      sim.drained_groups_.clear();
+    }
+    sim.EmitPeriodicStats();
+  }
+};
+
 StreamingSimulator::StreamingSimulator(const SwitchSpec& sw,
                                        SchedulingPolicy& policy,
                                        const StreamingOptions& options)
-    : sw_(sw), policy_(policy), options_(options) {
-  ctx_.Clear();
-  std::string scen_error;
-  if (options_.scenario != nullptr) {
-    if (!scenario_.Bind(*options_.scenario, sw, &scen_error)) {
-      source_error_ = true;
-      error_ = "scenario: " + scen_error;
-    }
-  } else {
-    // An empty binding keeps wire-mode FAULT/RECOVER available.
-    scenario_.Bind(ScenarioScript(), sw, &scen_error);
-  }
+    : sw_(sw),
+      policy_(policy),
+      options_(options),
+      engine_(sw, policy, ctx_, options.validate) {
+  // Always bound (an empty script by default), so wire-mode FAULT/RECOVER
+  // works in any session.
+  source_error_ = !engine_.BindScenario(options_.scenario, nullptr, &error_);
 }
 
-void StreamingSimulator::Admit(Flow f) {
-  ++arrived_;
-  arrived_demand_ += static_cast<double>(f.demand);
+void StreamingSimulator::Track(const Flow& f) {
   if (f.coflow != kNoCoflow) {
     const auto [it, inserted] =
         groups_.try_emplace(f.coflow, GroupState{0, f.release});
     ++it->second.live;
     it->second.arrival = std::min(it->second.arrival, f.release);
   }
-  ctx_.backlog.push_back(f);
-}
-
-void StreamingSimulator::RunRound() {
-  scenario_.AdvanceTo(round_);
-  // As in the batch loop, the policy sees the backlog itself unless the
-  // switch is degraded.
-  std::span<const PendingFlow> pending = ctx_.backlog;
-  const bool mapped = scenario_.degraded();
-  if (mapped) {
-    // Mirror the batch loop: blocked flows stay backlogged and never reach
-    // the policy; pending_map remembers each survivor's backlog slot.
-    ctx_.pending.clear();
-    ctx_.pending_map.clear();
-    for (std::size_t i = 0; i < ctx_.backlog.size(); ++i) {
-      const Flow& f = ctx_.backlog[i];
-      if (scenario_.IsBlocked(f.src, f.dst)) continue;
-      ctx_.pending.push_back(f);
-      ctx_.pending_map.push_back(static_cast<int>(i));
-    }
-    pending = ctx_.pending;
-  }
-  peak_backlog_ =
-      std::max(peak_backlog_, static_cast<int>(ctx_.backlog.size()));
-  if (scenario_.AnyPortDown()) ++downtime_rounds_;
-  round_blocked_ = pending.empty();
-  if (round_blocked_) {
-    // Every backlogged flow touches a dead port: the round idles.
-    ctx_.picked.clear();
-    return;
-  }
-  const SwitchSpec& round_sw = mapped ? scenario_.view() : sw_;
-  policy_.SelectFlowsInto(round_sw, round_, pending, &ctx_.picked);
-  if (options_.validate) {
-    ValidatePolicySelection(round_sw, pending, ctx_.picked, ctx_);
-  }
-  if (options_.match_out != nullptr && !ctx_.picked.empty()) {
-    std::ostream& out = *options_.match_out;
-    out << "MATCH " << round_;
-    for (int i : ctx_.picked) {
-      out << ' ' << ctx_.backlog[mapped ? ctx_.pending_map[i] : i].id;
-    }
-    out << '\n';
-  }
-  completed_untagged_.clear();
-  drained_groups_.clear();
-  ctx_.remove.assign(ctx_.backlog.size(), 0);
-  for (int i : ctx_.picked) {
-    const int bi = mapped ? ctx_.pending_map[i] : i;
-    ctx_.remove[bi] = 1;
-    const Flow& f = ctx_.backlog[bi];
-    const auto response = static_cast<double>(round_ + 1 - f.release);
-    metrics_.RecordResponse(response);
-    ++completed_;
-    if (wire_mode_) live_ids_.erase(f.id);
-    if (f.coflow == kNoCoflow) {
-      // Untagged flows are singleton groups (model/coflow.h), so their CCT
-      // is their response.
-      completed_untagged_.push_back(f.id);
-      metrics_.RecordCct(response);
-      ++coflows_completed_;
-    } else {
-      const auto it = groups_.find(f.coflow);
-      FS_CHECK(it != groups_.end());
-      if (--it->second.live == 0) {
-        metrics_.RecordCct(
-            static_cast<double>(round_ + 1 - it->second.arrival));
-        drained_groups_.push_back(f.coflow);
-        ++coflows_completed_;
-        groups_.erase(it);
-      }
-    }
-  }
-  // Stable in-place compaction, exactly as the batch loop does it.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < ctx_.backlog.size(); ++i) {
-    if (!ctx_.remove[i]) {
-      if (kept != i) ctx_.backlog[kept] = ctx_.backlog[i];
-      ++kept;
-    }
-  }
-  ctx_.backlog.resize(kept);
-  if (!completed_untagged_.empty() || !drained_groups_.empty()) {
-    policy_.RetireFlows(completed_untagged_, drained_groups_);
-  }
 }
 
 void StreamingSimulator::EmitPeriodicStats() {
   if (options_.stats_out == nullptr || options_.stats_every <= 0) return;
-  if ((round_ + 1) % options_.stats_every != 0) return;
-  *options_.stats_out << metrics_.StatsLine(round_, ctx_.backlog.size())
+  if ((engine_.round() + 1) % options_.stats_every != 0) return;
+  *options_.stats_out << metrics_.StatsLine(engine_.round(),
+                                            ctx_.backlog.size())
                       << '\n';
 }
 
-StreamingSummary StreamingSimulator::Run(StreamingFlowSource& source) {
+StreamingSummary StreamingSimulator::Run(ArrivalSource& source) {
   if (source_error_) return Summarize();  // Scenario bind failed in ctor.
-  for (round_ = 0; options_.max_rounds < 0 || round_ < options_.max_rounds;
-       ++round_) {
-    // Cooperative shutdown: the round in flight always completes, so the
-    // summary below is a consistent cut of the stream.
-    if (options_.stop != nullptr && *options_.stop != 0) break;
-    ctx_.arrivals.clear();
-    source.ArrivalsInto(round_, &ctx_.arrivals);
-    if (!source.ok()) {
+  Hooks hooks{*this};
+  const Round cap = options_.max_rounds < 0
+                        ? std::numeric_limits<Round>::max()
+                        : options_.max_rounds;
+  switch (engine_.Drive(source, cap, hooks)) {
+    case RoundEngine::End::kSourceError:
       source_error_ = true;
-      error_ = source.error();
+      error_ = engine_.error();
       break;
-    }
-    for (Flow f : ctx_.arrivals) {
-      if (f.demand != 1 && policy_.RequiresUnitDemands()) {
-        source_error_ = true;
-        error_ = "policy " + std::string(policy_.name()) +
-                 " requires unit demands, got a flow with demand " +
-                 std::to_string(f.demand);
-        break;
-      }
-      f.release = round_;
-      // Same remap point as the batch admit loop — identical arrival
-      // sequence means identical migration coins (scenario/scenario.h).
-      scenario_.RemapArrival(round_, &f.src, &f.dst);
-      f.id = next_id_++;
-      Admit(f);
-    }
-    if (source_error_) break;
-    if (ctx_.backlog.empty()) {
-      if (source.Exhausted(round_ + 1)) break;
-      // Idle-gap fast-forward, hoisted behind the source interface so
-      // sparse infinite streams do not spin round by round. Never skips
-      // past the round cap — `rounds` must land exactly where a
-      // walk-every-round loop would.
-      Round next = source.NextArrivalRound(round_ + 1);
-      if (options_.max_rounds >= 0) next = std::min(next, options_.max_rounds);
-      if (next > round_ + 1) round_ = next - 1;  // ++round_ lands on `next`.
-      continue;
-    }
-    RunRound();
-    EmitPeriodicStats();
-    if (round_blocked_ && source.Exhausted(round_ + 1) &&
-        !scenario_.HasOpAfter(round_)) {
-      // Stranded: every remaining flow sits on a dead port and no script
-      // event can revive one. Truncate (batch Simulate breaks here too).
-      error_ = "scenario leaves " + std::to_string(ctx_.backlog.size()) +
-               " flows on dead ports with no recovery event after round " +
-               std::to_string(round_);
+    case RoundEngine::End::kStranded:
+      // The stranded round ran (and idled); report it like any other.
+      hooks.EndRound();
+      error_ = engine_.error();
       break;
-    }
+    default:
+      break;
   }
-  truncated_ = !ctx_.backlog.empty();
   return Summarize();
 }
 
@@ -276,38 +216,39 @@ bool StreamingSimulator::Inject(const Flow& flow, std::string* error) {
     }
     return false;
   }
-  Flow f = flow;
-  f.release = round_;
-  scenario_.RemapArrival(round_, &f.src, &f.dst);
-  Admit(f);
+  engine_.Admit(flow, [&](const Flow& f) {
+    Track(f);
+    return f.id;  // Wire flows keep the caller's id.
+  });
   return true;
 }
 
 void StreamingSimulator::Step() {
-  if (!ctx_.backlog.empty()) RunRound();
-  EmitPeriodicStats();
-  ++round_;
+  Hooks hooks{*this};
+  if (!ctx_.backlog.empty()) engine_.RunRound(hooks);
+  hooks.EndRound();
+  engine_.NextRound();
 }
 
 bool StreamingSimulator::ForceFault(PortId h, std::string* error) {
   wire_mode_ = true;
-  return scenario_.ForceHostDown(h, error);
+  return engine_.scenario().ForceHostDown(h, error);
 }
 
 bool StreamingSimulator::ForceRecover(PortId h, std::string* error) {
   wire_mode_ = true;
-  return scenario_.ForceHostUp(h, error);
+  return engine_.scenario().ForceHostUp(h, error);
 }
 
 std::string StreamingSimulator::StatsLine() {
-  return metrics_.StatsLine(round_, ctx_.backlog.size());
+  return metrics_.StatsLine(engine_.round(), ctx_.backlog.size());
 }
 
 StreamingSummary StreamingSimulator::Summarize() const {
   StreamingSummary s;
   s.flows = completed_;
-  s.arrived = arrived_;
-  s.rounds = round_;
+  s.arrived = engine_.admitted();
+  s.rounds = engine_.round();
   const RunningStats& r = metrics_.response().total();
   s.total_response = r.sum();
   s.mean_response = r.mean();
@@ -316,25 +257,16 @@ StreamingSummary StreamingSimulator::Summarize() const {
   s.p50_response = metrics_.response().p50();
   s.p95_response = metrics_.response().p95();
   s.p99_response = metrics_.response().p99();
-  s.peak_backlog = peak_backlog_;
-  if (round_ > 0) {
-    Capacity in_bw = 0;
-    Capacity out_bw = 0;
-    for (Capacity c : sw_.input_capacities()) in_bw += c;
-    for (Capacity c : sw_.output_capacities()) out_bw += c;
-    const auto rounds = static_cast<double>(round_);
-    s.avg_port_utilization =
-        0.5 * (arrived_demand_ / (static_cast<double>(in_bw) * rounds) +
-               arrived_demand_ / (static_cast<double>(out_bw) * rounds));
-  }
+  s.peak_backlog = engine_.peak_backlog();
+  s.avg_port_utilization = engine_.AvgPortUtilization();
   s.coflows = coflows_completed_;
   const RunningStats& c = metrics_.cct().total();
   s.total_cct = c.sum();
   s.mean_cct = c.mean();
   s.max_cct = c.max();
-  s.downtime_rounds = downtime_rounds_;
-  s.migrated_flows = scenario_.migrated_flows();
-  s.truncated = truncated_ || !ctx_.backlog.empty();
+  s.downtime_rounds = engine_.downtime_rounds();
+  s.migrated_flows = engine_.scenario().migrated_flows();
+  s.truncated = !ctx_.backlog.empty();
   s.source_error = source_error_;
   s.error = error_;
   return s;

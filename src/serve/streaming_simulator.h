@@ -1,9 +1,10 @@
-// StreamingSimulator: the round loop of core/online/simulator.cc rebuilt
-// for unbounded streams.
+// StreamingSimulator: the online round loop for unbounded streams — the
+// same RoundEngine (core/online/round_engine.h) batch Simulate() drives,
+// under a driver that retires flows instead of recording a schedule.
 //
 // Differences from batch Simulate():
-//   * arrivals are pulled from a StreamingFlowSource (or injected by the
-//     wire protocol) instead of replayed from a materialized Instance;
+//   * arrivals are pulled from an ArrivalSource (or injected by the wire
+//     protocol) instead of replayed from a materialized Instance;
 //   * completed flows retire immediately — their response is folded into
 //     StreamingMetrics and their per-flow state (backlog slot, coflow
 //     group slot via SchedulingPolicy::RetireFlows) is released, so
@@ -11,11 +12,11 @@
 //   * hitting the round cap truncates the run (summary.truncated) instead
 //     of aborting — a daemon must not FS_CHECK-die on a long stream.
 //
-// Everything else mirrors the batch loop exactly — arrival admission
-// order, id assignment, idle-gap fast-forward, termination round — so on
-// a finite input the realized schedule and the exact aggregates (flows,
-// rounds, total/max response, peak backlog, utilization, total CCT) are
-// bit-identical to batch Simulate() (locked by tests/serve/).
+// Admission order, id assignment, idle-gap fast-forward and the
+// termination round come from the shared engine, so on a finite input the
+// realized schedule and the exact aggregates (flows, rounds, total/max
+// response, peak backlog, utilization, total CCT) are bit-identical to
+// batch Simulate() (locked by tests/serve/).
 //
 // Coflow streaming caveat: a group is retired the moment its last live
 // member completes. If a trace releases more members of the same tag
@@ -33,11 +34,12 @@
 #include <unordered_set>
 #include <vector>
 
+#include "core/online/round_engine.h"
 #include "core/online/simulation_context.h"
 #include "core/online/simulator.h"
 #include "scenario/scenario.h"
-#include "serve/flow_source.h"
 #include "serve/streaming_metrics.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 
@@ -96,12 +98,12 @@ class StreamingSimulator {
 
   // Pull mode: drives `source` until it exhausts and the backlog drains
   // (or max_rounds truncates). One-shot per simulator instance.
-  StreamingSummary Run(StreamingFlowSource& source);
+  StreamingSummary Run(ArrivalSource& source);
 
   // Wire mode: inject arrivals for the current round, then Step() once per
   // TICK. Injected flows keep their caller-chosen id (must be unique among
   // live flows) and are released at the current round.
-  Round round() const { return round_; }
+  Round round() const { return engine_.round(); }
   bool Inject(const Flow& flow, std::string* error);
   void Step();
   std::size_t backlog_size() const { return ctx_.backlog.size(); }
@@ -118,8 +120,9 @@ class StreamingSimulator {
   StreamingSummary Summarize() const;
 
  private:
-  void Admit(Flow f);       // Appends to backlog + group tracking.
-  void RunRound();          // Policy -> validate -> emit -> retire.
+  struct Hooks;  // The RoundEngine hooks (streaming_simulator.cc).
+
+  void Track(const Flow& f);  // Coflow group tracking of an arrival.
   void EmitPeriodicStats();
 
   struct GroupState {
@@ -132,20 +135,12 @@ class StreamingSimulator {
   StreamingOptions options_;
   SimulationContext ctx_;
   StreamingMetrics metrics_;
-  // Always bound (to an empty script when options.scenario is null), so
-  // wire FAULT/RECOVER works in any session.
-  ScenarioRuntime scenario_;
-  long long downtime_rounds_ = 0;
-  bool round_blocked_ = false;  // Last RunRound saw a fully-blocked backlog.
-  Round round_ = 0;
+  RoundEngine engine_;
   FlowId next_id_ = 0;  // Pull-mode ids, dense in arrival order.
-  long long arrived_ = 0;
   long long completed_ = 0;
   long long coflows_completed_ = 0;
-  double arrived_demand_ = 0.0;
-  int peak_backlog_ = 0;
-  bool truncated_ = false;
   bool source_error_ = false;
+  bool match_open_ = false;  // A MATCH line is being written this round.
   std::string error_;
   std::unordered_map<CoflowId, GroupState> groups_;  // Live tagged groups.
   std::unordered_set<FlowId> live_ids_;              // Wire mode only.

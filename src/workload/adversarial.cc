@@ -4,12 +4,6 @@
 
 namespace flowsched {
 
-void ArrivalProcess::ArrivalsInto(Round t, std::span<const Flow> pending,
-                                  std::vector<Flow>* out) {
-  const std::vector<Flow> arrived = Arrivals(t, pending);
-  out->insert(out->end(), arrived.begin(), arrived.end());
-}
-
 ArtLowerBoundAdversary::ArtLowerBoundAdversary(int phase_rounds,
                                                int total_rounds)
     : phase_rounds_(phase_rounds), total_rounds_(total_rounds) {
@@ -17,16 +11,21 @@ ArtLowerBoundAdversary::ArtLowerBoundAdversary(int phase_rounds,
   FS_CHECK_GT(total_rounds, phase_rounds);
 }
 
-std::vector<Flow> ArtLowerBoundAdversary::Arrivals(
-    Round t, std::span<const Flow> pending) {
-  std::vector<Flow> arrivals;
+const SwitchSpec& ArtLowerBoundAdversary::sw() const {
+  static const SwitchSpec sw = Switch();
+  return sw;
+}
+
+void ArtLowerBoundAdversary::ArrivalsInto(Round t,
+                                          std::span<const Flow> pending,
+                                          std::vector<Flow>* out) {
   if (t < phase_rounds_) {
     // Two conflicting flows at input 0 per round.
-    arrivals.push_back(Flow{0, 0, 0, 1, t});
-    arrivals.push_back(Flow{0, 0, 1, 1, t});
-    return arrivals;
+    out->push_back(Flow{0, 0, 0, 1, t});
+    out->push_back(Flow{0, 0, 1, 1, t});
+    return;
   }
-  if (t >= total_rounds_) return arrivals;
+  if (t >= total_rounds_) return;
   if (committed_output_ == -1) {
     // Commit to the output side with the larger backlog (the proof's
     // "wlog port 3"). At least T flows are pending: input 0 admits only one
@@ -37,12 +36,7 @@ std::vector<Flow> ArtLowerBoundAdversary::Arrivals(
     }
     committed_output_ = count[1] >= count[0] ? 1 : 0;
   }
-  arrivals.push_back(Flow{0, 1, committed_output_, 1, t});
-  return arrivals;
-}
-
-bool ArtLowerBoundAdversary::Exhausted(Round t) const {
-  return t >= total_rounds_;
+  out->push_back(Flow{0, 1, committed_output_, 1, t});
 }
 
 double ArtLowerBoundAdversary::OfflineTotalResponse() const {
@@ -56,15 +50,20 @@ double ArtLowerBoundAdversary::OfflineTotalResponse() const {
   return t_rounds * 1.0 + t_rounds * (t_rounds + 1.0) + stream * 1.0;
 }
 
-std::vector<Flow> MrtLowerBoundAdversary::Arrivals(
-    Round t, std::span<const Flow> pending) {
-  std::vector<Flow> arrivals;
+const SwitchSpec& MrtLowerBoundAdversary::sw() const {
+  static const SwitchSpec sw = Switch();
+  return sw;
+}
+
+void MrtLowerBoundAdversary::ArrivalsInto(Round t,
+                                          std::span<const Flow> pending,
+                                          std::vector<Flow>* out) {
   if (t == 0) {
-    arrivals.push_back(Flow{0, 0, 0, 1, 0});
-    arrivals.push_back(Flow{0, 0, 1, 1, 0});
-    arrivals.push_back(Flow{0, 1, 2, 1, 0});
-    arrivals.push_back(Flow{0, 1, 3, 1, 0});
-    return arrivals;
+    out->push_back(Flow{0, 0, 0, 1, 0});
+    out->push_back(Flow{0, 0, 1, 1, 0});
+    out->push_back(Flow{0, 1, 2, 1, 0});
+    out->push_back(Flow{0, 1, 3, 1, 0});
+    return;
   }
   if (t == 1) {
     // Target the outputs of flows the policy left pending (one per input;
@@ -75,10 +74,9 @@ std::vector<Flow> MrtLowerBoundAdversary::Arrivals(
       if (e.src == 0) x = e.dst;
       if (e.src == 1) y = e.dst;
     }
-    arrivals.push_back(Flow{0, 2, x, 1, 1});
-    arrivals.push_back(Flow{0, 2, y, 1, 1});
+    out->push_back(Flow{0, 2, x, 1, 1});
+    out->push_back(Flow{0, 2, y, 1, 1});
   }
-  return arrivals;
 }
 
 Instance Fig4aInstance(int phase_rounds, int total_rounds) {

@@ -3,8 +3,8 @@
 //
 // Both proofs argue "wlog" about which flows an online policy leaves
 // pending; realizing them against an arbitrary policy requires an *adaptive*
-// adversary that inspects the backlog. ArrivalProcess is the interface the
-// simulator polls each round.
+// adversary that inspects the backlog the round loop hands every
+// ArrivalSource (workload/arrival_source.h) each round.
 #ifndef FLOWSCHED_WORKLOAD_ADVERSARIAL_H_
 #define FLOWSCHED_WORKLOAD_ADVERSARIAL_H_
 
@@ -12,34 +12,9 @@
 #include <vector>
 
 #include "model/instance.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
-
-// Round-by-round arrival source. `pending` holds flows already released but
-// not yet scheduled by the policy (the backlog the adversary may inspect).
-class ArrivalProcess {
- public:
-  virtual ~ArrivalProcess() = default;
-  // Flows released at round t (their `release` is overwritten with t by the
-  // simulator; ids are assigned on arrival).
-  virtual std::vector<Flow> Arrivals(Round t,
-                                     std::span<const Flow> pending) = 0;
-  // Out-parameter overload used by the simulator hot loop: appends round-t
-  // arrivals to *out (which the caller has cleared). The default adapts
-  // Arrivals(); processes on hot paths override this to stay
-  // allocation-free.
-  virtual void ArrivalsInto(Round t, std::span<const Flow> pending,
-                            std::vector<Flow>* out);
-  // True when no arrivals will occur at or after round t (the simulator then
-  // only drains the backlog).
-  virtual bool Exhausted(Round t) const = 0;
-  // Earliest round >= t at which flows may be released. The simulator uses
-  // this to fast-forward idle gaps while the backlog is empty. The default
-  // returns t ("maybe right now"), which is the only safe answer for
-  // adaptive adversaries that must be polled every round; replayed traces
-  // know their release order and skip ahead.
-  virtual Round NextArrivalRound(Round t) const { return t; }
-};
 
 // Lemma 5.1 / Figure 4(a): unbounded average-response competitive ratio.
 // Switch: 2 inputs {p1=0 (paper port 1), p4=1 (paper port 4)},
@@ -48,12 +23,14 @@ class ArrivalProcess {
 // p1, so any policy accumulates T backlogged flows. At round T the adversary
 // commits to the output side with the larger backlog (wlog q3 in the paper)
 // and streams (p4, q3) once per round for rounds [T, M).
-class ArtLowerBoundAdversary : public ArrivalProcess {
+class ArtLowerBoundAdversary : public ArrivalSource {
  public:
   ArtLowerBoundAdversary(int phase_rounds, int total_rounds);
 
-  std::vector<Flow> Arrivals(Round t, std::span<const Flow> pending) override;
-  bool Exhausted(Round t) const override;
+  const SwitchSpec& sw() const override;
+  void ArrivalsInto(Round t, std::span<const Flow> pending,
+                    std::vector<Flow>* out) override;
+  bool Exhausted(Round t) override { return t >= total_rounds_; }
 
   static SwitchSpec Switch() { return SwitchSpec::Uniform(2, 2, 1); }
 
@@ -73,10 +50,12 @@ class ArtLowerBoundAdversary : public ArrivalProcess {
 // Switch: 3 inputs {p1=0, p4=1, p7=2}, 4 outputs {q2=0, q3=1, q5=2, q6=3}.
 // Round 0 releases (p1,q2), (p1,q3), (p4,q5), (p4,q6); round 1 releases two
 // flows from p7 aimed at the outputs the policy left uncovered.
-class MrtLowerBoundAdversary : public ArrivalProcess {
+class MrtLowerBoundAdversary : public ArrivalSource {
  public:
-  std::vector<Flow> Arrivals(Round t, std::span<const Flow> pending) override;
-  bool Exhausted(Round t) const override { return t >= 2; }
+  const SwitchSpec& sw() const override;
+  void ArrivalsInto(Round t, std::span<const Flow> pending,
+                    std::vector<Flow>* out) override;
+  bool Exhausted(Round t) override { return t >= 2; }
 
   static SwitchSpec Switch() { return SwitchSpec::Uniform(3, 4, 1); }
 

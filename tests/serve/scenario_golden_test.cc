@@ -320,15 +320,16 @@ TEST(ScenarioGoldenTest, PullMatchesBatchAtScriptedRoundCap) {
 // Delegating source that raises the shared stop flag once arrivals for
 // `stop_round` have been pulled — a deterministic stand-in for a signal
 // landing mid-stream.
-class StopAtRoundSource : public StreamingFlowSource {
+class StopAtRoundSource : public ArrivalSource {
  public:
   StopAtRoundSource(const Instance& instance, Round stop_round,
                     volatile std::sig_atomic_t* flag)
       : inner_(instance), stop_round_(stop_round), flag_(flag) {}
   const SwitchSpec& sw() const override { return inner_.sw(); }
-  void ArrivalsInto(Round t, std::vector<Flow>* out) override {
+  void ArrivalsInto(Round t, std::span<const Flow> backlog,
+                    std::vector<Flow>* out) override {
     if (t >= stop_round_) *flag_ = 1;
-    inner_.ArrivalsInto(t, out);
+    inner_.ArrivalsInto(t, backlog, out);
   }
   bool Exhausted(Round t) override { return inner_.Exhausted(t); }
   Round NextArrivalRound(Round t) override {

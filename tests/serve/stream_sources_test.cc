@@ -16,12 +16,12 @@ namespace {
 
 // Drains a source through the pull interface the streaming simulator uses:
 // arrivals per round until Exhausted, with the fast-forward honored.
-std::vector<Flow> Drain(StreamingFlowSource& source, Round limit = 100000) {
+std::vector<Flow> Drain(ArrivalSource& source, Round limit = 100000) {
   std::vector<Flow> flows;
   std::vector<Flow> round;
   for (Round t = 0; t < limit; ++t) {
     round.clear();
-    source.ArrivalsInto(t, &round);
+    source.ArrivalsInto(t, {}, &round);
     EXPECT_TRUE(source.ok()) << source.error();
     for (Flow f : round) {
       f.release = t;  // What the simulator records.
@@ -102,7 +102,7 @@ TEST(StreamSourcesTest, UnboundedSourceNeverExhausts) {
   for (Round t = 0; t < 500; ++t) {
     EXPECT_FALSE(source.Exhausted(t));
     round.clear();
-    source.ArrivalsInto(t, &round);
+    source.ArrivalsInto(t, {}, &round);
     total += static_cast<long long>(round.size());
   }
   EXPECT_GT(total, 300);  // ~500 expected arrivals.
@@ -150,7 +150,7 @@ TEST(StreamSourcesTest, TraceSourceRejectsUnsortedReleases) {
   TraceStreamSource source(in);
   std::vector<Flow> round;
   for (Round t = 0; t <= 4 && source.ok(); ++t) {
-    source.ArrivalsInto(t, &round);
+    source.ArrivalsInto(t, {}, &round);
   }
   EXPECT_FALSE(source.ok());
   EXPECT_NE(source.error().find("line 7"), std::string::npos)

@@ -58,7 +58,7 @@ struct StreamRun {
   Schedule schedule;
 };
 
-StreamRun RunStreaming(StreamingFlowSource& source, const std::string& policy,
+StreamRun RunStreaming(ArrivalSource& source, const std::string& policy,
                        int num_flows) {
   std::string error;
   const auto p = MakeServePolicy(policy, &error);

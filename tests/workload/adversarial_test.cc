@@ -5,6 +5,14 @@
 namespace flowsched {
 namespace {
 
+// One round of an adversary's arrivals, given the backlog it may inspect.
+std::vector<Flow> ArrivalsAt(ArrivalSource& adv, Round t,
+                             std::span<const Flow> pending) {
+  std::vector<Flow> out;
+  adv.ArrivalsInto(t, pending, &out);
+  return out;
+}
+
 TEST(Fig4aTest, FixedInstanceShape) {
   const Instance instance = Fig4aInstance(/*phase_rounds=*/3, /*total_rounds=*/10);
   EXPECT_EQ(instance.num_flows(), 2 * 3 + 7);
@@ -33,24 +41,28 @@ TEST(Fig4bTest, FixedInstanceShape) {
 TEST(ArtAdversaryTest, CommitsToHeavierBacklogSide) {
   ArtLowerBoundAdversary adv(/*phase_rounds=*/2, /*total_rounds=*/5);
   // Rounds 0,1: fixed arrivals.
-  auto a0 = adv.Arrivals(0, {});
+  auto a0 = ArrivalsAt(adv, 0, {});
   ASSERT_EQ(a0.size(), 2u);
-  auto a1 = adv.Arrivals(1, {});
+  auto a1 = ArrivalsAt(adv, 1, {});
   ASSERT_EQ(a1.size(), 2u);
   // Pretend the policy left two flows toward output 0 pending.
   std::vector<Flow> pending = {Flow{0, 0, 0, 1, 0}, Flow{1, 0, 0, 1, 1}};
-  auto a2 = adv.Arrivals(2, pending);
+  auto a2 = ArrivalsAt(adv, 2, pending);
   ASSERT_EQ(a2.size(), 1u);
   EXPECT_EQ(a2[0].src, 1);
   EXPECT_EQ(a2[0].dst, 0);  // Committed to the backlogged output.
   // Commitment is sticky even if the backlog flips later.
   std::vector<Flow> flipped = {Flow{0, 0, 1, 1, 0}};
-  auto a3 = adv.Arrivals(3, flipped);
+  auto a3 = ArrivalsAt(adv, 3, flipped);
   ASSERT_EQ(a3.size(), 1u);
   EXPECT_EQ(a3[0].dst, 0);
   EXPECT_FALSE(adv.Exhausted(4));
   EXPECT_TRUE(adv.Exhausted(5));
-  EXPECT_TRUE(adv.Arrivals(5, {}).empty());
+  EXPECT_TRUE(ArrivalsAt(adv, 5, {}).empty());
+  EXPECT_EQ(adv.sw().input_capacities(),
+            ArtLowerBoundAdversary::Switch().input_capacities());
+  EXPECT_EQ(adv.sw().output_capacities(),
+            ArtLowerBoundAdversary::Switch().output_capacities());
 }
 
 TEST(ArtAdversaryTest, OfflineBoundFormula) {
@@ -62,17 +74,21 @@ TEST(ArtAdversaryTest, OfflineBoundFormula) {
 
 TEST(MrtAdversaryTest, TargetsPendingOutputs) {
   MrtLowerBoundAdversary adv;
-  auto a0 = adv.Arrivals(0, {});
+  auto a0 = ArrivalsAt(adv, 0, {});
   ASSERT_EQ(a0.size(), 4u);
   // Policy scheduled (0,0) and (1,2); pending are (0,1) and (1,3).
   std::vector<Flow> pending = {Flow{1, 0, 1, 1, 0}, Flow{3, 1, 3, 1, 0}};
-  auto a1 = adv.Arrivals(1, pending);
+  auto a1 = ArrivalsAt(adv, 1, pending);
   ASSERT_EQ(a1.size(), 2u);
   EXPECT_EQ(a1[0].src, 2);
   EXPECT_EQ(a1[1].src, 2);
   EXPECT_EQ(a1[0].dst, 1);
   EXPECT_EQ(a1[1].dst, 3);
   EXPECT_TRUE(adv.Exhausted(2));
+  EXPECT_EQ(adv.sw().input_capacities(),
+            MrtLowerBoundAdversary::Switch().input_capacities());
+  EXPECT_EQ(adv.sw().output_capacities(),
+            MrtLowerBoundAdversary::Switch().output_capacities());
 }
 
 }  // namespace

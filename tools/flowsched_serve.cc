@@ -532,7 +532,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!cli.spec.empty() || !cli.trace.empty()) {
-    std::unique_ptr<StreamingFlowSource> source;
+    std::unique_ptr<ArrivalSource> source;
     // Owns the stdin-backed source when --trace=-; unused otherwise.
     std::unique_ptr<TraceStreamSource> stdin_trace;
     if (!cli.spec.empty()) {
@@ -543,7 +543,7 @@ int Main(int argc, char** argv) {
     } else {
       source = MakeStreamSource(cli.trace, &error);
     }
-    StreamingFlowSource* active =
+    ArrivalSource* active =
         stdin_trace != nullptr ? stdin_trace.get() : source.get();
     if (active == nullptr || !error.empty()) {
       std::cerr << "flowsched_serve: " << error << '\n';
