@@ -205,7 +205,6 @@ class MrtTheorem3Solver : public Solver {
             {"max_violation", "worst capacity violation before rounding"},
             {"violation_bound", "Theorem 3's 2*dmax-1 violation bound"},
             {"lp_solves", "total LP solves"},
-            {"relaxed_rows", "constraint rows relaxed during rounding"},
             {"hard_drops", "rows dropped outright"}};
   }
 
@@ -235,7 +234,6 @@ class MrtTheorem3Solver : public Solver {
     report.diagnostics["violation_bound"] =
         static_cast<double>(r.rounding_report.bound);
     report.diagnostics["lp_solves"] = r.rounding_report.lp_solves;
-    report.diagnostics["relaxed_rows"] = r.rounding_report.relaxed_rows;
     report.diagnostics["hard_drops"] = r.rounding_report.hard_drops;
     return report;
   }

@@ -230,6 +230,19 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
       baseline_solver[key] = c.solver;
     }
   }
+  // Lower bound per comparison group, from the solver that proves one
+  // (art.theorem1's LP(0) / n, mrt.theorem3's rho_lp): every cell of the
+  // group reads as a ratio to it, Figures 6-7's heuristic-vs-LP gap.
+  std::map<std::string, double> lb_avg, lb_max;
+  for (const CellAggregate& agg : cells) {
+    const std::string key = GroupKey(plan.cells[agg.cell]);
+    if (agg.lb_avg_response.count() > 0) {
+      lb_avg.emplace(key, agg.lb_avg_response.mean());
+    }
+    if (agg.lb_max_response.count() > 0) {
+      lb_max.emplace(key, agg.lb_max_response.mean());
+    }
+  }
   bool any_cct = false, any_scenario = false, any_shards = false;
   bool has_load = false, has_ports = false, has_rounds = false;
   for (const CellAggregate& agg : cells) {
@@ -251,6 +264,8 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
   if (any_scenario) out << "<th>scenario</th>";
   out << "<th>n</th><th>avg response &plusmn;95% CI</th>"
          "<th>p95 response</th><th>speedup</th>";
+  if (!lb_avg.empty()) out << "<th>avg vs LP</th>";
+  if (!lb_max.empty()) out << "<th>max vs LP</th>";
   if (any_cct) out << "<th>avg CCT &plusmn;95% CI</th>";
   if (any_scenario) {
     out << "<th>downtime</th><th>backlog surge</th>"
@@ -282,6 +297,8 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
     out << "</td>";
     if (agg.n == 0) {
       out << "<td colspan=\"2\" class=\"dim\">no data</td><td></td>";
+      if (!lb_avg.empty()) out << "<td></td>";
+      if (!lb_max.empty()) out << "<td></td>";
       if (any_cct) out << "<td></td>";
       if (any_scenario) out << "<td></td><td></td><td></td>";
       out << "</tr>\n";
@@ -299,6 +316,18 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
     } else {
       out << "<td></td>";
     }
+    auto ratio_to_bound = [&](const std::map<std::string, double>& bounds,
+                              double value) {
+      if (bounds.empty()) return;
+      const auto bound = bounds.find(key);
+      if (bound == bounds.end()) {
+        out << "<td></td>";
+      } else {
+        out << "<td>" << FmtG(value / bound->second) << "&times;</td>";
+      }
+    };
+    ratio_to_bound(lb_avg, agg.avg_response.mean());
+    ratio_to_bound(lb_max, agg.max_response.mean());
     if (any_cct) {
       if (agg.num_coflows > 0) {
         out << "<td>" << FmtG(agg.avg_cct.mean()) << " &plusmn; "

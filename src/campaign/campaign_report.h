@@ -14,7 +14,8 @@
 // page (inline CSS, inline SVG via campaign/svg_plot.h, zero external
 // dependencies, no timestamps) with per-grid response-vs-axis and
 // CCT-vs-axis curves carrying 95% CI whiskers, speedup tables against the
-// grid's first solver, robustness columns for scenario cells, and the
+// grid's first solver, "avg/max vs LP" ratios when a solver in the grid
+// proves a lower bound, robustness columns for scenario cells, and the
 // failed/missing task list.
 #ifndef FLOWSCHED_CAMPAIGN_CAMPAIGN_REPORT_H_
 #define FLOWSCHED_CAMPAIGN_CAMPAIGN_REPORT_H_

@@ -169,6 +169,8 @@ bool ReadTaskOutcome(const std::string& dir, TaskOutcome& outcome,
     outcome.recovery_drain_rounds = doc.GetInt("recovery_drain_rounds");
     outcome.response_inflation = doc.GetNumber("response_inflation");
   }
+  outcome.lb_avg_response = doc.GetNumber("lb_avg_response");
+  outcome.lb_max_response = doc.GetNumber("lb_max_response");
   outcome.wall_seconds = doc.GetNumber("wall_seconds");
   outcome.rounds_per_sec = doc.GetNumber("rounds_per_sec");
   return true;

@@ -270,8 +270,6 @@ Schedule GroupRound(const Instance& instance, const ActiveWindows& windows,
   FS_CHECK(schedule.AllAssigned());
   const PortLoads loads = schedule.ComputeLoads(instance);
   rep.max_violation = loads.MaxOverload(instance.sw());
-  rep.relaxed_rows = 0;  // All rows start at the theorem budget in this
-                         // scheme; only hard drops are interesting.
   return schedule;
 }
 

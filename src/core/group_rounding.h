@@ -5,12 +5,13 @@
 // assignment (every flow in exactly one active round) whose per-(port,round)
 // load exceeds the capacity by at most an additive term. We implement an
 // iterative LP-relaxation rounder (docs/architecture.md, "LP layer", has
-// the substitution rationale): re-solve for a vertex, permanently fix
-// (numerically) integral variables, and when a vertex fixes nothing, relax
-// one capacity row — first to c_p + (2*dmax - 1) (the paper's bound), then,
-// only if still stuck, to unbounded (counted as `hard_drops`; violations
-// beyond 2*dmax - 1 can only originate from those, and the realized worst
-// violation is measured and reported).
+// the substitution rationale). Every capacity row starts at the paper's
+// budget c_p + (2*dmax - 1). Each pass re-solves the residual LP for a
+// vertex and permanently fixes the (numerically) integral variables; a
+// vertex that fixes nothing has its heaviest variable fixed instead. Only
+// when forced fixes make the LP infeasible is a row lifted to unbounded,
+// counted as `hard_drops`: violations beyond 2*dmax - 1 can only come from
+// those, and the realized worst violation is measured and reported.
 #ifndef FLOWSCHED_CORE_GROUP_ROUNDING_H_
 #define FLOWSCHED_CORE_GROUP_ROUNDING_H_
 
@@ -27,7 +28,6 @@ struct GroupRoundingOptions {
 
 struct GroupRoundingReport {
   int lp_solves = 0;
-  int relaxed_rows = 0;   // Rows raised to c_p + (2*dmax - 1).
   int hard_drops = 0;     // Rows raised beyond the paper's bound.
   int forced_fixes = 0;   // Flows fixed by argmax after the solve budget.
   Capacity max_violation = 0;  // Measured load - c_p over all (port, round).

@@ -80,6 +80,12 @@ void Aggregator::Add(const SweepTask& task, const TaskOutcome& outcome) {
     cell.response_inflation.Add(outcome.response_inflation);
     cell.migrated_flows.Add(static_cast<double>(outcome.migrated_flows));
   }
+  if (outcome.lb_avg_response > 0.0) {
+    cell.lb_avg_response.Add(outcome.lb_avg_response);
+  }
+  if (outcome.lb_max_response > 0.0) {
+    cell.lb_max_response.Add(outcome.lb_max_response);
+  }
   cell.wall_seconds.Add(outcome.wall_seconds);
   cell.rounds_per_sec.Add(outcome.rounds_per_sec);
 }
@@ -180,6 +186,14 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
         WriteStatsObject(out, c.response_inflation);
         out << ",\n     \"migrated_flows\": ";
         WriteStatsObject(out, c.migrated_flows);
+      }
+      if (c.lb_avg_response.count() > 0) {
+        out << ",\n     \"lb_avg_response\": ";
+        WriteStatsObject(out, c.lb_avg_response);
+      }
+      if (c.lb_max_response.count() > 0) {
+        out << ",\n     \"lb_max_response\": ";
+        WriteStatsObject(out, c.lb_max_response);
       }
       if (include_timing) {
         out << ",\n     \"wall_seconds\": ";

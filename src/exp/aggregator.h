@@ -69,6 +69,10 @@ struct CellAggregate {
   RunningStats recovery_drain_rounds;
   RunningStats response_inflation;
   RunningStats migrated_flows;
+  // Lower bounds, fed only by tasks whose solver proves one
+  // (TaskOutcome::lb_*); the JSON writer emits each when it has samples.
+  RunningStats lb_avg_response;
+  RunningStats lb_max_response;
   // Timing (schedule-dependent).
   RunningStats wall_seconds;
   RunningStats rounds_per_sec;

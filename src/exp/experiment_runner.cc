@@ -73,6 +73,13 @@ TaskOutcome OutcomeFromSolveReport(const SolveReport& report) {
     o.response_inflation = get("response_inflation");
     o.migrated_flows = static_cast<long long>(get("migrated_flows"));
   }
+  if (report.lower_bound.has_value()) {
+    if (report.objective_name == "total_response" && o.num_flows > 0) {
+      o.lb_avg_response = *report.lower_bound / o.num_flows;
+    } else if (report.objective_name == "max_response") {
+      o.lb_max_response = *report.lower_bound;
+    }
+  }
   if (o.rounds > 0 && o.wall_seconds > 0.0) {
     o.rounds_per_sec = static_cast<double>(o.rounds) / o.wall_seconds;
   }
@@ -123,6 +130,12 @@ void WriteTaskJsonLine(std::ostream& out, const SweepCell& cell,
           << ", \"response_inflation\": "
           << JsonNum(outcome.response_inflation)
           << ", \"migrated_flows\": " << outcome.migrated_flows;
+    }
+    if (outcome.lb_avg_response > 0.0) {
+      out << ", \"lb_avg_response\": " << JsonNum(outcome.lb_avg_response);
+    }
+    if (outcome.lb_max_response > 0.0) {
+      out << ", \"lb_max_response\": " << JsonNum(outcome.lb_max_response);
     }
     out << ", \"wall_seconds\": " << JsonNum(outcome.wall_seconds)
         << ", \"rounds_per_sec\": " << JsonNum(outcome.rounds_per_sec);

@@ -67,6 +67,12 @@ struct TaskOutcome {
   long long recovery_drain_rounds = 0;
   double response_inflation = 0.0;
   long long migrated_flows = 0;  // MIGRATE re-homings (0 without MIGRATE).
+  // The solver's proven lower bound (SolveReport::lower_bound) in the units
+  // of its objective: per flow for total_response solvers (LP(0) / n for
+  // art.theorem1), as is for max_response ones (rho_lp for mrt.theorem3).
+  // 0 when the solver proves none.
+  double lb_avg_response = 0.0;
+  double lb_max_response = 0.0;
   double wall_seconds = 0.0;   // Timing — excluded from determinism checks.
   double rounds_per_sec = 0.0;
 };

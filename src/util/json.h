@@ -1,10 +1,11 @@
-// Minimal JSON emission helpers shared by the report writers
-// (flowsched_bench, the sweep Aggregator, provenance blocks).
+// Minimal JSON helpers: emission for the report writers (flowsched_bench's
+// BENCH_core.json, the sweep Aggregator, campaign records, provenance
+// blocks) and a small reader for the campaign records they write.
 //
 // Not a serialization framework: the report writers keep explicit control
-// over field order and layout (stable output is what makes BENCH_*.json and
-// SWEEP_*.json diffable), these helpers only make the escaping and number
-// formatting uniform across them.
+// over field order and layout (stable output is what makes BENCH_core.json
+// and SWEEP_*.json diffable), these helpers only make the escaping and
+// number formatting uniform across them.
 #ifndef FLOWSCHED_UTIL_JSON_H_
 #define FLOWSCHED_UTIL_JSON_H_
 
@@ -20,7 +21,7 @@ std::string JsonEscape(const std::string& s);
 
 // Shortest round-trippable-enough representation (%.9g): stable across
 // runs, compact, and precise to ~9 significant digits — the convention
-// BENCH_*.json established.
+// every report file follows.
 std::string JsonNum(double v);
 
 // `"key": "escaped"` fragment (no trailing comma).

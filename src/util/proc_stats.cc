@@ -20,11 +20,4 @@ long long PeakRssKb() {
   return kb;
 }
 
-bool ResetPeakRss() {
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fputs("5", f) >= 0;
-  return (std::fclose(f) == 0) && ok;
-}
-
 }  // namespace flowsched

@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <regex>
 #include <sstream>
 
+#include "api/instance_source.h"
 #include "campaign/campaign_runner.h"
 #include "campaign/campaign_spec.h"
+#include "core/art_rounding.h"
 
 namespace flowsched {
 namespace {
@@ -21,16 +25,26 @@ std::string ReadFile(const fs::path& path) {
   return buffer.str();
 }
 
+// The report's table rows: one "<tr>...</tr>" per cell, found by solver.
+std::string TableRow(const std::string& html, const std::string& solver) {
+  const auto at = html.find("<tr><td>" + solver + "</td>");
+  if (at == std::string::npos) return "";
+  return html.substr(at, html.find("</tr>", at) - at);
+}
+
+// The provenance block (commit, compiler, flags, host) is the only part
+// of a report that differs between builds of the same code.
+std::string WithoutProvenance(const std::string& text) {
+  static const std::regex json_block("\"provenance\": \\{[^}]*\\}");
+  static const std::regex html_block("<p class=\"prov\">.*</p>");
+  return std::regex_replace(std::regex_replace(text, json_block, ""),
+                            html_block, "");
+}
+
 class CampaignReportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::temp_directory_path() /
-            ("flowsched_report_test_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name()));
-    fs::remove_all(root_);
-    const std::string text =
+    RunSpec(
         "name=reptest\n"
         "title=Report test campaign\n"
         "[grid]\n"
@@ -43,7 +57,17 @@ class CampaignReportTest : public ::testing::Test {
         "name=coflow\n"
         "solvers=coflow.sebf\n"
         "instances=coflow:ports=8,load=1.0,rounds=30,width=4,seed={seed}\n"
-        "seeds=1..2\n";
+        "seeds=1..2\n");
+  }
+
+  // Runs `text` as a fresh campaign under root_.
+  void RunSpec(const std::string& text) {
+    root_ = fs::temp_directory_path() /
+            ("flowsched_report_test_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name()));
+    fs::remove_all(root_);
     std::string error;
     ASSERT_TRUE(ParseCampaignSpec(text, spec_, &error)) << error;
     ASSERT_TRUE(ExpandCampaign(spec_, SolverRegistry::Global(), plan_, &error))
@@ -135,6 +159,71 @@ TEST_F(CampaignReportTest, PartialCampaignCollectsAndReportsMissing) {
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_NE(html.find("Incomplete tasks"), std::string::npos);
   EXPECT_NE(html.find(victim + " (missing)"), std::string::npos);
+}
+
+// A grid without a bound-proving solver renders exactly as before the
+// lower-bound columns existed: no lb_* keys, no "vs LP" columns, and (apart
+// from provenance) the same bytes. The hash pins that output; a deliberate
+// report format change updates it.
+TEST_F(CampaignReportTest, OnlineOnlyGridHasNoLowerBoundOutput) {
+  CampaignCollectSummary summary;
+  std::string error;
+  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  const std::string json = ReadFile(root_ / "aggregate" / "flow.json");
+  const std::string html = ReadFile(root_ / "report" / "index.html");
+  EXPECT_EQ(json.find("lb_"), std::string::npos);
+  EXPECT_EQ(html.find("vs LP"), std::string::npos);
+  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(json))), "99db87f9f6d1247b");
+  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(html))), "0a2043f4a38ff91c");
+}
+
+// Figure 6's comparison: every cell of a group reads as its average
+// response over the group's LP(0) bound per flow. With one instance the
+// cell is exactly avg_response / (LP(0) / n), recomputed here from the
+// instance itself.
+TEST_F(CampaignReportTest, AvgVsLpIsTheRatioToLp0PerFlow) {
+  RunSpec(
+      "name=lptest\n"
+      "[grid]\n"
+      "name=lp\n"
+      "solvers=art.theorem1,online.maxweight\n"
+      "instances=poisson:ports=8,load=1.0,rounds=8,seed=1\n");
+  std::string error;
+  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  const std::string html = ReadFile(root_ / "report" / "index.html");
+  EXPECT_NE(html.find("<th>avg vs LP</th>"), std::string::npos);
+  EXPECT_EQ(html.find("max vs LP"), std::string::npos);
+
+  const SweepPlan& plan = plan_.grids[0].plan;
+  ASSERT_EQ(plan.tasks.size(), 2u);
+  const SweepTask& task = plan.tasks[1];
+  ASSERT_EQ(plan.cells[task.cell].solver, "online.maxweight");
+  const auto instance = LoadInstance(task.instance_spec, &error);
+  ASSERT_TRUE(instance.has_value()) << error;
+  SolveOptions options;
+  options.seed = task.solver_seed;
+  const SolveReport heuristic =
+      SolverRegistry::Global().Solve("online.maxweight", *instance, options);
+  ASSERT_TRUE(heuristic.ok) << heuristic.error;
+  ArtRoundingReport rounding;
+  ArtIterativeRounding(*instance, {}, &rounding);
+  const double lp_per_flow = rounding.lp0_objective / instance->num_flows();
+  char expected[64];
+  std::snprintf(expected, sizeof(expected), "<td>%.4g&times;</td>",
+                heuristic.metrics.avg_response / lp_per_flow);
+  EXPECT_NE(TableRow(html, "online.maxweight").find(expected),
+            std::string::npos)
+      << expected << " not in " << TableRow(html, "online.maxweight");
+
+  CampaignCollectSummary summary;
+  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  const std::string json = ReadFile(root_ / "aggregate" / "lp.json");
+  EXPECT_NE(json.find("\"lb_avg_response\": {\"mean\": "), std::string::npos);
+  EXPECT_EQ(json.find("lb_max_response"), std::string::npos);
+  // The CSV schema is fixed: no lower-bound columns.
+  EXPECT_EQ(ReadFile(root_ / "aggregate" / "lp.csv").find("lb_"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -6,9 +6,11 @@
 #include <fstream>
 #include <sstream>
 
+#include "api/instance_source.h"
 #include "campaign/campaign_plan.h"
 #include "campaign/campaign_report.h"
 #include "campaign/campaign_spec.h"
+#include "core/mrt_scheduler.h"
 #include "util/provenance.h"
 
 namespace flowsched {
@@ -228,6 +230,53 @@ TEST_F(CampaignRunnerTest, UpToDateRejectsMissingDirectoryAndOutcome) {
   fs::remove(fs::path(dir) / "outcome.json");
   EXPECT_FALSE(CampaignTaskUpToDate(
       dir, HashHex(plan_.grids[0].task_hashes[6]), prov));
+}
+
+// The offline solvers' lower bounds ride along in outcome.json: LP(0) per
+// flow for art.theorem1, rho_lp for mrt.theorem3. Resume reads them back,
+// so the merged aggregate (which carries them per cell) is unchanged.
+TEST_F(CampaignRunnerTest, LowerBoundsSurviveResume) {
+  std::string error;
+  ASSERT_TRUE(ParseCampaignSpec(
+      "name=lbtest\n"
+      "[grid]\n"
+      "name=flow\n"
+      "solvers=art.theorem1,mrt.theorem3\n"
+      "instances=poisson:ports=4,load=1.0,rounds=4,seed={seed}\n"
+      "seeds=1..2\n",
+      spec_, &error))
+      << error;
+  ASSERT_TRUE(ExpandCampaign(spec_, SolverRegistry::Global(), plan_, &error))
+      << error;
+  Run(/*resume=*/false);
+  const std::string first = Aggregate();
+  EXPECT_NE(first.find("\"lb_avg_response\""), std::string::npos);
+  EXPECT_NE(first.find("\"lb_max_response\""), std::string::npos);
+
+  const SweepPlan& plan = plan_.grids[0].plan;
+  for (const SweepTask& task : plan.tasks) {
+    TaskOutcome outcome;
+    ASSERT_TRUE(ReadTaskOutcome(
+        CampaignTaskDir(root_.string(), plan_.grids[0].task_ids[task.index]),
+        outcome, &error))
+        << error;
+    ASSERT_TRUE(outcome.ok) << outcome.error;
+    if (plan.cells[task.cell].solver == "art.theorem1") {
+      EXPECT_GT(outcome.lb_avg_response, 0.0);
+      EXPECT_LE(outcome.lb_avg_response, outcome.avg_response);
+      EXPECT_EQ(outcome.lb_max_response, 0.0);
+    } else {
+      const auto instance = LoadInstance(task.instance_spec, &error);
+      ASSERT_TRUE(instance.has_value()) << error;
+      EXPECT_EQ(outcome.lb_max_response,
+                static_cast<double>(MinimizeMaxResponse(*instance).rho_lp));
+      EXPECT_EQ(outcome.lb_avg_response, 0.0);
+    }
+  }
+
+  const CampaignRunSummary resumed = Run(/*resume=*/true);
+  EXPECT_EQ(resumed.skipped, 4);
+  EXPECT_EQ(Aggregate(), first);
 }
 
 TEST_F(CampaignRunnerTest, FailingSolverParamIsRecordedNotFatal) {

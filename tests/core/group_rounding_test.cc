@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "workload/patterns.h"
 #include "workload/poisson.h"
 
@@ -43,19 +46,45 @@ TEST(GroupRoundingTest, RespectsWindows) {
   EXPECT_LE(report.max_violation, report.bound);
 }
 
+// One rounding input: a general-demand Poisson instance (ports, dmax,
+// seed), or one of the structured families "incast" (two overlapping
+// incasts into an 8-port switch; `seed` picks the sinks) and "shuffle"
+// (three waves of a 6-port shuffle).
+struct RoundingInput {
+  std::string family;
+  int ports = 0;
+  Capacity dmax = 1;
+  std::uint64_t seed = 0;
+};
+
+void PrintTo(const RoundingInput& in, std::ostream* os) {
+  *os << in.family << "(ports=" << in.ports << ", dmax=" << in.dmax
+      << ", seed=" << in.seed << ")";
+}
+
+Instance MakeRoundingInput(const RoundingInput& in) {
+  if (in.family == "incast") {
+    Instance instance(SwitchSpec::Uniform(in.ports, in.ports), {});
+    AddIncast(instance, static_cast<PortId>(in.seed % in.ports), 8, 0);
+    AddIncast(instance, static_cast<PortId>((in.seed + 3) % in.ports), 6, 1);
+    return instance;
+  }
+  if (in.family == "shuffle") return ShuffleWaves(in.ports, 5, 3, 2);
+  PoissonConfig cfg;
+  cfg.num_inputs = cfg.num_outputs = in.ports;
+  cfg.port_capacity = std::max<Capacity>(2 * in.dmax, 2);
+  cfg.max_demand = in.dmax;
+  cfg.mean_arrivals_per_round = 2.0 * in.ports;
+  cfg.num_rounds = 5;
+  cfg.seed = in.seed;
+  return GeneratePoisson(cfg);
+}
+
 class GroupRoundingPropertyTest
-    : public ::testing::TestWithParam<std::tuple<int, Capacity, std::uint64_t>> {};
+    : public ::testing::TestWithParam<RoundingInput> {};
 
 TEST_P(GroupRoundingPropertyTest, ViolationWithinTheoremBound) {
-  const auto [ports, dmax, seed] = GetParam();
-  PoissonConfig cfg;
-  cfg.num_inputs = cfg.num_outputs = ports;
-  cfg.port_capacity = std::max<Capacity>(2 * dmax, 2);
-  cfg.max_demand = dmax;
-  cfg.mean_arrivals_per_round = 2.0 * ports;
-  cfg.num_rounds = 5;
-  cfg.seed = seed;
-  const Instance instance = GeneratePoisson(cfg);
+  const Instance instance = MakeRoundingInput(GetParam());
   if (instance.num_flows() == 0) GTEST_SKIP();
   // A loose-but-finite rho (from FIFO drain length) keeps the LP feasible.
   Round rho = 4;
@@ -82,12 +111,18 @@ TEST_P(GroupRoundingPropertyTest, ViolationWithinTheoremBound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Workloads, GroupRoundingPropertyTest,
-    ::testing::Values(std::make_tuple(3, Capacity{1}, 51u),
-                      std::make_tuple(4, Capacity{1}, 52u),
-                      std::make_tuple(4, Capacity{2}, 53u),
-                      std::make_tuple(5, Capacity{4}, 54u),
-                      std::make_tuple(6, Capacity{2}, 55u),
-                      std::make_tuple(3, Capacity{8}, 56u)));
+    ::testing::Values(RoundingInput{"poisson", 3, 1, 51},
+                      RoundingInput{"poisson", 4, 1, 52},
+                      RoundingInput{"poisson", 4, 2, 53},
+                      RoundingInput{"poisson", 5, 4, 54},
+                      RoundingInput{"poisson", 6, 2, 55},
+                      RoundingInput{"poisson", 3, 8, 56},
+                      RoundingInput{"incast", 8, 1, 0},
+                      RoundingInput{"incast", 8, 1, 1},
+                      RoundingInput{"incast", 8, 1, 2},
+                      RoundingInput{"incast", 8, 1, 3},
+                      RoundingInput{"incast", 8, 1, 4},
+                      RoundingInput{"shuffle", 6, 1, 0}));
 
 TEST(GroupRoundingTest, TightWindowsForceViolationWithinBound) {
   // Three unit flows, one output port, all windowed to the same single

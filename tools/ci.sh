@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: the tier-1 verify sequence in
 # Debug and Release, a CLI smoke test, the docs checks (generated
-# docs/solvers.md freshness + markdown link resolution), and the Debug
-# ASan/UBSan leg over the graph + coflow + fabric + workload + model +
-# serve + scenario + traffic + online + lp + core suites.
+# docs/solvers.md freshness + markdown link resolution), the bench value
+# check against BENCH_core.json, the sweep/campaign/serve/scenario smokes,
+# and the Debug ASan/UBSan leg over every suite.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,35 +21,12 @@ for build_type in Debug Release; do
     # Docs job: docs/solvers.md must match the registry, and every relative
     # markdown link in README/docs must resolve.
     tools/check_docs.sh "./${build_dir}/tools/flowsched_cli"
-    # Bench smoke: every cell must succeed; JSON is the artifact. The
-    # matching-kernel assertions mirror ci.yml: warm-start total == scratch
-    # total to the bit, auction rows within the n·eps bound, and the
-    # maxweight variant cells agree on response (value checks only — never
-    # wall clock).
-    "./${build_dir}/tools/flowsched_bench" --suite=smoke --repeat=2 \
-        --out="${build_dir}/BENCH_smoke.json"
-    python3 - "${build_dir}/BENCH_smoke.json" << 'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    bench = json.load(f)
-assert not [r for r in bench["results"] if not r["ok"]]
-matchers = {m["name"]: m for m in bench["matchers"]}
-exact_w = matchers["matcher_scratch"]["total_weight"]
-assert matchers["matcher_warmstart"]["total_weight"] == exact_w
-assert matchers["matcher_auction_eps0.05"]["total_weight"] >= 0.99 * exact_w
-assert matchers["matcher_auction_eps0.5"]["total_weight"] >= 0.9 * exact_w
-cells = {(c["instance"], c["solver"]): c for c in bench["results"]}
-scratch = next(c for c in bench["results"]
-               if c["solver"] == "online.maxweight+scratch")
-exact = cells[(scratch["instance"], "online.maxweight")]
-assert scratch["total_response"] == exact["total_response"], (scratch, exact)
-approx = next(c for c in bench["results"]
-              if c["solver"] == "online.maxweight+approx0.5")
-assert abs(approx["total_response"] - exact["total_response"]) \
-    <= 0.05 * exact["total_response"], (approx, exact)
-print("bench smoke ok: warm-start bit-exact, auction within bound")
-EOF
-    echo "bench smoke written to ${build_dir}/BENCH_smoke.json"
+    # Bench values: every value field of every cell must match the
+    # committed BENCH_core.json, plus the warmstart=0 / approx=0.5 variant
+    # checks (value checks only, never wall clock).
+    "./${build_dir}/tools/flowsched_bench" --out="${build_dir}/BENCH_run.json"
+    python3 tools/check_bench_values.py BENCH_core.json \
+        "${build_dir}/BENCH_run.json"
     # Sweep smoke: the parallel campaign driver on the built-in grid, plus
     # the determinism guarantee — reports (timing stripped) must be
     # byte-identical across thread counts.
@@ -143,8 +120,7 @@ done
 
 echo "=== Debug ASan/UBSan (every suite) ==="
 cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
-    -DFLOWSCHED_SANITIZE=address,undefined \
-    -DFLOWSCHED_BUILD_BENCHES=OFF -DFLOWSCHED_BUILD_EXAMPLES=OFF
+    -DFLOWSCHED_SANITIZE=address,undefined -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)")
 echo "CI OK"

@@ -1,34 +1,19 @@
-// flowsched_bench: the reproducible performance harness. Runs a fixed suite
-// of generator specs across registered solvers (validation off — the point
-// is to measure the scheduling hot path, not the audit scaffolding), times
-// the decomposition kernels, and writes a machine-readable BENCH_<suite>.json
-// so every future change has a comparable baseline. CI runs the "smoke"
-// suite in Release as a sanity check and uploads the JSON as an artifact.
+// flowsched_bench: the value cells CI asserts. Runs every online.*, coflow.*
+// and fabric.* solver once on a fixed set of paper-scale instances
+// (validation off, seed 7), plus streaming, fault-scenario and
+// matcher-variant cells, and writes each cell's schedule values to
+// BENCH_core.json. tools/check_bench_values.py compares a run against the
+// committed file field by field; timing lives in perfbench/.
 //
 // Usage:
-//   flowsched_bench [--suite=core|smoke] [--out=PATH] [--repeat=N]
-//                   [--seed=N] [--list]
+//   flowsched_bench [--out=PATH]    (default BENCH_core.json)
 //
-// Suites:
-//   core   the paper-scale online suite — a 256x256 switch with ~50k
-//          Poisson flows plus coflow / shuffle / incast / Figure-4
-//          instances across every online.* and coflow.* policy — and the
-//          König vs Euler-split edge coloring kernels on a dense
-//          multigraph.
-//   smoke  a down-scaled copy of core that finishes in seconds (CI).
-//
-// Timing: each (instance, solver) cell runs --repeat times (default 3) and
-// reports the fastest run — the minimum is the standard noise-robust
-// estimator for throughput benches on shared machines.
-//
-// The JSON schema is documented in README.md ("Performance" section).
+// The JSON schema is documented in docs/file-formats.md.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <iostream>
 #include <map>
 #include <new>
@@ -39,24 +24,17 @@
 #include "api/registry.h"
 #include "api/stream_source.h"
 #include "core/online/simulator.h"
-#include "graph/auction_matching.h"
-#include "graph/edge_coloring.h"
-#include "graph/incremental_matching.h"
-#include "graph/max_weight_matching.h"
 #include "scenario/scenario.h"
 #include "serve/daemon.h"
 #include "serve/streaming_simulator.h"
 #include "util/json.h"
-#include "util/proc_stats.h"
 #include "util/provenance.h"
-#include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/table.h"
 
 // ---- Global allocation counter -------------------------------------------
 // Replacing the global operator new lets the harness report how many heap
-// allocations each measured run performs (the zero-allocation claim for the
-// simulator core is checked in CI from exactly this number).
+// allocations each cell's run performs (the simulator core's
+// zero-allocation contract shows up as a flat count across cells).
 
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -76,25 +54,20 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace flowsched {
 namespace {
 
+constexpr std::uint64_t kSeed = 7;
+
 struct BenchCell {
   std::string instance;
   std::string solver;
   bool ok = false;
   std::string error;
-  double wall_seconds = 0.0;
   long long rounds = 0;
-  double rounds_per_sec = 0.0;
   long long peak_backlog = 0;
   long long allocations = 0;
   double total_response = 0.0;
   double avg_response = 0.0;
   double max_response = 0.0;
   long long makespan = 0;
-  // VmHWM across the cell's repeats (watermark reset per cell); -1 when
-  // the kernel doesn't support per-interval resets. Batch cells hold the
-  // whole instance + schedule; stream: cells quantify the O(live flows)
-  // memory of the serve path on the same traffic.
-  long long peak_rss_kb = -1;
   // scenario: cells only (-1 elsewhere). Surge is the peak backlog over the
   // fault-free twin's peak; drain is rounds simulated past the last event.
   long long backlog_surge = -1;
@@ -102,156 +75,63 @@ struct BenchCell {
   long long downtime_rounds = -1;
 };
 
-struct KernelCell {
-  std::string name;
-  long long edges = 0;
-  long long max_degree = 0;
-  long long num_colors = 0;
-  double wall_seconds = 0.0;
+// Every registered solver is run on each of these.
+const std::vector<std::string> kInstances = {
+    "poisson:ports=256,load=1.0,rounds=195,seed=1",
+    "coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
+    // The sharding cell: fabric.* solvers split this 4 ways (fabric.<p> x
+    // non-fabric instances are skipped; every other solver runs the inner
+    // instance unsharded for the 1-switch baseline on identical traffic).
+    "fabric:shards=4,partition=block,"
+    "coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
+    "shuffle:ports=256,wave=64,waves=8,period=2",
+    "incast:ports=256,fanin=255",
+    "fig4a:phase=128,total=1024",
+    "fig4b",
+    // Realistic traffic (src/traffic/): one cell per checked-in datacenter
+    // CDF at the paper's 256-port scale, load 0.9.
+    "cdf:dist=websearch,ports=256,load=0.9,rounds=195,seed=1",
+    "cdf:dist=fbhdp,ports=256,load=0.9,rounds=195,seed=1",
+    "cdf:dist=alistorage,ports=256,load=0.9,rounds=195,seed=1",
 };
 
-// One matching kernel timed over the same synthetic mutation sequence;
-// total_weight is the sanity channel: scratch and warmstart must agree to
-// the bit, the auction rows may trail by at most rounds·n·eps.
-struct MatcherCell {
-  std::string name;
-  long long rounds = 0;
-  long long edges = 0;  // Edges across all rounds of the sequence.
-  double wall_seconds = 0.0;
-  double total_weight = 0.0;
+// Generator specs run through the streaming service (src/serve/) with
+// online.srpt; the first and third replay the same traffic as batch cells.
+const std::vector<std::string> kStreams = {
+    "poisson:ports=256,load=1.0,rounds=195,seed=1",
+    "poisson:ports=64,load=0.9,rounds=100000,seed=1",
+    "cdf:dist=websearch,ports=256,load=0.9,rounds=195,seed=1",
+    "cdf:dist=alistorage,ports=64,load=0.9,rounds=20000,seed=1",
 };
 
-// Extra (instance, solver, params) cells benched next to the plain grid —
-// the maxweight kernel variants (scratch Hungarian, eps-auction) whose
-// deltas the CI smoke assertions pin against the warm-start default.
+// Mid-run loss of a quarter of the fabric (pod 0 of 4) under sustained
+// near-saturation load, then recovery and drain (online.srpt).
+struct ScenarioCellSpec {
+  std::string instance;
+  std::string script;  // Scenario script text (scenario/scenario.h).
+};
+const std::vector<ScenarioCellSpec> kScenarios = {
+    {"poisson:ports=256,load=0.9,rounds=195,seed=1",
+     "PODS 4\nPOD_DOWN 60 0\nPOD_UP 120 0\n"},
+};
+
+// The maxweight matcher variants: the from-scratch Hungarian, which must
+// reproduce the warm-start default's schedule, and the opt-in eps-auction
+// (campaigns/approx.json quantifies it across loads).
 struct VariantSpec {
   std::string instance;
   std::string solver;  // Registry name.
   std::string label;   // Shown as the solver column / JSON solver field.
   std::map<std::string, std::string> params;
 };
-
-struct ScenarioBenchSpec {
-  std::string instance;  // Generator spec for the faulted run.
-  std::string script;    // Scenario script text (scenario/scenario.h).
+const std::vector<VariantSpec> kVariants = {
+    {"poisson:ports=256,load=1.0,rounds=195,seed=1", "online.maxweight",
+     "online.maxweight+scratch", {{"warmstart", "0"}}},
+    {"poisson:ports=256,load=1.0,rounds=195,seed=1", "online.maxweight",
+     "online.maxweight+approx0.5", {{"approx", "0.5"}}},
+    {"coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
+     "coflow.maxweight", "coflow.maxweight+approx0.5", {{"approx", "0.5"}}},
 };
-
-struct SuiteSpec {
-  std::string name;
-  std::vector<std::string> instances;
-  // Generator specs run through the streaming service (src/serve/) with
-  // online.srpt — same traffic as the matching batch cell, so the
-  // peak_rss_kb columns are directly comparable.
-  std::vector<std::string> streams;
-  // Fault-injection cells: the instance replayed under a timed outage
-  // script (online.srpt), measuring the degraded round loop and recording
-  // backlog surge + recovery drain against the fault-free twin.
-  std::vector<ScenarioBenchSpec> scenarios;
-  // Matching-kernel variant cells (see VariantSpec).
-  std::vector<VariantSpec> variants;
-  // Dense multigraph for the edge-coloring kernel comparison.
-  int coloring_side = 0;
-  int coloring_edges = 0;
-  // Synthetic backlog mutation sequence for the matcher micro-bench.
-  int matcher_ports = 0;
-  int matcher_rounds = 0;
-};
-
-SuiteSpec MakeSuite(const std::string& name) {
-  if (name == "core") {
-    return SuiteSpec{
-        "core",
-        {
-            "poisson:ports=256,load=1.0,rounds=195,seed=1",
-            "coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
-            // The sharding cell: fabric.* solvers split this 4 ways
-            // (fabric.<p> x non-fabric instances are skipped; every other
-            // solver runs the inner instance unsharded for the 1-switch
-            // baseline on identical traffic).
-            "fabric:shards=4,partition=block,"
-            "coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
-            "shuffle:ports=256,wave=64,waves=8,period=2",
-            "incast:ports=256,fanin=255",
-            "fig4a:phase=128,total=1024",
-            "fig4b",
-            // Realistic traffic (src/traffic/): one cell per checked-in
-            // datacenter CDF at the paper's 256-port scale, load 0.9.
-            "cdf:dist=websearch,ports=256,load=0.9,rounds=195,seed=1",
-            "cdf:dist=fbhdp,ports=256,load=0.9,rounds=195,seed=1",
-            "cdf:dist=alistorage,ports=256,load=0.9,rounds=195,seed=1",
-        },
-        {
-            "poisson:ports=256,load=1.0,rounds=195,seed=1",
-            "poisson:ports=64,load=0.9,rounds=100000,seed=1",
-            "cdf:dist=websearch,ports=256,load=0.9,rounds=195,seed=1",
-            "cdf:dist=alistorage,ports=64,load=0.9,rounds=20000,seed=1",
-        },
-        {
-            // Mid-run loss of a quarter of the fabric (pod 0 of 4) under
-            // sustained near-saturation load, then recovery and drain.
-            {"poisson:ports=256,load=0.9,rounds=195,seed=1",
-             "PODS 4\nPOD_DOWN 60 0\nPOD_UP 120 0\n"},
-        },
-        {
-            // The maxweight kernel variants on the paper-scale cell: the
-            // from-scratch Hungarian (the bit-exactness baseline for the
-            // warm-start default benched above) and the opt-in eps-auction
-            // (the quantified approximation, campaigns/approx.json).
-            {"poisson:ports=256,load=1.0,rounds=195,seed=1",
-             "online.maxweight", "online.maxweight+scratch",
-             {{"warmstart", "0"}}},
-            {"poisson:ports=256,load=1.0,rounds=195,seed=1",
-             "online.maxweight", "online.maxweight+approx0.5",
-             {{"approx", "0.5"}}},
-            {"coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
-             "coflow.maxweight", "coflow.maxweight+approx0.5",
-             {{"approx", "0.5"}}},
-        },
-        /*coloring_side=*/256,
-        /*coloring_edges=*/200000,
-        /*matcher_ports=*/256,
-        /*matcher_rounds=*/120,
-    };
-  }
-  if (name == "smoke") {
-    return SuiteSpec{
-        "smoke",
-        {
-            "poisson:ports=32,load=1.0,rounds=40,seed=1",
-            "coflow:ports=32,load=1.0,rounds=40,width=6,skew=0.7,seed=1",
-            "fabric:shards=2,partition=block,"
-            "coflow:ports=32,load=1.0,rounds=40,width=6,skew=0.7,seed=1",
-            "incast:ports=32,fanin=31",
-            "fig4b",
-            "cdf:dist=websearch,ports=32,load=0.9,rounds=40,seed=1",
-        },
-        {
-            "poisson:ports=32,load=1.0,rounds=40,seed=1",
-            "cdf:dist=websearch,ports=32,load=0.9,rounds=40,seed=1",
-        },
-        {
-            {"poisson:ports=32,load=0.9,rounds=40,seed=1",
-             "PODS 4\nPOD_DOWN 10 0\nPOD_UP 25 0\n"},
-        },
-        {
-            {"poisson:ports=32,load=1.0,rounds=40,seed=1",
-             "online.maxweight", "online.maxweight+scratch",
-             {{"warmstart", "0"}}},
-            {"poisson:ports=32,load=1.0,rounds=40,seed=1",
-             "online.maxweight", "online.maxweight+approx0.5",
-             {{"approx", "0.5"}}},
-            {"coflow:ports=32,load=1.0,rounds=40,width=6,skew=0.7,seed=1",
-             "coflow.maxweight", "coflow.maxweight+approx0.5",
-             {{"approx", "0.5"}}},
-        },
-        /*coloring_side=*/64,
-        /*coloring_edges=*/4000,
-        /*matcher_ports=*/48,
-        /*matcher_rounds=*/40,
-    };
-  }
-  return SuiteSpec{};
-}
 
 std::vector<std::string> SimulationSolverNames() {
   std::vector<std::string> names;
@@ -265,136 +145,104 @@ std::vector<std::string> SimulationSolverNames() {
 }
 
 // fabric.* solvers need a shard topology, which only fabric: instances
-// carry — pairing them with anything else would just bench the error path.
+// carry; pairing them with anything else would just run the error path.
 bool SkipCell(const std::string& instance_spec, const std::string& solver) {
   return solver.rfind("fabric.", 0) == 0 &&
          instance_spec.rfind("fabric:", 0) != 0;
 }
 
+// Heap allocations performed by fn().
+template <typename Fn>
+long long CountAllocations(Fn&& fn) {
+  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  fn();
+  return static_cast<long long>(
+      g_alloc_count.load(std::memory_order_relaxed) - before);
+}
+
 BenchCell RunCell(const std::string& instance_spec, const Instance& instance,
-                  const std::string& solver, std::uint64_t seed, int repeat,
+                  const std::string& solver,
                   const std::map<std::string, std::string>& extra_params = {},
                   const std::string& label = "") {
   BenchCell cell;
   cell.instance = instance_spec;
   cell.solver = label.empty() ? solver : label;
   SolveOptions options;
-  options.seed = seed;
+  options.seed = kSeed;
+  options.params = extra_params;
   options.params["validate"] = "0";
-  for (const auto& [key, value] : extra_params) options.params[key] = value;
-  ResetPeakRss();
-  for (int rep = 0; rep < repeat; ++rep) {
-    const std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    const SolveReport report =
-        SolverRegistry::Global().Solve(solver, instance, options);
-    const std::uint64_t allocs_after =
-        g_alloc_count.load(std::memory_order_relaxed);
-    if (!report.ok) {
-      cell.ok = false;
-      cell.error = report.error;
-      return cell;
-    }
-    if (rep == 0 || report.wall_seconds < cell.wall_seconds) {
-      cell.wall_seconds = report.wall_seconds;
-      cell.allocations =
-          static_cast<long long>(allocs_after - allocs_before);
-    }
-    cell.ok = true;
-    cell.total_response = report.metrics.total_response;
-    cell.avg_response = report.metrics.avg_response;
-    cell.max_response = report.metrics.max_response;
-    cell.makespan = report.metrics.makespan;
-    const auto rounds = report.diagnostics.find("rounds_simulated");
-    cell.rounds = rounds == report.diagnostics.end()
-                      ? 0
-                      : static_cast<long long>(rounds->second);
-    const auto peak = report.diagnostics.find("peak_backlog");
-    cell.peak_backlog = peak == report.diagnostics.end()
-                            ? 0
-                            : static_cast<long long>(peak->second);
+  SolveReport report;
+  cell.allocations = CountAllocations([&] {
+    report = SolverRegistry::Global().Solve(solver, instance, options);
+  });
+  if (!report.ok) {
+    cell.error = report.error;
+    return cell;
   }
-  if (cell.wall_seconds > 0.0 && cell.rounds > 0) {
-    cell.rounds_per_sec = static_cast<double>(cell.rounds) / cell.wall_seconds;
-  }
-  cell.peak_rss_kb = PeakRssKb();
+  cell.ok = true;
+  cell.total_response = report.metrics.total_response;
+  cell.avg_response = report.metrics.avg_response;
+  cell.max_response = report.metrics.max_response;
+  cell.makespan = report.metrics.makespan;
+  auto diagnostic = [&](const char* key) {
+    const auto it = report.diagnostics.find(key);
+    return it == report.diagnostics.end() ? 0
+                                          : static_cast<long long>(it->second);
+  };
+  cell.rounds = diagnostic("rounds_simulated");
+  cell.peak_backlog = diagnostic("peak_backlog");
   return cell;
 }
 
-// One generator spec through the streaming service. The spec never
-// materializes as an Instance — the cell's peak_rss_kb is the serve path's
-// O(live flows) footprint on the same traffic the batch cells replay.
-BenchCell RunStreamCell(const std::string& spec, std::uint64_t seed,
-                        int repeat) {
+// One generator spec through the streaming service; the spec never
+// materializes as an Instance.
+BenchCell RunStreamCell(const std::string& spec) {
   BenchCell cell;
   cell.instance = "stream:" + spec;
   cell.solver = "online.srpt";
-  ResetPeakRss();
-  for (int rep = 0; rep < repeat; ++rep) {
-    std::string error;
-    const auto source = MakeStreamSource(spec, &error);
-    const auto policy = MakeServePolicy(cell.solver, &error, seed);
-    if (source == nullptr || policy == nullptr) {
-      cell.ok = false;
-      cell.error = error;
-      return cell;
-    }
-    StreamingOptions options;
-    options.validate = false;
-    StreamingSimulator sim(source->sw(), *policy, options);
-    const std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    Stopwatch sw;
-    const StreamingSummary summary = sim.Run(*source);
-    const double s = sw.ElapsedSeconds();
-    const std::uint64_t allocs_after =
-        g_alloc_count.load(std::memory_order_relaxed);
-    if (summary.source_error) {
-      cell.ok = false;
-      cell.error = summary.error;
-      return cell;
-    }
-    if (rep == 0 || s < cell.wall_seconds) {
-      cell.wall_seconds = s;
-      cell.allocations = static_cast<long long>(allocs_after - allocs_before);
-    }
-    cell.ok = true;
-    cell.rounds = summary.rounds;
-    cell.peak_backlog = summary.peak_backlog;
-    cell.total_response = summary.total_response;
-    cell.avg_response = summary.mean_response;
-    cell.max_response = summary.max_response;
-    cell.makespan = summary.rounds;
+  std::string error;
+  const auto source = MakeStreamSource(spec, &error);
+  const auto policy = MakeServePolicy(cell.solver, &error, kSeed);
+  if (source == nullptr || policy == nullptr) {
+    cell.error = error;
+    return cell;
   }
-  if (cell.wall_seconds > 0.0 && cell.rounds > 0) {
-    cell.rounds_per_sec = static_cast<double>(cell.rounds) / cell.wall_seconds;
+  StreamingOptions options;
+  options.validate = false;
+  StreamingSimulator sim(source->sw(), *policy, options);
+  StreamingSummary summary;
+  cell.allocations = CountAllocations([&] { summary = sim.Run(*source); });
+  if (summary.source_error) {
+    cell.error = summary.error;
+    return cell;
   }
-  cell.peak_rss_kb = PeakRssKb();
+  cell.ok = true;
+  cell.rounds = summary.rounds;
+  cell.peak_backlog = summary.peak_backlog;
+  cell.total_response = summary.total_response;
+  cell.avg_response = summary.mean_response;
+  cell.max_response = summary.max_response;
+  cell.makespan = summary.rounds;
   return cell;
 }
 
 // The faulted instance through batch Simulate with online.srpt: the timed
-// script reshapes the effective capacities mid-run. The fault-free twin runs
-// once (untimed) for the surge baseline; the measured repeats all replay the
-// degraded loop. A script that strands flows fails the cell rather than
-// aborting the harness.
-BenchCell RunScenarioCell(const ScenarioBenchSpec& spec, std::uint64_t seed,
-                          int repeat) {
+// script reshapes the effective capacities mid-run, and the fault-free twin
+// gives the surge baseline. A script that strands flows fails the cell
+// rather than aborting the harness.
+BenchCell RunScenarioCell(const ScenarioCellSpec& spec) {
   BenchCell cell;
   cell.instance = "scenario:" + spec.instance;
   cell.solver = "online.srpt";
   std::string error;
   const auto instance = LoadInstance(spec.instance, &error);
-  if (!instance.has_value()) {
-    cell.error = error;
-    return cell;
-  }
   ScenarioScript script;
-  if (!ScenarioScript::ParseText(spec.script, &script, &error)) {
+  if (!instance.has_value() ||
+      !ScenarioScript::ParseText(spec.script, &script, &error)) {
     cell.error = error;
     return cell;
   }
-  const auto policy = MakeServePolicy(cell.solver, &error, seed);
+  const auto policy = MakeServePolicy(cell.solver, &error, kSeed);
   if (policy == nullptr) {
     cell.error = error;
     return cell;
@@ -403,208 +251,38 @@ BenchCell RunScenarioCell(const ScenarioBenchSpec& spec, std::uint64_t seed,
   options.validate = false;
   const SimulationResult base = Simulate(*instance, *policy, options);
   options.scenario = &script;
-  ResetPeakRss();
-  for (int rep = 0; rep < repeat; ++rep) {
-    const std::uint64_t allocs_before =
-        g_alloc_count.load(std::memory_order_relaxed);
-    Stopwatch sw;
-    const SimulationResult r = Simulate(*instance, *policy, options);
-    const double s = sw.ElapsedSeconds();
-    const std::uint64_t allocs_after =
-        g_alloc_count.load(std::memory_order_relaxed);
-    if (r.truncated) {
-      cell.ok = false;
-      cell.error = r.error;
-      return cell;
-    }
-    if (rep == 0 || s < cell.wall_seconds) {
-      cell.wall_seconds = s;
-      cell.allocations = static_cast<long long>(allocs_after - allocs_before);
-    }
-    cell.ok = true;
-    cell.rounds = r.rounds;
-    cell.peak_backlog = r.peak_backlog;
-    cell.total_response = r.metrics.total_response;
-    cell.avg_response = r.metrics.avg_response;
-    cell.max_response = r.metrics.max_response;
-    cell.makespan = r.metrics.makespan;
-    cell.backlog_surge = r.peak_backlog - base.peak_backlog;
-    cell.drain_rounds =
-        std::max<long long>(0, r.rounds - script.last_event_round());
-    cell.downtime_rounds = r.downtime_rounds;
+  SimulationResult r;
+  cell.allocations =
+      CountAllocations([&] { r = Simulate(*instance, *policy, options); });
+  if (r.truncated) {
+    cell.error = r.error;
+    return cell;
   }
-  if (cell.wall_seconds > 0.0 && cell.rounds > 0) {
-    cell.rounds_per_sec = static_cast<double>(cell.rounds) / cell.wall_seconds;
-  }
-  cell.peak_rss_kb = PeakRssKb();
+  cell.ok = true;
+  cell.rounds = r.rounds;
+  cell.peak_backlog = r.peak_backlog;
+  cell.total_response = r.metrics.total_response;
+  cell.avg_response = r.metrics.avg_response;
+  cell.max_response = r.metrics.max_response;
+  cell.makespan = r.metrics.makespan;
+  cell.backlog_surge = r.peak_backlog - base.peak_backlog;
+  cell.drain_rounds =
+      std::max<long long>(0, r.rounds - script.last_event_round());
+  cell.downtime_rounds = r.downtime_rounds;
   return cell;
 }
 
-// Synthetic backlog mutation sequence for the matcher micro-bench: a port
-// square with ~2 flows per port, where 3 of 4 rounds churn ~1/8 of the
-// backlog (arrivals + swap-erase retirements, the policy's access pattern)
-// and 1 in 4 repeats the previous graph verbatim (the cache-hit case the
-// incremental matcher recognizes). Weights are small integers fixed at
-// arrival, so scratch/warmstart totals must agree exactly.
-struct MatcherSequence {
-  std::vector<BipartiteGraph> graphs;
-  std::vector<std::vector<double>> weights;
-  long long total_edges = 0;
-};
-
-MatcherSequence BuildMatcherSequence(int ports, int rounds,
-                                     std::uint64_t seed) {
-  struct Backlogged {
-    int u, v;
-    double w;
-  };
-  Rng rng(seed);
-  auto draw = [&]() {
-    return Backlogged{rng.UniformInt(0, ports - 1),
-                      rng.UniformInt(0, ports - 1),
-                      static_cast<double>(rng.UniformInt(1, 16))};
-  };
-  std::vector<Backlogged> backlog;
-  for (int i = 0; i < 2 * ports; ++i) backlog.push_back(draw());
-  MatcherSequence seq;
-  for (int t = 0; t < rounds; ++t) {
-    if (t > 0 && rng.UniformInt(0, 3) != 0) {
-      const int churn = ports / 8 + 1;
-      for (int c = 0; c < churn && !backlog.empty(); ++c) {
-        const int k = rng.UniformInt(0, static_cast<int>(backlog.size()) - 1);
-        backlog[k] = backlog.back();
-        backlog.pop_back();
-      }
-      for (int c = 0; c < churn; ++c) backlog.push_back(draw());
-    }
-    BipartiteGraph g(ports, ports);
-    std::vector<double> w;
-    w.reserve(backlog.size());
-    for (const Backlogged& e : backlog) {
-      g.AddEdge(e.u, e.v);
-      w.push_back(e.w);
-    }
-    seq.total_edges += g.num_edges();
-    seq.graphs.push_back(std::move(g));
-    seq.weights.push_back(std::move(w));
-  }
-  return seq;
-}
-
-// `run` owns its matcher, replays the whole sequence, and returns the sum of
-// matched weights; the fastest of `repeat` replays is reported.
-MatcherCell RunMatcherKernel(
-    const std::string& name, const MatcherSequence& seq, int repeat,
-    const std::function<double(const MatcherSequence&)>& run) {
-  MatcherCell cell;
-  cell.name = name;
-  cell.rounds = static_cast<long long>(seq.graphs.size());
-  cell.edges = seq.total_edges;
-  for (int rep = 0; rep < repeat; ++rep) {
-    Stopwatch sw;
-    const double total = run(seq);
-    const double s = sw.ElapsedSeconds();
-    if (rep == 0 || s < cell.wall_seconds) cell.wall_seconds = s;
-    cell.total_weight = total;
-  }
-  return cell;
-}
-
-std::vector<MatcherCell> RunMatcherKernels(const SuiteSpec& suite,
-                                           std::uint64_t seed, int repeat) {
-  std::vector<MatcherCell> cells;
-  if (suite.matcher_ports <= 0) return cells;
-  const MatcherSequence seq =
-      BuildMatcherSequence(suite.matcher_ports, suite.matcher_rounds, seed);
-  auto matched_weight = [](const std::vector<double>& w,
-                           const std::vector<int>& out) {
-    double total = 0.0;
-    for (int e : out) total += w[e];
-    return total;
-  };
-  cells.push_back(RunMatcherKernel(
-      "matcher_scratch", seq, repeat, [&](const MatcherSequence& s) {
-        MaxWeightMatcher m;
-        std::vector<int> out;
-        double total = 0.0;
-        for (std::size_t i = 0; i < s.graphs.size(); ++i) {
-          m.Solve(s.graphs[i], s.weights[i], &out);
-          total += matched_weight(s.weights[i], out);
-        }
-        return total;
-      }));
-  cells.push_back(RunMatcherKernel(
-      "matcher_warmstart", seq, repeat, [&](const MatcherSequence& s) {
-        IncrementalMatcher m;
-        std::vector<int> out;
-        double total = 0.0;
-        for (std::size_t i = 0; i < s.graphs.size(); ++i) {
-          m.Solve(s.graphs[i], s.weights[i], &out);
-          total += matched_weight(s.weights[i], out);
-        }
-        return total;
-      }));
-  const std::pair<const char*, double> auction_eps[] = {{"0.5", 0.5},
-                                                        {"0.05", 0.05}};
-  for (const auto& [eps_label, eps] : auction_eps) {
-    cells.push_back(RunMatcherKernel(
-        std::string("matcher_auction_eps") + eps_label, seq, repeat,
-        [&, eps](const MatcherSequence& s) {
-          AuctionMatcher m;
-          std::vector<int> out;
-          double total = 0.0;
-          for (std::size_t i = 0; i < s.graphs.size(); ++i) {
-            m.Solve(s.graphs[i], s.weights[i], eps, &out);
-            total += matched_weight(s.weights[i], out);
-          }
-          return total;
-        }));
-  }
-  return cells;
-}
-
-KernelCell RunColoringKernel(const std::string& name,
-                             EdgeColoringAlgorithm algorithm,
-                             const BipartiteGraph& g, int repeat) {
-  KernelCell cell;
-  cell.name = name;
-  cell.edges = g.num_edges();
-  cell.max_degree = g.MaxDegree();
-  for (int rep = 0; rep < repeat; ++rep) {
-    Stopwatch sw;
-    const EdgeColoring ec = ColorBipartiteEdges(g, algorithm);
-    const double s = sw.ElapsedSeconds();
-    if (rep == 0 || s < cell.wall_seconds) cell.wall_seconds = s;
-    cell.num_colors = ec.num_colors;
-  }
-  return cell;
-}
-
-void WriteJson(std::ostream& out, const SuiteSpec& suite,
-               const std::vector<BenchCell>& cells,
-               const std::vector<KernelCell>& kernels,
-               const std::vector<MatcherCell>& matchers, int repeat,
-               std::uint64_t seed) {
-  long long total_rounds = 0;
-  double total_wall = 0.0;
-  for (const BenchCell& c : cells) {
-    if (!c.ok) continue;
-    total_rounds += c.rounds;
-    total_wall += c.wall_seconds;
-  }
+void WriteJson(std::ostream& out, const std::vector<BenchCell>& cells) {
   out << "{\n";
-  out << "  \"suite\": \"" << JsonEscape(suite.name) << "\",\n";
+  out << "  \"suite\": \"core\",\n";
 #ifdef NDEBUG
   out << "  \"build_type\": \"Release\",\n";
 #else
   out << "  \"build_type\": \"Debug\",\n";
 #endif
-  // Provenance makes artifacts comparable across machines; the sweep
-  // reports (SWEEP_*.json) embed the same block.
   WriteProvenanceJson(out, CollectProvenance(), 2);
   out << ",\n";
-  out << "  \"repeat\": " << repeat << ",\n";
-  out << "  \"seed\": " << seed << ",\n";
+  out << "  \"seed\": " << kSeed << ",\n";
   out << "  \"results\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const BenchCell& c = cells[i];
@@ -612,16 +290,13 @@ void WriteJson(std::ostream& out, const SuiteSpec& suite,
         << "\", \"solver\": \"" << JsonEscape(c.solver) << "\", \"ok\": "
         << (c.ok ? "true" : "false");
     if (c.ok) {
-      out << ", \"wall_seconds\": " << JsonNum(c.wall_seconds)
-          << ", \"rounds\": " << c.rounds
-          << ", \"rounds_per_sec\": " << JsonNum(c.rounds_per_sec)
+      out << ", \"rounds\": " << c.rounds
           << ", \"peak_backlog\": " << c.peak_backlog
           << ", \"allocations\": " << c.allocations
           << ", \"total_response\": " << JsonNum(c.total_response)
           << ", \"avg_response\": " << JsonNum(c.avg_response)
           << ", \"max_response\": " << JsonNum(c.max_response)
-          << ", \"makespan\": " << c.makespan
-          << ", \"peak_rss_kb\": " << c.peak_rss_kb;
+          << ", \"makespan\": " << c.makespan;
       if (c.downtime_rounds >= 0) {
         out << ", \"backlog_surge\": " << c.backlog_surge
             << ", \"recovery_drain_rounds\": " << c.drain_rounds
@@ -632,80 +307,28 @@ void WriteJson(std::ostream& out, const SuiteSpec& suite,
     }
     out << "}" << (i + 1 < cells.size() ? "," : "") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"kernels\": [\n";
-  for (std::size_t i = 0; i < kernels.size(); ++i) {
-    const KernelCell& k = kernels[i];
-    out << "    {\"name\": \"" << JsonEscape(k.name) << "\", \"edges\": "
-        << k.edges << ", \"max_degree\": " << k.max_degree
-        << ", \"num_colors\": " << k.num_colors
-        << ", \"wall_seconds\": " << JsonNum(k.wall_seconds) << "}"
-        << (i + 1 < kernels.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"matchers\": [\n";
-  for (std::size_t i = 0; i < matchers.size(); ++i) {
-    const MatcherCell& m = matchers[i];
-    out << "    {\"name\": \"" << JsonEscape(m.name) << "\", \"rounds\": "
-        << m.rounds << ", \"edges\": " << m.edges
-        << ", \"wall_seconds\": " << JsonNum(m.wall_seconds)
-        << ", \"total_weight\": " << JsonNum(m.total_weight) << "}"
-        << (i + 1 < matchers.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"suite_totals\": {\"rounds\": " << total_rounds
-      << ", \"wall_seconds\": " << JsonNum(total_wall)
-      << ", \"rounds_per_sec\": "
-      << JsonNum(total_wall > 0.0 ? total_rounds / total_wall : 0.0)
-      << "}\n";
+  out << "  ]\n";
   out << "}\n";
 }
 
 int Run(int argc, char** argv) {
-  std::string suite_name = "core";
-  std::string out_path;
-  int repeat = 3;
-  std::uint64_t seed = 7;
+  std::string out_path = "BENCH_core.json";
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto value = [&](const std::string& flag) -> const char* {
-      const std::string prefix = "--" + flag + "=";
-      return arg.rfind(prefix, 0) == 0 ? arg.c_str() + prefix.size() : nullptr;
-    };
     if (arg == "--help" || arg == "-h") {
-      std::cout << "flowsched_bench --suite=core|smoke [--out=PATH] "
-                   "[--repeat=N] [--seed=N] [--list]\n";
+      std::cout << "flowsched_bench [--out=PATH]\n";
       return 0;
-    } else if (arg == "--list") {
-      std::cout << "suites: core smoke\n";
-      return 0;
-    } else if (const char* v = value("suite")) {
-      suite_name = v;
-    } else if (const char* v = value("out")) {
-      out_path = v;
-    } else if (const char* v = value("repeat")) {
-      repeat = std::atoi(v);
-    } else if (const char* v = value("seed")) {
-      seed = std::strtoull(v, nullptr, 10);
+    } else if (arg.rfind("--out=", 0) == 0) {
+      out_path = arg.substr(6);
     } else {
       std::cerr << "error: unknown argument \"" << arg << "\"\n";
       return 2;
     }
   }
-  const SuiteSpec suite = MakeSuite(suite_name);
-  if (suite.name.empty()) {
-    std::cerr << "error: unknown suite \"" << suite_name
-              << "\" (core, smoke)\n";
-    return 2;
-  }
-  if (repeat < 1) repeat = 1;
-  if (out_path.empty()) out_path = "BENCH_" + suite.name + ".json";
 
-  const std::vector<std::string> solvers = SimulationSolverNames();
   std::vector<BenchCell> cells;
-  TextTable table({"instance", "solver", "wall_ms", "rounds", "rounds/s",
-                   "peak_backlog", "allocs", "peak_rss_kb"});
-  for (const std::string& spec : suite.instances) {
+  const std::vector<std::string> solvers = SimulationSolverNames();
+  for (const std::string& spec : kInstances) {
     std::string error;
     const auto instance = LoadInstance(spec, &error);
     if (!instance.has_value()) {
@@ -713,123 +336,50 @@ int Run(int argc, char** argv) {
       return 2;
     }
     for (const std::string& solver : solvers) {
-      if (SkipCell(spec, solver)) continue;
-      BenchCell cell = RunCell(spec, *instance, solver, seed, repeat);
-      if (cell.ok) {
-        table.Row(cell.instance, cell.solver, cell.wall_seconds * 1e3,
-                  cell.rounds, cell.rounds_per_sec, cell.peak_backlog,
-                  cell.allocations, cell.peak_rss_kb);
-      } else {
-        table.Row(cell.instance, cell.solver, "FAIL: " + cell.error, "-", "-",
-                  "-", "-", "-");
+      if (!SkipCell(spec, solver)) {
+        cells.push_back(RunCell(spec, *instance, solver));
       }
-      cells.push_back(std::move(cell));
     }
   }
-  for (const std::string& spec : suite.streams) {
-    BenchCell cell = RunStreamCell(spec, seed, repeat);
-    if (cell.ok) {
-      table.Row(cell.instance, cell.solver, cell.wall_seconds * 1e3,
-                cell.rounds, cell.rounds_per_sec, cell.peak_backlog,
-                cell.allocations, cell.peak_rss_kb);
-    } else {
-      table.Row(cell.instance, cell.solver, "FAIL: " + cell.error, "-", "-",
-                "-", "-", "-");
-    }
-    cells.push_back(std::move(cell));
+  for (const std::string& spec : kStreams) {
+    cells.push_back(RunStreamCell(spec));
   }
-  for (const ScenarioBenchSpec& spec : suite.scenarios) {
-    BenchCell cell = RunScenarioCell(spec, seed, repeat);
-    if (cell.ok) {
-      table.Row(cell.instance, cell.solver, cell.wall_seconds * 1e3,
-                cell.rounds, cell.rounds_per_sec, cell.peak_backlog,
-                cell.allocations, cell.peak_rss_kb);
-    } else {
-      table.Row(cell.instance, cell.solver, "FAIL: " + cell.error, "-", "-",
-                "-", "-", "-");
-    }
-    cells.push_back(std::move(cell));
+  for (const ScenarioCellSpec& spec : kScenarios) {
+    cells.push_back(RunScenarioCell(spec));
   }
-  for (const VariantSpec& spec : suite.variants) {
+  for (const VariantSpec& spec : kVariants) {
     std::string error;
     const auto instance = LoadInstance(spec.instance, &error);
     if (!instance.has_value()) {
       std::cerr << "error: " << spec.instance << ": " << error << "\n";
       return 2;
     }
-    BenchCell cell = RunCell(spec.instance, *instance, spec.solver, seed,
-                             repeat, spec.params, spec.label);
-    if (cell.ok) {
-      table.Row(cell.instance, cell.solver, cell.wall_seconds * 1e3,
-                cell.rounds, cell.rounds_per_sec, cell.peak_backlog,
-                cell.allocations, cell.peak_rss_kb);
+    cells.push_back(RunCell(spec.instance, *instance, spec.solver,
+                            spec.params, spec.label));
+  }
+
+  TextTable table({"instance", "solver", "rounds", "peak_backlog",
+                   "avg_response", "max_response", "allocs"});
+  int failures = 0;
+  for (const BenchCell& c : cells) {
+    if (c.ok) {
+      table.Row(c.instance, c.solver, c.rounds, c.peak_backlog,
+                c.avg_response, c.max_response, c.allocations);
     } else {
-      table.Row(cell.instance, cell.solver, "FAIL: " + cell.error, "-", "-",
-                "-", "-", "-");
-    }
-    cells.push_back(std::move(cell));
-  }
-
-  // Matching-kernel micro-bench: one shared mutation sequence, one row per
-  // kernel, so the scratch/warmstart/auction tradeoff is visible without
-  // the simulator around it.
-  const std::vector<MatcherCell> matchers =
-      RunMatcherKernels(suite, seed, repeat);
-  for (const MatcherCell& m : matchers) {
-    table.Row(m.name,
-              "rounds=" + std::to_string(m.rounds) +
-                  " E=" + std::to_string(m.edges),
-              m.wall_seconds * 1e3, m.rounds, "-", "-", "-", "-");
-  }
-
-  // Edge-coloring kernel comparison on one dense random multigraph.
-  std::vector<KernelCell> kernels;
-  if (suite.coloring_side > 0) {
-    Rng rng(seed);
-    BipartiteGraph g(suite.coloring_side, suite.coloring_side);
-    for (int i = 0; i < suite.coloring_edges; ++i) {
-      g.AddEdge(rng.UniformInt(0, suite.coloring_side - 1),
-                rng.UniformInt(0, suite.coloring_side - 1));
-    }
-    kernels.push_back(RunColoringKernel(
-        "edge_coloring_koenig", EdgeColoringAlgorithm::kKoenig, g, repeat));
-    kernels.push_back(RunColoringKernel("edge_coloring_euler",
-                                        EdgeColoringAlgorithm::kEulerSplit, g,
-                                        repeat));
-    for (const KernelCell& k : kernels) {
-      table.Row(k.name,
-                "D=" + std::to_string(k.max_degree) +
-                    " E=" + std::to_string(k.edges),
-                k.wall_seconds * 1e3, "-", "-", "-", "-", "-");
+      ++failures;
+      table.Row(c.instance, c.solver, "FAIL: " + c.error, "-", "-", "-", "-");
     }
   }
   table.Print(std::cout);
-
-  long long total_rounds = 0;
-  double total_wall = 0.0;
-  int failures = 0;
-  for (const BenchCell& c : cells) {
-    if (!c.ok) {
-      ++failures;
-      continue;
-    }
-    total_rounds += c.rounds;
-    total_wall += c.wall_seconds;
-  }
-  std::cout << "\nsuite " << suite.name << ": " << total_rounds
-            << " rounds in " << TextTable::Format(total_wall * 1e3)
-            << " ms => "
-            << TextTable::Format(total_wall > 0.0 ? total_rounds / total_wall
-                                                  : 0.0)
-            << " rounds/sec aggregate\n";
 
   std::ofstream out(out_path);
   if (!out) {
     std::cerr << "error: cannot write " << out_path << "\n";
     return 2;
   }
-  WriteJson(out, suite, cells, kernels, matchers, repeat, seed);
-  std::cout << "results written to " << out_path << "\n";
+  WriteJson(out, cells);
+  std::cout << cells.size() << " cells (" << failures
+            << " failed) written to " << out_path << "\n";
   return failures == 0 ? 0 : 1;
 }
 
