@@ -219,9 +219,13 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
                     const std::vector<CellAggregate>& cells) {
   // Baseline per comparison group = the cell whose solver appears first in
   // the grid's expanded solver order (cells are enumerated solver-major,
-  // so the first cell seen per group is the baseline).
+  // so the first cell seen per group is the baseline). Lower bound per
+  // group = the one a solver in it proves (art.theorem1's LP(0) / n,
+  // mrt.theorem3's rho_lp): every cell of the group reads as a ratio to
+  // it, Figures 6-7's heuristic-vs-LP gap.
   std::map<std::string, double> baseline;
   std::map<std::string, std::string> baseline_solver;
+  std::map<std::string, double> lb_avg, lb_max;
   for (const CellAggregate& agg : cells) {
     const SweepCell& c = plan.cells[agg.cell];
     const std::string key = GroupKey(c);
@@ -229,13 +233,6 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
       baseline[key] = agg.avg_response.mean();
       baseline_solver[key] = c.solver;
     }
-  }
-  // Lower bound per comparison group, from the solver that proves one
-  // (art.theorem1's LP(0) / n, mrt.theorem3's rho_lp): every cell of the
-  // group reads as a ratio to it, Figures 6-7's heuristic-vs-LP gap.
-  std::map<std::string, double> lb_avg, lb_max;
-  for (const CellAggregate& agg : cells) {
-    const std::string key = GroupKey(plan.cells[agg.cell]);
     if (agg.lb_avg_response.count() > 0) {
       lb_avg.emplace(key, agg.lb_avg_response.mean());
     }
