@@ -168,6 +168,7 @@ bool ReadTaskOutcome(const std::string& dir, TaskOutcome& outcome,
     outcome.backlog_surge = doc.GetNumber("backlog_surge");
     outcome.recovery_drain_rounds = doc.GetInt("recovery_drain_rounds");
     outcome.response_inflation = doc.GetNumber("response_inflation");
+    outcome.migrated_flows = doc.GetInt("migrated_flows");
   }
   outcome.lb_avg_response = doc.GetNumber("lb_avg_response");
   outcome.lb_max_response = doc.GetNumber("lb_max_response");

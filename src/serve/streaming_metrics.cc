@@ -53,7 +53,7 @@ std::string StreamingMetrics::StatsLine(Round t, std::size_t backlog) {
   AppendNumber(out, static_cast<double>(t));
   AppendField(out, "backlog", static_cast<double>(backlog));
   AppendDistribution(out, "resp", response_);
-  AppendDistribution(out, "cct", cct_);
+  AppendDistribution(out, "cct", cct());
   out += '}';
   response_.ResetWindow();
   cct_.ResetWindow();

@@ -49,13 +49,25 @@ class StreamingMetrics {
  public:
   // A flow picked in round t that was released at round r has response
   // t + 1 - r (model/metrics.h's rho).
-  void RecordResponse(double response) { response_.Add(response); }
-  // CCT of a drained coflow group (untagged flows are singleton groups
-  // whose CCT equals their response, matching model/coflow.h's grouping).
-  void RecordCct(double cct) { cct_.Add(cct); }
+  void RecordResponse(double response) {
+    Split();
+    response_.Add(response);
+  }
+  // CCT of a drained coflow group.
+  void RecordCct(double cct) {
+    Split();
+    cct_.Add(cct);
+  }
+  // An untagged flow: a singleton group whose CCT equals its response
+  // (model/coflow.h's grouping). While every record is a singleton the two
+  // channels hold the same values, so they share one.
+  void RecordSingleton(double response) {
+    response_.Add(response);
+    if (split_) cct_.Add(response);
+  }
 
   const StreamingDistribution& response() const { return response_; }
-  const StreamingDistribution& cct() const { return cct_; }
+  const StreamingDistribution& cct() const { return split_ ? cct_ : response_; }
 
   // One JSONL stats object for round t (no trailing newline), then resets
   // the tumbling windows. `backlog` is the live backlog size after round
@@ -63,8 +75,17 @@ class StreamingMetrics {
   std::string StatsLine(Round t, std::size_t backlog);
 
  private:
+  // The first response or CCT that is not a singleton's gives the CCT
+  // channel its own copy of the shared state (P² and Welford are plain
+  // values, so every later estimate is bit-identical).
+  void Split() {
+    if (!split_) cct_ = response_;
+    split_ = true;
+  }
+
   StreamingDistribution response_;
-  StreamingDistribution cct_;
+  StreamingDistribution cct_;  // Meaningful only once split_.
+  bool split_ = false;
 };
 
 }  // namespace flowsched

@@ -1,6 +1,7 @@
 #include "serve/streaming_simulator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <limits>
 #include <ostream>
@@ -22,6 +23,11 @@ void AppendField(std::string& out, const char* key, double v) {
   out += key;
   out += "\":";
   AppendNumber(out, v);
+}
+
+void AppendInt(std::string& out, long long v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void AppendBool(std::string& out, const char* key, bool v) {
@@ -98,22 +104,23 @@ struct StreamingSimulator::Hooks {
   void Pick(const Flow& f) {
     const Round t = sim.engine_.round();
     if (sim.options_.match_out != nullptr) {
-      std::ostream& out = *sim.options_.match_out;
-      if (!sim.match_open_) out << "MATCH " << t;
-      sim.match_open_ = true;
-      out << ' ' << f.id;
+      std::string& line = sim.match_line_;
+      if (line.empty()) {
+        line = "MATCH ";
+        AppendInt(line, t);
+      }
+      line += ' ';
+      AppendInt(line, f.id);
     }
     const auto response = static_cast<double>(t + 1 - f.release);
-    sim.metrics_.RecordResponse(response);
     ++sim.completed_;
     if (sim.wire_mode_) sim.live_ids_.erase(f.id);
     if (f.coflow == kNoCoflow) {
-      // Untagged flows are singleton groups (model/coflow.h), so their CCT
-      // is their response.
       sim.completed_untagged_.push_back(f.id);
-      sim.metrics_.RecordCct(response);
+      sim.metrics_.RecordSingleton(response);
       ++sim.coflows_completed_;
     } else {
+      sim.metrics_.RecordResponse(response);
       const auto it = sim.groups_.find(f.coflow);
       FS_CHECK(it != sim.groups_.end());
       if (--it->second.live == 0) {
@@ -124,11 +131,15 @@ struct StreamingSimulator::Hooks {
       }
     }
   }
-  // Closes the round's MATCH line, retires what completed in it and
+  // Writes the round's MATCH line, retires what completed in it and
   // writes the periodic stats line when one is due.
   void EndRound() {
-    if (sim.match_open_) *sim.options_.match_out << '\n';
-    sim.match_open_ = false;
+    if (!sim.match_line_.empty()) {
+      sim.match_line_ += '\n';
+      sim.options_.match_out->write(sim.match_line_.data(),
+                                    sim.match_line_.size());
+      sim.match_line_.clear();
+    }
     if (!sim.completed_untagged_.empty() || !sim.drained_groups_.empty()) {
       sim.policy_.RetireFlows(sim.completed_untagged_, sim.drained_groups_);
       sim.completed_untagged_.clear();

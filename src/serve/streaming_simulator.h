@@ -140,7 +140,7 @@ class StreamingSimulator {
   long long completed_ = 0;
   long long coflows_completed_ = 0;
   bool source_error_ = false;
-  bool match_open_ = false;  // A MATCH line is being written this round.
+  std::string match_line_;  // This round's MATCH line, written at its end.
   std::string error_;
   std::unordered_map<CoflowId, GroupState> groups_;  // Live tagged groups.
   std::unordered_set<FlowId> live_ids_;              // Wire mode only.

@@ -1,36 +1,43 @@
 #include "serve/wire_protocol.h"
 
+#include <array>
 #include <charconv>
-#include <vector>
+#include <string_view>
+#include <utility>
 
 namespace flowsched {
 namespace {
 
-bool Fail(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
+bool Fail(std::string* error, std::string msg) {
+  if (error != nullptr) *error = std::move(msg);
   return false;
 }
 
-void Tokenize(const std::string& line, std::vector<std::string>* tokens) {
+// No verb takes more than 5 operands. Tokenize stops at one token past
+// that and reports kMaxTokens + 1, which every arity check rejects.
+constexpr std::size_t kMaxTokens = 6;
+using Tokens = std::array<std::string_view, kMaxTokens>;
+
+bool IsSeparator(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+std::size_t Tokenize(std::string_view line, Tokens& tokens) {
+  std::size_t n = 0;
   std::size_t i = 0;
   while (i < line.size()) {
-    while (i < line.size() && (line[i] == ' ' || line[i] == '\t' ||
-                               line[i] == '\r')) {
-      ++i;
-    }
+    while (i < line.size() && IsSeparator(line[i])) ++i;
     const std::size_t start = i;
-    while (i < line.size() && line[i] != ' ' && line[i] != '\t' &&
-           line[i] != '\r') {
-      ++i;
+    while (i < line.size() && !IsSeparator(line[i])) ++i;
+    if (i > start) {
+      if (n == kMaxTokens) return kMaxTokens + 1;
+      tokens[n++] = line.substr(start, i - start);
     }
-    if (i > start) tokens->push_back(line.substr(start, i - start));
   }
+  return n;
 }
 
-bool ParseInt64(const std::string& s, std::int64_t& out) {
-  const char* first = s.data();
+bool ParseInt64(std::string_view s, std::int64_t& out) {
   const char* last = s.data() + s.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
+  auto [ptr, ec] = std::from_chars(s.data(), last, out);
   return ec == std::errc() && ptr == last;
 }
 
@@ -41,30 +48,31 @@ bool ParseWireLine(const std::string& line, WireCommand* command,
   command->kind = WireCommand::Kind::kNone;
   command->flow = Flow{};
   command->port = 0;
-  std::vector<std::string> tokens;
-  Tokenize(line, &tokens);
-  if (tokens.empty() || tokens[0][0] == '#') return true;  // kNone.
-  const std::string& verb = tokens[0];
+  // Error text is built only on failure: success allocates nothing.
+  Tokens tokens;
+  const std::size_t n = Tokenize(line, tokens);
+  if (n == 0 || tokens[0][0] == '#') return true;  // kNone.
+  const std::string_view verb = tokens[0];
   if (verb == "TICK" || verb == "STATS" || verb == "STOP") {
-    if (tokens.size() != 1) {
-      return Fail(error, verb + " takes no arguments");
-    }
+    if (n != 1) return Fail(error, std::string(verb) + " takes no arguments");
     command->kind = verb == "TICK"    ? WireCommand::Kind::kTick
                     : verb == "STATS" ? WireCommand::Kind::kStats
                                       : WireCommand::Kind::kStop;
     return true;
   }
   if (verb == "FAULT" || verb == "RECOVER") {
-    if (tokens.size() != 2) {
-      return Fail(error, verb + " wants: " + verb + " <port>");
+    if (n != 2) {
+      return Fail(error, std::string(verb) + " wants: " + std::string(verb) +
+                             " <port>");
     }
     std::int64_t port = 0;
     if (!ParseInt64(tokens[1], port)) {
-      return Fail(error, verb + " port must be a decimal integer");
+      return Fail(error,
+                  std::string(verb) + " port must be a decimal integer");
     }
     constexpr std::int64_t kMaxPort = 2147483647;  // PortId is int.
     if (port < 0 || port > kMaxPort) {
-      return Fail(error, verb + " port must be in [0, 2^31)");
+      return Fail(error, std::string(verb) + " port must be in [0, 2^31)");
     }
     command->kind = verb == "FAULT" ? WireCommand::Kind::kFault
                                     : WireCommand::Kind::kRecover;
@@ -72,14 +80,14 @@ bool ParseWireLine(const std::string& line, WireCommand* command,
     return true;
   }
   if (verb == "ARRIVE") {
-    if (tokens.size() != 5 && tokens.size() != 6) {
+    if (n != 5 && n != 6) {
       return Fail(error,
                   "ARRIVE wants: ARRIVE <id> <src> <dst> <size> [coflow]");
     }
     std::int64_t id = 0, src = 0, dst = 0, size = 0, coflow = 0;
     if (!ParseInt64(tokens[1], id) || !ParseInt64(tokens[2], src) ||
         !ParseInt64(tokens[3], dst) || !ParseInt64(tokens[4], size) ||
-        (tokens.size() == 6 && !ParseInt64(tokens[5], coflow))) {
+        (n == 6 && !ParseInt64(tokens[5], coflow))) {
       return Fail(error, "ARRIVE arguments must be decimal integers");
     }
     constexpr std::int64_t kMaxId = 2147483647;  // FlowId/CoflowId are int.
@@ -90,7 +98,7 @@ bool ParseWireLine(const std::string& line, WireCommand* command,
       return Fail(error, "ARRIVE ports must be in [0, 2^31)");
     }
     if (size < 1) return Fail(error, "ARRIVE size must be >= 1");
-    if (tokens.size() == 6 && (coflow < 0 || coflow > kMaxId)) {
+    if (n == 6 && (coflow < 0 || coflow > kMaxId)) {
       return Fail(error, "ARRIVE coflow tag must be in [0, 2^31)");
     }
     command->kind = WireCommand::Kind::kArrive;
@@ -99,10 +107,10 @@ bool ParseWireLine(const std::string& line, WireCommand* command,
     command->flow.dst = static_cast<PortId>(dst);
     command->flow.demand = size;
     command->flow.coflow =
-        tokens.size() == 6 ? static_cast<CoflowId>(coflow) : kNoCoflow;
+        n == 6 ? static_cast<CoflowId>(coflow) : kNoCoflow;
     return true;
   }
-  return Fail(error, "unknown command \"" + verb +
+  return Fail(error, "unknown command \"" + std::string(verb) +
                          "\" (want ARRIVE, TICK, STATS, FAULT, RECOVER, "
                          "or STOP)");
 }

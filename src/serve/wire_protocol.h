@@ -36,7 +36,8 @@ struct WireCommand {
 };
 
 // Parses one protocol line. Returns false (with *error set) on a malformed
-// line — unknown verb, wrong arity, unparsable integer, size < 1.
+// line — unknown verb, wrong arity, unparsable integer, size < 1. A line
+// that parses allocates nothing.
 bool ParseWireLine(const std::string& line, WireCommand* command,
                    std::string* error);
 

@@ -279,6 +279,57 @@ TEST_F(CampaignRunnerTest, LowerBoundsSurviveResume) {
   EXPECT_EQ(Aggregate(), first);
 }
 
+// MIGRATE scenario cells re-home arrivals. Their migrated_flows count is
+// read back from outcome.json like every other field, so the aggregate
+// (always collected from disk) carries the count a fresh solve reports.
+TEST_F(CampaignRunnerTest, MigratedFlowsSurviveResume) {
+  std::string error;
+  ASSERT_TRUE(ParseCampaignSpec(
+      "name=migrate\n"
+      "[grid]\n"
+      "name=flow\n"
+      "solvers=online.srpt\n"
+      "instances=poisson:ports=4,load=1.0,rounds=30,seed={seed}\n"
+      "seeds=1..2\n"
+      "scenarios=none|inline:MIGRATE 5 0 3 0.5\n",
+      spec_, &error))
+      << error;
+  ASSERT_TRUE(ExpandCampaign(spec_, SolverRegistry::Global(), plan_, &error))
+      << error;
+  Run(/*resume=*/false);
+  const std::string first = Aggregate();
+
+  const SweepPlan& plan = plan_.grids[0].plan;
+  long long migrated = 0;
+  for (const SweepTask& task : plan.tasks) {
+    const SweepCell& cell = plan.cells[task.cell];
+    TaskOutcome stored;
+    ASSERT_TRUE(ReadTaskOutcome(
+        CampaignTaskDir(root_.string(), plan_.grids[0].task_ids[task.index]),
+        stored, &error))
+        << error;
+    ASSERT_TRUE(stored.ok) << stored.error;
+    const auto instance = LoadInstance(task.instance_spec, &error);
+    ASSERT_TRUE(instance.has_value()) << error;
+    SolveOptions solve;
+    solve.seed = task.solver_seed;
+    if (*cell.scenario != "none") solve.params["scenario"] = *cell.scenario;
+    const TaskOutcome fresh = OutcomeFromSolveReport(
+        SolverRegistry::Global().Solve(cell.solver, *instance, solve));
+    EXPECT_EQ(stored.has_scenario, fresh.has_scenario);
+    EXPECT_EQ(stored.migrated_flows, fresh.migrated_flows);
+    migrated += stored.migrated_flows;
+  }
+  EXPECT_GT(migrated, 0);
+  EXPECT_NE(first.find("\"migrated_flows\": {\"mean\": "), std::string::npos);
+  EXPECT_EQ(first.find("\"migrated_flows\": {\"mean\": 0,"), std::string::npos)
+      << first;
+
+  const CampaignRunSummary resumed = Run(/*resume=*/true);
+  EXPECT_EQ(resumed.skipped, 4);
+  EXPECT_EQ(Aggregate(), first);
+}
+
 TEST_F(CampaignRunnerTest, FailingSolverParamIsRecordedNotFatal) {
   CampaignSpec bad = spec_;
   bad.grids[0].params["definitely_not_a_param"] = "1";

@@ -3,10 +3,15 @@
 // previous round's STATS reply arrived, as a switch controller must. A
 // daemon that buffers replies until the session ends stalls this client;
 // every read here has a deadline so that shows up as a failure, not a hang.
+// The same closed loop runs over the default stdin/stdout transport.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <sstream>
 #include <string>
+#include <vector>
+
+#include "serve/daemon.h"
 
 #if defined(FLOWSCHED_SERVE_BIN) && defined(__unix__)
 #include <fcntl.h>
@@ -148,9 +153,164 @@ TEST(ServeSocketTest, ClosedLoopClientGetsEachRoundsReplyBeforeNextRound) {
   } while (line.rfind("DONE ", 0) != 0);
 }
 
+// The daemon on stdin/stdout pipes (the default transport). Kills and
+// reaps it unless a test already waited for it.
+struct PipeDaemon {
+  pid_t pid = -1;
+  int to = -1;    // Its stdin.
+  int from = -1;  // Its stdout.
+
+  ~PipeDaemon() {
+    if (to >= 0) ::close(to);
+    if (from >= 0) ::close(from);
+    if (pid > 0) {
+      ::kill(pid, SIGKILL);
+      ::waitpid(pid, nullptr, 0);
+    }
+  }
+
+  bool Start(const std::vector<std::string>& args) {
+    int in[2];
+    int out[2];
+    if (::pipe2(in, O_CLOEXEC) != 0) return false;
+    if (::pipe2(out, O_CLOEXEC) != 0) {
+      ::close(in[0]);
+      ::close(in[1]);
+      return false;
+    }
+    std::vector<char*> argv = {const_cast<char*>("flowsched_serve")};
+    for (const std::string& a : args) {
+      argv.push_back(const_cast<char*>(a.c_str()));
+    }
+    argv.push_back(nullptr);
+    pid = ::fork();
+    if (pid == 0) {
+      ::dup2(in[0], STDIN_FILENO);
+      ::dup2(out[1], STDOUT_FILENO);
+      const int devnull = ::open("/dev/null", O_WRONLY);
+      if (devnull >= 0) ::dup2(devnull, STDERR_FILENO);
+      ::execv(FLOWSCHED_SERVE_BIN, argv.data());
+      ::_exit(127);
+    }
+    ::close(in[0]);
+    ::close(out[1]);
+    to = in[1];
+    from = out[0];
+    return pid > 0;
+  }
+
+  bool Write(const std::string& text) {
+    std::size_t sent = 0;
+    while (sent < text.size()) {
+      const ssize_t n = ::write(to, text.data() + sent, text.size() - sent);
+      if (n <= 0) return false;
+      sent += static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  // Exit status once it ends by itself, or -1.
+  int Wait() {
+    int status = 0;
+    const pid_t waited = ::waitpid(pid, &status, 0);
+    pid = -1;
+    return waited > 0 && WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+  }
+};
+
+// 30 rounds on an 8-port switch: 1-5 arrivals each, every third flow
+// coflow-tagged, a malformed line, and a FAULT/RECOVER pair.
+std::vector<std::string> StdioRounds() {
+  std::vector<std::string> rounds;
+  int id = 0;
+  for (int r = 0; r < 30; ++r) {
+    std::string text;
+    for (int k = 0; k <= r % 5; ++k, ++id) {
+      text += "ARRIVE " + std::to_string(id) + ' ' +
+              std::to_string((3 * k + r) % 8) + ' ' +
+              std::to_string((k + 2 * r) % 8) + " 1";
+      if (id % 3 == 0) text += ' ' + std::to_string(id / 6);
+      text += '\n';
+    }
+    if (r == 7) text += "BOGUS 1\n";
+    if (r == 11) text += "FAULT 2\n";
+    if (r == 15) text += "RECOVER 2\n";
+    rounds.push_back(text + "TICK\n");
+  }
+  return rounds;
+}
+
+TEST(ServeStdioTest, ClosedLoopRepliesMatchTheInProcessSession) {
+  signal(SIGPIPE, SIG_IGN);  // A dead daemon fails a write, not the test.
+  PipeDaemon d;
+  ASSERT_TRUE(d.Start({"--ports=8", "--policy=online.srpt",
+                       "--stats-every=1"}));
+  const std::vector<std::string> rounds = StdioRounds();
+  std::string buffer;
+  std::string line;
+  std::string received;
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    ASSERT_TRUE(d.Write(rounds[r])) << "round " << r;
+    // This round's reply ends with its STATS line; it must arrive before
+    // the next round is sent.
+    do {
+      ASSERT_TRUE(ReadLine(d.from, &buffer, &line))
+          << "no STATS reply to round " << r << " within " << kReplyTimeoutMs
+          << " ms";
+      received += line + '\n';
+    } while (line.rfind("STATS ", 0) != 0);
+  }
+  ASSERT_TRUE(d.Write("STOP\n"));
+  do {
+    ASSERT_TRUE(ReadLine(d.from, &buffer, &line)) << "no DONE after STOP";
+    received += line + '\n';
+  } while (line.rfind("DONE ", 0) != 0);
+  EXPECT_EQ(d.Wait(), 0);
+  EXPECT_EQ(buffer, "");
+
+  std::string script;
+  for (const std::string& text : rounds) script += text;
+  std::istringstream in(script + "STOP\n");
+  std::ostringstream out;
+  flowsched::ServeOptions options;
+  options.stats_every = 1;
+  flowsched::RunWireSession(flowsched::SwitchSpec::Uniform(8, 8, 1), in, out,
+                            options);
+  EXPECT_EQ(received, out.str());
+  EXPECT_NE(received.find("ERROR unknown command \"BOGUS\""),
+            std::string::npos);
+}
+
+// SIGINT while the daemon waits for input, its stdin still open: the read
+// returns, and the session ends with DONE instead of waiting for more input.
+TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
+  PipeDaemon d;
+  ASSERT_TRUE(d.Start({"--ports=4"}));
+  ASSERT_TRUE(d.Write("ARRIVE 0 0 1 1\nTICK\n"));
+  std::string buffer;
+  std::string line;
+  ASSERT_TRUE(ReadLine(d.from, &buffer, &line));
+  EXPECT_EQ(line, "MATCH 0 0");
+  // The reply is flushed just before the daemon blocks reading the next
+  // line; give it time to get into that read.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ::kill(d.pid, SIGINT);
+  ASSERT_TRUE(ReadLine(d.from, &buffer, &line)) << "no DONE after SIGINT";
+  EXPECT_EQ(line.rfind("DONE {\"flows\":1,", 0), 0u) << line;
+  EXPECT_EQ(d.Wait(), 0);
+}
+
 #else
 
 TEST(ServeSocketTest, ClosedLoopClientGetsEachRoundsReplyBeforeNextRound) {
+  GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
+}
+
+TEST(ServeStdioTest, ClosedLoopRepliesMatchTheInProcessSession) {
+  GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
+}
+
+TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
   GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,6 +66,258 @@ TEST(WireProtocolTest, RejectsMalformedLines) {
   MustFail("ARRIVE 2147483648 0 0 1");  // Id overflows int.
   MustFail("TICK 3");                   // TICK takes no operands.
   MustFail("LAUNCH");                   // Unknown verb.
+}
+
+// Every ParseWireLine error text, pinned exactly: clients see it verbatim
+// after "ERROR ".
+constexpr char kArriveUsage[] =
+    "ARRIVE wants: ARRIVE <id> <src> <dst> <size> [coflow]";
+constexpr char kArriveNotInteger[] =
+    "ARRIVE arguments must be decimal integers";
+constexpr char kArriveId[] = "ARRIVE id must be in [0, 2^31)";
+constexpr char kArrivePorts[] = "ARRIVE ports must be in [0, 2^31)";
+constexpr char kArriveSize[] = "ARRIVE size must be >= 1";
+constexpr char kArriveCoflow[] = "ARRIVE coflow tag must be in [0, 2^31)";
+constexpr char kUnknownPrefix[] = "unknown command \"";
+constexpr char kUnknownSuffix[] =
+    "\" (want ARRIVE, TICK, STATS, FAULT, RECOVER, or STOP)";
+
+TEST(WireProtocolMessageTest, ControlVerbsTakeNoArguments) {
+  EXPECT_EQ(MustFail("TICK 3"), "TICK takes no arguments");
+  EXPECT_EQ(MustFail("STATS x"), "STATS takes no arguments");
+  EXPECT_EQ(MustFail("STOP x"), "STOP takes no arguments");
+}
+
+TEST(WireProtocolMessageTest, FaultAndRecoverPort) {
+  EXPECT_EQ(MustFail("FAULT"), "FAULT wants: FAULT <port>");
+  EXPECT_EQ(MustFail("RECOVER 1 2"), "RECOVER wants: RECOVER <port>");
+  EXPECT_EQ(MustFail("FAULT x"), "FAULT port must be a decimal integer");
+  EXPECT_EQ(MustFail("RECOVER 3x"), "RECOVER port must be a decimal integer");
+  EXPECT_EQ(MustFail("FAULT -1"), "FAULT port must be in [0, 2^31)");
+  EXPECT_EQ(MustFail("RECOVER 2147483648"),
+            "RECOVER port must be in [0, 2^31)");
+  EXPECT_EQ(MustParse("RECOVER 2147483647").port, 2147483647);
+}
+
+TEST(WireProtocolMessageTest, ArriveErrors) {
+  EXPECT_EQ(MustFail("ARRIVE"), kArriveUsage);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3"), kArriveUsage);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 1 7 9"), kArriveUsage);
+  EXPECT_EQ(MustFail("ARRIVE x 2 3 1"), kArriveNotInteger);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 +1"), kArriveNotInteger);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 1 y"), kArriveNotInteger);
+  EXPECT_EQ(MustFail("ARRIVE 99999999999999999999 2 3 1"), kArriveNotInteger);
+  EXPECT_EQ(MustFail("ARRIVE -1 2 3 1"), kArriveId);
+  EXPECT_EQ(MustFail("ARRIVE 2147483648 0 0 1"), kArriveId);
+  EXPECT_EQ(MustFail("ARRIVE 1 -2 3 1"), kArrivePorts);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 2147483648 1"), kArrivePorts);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 0"), kArriveSize);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 -5 7"), kArriveSize);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 1 -2"), kArriveCoflow);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 1 2147483648"), kArriveCoflow);
+  // The checks run in a fixed order: id, then ports, size, coflow tag.
+  EXPECT_EQ(MustFail("ARRIVE -1 -2 3 0 -1"), kArriveId);
+  EXPECT_EQ(MustFail("ARRIVE 1 -2 3 0 -1"), kArrivePorts);
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 0 -1"), kArriveSize);
+}
+
+TEST(WireProtocolMessageTest, UnknownVerbIsQuoted) {
+  EXPECT_EQ(MustFail("LAUNCH"),
+            std::string(kUnknownPrefix) + "LAUNCH" + kUnknownSuffix);
+  EXPECT_EQ(MustFail("tick 1 2"),
+            std::string(kUnknownPrefix) + "tick" + kUnknownSuffix);
+}
+
+TEST(WireProtocolMessageTest, SevenOrMoreTokensFailTheArityCheck) {
+  EXPECT_EQ(MustFail("TICK a b c d e f"), "TICK takes no arguments");
+  EXPECT_EQ(MustFail("ARRIVE 1 2 3 1 7 9 9"), kArriveUsage);
+  EXPECT_EQ(MustFail("FAULT 1 2 3 4 5 6 7 8"), "FAULT wants: FAULT <port>");
+  EXPECT_EQ(MustFail("NOPE 1 2 3 4 5 6 7"),
+            std::string(kUnknownPrefix) + "NOPE" + kUnknownSuffix);
+}
+
+TEST(WireProtocolMessageTest, TabsAndCarriageReturnsSeparateTokens) {
+  const WireCommand c = MustParse("\tARRIVE\t3 0\r5  2\t9\r");
+  EXPECT_EQ(c.kind, WireCommand::Kind::kArrive);
+  EXPECT_EQ(c.flow.id, 3);
+  EXPECT_EQ(c.flow.dst, 5);
+  EXPECT_EQ(c.flow.demand, 2);
+  EXPECT_EQ(c.flow.coflow, 9);
+  EXPECT_EQ(MustParse("TICK\r").kind, WireCommand::Kind::kTick);
+  EXPECT_EQ(MustParse("\r\t \r").kind, WireCommand::Kind::kNone);
+  EXPECT_EQ(MustFail("TICK\t3"), "TICK takes no arguments");
+  EXPECT_EQ(MustFail("STOP\rx"), "STOP takes no arguments");
+}
+
+TEST(WireProtocolMessageTest, CommentsTakeAnyNumberOfTokens) {
+  EXPECT_EQ(MustParse("# a b c d e f g h i j").kind, WireCommand::Kind::kNone);
+  EXPECT_EQ(MustParse("  #ARRIVE 1 2 3 1 7 9 9").kind,
+            WireCommand::Kind::kNone);
+}
+
+// A direct reference parser with owned tokens and no token cap, the oracle
+// for the fuzz test below.
+bool ReferenceParse(const std::string& line, WireCommand* command,
+                    std::string* error) {
+  *command = WireCommand{};
+  std::vector<std::string> tokens;
+  std::string token;
+  for (const char c : line + ' ') {
+    if (c == ' ' || c == '\t' || c == '\r') {
+      if (!token.empty()) tokens.push_back(token);
+      token.clear();
+    } else {
+      token += c;
+    }
+  }
+  const auto fail = [&](const std::string& msg) {
+    *error = msg;
+    return false;
+  };
+  // Optional '-', then decimal digits (any number of leading zeros) whose
+  // value fits int64.
+  const auto integer = [](const std::string& s, long long* out) {
+    const bool negative = !s.empty() && s[0] == '-';
+    std::string digits = s.substr(negative ? 1 : 0);
+    if (digits.empty() ||
+        digits.find_first_not_of("0123456789") != std::string::npos) {
+      return false;
+    }
+    digits.erase(0, std::min(digits.find_first_not_of('0'), digits.size() - 1));
+    const std::string limit =
+        negative ? "9223372036854775808" : "9223372036854775807";
+    if (digits.size() > limit.size() ||
+        (digits.size() == limit.size() && digits > limit)) {
+      return false;
+    }
+    const unsigned long long magnitude = std::stoull(digits);
+    *out = static_cast<long long>(negative ? 0 - magnitude : magnitude);
+    return true;
+  };
+  constexpr long long kMax = 2147483647;
+  if (tokens.empty() || tokens[0][0] == '#') return true;
+  const std::string& verb = tokens[0];
+  if (verb == "TICK" || verb == "STATS" || verb == "STOP") {
+    if (tokens.size() != 1) return fail(verb + " takes no arguments");
+    command->kind = verb == "TICK"    ? WireCommand::Kind::kTick
+                    : verb == "STATS" ? WireCommand::Kind::kStats
+                                      : WireCommand::Kind::kStop;
+    return true;
+  }
+  if (verb == "FAULT" || verb == "RECOVER") {
+    if (tokens.size() != 2) return fail(verb + " wants: " + verb + " <port>");
+    long long port = 0;
+    if (!integer(tokens[1], &port)) {
+      return fail(verb + " port must be a decimal integer");
+    }
+    if (port < 0 || port > kMax) {
+      return fail(verb + " port must be in [0, 2^31)");
+    }
+    command->kind = verb == "FAULT" ? WireCommand::Kind::kFault
+                                    : WireCommand::Kind::kRecover;
+    command->port = static_cast<PortId>(port);
+    return true;
+  }
+  if (verb == "ARRIVE") {
+    if (tokens.size() != 5 && tokens.size() != 6) return fail(kArriveUsage);
+    long long v[5] = {0, 0, 0, 0, 0};
+    for (std::size_t k = 1; k < tokens.size(); ++k) {
+      if (!integer(tokens[k], &v[k - 1])) return fail(kArriveNotInteger);
+    }
+    if (v[0] < 0 || v[0] > kMax) return fail(kArriveId);
+    if (v[1] < 0 || v[1] > kMax || v[2] < 0 || v[2] > kMax) {
+      return fail(kArrivePorts);
+    }
+    if (v[3] < 1) return fail(kArriveSize);
+    if (tokens.size() == 6 && (v[4] < 0 || v[4] > kMax)) {
+      return fail(kArriveCoflow);
+    }
+    command->kind = WireCommand::Kind::kArrive;
+    command->flow.id = static_cast<FlowId>(v[0]);
+    command->flow.src = static_cast<PortId>(v[1]);
+    command->flow.dst = static_cast<PortId>(v[2]);
+    command->flow.demand = v[3];
+    command->flow.coflow =
+        tokens.size() == 6 ? static_cast<CoflowId>(v[4]) : kNoCoflow;
+    return true;
+  }
+  return fail(kUnknownPrefix + verb + kUnknownSuffix);
+}
+
+// Seeded mutation fuzzing: ~100k lines derived from valid ones by byte
+// flips, inserts, deletes, duplicated tokens, long digit runs and embedded
+// NUL / CR / tab bytes. Every line must parse to exactly what the reference
+// parser gives — the same command, or the same pinned error text.
+TEST(WireProtocolFuzzTest, MutatedLinesMatchTheReferenceParser) {
+  const std::vector<std::string> seeds = {
+      "ARRIVE 3 0 5 2",      "ARRIVE 1 2 3 1 42", "ARRIVE 0 0 0 1 0",
+      "ARRIVE 2147483647 1 1 9 2147483647",      "TICK",
+      "STATS",               "STOP",              "FAULT 3",
+      "RECOVER 0",           "# comment 1 2 3",   "",
+  };
+  const std::string alphabet = std::string("0123456789-+ \t\r#x", 17) +
+                               std::string(1, '\0') + "\x7f\xff";
+  std::mt19937_64 rng(20200715);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 100000; ++iter) {
+    std::string line = seeds[pick(seeds.size())];
+    const std::size_t mutations = 1 + pick(4);
+    for (std::size_t m = 0; m < mutations; ++m) {
+      const std::size_t at = line.empty() ? 0 : pick(line.size() + 1);
+      switch (pick(6)) {
+        case 0:  // Flip one byte to a random value.
+          if (!line.empty()) line[pick(line.size())] = static_cast<char>(rng());
+          break;
+        case 1:  // Insert a byte from the interesting alphabet.
+          line.insert(at, 1, alphabet[pick(alphabet.size())]);
+          break;
+        case 2:  // Delete a short run.
+          if (!line.empty()) {
+            line.erase(pick(line.size()), 1 + pick(3));
+          }
+          break;
+        case 3: {  // Duplicate a space-delimited token.
+          const std::size_t start = line.rfind(' ', at == 0 ? 0 : at - 1);
+          const std::size_t from = start == std::string::npos ? 0 : start;
+          const std::size_t end = line.find(' ', from + 1);
+          const std::string token = line.substr(
+              from, end == std::string::npos ? std::string::npos : end - from);
+          line.insert(from, token.empty() ? " " : token);
+          break;
+        }
+        case 4:  // A long digit run, up to past int64's range.
+          line.insert(at, std::string(1 + pick(30), "0123456789"[pick(10)]));
+          break;
+        default:  // An embedded NUL, CR or tab.
+          line.insert(at, 1, "\0\r\t"[pick(3)]);
+          break;
+      }
+      if (line.size() > 200) line.resize(200);
+    }
+    WireCommand got;
+    WireCommand want;
+    std::string got_error = "(unset)";
+    std::string want_error;
+    const bool ok = ParseWireLine(line, &got, &got_error);
+    ASSERT_EQ(ok, ReferenceParse(line, &want, &want_error)) << "line: " << line;
+    if (ok) {
+      ++accepted;
+      EXPECT_EQ(got_error, "(unset)") << "success must not touch *error";
+      EXPECT_EQ(got.kind, want.kind) << line;
+      EXPECT_EQ(got.flow, want.flow) << line;
+      EXPECT_EQ(got.port, want.port) << line;
+    } else {
+      ++rejected;
+      ASSERT_EQ(got_error, want_error) << "line: " << line;
+    }
+  }
+  // The mutations must reach both outcomes, not just one.
+  EXPECT_GT(accepted, 10000);
+  EXPECT_GT(rejected, 10000);
 }
 
 std::vector<std::string> SessionLines(const std::string& script,

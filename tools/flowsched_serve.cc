@@ -216,11 +216,13 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
 }
 
 #ifdef FLOWSCHED_HAVE_SOCKETS
-// A minimal bidirectional streambuf over a connected socket fd — enough
-// iostream for RunWireSession, nothing more.
+// A minimal streambuf that reads one fd and writes another (the same fd
+// for a socket) in blocks — enough iostream for RunWireSession, nothing
+// more. A read that a signal interrupts returns EOF, so SIGINT/SIGTERM
+// ends a session idle on input and it still writes DONE.
 class FdStreamBuf : public std::streambuf {
  public:
-  explicit FdStreamBuf(int fd) : fd_(fd) {
+  FdStreamBuf(int in_fd, int out_fd) : in_fd_(in_fd), out_fd_(out_fd) {
     setg(rbuf_, rbuf_, rbuf_);
     setp(wbuf_, wbuf_ + sizeof(wbuf_));
   }
@@ -228,7 +230,7 @@ class FdStreamBuf : public std::streambuf {
 
  protected:
   int_type underflow() override {
-    const ssize_t n = ::read(fd_, rbuf_, sizeof(rbuf_));
+    const ssize_t n = ::read(in_fd_, rbuf_, sizeof(rbuf_));
     if (n <= 0) return traits_type::eof();
     setg(rbuf_, rbuf_, rbuf_ + n);
     return traits_type::to_int_type(rbuf_[0]);
@@ -246,7 +248,7 @@ class FdStreamBuf : public std::streambuf {
   int sync() override {
     const char* p = pbase();
     while (p < pptr()) {
-      const ssize_t n = ::write(fd_, p, static_cast<size_t>(pptr() - p));
+      const ssize_t n = ::write(out_fd_, p, static_cast<size_t>(pptr() - p));
       if (n <= 0) return -1;
       p += n;
     }
@@ -255,10 +257,23 @@ class FdStreamBuf : public std::streambuf {
   }
 
  private:
-  int fd_;
+  int in_fd_;
+  int out_fd_;
   char rbuf_[4096];
   char wbuf_[4096];
 };
+
+// One wire session over the given fds. Like std::cin and std::cout,
+// reading the next command flushes the pending replies, so a client that
+// waits for a round's reply before sending the next round gets it.
+StreamingSummary ServeFds(int in_fd, int out_fd, const SwitchSpec& sw,
+                          const ServeOptions& options) {
+  FdStreamBuf buf(in_fd, out_fd);
+  std::istream in(&buf);
+  std::ostream out(&buf);
+  in.tie(&out);
+  return RunWireSession(sw, in, out, options);
+}
 
 // Serves wire sessions one client at a time until a stop signal arrives.
 // A failed accept (or a client whose connection died mid-session — the
@@ -275,14 +290,7 @@ int ServeSocket(int listen_fd, const SwitchSpec& sw,
       std::perror("flowsched_serve: accept (continuing)");
       continue;
     }
-    FdStreamBuf buf(client);
-    std::istream in(&buf);
-    std::ostream out(&buf);
-    // Like std::cin and std::cout: reading the next command flushes the
-    // pending replies, so a client that waits for a round's reply before
-    // sending the next round gets it.
-    in.tie(&out);
-    const StreamingSummary summary = RunWireSession(sw, in, out, options);
+    const StreamingSummary summary = ServeFds(client, client, sw, options);
     if (summary.source_error) {
       std::fprintf(stderr, "flowsched_serve: session error: %s (continuing)\n",
                    summary.error.c_str());
@@ -565,8 +573,15 @@ int Main(int argc, char** argv) {
     return 2;
 #endif
   }
+#ifdef FLOWSCHED_HAVE_SOCKETS
+  // Not std::cin/std::cout: synced with C stdio they move a character per
+  // call, and unsynced, std::cin retries a read that a signal interrupted.
+  const StreamingSummary summary =
+      ServeFds(STDIN_FILENO, STDOUT_FILENO, sw, cli.serve);
+#else
   const StreamingSummary summary =
       RunWireSession(sw, std::cin, std::cout, cli.serve);
+#endif
   return summary.source_error ? 1 : 0;
 }
 
