@@ -45,8 +45,8 @@ using PolicyFactory = std::unique_ptr<SchedulingPolicy> (*)(
     std::string_view, std::uint64_t, const MatchingOptions&);
 
 // The body both adapters share: checks max_rounds against the safe
-// horizon, reads the record_backlog, validate, warmstart, approx and
-// scenario params, replays `instance` under make_policy(policy, ...), and
+// horizon, reads the record_backlog, validate, approx and scenario
+// params, replays `instance` under make_policy(policy, ...), and
 // reports the realized schedule with the simulation and matcher
 // diagnostics, plus, under a scenario, the robustness diagnostics against
 // a fault-free twin run.

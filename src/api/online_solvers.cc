@@ -43,12 +43,6 @@ class OnlinePolicySolver : public Solver {
             {"validate",
              "0/1 (default 1): audit every policy selection for duplicates "
              "and port overloads (benchmarks turn this off)"},
-            {"warmstart",
-             "0/1 (default 1, maxweight only): reuse the previous round's "
-             "Hungarian work via the incremental matcher; pays only when "
-             "consecutive rounds share matrix rows (an identical problem or "
-             "an unchanged row prefix); bit-exact, so the schedule is "
-             "identical either way"},
             {"approx",
              "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
              "auction matcher; each round's matched weight is within "
@@ -63,15 +57,8 @@ class OnlinePolicySolver : public Solver {
         {"peak_backlog", "largest backlog at any policy round"},
         {"max_backlog",
          "largest recorded backlog (only with record_backlog=1)"},
-        {"matcher_cache_hits",
-         "rounds whose matching problem was identical to the previous "
-         "round's (maxweight with warmstart=1)"},
-        {"matcher_prefix_resumes",
-         "rounds resumed from a per-row Hungarian checkpoint"},
-        {"matcher_full_solves", "rounds solved from scratch"},
-        {"matcher_reused_rows",
-         "Hungarian row insertions skipped via cache hits and resumes"},
-        {"matcher_total_rows", "total Hungarian rows across all rounds"},
+        {"matcher_full_solves",
+         "rounds solved by the exact Hungarian matcher (maxweight)"},
         {"auction_bids", "price raises across all rounds (approx>0)"},
         {"auction_cold_restarts",
          "warm starts whose certificate failed and were re-run cold"}};
@@ -134,7 +121,6 @@ SolveReport ReplayPolicy(const Instance& instance,
   sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
   sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
   MatchingOptions matching;
-  matching.warmstart = options.IntParamOr("warmstart", 1, &perr) != 0;
   matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
   if (!perr.empty()) {
     report.error = perr;
@@ -170,12 +156,8 @@ SolveReport ReplayPolicy(const Instance& instance,
   report.diagnostics["avg_port_utilization"] = r.avg_port_utilization;
   report.diagnostics["peak_backlog"] = r.peak_backlog;
   const PolicyMatchingStats ms = replayed->matching_stats();
-  if (ms.matcher_solves > 0) {
-    report.diagnostics["matcher_cache_hits"] = ms.matcher_cache_hits;
-    report.diagnostics["matcher_prefix_resumes"] = ms.matcher_prefix_resumes;
+  if (ms.matcher_full_solves > 0) {
     report.diagnostics["matcher_full_solves"] = ms.matcher_full_solves;
-    report.diagnostics["matcher_reused_rows"] = ms.matcher_reused_rows;
-    report.diagnostics["matcher_total_rows"] = ms.matcher_total_rows;
   }
   if (ms.auction_bids > 0) {
     report.diagnostics["auction_bids"] = ms.auction_bids;

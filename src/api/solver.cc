@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 
 #include "util/stopwatch.h"
 
@@ -47,7 +48,9 @@ double SolveOptions::DoubleParamOr(const std::string& key, double fallback,
   if (it == params.end()) return fallback;
   char* end = nullptr;
   const double v = std::strtod(it->second.c_str(), &end);
-  if (end == nullptr || *end != '\0' || end == it->second.c_str()) {
+  // strtod also reads "nan" and "inf", which no double knob means.
+  if (end == nullptr || *end != '\0' || end == it->second.c_str() ||
+      !std::isfinite(v)) {
     AppendParseError(error, key, it->second);
     return fallback;
   }

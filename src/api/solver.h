@@ -41,7 +41,8 @@ struct SolveOptions {
   std::map<std::string, std::string> params;
 
   /// Typed parameter accessors. Return `fallback` when the key is absent;
-  /// append to *error (if non-null) when the value does not parse.
+  /// append to *error (if non-null) when the value does not parse (for
+  /// DoubleParamOr, also when it is nan or infinite).
   std::string ParamOr(const std::string& key, const std::string& fallback) const;
   std::int64_t IntParamOr(const std::string& key, std::int64_t fallback,
                           std::string* error = nullptr) const;

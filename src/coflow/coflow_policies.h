@@ -32,7 +32,6 @@
 
 #include "core/online/policy.h"
 #include "graph/auction_matching.h"
-#include "graph/incremental_matching.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {
@@ -156,7 +155,6 @@ class CoflowMaxWeightPolicy : public SchedulingPolicy {
                        std::vector<int>* picked) override;
   void Reset() override {
     stats_.Clear();
-    warm_.Reset();
     auction_.Reset();
   }
   void RetireFlows(std::span<const FlowId> completed_untagged,
@@ -170,8 +168,8 @@ class CoflowMaxWeightPolicy : public SchedulingPolicy {
   CoflowBacklogStats stats_;
   BacklogGraphBuilder builder_;
   MaxWeightMatcher matcher_;
-  IncrementalMatcher warm_;
   AuctionMatcher auction_;
+  std::int64_t exact_solves_ = 0;
   std::vector<double> weight_;
 };
 

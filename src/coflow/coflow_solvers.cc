@@ -38,12 +38,6 @@ class CoflowPolicySolver : public Solver {
             {"validate",
              "0/1 (default 1): audit every policy selection for duplicates "
              "and port overloads (benchmarks turn this off)"},
-            {"warmstart",
-             "0/1 (default 1, maxweight only): reuse the previous round's "
-             "Hungarian work via the incremental matcher; pays only when "
-             "consecutive rounds share matrix rows (an identical problem or "
-             "an unchanged row prefix); bit-exact, so the schedule is "
-             "identical either way"},
             {"approx",
              "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
              "auction matcher; each round's matched weight is within "
@@ -69,15 +63,8 @@ class CoflowPolicySolver : public Solver {
         {"avg_slowdown",
          "mean CCT / isolation bound (1.0 = as fast as an empty switch)"},
         {"max_slowdown", "worst group slowdown vs isolation"},
-        {"matcher_cache_hits",
-         "rounds whose matching problem was identical to the previous "
-         "round's (maxweight with warmstart=1)"},
-        {"matcher_prefix_resumes",
-         "rounds resumed from a per-row Hungarian checkpoint"},
-        {"matcher_full_solves", "rounds solved from scratch"},
-        {"matcher_reused_rows",
-         "Hungarian row insertions skipped via cache hits and resumes"},
-        {"matcher_total_rows", "total Hungarian rows across all rounds"},
+        {"matcher_full_solves",
+         "rounds solved by the exact Hungarian matcher (maxweight)"},
         {"auction_bids", "price raises across all rounds (approx>0)"},
         {"auction_cold_restarts",
          "warm starts whose certificate failed and were re-run cold"}};

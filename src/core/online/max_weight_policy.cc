@@ -22,27 +22,18 @@ void MaxWeightPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   }
   if (matching_.approx_eps > 0.0) {
     auction_.Solve(g, weight_, matching_.approx_eps, picked);
-  } else if (matching_.warmstart) {
-    warm_.Solve(g, weight_, picked);
   } else {
+    ++exact_solves_;
     matcher_.Solve(g, weight_, picked);
   }
 }
 
-void MaxWeightPolicy::Reset() {
-  warm_.Reset();
-  auction_.Reset();
-}
+void MaxWeightPolicy::Reset() { auction_.Reset(); }
 
 PolicyMatchingStats MaxWeightPolicy::matching_stats() const {
   PolicyMatchingStats s;
-  const IncrementalMatcher::Stats& w = warm_.stats();
-  s.matcher_solves = w.solves;
-  s.matcher_cache_hits = w.cache_hits;
-  s.matcher_prefix_resumes = w.prefix_resumes;
-  s.matcher_full_solves = w.full_solves;
-  s.matcher_reused_rows = w.reused_rows;
-  s.matcher_total_rows = w.total_rows;
+  s.matcher_solves = exact_solves_;
+  s.matcher_full_solves = exact_solves_;
   s.auction_bids = auction_.stats().bids;
   s.auction_cold_restarts = auction_.stats().cold_restarts;
   return s;

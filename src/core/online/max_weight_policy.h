@@ -2,17 +2,14 @@
 // to the sum of the queue lengths at its two endpoints — drains the most
 // congested ports first. The classic stability policy from switch scheduling.
 //
-// The matching kernel is selected by MatchingOptions: the warm-start
-// Hungarian layer by default (bit-identical schedules, reuses the previous
-// round's work), the plain from-scratch solver with warmstart=false, or the
-// eps-approximate auction matcher when approx_eps > 0 (opt-in; schedules
-// may differ within the eps bound).
+// The matching kernel is selected by MatchingOptions: the exact Hungarian
+// solver by default, or the eps-approximate auction matcher when
+// approx_eps > 0 (opt-in; schedules may differ within the eps bound).
 #ifndef FLOWSCHED_CORE_ONLINE_MAX_WEIGHT_POLICY_H_
 #define FLOWSCHED_CORE_ONLINE_MAX_WEIGHT_POLICY_H_
 
 #include "core/online/policy.h"
 #include "graph/auction_matching.h"
-#include "graph/incremental_matching.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {
@@ -27,8 +24,8 @@ class MaxWeightPolicy : public SchedulingPolicy {
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
                        std::span<const PendingFlow> pending,
                        std::vector<int>* picked) override;
-  // Drops all cross-round matcher state (checkpoints, auction prices) so
-  // back-to-back simulations are independent.
+  // Drops the auction's cross-round prices so back-to-back simulations are
+  // independent.
   void Reset() override;
   PolicyMatchingStats matching_stats() const override;
 
@@ -36,8 +33,8 @@ class MaxWeightPolicy : public SchedulingPolicy {
   MatchingOptions matching_;
   BacklogGraphBuilder builder_;  // Graph, matcher and weight scratch persist
   MaxWeightMatcher matcher_;     // across rounds: steady state allocates
-  IncrementalMatcher warm_;      // nothing.
-  AuctionMatcher auction_;
+  AuctionMatcher auction_;       // nothing.
+  std::int64_t exact_solves_ = 0;
   std::vector<int> in_queue_;
   std::vector<int> out_queue_;
   std::vector<double> weight_;

@@ -30,13 +30,9 @@ namespace flowsched {
 using PendingFlow = Flow;
 
 // Matching-kernel knobs for the maxweight policy family (graph/
-// incremental_matching.h, graph/auction_matching.h). Non-matching policies
+// max_weight_matching.h, graph/auction_matching.h). Non-matching policies
 // ignore them.
 struct MatchingOptions {
-  // Reuse the previous round's Hungarian work (cache hits and per-row
-  // checkpoint resumes). Bit-exact: the warm path provably reproduces the
-  // from-scratch solve, so this is safe to leave on everywhere.
-  bool warmstart = true;
   // > 0 switches to the eps-approximate auction matcher: matched weight is
   // within backlog·eps of optimal, schedules may differ from the exact
   // solver. Off (0) by default — approximations are opt-in (ROADMAP 4).
@@ -46,10 +42,11 @@ struct MatchingOptions {
 // Matching-kernel counters surfaced as solver diagnostics; all zero for
 // policies that never run a matcher.
 struct PolicyMatchingStats {
-  std::int64_t matcher_solves = 0;
+  std::int64_t matcher_solves = 0;       // Exact Hungarian solves.
+  std::int64_t matcher_full_solves = 0;  // == matcher_solves.
+  // Always 0 (no matcher reuses a round's work); perfbench still reads them.
   std::int64_t matcher_cache_hits = 0;
   std::int64_t matcher_prefix_resumes = 0;
-  std::int64_t matcher_full_solves = 0;
   std::int64_t matcher_reused_rows = 0;
   std::int64_t matcher_total_rows = 0;
   std::int64_t auction_bids = 0;

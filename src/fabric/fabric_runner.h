@@ -48,8 +48,8 @@ struct FabricRunOptions {
   Round max_rounds = 0;
   /// Per-round selection audits (SimulationOptions::validate).
   bool validate = true;
-  /// Matching-kernel knobs for the maxweight policies (warm-start on by
-  /// default — bit-exact; approx_eps > 0 opts into the auction matcher).
+  /// Matching-kernel knobs for the maxweight policies (exact Hungarian by
+  /// default; approx_eps > 0 opts into the auction matcher).
   MatchingOptions matching;
   /// Optional fault-injection script (scenario/scenario.h), expressed in
   /// *global* host / pod coordinates. RunFabric projects each event onto

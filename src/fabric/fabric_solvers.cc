@@ -65,11 +65,6 @@ class FabricPolicySolver : public Solver {
             ScenarioParamDoc(),
             {"validate",
              "0/1 (default 1): per-round selection audits inside each pod"},
-            {"warmstart",
-             "0/1 (default 1, maxweight only): reuse each pod's previous "
-             "round of Hungarian work via the incremental matcher "
-             "(bit-exact); pays only when consecutive rounds share matrix "
-             "rows"},
             {"approx",
              "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
              "auction matcher inside each pod"}};
@@ -139,7 +134,6 @@ class FabricPolicySolver : public Solver {
     const int jobs = static_cast<int>(options.IntParamOr("jobs", 1, &perr));
     const bool validate = options.IntParamOr("validate", 1, &perr) != 0;
     MatchingOptions matching;
-    matching.warmstart = options.IntParamOr("warmstart", 1, &perr) != 0;
     matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
     if (!perr.empty()) {
       report.error = perr;

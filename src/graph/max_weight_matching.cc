@@ -90,82 +90,17 @@ void MaxWeightMatcher::FillCost(const BipartiteGraph& g,
   }
 }
 
-template <typename T>
-void MaxWeightMatcher::InitLane(LaneState<T>& lane) {
-  const int n = rows_;
-  const int m = cols_;
-  lane.u.assign(n + 1, 0);
-  lane.v.assign(m + 1, 0);
-  lane.vv.assign(m + 1, 0);
-  lane.way.assign(m + 1, 0);
-  lane.minv.resize(m + 1);
-}
-
-void MaxWeightMatcher::InitDuals() {
+void MaxWeightMatcher::RunHungarian() {
   p_.assign(cols_ + 1, 0);
   if (int_lane_) {
-    InitLane(ilane_);
+    RunLane(ilane_);
   } else {
-    InitLane(dlane_);
+    RunLane(dlane_);
   }
 }
 
 template <typename T>
-void MaxWeightMatcher::RestoreLane(const HungarianCheckpoints& from, int row,
-                                   LaneState<T>& lane) {
-  const int n = rows_;
-  const int m = cols_;
-  const std::size_t slot = static_cast<std::size_t>(row - 1);
-  const double* cu = from.u.data() + slot * (n + 1);
-  const double* cv = from.v.data() + slot * (m + 1);
-  // The warm-start layer only restores a snapshot into the lane that took
-  // it, so int32 values come back exactly.
-  lane.u.resize(n + 1);
-  lane.v.resize(m + 1);
-  std::transform(cu, cu + n + 1, lane.u.begin(),
-                 [](double x) { return static_cast<T>(x); });
-  std::transform(cv, cv + m + 1, lane.v.begin(),
-                 [](double x) { return static_cast<T>(x); });
-  // Between row insertions every column is open, so the masked copy of the
-  // potentials is just the potentials (vv[0] is never read).
-  lane.vv = lane.v;
-  // way and minv are write-before-read within each row; reset them the same
-  // way InitLane does so resumed state matches a fresh run exactly.
-  lane.way.assign(m + 1, 0);
-  lane.minv.resize(m + 1);
-}
-
-void MaxWeightMatcher::RestoreCheckpoint(const HungarianCheckpoints& from,
-                                         int row) {
-  FS_CHECK_EQ(from.n, rows_);
-  FS_CHECK_EQ(from.m, cols_);
-  FS_CHECK_GE(row, 1);
-  FS_CHECK_LE(row, from.recorded);
-  const int* cp =
-      from.p.data() + static_cast<std::size_t>(row - 1) * (cols_ + 1);
-  p_.assign(cp, cp + cols_ + 1);
-  if (int_lane_) {
-    RestoreLane(from, row, ilane_);
-  } else {
-    RestoreLane(from, row, dlane_);
-  }
-}
-
-void MaxWeightMatcher::RunRows(int first_row, HungarianCheckpoints* record) {
-  if (record != nullptr) {
-    FS_CHECK_EQ(record->n, rows_);
-    FS_CHECK_EQ(record->m, cols_);
-  }
-  if (int_lane_) {
-    RunLaneRows(ilane_, first_row, record);
-  } else {
-    RunLaneRows(dlane_, first_row, record);
-  }
-}
-
-template <typename T>
-void MaxWeightMatcher::RunLaneRows(LaneState<T>& lane, int first_row,
-                                   HungarianCheckpoints* record) {
+void MaxWeightMatcher::RunLane(LaneState<T>& lane) {
   // Hungarian algorithm (potentials + shortest augmenting path), minimizing
   // cost over the dense rows x cols matrix with rows <= cols. Classic
   // cp-algorithms formulation restructured for streaming over flat reused
@@ -176,7 +111,12 @@ void MaxWeightMatcher::RunLaneRows(LaneState<T>& lane, int first_row,
   const hungarian::ScanRowFn<T> scan_row = hungarian::BestScanRow<T>();
   const int n = rows_;
   const int m = cols_;
-  for (int i = first_row; i <= n; ++i) {
+  lane.u.assign(n + 1, 0);
+  lane.v.assign(m + 1, 0);
+  lane.vv.assign(m + 1, 0);
+  lane.way.assign(m + 1, 0);
+  lane.minv.resize(m + 1);
+  for (int i = 1; i <= n; ++i) {
     p_[0] = i;
     int j0 = 0;
     std::fill(lane.minv.begin() + 1, lane.minv.end(), L::kInf);
@@ -216,18 +156,6 @@ void MaxWeightMatcher::RunLaneRows(LaneState<T>& lane, int first_row,
       p_[j0] = p_[j1];
       j0 = j1;
     } while (j0 != 0);
-    if (record != nullptr) {
-      // The state after row i is a pure function of matrix rows 1..i;
-      // snapshot it so a later solve whose matrix first differs at some row
-      // k > i can resume here instead of re-running the unchanged prefix.
-      const std::size_t slot = static_cast<std::size_t>(i - 1);
-      std::copy(lane.u.begin(), lane.u.end(),
-                record->u.begin() + slot * (n + 1));
-      std::copy(lane.v.begin(), lane.v.end(),
-                record->v.begin() + slot * (m + 1));
-      std::copy(p_.begin(), p_.end(), record->p.begin() + slot * (m + 1));
-      record->recorded = i;
-    }
   }
 }
 
@@ -255,8 +183,7 @@ void MaxWeightMatcher::Solve(const BipartiteGraph& g,
                              std::vector<int>* out) {
   out->clear();
   if (!PrepareProblem(g, weight)) return;
-  InitDuals();
-  RunRows(1, nullptr);
+  RunHungarian();
   EmitMatching(weight, out);
 }
 

@@ -22,14 +22,6 @@
 // same matching, at twice the SIMD width. Any other weights (coflow
 // 1+1/(1+rem), hybrid age+0.5*pressure) run in double. The choice depends
 // on the weights alone.
-//
-// The solve is decomposed into resumable phases (PrepareProblem / InitDuals
-// / RunRows / EmitMatching) so the warm-start layer in
-// graph/incremental_matching.h can snapshot the per-row Hungarian state and
-// resume a solve at the first row a backlog delta invalidated. Solve() is
-// exactly InitDuals + RunRows(1) + EmitMatching, so every path through the
-// incremental layer computes the same operation sequence as a from-scratch
-// call.
 #ifndef FLOWSCHED_GRAPH_MAX_WEIGHT_MATCHING_H_
 #define FLOWSCHED_GRAPH_MAX_WEIGHT_MATCHING_H_
 
@@ -41,34 +33,6 @@
 #include "graph/hungarian_scan.h"
 
 namespace flowsched {
-
-// Snapshots of the Hungarian (u, v, p) state after each processed row,
-// recorded by MaxWeightMatcher::RunRows and replayed by the warm-start
-// layer. State after row i (1-based) lives in slot i-1. The state after row
-// i is a pure function of matrix rows 1..i, so restoring slot k and running
-// rows k+1..n replays the exact from-scratch operation sequence — this is
-// what makes warm-started solves provably bit-identical. Both value lanes
-// store here; int32 potentials convert to double and back exactly.
-struct HungarianCheckpoints {
-  int n = 0;         // Rows of the problem the snapshots belong to.
-  int m = 0;         // Columns.
-  int recorded = 0;  // Slots 0..recorded-1 are valid.
-  // Flat per-slot storage: u is (n+1) doubles, v is (m+1) doubles, p is
-  // (m+1) ints per slot.
-  std::vector<double> u;
-  std::vector<double> v;
-  std::vector<int> p;
-
-  // Invalidates every slot and sizes storage for an n x m problem.
-  void Reset(int rows, int cols) {
-    n = rows;
-    m = cols;
-    recorded = 0;
-    u.resize(static_cast<std::size_t>(rows) * (rows + 1));
-    v.resize(static_cast<std::size_t>(rows) * (cols + 1));
-    p.resize(static_cast<std::size_t>(rows) * (cols + 1));
-  }
-};
 
 class MaxWeightMatcher {
  public:
@@ -84,10 +48,8 @@ class MaxWeightMatcher {
              std::vector<int>* out);
 
  private:
-  // The warm-start layer drives the phase entry points directly; the lane
-  // test reads the lane choice and forces the double lane on integral
-  // problems to compare the two.
-  friend class IncrementalMatcher;
+  // The lane test reads the lane choice, forces the double lane on integral
+  // problems to compare the two, and audits the dual certificate.
   friend struct MaxWeightMatcherTestPeer;
 
   // Hungarian state of one value lane (1-based over cols, index 0 is the
@@ -102,25 +64,14 @@ class MaxWeightMatcher {
     std::vector<typename hungarian::Lane<T>::Index> way;
   };
 
-  // Phase 1: vertex compaction + dense matrix build + lane choice. Returns
-  // false when the graph has no edges (nothing to solve; *out must just stay
-  // empty). Does not touch the Hungarian state, so a caller that detects an
-  // unchanged matrix afterwards can still EmitMatching() from the previous
-  // solve.
+  // Vertex compaction + dense matrix build + lane choice. Returns false
+  // when the graph has no edges (nothing to solve; *out must just stay
+  // empty).
   bool PrepareProblem(const BipartiteGraph& g, std::span<const double> weight);
-  // Phase 2: resets duals and matching for a from-scratch run.
-  void InitDuals();
-  // Phase 3: inserts rows first_row..rows_ (1-based). When `record` is
-  // non-null, snapshots the (u, v, p) state after every processed row into
-  // its slots (record->recorded advances to rows_); slots below
-  // first_row-1 are left untouched, so a resumed run keeps the prefix
-  // recorded by the earlier solve.
-  void RunRows(int first_row, HungarianCheckpoints* record);
-  // Restores the state snapshot taken after row `row` (1-based); the next
-  // RunRows(row + 1, ...) continues exactly where that solve was.
-  void RestoreCheckpoint(const HungarianCheckpoints& from, int row);
-  // Phase 4: extracts the matching as edge indices into *out (appends; the
-  // caller clears).
+  // Runs the Hungarian algorithm from fresh duals in the current lane.
+  void RunHungarian();
+  // Extracts the matching as edge indices into *out (appends; the caller
+  // clears).
   void EmitMatching(std::span<const double> weight, std::vector<int>* out);
 
   // Fills the current lane's cost matrix and best_edge_ (PrepareProblem's
@@ -130,26 +81,7 @@ class MaxWeightMatcher {
   void FillCost(const BipartiteGraph& g, std::span<const double> weight,
                 std::vector<T>& cost);
   template <typename T>
-  void InitLane(LaneState<T>& lane);
-  template <typename T>
-  void RestoreLane(const HungarianCheckpoints& from, int row,
-                   LaneState<T>& lane);
-  template <typename T>
-  void RunLaneRows(LaneState<T>& lane, int first_row,
-                   HungarianCheckpoints* record);
-
-  // The current lane's matrix entry (0-based) and dual potentials (1-based),
-  // for the warm-start layer's dual audits.
-  double CostAt(int r, int c) const {
-    const std::size_t rc = static_cast<std::size_t>(r) * cols_ + c;
-    return int_lane_ ? ilane_.cost[rc] : dlane_.cost[rc];
-  }
-  double PotentialU(int i) const {
-    return int_lane_ ? ilane_.u[i] : dlane_.u[i];
-  }
-  double PotentialV(int j) const {
-    return int_lane_ ? ilane_.v[j] : dlane_.v[j];
-  }
+  void RunLane(LaneState<T>& lane);
 
   // Vertex compaction scratch.
   std::vector<int> left_index_;

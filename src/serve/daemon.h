@@ -36,10 +36,8 @@ struct ServeOptions {
   // Cooperative shutdown flag (SIGINT/SIGTERM): pull sessions finish the
   // round in flight and emit DONE (StreamingOptions::stop).
   const volatile std::sig_atomic_t* stop = nullptr;
-  // Matching-kernel knobs for the maxweight policies (warm-start Hungarian
-  // on by default; approx_eps > 0 opts into the auction matcher). Streams
-  // are exactly where warm starts pay off: one long-lived policy, small
-  // per-round backlog deltas.
+  // Matching-kernel knobs for the maxweight policies (exact Hungarian by
+  // default; approx_eps > 0 opts into the auction matcher).
   MatchingOptions matching;
 };
 

@@ -101,6 +101,19 @@ TEST(SolverRegistryTest, MalformedParameterValueFailsTheSolve) {
       SolverRegistry::Global().Solve("art.theorem1", SmallInstance(), options);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("not_a_number"), std::string::npos);
+  // strtod reads these, but no double knob means them: approx=nan used to
+  // run the exact matcher and approx=inf an auction with unbounded eps.
+  for (const char* value : {"nan", "inf", "-inf"}) {
+    SCOPED_TRACE(value);
+    SolveOptions approx;
+    approx.params["approx"] = value;
+    const SolveReport r = SolverRegistry::Global().Solve(
+        "online.maxweight", SmallInstance(), approx);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find(std::string("unparsable value \"") + value + "\""),
+              std::string::npos)
+        << r.error;
+  }
 }
 
 TEST(SolverRegistryTest, InvalidInstanceIsRejectedUpFront) {

@@ -10,11 +10,8 @@
 
 #include "api/instance_source.h"
 #include "api/registry.h"
-#include "coflow/coflow_policies.h"
-#include "core/online/simulator.h"
 #include "exp/aggregator.h"
 #include "exp/experiment_runner.h"
-#include "model/trace_io.h"
 
 namespace flowsched {
 namespace {
@@ -66,53 +63,6 @@ TEST(CoflowRegressionTest, CctMetricsMatchGoldens) {
         golden.num_coflows)
         << golden.solver;
   }
-}
-
-// coflow.maxweight runs the warm-start Hungarian kernel by default; its
-// schedules on the clustered coflow instance must be byte-identical to the
-// from-scratch solver's (the golden table above already pins the warm
-// defaults — this pins the equivalence itself, so a warm-start bug cannot
-// hide behind a golden refresh).
-TEST(CoflowRegressionTest, WarmStartMaxWeightSchedulesAreByteIdentical) {
-  std::string error;
-  const auto instance = LoadInstance(kSpec, &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-  MatchingOptions warm;
-  warm.warmstart = true;
-  MatchingOptions scratch;
-  scratch.warmstart = false;
-  auto warm_policy = MakeCoflowPolicy("maxweight", /*seed=*/1, warm);
-  auto scratch_policy = MakeCoflowPolicy("maxweight", /*seed=*/1, scratch);
-  const SimulationResult a = Simulate(*instance, *warm_policy);
-  const SimulationResult b = Simulate(*instance, *scratch_policy);
-
-  std::ostringstream warm_csv, scratch_csv;
-  WriteScheduleCsv(a.schedule, warm_csv);
-  WriteScheduleCsv(b.schedule, scratch_csv);
-  EXPECT_EQ(warm_csv.str(), scratch_csv.str());
-  EXPECT_DOUBLE_EQ(a.metrics.total_response, b.metrics.total_response);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_GT(warm_policy->matching_stats().matcher_solves, 0);
-  EXPECT_EQ(scratch_policy->matching_stats().matcher_solves, 0);
-}
-
-// The registry path must agree: warmstart=0 as a solver param reproduces
-// the default's golden metrics exactly (same lock, one layer up — covers
-// the param plumbing in coflow_solvers.cc).
-TEST(CoflowRegressionTest, WarmstartParamDoesNotChangeGoldenMetrics) {
-  std::string error;
-  const auto instance = LoadInstance(kSpec, &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-  SolveOptions scratch;
-  scratch.params["warmstart"] = "0";
-  const SolveReport report = SolverRegistry::Global().Solve(
-      "coflow.maxweight", *instance, scratch);
-  ASSERT_TRUE(report.ok) << report.error;
-  const Golden& golden = kGoldens[1];
-  ASSERT_STREQ(golden.solver, "coflow.maxweight");
-  EXPECT_DOUBLE_EQ(report.metrics.total_response, golden.total_response);
-  EXPECT_DOUBLE_EQ(report.diagnostics.at("total_cct"), golden.total_cct);
-  EXPECT_DOUBLE_EQ(report.diagnostics.at("max_cct"), golden.max_cct);
 }
 
 // The acceptance determinism bar: a coflow sweep's per-task outcomes —

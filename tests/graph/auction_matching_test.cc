@@ -11,9 +11,10 @@
 
 #include "graph/auction_matching.h"
 #include "graph/bipartite_graph.h"
-#include "graph/brute_force_matching.h"
 #include "graph/max_weight_matching.h"
 #include "util/rng.h"
+
+#include "brute_force_matching.h"
 
 namespace flowsched {
 namespace {

@@ -1,11 +1,17 @@
-#include "graph/brute_force_matching.h"
+// Exponential-time exact matchers used as ground truth in property tests.
+// Only call on tiny graphs (num_edges <= ~20).
+#ifndef FLOWSCHED_TESTS_GRAPH_BRUTE_FORCE_MATCHING_H_
+#define FLOWSCHED_TESTS_GRAPH_BRUTE_FORCE_MATCHING_H_
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
+#include "graph/bipartite_graph.h"
 #include "util/check.h"
 
 namespace flowsched {
-namespace {
+namespace brute_force_internal {
 
 // Recursively decide edge `e` in/out, tracking used endpoints.
 template <typename Score>
@@ -26,27 +32,33 @@ void Search(const BipartiteGraph& g, int e, std::vector<char>& left_used,
   }
 }
 
-}  // namespace
+}  // namespace brute_force_internal
 
-int BruteForceMaxCardinality(const BipartiteGraph& g) {
+// Maximum cardinality by exhaustive search over edge subsets.
+inline int BruteForceMaxCardinality(const BipartiteGraph& g) {
   FS_CHECK_LE(g.num_edges(), 24);
   std::vector<char> left_used(g.num_left(), 0);
   std::vector<char> right_used(g.num_right(), 0);
   double best = 0.0;
-  Search(g, 0, left_used, right_used, 0.0, [](int) { return 1.0; }, best);
+  brute_force_internal::Search(
+      g, 0, left_used, right_used, 0.0, [](int) { return 1.0; }, best);
   return static_cast<int>(best);
 }
 
-double BruteForceMaxWeight(const BipartiteGraph& g,
-                           std::span<const double> weight) {
+// Maximum total weight over all matchings.
+inline double BruteForceMaxWeight(const BipartiteGraph& g,
+                                  std::span<const double> weight) {
   FS_CHECK_LE(g.num_edges(), 24);
   FS_CHECK_EQ(static_cast<int>(weight.size()), g.num_edges());
   std::vector<char> left_used(g.num_left(), 0);
   std::vector<char> right_used(g.num_right(), 0);
   double best = 0.0;
-  Search(g, 0, left_used, right_used, 0.0,
-         [&](int e) { return weight[e]; }, best);
+  brute_force_internal::Search(
+      g, 0, left_used, right_used, 0.0, [&](int e) { return weight[e]; },
+      best);
   return best;
 }
 
 }  // namespace flowsched
+
+#endif  // FLOWSCHED_TESTS_GRAPH_BRUTE_FORCE_MATCHING_H_

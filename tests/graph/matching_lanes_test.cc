@@ -3,20 +3,22 @@
 // the int32 lane is only sound because on such problems it makes exactly
 // the comparisons the double lane makes. So every integral problem here is
 // solved on both lanes (the double one forced through a test peer) and the
-// edge sets must be identical, small ones must also reach the brute-force
-// optimum, and the warm-start layer must stay bit-identical to scratch on
-// the int32 lane through checkpoint restores and lane switches.
+// edge sets must be identical, and small ones must also reach the
+// brute-force optimum. One matcher reused across backlog mutation sequences
+// (shape changes, lane switches, empty graphs) must match a fresh one-shot
+// solve every round and leave a feasible, tight dual certificate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "graph/brute_force_matching.h"
-#include "graph/incremental_matching.h"
 #include "graph/max_weight_matching.h"
 #include "util/rng.h"
+
+#include "brute_force_matching.h"
 
 namespace flowsched {
 
@@ -32,9 +34,41 @@ struct MaxWeightMatcherTestPeer {
     if (!m.PrepareProblem(g, weight)) return;
     m.int_lane_ = false;
     m.BuildCost(g, weight);
-    m.InitDuals();
-    m.RunRows(1, nullptr);
+    m.RunHungarian();
     m.EmitMatching(weight, out);
+  }
+
+  // Dual certificate of the last non-empty solve, over the current lane's
+  // matrix C and potentials (u, v). Feasibility: max over all cells of
+  // u_i + v_j - C(i,j), <= 0 up to rounding. Tightness: max
+  // |u_i + v_j - C(i,j)| over matched cells, 0 at optimality.
+  static double MaxDualViolation(const MaxWeightMatcher& m) {
+    double worst = 0.0;
+    for (int i = 1; i <= m.rows_; ++i) {
+      for (int j = 1; j <= m.cols_; ++j) {
+        worst = std::max(worst, ReducedCost(m, i, j));
+      }
+    }
+    return worst;
+  }
+  static double MaxMatchedSlack(const MaxWeightMatcher& m) {
+    double worst = 0.0;
+    for (int j = 1; j <= m.cols_; ++j) {
+      if (m.p_[j] != 0) {
+        worst = std::max(worst, std::fabs(ReducedCost(m, m.p_[j], j)));
+      }
+    }
+    return worst;
+  }
+
+ private:
+  // u_i + v_j - C(i,j) for 1-based row i and column j.
+  static double ReducedCost(const MaxWeightMatcher& m, int i, int j) {
+    const std::size_t rc = static_cast<std::size_t>(i - 1) * m.cols_ + j - 1;
+    return m.int_lane_
+               ? static_cast<double>(m.ilane_.u[i]) + m.ilane_.v[j] -
+                     m.ilane_.cost[rc]
+               : m.dlane_.u[i] + m.dlane_.v[j] - m.dlane_.cost[rc];
   }
 };
 
@@ -208,79 +242,124 @@ struct BacklogEdge {
   double w;
 };
 
-// Warm-start (IncrementalMatcher) vs scratch on the double lane, over
-// backlog mutation sequences with integral weights. Some rounds add a
-// dominated fractional parallel edge: the dense problem is the same but the
-// round runs in double, so the warm-start layer also sees lane switches in
-// both directions between int32 rounds that resume from checkpoints.
-TEST(MatchingLanesTest, WarmStartOnIntLaneMatchesScratchThroughRestores) {
-  Rng rng(99);
-  IncrementalMatcher warm;
-  MaxWeightMatcher scratch;
-  std::vector<int> warm_out;
-  std::vector<int> scratch_out;
-  std::int64_t int_lane_rounds = 0;
-  std::int64_t double_lane_rounds = 0;
-  for (int seq = 0; seq < 150; ++seq) {
-    const int nl = rng.UniformInt(3, 24);
-    const int nr = rng.UniformInt(3, 24);
-    const int hi = seq % 3 == 0 ? 3 : 12;
-    std::vector<BacklogEdge> edges;
-    for (int e = 0; e < 3 * nl; ++e) {
-      edges.push_back({rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1),
-                       static_cast<double>(rng.UniformInt(0, hi))});
+struct SequenceConfig {
+  int nl;
+  int nr;
+  int initial_edges;
+  bool float_weights;  // Coflow-style 1 + 1/(1+rem) instead of integers.
+};
+
+double DrawWeight(bool float_weights, Rng& rng) {
+  if (float_weights) return 1.0 + 1.0 / (1.0 + rng.UniformInt(0, 40));
+  return static_cast<double>(rng.UniformInt(0, 12));
+}
+
+// One simulated round's worth of backlog churn: insert (sometimes a
+// parallel duplicate of an existing pair), retire (swap-erase, like slot
+// recycling) or reweight, the three things a round does to the backlog.
+void MutateBacklog(std::vector<BacklogEdge>* edges, const SequenceConfig& cfg,
+                   Rng& rng) {
+  const int ops = rng.UniformInt(1, 4);
+  for (int k = 0; k < ops; ++k) {
+    const int kind = rng.UniformInt(0, 9);
+    if (kind < 4 || edges->empty()) {
+      if (!edges->empty() && rng.UniformInt(0, 4) == 0) {
+        const BacklogEdge base = (*edges)[rng.UniformU64(edges->size())];
+        edges->push_back({base.u, base.v, DrawWeight(cfg.float_weights, rng)});
+      } else {
+        edges->push_back({rng.UniformInt(0, cfg.nl - 1),
+                          rng.UniformInt(0, cfg.nr - 1),
+                          DrawWeight(cfg.float_weights, rng)});
+      }
+    } else if (kind < 7) {
+      const std::size_t at = rng.UniformU64(edges->size());
+      (*edges)[at] = edges->back();
+      edges->pop_back();
+    } else {
+      (*edges)[rng.UniformU64(edges->size())].w =
+          DrawWeight(cfg.float_weights, rng);
     }
-    warm.Reset();
-    for (int step = 0; step < 20; ++step) {
-      BipartiteGraph g(nl, nr);
-      std::vector<double> w;
-      for (const BacklogEdge& e : edges) {
-        g.AddEdge(e.u, e.v);
-        w.push_back(e.w);
+  }
+}
+
+// The policies keep one MaxWeightMatcher for a whole run, so its scratch
+// outlives every problem it solves. One matcher here serves 1080 mutation
+// sequences back to back: the shape changes between sequences, integral
+// and coflow-style weights alternate, and some integral rounds add a
+// dominated fractional parallel edge (same optimum, double lane), so the
+// lane flips both ways inside a sequence too. Some rounds drain the
+// backlog. Every round must equal a fresh one-shot solve and leave a
+// feasible, tight dual certificate.
+TEST(MatchingLanesTest, ReusedMatcherMatchesOneShotOverMutationSequences) {
+  const SequenceConfig configs[] = {
+      {3, 3, 2, false},    {4, 7, 6, false},    {8, 8, 10, false},
+      {8, 8, 30, false},   {16, 16, 20, false}, {16, 5, 25, false},
+      {32, 32, 40, false}, {32, 32, 110, false}, {6, 6, 8, true},
+      {16, 16, 30, true},  {24, 24, 70, true},  {40, 40, 60, false},
+  };
+  MaxWeightMatcher reused;
+  std::vector<int> out;
+  std::vector<double> w;
+  int sequences = 0;
+  std::int64_t int_rounds = 0;
+  std::int64_t double_rounds = 0;
+  std::int64_t empty_rounds = 0;
+  std::int64_t lane_switches = 0;
+  bool prev_int_lane = false;
+  std::uint64_t salt = 0;
+  for (const SequenceConfig& cfg : configs) {
+    const std::uint64_t seed = 1000 + salt++;
+    for (int seq = 0; seq < 90; ++seq, ++sequences) {
+      Rng rng(Rng::DeriveSeed(seed, static_cast<std::uint64_t>(seq)));
+      std::vector<BacklogEdge> edges;
+      for (int e = 0; e < cfg.initial_edges; ++e) {
+        edges.push_back({rng.UniformInt(0, cfg.nl - 1),
+                         rng.UniformInt(0, cfg.nr - 1),
+                         DrawWeight(cfg.float_weights, rng)});
       }
-      if (!edges.empty() && rng.UniformInt(0, 2) == 0) {
-        const BacklogEdge& e = edges[rng.UniformU64(edges.size())];
-        if (e.w >= 1.0) {
+      for (int step = 0; step < 14; ++step) {
+        BipartiteGraph g(cfg.nl, cfg.nr);
+        w.clear();
+        for (const BacklogEdge& e : edges) {
           g.AddEdge(e.u, e.v);
-          w.push_back(e.w - 0.5);
+          w.push_back(e.w);
         }
-      }
-      warm.Solve(g, w, &warm_out);
-      Peer::SolveOnDoubleLane(scratch, g, w, &scratch_out);
-      ASSERT_EQ(warm_out, scratch_out)
-          << "sequence " << seq << " step " << step;
-      ASSERT_EQ(warm.MaxDualViolation(), 0.0);
-      ASSERT_EQ(warm.MaxMatchedSlack(), 0.0);
-      bool integral = true;
-      for (double x : w) integral = integral && x == std::floor(x);
-      int_lane_rounds += integral ? 1 : 0;
-      double_lane_rounds += integral ? 0 : 1;
-      // Churn confined to the rows of the highest left vertices keeps row
-      // prefixes intact, so most rounds resume from a checkpoint.
-      const int ops = rng.UniformInt(1, 3);
-      for (int k = 0; k < ops; ++k) {
-        const int kind = rng.UniformInt(0, 2);
-        if (kind == 0 || edges.empty()) {
-          edges.push_back({rng.UniformInt(nl / 2, nl - 1),
-                           rng.UniformInt(0, nr - 1),
-                           static_cast<double>(rng.UniformInt(0, hi))});
-        } else {
-          const std::size_t at = rng.UniformU64(edges.size());
-          if (kind == 1) {
-            edges[at] = edges.back();
-            edges.pop_back();
-          } else {
-            edges[at].w = static_cast<double>(rng.UniformInt(0, hi));
+        if (!cfg.float_weights && !edges.empty() &&
+            rng.UniformInt(0, 2) == 0) {
+          const BacklogEdge& e = edges[rng.UniformU64(edges.size())];
+          if (e.w >= 1.0) {
+            g.AddEdge(e.u, e.v);
+            w.push_back(e.w - 0.5);
           }
         }
+        reused.Solve(g, w, &out);
+        ASSERT_EQ(out, MaxWeightMatching(g, w))
+            << "config " << cfg.nl << "x" << cfg.nr << " sequence " << seq
+            << " step " << step << " edges " << edges.size();
+        if (g.num_edges() == 0) {
+          ++empty_rounds;
+        } else {
+          const bool int_lane = Peer::IntLane(reused);
+          int_rounds += int_lane ? 1 : 0;
+          double_rounds += int_lane ? 0 : 1;
+          lane_switches += int_lane != prev_int_lane ? 1 : 0;
+          prev_int_lane = int_lane;
+          // Integral weights give exact duals in either lane; coflow-style
+          // weights accumulate a few ulps per update chain.
+          const double tol = cfg.float_weights ? 1e-9 : 0.0;
+          ASSERT_LE(Peer::MaxDualViolation(reused), tol);
+          ASSERT_LE(Peer::MaxMatchedSlack(reused), tol);
+        }
+        MutateBacklog(&edges, cfg, rng);
+        if (rng.UniformInt(0, 39) == 0) edges.clear();  // Idle round.
       }
     }
   }
-  const IncrementalMatcher::Stats& st = warm.stats();
-  EXPECT_GT(int_lane_rounds, 1000);
-  EXPECT_GT(double_lane_rounds, 500);
-  EXPECT_GT(st.prefix_resumes, 100);
-  EXPECT_GT(st.cache_hits, 0);
+  EXPECT_EQ(sequences, 1080);
+  EXPECT_GT(int_rounds, 5000);
+  EXPECT_GT(double_rounds, 3000);
+  EXPECT_GT(empty_rounds, 0);
+  EXPECT_GT(lane_switches, 1000);
 }
 
 }  // namespace

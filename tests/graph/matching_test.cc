@@ -4,11 +4,11 @@
 #include <vector>
 
 #include "graph/bipartite_graph.h"
-#include "graph/brute_force_matching.h"
-#include "graph/greedy_matching.h"
 #include "graph/hopcroft_karp.h"
 #include "graph/max_weight_matching.h"
 #include "util/rng.h"
+
+#include "brute_force_matching.h"
 
 namespace flowsched {
 namespace {
@@ -152,34 +152,6 @@ TEST(MaxWeightMatchingTest, ParallelEdgesPickHeavier) {
   const auto m = MaxWeightMatching(g, w);
   ASSERT_EQ(m.size(), 1u);
   EXPECT_EQ(m[0], heavy);
-}
-
-TEST(GreedyMatchingTest, InOrderRespectsOrder) {
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 1);
-  g.AddEdge(1, 1);
-  // Taking (0,1) first blocks both remaining edges (left 0 and right 1).
-  const std::vector<int> order = {1, 0, 2};
-  const auto m = GreedyMatchingInOrder(g, order);
-  ASSERT_EQ(m.size(), 1u);
-  EXPECT_EQ(m[0], 1);
-  // Natural order pairs (0,0) with (1,1) instead.
-  const std::vector<int> natural = {0, 1, 2};
-  EXPECT_EQ(GreedyMatchingInOrder(g, natural).size(), 2u);
-}
-
-TEST(GreedyMatchingTest, ByWeightIsHalfApproxAndValid) {
-  Rng rng(77);
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng r = rng.Fork(trial);
-    const BipartiteGraph g = RandomGraph(4, 4, 10, r);
-    std::vector<double> w(g.num_edges());
-    for (auto& x : w) x = static_cast<double>(r.UniformInt(1, 9));
-    const auto m = GreedyMatchingByWeight(g, w);
-    ASSERT_TRUE(IsMatching(g, m));
-    EXPECT_GE(MatchingWeight(m, w) * 2.0 + 1e-9, BruteForceMaxWeight(g, w));
-  }
 }
 
 TEST(HopcroftKarpSolverTest, ReusedSolverMatchesOneShotResults) {

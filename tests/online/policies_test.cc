@@ -5,7 +5,6 @@
 #include "core/online/max_card_policy.h"
 #include "core/online/policy.h"
 #include "core/online/simulator.h"
-#include "graph/brute_force_matching.h"
 #include "workload/patterns.h"
 #include "workload/poisson.h"
 

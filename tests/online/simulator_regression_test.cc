@@ -6,14 +6,12 @@
 // — not just performance.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/instance_source.h"
 #include "core/online/simulator.h"
-#include "model/trace_io.h"
 
 namespace flowsched {
 namespace {
@@ -100,47 +98,6 @@ TEST(SimulatorRegressionTest, MetricsMatchPreRewriteGoldens) {
       EXPECT_EQ(r.metrics.makespan, golden.makespan)
           << sg.spec << " / " << golden.policy;
     }
-  }
-}
-
-// The warm-start Hungarian layer is the default matching kernel and its
-// whole contract is "bit-identical schedules to the from-scratch solver".
-// Pin that at the simulator level: on every golden spec, maxweight with
-// warmstart on and off must realize byte-identical schedules — not just
-// equal metrics — and the warm run must still hit the golden numbers.
-TEST(SimulatorRegressionTest, WarmStartMaxWeightSchedulesAreByteIdentical) {
-  for (const SpecGoldens& sg : kGoldens) {
-    SCOPED_TRACE(sg.spec);
-    std::string error;
-    const auto instance = LoadInstance(sg.spec, &error);
-    ASSERT_TRUE(instance.has_value()) << error;
-    MatchingOptions warm;
-    warm.warmstart = true;
-    MatchingOptions scratch;
-    scratch.warmstart = false;
-    auto warm_policy = MakePolicy("maxweight", /*seed=*/7, warm);
-    auto scratch_policy = MakePolicy("maxweight", /*seed=*/7, scratch);
-    const SimulationResult a = Simulate(*instance, *warm_policy);
-    const SimulationResult b = Simulate(*instance, *scratch_policy);
-
-    std::ostringstream warm_csv, scratch_csv;
-    WriteScheduleCsv(a.schedule, warm_csv);
-    WriteScheduleCsv(b.schedule, scratch_csv);
-    EXPECT_EQ(warm_csv.str(), scratch_csv.str());
-    EXPECT_DOUBLE_EQ(a.metrics.total_response, b.metrics.total_response);
-    EXPECT_EQ(a.rounds, b.rounds);
-
-    // The warm run must match the goldens captured from the pre-rewrite
-    // simulator, and must actually have exercised the incremental layer.
-    for (const Golden& golden : sg.rows) {
-      if (std::string_view(golden.policy) != "maxweight") continue;
-      EXPECT_DOUBLE_EQ(a.metrics.total_response, golden.total_response);
-      EXPECT_DOUBLE_EQ(a.metrics.max_response, golden.max_response);
-      EXPECT_EQ(a.metrics.makespan, golden.makespan);
-    }
-    const PolicyMatchingStats stats = warm_policy->matching_stats();
-    EXPECT_GT(stats.matcher_solves, 0);
-    EXPECT_EQ(scratch_policy->matching_stats().matcher_solves, 0);
   }
 }
 

@@ -221,10 +221,10 @@ TEST(StreamingEquivalenceTest, CoflowFifoReplay) {
   CheckReplayPath(kCoflows, "coflow.fifo");
 }
 
-// coflow.maxweight through streaming exercises the warm-start Hungarian
-// kernel under RetireFlows recycling: retired group slots perturb the
-// pending order round over round, and the incremental matcher must still
-// realize the byte-identical schedule batch Simulate() produces.
+// coflow.maxweight through streaming exercises the Hungarian kernel under
+// RetireFlows recycling: retired group slots perturb the pending order
+// round over round, and the matcher must still realize the byte-identical
+// schedule batch Simulate() produces.
 TEST(StreamingEquivalenceTest, CoflowMaxWeightReplay) {
   CheckReplayPath(kCoflows, "coflow.maxweight");
   CheckReplayPath(kPoissonUnit, "coflow.maxweight");

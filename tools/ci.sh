@@ -22,8 +22,8 @@ for build_type in Debug Release; do
     # markdown link in README/docs must resolve.
     tools/check_docs.sh "./${build_dir}/tools/flowsched_cli"
     # Bench values: every value field of every cell must match the
-    # committed BENCH_core.json, plus the warmstart=0 / approx=0.5 variant
-    # checks (value checks only, never wall clock).
+    # committed BENCH_core.json, plus the approx=0.5 variant check (value
+    # checks only, never wall clock).
     "./${build_dir}/tools/flowsched_bench" --out="${build_dir}/BENCH_run.json"
     python3 tools/check_bench_values.py BENCH_core.json \
         "${build_dir}/BENCH_run.json"

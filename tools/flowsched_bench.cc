@@ -115,8 +115,7 @@ const std::vector<ScenarioCellSpec> kScenarios = {
      "PODS 4\nPOD_DOWN 60 0\nPOD_UP 120 0\n"},
 };
 
-// The maxweight matcher variants: the from-scratch Hungarian, which must
-// reproduce the warm-start default's schedule, and the opt-in eps-auction
+// The maxweight matcher variants: the opt-in eps-auction
 // (campaigns/approx.json quantifies it across loads).
 struct VariantSpec {
   std::string instance;
@@ -125,8 +124,6 @@ struct VariantSpec {
   std::map<std::string, std::string> params;
 };
 const std::vector<VariantSpec> kVariants = {
-    {"poisson:ports=256,load=1.0,rounds=195,seed=1", "online.maxweight",
-     "online.maxweight+scratch", {{"warmstart", "0"}}},
     {"poisson:ports=256,load=1.0,rounds=195,seed=1", "online.maxweight",
      "online.maxweight+approx0.5", {{"approx", "0.5"}}},
     {"coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",

@@ -29,6 +29,7 @@
 // accept/read errors are logged and the daemon keeps accepting — only a
 // signal (or --tcp/--unix bind failure at startup) ends it.
 #include <cerrno>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -117,11 +118,9 @@ void PrintUsage(std::ostream& out) {
          "drain)\n"
          "  --no-match         suppress per-round MATCH lines\n"
          "  --no-validate      skip per-round selection audits\n"
-         "  --no-warmstart     solve each round's matching from scratch\n"
-         "                     (maxweight; warm start is bit-exact and on\n"
-         "                     by default)\n"
          "  --approx=EPS       eps-approximate auction matcher for\n"
-         "                     maxweight policies (default 0 = exact)\n"
+         "                     maxweight policies (default 0 = the exact\n"
+         "                     Hungarian matcher)\n"
          "  --smoke            run the streaming-vs-batch self-check\n"
          "With no mode flag, speaks the wire protocol on stdin/stdout\n"
          "(docs/serve-protocol.md). SIGINT/SIGTERM finish the current\n"
@@ -174,14 +173,13 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
       cli.serve.emit_match = false;
     } else if (arg == "--no-validate") {
       cli.serve.validate = false;
-    } else if (arg == "--no-warmstart") {
-      cli.serve.matching.warmstart = false;
     } else if (TakeValue(argc, argv, i, "approx", &value)) {
       char* end = nullptr;
       cli.serve.matching.approx_eps = std::strtod(value.c_str(), &end);
       if (end == nullptr || *end != '\0' ||
+          !std::isfinite(cli.serve.matching.approx_eps) ||
           cli.serve.matching.approx_eps < 0.0) {
-        error = "--approx needs a number >= 0, got \"" + value + "\"";
+        error = "--approx needs a finite number >= 0, got \"" + value + "\"";
         return false;
       }
     } else if (TakeValue(argc, argv, i, "spec", &value)) {
