@@ -50,8 +50,8 @@ bool IsGeneratorSpec(const std::string& source);
 // generator-shaped source ("name:key=value,..." with a pathless name) is
 // rejected too. Genuine file paths return true — existence and content
 // are load-time concerns. Sweep expansion calls this so a typo'd template
-// fails the whole campaign up front instead of per task, after report
-// files were already opened (exp/sweep_spec.h).
+// fails the whole campaign up front instead of per task, after other
+// tasks already ran (exp/sweep_spec.h).
 bool ValidateInstanceSpec(const std::string& source,
                           std::string* error = nullptr);
 

@@ -141,17 +141,12 @@ bool ExpandCampaign(const CampaignSpec& spec, const SolverRegistry& registry,
 }
 
 void WriteTaskListText(std::ostream& out, const SweepPlan& plan,
-                       const std::vector<std::string>* ids) {
+                       const std::vector<std::string>& ids) {
   for (const SweepTask& task : plan.tasks) {
     const SweepCell& cell = plan.cells[task.cell];
-    out << "  ";
-    if (ids != nullptr) {
-      out << (*ids)[task.index] << "  ";
-    } else {
-      out << "task " << task.index << "  ";
-    }
-    out << cell.solver << "  " << task.instance_spec;
-    out << "  seed=" << task.instance_seed << " trial=" << task.trial;
+    out << "  " << ids[task.index] << "  " << cell.solver << "  "
+        << task.instance_spec << "  seed=" << task.instance_seed
+        << " trial=" << task.trial;
     if (cell.scenario && *cell.scenario != "none") {
       out << " scenario=" << *cell.scenario;
     }

@@ -57,11 +57,10 @@ std::string CampaignTaskId(const SweepSpec& grid_spec, const SweepPlan& plan,
 // 16 lowercase hex digits; meta.json's "spec_hash" format.
 std::string HashHex(std::uint64_t hash);
 
-// Prints one line per task — id (when `ids` is non-null), solver, fully
-// substituted instance spec, seed/trial, scenario — the shared --dry-run
-// body of flowsched_campaign and flowsched_sweep.
+// Prints one line per task — id, solver, fully substituted instance spec,
+// seed/trial, scenario — the body of flowsched_campaign plan / --dry-run.
 void WriteTaskListText(std::ostream& out, const SweepPlan& plan,
-                       const std::vector<std::string>* ids);
+                       const std::vector<std::string>& ids);
 
 }  // namespace flowsched
 

@@ -389,9 +389,8 @@ bool CollectCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
         !OpenForWrite(csv_out, agg_dir / (grid.spec.name + ".csv"), error)) {
       return false;
     }
-    agg.WriteJson(json_out, grid.spec, /*jobs=*/0, /*wall_seconds=*/0.0,
-                  /*include_timing=*/false);
-    agg.WriteCsv(csv_out, /*include_timing=*/false);
+    agg.WriteJson(json_out, grid.spec);
+    agg.WriteCsv(csv_out);
   }
   return true;
 }

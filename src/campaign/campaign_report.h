@@ -2,13 +2,12 @@
 //
 // Collect merges whatever the runs/ tree holds: every task's outcome.json
 // is read back from disk — never taken from in-process memory — and fed to
-// the exp/aggregator.h Aggregator in task order. Reading from disk is what
-// makes a resumed campaign's report byte-identical to an uninterrupted
-// one: both paths see the same %.9g-serialized numbers, so there is no
-// "fresh doubles vs JSON readback" divergence to chase. Aggregates land in
-// <out_root>/aggregate/<grid>.json and .csv with include_timing=false
-// (wall-clock fields are schedule-dependent and would break the byte
-// comparison).
+// the exp/aggregator.h Aggregator in task order. outcome.json stores every
+// double in round-trip form, so the aggregates equal what an in-memory
+// aggregation of the same solves would give, and a resumed campaign's
+// report is byte-identical to an uninterrupted one. Aggregates land in
+// <out_root>/aggregate/<grid>.json and .csv without wall-clock fields
+// (they are schedule-dependent and would break the byte comparison).
 //
 // Report renders <out_root>/report/index.html: a self-contained static
 // page (inline CSS, inline SVG via campaign/svg_plot.h, zero external

@@ -1,11 +1,14 @@
 #include "campaign/campaign_runner.h"
 
-#include <chrono>
+#include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <optional>
+#include <ostream>
 #include <sstream>
 
 #include "api/instance_source.h"
@@ -60,6 +63,14 @@ std::int64_t UnixMillisNow() {
       .count();
 }
 
+// Shortest text strtod reads back as the same double: outcome.json is
+// what collect aggregates, so it must not round (the reports themselves
+// keep JsonNum's %.9g).
+std::string ExactNum(double v) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
+}
+
 std::string MetaJson(const CampaignSpec& spec, const CampaignGrid& grid,
                      int task_index, const std::string& task_id,
                      const std::string& hash_hex, const Provenance& prov,
@@ -98,6 +109,123 @@ std::string MetaJson(const CampaignSpec& spec, const CampaignGrid& grid,
 }
 
 }  // namespace
+
+TaskOutcome OutcomeFromSolveReport(const SolveReport& report) {
+  TaskOutcome o;
+  o.ok = report.ok;
+  o.error = report.error;
+  o.wall_seconds = report.wall_seconds;
+  if (!report.ok) return o;
+  o.total_response = report.metrics.total_response;
+  o.avg_response = report.metrics.avg_response;
+  o.p50_response = report.metrics.p50_response;
+  o.p95_response = report.metrics.p95_response;
+  o.p99_response = report.metrics.p99_response;
+  o.max_response = report.metrics.max_response;
+  o.stddev_response = report.metrics.stddev_response;
+  o.makespan = report.metrics.makespan;
+  o.num_flows = static_cast<long long>(report.metrics.response.size());
+  const auto& diag = report.diagnostics;
+  auto get = [&](const char* key) {
+    const auto it = diag.find(key);
+    return it == diag.end() ? 0.0 : it->second;
+  };
+  o.rounds = static_cast<long long>(get("rounds_simulated"));
+  o.peak_backlog = static_cast<long long>(get("peak_backlog"));
+  if (diag.count("num_coflows") > 0) {
+    o.num_coflows = static_cast<long long>(get("num_coflows"));
+    o.avg_cct = get("avg_cct");
+    o.p95_cct = get("p95_cct");
+    o.max_cct = get("max_cct");
+    o.avg_slowdown = get("avg_slowdown");
+  }
+  if (diag.count("shards") > 0) {
+    o.shards = static_cast<long long>(get("shards"));
+    o.load_imbalance = get("load_imbalance");
+    o.cross_shard_flows = static_cast<long long>(get("cross_shard_flows"));
+    o.split_coflows = static_cast<long long>(get("split_coflows"));
+  }
+  if (diag.count("downtime_rounds") > 0) {
+    o.has_scenario = true;
+    o.downtime_rounds = static_cast<long long>(get("downtime_rounds"));
+    o.scenario_events = static_cast<long long>(get("scenario_events"));
+    o.backlog_surge = get("backlog_surge");
+    o.recovery_drain_rounds =
+        static_cast<long long>(get("recovery_drain_rounds"));
+    o.response_inflation = get("response_inflation");
+    o.migrated_flows = static_cast<long long>(get("migrated_flows"));
+  }
+  if (report.lower_bound.has_value()) {
+    if (report.objective_name == "total_response" && o.num_flows > 0) {
+      o.lb_avg_response = *report.lower_bound / o.num_flows;
+    } else if (report.objective_name == "max_response") {
+      o.lb_max_response = *report.lower_bound;
+    }
+  }
+  if (o.rounds > 0 && o.wall_seconds > 0.0) {
+    o.rounds_per_sec = static_cast<double>(o.rounds) / o.wall_seconds;
+  }
+  return o;
+}
+
+void WriteTaskJsonLine(std::ostream& out, const SweepCell& cell,
+                       const SweepTask& task, const TaskOutcome& outcome) {
+  out << "{\"task\": " << task.index << ", \"cell\": " << cell.index << ", "
+      << JsonStr("solver", cell.solver) << ", "
+      << JsonStr("instance", task.instance_spec);
+  if (cell.dist) out << ", " << JsonStr("dist", *cell.dist);
+  if (cell.scenario) out << ", " << JsonStr("scenario", *cell.scenario);
+  out << ", \"instance_seed\": " << task.instance_seed
+      << ", \"trial\": " << task.trial
+      << ", \"solver_seed\": " << task.solver_seed
+      << ", \"ok\": " << (outcome.ok ? "true" : "false");
+  if (outcome.ok) {
+    out << ", \"total_response\": " << ExactNum(outcome.total_response)
+        << ", \"avg_response\": " << ExactNum(outcome.avg_response)
+        << ", \"p50_response\": " << ExactNum(outcome.p50_response)
+        << ", \"p95_response\": " << ExactNum(outcome.p95_response)
+        << ", \"p99_response\": " << ExactNum(outcome.p99_response)
+        << ", \"max_response\": " << ExactNum(outcome.max_response)
+        << ", \"stddev_response\": " << ExactNum(outcome.stddev_response)
+        << ", \"makespan\": " << outcome.makespan
+        << ", \"num_flows\": " << outcome.num_flows
+        << ", \"rounds\": " << outcome.rounds
+        << ", \"peak_backlog\": " << outcome.peak_backlog;
+    if (outcome.num_coflows > 0) {
+      out << ", \"num_coflows\": " << outcome.num_coflows
+          << ", \"avg_cct\": " << ExactNum(outcome.avg_cct)
+          << ", \"p95_cct\": " << ExactNum(outcome.p95_cct)
+          << ", \"max_cct\": " << ExactNum(outcome.max_cct)
+          << ", \"avg_slowdown\": " << ExactNum(outcome.avg_slowdown);
+    }
+    if (outcome.shards > 0) {
+      out << ", \"shards\": " << outcome.shards
+          << ", \"load_imbalance\": " << ExactNum(outcome.load_imbalance)
+          << ", \"cross_shard_flows\": " << outcome.cross_shard_flows
+          << ", \"split_coflows\": " << outcome.split_coflows;
+    }
+    if (outcome.has_scenario) {
+      out << ", \"scenario_events\": " << outcome.scenario_events
+          << ", \"downtime_rounds\": " << outcome.downtime_rounds
+          << ", \"backlog_surge\": " << ExactNum(outcome.backlog_surge)
+          << ", \"recovery_drain_rounds\": " << outcome.recovery_drain_rounds
+          << ", \"response_inflation\": "
+          << ExactNum(outcome.response_inflation)
+          << ", \"migrated_flows\": " << outcome.migrated_flows;
+    }
+    if (outcome.lb_avg_response > 0.0) {
+      out << ", \"lb_avg_response\": " << ExactNum(outcome.lb_avg_response);
+    }
+    if (outcome.lb_max_response > 0.0) {
+      out << ", \"lb_max_response\": " << ExactNum(outcome.lb_max_response);
+    }
+    out << ", \"wall_seconds\": " << ExactNum(outcome.wall_seconds)
+        << ", \"rounds_per_sec\": " << ExactNum(outcome.rounds_per_sec);
+  } else {
+    out << ", " << JsonStr("error", outcome.error);
+  }
+  out << "}\n";
+}
 
 std::string CampaignTaskDir(const std::string& out_root,
                             const std::string& task_id) {
@@ -196,13 +324,11 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
                 "cannot create " + out_root + "/runs: " + ec.message());
   }
 
-  const int jobs = options.jobs < 1 ? 1 : options.jobs;
-  ThreadPool pool(jobs);
   std::mutex log_mu;            // Serializes progress lines + counters.
   std::atomic<bool> stop{false};  // --fail-fast latch.
-  int done = 0;
 
   summary.statuses.resize(plan.grids.size());
+  summary.workers.assign(plan.grids.size(), 0);
   // Grids run in order; tasks within a grid run concurrently. Campaigns
   // are few-large-grids, so cross-grid overlap buys little and per-grid
   // instance lifetime stays simple.
@@ -212,6 +338,7 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
     statuses.assign(grid.plan.tasks.size(), CampaignTaskStatus::kPending);
 
     // Resume pass: decide per task before materializing anything.
+    int to_run = 0;
     for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
       if (options.resume &&
           CampaignTaskUpToDate(
@@ -219,8 +346,13 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
               HashHex(grid.task_hashes[t]), prov)) {
         statuses[t] = CampaignTaskStatus::kSkipped;
         ++summary.skipped;
+      } else {
+        ++to_run;
       }
     }
+    if (to_run == 0) continue;
+    summary.workers[g] = std::clamp(options.jobs, 1, to_run);
+    ThreadPool pool(summary.workers[g]);
 
     // Materialize only the instances the remaining tasks reference.
     const std::size_t num_instances = grid.plan.unique_instances.size();
@@ -306,7 +438,6 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
           stop.store(true, std::memory_order_relaxed);
         }
         std::lock_guard<std::mutex> lock(log_mu);
-        ++done;
         ++summary.ran;
         outcome.ok ? ++summary.ok : ++summary.failed;
         if (options.log != nullptr) {

@@ -1,7 +1,7 @@
 // CampaignRunner: executes a CampaignPlan durably — every task owns a
 // directory under <out_root>/runs/<task_id>/ holding:
 //
-//   outcome.json   the task's result record (the WriteTaskJsonLine object:
+//   outcome.json   the task's TaskOutcome (WriteTaskJsonLine below:
 //                  metrics, diagnostics, wall time — or ok=false + error)
 //   meta.json      the commit marker: campaign/grid/task identity, spec
 //                  hash, build provenance (git SHA, compiler, flags),
@@ -19,12 +19,20 @@
 //   - provenance git_sha and compiler_flags == the running binary's
 //     (results from a different commit or build flags are not comparable)
 //
-// Execution runs on the exp/thread_pool.h work-stealing pool with bounded
-// concurrency. Instances are materialized once per grid, and only the ones
-// to-be-run tasks reference — a fully resumed grid loads nothing.
-// --fail-fast stops scheduling after the first failure (running tasks
-// finish; unstarted ones are left untouched for the next resume); the
-// default keeps going so one broken cell cannot void a campaign.
+// Execution runs each grid on an exp/thread_pool.h work-stealing pool of
+// clamp(jobs, 1, tasks to run) workers. Instances are materialized once per
+// grid, and only the ones to-be-run tasks reference — a fully resumed grid
+// loads nothing and starts no pool. --fail-fast stops scheduling after the
+// first failure (running tasks finish; unstarted ones are left untouched
+// for the next resume); the default keeps going so one broken cell cannot
+// void a campaign.
+//
+// Determinism contract: every task runs a freshly Create()d solver (its own
+// SimulationContext, scratch, and policy state) on a read-only shared
+// Instance, seeded from the task's precomputed solver_seed, and writes only
+// its own directory. Everything in outcome.json except the wall-clock
+// fields is therefore identical for any --jobs value, and so are the
+// aggregates collect builds from it (campaign/campaign_report.h).
 #ifndef FLOWSCHED_CAMPAIGN_CAMPAIGN_RUNNER_H_
 #define FLOWSCHED_CAMPAIGN_CAMPAIGN_RUNNER_H_
 
@@ -32,11 +40,62 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "campaign/campaign_plan.h"
-#include "exp/experiment_runner.h"
 #include "util/provenance.h"
 
 namespace flowsched {
+
+// One task's result: the scalar summary of one solve, stored as the task's
+// outcome.json and fed to the Aggregator (exp/aggregator.h). Deterministic
+// fields first; wall_seconds / rounds_per_sec are the only
+// schedule-dependent ones.
+struct TaskOutcome {
+  bool ok = false;
+  std::string error;
+  double total_response = 0.0;
+  double avg_response = 0.0;
+  double p50_response = 0.0;
+  double p95_response = 0.0;
+  double p99_response = 0.0;
+  double max_response = 0.0;
+  double stddev_response = 0.0;
+  long long makespan = 0;
+  long long num_flows = 0;
+  long long rounds = 0;        // diagnostics["rounds_simulated"] (0 offline).
+  long long peak_backlog = 0;  // diagnostics["peak_backlog"] (0 offline).
+  // Coflow completion-time diagnostics emitted by coflow.* and fabric.*
+  // solvers; num_coflows == 0 for other solvers.
+  long long num_coflows = 0;
+  double avg_cct = 0.0;
+  double p95_cct = 0.0;
+  double max_cct = 0.0;
+  double avg_slowdown = 0.0;
+  // Fabric sharding diagnostics emitted by fabric.* solvers
+  // (fabric/fabric_solvers.cc); shards == 0 for everything else.
+  long long shards = 0;
+  double load_imbalance = 0.0;
+  long long cross_shard_flows = 0;
+  long long split_coflows = 0;
+  // Robustness diagnostics emitted when the task ran under a scenario
+  // script (api/scenario_support.h); has_scenario == false for fault-free
+  // runs, which carry none of them.
+  bool has_scenario = false;
+  long long scenario_events = 0;
+  long long downtime_rounds = 0;
+  double backlog_surge = 0.0;
+  long long recovery_drain_rounds = 0;
+  double response_inflation = 0.0;
+  long long migrated_flows = 0;  // MIGRATE re-homings (0 without MIGRATE).
+  // The solver's proven lower bound (SolveReport::lower_bound) in the units
+  // of its objective: per flow for total_response solvers (LP(0) / n for
+  // art.theorem1), as is for max_response ones (rho_lp for mrt.theorem3).
+  // 0 when the solver proves none.
+  double lb_avg_response = 0.0;
+  double lb_max_response = 0.0;
+  double wall_seconds = 0.0;   // Timing — excluded from determinism checks.
+  double rounds_per_sec = 0.0;
+};
 
 enum class CampaignTaskStatus {
   kPending,   // Not yet executed (plan state before running).
@@ -47,7 +106,7 @@ enum class CampaignTaskStatus {
 };
 
 struct CampaignRunOptions {
-  int jobs = 1;               // Clamped to >= 1.
+  int jobs = 1;               // Clamped to [1, tasks to run] per grid.
   bool resume = false;        // Skip tasks with valid meta.json.
   bool fail_fast = false;     // Stop scheduling after the first failure.
   const SolverRegistry* registry = nullptr;  // nullptr = global.
@@ -64,6 +123,8 @@ struct CampaignRunSummary {
   double wall_seconds = 0.0;
   // Status per grid/task, parallel to plan.grids[g].plan.tasks.
   std::vector<std::vector<CampaignTaskStatus>> statuses;
+  // Worker threads each grid's pool started (0: nothing left to run).
+  std::vector<int> workers;
 };
 
 // Runs the plan into `out_root`. Returns false + *error only for
@@ -85,6 +146,15 @@ std::string CampaignTaskDir(const std::string& out_root,
 bool CampaignTaskUpToDate(const std::string& dir,
                           const std::string& expected_hash_hex,
                           const Provenance& prov);
+
+// Converts one SolveReport into the task's TaskOutcome.
+TaskOutcome OutcomeFromSolveReport(const SolveReport& report);
+
+// Writes one task's outcome.json object (one line). Doubles are written in
+// shortest round-trip form, so ReadTaskOutcome restores every field bit for
+// bit and collect aggregates exactly what the solver reported.
+void WriteTaskJsonLine(std::ostream& out, const SweepCell& cell,
+                       const SweepTask& task, const TaskOutcome& outcome);
 
 // Reads a task directory's outcome.json back into a TaskOutcome. Returns
 // false + *error when the file is missing or malformed (collect treats

@@ -2,15 +2,14 @@
 // plus a list of named sweep grids (exp/sweep_spec.h SweepSpec), each the
 // unit the Aggregator reports on and the HTML report charts.
 //
-// A campaign is what a sweep is not: *durable*. flowsched_sweep runs one
-// grid in one process and loses everything on a crash; flowsched_campaign
-// gives every task its own directory under <out_root>/runs/ with a
-// meta.json (spec hash, provenance, exit code) so a killed campaign
-// resumes exactly where it stopped (campaign/campaign_runner.h) and a
-// collect/report step can merge whatever has completed so far
-// (campaign/campaign_report.h). The pattern follows the cascade bench
-// runner (SNIPPETS.md 2/3): per-run meta.json, --resume, --dry-run,
-// aggregate -> static report.
+// flowsched_campaign is the one experiment driver; a single sweep is a
+// campaign with one grid. Campaigns are *durable*: every task gets its own
+// directory under <out_root>/runs/ with a meta.json (spec hash,
+// provenance, exit code) so a killed campaign resumes exactly where it
+// stopped (campaign/campaign_runner.h) and a collect/report step can merge
+// whatever has completed so far (campaign/campaign_report.h). The pattern
+// follows the cascade bench runner (SNIPPETS.md 2/3): per-run meta.json,
+// --resume, --dry-run, aggregate -> static report.
 //
 // Two source formats, like sweep specs:
 //

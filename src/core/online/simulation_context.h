@@ -6,12 +6,12 @@
 /// staging buffer, the per-flow assignment table, and the
 /// per-port load scratch used by opt-in selection validation. Simulate()
 /// creates one internally by default and the StreamingSimulator owns one;
-/// drivers running many simulations back-to-back (benchmarks, sweeps,
-/// fabric pods) pass the same context to every Simulate() call so
+/// drivers running many simulations back-to-back (benchmarks, fabric
+/// pods) pass the same context to every Simulate() call so
 /// steady-state rounds perform no heap allocation at all —
 /// buffers only grow while the backlog exceeds every size seen before.
 /// Contexts are single-simulation-at-a-time state: parallel runs take one
-/// context each (exp/experiment_runner.h, fabric/fabric_runner.h).
+/// context each (campaign/campaign_runner.h, fabric/fabric_runner.h).
 #ifndef FLOWSCHED_CORE_ONLINE_SIMULATION_CONTEXT_H_
 #define FLOWSCHED_CORE_ONLINE_SIMULATION_CONTEXT_H_
 

@@ -86,19 +86,9 @@ void Aggregator::Add(const SweepTask& task, const TaskOutcome& outcome) {
   if (outcome.lb_max_response > 0.0) {
     cell.lb_max_response.Add(outcome.lb_max_response);
   }
-  cell.wall_seconds.Add(outcome.wall_seconds);
-  cell.rounds_per_sec.Add(outcome.rounds_per_sec);
 }
 
-void Aggregator::AddRun(const SweepRun& run) {
-  FS_CHECK_EQ(run.plan.tasks.size(), run.outcomes.size());
-  for (const SweepTask& task : run.plan.tasks) {
-    Add(task, run.outcomes[task.index]);
-  }
-}
-
-void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
-                           double wall_seconds, bool include_timing) const {
+void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec) const {
   out << "{\n";
   out << "  " << JsonStr("sweep", spec.name) << ",\n";
   WriteProvenanceJson(out, CollectProvenance(), 2);
@@ -115,10 +105,6 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
   }
   out << "],\n    \"trials\": " << spec.trials
       << ",\n    \"base_seed\": " << spec.base_seed << "\n  },\n";
-  if (include_timing) {
-    out << "  \"jobs\": " << jobs << ",\n";
-    out << "  \"wall_seconds\": " << JsonNum(wall_seconds) << ",\n";
-  }
 
   int total_n = 0, total_failures = 0;
   out << "  \"cells\": [\n";
@@ -195,12 +181,6 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
         out << ",\n     \"lb_max_response\": ";
         WriteStatsObject(out, c.lb_max_response);
       }
-      if (include_timing) {
-        out << ",\n     \"wall_seconds\": ";
-        WriteStatsObject(out, c.wall_seconds);
-        out << ",\n     \"rounds_per_sec\": ";
-        WriteStatsObject(out, c.rounds_per_sec);
-      }
     }
     out << "}" << (i + 1 < cells_.size() ? "," : "") << "\n";
   }
@@ -211,7 +191,7 @@ void Aggregator::WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
   out << "}\n";
 }
 
-void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
+void Aggregator::WriteCsv(std::ostream& out) const {
   out << "solver,instance,load,ports,rounds,shards,dist,scenario,n,failures,"
          "num_flows";
   // Coflow, fabric, and robustness columns are always present (zeros for
@@ -231,9 +211,6 @@ void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
   for (const char* m : metrics) {
     out << "," << m << "_mean," << m << "_stddev," << m << "_min," << m
         << "_max," << m << "_ci95";
-  }
-  if (include_timing) {
-    out << ",wall_seconds_mean,rounds_per_sec_mean";
   }
   out << "\n";
   for (const CellAggregate& c : cells_) {
@@ -266,10 +243,6 @@ void Aggregator::WriteCsv(std::ostream& out, bool include_timing) const {
     for (const RunningStats* s : stats) {
       out << ",";
       WriteCsvStats(out, *s);
-    }
-    if (include_timing) {
-      out << "," << JsonNum(c.wall_seconds.mean()) << ","
-          << JsonNum(c.rounds_per_sec.mean());
     }
     out << "\n";
   }

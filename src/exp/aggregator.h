@@ -1,5 +1,6 @@
 // Aggregator: streams per-task outcomes into per-cell distributional
-// statistics and writes the sweep reports.
+// statistics and writes a grid's aggregate report (campaign collect,
+// campaign/campaign_report.h).
 //
 // Each cell keeps O(1) state per metric — Welford mean/variance plus
 // min/max via util/stats.h RunningStats — so a million-task campaign
@@ -8,14 +9,9 @@
 // the half-width (0 for n < 2).
 //
 // Feeding order matters for bit-exactness: Welford accumulation is not
-// associative in floating point, so the runner feeds outcomes in task
-// order after the pool drains. That is what makes the final JSON/CSV
-// byte-identical across --jobs values; the JSONL stream (written live, in
-// completion order) is the schedule-dependent record.
-//
-// Timing-derived statistics (wall_seconds, rounds_per_sec) are inherently
-// non-deterministic; report writers take `include_timing` so CI can
-// byte-compare --jobs=1 vs --jobs=N reports with timing stripped.
+// associative in floating point, so collect feeds outcomes in task order.
+// That, and leaving the schedule-dependent wall-clock fields out, is what
+// makes the JSON/CSV byte-identical across --jobs values.
 #ifndef FLOWSCHED_EXP_AGGREGATOR_H_
 #define FLOWSCHED_EXP_AGGREGATOR_H_
 
@@ -23,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/experiment_runner.h"
+#include "campaign/campaign_runner.h"
 #include "exp/sweep_spec.h"
 #include "util/stats.h"
 
@@ -73,9 +69,6 @@ struct CellAggregate {
   // (TaskOutcome::lb_*); the JSON writer emits each when it has samples.
   RunningStats lb_avg_response;
   RunningStats lb_max_response;
-  // Timing (schedule-dependent).
-  RunningStats wall_seconds;
-  RunningStats rounds_per_sec;
 };
 
 // Normal-approximation 95% CI half-width for a RunningStats.
@@ -89,19 +82,14 @@ class Aggregator {
   // aggregate must be bit-exact across schedules.
   void Add(const SweepTask& task, const TaskOutcome& outcome);
 
-  // Convenience: feeds every outcome of a finished run in task order.
-  void AddRun(const SweepRun& run);
-
   const std::vector<CellAggregate>& cells() const { return cells_; }
 
   // Full report, BENCH_*.json-style: spec echo, provenance block, per-cell
-  // statistics, totals. `jobs`/`wall_seconds` describe the producing run
-  // and are only emitted when include_timing is set.
-  void WriteJson(std::ostream& out, const SweepSpec& spec, int jobs,
-                 double wall_seconds, bool include_timing) const;
+  // statistics, totals.
+  void WriteJson(std::ostream& out, const SweepSpec& spec) const;
 
-  // One row per cell; header first. Same determinism rules as WriteJson.
-  void WriteCsv(std::ostream& out, bool include_timing) const;
+  // One row per cell; header first.
+  void WriteCsv(std::ostream& out) const;
 
  private:
   const SweepPlan& plan_;

@@ -602,9 +602,9 @@ bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,
   if (plan.tasks.empty()) return Fail(error, "sweep expands to zero tasks");
 
   // Generator-spec templates are key-checked NOW, not at run time: a typo'd
-  // key used to surface only as per-task failures, after the driver had
-  // already truncated the previous campaign's JSONL. Validation never
-  // generates, so probing even a 50k-flow family is free.
+  // key would otherwise surface only as per-task failures, after the rest
+  // of the campaign had run. Validation never generates, so probing even a
+  // 50k-flow family is free.
   for (const std::string& instance_spec : plan.unique_instances) {
     std::string spec_error;
     if (!ValidateInstanceSpec(instance_spec, &spec_error)) {

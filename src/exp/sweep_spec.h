@@ -44,15 +44,14 @@
 // function of its position in the grid — byte-identical results no matter
 // how many threads execute the plan or in which order.
 //
-// Specs parse from a compact key=value text file, from a flat JSON object,
-// or from CLI flags (tools/flowsched_sweep.cc maps flags onto the same
-// ParseAxis/ParseSweepSpec helpers). See README "Running experiment
+// Specs parse from key=value lines or a flat JSON object: one grid of a
+// campaign spec (campaign/campaign_spec.h). See README "Running experiment
 // sweeps" and docs/file-formats.md for the worked format reference.
 //
 // Failing fast: unknown spec keys, axis/placeholder mismatches, unknown
 // solvers, and unknown keys inside generator-spec templates are all
 // expansion-time errors (the last via ValidateInstanceSpec), so a typo'd
-// campaign dies before any report file is opened or truncated.
+// campaign dies before any task runs.
 #ifndef FLOWSCHED_EXP_SWEEP_SPEC_H_
 #define FLOWSCHED_EXP_SWEEP_SPEC_H_
 

@@ -1,4 +1,5 @@
-// A small work-stealing thread pool for the experiment runner.
+// A small work-stealing thread pool for the campaign runner and the fabric
+// runner's shard parallelism.
 //
 // Each worker owns a deque: it pops its own tasks LIFO (cache-warm) and
 // steals FIFO from the other workers when its deque drains, so a skewed
@@ -7,9 +8,9 @@
 //
 // Scope is deliberately narrow — fire-and-forget void() tasks plus a
 // Wait() barrier. Tasks communicate results through whatever they capture
-// (the sweep runner hands each task its own pre-allocated result slot, so
-// tasks never contend). Tasks must not throw: the repo's failure modes are
-// FS_CHECK aborts and error codes, not exceptions.
+// (the campaign runner hands each task its own result slot and run
+// directory, so tasks never contend). Tasks must not throw: the repo's
+// failure modes are FS_CHECK aborts and error codes, not exceptions.
 #ifndef FLOWSCHED_EXP_THREAD_POOL_H_
 #define FLOWSCHED_EXP_THREAD_POOL_H_
 

@@ -1,7 +1,7 @@
 /// FabricRunner: simulates every pod of a FabricAssignment and merges the
 /// per-shard results into one fabric-level schedule.
 ///
-/// Determinism contract (same bar as the sweep engine, exp/): shard s runs
+/// Determinism contract (same bar as the campaign runner): shard s runs
 /// a freshly created policy seeded with Rng::DeriveSeed(options.seed, s) on
 /// its own SimulationContext, results land in a per-shard slot, and the
 /// merge walks shards in index order — so the merged schedule, metrics and

@@ -1,11 +1,11 @@
 // Minimal JSON helpers: emission for the report writers (flowsched_bench's
-// BENCH_core.json, the sweep Aggregator, campaign records, provenance
+// BENCH_core.json, the campaign Aggregator, campaign records, provenance
 // blocks) and a small reader for the campaign records they write.
 //
 // Not a serialization framework: the report writers keep explicit control
 // over field order and layout (stable output is what makes BENCH_core.json
-// and SWEEP_*.json diffable), these helpers only make the escaping and
-// number formatting uniform across them.
+// and campaign aggregates diffable), these helpers only make the escaping
+// and number formatting uniform across them.
 #ifndef FLOWSCHED_UTIL_JSON_H_
 #define FLOWSCHED_UTIL_JSON_H_
 
@@ -21,7 +21,8 @@ std::string JsonEscape(const std::string& s);
 
 // Shortest round-trippable-enough representation (%.9g): stable across
 // runs, compact, and precise to ~9 significant digits — the convention
-// every report file follows.
+// every report file follows. Records that are read back and aggregated
+// (campaign outcome.json) write exact round-trip text instead.
 std::string JsonNum(double v);
 
 // `"key": "escaped"` fragment (no trailing comma).

@@ -1,5 +1,5 @@
-// Build and host provenance embedded into benchmark / sweep reports so
-// BENCH_*.json and SWEEP_*.json artifacts are comparable across machines:
+// Build and host provenance embedded into benchmark / campaign reports so
+// BENCH_*.json and campaign artifacts are comparable across machines:
 // the same numbers mean nothing without knowing which commit, compiler,
 // flags, and box produced them.
 //

@@ -6,8 +6,8 @@
 // reproducible across platforms (unlike std:: distributions, whose output
 // is implementation-defined; we implement the distributions ourselves).
 //
-// Threading contract (audited for the sweep engine, PR 3): an Rng is
-// mutable state and is NOT thread-safe — never share one across threads.
+// Threading contract (audited for the parallel experiment runner): an Rng
+// is mutable state and is NOT thread-safe — never share one across threads.
 // Parallel code derives one independent stream per unit of work instead,
 // either via Fork(stream_id) or, when only a seed (not a generator) is
 // needed, via the stateless DeriveSeed(seed, stream_id). Both are pure
@@ -54,7 +54,7 @@ class Rng {
   // Stateless counterpart of Fork(): splitmix64-mixes (seed, stream_id)
   // into a decorrelated child seed. Chain calls to mix in multiple
   // coordinates, e.g. DeriveSeed(DeriveSeed(base, cell), trial) — the
-  // sweep engine seeds every task this way so results are byte-identical
+  // campaign runner seeds every task this way so results are byte-identical
   // regardless of thread count or schedule.
   static std::uint64_t DeriveSeed(std::uint64_t seed, std::uint64_t stream_id);
 

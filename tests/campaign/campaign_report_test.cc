@@ -174,7 +174,7 @@ TEST_F(CampaignReportTest, OnlineOnlyGridHasNoLowerBoundOutput) {
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_EQ(json.find("lb_"), std::string::npos);
   EXPECT_EQ(html.find("vs LP"), std::string::npos);
-  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(json))), "99db87f9f6d1247b");
+  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(json))), "2ecce8f6c995ed8d");
   EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(html))), "0a2043f4a38ff91c");
 }
 

@@ -87,7 +87,7 @@ TEST(AggregatorTest, FailuresCountSeparatelyAndSkipStats) {
   EXPECT_DOUBLE_EQ(c0.avg_response.mean(), 2.0);  // Unpolluted by the failure.
 }
 
-TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedAndTimingIsOptional) {
+TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedWithoutTiming) {
   const SweepPlan plan = TinyPlan();
   SweepSpec spec;
   spec.name = "tiny";
@@ -96,53 +96,29 @@ TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedAndTimingIsOptional) {
   Aggregator agg(plan);
   for (int i = 0; i < 4; ++i) {
     TaskOutcome o = Outcome(2.0 + i);
-    o.wall_seconds = 0.5;  // Timing that must disappear under no-timing.
+    o.wall_seconds = 0.5;  // Schedule-dependent: never reaches a report.
+    o.rounds_per_sec = 40.0;
     agg.Add(plan.tasks[i], o);
   }
 
-  std::ostringstream with_timing, without_timing;
-  agg.WriteJson(with_timing, spec, /*jobs=*/4, /*wall_seconds=*/1.5,
-                /*include_timing=*/true);
-  agg.WriteJson(without_timing, spec, /*jobs=*/1, /*wall_seconds=*/9.9,
-                /*include_timing=*/false);
-  EXPECT_NE(with_timing.str().find("\"wall_seconds\""), std::string::npos);
-  EXPECT_NE(with_timing.str().find("\"jobs\": 4"), std::string::npos);
-  EXPECT_EQ(without_timing.str().find("\"wall_seconds\""), std::string::npos);
-  EXPECT_EQ(without_timing.str().find("\"jobs\""), std::string::npos);
-  // Shared deterministic content is present either way.
-  for (const auto* s : {&with_timing, &without_timing}) {
-    EXPECT_NE(s->str().find("\"sweep\": \"tiny\""), std::string::npos);
-    EXPECT_NE(s->str().find("\"provenance\""), std::string::npos);
-    EXPECT_NE(s->str().find("\"avg_response\""), std::string::npos);
-    EXPECT_NE(s->str().find("\"tasks_ok\": 4"), std::string::npos);
-  }
+  std::ostringstream json;
+  agg.WriteJson(json, spec);
+  const std::string json_text = json.str();
+  EXPECT_EQ(json_text.find("\"wall_seconds\""), std::string::npos);
+  EXPECT_EQ(json_text.find("rounds_per_sec"), std::string::npos);
+  EXPECT_EQ(json_text.find("\"jobs\""), std::string::npos);
+  EXPECT_NE(json_text.find("\"sweep\": \"tiny\""), std::string::npos);
+  EXPECT_NE(json_text.find("\"provenance\""), std::string::npos);
+  EXPECT_NE(json_text.find("\"avg_response\""), std::string::npos);
+  EXPECT_NE(json_text.find("\"tasks_ok\": 4"), std::string::npos);
 
   std::ostringstream csv;
-  agg.WriteCsv(csv, /*include_timing=*/false);
+  agg.WriteCsv(csv);
   const std::string csv_text = csv.str();
   // Header + one row per cell.
   EXPECT_EQ(std::count(csv_text.begin(), csv_text.end(), '\n'), 3);
   EXPECT_NE(csv_text.find("avg_response_mean"), std::string::npos);
   EXPECT_EQ(csv_text.find("wall_seconds"), std::string::npos);
-}
-
-TEST(AggregatorTest, JsonLineRoundTripsTaskIdentity) {
-  const SweepPlan plan = TinyPlan();
-  std::ostringstream out;
-  TaskOutcome o = Outcome(3.0);
-  WriteTaskJsonLine(out, plan.cells[0], plan.tasks[1], o);
-  const std::string line = out.str();
-  EXPECT_NE(line.find("\"task\": 1"), std::string::npos);
-  EXPECT_NE(line.find("\"solver\": \"online.fifo\""), std::string::npos);
-  EXPECT_NE(line.find("\"ok\": true"), std::string::npos);
-  EXPECT_EQ(line.back(), '\n');
-
-  std::ostringstream fail_out;
-  TaskOutcome failed;
-  failed.ok = false;
-  failed.error = "no such \"solver\"";
-  WriteTaskJsonLine(fail_out, plan.cells[1], plan.tasks[3], failed);
-  EXPECT_NE(fail_out.str().find("\\\"solver\\\""), std::string::npos);
 }
 
 // Instance specs contain commas ("poisson:ports=8,load=1.0") and inline
@@ -166,7 +142,7 @@ TEST(AggregatorTest, CsvQuotesCommaAndSemicolonBearingFields) {
   Aggregator agg(plan);
   agg.Add(plan.tasks[0], Outcome(4.0));
   std::ostringstream csv;
-  agg.WriteCsv(csv, /*include_timing=*/false);
+  agg.WriteCsv(csv);
 
   const auto rows = ParseCsv(csv.str());
   ASSERT_EQ(rows.size(), 2u);  // Header + one cell.

@@ -1,17 +1,15 @@
 // Golden lock on the fabric subsystem, mirroring coflow_regression_test:
 // the merged metrics fabric.sebf produces on a fixed fabric spec are
-// pinned, and a {shards}-axis sweep grid is byte-identical regardless of
-// worker count — both the sweep engine's --jobs and the runner's own
+// pinned, and a {shards}-axis grid is byte-identical regardless of worker
+// count — both the campaign runner's --jobs and the fabric runner's own
 // shard-parallelism knob.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
+#include "../campaign/one_grid_campaign.h"
 #include "api/instance_source.h"
 #include "api/registry.h"
-#include "exp/aggregator.h"
-#include "exp/experiment_runner.h"
 
 namespace flowsched {
 namespace {
@@ -85,8 +83,8 @@ TEST(FabricRegressionTest, ShardJobsParamIsByteInert) {
 }
 
 // The acceptance bar: a {shards} x load grid over fabric solvers produces
-// outcomes — fabric columns included — and timing-stripped reports that
-// are byte-identical for any --jobs value.
+// outcomes — fabric columns included — and collected reports that are
+// byte-identical for any --jobs value.
 TEST(FabricRegressionTest, ShardSweepIsIdenticalAcrossJobCounts) {
   SweepSpec spec;
   spec.name = "fabric-regression";
@@ -100,54 +98,22 @@ TEST(FabricRegressionTest, ShardSweepIsIdenticalAcrossJobCounts) {
   spec.base_seed = 3;
   spec.params["validate"] = "1";
 
-  SweepRun run1, run8;
-  std::string error;
-  RunnerOptions opt1;
-  opt1.jobs = 1;
-  ASSERT_TRUE(RunSweep(spec, opt1, run1, &error)) << error;
-  RunnerOptions opt8;
-  opt8.jobs = 8;
-  ASSERT_TRUE(RunSweep(spec, opt8, run8, &error)) << error;
-
-  EXPECT_EQ(run1.failures, 0);
-  ASSERT_EQ(run1.plan.tasks.size(), 24u);  // 2 solvers x 3 shards x 2 x 2.
-  ASSERT_EQ(run1.outcomes.size(), run8.outcomes.size());
+  const OneGridRun run = ExpectIdenticalAcrossJobCounts(spec);
+  ASSERT_EQ(run.outcomes.size(), 24u);  // 2 solvers x 3 shards x 2 x 2.
   bool saw_fabric = false;
-  for (std::size_t i = 0; i < run1.outcomes.size(); ++i) {
-    const TaskOutcome& a = run1.outcomes[i];
-    const TaskOutcome& b = run8.outcomes[i];
-    SCOPED_TRACE("task " + std::to_string(i));
-    EXPECT_EQ(a.ok, b.ok);
-    EXPECT_EQ(a.total_response, b.total_response);
-    EXPECT_EQ(a.shards, b.shards);
-    EXPECT_EQ(a.load_imbalance, b.load_imbalance);
-    EXPECT_EQ(a.cross_shard_flows, b.cross_shard_flows);
-    EXPECT_EQ(a.split_coflows, b.split_coflows);
-    EXPECT_EQ(a.avg_cct, b.avg_cct);
-    saw_fabric = saw_fabric || a.shards > 0;
+  for (const TaskOutcome& o : run.outcomes) {
+    saw_fabric = saw_fabric || o.shards > 0;
   }
   EXPECT_TRUE(saw_fabric);
 
   // Every cell carries its {shards} coordinate.
-  for (const SweepCell& cell : run1.plan.cells) {
+  for (const SweepCell& cell : run.plan.grids[0].plan.cells) {
     ASSERT_TRUE(cell.shards.has_value());
   }
-
-  auto report = [&](const SweepRun& run) {
-    Aggregator agg(run.plan);
-    agg.AddRun(run);
-    std::ostringstream json, csv;
-    agg.WriteJson(json, spec, run.jobs, run.wall_seconds,
-                  /*include_timing=*/false);
-    agg.WriteCsv(csv, /*include_timing=*/false);
-    return json.str() + "\n---\n" + csv.str();
-  };
-  const std::string r1 = report(run1);
-  EXPECT_EQ(r1, report(run8));
   // The fabric columns made it into both report formats.
-  EXPECT_NE(r1.find("\"fabric_shards\""), std::string::npos);
-  EXPECT_NE(r1.find("load_imbalance_mean"), std::string::npos);
-  EXPECT_NE(r1.find("\"shards\": 4"), std::string::npos);
+  EXPECT_NE(run.aggregate.find("\"fabric_shards\""), std::string::npos);
+  EXPECT_NE(run.aggregate.find("load_imbalance_mean"), std::string::npos);
+  EXPECT_NE(run.aggregate.find("\"shards\": 4"), std::string::npos);
 }
 
 }  // namespace

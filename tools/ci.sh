@@ -2,8 +2,9 @@
 # Local mirror of .github/workflows/ci.yml: the tier-1 verify sequence in
 # Debug and Release, a CLI smoke test, the docs checks (generated
 # docs/solvers.md freshness + markdown link resolution), the bench value
-# check against BENCH_core.json, the sweep/campaign/serve/scenario smokes,
-# and the Debug ASan/UBSan leg over every suite.
+# check against BENCH_core.json, the campaign/serve/scenario smokes, the
+# Debug ASan/UBSan leg over every suite, and the Debug TSan leg over every
+# suite that starts a thread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -27,30 +28,49 @@ for build_type in Debug Release; do
     "./${build_dir}/tools/flowsched_bench" --out="${build_dir}/BENCH_run.json"
     python3 tools/check_bench_values.py BENCH_core.json \
         "${build_dir}/BENCH_run.json"
-    # Sweep smoke: the parallel campaign driver on the built-in grid, plus
-    # the determinism guarantee — reports (timing stripped) must be
-    # byte-identical across thread counts.
-    "./${build_dir}/tools/flowsched_sweep" --smoke --jobs=2 --quiet \
-        --out="${build_dir}/SWEEP_smoke"
-    "./${build_dir}/tools/flowsched_sweep" --smoke --jobs=1 --quiet \
-        --no-timing --out="${build_dir}/SWEEP_smoke_j1"
-    "./${build_dir}/tools/flowsched_sweep" --smoke --jobs=2 --quiet \
-        --no-timing --out="${build_dir}/SWEEP_smoke_j2"
-    cmp "${build_dir}/SWEEP_smoke_j1.json" "${build_dir}/SWEEP_smoke_j2.json"
-    cmp "${build_dir}/SWEEP_smoke_j1.csv" "${build_dir}/SWEEP_smoke_j2.csv"
-    # The built-in grid must exercise the realistic-traffic generator.
-    grep -q '"instance": "fabric:shards=2,partition=block,cdf:' \
-        "${build_dir}/SWEEP_smoke.json" \
-      || { echo "error: smoke grid lost its cdf: template" >&2; exit 1; }
-    echo "sweep smoke written to ${build_dir}/SWEEP_smoke.json (jobs=1/2 reports identical)"
-    # Campaign smoke: run the checked-in smoke campaign twice. The second
-    # run resumes from the durable task records and must skip every task
-    # yet still regenerate the merged aggregates and the HTML report
-    # byte-identically — the interrupted-campaign recovery guarantee.
-    rm -rf "${build_dir}/CAMPAIGN_smoke"
+    # Campaign smoke: the checked-in smoke campaign (flow, coflow and the
+    # 120-task "mixed" grid) at --jobs=2 and --jobs=1 into two roots; the
+    # merged aggregates must be byte-identical across thread counts.
+    rm -rf "${build_dir}/CAMPAIGN_smoke" "${build_dir}/CAMPAIGN_j1"
     "./${build_dir}/tools/flowsched_campaign" run \
         --spec=campaigns/ci-smoke.json --out="${build_dir}/CAMPAIGN_smoke" \
         --jobs=2 --quiet
+    "./${build_dir}/tools/flowsched_campaign" run \
+        --spec=campaigns/ci-smoke.json --out="${build_dir}/CAMPAIGN_j1" \
+        --jobs=1 --quiet
+    for f in "${build_dir}"/CAMPAIGN_smoke/aggregate/*.json \
+             "${build_dir}"/CAMPAIGN_smoke/aggregate/*.csv; do
+      cmp "${f}" "${build_dir}/CAMPAIGN_j1/aggregate/${f##*/}"
+    done
+    python3 - "${build_dir}/CAMPAIGN_smoke/aggregate/mixed.json" << 'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    grid = json.load(f)
+totals = grid["totals"]
+assert totals["tasks_failed"] == 0, totals
+assert totals["tasks_ok"] == 120 and totals["cells"] == 60, totals
+assert grid["provenance"]["git_sha"], grid["provenance"]
+coflow_cells = [c for c in grid["cells"] if c["solver"].startswith("coflow.")]
+assert coflow_cells, "smoke grid lost its coflow cells"
+assert all("avg_cct" in c and c["num_coflows"] > 0
+           for c in coflow_cells), coflow_cells
+fabric_cells = [c for c in grid["cells"] if c["solver"].startswith("fabric.")]
+assert fabric_cells, "smoke grid lost its fabric cells"
+assert all(c["fabric_shards"] == 2 and "load_imbalance" in c
+           and "avg_cct" in c for c in fabric_cells), fabric_cells
+cdf_cells = [c for c in grid["cells"] if "cdf:" in c["instance"]]
+assert cdf_cells, "smoke grid lost its cdf: cells"
+assert all(c["num_flows"] > 0 and "avg_response" in c
+           for c in cdf_cells), cdf_cells
+print("mixed grid ok:", totals)
+EOF
+    # The mixed grid must exercise the realistic-traffic generator.
+    grep -q '"instance": "fabric:shards=2,partition=block,cdf:' \
+        "${build_dir}/CAMPAIGN_smoke/aggregate/mixed.json" \
+      || { echo "error: smoke grid lost its cdf: template" >&2; exit 1; }
+    # Resume: the second run must skip every task yet still regenerate the
+    # merged aggregates and the HTML report byte-identically — the
+    # interrupted-campaign recovery guarantee.
     cp "${build_dir}/CAMPAIGN_smoke/report/index.html" \
         "${build_dir}/CAMPAIGN_first.html"
     cp "${build_dir}/CAMPAIGN_smoke/aggregate/flow.json" \
@@ -58,14 +78,20 @@ for build_type in Debug Release; do
     "./${build_dir}/tools/flowsched_campaign" run \
         --spec=campaigns/ci-smoke.json --out="${build_dir}/CAMPAIGN_smoke" \
         --jobs=2 --resume --quiet | tee "${build_dir}/campaign_resume.out"
-    grep -q '0 ok, 0 failed, 10 skipped (resume), 0 not run, of 10 tasks' \
+    grep -q '0 ok, 0 failed, 130 skipped (resume), 0 not run, of 130 tasks' \
         "${build_dir}/campaign_resume.out" \
       || { echo "error: campaign resume reran tasks" >&2; exit 1; }
     cmp "${build_dir}/CAMPAIGN_first.html" \
         "${build_dir}/CAMPAIGN_smoke/report/index.html"
     cmp "${build_dir}/CAMPAIGN_first_flow.json" \
         "${build_dir}/CAMPAIGN_smoke/aggregate/flow.json"
-    echo "campaign smoke ok: resume skipped 10/10, report byte-identical"
+    # --jobs takes a whole positive number: trailing text exits 2.
+    rc=0
+    "./${build_dir}/tools/flowsched_campaign" plan \
+        --spec=campaigns/ci-smoke.json --jobs=2x > /dev/null 2>&1 || rc=$?
+    [[ "${rc}" -eq 2 ]] \
+      || { echo "error: --jobs=2x exited ${rc}, want 2" >&2; exit 1; }
+    echo "campaign smoke ok: jobs=1/2 aggregates identical, resume skipped 130/130, report byte-identical"
     # Streaming service: the daemon's self-check replays a ~6k-flow
     # instance through the trace and wire paths and requires schedules and
     # aggregates bit-identical to batch Simulate.
@@ -123,4 +149,12 @@ cmake -B build-ci-asan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_SANITIZE=address,undefined -DFLOWSCHED_BUILD_EXAMPLES=OFF
 cmake --build build-ci-asan -j "$(nproc)"
 (cd build-ci-asan && ctest --output-on-failure -j "$(nproc)")
+
+echo "=== Debug TSan (threaded suites) ==="
+cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DFLOWSCHED_SANITIZE=thread -DFLOWSCHED_BUILD_EXAMPLES=OFF \
+    -DFLOWSCHED_BUILD_TOOLS=OFF
+cmake --build build-ci-tsan -j "$(nproc)"
+(cd build-ci-tsan && ctest --output-on-failure -j "$(nproc)" \
+    -R '^(exp_|campaign_|fabric_|coflow_coflow_regression_test$)')
 echo "CI OK"

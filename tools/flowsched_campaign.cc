@@ -1,4 +1,5 @@
-// flowsched_campaign: durable, resumable experiment campaigns.
+// flowsched_campaign: durable, resumable experiment campaigns — the one
+// experiment driver. A single sweep grid is a campaign with one [grid].
 //
 // A campaign spec (campaigns/*.json, or the [grid]-sectioned key=value
 // format — see docs/campaigns.md) names an output root and a list of sweep
@@ -23,6 +24,8 @@
 //
 // Exit codes: 0 all tasks ok (or nothing to do), 1 some task failed,
 // 2 usage/spec/environment error.
+#include <charconv>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -46,7 +49,9 @@ void PrintUsage(std::ostream& out) {
          "key=value)\n"
          "  --out=DIR      output root (default: spec out_root, else "
          "campaign_runs/<name>)\n"
-         "  --jobs=N       worker threads (default: hardware threads)\n"
+         "  --jobs=N       worker threads per grid, at most its tasks to "
+         "run\n"
+         "                 (default: hardware threads)\n"
          "  --resume       skip tasks whose meta.json matches the current\n"
          "                 spec hash and build provenance\n"
          "  --dry-run      print the expanded task list and exit\n"
@@ -105,9 +110,12 @@ int RunMain(int argc, char** argv) {
     } else if ((v = value("out"))) {
       out_root = v;
     } else if ((v = value("jobs"))) {
-      jobs = std::atoi(v);
-      if (jobs < 1) {
-        std::cerr << "error: --jobs must be >= 1\n";
+      // The whole token must be a number: "2x", "", "-1" and overflow fail.
+      const char* last = v + std::strlen(v);
+      const auto [ptr, ec] = std::from_chars(v, last, jobs);
+      if (ec != std::errc() || ptr != last || jobs < 1) {
+        std::cerr << "error: --jobs must be an integer >= 1, got \"" << v
+                  << "\"\n";
         return 2;
       }
     } else {
@@ -148,7 +156,7 @@ int RunMain(int argc, char** argv) {
                 << grid.plan.tasks.size() << " tasks over "
                 << grid.plan.cells.size() << " cells, hash "
                 << HashHex(grid.grid_hash) << "):\n";
-      WriteTaskListText(std::cout, grid.plan, &grid.task_ids);
+      WriteTaskListText(std::cout, grid.plan, grid.task_ids);
     }
     std::cout << "campaign " << spec.name << ": " << plan.total_tasks
               << " tasks, out root " << out_root << " (nothing executed)\n";
