@@ -15,17 +15,26 @@ void MaxWeightPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
     ++in_queue_[f.src];
     ++out_queue_[f.dst];
   }
-  weight_.resize(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    weight_[i] = static_cast<double>(in_queue_[pending[i].src] +
-                                     out_queue_[pending[i].dst]);
-  }
   if (matching_.approx_eps > 0.0) {
+    weight_.resize(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      weight_[i] = static_cast<double>(in_queue_[pending[i].src] +
+                                       out_queue_[pending[i].dst]);
+    }
     auction_.Solve(g, weight_, matching_.approx_eps, picked);
-  } else {
-    ++exact_solves_;
-    matcher_.Solve(g, weight_, picked);
+    return;
   }
+  // Edge i's weight is its ports' queue sum, so each replica vertex carries
+  // its port's queue length (replicas without edges keep 0).
+  left_weight_.assign(g.num_left(), 0.0);
+  right_weight_.assign(g.num_right(), 0.0);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    const BipartiteGraph::Edge& e = g.edge(static_cast<int>(i));
+    left_weight_[e.u] = in_queue_[pending[i].src];
+    right_weight_[e.v] = out_queue_[pending[i].dst];
+  }
+  ++exact_solves_;
+  matcher_.Solve(g, left_weight_, right_weight_, picked);
 }
 
 void MaxWeightPolicy::Reset() { auction_.Reset(); }

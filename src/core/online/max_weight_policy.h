@@ -2,15 +2,17 @@
 // to the sum of the queue lengths at its two endpoints — drains the most
 // congested ports first. The classic stability policy from switch scheduling.
 //
-// The matching kernel is selected by MatchingOptions: the exact Hungarian
-// solver by default, or the eps-approximate auction matcher when
-// approx_eps > 0 (opt-in; schedules may differ within the eps bound).
+// Those edge weights are vertex weights (each port's queue length), so the
+// exact path is graph/vertex_weight_matching.h's O(V·E) matroid-greedy
+// matcher, not a Hungarian solve. MatchingOptions::approx_eps > 0 selects
+// the eps-approximate auction matcher instead (opt-in; schedules may
+// differ within the eps bound).
 #ifndef FLOWSCHED_CORE_ONLINE_MAX_WEIGHT_POLICY_H_
 #define FLOWSCHED_CORE_ONLINE_MAX_WEIGHT_POLICY_H_
 
 #include "core/online/policy.h"
 #include "graph/auction_matching.h"
-#include "graph/max_weight_matching.h"
+#include "graph/vertex_weight_matching.h"
 
 namespace flowsched {
 
@@ -32,12 +34,14 @@ class MaxWeightPolicy : public SchedulingPolicy {
  private:
   MatchingOptions matching_;
   BacklogGraphBuilder builder_;  // Graph, matcher and weight scratch persist
-  MaxWeightMatcher matcher_;     // across rounds: steady state allocates
+  VertexWeightMatcher matcher_;  // across rounds: steady state allocates
   AuctionMatcher auction_;       // nothing.
   std::int64_t exact_solves_ = 0;
   std::vector<int> in_queue_;
   std::vector<int> out_queue_;
-  std::vector<double> weight_;
+  std::vector<double> left_weight_;   // Per replica vertex (exact path).
+  std::vector<double> right_weight_;
+  std::vector<double> weight_;        // Per edge (auction path only).
 };
 
 }  // namespace flowsched
