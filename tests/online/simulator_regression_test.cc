@@ -30,12 +30,15 @@ struct SpecGoldens {
 
 // Captured with the pre-rewrite binary:
 //   flowsched_cli --instance=<spec> --solver=online.<policy> --seed=7
+// except the seed=3 maxweight row, re-pinned when MaxWeight moved from the
+// Hungarian to the vertex-weight matcher (another maximum-weight matching
+// each round; was 2130 total, 27 max).
 const std::vector<SpecGoldens> kGoldens = {
     {"poisson:ports=16,load=1.0,rounds=30,seed=3",
      {
          {"maxcard", 2155, 23, 45},
          {"minrtime", 2456, 23, 46},
-         {"maxweight", 2130, 27, 46},
+         {"maxweight", 2173, 21, 46},
          {"fifo", 2994, 18, 46},
          {"random", 2767, 38, 46},
          {"srpt", 2994, 18, 46},
