@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "util/check.h"
-
 namespace flowsched {
 namespace {
 
@@ -14,27 +12,6 @@ constexpr int kInf = std::numeric_limits<int>::max();
 void HopcroftKarpSolver::Solve(const BipartiteGraph& g, std::vector<int>* out) {
   match_left_.assign(g.num_left(), -1);
   match_right_.assign(g.num_right(), -1);
-  Run(g, out);
-}
-
-void HopcroftKarpSolver::SolveWarm(const BipartiteGraph& g,
-                                   std::span<const int> seed_matching,
-                                   std::vector<int>* out) {
-  match_left_.assign(g.num_left(), -1);
-  match_right_.assign(g.num_right(), -1);
-  for (int e : seed_matching) {
-    FS_CHECK(e >= 0 && e < g.num_edges());
-    const int u = g.edge(e).u;
-    const int v = g.edge(e).v;
-    FS_CHECK_MSG(match_left_[u] == -1 && match_right_[v] == -1,
-                 "warm-start seed is not a matching");
-    match_left_[u] = e;
-    match_right_[v] = e;
-  }
-  Run(g, out);
-}
-
-void HopcroftKarpSolver::Run(const BipartiteGraph& g, std::vector<int>* out) {
   dist_.assign(g.num_left(), kInf);
   while (Bfs(g)) {
     for (int u = 0; u < g.num_left(); ++u) {

@@ -7,7 +7,6 @@
 #ifndef FLOWSCHED_GRAPH_HOPCROFT_KARP_H_
 #define FLOWSCHED_GRAPH_HOPCROFT_KARP_H_
 
-#include <span>
 #include <vector>
 
 #include "graph/bipartite_graph.h"
@@ -17,21 +16,11 @@ namespace flowsched {
 class HopcroftKarpSolver {
  public:
   // Overwrites *out with the edge indices of a maximum-cardinality matching.
-  // Buffers persist across calls; a cold-start run returns exactly the same
-  // matching as MaxCardinalityMatching().
+  // Buffers persist across calls; the result is exactly
+  // MaxCardinalityMatching()'s.
   void Solve(const BipartiteGraph& g, std::vector<int>* out);
 
-  // Warm-started variant: `seed_matching` (edge ids forming a matching of
-  // `g`) initializes the search, typically cutting the number of augmenting
-  // phases when the graph changed little since the seed was computed. The
-  // result is still maximum but may be a *different* maximum matching than
-  // the cold-start run — callers needing reproducible schedules must stick
-  // to Solve().
-  void SolveWarm(const BipartiteGraph& g, std::span<const int> seed_matching,
-                 std::vector<int>* out);
-
  private:
-  void Run(const BipartiteGraph& g, std::vector<int>* out);
   bool Bfs(const BipartiteGraph& g);
   bool Dfs(const BipartiteGraph& g, int u);
 

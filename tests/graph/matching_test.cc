@@ -169,30 +169,5 @@ TEST(HopcroftKarpSolverTest, ReusedSolverMatchesOneShotResults) {
   }
 }
 
-TEST(HopcroftKarpSolverTest, WarmStartStaysMaximumAndValid) {
-  Rng rng(41);
-  HopcroftKarpSolver solver;
-  for (int trial = 0; trial < 40; ++trial) {
-    Rng r = rng.Fork(trial);
-    const int nl = r.UniformInt(2, 8);
-    const int nr = r.UniformInt(2, 8);
-    BipartiteGraph g = RandomGraph(nl, nr, r.UniformInt(1, 16), r);
-    std::vector<int> cold;
-    solver.Solve(g, &cold);
-    // Seed with a prefix of the cold matching (simulating survivors of a
-    // backlog change), then grow the graph and warm-solve: the result must
-    // be a maximum matching of the new graph.
-    std::vector<int> seed(cold.begin(),
-                          cold.begin() + cold.size() / 2);
-    for (int extra = r.UniformInt(0, 6); extra > 0; --extra) {
-      g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
-    }
-    std::vector<int> warm;
-    solver.SolveWarm(g, seed, &warm);
-    ASSERT_TRUE(IsMatching(g, warm));
-    EXPECT_EQ(warm.size(), MaxCardinalityMatching(g).size());
-  }
-}
-
 }  // namespace
 }  // namespace flowsched
