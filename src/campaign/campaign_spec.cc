@@ -50,11 +50,17 @@ bool CheckNames(const CampaignSpec& spec, std::string* error) {
 // ---- key=value front end -------------------------------------------------
 // Campaign keys before the first [grid]; every section after is one sweep
 // spec, parsed by accumulating its lines and handing them to ParseSweepSpec
-// (so the grid grammar is exactly the sweep-file grammar).
+// (so the grid grammar is exactly the sweep-file grammar). A section keeps
+// one line per file line, blank ones included, and starts counting at the
+// line after its [grid], so its errors name file lines.
 
 bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
                        std::string* error) {
-  std::vector<std::string> grid_texts;
+  struct GridText {
+    int first_line;
+    std::string text;
+  };
+  std::vector<GridText> grid_texts;
   bool in_grid = false;
   int line_no = 0;
   std::string line;
@@ -69,16 +75,19 @@ bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
     const auto hash = trimmed.find('#');
     if (hash != std::string::npos) trimmed.resize(hash);
     const auto b = trimmed.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
+    if (b == std::string::npos) {
+      if (in_grid) grid_texts.back().text += '\n';
+      continue;
+    }
     const auto e = trimmed.find_last_not_of(" \t\r");
     trimmed = trimmed.substr(b, e - b + 1);
     if (trimmed == "[grid]") {
       in_grid = true;
-      grid_texts.emplace_back();
+      grid_texts.push_back({line_no + 1, ""});
       continue;
     }
     if (in_grid) {
-      grid_texts.back() += trimmed + "\n";
+      grid_texts.back().text += trimmed + "\n";
       continue;
     }
     const auto eq = trimmed.find('=');
@@ -104,7 +113,8 @@ bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
   for (std::size_t i = 0; i < grid_texts.size(); ++i) {
     SweepSpec grid;
     std::string gerr;
-    if (!ParseSweepSpec(grid_texts[i], grid, &gerr)) {
+    if (!ParseSweepSpec(grid_texts[i].text, grid, &gerr,
+                        grid_texts[i].first_line)) {
       return Fail(error, "grid " + std::to_string(i + 1) + ": " + gerr);
     }
     spec.grids.push_back(std::move(grid));

@@ -228,8 +228,8 @@ bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
 namespace {
 
 bool ParseTextSpec(const std::string& text, SweepSpec& spec,
-                   std::string* error) {
-  int line_no = 0;
+                   std::string* error, int first_line) {
+  int line_no = first_line - 1;
   std::string line;
   for (char c : text + "\n") {
     if (c != '\n') {
@@ -428,11 +428,11 @@ bool References(const std::string& tmpl, const std::string& placeholder) {
 }  // namespace
 
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
-                    std::string* error) {
+                    std::string* error, int first_line) {
   const auto first = text.find_first_not_of(" \t\r\n");
   if (first == std::string::npos) return Fail(error, "empty sweep spec");
   return text[first] == '{' ? ParseJsonSpec(text, spec, error)
-                            : ParseTextSpec(text, spec, error);
+                            : ParseTextSpec(text, spec, error, first_line);
 }
 
 bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,

@@ -146,8 +146,10 @@ bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
 // "key=value"). JSON uses
 // the same keys with
 // arrays for lists and an object for "params". Unknown keys are errors.
+// Text errors name "line N", counting the text's first line as
+// `first_line` (a campaign's [grid] section passes its file offset).
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
-                    std::string* error);
+                    std::string* error, int first_line = 1);
 
 // Expands the grid: resolves solver globs against `registry`, substitutes
 // axis values into templates, enumerates cells and tasks in a fixed

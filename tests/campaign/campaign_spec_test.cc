@@ -109,6 +109,29 @@ TEST(ParseCampaignSpecTest, RejectsBadInput) {
   EXPECT_FALSE(ParseCampaignSpec(R"({"nope": 1})", spec, &error));
 }
 
+TEST(ParseCampaignSpecTest, GridErrorsNameFileLines) {
+  // Blank and comment lines inside and before a [grid] still count: the
+  // bad key sits on file line 13, the third non-blank line of grid 2.
+  const std::string text =
+      "name=lines\n"                     // 1
+      "\n"                               // 2
+      "[grid]\n"                         // 3
+      "name=a\n"                         // 4
+      "solvers=online.fifo\n"            // 5
+      "instances=fig4b\n"                // 6
+      "\n"                               // 7
+      "# second grid\n"                  // 8
+      "[grid]\n"                         // 9
+      "name=b\n"                         // 10
+      "\n"                               // 11
+      "solvers=online.srpt  # trailing\n"  // 12
+      "bogus=1\n";                       // 13
+  CampaignSpec spec;
+  std::string error;
+  EXPECT_FALSE(ParseCampaignSpec(text, spec, &error));
+  EXPECT_EQ(error, "grid 2: line 13: unknown spec key \"bogus\"");
+}
+
 TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {
   // The shipped campaign files are part of the public contract; their
   // grammar is revalidated here so a spec-format change cannot silently
