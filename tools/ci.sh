@@ -97,6 +97,7 @@ EOF
     # aggregates bit-identical to batch Simulate.
     "./${build_dir}/tools/flowsched_serve" --smoke
     "./${build_dir}/tools/flowsched_serve" --smoke --policy=coflow.sebf
+    "./${build_dir}/tools/flowsched_serve" --smoke --policy=online.maxweight
     # And a trace piped through stdin end to end: every output line must be
     # MATCH / stats JSONL / DONE, with a clean final summary.
     { printf 'input_capacities\n1,1,1,1,1,1,1,1\n'
