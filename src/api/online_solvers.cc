@@ -58,7 +58,7 @@ class OnlinePolicySolver : public Solver {
         {"max_backlog",
          "largest recorded backlog (only with record_backlog=1)"},
         {"matcher_full_solves",
-         "rounds solved by the exact Hungarian matcher (maxweight)"},
+         "rounds solved by the exact vertex-weight matcher (maxweight)"},
         {"auction_bids", "price raises across all rounds (approx>0)"},
         {"auction_cold_restarts",
          "warm starts whose certificate failed and were re-run cold"}};

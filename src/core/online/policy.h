@@ -30,19 +30,21 @@ namespace flowsched {
 using PendingFlow = Flow;
 
 // Matching-kernel knobs for the maxweight policy family (graph/
-// max_weight_matching.h, graph/auction_matching.h). Non-matching policies
-// ignore them.
+// vertex_weight_matching.h, graph/max_weight_matching.h,
+// graph/auction_matching.h). Non-matching policies ignore them.
 struct MatchingOptions {
   // > 0 switches to the eps-approximate auction matcher: matched weight is
   // within backlog·eps of optimal, schedules may differ from the exact
-  // solver. Off (0) by default — approximations are opt-in (ROADMAP 4).
+  // solver. Off (0) by default: approximations are opt-in.
   double approx_eps = 0.0;
 };
 
 // Matching-kernel counters surfaced as solver diagnostics; all zero for
 // policies that never run a matcher.
 struct PolicyMatchingStats {
-  std::int64_t matcher_solves = 0;       // Exact Hungarian solves.
+  // Exact solves: the vertex-weight matcher (online maxweight) or the
+  // Hungarian (coflow maxweight).
+  std::int64_t matcher_solves = 0;
   std::int64_t matcher_full_solves = 0;  // == matcher_solves.
   // Always 0 (no matcher reuses a round's work); perfbench still reads them.
   std::int64_t matcher_cache_hits = 0;

@@ -2,7 +2,7 @@
 // auction, with prices persisted across rounds.
 //
 // This is the opt-in approximate path behind `approx=eps` on the maxweight
-// solvers (ROADMAP item 4: approximations must be opt-in and quantified).
+// solvers (approximations must be opt-in and quantified).
 // Unlike the Hungarian solver it works directly on the sparse backlog graph
 // — no dense matrix — and it warm-starts from the previous round's object
 // prices, which is where the speedup comes from: after a small backlog

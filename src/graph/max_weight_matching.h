@@ -1,10 +1,11 @@
 // Maximum-weight bipartite matching (not necessarily perfect).
 //
-// Used by the MinRTime, MaxWeight and Hybrid online heuristics (paper
-// §5.2.1), which each round extract a maximum-weight matching from the
-// backlog graph. Weights must be non-negative; leaving a vertex unmatched is
-// always allowed (equivalently, the matching maximizes total weight, not
-// cardinality).
+// Used by the MinRTime and Hybrid online heuristics (paper §5.2.1) and the
+// coflow MaxWeight policy, which each round extract a maximum-weight
+// matching from the backlog graph. (Flow-level MaxWeight's weights are
+// vertex sums; it uses graph/vertex_weight_matching.h.) Weights must be
+// non-negative; leaving a vertex unmatched is always allowed (equivalently,
+// the matching maximizes total weight, not cardinality).
 //
 // The solver class keeps the dense cost matrix and all Hungarian scratch
 // alive across calls: per-round calls in the simulator hot loop touch the
@@ -15,11 +16,11 @@
 // preserved, so the same matching comes back edge for edge.
 //
 // Two value lanes share one Hungarian loop. When every edge weight is an
-// integer in [0, kIntLaneMaxWeight] (MaxWeight's queue lengths, MinRTime's
-// ages), the solve runs in int32: the double solve of such a problem only
-// ever adds and subtracts integers far below 2^53, so it is exact integer
-// arithmetic and the int32 run makes the same comparisons and returns the
-// same matching, at twice the SIMD width. Any other weights (coflow
+// integer in [0, kIntLaneMaxWeight] (MinRTime's ages), the solve runs in
+// int32: the double solve of such a problem only ever adds and subtracts
+// integers far below 2^53, so it is exact integer arithmetic and the int32
+// run makes the same comparisons and returns the same matching, at twice
+// the SIMD width. Any other weights (coflow
 // 1+1/(1+rem), hybrid age+0.5*pressure) run in double. The choice depends
 // on the weights alone.
 #ifndef FLOWSCHED_GRAPH_MAX_WEIGHT_MATCHING_H_

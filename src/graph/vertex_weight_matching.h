@@ -77,7 +77,7 @@ class VertexWeightMatcher {
 
   std::vector<Visit> order_;
   std::vector<int> left_match_;    // M1, then the merged matching.
-  std::vector<int> right_match_;
+  std::vector<int> right_match_;   // M1 as the greedy left it.
   std::vector<int> left_match2_;   // M2.
   std::vector<int> right_match2_;
   std::vector<int> seen_;  // Other-side visit stamps of the current greedy.

@@ -36,8 +36,9 @@ struct ServeOptions {
   // Cooperative shutdown flag (SIGINT/SIGTERM): pull sessions finish the
   // round in flight and emit DONE (StreamingOptions::stop).
   const volatile std::sig_atomic_t* stop = nullptr;
-  // Matching-kernel knobs for the maxweight policies (exact Hungarian by
-  // default; approx_eps > 0 opts into the auction matcher).
+  // Matching-kernel knobs for the maxweight policies (exact by default:
+  // the vertex-weight matcher for online.maxweight, the Hungarian for
+  // coflow.maxweight; approx_eps > 0 opts into the auction matcher).
   MatchingOptions matching;
 };
 

@@ -119,8 +119,10 @@ void PrintUsage(std::ostream& out) {
          "  --no-match         suppress per-round MATCH lines\n"
          "  --no-validate      skip per-round selection audits\n"
          "  --approx=EPS       eps-approximate auction matcher for\n"
-         "                     maxweight policies (default 0 = the exact\n"
-         "                     Hungarian matcher)\n"
+         "                     maxweight policies (default 0 = exact:\n"
+         "                     the vertex-weight matcher for\n"
+         "                     online.maxweight, the Hungarian for\n"
+         "                     coflow.maxweight)\n"
          "  --smoke            run the streaming-vs-batch self-check\n"
          "With no mode flag, speaks the wire protocol on stdin/stdout\n"
          "(docs/serve-protocol.md). SIGINT/SIGTERM finish the current\n"
