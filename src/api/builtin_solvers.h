@@ -5,10 +5,8 @@
 #ifndef FLOWSCHED_API_BUILTIN_SOLVERS_H_
 #define FLOWSCHED_API_BUILTIN_SOLVERS_H_
 
-#include <cstdint>
+#include <functional>
 #include <memory>
-#include <string>
-#include <string_view>
 
 #include "api/solver.h"
 #include "core/online/policy.h"
@@ -40,19 +38,18 @@ void RegisterFabricSolvers(SolverRegistry& registry);
 Schedule MapRealizedSchedule(const Instance& instance,
                              const Schedule& realized);
 
-// MakePolicy or MakeCoflowPolicy.
-using PolicyFactory = std::unique_ptr<SchedulingPolicy> (*)(
-    std::string_view, std::uint64_t, const MatchingOptions&);
+// Builds a fresh policy for one replay (a scenario run builds a second one
+// for its fault-free twin).
+using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>()>;
 
 // The body both adapters share: checks max_rounds against the safe
-// horizon, reads the record_backlog, validate, approx and scenario
-// params, replays `instance` under make_policy(policy, ...), and
-// reports the realized schedule with the simulation and matcher
-// diagnostics, plus, under a scenario, the robustness diagnostics against
-// a fault-free twin run.
+// horizon, reads the record_backlog, validate and scenario params, replays
+// `instance` under make_policy(), and reports the realized schedule with
+// the simulation and matcher diagnostics, plus, under a scenario, the
+// robustness diagnostics against a fault-free twin run.
 SolveReport ReplayPolicy(const Instance& instance,
                          const SolveOptions& options,
-                         const std::string& policy, PolicyFactory make_policy);
+                         const PolicyFactory& make_policy);
 
 }  // namespace internal
 }  // namespace flowsched

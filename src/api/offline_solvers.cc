@@ -93,9 +93,6 @@ class ArtTheorem1Solver : public Solver {
              "O(log n)/c stretch"},
             {"interval_length",
              "geometric interval override (default 0 = derive from c)"},
-            {"coloring",
-             "edge-coloring kernel: koenig (default) or euler (faster on "
-             "dense multigraphs, D >~ 250)"},
             {"validate",
              "0/1 (default 1): re-check the coloring decomposition"}};
   }
@@ -126,13 +123,6 @@ class ArtTheorem1Solver : public Solver {
     opts.interval_length = static_cast<int>(
         options.IntParamOr("interval_length", opts.interval_length, &perr));
     opts.validate = options.IntParamOr("validate", 1, &perr) != 0;
-    const std::string coloring = options.ParamOr("coloring", "koenig");
-    if (coloring == "euler") {
-      opts.coloring = EdgeColoringAlgorithm::kEulerSplit;
-    } else if (coloring != "koenig") {
-      report.error = "parameter coloring must be koenig or euler";
-      return report;
-    }
     if (!perr.empty()) {
       report.error = perr;
       return report;

@@ -42,11 +42,7 @@ class OnlinePolicySolver : public Solver {
             ScenarioParamDoc(),
             {"validate",
              "0/1 (default 1): audit every policy selection for duplicates "
-             "and port overloads (benchmarks turn this off)"},
-            {"approx",
-             "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
-             "auction matcher; each round's matched weight is within "
-             "backlog*eps of optimal, schedules may differ"}};
+             "and port overloads (benchmarks turn this off)"}};
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
     std::vector<SolverKeyDoc> docs = {
@@ -58,10 +54,7 @@ class OnlinePolicySolver : public Solver {
         {"max_backlog",
          "largest recorded backlog (only with record_backlog=1)"},
         {"matcher_full_solves",
-         "rounds solved by the exact vertex-weight matcher (maxweight)"},
-        {"auction_bids", "price raises across all rounds (approx>0)"},
-        {"auction_cold_restarts",
-         "warm starts whose certificate failed and were re-run cold"}};
+         "rounds solved by the exact vertex-weight matcher (maxweight)"}};
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }
@@ -76,7 +69,8 @@ class OnlinePolicySolver : public Solver {
                      " is matching-based and requires unit demands";
       return report;
     }
-    return ReplayPolicy(instance, options, policy_, MakePolicy);
+    return ReplayPolicy(instance, options,
+                        [&] { return MakePolicy(policy_, options.seed); });
   }
 
  private:
@@ -102,7 +96,7 @@ Schedule MapRealizedSchedule(const Instance& instance,
 
 SolveReport ReplayPolicy(const Instance& instance,
                          const SolveOptions& options,
-                         const std::string& policy, PolicyFactory make_policy) {
+                         const PolicyFactory& make_policy) {
   SolveReport report;
   report.objective_name = "total_response";
   SimulationOptions sim;
@@ -120,14 +114,8 @@ SolveReport ReplayPolicy(const Instance& instance,
   std::string perr;
   sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
   sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
-  MatchingOptions matching;
-  matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
   if (!perr.empty()) {
     report.error = perr;
-    return report;
-  }
-  if (matching.approx_eps < 0.0) {
-    report.error = "approx must be >= 0";
     return report;
   }
   ScenarioScript script;
@@ -136,7 +124,7 @@ SolveReport ReplayPolicy(const Instance& instance,
     return report;
   }
   if (has_scenario) sim.scenario = &script;
-  auto replayed = make_policy(policy, options.seed, matching);
+  auto replayed = make_policy();
   const SimulationResult r = Simulate(instance, *replayed, sim);
   if (r.truncated) {
     report.error = r.error;
@@ -173,7 +161,7 @@ SolveReport ReplayPolicy(const Instance& instance,
     SimulationOptions base_sim = sim;
     base_sim.scenario = nullptr;
     base_sim.record_backlog = false;
-    auto base_policy = make_policy(policy, options.seed, matching);
+    auto base_policy = make_policy();
     const SimulationResult base = Simulate(instance, *base_policy, base_sim);
     AddScenarioDiagnostics(script, r.rounds, r.downtime_rounds,
                            r.peak_backlog, r.metrics.total_response,

@@ -349,8 +349,7 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
 
 }  // namespace
 
-bool CollectCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                     const std::string& out_root,
+bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
                      CampaignCollectSummary& summary, std::string* error) {
   summary = CampaignCollectSummary{};
   std::error_code ec;

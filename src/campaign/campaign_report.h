@@ -40,8 +40,7 @@ struct CampaignCollectSummary {
 // aggregate/<grid>.json and aggregate/<grid>.csv per grid. Partial
 // campaigns collect fine — missing tasks are counted, not fatal. Returns
 // false + *error only on filesystem failures.
-bool CollectCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
-                     const std::string& out_root,
+bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
                      CampaignCollectSummary& summary, std::string* error);
 
 // Writes <out_root>/report/index.html from the same disk readback.

@@ -125,8 +125,7 @@ bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
 // ---- JSON front end ------------------------------------------------------
 // The document parses with util/json; each grid object converts member by
 // member into the key=value grammar ApplySweepSpecKey speaks (arrays join
-// with the key's list separator, params expand to repeated param=k=v),
-// mirroring the sweep JSON front end.
+// with the key's list separator, params expand to repeated param=k=v).
 
 bool ApplyJsonGridMember(SweepSpec& grid, const std::string& key,
                          const JsonValue& value, std::string* error) {

@@ -143,6 +143,17 @@ class CoflowFifoPolicy : public CoflowGreedyPolicyBase {
   void RankGroups(std::vector<int>& slots) override;
 };
 
+// Matching-kernel knob for coflow maxweight, the one policy whose exact
+// path is the O(n^3) Hungarian (graph/max_weight_matching.h); sebf and fifo
+// ignore it.
+struct MatchingOptions {
+  // > 0 switches to the eps-approximate auction matcher
+  // (graph/auction_matching.h): matched weight is within backlog·eps of
+  // optimal, schedules may differ from the exact solver. Off (0) by
+  // default: approximations are opt-in.
+  double approx_eps = 0.0;
+};
+
 class CoflowMaxWeightPolicy : public SchedulingPolicy {
  public:
   explicit CoflowMaxWeightPolicy(const MatchingOptions& matching = {})

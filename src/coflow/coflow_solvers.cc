@@ -31,17 +31,22 @@ class CoflowPolicySolver : public Solver {
            "(CCT diagnostics; untagged flows count as singletons)";
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    return {{"record_backlog",
-             "0/1 (default 0): keep per-round backlog sizes; the maximum "
-             "surfaces as diagnostics max_backlog"},
-            ScenarioParamDoc(),
-            {"validate",
-             "0/1 (default 1): audit every policy selection for duplicates "
-             "and port overloads (benchmarks turn this off)"},
-            {"approx",
-             "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
-             "auction matcher; each round's matched weight is within "
-             "backlog*eps of optimal, schedules (and CCT) may differ"}};
+    std::vector<SolverKeyDoc> docs = {
+        {"record_backlog",
+         "0/1 (default 0): keep per-round backlog sizes; the maximum "
+         "surfaces as diagnostics max_backlog"},
+        ScenarioParamDoc(),
+        {"validate",
+         "0/1 (default 1): audit every policy selection for duplicates "
+         "and port overloads (benchmarks turn this off)"}};
+    if (policy_ == "maxweight") {
+      docs.push_back(
+          {"approx",
+           "eps > 0 (default 0 = exact Hungarian): eps-approximate auction "
+           "matcher; each round's matched weight is within backlog*eps of "
+           "optimal, schedules (and CCT) may differ"});
+    }
+    return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
     std::vector<SolverKeyDoc> docs = {
@@ -64,10 +69,14 @@ class CoflowPolicySolver : public Solver {
          "mean CCT / isolation bound (1.0 = as fast as an empty switch)"},
         {"max_slowdown", "worst group slowdown vs isolation"},
         {"matcher_full_solves",
-         "rounds solved by the exact Hungarian matcher (maxweight)"},
-        {"auction_bids", "price raises across all rounds (approx>0)"},
-        {"auction_cold_restarts",
-         "warm starts whose certificate failed and were re-run cold"}};
+         "rounds solved by the exact Hungarian matcher (maxweight)"}};
+    if (policy_ == "maxweight") {
+      docs.push_back({"auction_bids", "price raises across all rounds "
+                                      "(approx>0)"});
+      docs.push_back({"auction_cold_restarts",
+                      "warm starts whose certificate failed and were re-run "
+                      "cold"});
+    }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }
@@ -82,7 +91,20 @@ class CoflowPolicySolver : public Solver {
           "coflow.maxweight is matching-based and requires unit demands";
       return report;
     }
-    report = ReplayPolicy(instance, options, policy_, MakeCoflowPolicy);
+    std::string perr;
+    MatchingOptions matching;
+    matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
+    if (!perr.empty()) {
+      report.error = perr;
+      return report;
+    }
+    if (matching.approx_eps < 0.0) {
+      report.error = "approx must be >= 0";
+      return report;
+    }
+    report = ReplayPolicy(instance, options, [&] {
+      return MakeCoflowPolicy(policy_, options.seed, matching);
+    });
     if (!report.ok) return report;
     const CoflowSet coflows(instance);
     const CoflowMetrics cm =

@@ -53,7 +53,7 @@ ArtSchedulerResult ScheduleArtWithAugmentation(
   for (int j = 0; j < num_intervals; ++j) {
     if (interval_flows[j].empty()) continue;
     Replicate(instance, interval_flows[j], &rg);
-    const EdgeColoring ec = ColorBipartiteEdges(rg.graph, options.coloring);
+    const EdgeColoring ec = ColorBipartiteEdges(rg.graph);
     if (options.validate) FS_CHECK(IsValidEdgeColoring(rg.graph, ec));
     result.max_colors = std::max(result.max_colors, ec.num_colors);
     const Round interval_start = (j + 1) * static_cast<Round>(h);

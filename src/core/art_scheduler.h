@@ -12,7 +12,6 @@
 #define FLOWSCHED_CORE_ART_SCHEDULER_H_
 
 #include "core/art_rounding.h"
-#include "graph/edge_coloring.h"
 #include "model/metrics.h"
 
 namespace flowsched {
@@ -20,11 +19,6 @@ namespace flowsched {
 struct ArtSchedulerOptions {
   int c = 2;  // Capacity blowup is (1 + c); response blowup O(log n)/c.
   int interval_length = 0;  // 0 = automatic: max(1, ceil(4 log2(n+2) / c)).
-  // Birkhoff-von-Neumann decomposition kernel. König (default) keeps
-  // schedules bit-identical across versions; Euler split is markedly faster
-  // on dense intervals (see graph/edge_coloring.h) at the cost of a
-  // different — equally valid — matching decomposition.
-  EdgeColoringAlgorithm coloring = EdgeColoringAlgorithm::kKoenig;
   // Re-validate each interval's coloring and the final schedule (FS_CHECK).
   // On by default; benchmarks turn it off to keep hot loops audit-free.
   bool validate = true;

@@ -15,15 +15,6 @@ void MaxWeightPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
     ++in_queue_[f.src];
     ++out_queue_[f.dst];
   }
-  if (matching_.approx_eps > 0.0) {
-    weight_.resize(pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      weight_[i] = static_cast<double>(in_queue_[pending[i].src] +
-                                       out_queue_[pending[i].dst]);
-    }
-    auction_.Solve(g, weight_, matching_.approx_eps, picked);
-    return;
-  }
   // Edge i's weight is its ports' queue sum, so each replica vertex carries
   // its port's queue length (replicas without edges keep 0).
   left_weight_.assign(g.num_left(), 0.0);
@@ -37,14 +28,10 @@ void MaxWeightPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   matcher_.Solve(g, left_weight_, right_weight_, picked);
 }
 
-void MaxWeightPolicy::Reset() { auction_.Reset(); }
-
 PolicyMatchingStats MaxWeightPolicy::matching_stats() const {
   PolicyMatchingStats s;
   s.matcher_solves = exact_solves_;
   s.matcher_full_solves = exact_solves_;
-  s.auction_bids = auction_.stats().bids;
-  s.auction_cold_restarts = auction_.stats().cold_restarts;
   return s;
 }
 

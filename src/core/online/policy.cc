@@ -55,11 +55,10 @@ BipartiteGraph BuildBacklogGraph(const SwitchSpec& sw,
 }
 
 std::unique_ptr<SchedulingPolicy> MakePolicy(std::string_view name,
-                                             std::uint64_t seed,
-                                             const MatchingOptions& matching) {
+                                             std::uint64_t seed) {
   if (name == "maxcard") return std::make_unique<MaxCardPolicy>();
   if (name == "minrtime") return std::make_unique<MinRTimePolicy>();
-  if (name == "maxweight") return std::make_unique<MaxWeightPolicy>(matching);
+  if (name == "maxweight") return std::make_unique<MaxWeightPolicy>();
   if (name == "fifo") return std::make_unique<FifoGreedyPolicy>();
   if (name == "random") return std::make_unique<RandomPolicy>(seed);
   if (name == "srpt") return std::make_unique<SrptPolicy>();

@@ -29,16 +29,6 @@ namespace flowsched {
 // any side-channel mapping; flow-level policies ignore it.
 using PendingFlow = Flow;
 
-// Matching-kernel knobs for the maxweight policy family (graph/
-// vertex_weight_matching.h, graph/max_weight_matching.h,
-// graph/auction_matching.h). Non-matching policies ignore them.
-struct MatchingOptions {
-  // > 0 switches to the eps-approximate auction matcher: matched weight is
-  // within backlog·eps of optimal, schedules may differ from the exact
-  // solver. Off (0) by default: approximations are opt-in.
-  double approx_eps = 0.0;
-};
-
 // Matching-kernel counters surfaced as solver diagnostics; all zero for
 // policies that never run a matcher.
 struct PolicyMatchingStats {
@@ -133,11 +123,9 @@ BipartiteGraph BuildBacklogGraph(const SwitchSpec& sw,
 
 // Factory for the policies evaluated in the paper plus extra baselines and
 // extensions: "maxcard", "minrtime", "maxweight", "fifo", "random", "srpt",
-// "hybrid". `matching` tunes the maxweight matching kernels and is ignored
-// by every other policy.
-std::unique_ptr<SchedulingPolicy> MakePolicy(
-    std::string_view name, std::uint64_t seed = 1,
-    const MatchingOptions& matching = {});
+// "hybrid".
+std::unique_ptr<SchedulingPolicy> MakePolicy(std::string_view name,
+                                             std::uint64_t seed = 1);
 
 // All policy names available through MakePolicy.
 std::vector<std::string> AllPolicyNames();

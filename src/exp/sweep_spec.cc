@@ -1,7 +1,6 @@
 #include "exp/sweep_spec.h"
 
 #include <algorithm>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -227,8 +226,27 @@ bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
 
 namespace {
 
-bool ParseTextSpec(const std::string& text, SweepSpec& spec,
-                   std::string* error, int first_line) {
+std::string ReplaceAll(std::string text, const std::string& from,
+                       const std::string& to) {
+  std::size_t pos = 0;
+  while ((pos = text.find(from, pos)) != std::string::npos) {
+    text.replace(pos, from.size(), to);
+    pos += to.size();
+  }
+  return text;
+}
+
+bool References(const std::string& tmpl, const std::string& placeholder) {
+  return tmpl.find(placeholder) != std::string::npos;
+}
+
+}  // namespace
+
+bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
+                    std::string* error, int first_line) {
+  if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
+    return Fail(error, "empty sweep spec");
+  }
   int line_no = first_line - 1;
   std::string line;
   for (char c : text + "\n") {
@@ -257,182 +275,6 @@ bool ParseTextSpec(const std::string& text, SweepSpec& spec,
     }
   }
   return true;
-}
-
-// ---- Flat JSON front end -------------------------------------------------
-// Just enough JSON for sweep specs: one object whose values are scalars,
-// arrays of scalars, or (for "params") an object of scalars. Numbers keep
-// their source text and reuse the key=value parsing above.
-
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void SkipWs() {
-    while (pos_ < text_.size() && (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-                                   text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  bool Eat(char c) {
-    SkipWs();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  char Peek() {
-    SkipWs();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-  }
-
-  bool AtEnd() {
-    SkipWs();
-    return pos_ >= text_.size();
-  }
-
-  // Parses a quoted string (\" \\ \n \r \t \/ escapes).
-  bool String(std::string& out, std::string* error) {
-    if (!Eat('"')) return Fail(error, JsonWhere() + ": expected '\"'");
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 'r': c = '\r'; break;
-          case 't': c = '\t'; break;
-          case '"': case '\\': case '/': c = esc; break;
-          default:
-            return Fail(error, JsonWhere() + ": unsupported escape \\" +
-                                   std::string(1, esc));
-        }
-      }
-      out += c;
-    }
-    if (pos_ >= text_.size()) {
-      return Fail(error, JsonWhere() + ": unterminated string");
-    }
-    ++pos_;  // Closing quote.
-    return true;
-  }
-
-  // Parses a scalar (string or number) as its textual value.
-  bool Scalar(std::string& out, std::string* error) {
-    if (Peek() == '"') return String(out, error);
-    SkipWs();
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E'))
-      ++pos_;
-    if (pos_ == start) {
-      return Fail(error, JsonWhere() + ": expected a string or number");
-    }
-    out = text_.substr(start, pos_ - start);
-    return true;
-  }
-
-  std::string JsonWhere() const {
-    return "json offset " + std::to_string(pos_);
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool ParseJsonSpec(const std::string& text, SweepSpec& spec,
-                   std::string* error) {
-  JsonCursor cur(text);
-  if (!cur.Eat('{')) return Fail(error, "json: expected '{'");
-  if (cur.Eat('}')) return cur.AtEnd() || Fail(error, "json: trailing data");
-  do {
-    std::string key;
-    if (!cur.String(key, error)) return false;
-    if (!cur.Eat(':')) {
-      return Fail(error, cur.JsonWhere() + ": expected ':' after \"" + key +
-                             "\"");
-    }
-    if (key == "params") {
-      if (!cur.Eat('{')) {
-        return Fail(error, "params: expected an object of key/value strings");
-      }
-      if (!cur.Eat('}')) {
-        do {
-          std::string pkey, pval;
-          if (!cur.String(pkey, error)) return false;
-          if (!cur.Eat(':')) {
-            return Fail(error, "params: expected ':' after \"" + pkey + "\"");
-          }
-          if (!cur.Scalar(pval, error)) return false;
-          spec.params[pkey] = pval;
-        } while (cur.Eat(','));
-        if (!cur.Eat('}')) return Fail(error, "params: expected '}'");
-      }
-      continue;
-    }
-    std::string value;
-    if (cur.Peek() == '[') {
-      cur.Eat('[');
-      // Arrays join into the list syntax ApplySweepSpecKey already speaks;
-      // instance
-      // specs contain commas, so that key joins with ';'.
-      const char sep = (key == "instances" || key == "instance") ? ';'
-                       : key == "scenarios"                      ? '|'
-                                                                 : ',';
-      bool first = true;
-      if (!cur.Eat(']')) {
-        do {
-          std::string elem;
-          if (!cur.Scalar(elem, error)) return false;
-          if (!first) value += sep;
-          value += elem;
-          first = false;
-        } while (cur.Eat(','));
-        if (!cur.Eat(']')) {
-          return Fail(error, cur.JsonWhere() + ": expected ']'");
-        }
-      }
-    } else if (!cur.Scalar(value, error)) {
-      return false;
-    }
-    std::string perr;
-    if (!ApplySweepSpecKey(spec, key, value, &perr)) {
-      return Fail(error, perr);
-    }
-  } while (cur.Eat(','));
-  if (!cur.Eat('}')) return Fail(error, cur.JsonWhere() + ": expected '}'");
-  if (!cur.AtEnd()) return Fail(error, "json: trailing data after '}'");
-  return true;
-}
-
-std::string ReplaceAll(std::string text, const std::string& from,
-                       const std::string& to) {
-  std::size_t pos = 0;
-  while ((pos = text.find(from, pos)) != std::string::npos) {
-    text.replace(pos, from.size(), to);
-    pos += to.size();
-  }
-  return text;
-}
-
-bool References(const std::string& tmpl, const std::string& placeholder) {
-  return tmpl.find(placeholder) != std::string::npos;
-}
-
-}  // namespace
-
-bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
-                    std::string* error, int first_line) {
-  const auto first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return Fail(error, "empty sweep spec");
-  return text[first] == '{' ? ParseJsonSpec(text, spec, error)
-                            : ParseTextSpec(text, spec, error, first_line);
 }
 
 bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,

@@ -44,9 +44,10 @@
 // function of its position in the grid — byte-identical results no matter
 // how many threads execute the plan or in which order.
 //
-// Specs parse from key=value lines or a flat JSON object: one grid of a
-// campaign spec (campaign/campaign_spec.h). See README "Running experiment
-// sweeps" and docs/file-formats.md for the worked format reference.
+// Specs parse from key=value lines: one grid of a campaign spec
+// (campaign/campaign_spec.h), whose JSON form maps each grid object onto
+// the same keys through util/json. See README "Running experiment sweeps"
+// and docs/file-formats.md for the worked format reference.
 //
 // Failing fast: unknown spec keys, axis/placeholder mismatches, unknown
 // solvers, and unknown keys inside generator-spec templates are all
@@ -132,21 +133,17 @@ bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
                std::string* error);
 
 // Applies one key=value pair (the spec-file line grammar) to `spec`.
-// Both front ends below and the campaign spec parser
+// ParseSweepSpec below and the JSON campaign parser
 // (campaign/campaign_spec.h) funnel through this, so the key set cannot
-// drift between sweep files, sweep JSON, CLI flags, and campaign grids.
+// drift between text and JSON campaign grids.
 bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
                        const std::string& value, std::string* error);
 
-// Parses a spec from text: a flat JSON object when the first non-space
-// character is '{', otherwise key=value lines ('#' comments, blank lines
-// ignored). Keys: name, solvers, instances (';'-separated — specs contain
-// commas), loads, ports, rounds, shards, dists, seeds, scenarios
-// ('|'-separated), trials, base_seed, max_rounds, param (repeatable
-// "key=value"). JSON uses
-// the same keys with
-// arrays for lists and an object for "params". Unknown keys are errors.
-// Text errors name "line N", counting the text's first line as
+// Parses a spec from key=value lines ('#' comments, blank lines ignored).
+// Keys: name, solvers, instances (';'-separated — specs contain commas),
+// loads, ports, rounds, shards, dists, seeds, scenarios ('|'-separated),
+// trials, base_seed, max_rounds, param (repeatable "key=value"). Unknown
+// keys are errors. Errors name "line N", counting the text's first line as
 // `first_line` (a campaign's [grid] section passes its file offset).
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
                     std::string* error, int first_line = 1);

@@ -22,6 +22,7 @@ struct ShardRun {
   Schedule schedule;  // Shard-local flow ids.
   Round rounds = 0;
   int peak_backlog = 0;
+  std::int64_t auction_bids = 0;
   double avg_port_utilization = 0.0;
   Round downtime_rounds = 0;
   bool truncated = false;
@@ -39,7 +40,7 @@ ShardRun SimulateShard(const Instance& shard_instance, int shard,
   std::unique_ptr<SchedulingPolicy> policy =
       options.coflow_aware
           ? MakeCoflowPolicy(options.policy, seed, options.matching)
-          : MakePolicy(options.policy, seed, options.matching);
+          : MakePolicy(options.policy, seed);
   SimulationOptions sim;
   if (options.max_rounds > 0) sim.max_rounds = options.max_rounds;
   sim.validate = options.validate;
@@ -53,6 +54,7 @@ ShardRun SimulateShard(const Instance& shard_instance, int shard,
   }
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;
+  run.auction_bids = policy->matching_stats().auction_bids;
   run.avg_port_utilization = r.avg_port_utilization;
   run.downtime_rounds = r.downtime_rounds;
   run.truncated = r.truncated;
@@ -191,6 +193,7 @@ FabricResult RunFabric(const Instance& instance, const FabricAssignment& fa,
     report.downtime_rounds = run.downtime_rounds;
     result.rounds = std::max(result.rounds, run.rounds);
     result.peak_backlog = std::max(result.peak_backlog, run.peak_backlog);
+    result.auction_bids += run.auction_bids;
     result.downtime_rounds =
         std::max(result.downtime_rounds, run.downtime_rounds);
     if (run.truncated && !result.truncated) {

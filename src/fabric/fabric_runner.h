@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/online/policy.h"
+#include "coflow/coflow_policies.h"
 #include "fabric/fabric_partition.h"
 #include "model/schedule.h"
 #include "scenario/scenario.h"
@@ -48,9 +48,8 @@ struct FabricRunOptions {
   Round max_rounds = 0;
   /// Per-round selection audits (SimulationOptions::validate).
   bool validate = true;
-  /// Matching-kernel knobs for the maxweight policies (exact by default:
-  /// the vertex-weight matcher for maxweight, the Hungarian for coflow
-  /// maxweight; approx_eps > 0 opts into the auction matcher).
+  /// Matching-kernel knob for coflow maxweight (coflow/coflow_policies.h);
+  /// every other policy ignores it.
   MatchingOptions matching;
   /// Optional fault-injection script (scenario/scenario.h), expressed in
   /// *global* host / pod coordinates. RunFabric projects each event onto
@@ -81,6 +80,8 @@ struct FabricResult {
   Round rounds = 0;
   /// Max backlog any pod's policy ever saw.
   int peak_backlog = 0;
+  /// Auction price raises summed over pods (coflow maxweight, approx_eps > 0).
+  std::int64_t auction_bids = 0;
   /// Mean per-pod port utilization over pods that carried flows.
   double avg_port_utilization = 0.0;
   /// Max over pods of rounds that pod spent with >= 1 port down (pods share

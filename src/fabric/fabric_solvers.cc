@@ -53,21 +53,25 @@ class FabricPolicySolver : public Solver {
   std::string_view name() const override { return name_; }
   std::string_view description() const override { return description_; }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    return {{"shards",
-             "pod count K (required unless the instance came from a "
-             "fabric: spec; overrides the spec when both are given)"},
-            {"partition",
-             "port partitioner: block or hash (default: the fabric: spec's "
-             "choice, else block)"},
-            {"jobs",
-             "threads simulating pods in parallel (default 1; results are "
-             "byte-identical for any value)"},
-            ScenarioParamDoc(),
-            {"validate",
-             "0/1 (default 1): per-round selection audits inside each pod"},
-            {"approx",
-             "eps > 0 (default 0 = exact, maxweight only): eps-approximate "
-             "auction matcher inside each pod"}};
+    std::vector<SolverKeyDoc> docs = {
+        {"shards",
+         "pod count K (required unless the instance came from a "
+         "fabric: spec; overrides the spec when both are given)"},
+        {"partition",
+         "port partitioner: block or hash (default: the fabric: spec's "
+         "choice, else block)"},
+        {"jobs",
+         "threads simulating pods in parallel (default 1; results are "
+         "byte-identical for any value)"},
+        ScenarioParamDoc(),
+        {"validate",
+         "0/1 (default 1): per-round selection audits inside each pod"}};
+    if (HasAuction()) {
+      docs.push_back({"approx",
+                      "eps > 0 (default 0 = exact Hungarian): eps-approximate "
+                      "auction matcher inside each pod"});
+    }
+    return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
     std::vector<SolverKeyDoc> docs = {
@@ -93,6 +97,10 @@ class FabricPolicySolver : public Solver {
         {"max_cct", "slowest group's fabric CCT"},
         {"avg_slowdown", "mean CCT / single-switch isolation bound"},
         {"max_slowdown", "worst group slowdown vs isolation"}};
+    if (HasAuction()) {
+      docs.push_back({"auction_bids",
+                      "price raises summed over pods (approx>0)"});
+    }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }
@@ -223,6 +231,9 @@ class FabricPolicySolver : public Solver {
         static_cast<double>(fa.cross_shard_flows);
     report.diagnostics["split_coflows"] = fa.split_coflows;
     report.diagnostics["load_imbalance"] = fa.LoadImbalance();
+    if (r.auction_bids > 0) {
+      report.diagnostics["auction_bids"] = static_cast<double>(r.auction_bids);
+    }
 
     const CoflowSet coflows(instance);
     const CoflowMetrics cm =
@@ -262,6 +273,9 @@ class FabricPolicySolver : public Solver {
   }
 
  private:
+  // Coflow maxweight is the only pod policy with an auction path.
+  bool HasAuction() const { return coflow_aware_ && policy_ == "maxweight"; }
+
   std::string policy_;
   bool coflow_aware_;
   std::string name_;

@@ -1,8 +1,11 @@
 // ε-approximate maximum-weight bipartite matching via Bertsekas' forward
 // auction, with prices persisted across rounds.
 //
-// This is the opt-in approximate path behind `approx=eps` on the maxweight
-// solvers (approximations must be opt-in and quantified).
+// This is the opt-in approximate path behind `approx=eps` on
+// coflow.maxweight and fabric.maxweight, whose exact path is the O(n^3)
+// Hungarian (approximations must be opt-in and quantified). Online
+// maxweight has no auction path: its exact vertex-weight matcher
+// (graph/vertex_weight_matching.h) is as fast as the auction at eps = 0.5.
 // Unlike the Hungarian solver it works directly on the sparse backlog graph
 // — no dense matrix — and it warm-starts from the previous round's object
 // prices, which is where the speedup comes from: after a small backlog

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 
-#include "graph/hopcroft_karp.h"
 #include "util/check.h"
 
 namespace flowsched {
-namespace {
 
-// --- König path: alternating-path recoloring, O(V * E). -------------------
-
-EdgeColoring ColorKoenig(const BipartiteGraph& g) {
+// Alternating-path recoloring (König), O(V * E).
+EdgeColoring ColorBipartiteEdges(const BipartiteGraph& g) {
   const int num_colors = std::max(g.MaxDegree(), 1);
   EdgeColoring ec;
   ec.num_colors = num_colors;
@@ -77,291 +74,6 @@ EdgeColoring ColorKoenig(const BipartiteGraph& g) {
   return ec;
 }
 
-// --- Euler split: divide-and-conquer over a regularized copy. -------------
-//
-// The graph is first padded to a D-regular bipartite multigraph on s + s
-// vertices (s = max side). A D-regular bipartite multigraph D-edge-colors
-// by recursion on D:
-//   D even  Euler partition: every component's Euler circuit has even
-//           length (bipartite), so labelling its edges alternately splits
-//           the graph into two (D/2)-regular halves, colored recursively
-//           with disjoint palettes.
-//   D odd   a D-regular bipartite multigraph has a perfect matching (Hall);
-//           peel one with Hopcroft–Karp, give it its own color, and recurse
-//           on the remaining (D-1)-regular graph.
-// Colors assigned to padding edges are simply dropped at the end.
-
-class EulerSplitColorer {
- public:
-  explicit EulerSplitColorer(const BipartiteGraph& g)
-      : real_edges_(g.num_edges()), s_(std::max(g.num_left(), g.num_right())) {}
-
-  EdgeColoring Run(const BipartiteGraph& g) {
-    const int d = std::max(g.MaxDegree(), 1);
-    EdgeColoring ec;
-    ec.num_colors = d;
-    ec.color_of_edge.assign(real_edges_, -1);
-    if (real_edges_ == 0) return ec;
-
-    // Regularize: every left/right vertex gets degree exactly d by pairing
-    // off deficits greedily (total deficit is equal on both sides).
-    const std::size_t total = static_cast<std::size_t>(s_) * d;
-    eu_.reserve(total);
-    ev_.reserve(total);
-    std::vector<int> deg_left(s_, 0);
-    std::vector<int> deg_right(s_, 0);
-    for (const auto& e : g.edges()) {
-      eu_.push_back(e.u);
-      ev_.push_back(e.v);
-      ++deg_left[e.u];
-      ++deg_right[e.v];
-    }
-    int li = 0;
-    int ri = 0;
-    while (true) {
-      while (li < s_ && deg_left[li] == d) ++li;
-      if (li == s_) break;
-      while (deg_right[ri] == d) ++ri;
-      eu_.push_back(li);
-      ev_.push_back(ri);
-      ++deg_left[li];
-      ++deg_right[ri];
-    }
-    FS_CHECK_EQ(eu_.size(), total);
-    color_.assign(total, -1);
-    ids_.resize(total);
-    for (std::size_t k = 0; k < total; ++k) ids_[k] = static_cast<int>(k);
-    scratch_.resize(total);
-    Color(0, static_cast<int>(total), d, 0);
-
-    for (int e = 0; e < real_edges_; ++e) {
-      ec.color_of_edge[e] = color_[e];
-    }
-    return ec;
-  }
-
- private:
-  // Below this degree the alternating-path colorer beats further splitting
-  // (its per-edge cost scales with the degree, so it is cheap exactly where
-  // the recursion bottoms out — and switching early prunes every deep peel).
-  static constexpr int kKoenigCutover = 48;
-
-  // Colors the d-regular sub-multigraph held in ids_[lo, hi) with palette
-  // [base, base + d). Works in place on segments of ids_; all scratch is
-  // reused across recursion levels.
-  void Color(int lo, int hi, int d, int base) {
-    if (d == 1) {
-      for (int k = lo; k < hi; ++k) color_[ids_[k]] = base;
-      return;
-    }
-    if (d <= kKoenigCutover) {
-      BipartiteGraph sub(s_, s_);
-      sub.ReserveEdges(hi - lo);
-      for (int k = lo; k < hi; ++k) sub.AddEdge(eu_[ids_[k]], ev_[ids_[k]]);
-      const EdgeColoring ec = ColorKoenig(sub);
-      FS_CHECK_LE(ec.num_colors, d);
-      for (int k = lo; k < hi; ++k) {
-        color_[ids_[k]] = base + ec.color_of_edge[k - lo];
-      }
-      return;
-    }
-    if (d % 2 == 1) {
-      PeelMatching(lo, hi, base);  // Compacts the matched ids out of the
-      lo += s_;                    // front of the segment.
-      Color(lo, hi, d - 1, base + 1);
-      return;
-    }
-    const int mid = EulerPartition(lo, hi);
-    Color(lo, mid, d / 2, base);
-    Color(mid, hi, d / 2, base + d / 2);
-  }
-
-  // Builds left-side CSR adjacency for ids_[lo, hi) into adj_/adj_head_.
-  void BuildLeftAdj(int lo, int hi) {
-    adj_head_.assign(s_ + 1, 0);
-    for (int k = lo; k < hi; ++k) ++adj_head_[eu_[ids_[k]] + 1];
-    for (int x = 0; x < s_; ++x) adj_head_[x + 1] += adj_head_[x];
-    adj_cursor_.assign(adj_head_.begin(), adj_head_.end() - 1);
-    adj_.resize(hi - lo);
-    for (int k = lo; k < hi; ++k) {
-      adj_[adj_cursor_[eu_[ids_[k]]]++] = k;
-    }
-  }
-
-  // Finds a perfect matching of the d-regular sub-multigraph ids_[lo, hi)
-  // (greedy seed + Hopcroft-Karp augmentation over reused buffers), colors
-  // it `base`, and swaps the matched ids into ids_[lo, lo + s_).
-  void PeelMatching(int lo, int hi, int base) {
-    BuildLeftAdj(lo, hi);
-    match_left_.assign(s_, -1);   // Position k in ids_, or -1.
-    match_right_.assign(s_, -1);
-    int matched = 0;
-    // Greedy pass: on regular graphs this already matches most vertices.
-    for (int u = 0; u < s_; ++u) {
-      for (int a = adj_head_[u]; a < adj_head_[u + 1]; ++a) {
-        const int v = ev_[ids_[adj_[a]]];
-        if (match_right_[v] == -1) {
-          match_left_[u] = adj_[a];
-          match_right_[v] = adj_[a];
-          ++matched;
-          break;
-        }
-      }
-    }
-    // Hopcroft-Karp phases finish the perfect matching.
-    while (matched < s_) {
-      dist_.assign(s_, -1);
-      queue_.clear();
-      for (int u = 0; u < s_; ++u) {
-        if (match_left_[u] == -1) {
-          dist_[u] = 0;
-          queue_.push_back(u);
-        }
-      }
-      bool found = false;
-      for (std::size_t head = 0; head < queue_.size(); ++head) {
-        const int u = queue_[head];
-        for (int a = adj_head_[u]; a < adj_head_[u + 1]; ++a) {
-          const int v = ev_[ids_[adj_[a]]];
-          const int mk = match_right_[v];
-          if (mk == -1) {
-            found = true;
-          } else {
-            const int w = eu_[ids_[mk]];
-            if (dist_[w] == -1) {
-              dist_[w] = dist_[u] + 1;
-              queue_.push_back(w);
-            }
-          }
-        }
-      }
-      FS_CHECK_MSG(found,
-                   "regular bipartite multigraph must have a perfect matching");
-      for (int u = 0; u < s_; ++u) {
-        if (match_left_[u] == -1 && Augment(u)) ++matched;
-      }
-    }
-    // Color the matched edges (segment edges are uncolored before this, so
-    // `color == base` marks exactly the matching during the partition).
-    for (int u = 0; u < s_; ++u) {
-      color_[ids_[match_left_[u]]] = base;
-    }
-    // Re-partition ids_[lo, hi): matched first, rest after.
-    int w = lo;
-    int x = hi - 1;
-    while (w <= x) {
-      if (color_[ids_[w]] == base) {
-        ++w;
-      } else if (color_[ids_[x]] != base) {
-        --x;
-      } else {
-        std::swap(ids_[w], ids_[x]);
-        ++w;
-        --x;
-      }
-    }
-    FS_CHECK_EQ(w - lo, s_);
-  }
-
-  bool Augment(int u) {
-    for (int a = adj_head_[u]; a < adj_head_[u + 1]; ++a) {
-      const int v = ev_[ids_[adj_[a]]];
-      const int mk = match_right_[v];
-      if (mk == -1 ||
-          (dist_[eu_[ids_[mk]]] == dist_[u] + 1 && Augment(eu_[ids_[mk]]))) {
-        match_left_[u] = adj_[a];
-        match_right_[v] = adj_[a];
-        return true;
-      }
-    }
-    dist_[u] = -1;
-    return false;
-  }
-
-  // Splits the even-regular sub-multigraph ids_[lo, hi) into two halves of
-  // equal degree at every vertex by alternating edge labels along Euler
-  // circuits, then reorders the segment to [half A | half B] and returns the
-  // split point. Bipartite circuits have even length, so the alternation is
-  // consistent and every vertex's incident edges split exactly in half.
-  int EulerPartition(int lo, int hi) {
-    const int nv = 2 * s_;  // Right vertices offset by s_.
-    const int k = hi - lo;
-    // CSR incidence over segment positions: each edge appears at both
-    // endpoints.
-    head_.assign(nv + 1, 0);
-    for (int e = lo; e < hi; ++e) {
-      ++head_[eu_[ids_[e]] + 1];
-      ++head_[s_ + ev_[ids_[e]] + 1];
-    }
-    for (int x = 0; x < nv; ++x) head_[x + 1] += head_[x];
-    cursor_.assign(head_.begin(), head_.end() - 1);
-    incident_.resize(2 * k);
-    for (int e = lo; e < hi; ++e) {
-      incident_[cursor_[eu_[ids_[e]]]++] = e;
-      incident_[cursor_[s_ + ev_[ids_[e]]]++] = e;
-    }
-    cursor_.assign(head_.begin(), head_.end() - 1);
-    visited_.assign(k, 0);
-    int na = 0;        // Half-A ids collect at scratch_[0..na).
-    int nb = k;        // Half-B ids collect at scratch_[k-1..nb) downward.
-    for (int start = lo; start < hi; ++start) {
-      if (visited_[start - lo]) continue;
-      // Walk a maximal trail; with all degrees even it closes into a
-      // circuit, so the walk only stops when the current vertex has no
-      // unused incident edge left.
-      int at = eu_[ids_[start]];
-      bool label = false;
-      while (true) {
-        int e = -1;
-        while (cursor_[at] < head_[at + 1]) {
-          const int cand = incident_[cursor_[at]];
-          if (!visited_[cand - lo]) {
-            e = cand;
-            break;
-          }
-          ++cursor_[at];
-        }
-        if (e == -1) break;
-        visited_[e - lo] = 1;
-        if (label) {
-          scratch_[--nb] = ids_[e];
-        } else {
-          scratch_[na++] = ids_[e];
-        }
-        label = !label;
-        const int u = eu_[ids_[e]];
-        at = (at == u) ? s_ + ev_[ids_[e]] : u;
-      }
-    }
-    FS_CHECK_EQ(na, k / 2);
-    FS_CHECK_EQ(nb, k / 2);
-    for (int e = 0; e < k; ++e) ids_[lo + e] = scratch_[e];
-    return lo + k / 2;
-  }
-
-  const int real_edges_;
-  const int s_;
-  std::vector<int> eu_;  // Working-edge endpoints (right side NOT offset).
-  std::vector<int> ev_;
-  std::vector<int> color_;
-  std::vector<int> ids_;      // Permutation of working edges; recursion
-  std::vector<int> scratch_;  // operates on segments of this array.
-  std::vector<int> head_;
-  std::vector<int> cursor_;
-  std::vector<int> incident_;
-  std::vector<char> visited_;
-  // Peel scratch (positions into ids_).
-  std::vector<int> adj_head_;
-  std::vector<int> adj_cursor_;
-  std::vector<int> adj_;
-  std::vector<int> match_left_;
-  std::vector<int> match_right_;
-  std::vector<int> dist_;
-  std::vector<int> queue_;
-};
-
-}  // namespace
-
 std::vector<std::vector<int>> EdgeColoring::ColorClasses(bool validate) const {
   std::vector<std::vector<int>> classes(num_colors);
   for (int e = 0; e < static_cast<int>(color_of_edge.size()); ++e) {
@@ -371,14 +83,6 @@ std::vector<std::vector<int>> EdgeColoring::ColorClasses(bool validate) const {
     classes[color_of_edge[e]].push_back(e);
   }
   return classes;
-}
-
-EdgeColoring ColorBipartiteEdges(const BipartiteGraph& g,
-                                 EdgeColoringAlgorithm algorithm) {
-  if (algorithm == EdgeColoringAlgorithm::kEulerSplit) {
-    return EulerSplitColorer(g).Run(g);
-  }
-  return ColorKoenig(g);
 }
 
 bool IsValidEdgeColoring(const BipartiteGraph& g, const EdgeColoring& ec) {

@@ -5,20 +5,10 @@
 // Neumann step (Theorem 1): the combined interval graph is decomposed into
 // matchings that are then packed into (1+c)-augmented rounds.
 //
-// Two algorithms sit behind the same API:
-//   kKoenig      alternating-path recoloring, O(V * E). The historical
-//                default; kept as the reference implementation and the
-//                fallback for sparse or irregular inputs.
-//   kEulerSplit  recursive Euler partition over a D-regularized copy of the
-//                graph, ~O(E log D) plus a Hopcroft–Karp perfect matching
-//                per odd level. Much faster on the dense interval graphs
-//                Theorem 1 produces; trades O(s*D) scratch memory (s = the
-//                larger side) for speed, so very sparse graphs with one
-//                high-degree vertex should stay on kKoenig.
-// Both return a valid coloring with exactly max(MaxDegree, 1) colors; the
-// *assignment* of edges to colors generally differs between algorithms, so
-// reproducible pipelines must pick one and stick to it (the default is
-// kKoenig, which keeps historical schedules bit-identical).
+// The coloring recolors one alternating path per edge (König's proof),
+// O(V * E), and always uses exactly max(MaxDegree, 1) colors. The
+// assignment of edges to colors is part of Theorem 1's schedules, which
+// the golden tests pin.
 #ifndef FLOWSCHED_GRAPH_EDGE_COLORING_H_
 #define FLOWSCHED_GRAPH_EDGE_COLORING_H_
 
@@ -27,8 +17,6 @@
 #include "graph/bipartite_graph.h"
 
 namespace flowsched {
-
-enum class EdgeColoringAlgorithm { kKoenig, kEulerSplit };
 
 struct EdgeColoring {
   int num_colors = 0;
@@ -42,9 +30,7 @@ struct EdgeColoring {
 };
 
 // Colors all edges of `g` with MaxDegree() colors.
-EdgeColoring ColorBipartiteEdges(
-    const BipartiteGraph& g,
-    EdgeColoringAlgorithm algorithm = EdgeColoringAlgorithm::kKoenig);
+EdgeColoring ColorBipartiteEdges(const BipartiteGraph& g);
 
 // Validation helper for tests: every color class is a matching and every
 // edge has a color in range.

@@ -18,7 +18,7 @@ std::unique_ptr<SchedulingPolicy> MakeServePolicy(const std::string& name,
       dot == std::string::npos ? std::string() : name.substr(dot + 1);
   if (family == "online" && !policy.empty()) {
     for (const std::string& known : AllPolicyNames()) {
-      if (known == policy) return MakePolicy(policy, seed, matching);
+      if (known == policy) return MakePolicy(policy, seed);
     }
   } else if (family == "coflow" && !policy.empty()) {
     for (const std::string& known : AllCoflowPolicyNames()) {

@@ -17,7 +17,7 @@
 #include <memory>
 #include <string>
 
-#include "core/online/policy.h"
+#include "coflow/coflow_policies.h"
 #include "scenario/scenario.h"
 #include "serve/streaming_simulator.h"
 #include "workload/arrival_source.h"
@@ -36,15 +36,16 @@ struct ServeOptions {
   // Cooperative shutdown flag (SIGINT/SIGTERM): pull sessions finish the
   // round in flight and emit DONE (StreamingOptions::stop).
   const volatile std::sig_atomic_t* stop = nullptr;
-  // Matching-kernel knobs for the maxweight policies (exact by default:
-  // the vertex-weight matcher for online.maxweight, the Hungarian for
-  // coflow.maxweight; approx_eps > 0 opts into the auction matcher).
+  // Matching-kernel knob for coflow.maxweight (exact Hungarian by default;
+  // approx_eps > 0 opts into the auction matcher). Every other policy
+  // ignores it, so flowsched_serve accepts --approx only with
+  // coflow.maxweight.
   MatchingOptions matching;
 };
 
 // Builds the policy behind a registry-style name: "online.<p>" maps to
-// MakePolicy(p), "coflow.<p>" to MakeCoflowPolicy(p). Null + *error for
-// anything else.
+// MakePolicy(p), "coflow.<p>" to MakeCoflowPolicy(p, seed, matching). Null
+// + *error for anything else.
 std::unique_ptr<SchedulingPolicy> MakeServePolicy(
     const std::string& name, std::string* error, std::uint64_t seed = 1,
     const MatchingOptions& matching = {});

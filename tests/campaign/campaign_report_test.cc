@@ -91,7 +91,7 @@ class CampaignReportTest : public ::testing::Test {
 TEST_F(CampaignReportTest, CollectWritesPerGridAggregates) {
   CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error))
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error))
       << error;
   EXPECT_EQ(summary.total, 10);
   EXPECT_EQ(summary.ok, 10);
@@ -110,9 +110,9 @@ TEST_F(CampaignReportTest, CollectWritesPerGridAggregates) {
 TEST_F(CampaignReportTest, CollectIsByteDeterministic) {
   CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
   const std::string first = ReadFile(root_ / "aggregate" / "flow.json");
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
   EXPECT_EQ(ReadFile(root_ / "aggregate" / "flow.json"), first);
 }
 
@@ -149,7 +149,7 @@ TEST_F(CampaignReportTest, PartialCampaignCollectsAndReportsMissing) {
   fs::remove_all(CampaignTaskDir(root_.string(), victim));
   CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error))
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error))
       << error;
   EXPECT_EQ(summary.ok, 9);
   EXPECT_EQ(summary.missing, 1);
@@ -168,7 +168,7 @@ TEST_F(CampaignReportTest, PartialCampaignCollectsAndReportsMissing) {
 TEST_F(CampaignReportTest, OnlineOnlyGridHasNoLowerBoundOutput) {
   CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
   ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
   const std::string json = ReadFile(root_ / "aggregate" / "flow.json");
   const std::string html = ReadFile(root_ / "report" / "index.html");
@@ -217,7 +217,7 @@ TEST_F(CampaignReportTest, AvgVsLpIsTheRatioToLp0PerFlow) {
       << expected << " not in " << TableRow(html, "online.maxweight");
 
   CampaignCollectSummary summary;
-  ASSERT_TRUE(CollectCampaign(spec_, plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
   const std::string json = ReadFile(root_ / "aggregate" / "lp.json");
   EXPECT_NE(json.find("\"lb_avg_response\": {\"mean\": "), std::string::npos);
   EXPECT_EQ(json.find("lb_max_response"), std::string::npos);

@@ -92,7 +92,7 @@ class CampaignRunnerTest : public ::testing::Test {
     CampaignCollectSummary summary;
     std::string error;
     EXPECT_TRUE(
-        CollectCampaign(spec_, plan_, root_.string(), summary, &error))
+        CollectCampaign(plan_, root_.string(), summary, &error))
         << error;
     EXPECT_EQ(summary.failed, 0);
     EXPECT_EQ(summary.missing, 0);

@@ -76,6 +76,49 @@ TEST(ParseCampaignSpecTest, JsonFormat) {
   EXPECT_EQ(spec.grids[1].seeds, (std::vector<std::uint64_t>{1, 2}));
 }
 
+// Every grid key spelled as JSON: array and string axes, scalars and the
+// params object all land on the same SweepSpec fields as the text grammar.
+TEST(ParseCampaignSpecTest, JsonGridKeys) {
+  const std::string text = R"({
+    "name": "j",
+    "grids": [
+      {"name": "g",
+       "solvers": ["online.fifo", "online.*"],
+       "instances": ["poisson:ports={ports},load={load},rounds=50,seed={seed}"],
+       "loads": [0.5, 1.0],
+       "ports": "16,32",
+       "seeds": "1..3",
+       "trials": 2,
+       "base_seed": 99,
+       "params": {"validate": 0, "record_backlog": "1"}},
+      {"name": "cdf",
+       "solvers": ["online.srpt"],
+       "instances": ["cdf:dist={dist},ports=16,seed={seed}"],
+       "dists": ["alistorage"]}
+    ]
+  })";
+  CampaignSpec spec;
+  std::string error;
+  ASSERT_TRUE(ParseCampaignSpec(text, spec, &error)) << error;
+  ASSERT_EQ(spec.grids.size(), 2u);
+  const SweepSpec& grid = spec.grids[0];
+  EXPECT_EQ(grid.name, "g");
+  EXPECT_EQ(grid.solvers,
+            (std::vector<std::string>{"online.fifo", "online.*"}));
+  EXPECT_EQ(grid.loads, (std::vector<double>{0.5, 1.0}));
+  EXPECT_EQ(grid.ports, (std::vector<long long>{16, 32}));
+  EXPECT_EQ(grid.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(grid.trials, 2);
+  EXPECT_EQ(grid.base_seed, 99u);
+  EXPECT_EQ(grid.params.at("validate"), "0");
+  EXPECT_EQ(grid.params.at("record_backlog"), "1");
+  EXPECT_EQ(spec.grids[1].dists, (std::vector<std::string>{"alistorage"}));
+
+  EXPECT_FALSE(ParseCampaignSpec(
+      R"({"name": "x", "grids": [{"name": "g", "nope": 1}]})", spec, &error));
+  EXPECT_NE(error.find("nope"), std::string::npos) << error;
+}
+
 TEST(ParseCampaignSpecTest, RejectsBadInput) {
   CampaignSpec spec;
   std::string error;
@@ -130,6 +173,19 @@ TEST(ParseCampaignSpecTest, GridErrorsNameFileLines) {
   std::string error;
   EXPECT_FALSE(ParseCampaignSpec(text, spec, &error));
   EXPECT_EQ(error, "grid 2: line 13: unknown spec key \"bogus\"");
+}
+
+TEST(ParseCampaignSpecTest, TextGridsSpeakOnlyKeyValueLines) {
+  // JSON belongs in a JSON campaign; inside a text [grid] it is a bad line.
+  const std::string text =
+      "name=x\n"                                           // 1
+      "[grid]\n"                                           // 2
+      "{\"name\": \"g\", \"solvers\": [\"online.fifo\"]}\n";  // 3
+  CampaignSpec spec;
+  std::string error;
+  EXPECT_FALSE(ParseCampaignSpec(text, spec, &error));
+  EXPECT_EQ(error.rfind("grid 1: line 3: expected key=value", 0), 0u)
+      << error;
 }
 
 TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {

@@ -62,7 +62,7 @@ inline OneGridRun RunOneGridCampaign(const SweepSpec& grid, int jobs) {
                           run.summary, &error))
       << error;
   EXPECT_TRUE(
-      CollectCampaign(spec, run.plan, root.string(), run.collect, &error))
+      CollectCampaign(run.plan, root.string(), run.collect, &error))
       << error;
   run.aggregate = ReadTextFile(root / "aggregate" / (grid.name + ".json")) +
                   "\n---\n" +

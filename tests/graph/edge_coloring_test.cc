@@ -89,36 +89,29 @@ TEST(EdgeColoringTest, LargeDenseGraphStressValid) {
   EXPECT_EQ(ec.num_colors, g.MaxDegree());
 }
 
-// --- Euler-split cross-validation against the König reference. ------------
-
-TEST(EulerSplitTest, SingleEdgeAndParallelEdges) {
+TEST(EdgeColoringTest, ParallelEdgesOnOnePairUseOneColorEach) {
   BipartiteGraph g(1, 1);
-  g.AddEdge(0, 0);
-  EdgeColoring ec = ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
-  EXPECT_EQ(ec.num_colors, 1);
-  EXPECT_TRUE(IsValidEdgeColoring(g, ec));
-  for (int i = 0; i < 4; ++i) g.AddEdge(0, 0);
-  ec = ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
+  for (int i = 0; i < 5; ++i) g.AddEdge(0, 0);
+  const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 5);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
 }
 
-TEST(EulerSplitTest, EdgelessAndDegreeOneGraphs) {
+TEST(EdgeColoringTest, EdgelessAndDegreeOneGraphs) {
   const BipartiteGraph empty(3, 5);
-  const EdgeColoring ec0 =
-      ColorBipartiteEdges(empty, EdgeColoringAlgorithm::kEulerSplit);
+  const EdgeColoring ec0 = ColorBipartiteEdges(empty);
+  EXPECT_EQ(ec0.num_colors, 1);
   EXPECT_EQ(ec0.color_of_edge.size(), 0u);
+  EXPECT_TRUE(IsValidEdgeColoring(empty, ec0));
   // A perfect matching needs exactly one color.
   BipartiteGraph g(6, 6);
   for (int i = 0; i < 6; ++i) g.AddEdge(i, (i + 2) % 6);
-  const EdgeColoring ec =
-      ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
+  const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 1);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
 }
 
-TEST(EulerSplitTest, RectangularSides) {
-  // num_left != num_right exercises the square regularization.
+TEST(EdgeColoringTest, RectangularSides) {
   Rng rng(99);
   for (int trial = 0; trial < 50; ++trial) {
     Rng r = rng.Fork(trial);
@@ -129,17 +122,16 @@ TEST(EulerSplitTest, RectangularSides) {
     for (int i = 0; i < edges; ++i) {
       g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
     }
-    const EdgeColoring ec =
-        ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
+    const EdgeColoring ec = ColorBipartiteEdges(g);
     EXPECT_EQ(ec.num_colors, std::max(g.MaxDegree(), 1));
     ASSERT_TRUE(IsValidEdgeColoring(g, ec));
   }
 }
 
-// 1000+ random multigraphs: both algorithms must produce a valid coloring
-// with exactly max(MaxDegree, 1) colors. Shapes sweep sparse-to-dense,
-// skewed sides, heavy parallel edges, and hub (degree-concentrated) graphs.
-TEST(EulerSplitTest, CrossValidatesAgainstKoenigOnRandomMultigraphs) {
+// 1000+ random multigraphs must each get a valid coloring with exactly
+// max(MaxDegree, 1) colors. Shapes sweep sparse-to-dense, skewed sides,
+// heavy parallel edges, and hub (degree-concentrated) graphs.
+TEST(EdgeColoringTest, MaxDegreeColorsOnRandomMultigraphShapes) {
   Rng rng(2026);
   int checked = 0;
   for (int trial = 0; trial < 1100; ++trial) {
@@ -187,34 +179,23 @@ TEST(EulerSplitTest, CrossValidatesAgainstKoenigOnRandomMultigraphs) {
         g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
       }
     }
-    const int want_colors = std::max(g.MaxDegree(), 1);
-    const EdgeColoring koenig =
-        ColorBipartiteEdges(g, EdgeColoringAlgorithm::kKoenig);
-    const EdgeColoring euler =
-        ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
-    ASSERT_EQ(koenig.num_colors, want_colors) << "trial " << trial;
-    ASSERT_EQ(euler.num_colors, want_colors) << "trial " << trial;
-    ASSERT_TRUE(IsValidEdgeColoring(g, koenig)) << "trial " << trial;
-    ASSERT_TRUE(IsValidEdgeColoring(g, euler)) << "trial " << trial;
+    const EdgeColoring ec = ColorBipartiteEdges(g);
+    ASSERT_EQ(ec.num_colors, std::max(g.MaxDegree(), 1)) << "trial " << trial;
+    ASSERT_TRUE(IsValidEdgeColoring(g, ec)) << "trial " << trial;
     ++checked;
   }
   EXPECT_GE(checked, 1000);
 }
 
-TEST(EulerSplitTest, DenseGraphMatchesKoenigColorCount) {
+TEST(EdgeColoringTest, Dense48x48GraphUsesMaxDegreeColors) {
   Rng rng(55);
   BipartiteGraph g(48, 48);
   for (int i = 0; i < 4000; ++i) {
     g.AddEdge(rng.UniformInt(0, 47), rng.UniformInt(0, 47));
   }
-  const EdgeColoring koenig =
-      ColorBipartiteEdges(g, EdgeColoringAlgorithm::kKoenig);
-  const EdgeColoring euler =
-      ColorBipartiteEdges(g, EdgeColoringAlgorithm::kEulerSplit);
-  EXPECT_EQ(koenig.num_colors, g.MaxDegree());
-  EXPECT_EQ(euler.num_colors, g.MaxDegree());
-  EXPECT_TRUE(IsValidEdgeColoring(g, koenig));
-  EXPECT_TRUE(IsValidEdgeColoring(g, euler));
+  const EdgeColoring ec = ColorBipartiteEdges(g);
+  EXPECT_EQ(ec.num_colors, g.MaxDegree());
+  EXPECT_TRUE(IsValidEdgeColoring(g, ec));
 }
 
 }  // namespace

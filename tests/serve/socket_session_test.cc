@@ -3,7 +3,8 @@
 // previous round's STATS reply arrived, as a switch controller must. A
 // daemon that buffers replies until the session ends stalls this client;
 // every read here has a deadline so that shows up as a failure, not a hang.
-// The same closed loop runs over the default stdin/stdout transport.
+// The same closed loop runs over the default stdin/stdout transport, and
+// the --approx flag checks run the binary to completion.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -300,6 +302,42 @@ TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
   EXPECT_EQ(d.Wait(), 0);
 }
 
+// Runs flowsched_serve with `args` and stdin from /dev/null; returns its
+// exit status (-1 if it did not exit) and its stdout and stderr in *output.
+int RunServe(const std::string& args, std::string* output) {
+  const std::string command =
+      std::string(FLOWSCHED_SERVE_BIN) + " " + args + " </dev/null 2>&1";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char chunk[256];
+  while (std::fgets(chunk, sizeof(chunk), pipe) != nullptr) *output += chunk;
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// --approx acts only on coflow.maxweight; with any other policy the daemon
+// refuses to start instead of ignoring the flag.
+TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
+  for (const char* policy : {"online.maxweight", "online.srpt", "coflow.sebf"}) {
+    SCOPED_TRACE(policy);
+    std::string output;
+    EXPECT_EQ(RunServe(std::string("--approx=0.5 --ports=4 --policy=") + policy,
+                       &output),
+              2);
+    EXPECT_NE(output.find("coflow.maxweight"), std::string::npos) << output;
+    EXPECT_EQ(output.find("MATCH"), std::string::npos) << output;
+  }
+}
+
+// The smoke's batch reference must run the same auction as its streaming
+// sessions, or the self-check compares two different matchers.
+TEST(ServeCliTest, ApproxSmokeOnCoflowMaxWeightPasses) {
+  std::string output;
+  EXPECT_EQ(RunServe("--smoke --policy=coflow.maxweight --approx=0.5", &output),
+            0);
+  EXPECT_NE(output.find("SMOKE OK"), std::string::npos) << output;
+}
+
 #else
 
 TEST(ServeSocketTest, ClosedLoopClientGetsEachRoundsReplyBeforeNextRound) {
@@ -311,6 +349,14 @@ TEST(ServeStdioTest, ClosedLoopRepliesMatchTheInProcessSession) {
 }
 
 TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
+  GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
+}
+
+TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
+  GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
+}
+
+TEST(ServeCliTest, ApproxSmokeOnCoflowMaxWeightPasses) {
   GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
 }
 

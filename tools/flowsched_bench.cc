@@ -115,8 +115,8 @@ const std::vector<ScenarioCellSpec> kScenarios = {
      "PODS 4\nPOD_DOWN 60 0\nPOD_UP 120 0\n"},
 };
 
-// The maxweight matcher variants: the opt-in eps-auction
-// (campaigns/approx.json quantifies it across loads).
+// The coflow maxweight matcher variant: the opt-in eps-auction in place of
+// the Hungarian (campaigns/approx.json quantifies it across loads).
 struct VariantSpec {
   std::string instance;
   std::string solver;  // Registry name.
@@ -124,8 +124,6 @@ struct VariantSpec {
   std::map<std::string, std::string> params;
 };
 const std::vector<VariantSpec> kVariants = {
-    {"poisson:ports=256,load=1.0,rounds=195,seed=1", "online.maxweight",
-     "online.maxweight+approx0.5", {{"approx", "0.5"}}},
     {"coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
      "coflow.maxweight", "coflow.maxweight+approx0.5", {{"approx", "0.5"}}},
 };

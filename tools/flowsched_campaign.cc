@@ -189,7 +189,7 @@ int RunMain(int argc, char** argv) {
 
   if (command == "collect" || command == "report") {
     CampaignCollectSummary summary;
-    if (!CollectCampaign(spec, plan, out_root, summary, &error)) {
+    if (!CollectCampaign(plan, out_root, summary, &error)) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }
@@ -230,7 +230,7 @@ int RunMain(int argc, char** argv) {
 
   if (!no_report) {
     CampaignCollectSummary collect;
-    if (!CollectCampaign(spec, plan, out_root, collect, &error)) {
+    if (!CollectCampaign(plan, out_root, collect, &error)) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }

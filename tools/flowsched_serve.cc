@@ -118,11 +118,9 @@ void PrintUsage(std::ostream& out) {
          "drain)\n"
          "  --no-match         suppress per-round MATCH lines\n"
          "  --no-validate      skip per-round selection audits\n"
-         "  --approx=EPS       eps-approximate auction matcher for\n"
-         "                     maxweight policies (default 0 = exact:\n"
-         "                     the vertex-weight matcher for\n"
-         "                     online.maxweight, the Hungarian for\n"
-         "                     coflow.maxweight)\n"
+         "  --approx=EPS       coflow.maxweight only: eps-approximate\n"
+         "                     auction matcher instead of the exact\n"
+         "                     Hungarian (default 0 = exact)\n"
          "  --smoke            run the streaming-vs-batch self-check\n"
          "With no mode flag, speaks the wire protocol on stdin/stdout\n"
          "(docs/serve-protocol.md). SIGINT/SIGTERM finish the current\n"
@@ -154,6 +152,7 @@ bool ParseCount(const std::string& value, long long* out) {
 }
 
 bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
+  bool approx_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
@@ -184,6 +183,7 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
         error = "--approx needs a finite number >= 0, got \"" + value + "\"";
         return false;
       }
+      approx_given = true;
     } else if (TakeValue(argc, argv, i, "spec", &value)) {
       cli.spec = value;
     } else if (TakeValue(argc, argv, i, "trace", &value)) {
@@ -211,6 +211,13 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
       return false;
     }
     if (!error.empty()) return false;
+  }
+  // Only coflow.maxweight has an auction path; elsewhere --approx would
+  // silently do nothing.
+  if (approx_given && cli.serve.policy != "coflow.maxweight") {
+    error = "--approx applies only to coflow.maxweight, not " +
+            cli.serve.policy;
+    return false;
   }
   return true;
 }
@@ -457,10 +464,10 @@ int RunSmoke(const ServeCli& cli) {
   options.emit_match = true;
 
   // Batch reference policy (fresh policies are built inside each streaming
-  // session from the same name + seed).
+  // session from the same name, seed and matching options).
   std::string error;
   const auto batch_policy = MakeServePolicy(options.policy, &error,
-                                            options.seed);
+                                            options.seed, options.matching);
   if (batch_policy == nullptr) return SmokeFail(error), 1;
 
   // ~6k flows: big enough to exercise retirement and stats windows, small
