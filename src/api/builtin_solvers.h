@@ -7,6 +7,8 @@
 
 #include <functional>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "api/solver.h"
 #include "core/online/policy.h"
@@ -16,6 +18,7 @@
 namespace flowsched {
 
 class SolverRegistry;
+struct MatchingOptions;
 
 namespace internal {
 
@@ -42,14 +45,39 @@ Schedule MapRealizedSchedule(const Instance& instance,
 // for its fault-free twin).
 using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>()>;
 
-// The body both adapters share: checks max_rounds against the safe
-// horizon, reads the record_backlog, validate and scenario params, replays
-// `instance` under make_policy(), and reports the realized schedule with
-// the simulation and matcher diagnostics, plus, under a scenario, the
+// False with *error when options.max_rounds (0 = the simulator's default)
+// is below the instance's safe horizon: the simulator FS_CHECK-aborts when
+// flows are still pending at its horizon, so such horizons are refused.
+bool CheckMaxRounds(const Instance& instance, const SolveOptions& options,
+                    std::string* error);
+
+// The doc rows of ReplayPolicy's params and of its simulation diagnostics
+// (each adapter appends its matcher and scenario rows).
+std::vector<SolverKeyDoc> ReplayParamDocs();
+std::vector<SolverKeyDoc> ReplayDiagnosticDocs();
+
+// The body both adapters share: rejects non-unit demands when the policy
+// RequiresUnitDemands(), checks max_rounds (CheckMaxRounds), reads
+// the record_backlog, validate and scenario params, replays `instance`
+// under make_policy(), and reports the realized schedule with the
+// simulation and matcher diagnostics, plus, under a scenario, the
 // robustness diagnostics against a fault-free twin run.
 SolveReport ReplayPolicy(const Instance& instance,
                          const SolveOptions& options,
                          const PolicyFactory& make_policy);
+
+// Shared by the coflow and fabric adapters (coflow/coflow_solvers.cc).
+// Reads the "approx" param (default 0 = exact) into *matching; false with
+// *error on an unparsable or negative value. ApproxParamDoc is its doc row
+// (only coflow-aware maxweight documents and uses it).
+bool LoadApproxOption(const SolveOptions& options, MatchingOptions* matching,
+                      std::string* error);
+SolverKeyDoc ApproxParamDoc();
+// The coflow completion time (CCT) diagnostics of report->schedule, with
+// flows grouped by coflow tag (untagged flows count as singletons), and
+// their doc rows.
+void AddCoflowDiagnostics(const Instance& instance, SolveReport* report);
+void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs);
 
 }  // namespace internal
 }  // namespace flowsched

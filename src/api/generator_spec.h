@@ -1,9 +1,13 @@
-// Shared parsing helpers for "<generator>:key=value,..." source specs,
-// used by both the batch loader (api/instance_source.cc) and the streaming
-// source factory (api/stream_source.cc) so the spec dialect cannot drift
-// between the two paths. Internal to src/api/.
-#ifndef FLOWSCHED_API_SPEC_PARSER_H_
-#define FLOWSCHED_API_SPEC_PARSER_H_
+// Reading "<generator>:key=value,..." source specs (internal to src/api/):
+// the key=value splitter and checked reader every generator uses, and the
+// one reader for the round-drawn generators — `poisson:`, `coflow:` and
+// `cdf:` — shared by the batch loader (api/instance_source.cc) and the
+// streaming factory (api/stream_source.cc). For each of those it owns the
+// accepted keys, their defaults and their range checks
+// (docs/file-formats.md, "Generator specs"), so a spec loads, validates and
+// streams alike, or fails with the same message on every path.
+#ifndef FLOWSCHED_API_GENERATOR_SPEC_H_
+#define FLOWSCHED_API_GENERATOR_SPEC_H_
 
 #include <algorithm>
 #include <charconv>
@@ -11,7 +15,13 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
+
+#include "model/flow.h"
+#include "traffic/traffic_gen.h"
+#include "workload/coflow_gen.h"
+#include "workload/poisson.h"
 
 namespace flowsched {
 namespace api_spec {
@@ -20,6 +30,12 @@ struct Spec {
   std::string generator;
   std::map<std::string, std::string> kv;
 };
+
+// Sets *error (when non-null) to `msg`; returns false.
+inline bool Fail(std::string* error, const std::string& msg) {
+  if (error != nullptr) *error = msg;
+  return false;
+}
 
 inline bool SplitSpec(const std::string& source, Spec& spec,
                       std::string* error) {
@@ -32,10 +48,8 @@ inline bool SplitSpec(const std::string& source, Spec& spec,
     if (pair.empty()) continue;
     const auto eq = pair.find('=');
     if (eq == std::string::npos) {
-      if (error != nullptr) {
-        *error = "generator spec: expected key=value, got \"" + pair + "\"";
-      }
-      return false;
+      return Fail(error,
+                  "generator spec: expected key=value, got \"" + pair + "\"");
     }
     spec.kv[pair.substr(0, eq)] = pair.substr(eq + 1);
   }
@@ -104,7 +118,28 @@ class SpecReader {
   std::string error_;
 };
 
+// A read and range-checked spec: the generator's config, ready for its
+// Generate* function or its stream source.
+struct GeneratorSpec {
+  std::variant<PoissonConfig, CoflowGenConfig, TrafficConfig> config;
+  // Rounds the generator draws; -1 for `rounds=inf`. A finite horizon is
+  // also the config's num_rounds.
+  Round horizon = 10;
+};
+
+// True for the generators ReadGeneratorSpec reads: poisson, coflow, cdf.
+bool IsRoundGenerator(const std::string& generator);
+
+// Reads `spec` (IsRoundGenerator(spec.generator) must hold) into *out.
+// `rounds` is an integer >= 1, or `inf` when `allow_unbounded` (streams
+// only; it then needs load > 0). A cdf: spec resolves its size
+// distribution here, so a bad `dist=` or `file=` fails even on
+// validation-only passes. Returns false with *error set on an unknown key,
+// an unparsable or out-of-range value, or a bad distribution.
+bool ReadGeneratorSpec(const Spec& spec, bool allow_unbounded,
+                       GeneratorSpec* out, std::string* error);
+
 }  // namespace api_spec
 }  // namespace flowsched
 
-#endif  // FLOWSCHED_API_SPEC_PARSER_H_
+#endif  // FLOWSCHED_API_GENERATOR_SPEC_H_

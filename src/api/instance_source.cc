@@ -2,115 +2,75 @@
 
 #include <fstream>
 #include <sstream>
+#include <variant>
 
-#include "api/spec_parser.h"
-#include "api/traffic_spec.h"
+#include "api/generator_spec.h"
 #include "fabric/fabric_spec.h"
 #include "model/trace_io.h"
-#include "traffic/traffic_gen.h"
 #include "workload/adversarial.h"
-#include "workload/coflow_gen.h"
 #include "workload/patterns.h"
-#include "workload/poisson.h"
 
 namespace flowsched {
 namespace {
 
+using api_spec::Fail;
 using api_spec::Spec;
 using api_spec::SpecReader;
 using api_spec::SplitSpec;
 
-bool Fail(std::string* error, const std::string& msg) {
-  if (error != nullptr) *error = msg;
-  return false;
-}
+// The batch generator of each GeneratorSpec config.
+struct BatchGenerator {
+  Instance operator()(const PoissonConfig& c) { return GeneratePoisson(c); }
+  Instance operator()(const CoflowGenConfig& c) { return GenerateCoflows(c); }
+  Instance operator()(const TrafficConfig& c) { return GenerateTraffic(c); }
+};
 
-// Reads (and thereby key-checks) one generator spec; materializes the
+// Reads (and thereby checks) one generator spec; materializes the
 // instance only when `generate` is set, so spec validation is free of
 // generation cost. Both paths share every key read — the accepted-key set
-// cannot drift between validation and loading.
+// and the range checks cannot drift between validation and loading.
 std::optional<Instance> Generate(const Spec& spec, std::string* error,
                                  bool generate) {
-  SpecReader r(spec);
   std::optional<Instance> result;
-  if (spec.generator == "poisson") {
-    PoissonConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    cfg.mean_arrivals_per_round = r.Get("load", 1.0) * cfg.num_inputs;
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
-    cfg.max_demand = r.GetInt("dmax", 1);
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
-    if (generate && r.ok()) result = GeneratePoisson(cfg);
-  } else if (spec.generator == "coflow") {
-    CoflowGenConfig cfg;
-    cfg.num_inputs = cfg.num_outputs = static_cast<int>(r.GetInt("ports", 16));
-    cfg.port_capacity = r.GetInt("cap", 1);
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
-    cfg.min_width = static_cast<int>(r.GetInt("minwidth", 1));
-    cfg.max_width = static_cast<int>(r.GetInt("width", 8));
-    cfg.width_skew = r.Get("skew", 1.0);
-    cfg.max_demand = r.GetInt("dmax", 1);
-    cfg.seed = static_cast<std::uint64_t>(r.GetInt("seed", 1));
-    // `load` is the per-port flow load (poisson semantics); the coflow rate
-    // follows from the width distribution's mean.
-    const double load = r.Get("load", 1.0);
-    if (generate && r.ok()) {
-      cfg.mean_coflows_per_round =
-          load * cfg.num_inputs / MeanCoflowWidth(cfg);
-      result = GenerateCoflows(cfg);
-    }
-  } else if (spec.generator == "cdf") {
-    // Realistic traffic: empirical flow sizes from a builtin datacenter
-    // CDF (dist=websearch|fbhdp|alistorage) or an HPCC-format file=,
-    // segmented into unit demands (traffic/traffic_gen.h). The CDF is
-    // parsed even when only validating, so bad files fail fast.
-    TrafficConfig cfg;
-    std::string traffic_error;
-    const bool traffic_ok =
-        api_spec::ReadTrafficSpec(r, &cfg, &traffic_error);
-    cfg.num_rounds = static_cast<int>(r.GetInt("rounds", 10));
-    if (!traffic_ok) {
-      r.CheckUnknown();
-      Fail(error, r.ok() ? traffic_error
-                         : traffic_error + "; " + r.error());
+  if (api_spec::IsRoundGenerator(spec.generator)) {
+    api_spec::GeneratorSpec g;
+    if (!api_spec::ReadGeneratorSpec(spec, /*allow_unbounded=*/false, &g,
+                                     error)) {
       return std::nullopt;
     }
-    if (cfg.num_rounds < 1) {
-      Fail(error, "rounds must be >= 1, got " +
-                      std::to_string(cfg.num_rounds));
-      return std::nullopt;
-    }
-    if (generate && r.ok()) result = GenerateTraffic(cfg);
-  } else if (spec.generator == "shuffle") {
-    const int ports = static_cast<int>(r.GetInt("ports", 16));
-    const int wave = static_cast<int>(r.GetInt("wave", 4));
-    const int waves = static_cast<int>(r.GetInt("waves", 3));
-    const int period = static_cast<int>(r.GetInt("period", 4));
-    if (generate && r.ok()) result = ShuffleWaves(ports, wave, waves, period);
-  } else if (spec.generator == "incast") {
-    const int ports = static_cast<int>(r.GetInt("ports", 16));
-    const int fanin = static_cast<int>(r.GetInt("fanin", ports - 1));
-    const auto release = static_cast<Round>(r.GetInt("release", 0));
-    if (generate && r.ok()) {
-      Instance instance(SwitchSpec::Uniform(ports, ports, 1), {});
-      AddIncast(instance, /*sink=*/ports - 1, fanin, release);
-      result = std::move(instance);
-    }
-  } else if (spec.generator == "fig4a") {
-    const int phase = static_cast<int>(r.GetInt("phase", 6));
-    const int total = static_cast<int>(r.GetInt("total", 30));
-    if (generate && r.ok()) result = Fig4aInstance(phase, total);
-  } else if (spec.generator == "fig4b") {
-    if (generate) result = Fig4bInstance();
+    if (generate) result = std::visit(BatchGenerator{}, g.config);
   } else {
-    Fail(error, "unknown generator \"" + spec.generator + "\"");
-    return std::nullopt;
-  }
-  r.CheckUnknown();
-  if (!r.ok()) {
-    Fail(error, r.error());
-    return std::nullopt;
+    SpecReader r(spec);
+    if (spec.generator == "shuffle") {
+      const int ports = static_cast<int>(r.GetInt("ports", 16));
+      const int wave = static_cast<int>(r.GetInt("wave", 4));
+      const int waves = static_cast<int>(r.GetInt("waves", 3));
+      const int period = static_cast<int>(r.GetInt("period", 4));
+      if (generate && r.ok()) result = ShuffleWaves(ports, wave, waves, period);
+    } else if (spec.generator == "incast") {
+      const int ports = static_cast<int>(r.GetInt("ports", 16));
+      const int fanin = static_cast<int>(r.GetInt("fanin", ports - 1));
+      const auto release = static_cast<Round>(r.GetInt("release", 0));
+      if (generate && r.ok()) {
+        Instance instance(SwitchSpec::Uniform(ports, ports, 1), {});
+        AddIncast(instance, /*sink=*/ports - 1, fanin, release);
+        result = std::move(instance);
+      }
+    } else if (spec.generator == "fig4a") {
+      const int phase = static_cast<int>(r.GetInt("phase", 6));
+      const int total = static_cast<int>(r.GetInt("total", 30));
+      if (generate && r.ok()) result = Fig4aInstance(phase, total);
+    } else if (spec.generator == "fig4b") {
+      if (generate) result = Fig4bInstance();
+    } else {
+      Fail(error, "unknown generator \"" + spec.generator + "\"");
+      return std::nullopt;
+    }
+    r.CheckUnknown();
+    if (!r.ok()) {
+      Fail(error, r.error());
+      return std::nullopt;
+    }
   }
   if (!generate) return std::nullopt;
   if (auto verr = result->ValidationError()) {
@@ -124,9 +84,9 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
 
 bool IsGeneratorSpec(const std::string& source) {
   const std::string name = source.substr(0, source.find(':'));
-  return name == "poisson" || name == "coflow" || name == "cdf" ||
-         name == "shuffle" || name == "incast" || name == "fig4a" ||
-         name == "fig4b" || name == "fabric";
+  return api_spec::IsRoundGenerator(name) || name == "shuffle" ||
+         name == "incast" || name == "fig4a" || name == "fig4b" ||
+         name == "fabric";
 }
 
 bool ValidateInstanceSpec(const std::string& source, std::string* error) {
@@ -159,8 +119,7 @@ bool ValidateInstanceSpec(const std::string& source, std::string* error) {
   if (!SplitSpec(source, spec, error)) return false;
   std::string gen_error;
   Generate(spec, &gen_error, /*generate=*/false);
-  if (!gen_error.empty()) return Fail(error, gen_error);
-  return true;
+  return gen_error.empty() || Fail(error, gen_error);
 }
 
 std::optional<Instance> LoadInstance(const std::string& source,

@@ -2,11 +2,9 @@
 // (model/trace_io.h format) or an inline generator spec.
 //
 // Generator specs: "<name>" or "<name>:key=value,key=value,...".
-//   poisson   ports, cap, load (arrivals = load*ports), rounds, dmax, seed
-//   coflow    ports, cap, load, rounds, width (max), minwidth, skew, dmax,
-//             seed — clustered Poisson coflows (workload/coflow_gen.h);
-//             load is per-port flow load, translated into a coflow rate via
-//             the width distribution's mean
+//   poisson, coflow, cdf   Poisson flows, clustered coflows and CDF-driven
+//                          traffic; api/generator_spec.h reads their keys,
+//                          defaults and ranges (docs/file-formats.md)
 //   shuffle   ports, wave, waves, period        (workload ShuffleWaves)
 //   incast    ports, fanin, release             (single hotspot on the last
 //                                                output port)
@@ -36,7 +34,8 @@
 namespace flowsched {
 
 // Loads from a generator spec or a CSV file; nullopt + *error on failure
-// (unknown generator key, malformed value, unreadable/unparsable file).
+// (unknown generator key, malformed or out-of-range value, unreadable or
+// unparsable file).
 std::optional<Instance> LoadInstance(const std::string& source,
                                      std::string* error = nullptr);
 
@@ -45,11 +44,11 @@ bool IsGeneratorSpec(const std::string& source);
 
 // Validates `source` as far as possible WITHOUT generating anything:
 // generator specs (fabric wrappers included, recursively) are parsed and
-// every key checked against the generator's accepted set, with the
-// offending key named in *error; an unknown generator NAME on a
-// generator-shaped source ("name:key=value,..." with a pathless name) is
-// rejected too. Genuine file paths return true — existence and content
-// are load-time concerns. Sweep expansion calls this so a typo'd template
+// every key checked against the generator's accepted set (poisson, coflow
+// and cdf values against their ranges too), with the offending key named
+// in *error; an unknown generator NAME on a generator-shaped source
+// ("name:key=value,..." with a pathless name) is rejected too. Genuine
+// file paths return true — existence and content are load-time concerns. Sweep expansion calls this so a typo'd template
 // fails the whole campaign up front instead of per task, after other
 // tasks already ran (exp/sweep_spec.h).
 bool ValidateInstanceSpec(const std::string& source,

@@ -350,16 +350,11 @@ class MrtDeadlineSolver : public Solver {
 }  // namespace
 
 void RegisterOfflineSolvers(SolverRegistry& registry) {
-  auto add = [&registry](auto make) {
-    auto probe = make();
-    registry.Register(std::string(probe->name()),
-                      std::string(probe->description()), std::move(make));
-  };
-  add([] { return std::make_unique<ArtTheorem1Solver>(); });
-  add([] { return std::make_unique<ArtExactSolver>(); });
-  add([] { return std::make_unique<MrtTheorem3Solver>(); });
-  add([] { return std::make_unique<MrtExactSolver>(); });
-  add([] { return std::make_unique<MrtDeadlineSolver>(); });
+  registry.Register([] { return std::make_unique<ArtTheorem1Solver>(); });
+  registry.Register([] { return std::make_unique<ArtExactSolver>(); });
+  registry.Register([] { return std::make_unique<MrtTheorem3Solver>(); });
+  registry.Register([] { return std::make_unique<MrtExactSolver>(); });
+  registry.Register([] { return std::make_unique<MrtDeadlineSolver>(); });
 }
 
 }  // namespace internal

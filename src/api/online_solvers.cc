@@ -18,14 +18,6 @@ namespace flowsched {
 namespace internal {
 namespace {
 
-// Policies built on BuildBacklogGraph (bipartite matchings of the backlog);
-// those FS_CHECK-abort on non-unit demands, so the adapter rejects such
-// instances with a recoverable error instead.
-bool IsMatchingBased(const std::string& policy) {
-  return policy == "maxcard" || policy == "minrtime" ||
-         policy == "maxweight" || policy == "hybrid";
-}
-
 class OnlinePolicySolver : public Solver {
  public:
   explicit OnlinePolicySolver(std::string policy)
@@ -36,25 +28,13 @@ class OnlinePolicySolver : public Solver {
     return "round-by-round simulation of the online policy (paper §5.2.1)";
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    return {{"record_backlog",
-             "0/1 (default 0): keep per-round backlog sizes; the maximum "
-             "surfaces as diagnostics max_backlog"},
-            ScenarioParamDoc(),
-            {"validate",
-             "0/1 (default 1): audit every policy selection for duplicates "
-             "and port overloads (benchmarks turn this off)"}};
+    return ReplayParamDocs();
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
-    std::vector<SolverKeyDoc> docs = {
-        {"rounds_simulated", "rounds until the backlog drained"},
-        {"avg_port_utilization",
-         "scheduled demand / available bandwidth over the run (1.0 = "
-         "every port saturated every round)"},
-        {"peak_backlog", "largest backlog at any policy round"},
-        {"max_backlog",
-         "largest recorded backlog (only with record_backlog=1)"},
+    std::vector<SolverKeyDoc> docs = ReplayDiagnosticDocs();
+    docs.push_back(
         {"matcher_full_solves",
-         "rounds solved by the exact vertex-weight matcher (maxweight)"}};
+         "rounds solved by the exact vertex-weight matcher (maxweight)"});
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }
@@ -62,13 +42,6 @@ class OnlinePolicySolver : public Solver {
  protected:
   SolveReport SolveImpl(const Instance& instance,
                         const SolveOptions& options) override {
-    SolveReport report;
-    report.objective_name = "total_response";
-    if (IsMatchingBased(policy_) && instance.MaxDemand() > 1) {
-      report.error = "policy " + policy_ +
-                     " is matching-based and requires unit demands";
-      return report;
-    }
     return ReplayPolicy(instance, options,
                         [&] { return MakePolicy(policy_, options.seed); });
   }
@@ -94,23 +67,53 @@ Schedule MapRealizedSchedule(const Instance& instance,
   return schedule;
 }
 
+bool CheckMaxRounds(const Instance& instance, const SolveOptions& options,
+                    std::string* error) {
+  if (options.max_rounds <= 0 || options.max_rounds >= instance.SafeHorizon()) {
+    return true;
+  }
+  *error = "max_rounds " + std::to_string(options.max_rounds) +
+           " is below the safe horizon " +
+           std::to_string(instance.SafeHorizon());
+  return false;
+}
+
+std::vector<SolverKeyDoc> ReplayParamDocs() {
+  return {{"record_backlog",
+           "0/1 (default 0): keep per-round backlog sizes; the maximum "
+           "surfaces as diagnostics max_backlog"},
+          ScenarioParamDoc(),
+          {"validate",
+           "0/1 (default 1): audit every policy selection for duplicates "
+           "and port overloads (benchmarks turn this off)"}};
+}
+
+std::vector<SolverKeyDoc> ReplayDiagnosticDocs() {
+  return {{"rounds_simulated", "rounds until the backlog drained"},
+          {"avg_port_utilization",
+           "scheduled demand / available bandwidth over the run (1.0 = "
+           "every port saturated every round)"},
+          {"peak_backlog", "largest backlog at any policy round"},
+          {"max_backlog",
+           "largest recorded backlog (only with record_backlog=1)"}};
+}
+
 SolveReport ReplayPolicy(const Instance& instance,
                          const SolveOptions& options,
                          const PolicyFactory& make_policy) {
   SolveReport report;
   report.objective_name = "total_response";
-  SimulationOptions sim;
-  if (options.max_rounds > 0) {
-    // The simulator FS_CHECK-aborts when flows are still pending at its
-    // horizon; refuse horizons that cannot drain any instance.
-    if (options.max_rounds < instance.SafeHorizon()) {
-      report.error = "max_rounds " + std::to_string(options.max_rounds) +
-                     " is below the safe horizon " +
-                     std::to_string(instance.SafeHorizon());
-      return report;
-    }
-    sim.max_rounds = options.max_rounds;
+  auto replayed = make_policy();
+  // Matching-based policies FS_CHECK-abort on non-unit demands deep in
+  // the round loop; reject such instances with a recoverable error.
+  if (replayed->RequiresUnitDemands() && instance.MaxDemand() > 1) {
+    report.error = "policy " + std::string(replayed->name()) +
+                   " is matching-based and requires unit demands";
+    return report;
   }
+  if (!CheckMaxRounds(instance, options, &report.error)) return report;
+  SimulationOptions sim;
+  if (options.max_rounds > 0) sim.max_rounds = options.max_rounds;
   std::string perr;
   sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
   sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
@@ -124,7 +127,6 @@ SolveReport ReplayPolicy(const Instance& instance,
     return report;
   }
   if (has_scenario) sim.scenario = &script;
-  auto replayed = make_policy();
   const SimulationResult r = Simulate(instance, *replayed, sim);
   if (r.truncated) {
     report.error = r.error;
@@ -173,12 +175,8 @@ SolveReport ReplayPolicy(const Instance& instance,
 
 void RegisterOnlineSolvers(SolverRegistry& registry) {
   for (const std::string& policy : AllPolicyNames()) {
-    auto factory = [policy] {
-      return std::make_unique<OnlinePolicySolver>(policy);
-    };
-    auto probe = factory();
-    registry.Register(std::string(probe->name()),
-                      std::string(probe->description()), std::move(factory));
+    registry.Register(
+        [policy] { return std::make_unique<OnlinePolicySolver>(policy); });
   }
 }
 

@@ -15,10 +15,10 @@ SolverRegistry& SolverRegistry::Global() {
   return *registry;
 }
 
-void SolverRegistry::Register(std::string name, std::string description,
-                              SolverFactory factory) {
-  entries_[std::move(name)] = Entry{std::move(description),
-                                    std::move(factory)};
+void SolverRegistry::Register(SolverFactory factory) {
+  const auto probe = factory();
+  entries_[std::string(probe->name())] =
+      Entry{std::string(probe->description()), std::move(factory)};
 }
 
 bool SolverRegistry::Contains(std::string_view name) const {

@@ -42,9 +42,9 @@ class SolverRegistry {
   /// A registry without built-ins (tests, embedders composing their own).
   SolverRegistry() = default;
 
-  /// Replaces any existing entry with the same name.
-  void Register(std::string name, std::string description,
-                SolverFactory factory);
+  /// Registers `factory` under its solver's name() and description();
+  /// replaces any existing entry with the same name.
+  void Register(SolverFactory factory);
 
   /// True when `name` is registered.
   bool Contains(std::string_view name) const;

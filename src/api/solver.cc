@@ -63,11 +63,6 @@ std::vector<std::string> Solver::ParamKeys() const {
   return keys;
 }
 
-double SolveReport::ApproxRatio() const {
-  if (!ok || !lower_bound.has_value() || *lower_bound <= 0.0) return 0.0;
-  return objective / *lower_bound;
-}
-
 SolveReport Solver::Solve(const Instance& instance,
                           const SolveOptions& options) {
   SolveReport report;

@@ -74,9 +74,6 @@ struct SolveReport {
 
   double wall_seconds = 0.0;
   std::map<std::string, double> diagnostics;  // Ordered => stable output.
-
-  /// objective / lower_bound when both are meaningful; 0 when not.
-  double ApproxRatio() const;
 };
 
 /// One documented solver key: a SolveOptions::params key or a diagnostics

@@ -3,9 +3,10 @@
 // stream.
 //
 // Supported sources:
-//   poisson / coflow generator specs with the same keys LoadInstance
-//     accepts, plus `rounds=inf` for an unbounded stream (which then
-//     requires load > 0, or the end-of-stream scan would never terminate);
+//   poisson / coflow / cdf generator specs, read exactly as LoadInstance
+//     reads them (api/generator_spec.h), plus `rounds=inf` for an
+//     unbounded stream (which then requires load > 0, or the end-of-stream
+//     scan would never terminate);
 //   instance-CSV file paths — streamed row by row (rows must be sorted by
 //     release; generator-written traces are).
 //

@@ -4,6 +4,8 @@
 // statistics in the diagnostics alongside the usual per-flow metrics.
 // Instances without coflow tags still run — every flow degenerates to a
 // singleton group, so CCT equals per-flow response time.
+// The CCT diagnostics and the `approx` reader defined here are shared with
+// the fabric adapters (api/builtin_solvers.h).
 #include <memory>
 #include <string>
 #include <utility>
@@ -20,6 +22,28 @@ namespace flowsched {
 namespace internal {
 namespace {
 
+// The CCT diagnostics read off CoflowMetrics, with their doc rows.
+struct CctDiagnostic {
+  const char* key;
+  const char* doc;
+  double CoflowMetrics::*value;
+};
+constexpr CctDiagnostic kCctDiagnostics[] = {
+    {"total_cct", "sum of per-group completion times",
+     &CoflowMetrics::total_cct},
+    {"avg_cct", "mean group completion time", &CoflowMetrics::avg_cct},
+    {"p50_cct", "median group completion time", &CoflowMetrics::p50_cct},
+    {"p95_cct", "95th-percentile group completion time",
+     &CoflowMetrics::p95_cct},
+    {"p99_cct", "99th-percentile group completion time",
+     &CoflowMetrics::p99_cct},
+    {"max_cct", "slowest group's completion time", &CoflowMetrics::max_cct},
+    {"avg_slowdown",
+     "mean CCT / isolation bound (1.0 = as fast as an empty switch)",
+     &CoflowMetrics::avg_slowdown},
+    {"max_slowdown", "worst group slowdown vs isolation",
+     &CoflowMetrics::max_slowdown}};
+
 class CoflowPolicySolver : public Solver {
  public:
   explicit CoflowPolicySolver(std::string policy)
@@ -31,45 +55,16 @@ class CoflowPolicySolver : public Solver {
            "(CCT diagnostics; untagged flows count as singletons)";
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    std::vector<SolverKeyDoc> docs = {
-        {"record_backlog",
-         "0/1 (default 0): keep per-round backlog sizes; the maximum "
-         "surfaces as diagnostics max_backlog"},
-        ScenarioParamDoc(),
-        {"validate",
-         "0/1 (default 1): audit every policy selection for duplicates "
-         "and port overloads (benchmarks turn this off)"}};
-    if (policy_ == "maxweight") {
-      docs.push_back(
-          {"approx",
-           "eps > 0 (default 0 = exact Hungarian): eps-approximate auction "
-           "matcher; each round's matched weight is within backlog*eps of "
-           "optimal, schedules (and CCT) may differ"});
-    }
+    std::vector<SolverKeyDoc> docs = ReplayParamDocs();
+    if (policy_ == "maxweight") docs.push_back(ApproxParamDoc());
     return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
-    std::vector<SolverKeyDoc> docs = {
-        {"rounds_simulated", "rounds until the backlog drained"},
-        {"avg_port_utilization",
-         "scheduled demand / available bandwidth over the run"},
-        {"peak_backlog", "largest backlog at any policy round"},
-        {"max_backlog",
-         "largest recorded backlog (only with record_backlog=1)"},
-        {"num_coflows",
-         "groups in the instance (untagged flows count as singletons)"},
-        {"num_tagged_coflows", "groups that carry a real coflow tag"},
-        {"total_cct", "sum of per-group completion times"},
-        {"avg_cct", "mean group completion time"},
-        {"p50_cct", "median group completion time"},
-        {"p95_cct", "95th-percentile group completion time"},
-        {"p99_cct", "99th-percentile group completion time"},
-        {"max_cct", "slowest group's completion time"},
-        {"avg_slowdown",
-         "mean CCT / isolation bound (1.0 = as fast as an empty switch)"},
-        {"max_slowdown", "worst group slowdown vs isolation"},
+    std::vector<SolverKeyDoc> docs = ReplayDiagnosticDocs();
+    AppendCoflowDiagnosticDocs(&docs);
+    docs.push_back(
         {"matcher_full_solves",
-         "rounds solved by the exact Hungarian matcher (maxweight)"}};
+         "rounds solved by the exact Hungarian matcher (maxweight)"});
     if (policy_ == "maxweight") {
       docs.push_back({"auction_bids", "price raises across all rounds "
                                       "(approx>0)"});
@@ -86,39 +81,12 @@ class CoflowPolicySolver : public Solver {
                         const SolveOptions& options) override {
     SolveReport report;
     report.objective_name = "total_response";
-    if (policy_ == "maxweight" && instance.MaxDemand() > 1) {
-      report.error =
-          "coflow.maxweight is matching-based and requires unit demands";
-      return report;
-    }
-    std::string perr;
     MatchingOptions matching;
-    matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
-    if (!perr.empty()) {
-      report.error = perr;
-      return report;
-    }
-    if (matching.approx_eps < 0.0) {
-      report.error = "approx must be >= 0";
-      return report;
-    }
+    if (!LoadApproxOption(options, &matching, &report.error)) return report;
     report = ReplayPolicy(instance, options, [&] {
       return MakeCoflowPolicy(policy_, options.seed, matching);
     });
-    if (!report.ok) return report;
-    const CoflowSet coflows(instance);
-    const CoflowMetrics cm =
-        ComputeCoflowMetrics(instance, coflows, report.schedule);
-    report.diagnostics["num_coflows"] = coflows.num_groups();
-    report.diagnostics["num_tagged_coflows"] = coflows.num_tagged();
-    report.diagnostics["total_cct"] = cm.total_cct;
-    report.diagnostics["avg_cct"] = cm.avg_cct;
-    report.diagnostics["p50_cct"] = cm.p50_cct;
-    report.diagnostics["p95_cct"] = cm.p95_cct;
-    report.diagnostics["p99_cct"] = cm.p99_cct;
-    report.diagnostics["max_cct"] = cm.max_cct;
-    report.diagnostics["avg_slowdown"] = cm.avg_slowdown;
-    report.diagnostics["max_slowdown"] = cm.max_slowdown;
+    if (report.ok) AddCoflowDiagnostics(instance, &report);
     return report;
   }
 
@@ -129,14 +97,48 @@ class CoflowPolicySolver : public Solver {
 
 }  // namespace
 
+bool LoadApproxOption(const SolveOptions& options, MatchingOptions* matching,
+                      std::string* error) {
+  std::string perr;
+  matching->approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
+  if (perr.empty() && matching->approx_eps < 0.0) perr = "approx must be >= 0";
+  if (perr.empty()) return true;
+  *error = perr;
+  return false;
+}
+
+SolverKeyDoc ApproxParamDoc() {
+  return {"approx",
+          "eps > 0 (default 0 = exact Hungarian): eps-approximate auction "
+          "matcher; each round's matched weight is within backlog*eps of "
+          "optimal, schedules (and CCT) may differ"};
+}
+
+void AddCoflowDiagnostics(const Instance& instance, SolveReport* report) {
+  const CoflowSet coflows(instance);
+  const CoflowMetrics cm =
+      ComputeCoflowMetrics(instance, coflows, report->schedule);
+  report->diagnostics["num_coflows"] = coflows.num_groups();
+  report->diagnostics["num_tagged_coflows"] = coflows.num_tagged();
+  for (const CctDiagnostic& d : kCctDiagnostics) {
+    report->diagnostics[d.key] = cm.*d.value;
+  }
+}
+
+void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs) {
+  docs->insert(docs->end(),
+               {{"num_coflows",
+                 "groups in the instance (untagged flows count as singletons)"},
+                {"num_tagged_coflows", "groups that carry a real coflow tag"}});
+  for (const CctDiagnostic& d : kCctDiagnostics) {
+    docs->push_back({d.key, d.doc});
+  }
+}
+
 void RegisterCoflowSolvers(SolverRegistry& registry) {
   for (const std::string& policy : AllCoflowPolicyNames()) {
-    auto factory = [policy] {
-      return std::make_unique<CoflowPolicySolver>(policy);
-    };
-    auto probe = factory();
-    registry.Register(std::string(probe->name()),
-                      std::string(probe->description()), std::move(factory));
+    registry.Register(
+        [policy] { return std::make_unique<CoflowPolicySolver>(policy); });
   }
 }
 

@@ -443,10 +443,10 @@ bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,
   }
   if (plan.tasks.empty()) return Fail(error, "sweep expands to zero tasks");
 
-  // Generator-spec templates are key-checked NOW, not at run time: a typo'd
-  // key would otherwise surface only as per-task failures, after the rest
-  // of the campaign had run. Validation never generates, so probing even a
-  // 50k-flow family is free.
+  // Generator-spec templates are key- and range-checked NOW, not at run
+  // time: a typo'd key or out-of-range value would otherwise surface only
+  // as per-task failures, after the rest of the campaign had run.
+  // Validation never generates, so probing even a 50k-flow family is free.
   for (const std::string& instance_spec : plan.unique_instances) {
     std::string spec_error;
     if (!ValidateInstanceSpec(instance_spec, &spec_error)) {

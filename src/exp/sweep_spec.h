@@ -50,9 +50,9 @@
 // and docs/file-formats.md for the worked format reference.
 //
 // Failing fast: unknown spec keys, axis/placeholder mismatches, unknown
-// solvers, and unknown keys inside generator-spec templates are all
-// expansion-time errors (the last via ValidateInstanceSpec), so a typo'd
-// campaign dies before any task runs.
+// solvers, and unknown keys or out-of-range values inside generator-spec
+// templates are all expansion-time errors (the last via
+// ValidateInstanceSpec), so a typo'd campaign dies before any task runs.
 #ifndef FLOWSCHED_EXP_SWEEP_SPEC_H_
 #define FLOWSCHED_EXP_SWEEP_SPEC_H_
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "api/builtin_solvers.h"
-#include "coflow/coflow_policies.h"
 #include "core/online/simulator.h"
 #include "exp/thread_pool.h"
 #include "util/check.h"
@@ -37,10 +35,7 @@ ShardRun SimulateShard(const Instance& shard_instance, int shard,
   if (shard_instance.num_flows() == 0) return run;
   const std::uint64_t seed = Rng::DeriveSeed(options.seed,
                                              static_cast<std::uint64_t>(shard));
-  std::unique_ptr<SchedulingPolicy> policy =
-      options.coflow_aware
-          ? MakeCoflowPolicy(options.policy, seed, options.matching)
-          : MakePolicy(options.policy, seed);
+  const std::unique_ptr<SchedulingPolicy> policy = options.make_policy(seed);
   SimulationOptions sim;
   if (options.max_rounds > 0) sim.max_rounds = options.max_rounds;
   sim.validate = options.validate;
@@ -138,6 +133,7 @@ FabricResult RunFabric(const Instance& instance, const FabricAssignment& fa,
                        const FabricRunOptions& options) {
   FS_CHECK_EQ(static_cast<std::size_t>(instance.num_flows()),
               fa.shard_of_flow.size());
+  FS_CHECK(options.make_policy != nullptr);
   const int shards = fa.shards;
   std::vector<ShardRun> runs(shards);
 
@@ -162,21 +158,17 @@ FabricResult RunFabric(const Instance& instance, const FabricAssignment& fa,
     }
   }
 
+  const auto run_shard = [&](int s) {
+    runs[s] = SimulateShard(fa.shard_instances[s], s, options,
+                            has_scenario ? &shard_ops[s] : nullptr);
+  };
   const int jobs = std::clamp(options.jobs, 1, shards);
   if (jobs > 1) {
     ThreadPool pool(jobs);
-    for (int s = 0; s < shards; ++s) {
-      pool.Submit([&, s] {
-        runs[s] = SimulateShard(fa.shard_instances[s], s, options,
-                                has_scenario ? &shard_ops[s] : nullptr);
-      });
-    }
+    for (int s = 0; s < shards; ++s) pool.Submit([&, s] { run_shard(s); });
     pool.Wait();
   } else {
-    for (int s = 0; s < shards; ++s) {
-      runs[s] = SimulateShard(fa.shard_instances[s], s, options,
-                              has_scenario ? &shard_ops[s] : nullptr);
-    }
+    for (int s = 0; s < shards; ++s) run_shard(s);
   }
 
   result.schedule = Schedule(instance.num_flows());

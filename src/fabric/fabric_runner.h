@@ -19,24 +19,27 @@
 #define FLOWSCHED_FABRIC_FABRIC_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "coflow/coflow_policies.h"
+#include "core/online/policy.h"
 #include "fabric/fabric_partition.h"
 #include "model/schedule.h"
 #include "scenario/scenario.h"
 
 namespace flowsched {
 
+/// Builds one pod's policy from its seed. RunFabric may call it from
+/// several threads at once.
+using SeededPolicyFactory =
+    std::function<std::unique_ptr<SchedulingPolicy>(std::uint64_t seed)>;
+
 /// Per-run knobs for RunFabric.
 struct FabricRunOptions {
-  /// Policy name: a MakeCoflowPolicy name when coflow_aware, else a
-  /// MakePolicy name (core/online/policy.h).
-  std::string policy = "fifo";
-  /// Selects the policy factory: coflow-aware policies rank the backlog by
-  /// group, flow-level policies per flow.
-  bool coflow_aware = false;
+  /// The pods' policy, e.g. a MakePolicy or MakeCoflowPolicy call. Required.
+  SeededPolicyFactory make_policy;
   /// Base seed; shard s simulates with Rng::DeriveSeed(seed, s).
   std::uint64_t seed = 1;
   /// Worker threads for shard simulation (clamped to [1, shards]). Results
@@ -48,9 +51,6 @@ struct FabricRunOptions {
   Round max_rounds = 0;
   /// Per-round selection audits (SimulationOptions::validate).
   bool validate = true;
-  /// Matching-kernel knob for coflow maxweight (coflow/coflow_policies.h);
-  /// every other policy ignores it.
-  MatchingOptions matching;
   /// Optional fault-injection script (scenario/scenario.h), expressed in
   /// *global* host / pod coordinates. RunFabric projects each event onto
   /// every shard's local ports (ProjectScenarioOps below) — a host outage

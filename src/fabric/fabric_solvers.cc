@@ -21,22 +21,14 @@
 #include "api/builtin_solvers.h"
 #include "api/registry.h"
 #include "api/scenario_support.h"
-#include "coflow/coflow_metrics.h"
 #include "coflow/coflow_policies.h"
 #include "fabric/fabric_runner.h"
 #include "fabric/fabric_spec.h"
-#include "model/coflow.h"
 #include "model/metrics.h"
 
 namespace flowsched {
 namespace internal {
 namespace {
-
-bool IsMatchingBased(const std::string& policy, bool coflow_aware) {
-  if (coflow_aware) return policy == "maxweight";
-  return policy == "maxcard" || policy == "minrtime" ||
-         policy == "maxweight" || policy == "hybrid";
-}
 
 class FabricPolicySolver : public Solver {
  public:
@@ -66,11 +58,7 @@ class FabricPolicySolver : public Solver {
         ScenarioParamDoc(),
         {"validate",
          "0/1 (default 1): per-round selection audits inside each pod"}};
-    if (HasAuction()) {
-      docs.push_back({"approx",
-                      "eps > 0 (default 0 = exact Hungarian): eps-approximate "
-                      "auction matcher inside each pod"});
-    }
+    if (HasAuction()) docs.push_back(ApproxParamDoc());
     return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
@@ -86,17 +74,8 @@ class FabricPolicySolver : public Solver {
          "tagged coflows simulated in more than one pod (their CCT is "
          "the max over member pods)"},
         {"load_imbalance",
-         "max pod demand / mean pod demand (1.0 = balanced)"},
-        {"num_coflows", "groups (untagged flows count as singletons)"},
-        {"num_tagged_coflows", "groups with a real coflow tag"},
-        {"total_cct", "sum of per-group fabric completion times"},
-        {"avg_cct", "mean fabric CCT"},
-        {"p50_cct", "median fabric CCT"},
-        {"p95_cct", "95th-percentile fabric CCT"},
-        {"p99_cct", "99th-percentile fabric CCT"},
-        {"max_cct", "slowest group's fabric CCT"},
-        {"avg_slowdown", "mean CCT / single-switch isolation bound"},
-        {"max_slowdown", "worst group slowdown vs isolation"}};
+         "max pod demand / mean pod demand (1.0 = balanced)"}};
+    AppendCoflowDiagnosticDocs(&docs);
     if (HasAuction()) {
       docs.push_back({"auction_bids",
                       "price raises summed over pods (approx>0)"});
@@ -110,10 +89,6 @@ class FabricPolicySolver : public Solver {
                         const SolveOptions& options) override {
     SolveReport report;
     report.objective_name = "total_response";
-    if (IsMatchingBased(policy_, coflow_aware_) && instance.MaxDemand() > 1) {
-      report.error = name_ + " is matching-based and requires unit demands";
-      return report;
-    }
 
     // Fabric topology: explicit params override the instance's fabric:
     // source stamp; without either, fail loudly.
@@ -141,16 +116,12 @@ class FabricPolicySolver : public Solver {
     }
     const int jobs = static_cast<int>(options.IntParamOr("jobs", 1, &perr));
     const bool validate = options.IntParamOr("validate", 1, &perr) != 0;
-    MatchingOptions matching;
-    matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
     if (!perr.empty()) {
       report.error = perr;
       return report;
     }
-    if (matching.approx_eps < 0.0) {
-      report.error = "approx must be >= 0";
-      return report;
-    }
+    MatchingOptions matching;
+    if (!LoadApproxOption(options, &matching, &report.error)) return report;
     if (shards < 1) {
       report.error =
           "fabric solvers need a shard count: load a "
@@ -164,23 +135,23 @@ class FabricPolicySolver : public Solver {
     }
 
     FabricRunOptions run_options;
-    run_options.policy = policy_;
-    run_options.coflow_aware = coflow_aware_;
+    run_options.make_policy = [this, matching](std::uint64_t seed) {
+      return coflow_aware_ ? MakeCoflowPolicy(policy_, seed, matching)
+                           : MakePolicy(policy_, seed);
+    };
+    // Matching-based pod policies FS_CHECK-abort on non-unit demands.
+    if (instance.MaxDemand() > 1 &&
+        run_options.make_policy(options.seed)->RequiresUnitDemands()) {
+      report.error = name_ + " is matching-based and requires unit demands";
+      return report;
+    }
     run_options.seed = options.seed;
     run_options.jobs = jobs;
     run_options.validate = validate;
-    run_options.matching = matching;
-    if (options.max_rounds > 0) {
-      // Every pod's safe horizon is bounded by the global one (fewer
-      // flows, same releases), so the global check covers all pods.
-      if (options.max_rounds < instance.SafeHorizon()) {
-        report.error = "max_rounds " + std::to_string(options.max_rounds) +
-                       " is below the safe horizon " +
-                       std::to_string(instance.SafeHorizon());
-        return report;
-      }
-      run_options.max_rounds = options.max_rounds;
-    }
+    // Every pod's safe horizon is bounded by the global one (fewer flows,
+    // same releases), so the global check covers all pods.
+    if (!CheckMaxRounds(instance, options, &report.error)) return report;
+    if (options.max_rounds > 0) run_options.max_rounds = options.max_rounds;
     ScenarioScript script;
     bool has_scenario = false;
     if (!LoadScenarioOption(options, &script, &has_scenario, &report.error)) {
@@ -235,19 +206,7 @@ class FabricPolicySolver : public Solver {
       report.diagnostics["auction_bids"] = static_cast<double>(r.auction_bids);
     }
 
-    const CoflowSet coflows(instance);
-    const CoflowMetrics cm =
-        ComputeCoflowMetrics(instance, coflows, report.schedule);
-    report.diagnostics["num_coflows"] = coflows.num_groups();
-    report.diagnostics["num_tagged_coflows"] = coflows.num_tagged();
-    report.diagnostics["total_cct"] = cm.total_cct;
-    report.diagnostics["avg_cct"] = cm.avg_cct;
-    report.diagnostics["p50_cct"] = cm.p50_cct;
-    report.diagnostics["p95_cct"] = cm.p95_cct;
-    report.diagnostics["p99_cct"] = cm.p99_cct;
-    report.diagnostics["max_cct"] = cm.max_cct;
-    report.diagnostics["avg_slowdown"] = cm.avg_slowdown;
-    report.diagnostics["max_slowdown"] = cm.max_slowdown;
+    AddCoflowDiagnostics(instance, &report);
     if (has_scenario) {
       // Fault-free baseline: the same seeds with no overlay and no
       // migrations — it partitions the ORIGINAL instance, so the
@@ -285,23 +244,18 @@ class FabricPolicySolver : public Solver {
 }  // namespace
 
 void RegisterFabricSolvers(SolverRegistry& registry) {
-  std::vector<std::pair<std::string, bool>> policies;
-  for (const std::string& p : AllCoflowPolicyNames()) {
-    policies.emplace_back(p, /*coflow_aware=*/true);
-  }
+  const std::vector<std::string> coflow_aware = AllCoflowPolicyNames();
+  const auto add = [&](const std::string& policy, bool aware) {
+    registry.Register([policy, aware] {
+      return std::make_unique<FabricPolicySolver>(policy, aware);
+    });
+  };
+  for (const std::string& p : coflow_aware) add(p, true);
   for (const std::string& p : AllPolicyNames()) {
-    const bool taken =
-        std::any_of(policies.begin(), policies.end(),
-                    [&](const auto& entry) { return entry.first == p; });
-    if (!taken) policies.emplace_back(p, /*coflow_aware=*/false);
-  }
-  for (const auto& [policy, coflow_aware] : policies) {
-    auto factory = [policy, coflow_aware] {
-      return std::make_unique<FabricPolicySolver>(policy, coflow_aware);
-    };
-    auto probe = factory();
-    registry.Register(std::string(probe->name()),
-                      std::string(probe->description()), std::move(factory));
+    if (std::find(coflow_aware.begin(), coflow_aware.end(), p) ==
+        coflow_aware.end()) {
+      add(p, false);
+    }
   }
 }
 

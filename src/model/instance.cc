@@ -21,35 +21,41 @@ FlowId Instance::AddFlow(PortId src, PortId dst, Capacity demand,
   return id;
 }
 
+namespace {
+
+// Flows are checked with plain comparisons; the message stream is built
+// only for the one flow that fails.
+template <class... Parts>
+std::optional<std::string> Message(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+}  // namespace
+
+std::optional<std::string> FlowFitError(const SwitchSpec& sw, const Flow& e) {
+  if (e.src < 0 || e.src >= sw.num_inputs()) {
+    return Message("input port ", e.src, " out of range");
+  }
+  if (e.dst < 0 || e.dst >= sw.num_outputs()) {
+    return Message("output port ", e.dst, " out of range");
+  }
+  if (e.demand < 1) return Message("demand ", e.demand, " < 1");
+  if (e.demand > sw.Kappa(e)) {
+    return Message("demand ", e.demand, " exceeds kappa ", sw.Kappa(e));
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> Instance::ValidationError() const {
-  // Every flow is checked with plain comparisons; the message stream is
-  // built only for the one flow that fails.
-  const auto error = [](const auto&... parts) {
-    std::ostringstream os;
-    (os << ... << parts);
-    return std::optional<std::string>(os.str());
-  };
   for (const Flow& e : flows_) {
-    if (e.src < 0 || e.src >= switch_.num_inputs()) {
-      return error("flow ", e.id, ": input port ", e.src, " out of range");
+    std::optional<std::string> why = FlowFitError(switch_, e);
+    if (!why && e.release < 0) why = Message("negative release ", e.release);
+    if (!why && e.coflow < kNoCoflow) {
+      why = Message("invalid coflow tag ", e.coflow);
     }
-    if (e.dst < 0 || e.dst >= switch_.num_outputs()) {
-      return error("flow ", e.id, ": output port ", e.dst, " out of range");
-    }
-    if (e.demand < 1) {
-      return error("flow ", e.id, ": demand ", e.demand, " < 1");
-    }
-    if (e.demand > switch_.Kappa(e)) {
-      // The model (paper §2) requires d_e <= kappa_e = min(c_p, c_q).
-      return error("flow ", e.id, ": demand ", e.demand, " exceeds kappa ",
-                   switch_.Kappa(e));
-    }
-    if (e.release < 0) {
-      return error("flow ", e.id, ": negative release ", e.release);
-    }
-    if (e.coflow < kNoCoflow) {
-      return error("flow ", e.id, ": invalid coflow tag ", e.coflow);
-    }
+    if (why) return Message("flow ", e.id, ": ", *why);
   }
   return std::nullopt;
 }

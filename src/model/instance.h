@@ -13,6 +13,13 @@
 
 namespace flowsched {
 
+// Checks that flow `e` fits switch `sw`: both ports in range and
+// 1 <= demand <= kappa_e = min(c_p, c_q) (paper §2). Returns the problem
+// without a flow prefix ("input port 9 out of range"), or nullopt. Every
+// reader of flows checks them here: Instance::ValidationError, the
+// streamed trace reader (model/trace_io.h) and the streaming simulator.
+std::optional<std::string> FlowFitError(const SwitchSpec& sw, const Flow& e);
+
 class Instance {
  public:
   Instance() = default;

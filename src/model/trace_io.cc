@@ -159,11 +159,12 @@ bool InstanceCsvReader::NextFlow(Flow* flow) {
     error_ = LineTagAt(rows_.line()) + "unparsable coflow tag: " + row_[4];
     return false;
   }
-  flow->src = e.src;
-  flow->dst = e.dst;
-  flow->demand = e.demand;
-  flow->release = e.release;
-  flow->coflow = e.coflow;
+  if (auto fit = FlowFitError(sw_, e)) {
+    error_ = LineTagAt(rows_.line()) + *fit;
+    return false;
+  }
+  e.id = flow->id;
+  *flow = e;
   return true;
 }
 

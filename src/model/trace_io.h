@@ -58,9 +58,9 @@ class InstanceCsvReader {
   bool with_coflow() const { return with_coflow_; }
 
   // Parses the next flow row into *flow (id left untouched — callers
-  // number flows). Returns false at end of input or on a malformed row;
-  // check ok() to distinguish. Per-flow model validation (port ranges,
-  // demand bounds) is the caller's concern.
+  // number flows). Returns false at end of input or on a malformed row,
+  // including one that does not fit the switch (FlowFitError: port range,
+  // 1 <= demand <= kappa); check ok() to distinguish.
   bool NextFlow(Flow* flow);
 
   // 1-based line number of the row the last NextFlow() returned.

@@ -4,9 +4,11 @@
 #include <charconv>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <ostream>
 
 #include "util/check.h"
+#include "util/json.h"
 
 namespace flowsched {
 namespace {
@@ -64,14 +66,7 @@ std::string StreamingSummary::ToJson() const {
   AppendBool(out, "source_error", source_error);
   if (!error.empty()) {
     out += ",\"error\":\"";
-    for (char c : error) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (c == '\n') {
-        out += "\\n";
-        continue;
-      }
-      out += c;
-    }
+    out += JsonEscape(error);
     out += '"';
   }
   out += '}';
@@ -88,11 +83,8 @@ struct StreamingSimulator::Hooks {
   }
   // Pull mode only; wire Inject admits on its own.
   bool Admit(const Flow& arrival) {
-    if (arrival.demand != 1 && sim.policy_.RequiresUnitDemands()) {
+    if (!sim.Admissible(arrival, &sim.error_)) {
       sim.source_error_ = true;
-      sim.error_ = "policy " + std::string(sim.policy_.name()) +
-                   " requires unit demands, got a flow with demand " +
-                   std::to_string(arrival.demand);
       return false;
     }
     sim.engine_.Admit(arrival, [&](const Flow& f) {
@@ -200,26 +192,21 @@ StreamingSummary StreamingSimulator::Run(ArrivalSource& source) {
   return Summarize();
 }
 
+bool StreamingSimulator::Admissible(const Flow& flow,
+                                    std::string* error) const {
+  std::optional<std::string> why = FlowFitError(sw_, flow);
+  if (why) {
+    why = "flow " + *why;
+  } else if (flow.demand != 1 && policy_.RequiresUnitDemands()) {
+    why = "policy " + std::string(policy_.name()) + " requires unit demands";
+  }
+  if (why && error != nullptr) *error = *why;
+  return !why;
+}
+
 bool StreamingSimulator::Inject(const Flow& flow, std::string* error) {
   wire_mode_ = true;
-  if (flow.src < 0 || flow.src >= sw_.num_inputs() || flow.dst < 0 ||
-      flow.dst >= sw_.num_outputs()) {
-    if (error != nullptr) *error = "flow ports out of range for the switch";
-    return false;
-  }
-  if (flow.demand < 1 || flow.demand > sw_.Kappa(flow)) {
-    if (error != nullptr) {
-      *error = "flow demand must be in [1, min port capacity]";
-    }
-    return false;
-  }
-  if (flow.demand != 1 && policy_.RequiresUnitDemands()) {
-    if (error != nullptr) {
-      *error = "policy " + std::string(policy_.name()) +
-               " requires unit demands";
-    }
-    return false;
-  }
+  if (!Admissible(flow, error)) return false;
   if (!live_ids_.insert(flow.id).second) {
     if (error != nullptr) {
       *error = "flow id " + std::to_string(flow.id) +

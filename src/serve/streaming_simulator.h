@@ -122,6 +122,9 @@ class StreamingSimulator {
  private:
   struct Hooks;  // The RoundEngine hooks (streaming_simulator.cc).
 
+  // False with *error when `flow` does not fit the switch (FlowFitError)
+  // or the policy RequiresUnitDemands() and its demand is not 1.
+  bool Admissible(const Flow& flow, std::string* error) const;
   void Track(const Flow& f);  // Coflow group tracking of an arrival.
   void EmitPeriodicStats();
 

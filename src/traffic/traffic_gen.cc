@@ -4,6 +4,8 @@
 #include <cmath>
 
 #include "util/check.h"
+#include "workload/arrival_source.h"
+#include "workload/coflow_gen.h"
 
 namespace flowsched {
 namespace {
@@ -32,6 +34,20 @@ int SampleSegments(const TrafficConfig& config, double unit, Rng& rng) {
   return segments < 1.0 ? 1 : static_cast<int>(segments);
 }
 
+// Expected requests per round (the calibrated Poisson mean): the target
+// load over the expected segments per request (width 1 when untagged).
+double MeanTrafficRequestsPerRound(const TrafficConfig& config) {
+  const double mean_segments = config.cdf.MeanSegments(TrafficUnit(config));
+  const double mean_width =
+      config.max_width <= 0 ? 1.0
+                            : CoflowWidthMean(config.min_width,
+                                              config.max_width,
+                                              config.width_skew);
+  const double target = config.load * config.num_inputs *
+                        static_cast<double>(config.port_capacity);
+  return target / (mean_width * mean_segments);
+}
+
 }  // namespace
 
 double TrafficUnit(const TrafficConfig& config) {
@@ -42,40 +58,16 @@ double TrafficUnit(const TrafficConfig& config) {
   return auto_unit > 0.0 ? auto_unit : 1.0;
 }
 
-double MeanTrafficWidth(const TrafficConfig& config) {
-  if (config.max_width <= 0) return 1.0;
-  const int span = config.max_width - config.min_width + 1;
-  double weight_sum = 0.0;
-  double mean = 0.0;
-  double weight = 1.0;
-  for (int k = 0; k < span; ++k) {
-    weight_sum += weight;
-    mean += weight * (config.min_width + k);
-    weight *= config.width_skew;
-  }
-  return mean / weight_sum;
-}
-
-double MeanTrafficRequestsPerRound(const TrafficConfig& config) {
-  const double mean_segments = config.cdf.MeanSegments(TrafficUnit(config));
-  const double target = config.load * config.num_inputs *
-                        static_cast<double>(config.port_capacity);
-  return target / (MeanTrafficWidth(config) * mean_segments);
-}
-
 void AppendTrafficRound(const TrafficConfig& config, Round t, Rng& rng,
                         CoflowId* next_coflow, std::vector<Flow>* out) {
   const double unit = TrafficUnit(config);
-  const int span = config.max_width - config.min_width + 1;
   const int requests = rng.Poisson(MeanTrafficRequestsPerRound(config));
   for (int c = 0; c < requests; ++c) {
     const bool tagged = config.max_width > 0;
     const int width =
-        !tagged ? 1
-        : config.width_skew >= 1.0
-            ? rng.UniformInt(config.min_width, config.max_width)
-            : config.min_width - 1 +
-                  rng.TruncatedGeometric(config.width_skew, span);
+        tagged ? DrawCoflowWidth(rng, config.min_width, config.max_width,
+                                 config.width_skew)
+               : 1;
     const CoflowId coflow = tagged ? (*next_coflow)++ : kNoCoflow;
     for (int k = 0; k < width; ++k) {
       Flow e;
@@ -92,20 +84,10 @@ void AppendTrafficRound(const TrafficConfig& config, Round t, Rng& rng,
 Instance GenerateTraffic(const TrafficConfig& config) {
   ValidateConfig(config);
   Rng rng(config.seed);
-  Instance instance(SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                                        config.port_capacity),
-                    {});
   CoflowId next_coflow = 0;
-  std::vector<Flow> round;
-  for (Round t = 0; t < config.num_rounds; ++t) {
-    round.clear();
-    AppendTrafficRound(config, t, rng, &next_coflow, &round);
-    for (const Flow& e : round) {
-      instance.AddFlow(e.src, e.dst, e.demand, e.release, e.coflow);
-    }
-  }
-  FS_CHECK(!instance.ValidationError().has_value());
-  return instance;
+  return DrawRounds(config, [&](Round t, std::vector<Flow>* round) {
+    AppendTrafficRound(config, t, rng, &next_coflow, round);
+  });
 }
 
 }  // namespace flowsched

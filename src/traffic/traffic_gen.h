@@ -47,12 +47,6 @@ struct TrafficConfig {
 // The resolved segment size (config.unit, or the auto rule when 0).
 double TrafficUnit(const TrafficConfig& config);
 
-// Expected requests per round (the calibrated Poisson mean).
-double MeanTrafficRequestsPerRound(const TrafficConfig& config);
-
-// Expected coflow width (1.0 when untagged).
-double MeanTrafficWidth(const TrafficConfig& config);
-
 // Generates a realistic-traffic instance; deterministic in `config.seed`.
 Instance GenerateTraffic(const TrafficConfig& config);
 

@@ -46,7 +46,14 @@ std::string JsonNum(double v) {
 }
 
 std::string JsonStr(const std::string& key, const std::string& value) {
-  return "\"" + JsonEscape(key) + "\": \"" + JsonEscape(value) + "\"";
+  std::string out;
+  out.reserve(key.size() + value.size() + 6);
+  out += '"';
+  out += JsonEscape(key);
+  out += "\": \"";
+  out += JsonEscape(value);
+  out += '"';
+  return out;
 }
 
 const JsonValue* JsonValue::Find(const std::string& key) const {

@@ -156,14 +156,4 @@ double Max(std::span<const double> values) {
   return *std::max_element(values.begin(), values.end());
 }
 
-std::vector<std::size_t> IntHistogram(std::span<const double> values,
-                                      std::size_t max_value) {
-  std::vector<std::size_t> buckets(max_value + 1, 0);
-  for (double v : values) {
-    auto b = v <= 0 ? std::size_t{0} : static_cast<std::size_t>(v);
-    ++buckets[std::min(b, max_value)];
-  }
-  return buckets;
-}
-
 }  // namespace flowsched

@@ -70,11 +70,6 @@ std::vector<double> Percentiles(std::span<const double> values,
 double Mean(std::span<const double> values);
 double Max(std::span<const double> values);
 
-// Histogram with unit-width integer buckets [0, max_value]; values above
-// max_value are clamped into the last bucket.
-std::vector<std::size_t> IntHistogram(std::span<const double> values,
-                                      std::size_t max_value);
-
 }  // namespace flowsched
 
 #endif  // FLOWSCHED_UTIL_STATS_H_

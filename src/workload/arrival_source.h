@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "model/instance.h"
+#include "util/check.h"
 
 namespace flowsched {
 
@@ -73,6 +74,27 @@ class InstanceStreamSource : public ArrivalSource {
   std::vector<Round> releases_;  // Aligned with order_, non-decreasing.
   std::size_t next_ = 0;
 };
+
+// The batch form of a round generator (GeneratePoisson, GenerateCoflows,
+// GenerateTraffic): rounds 0..config.num_rounds-1, each drawn by
+// append_round(t, &flows) as its stream source draws them, collected into
+// one instance on the config's square uniform switch.
+template <class Config, class AppendRound>
+Instance DrawRounds(const Config& config, AppendRound append_round) {
+  Instance instance(SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
+                                        config.port_capacity),
+                    {});
+  std::vector<Flow> round;
+  for (Round t = 0; t < config.num_rounds; ++t) {
+    round.clear();
+    append_round(t, &round);
+    for (const Flow& e : round) {
+      instance.AddFlow(e.src, e.dst, e.demand, e.release, e.coflow);
+    }
+  }
+  FS_CHECK(!instance.ValidationError().has_value());
+  return instance;
+}
 
 }  // namespace flowsched
 

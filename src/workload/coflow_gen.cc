@@ -1,10 +1,10 @@
 #include "workload/coflow_gen.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 namespace {
@@ -25,32 +25,43 @@ void ValidateConfig(const CoflowGenConfig& config) {
 
 }  // namespace
 
-double MeanCoflowWidth(const CoflowGenConfig& config) {
-  ValidateConfig(config);
-  const int span = config.max_width - config.min_width + 1;
+int DrawCoflowWidth(Rng& rng, int min_width, int max_width, double skew) {
+  return skew >= 1.0 ? rng.UniformInt(min_width, max_width)
+                     : min_width - 1 + rng.TruncatedGeometric(
+                                           skew, max_width - min_width + 1);
+}
+
+double CoflowWidthMean(int min_width, int max_width, double skew) {
+  // Uniform: the midpoint (which the loop below computes exactly for spans
+  // under 2^21) without looping 2^31 times for a width near INT_MAX.
+  if (skew >= 1.0) return 0.5 * (min_width + static_cast<double>(max_width));
+  const int span = max_width - min_width + 1;
   double weight_sum = 0.0;
   double mean = 0.0;
   double weight = 1.0;
-  for (int k = 0; k < span; ++k) {
+  // Once the weight underflows to 0 no later term changes either sum.
+  for (int k = 0; k < span && weight > 0.0; ++k) {
     weight_sum += weight;
-    mean += weight * (config.min_width + k);
-    weight *= config.width_skew;
+    mean += weight * (min_width + k);
+    weight *= skew;
   }
   return mean / weight_sum;
 }
 
+double MeanCoflowWidth(const CoflowGenConfig& config) {
+  ValidateConfig(config);
+  return CoflowWidthMean(config.min_width, config.max_width,
+                         config.width_skew);
+}
+
 void AppendCoflowRound(const CoflowGenConfig& config, Round t, Rng& rng,
                        CoflowId* next_coflow, std::vector<Flow>* out) {
-  const int span = config.max_width - config.min_width + 1;
   const auto demand_cap =
       static_cast<int>(std::min(config.max_demand, config.port_capacity));
   const int arrivals = rng.Poisson(config.mean_coflows_per_round);
   for (int c = 0; c < arrivals; ++c) {
-    const int width =
-        config.width_skew >= 1.0
-            ? rng.UniformInt(config.min_width, config.max_width)
-            : config.min_width - 1 +
-                  rng.TruncatedGeometric(config.width_skew, span);
+    const int width = DrawCoflowWidth(rng, config.min_width,
+                                      config.max_width, config.width_skew);
     const CoflowId coflow = (*next_coflow)++;
     for (int k = 0; k < width; ++k) {
       Flow e;
@@ -67,20 +78,10 @@ void AppendCoflowRound(const CoflowGenConfig& config, Round t, Rng& rng,
 Instance GenerateCoflows(const CoflowGenConfig& config) {
   ValidateConfig(config);
   Rng rng(config.seed);
-  Instance instance(SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                                        config.port_capacity),
-                    {});
   CoflowId next_coflow = 0;
-  std::vector<Flow> round;
-  for (Round t = 0; t < config.num_rounds; ++t) {
-    round.clear();
-    AppendCoflowRound(config, t, rng, &next_coflow, &round);
-    for (const Flow& e : round) {
-      instance.AddFlow(e.src, e.dst, e.demand, e.release, e.coflow);
-    }
-  }
-  FS_CHECK(!instance.ValidationError().has_value());
-  return instance;
+  return DrawRounds(config, [&](Round t, std::vector<Flow>* round) {
+    AppendCoflowRound(config, t, rng, &next_coflow, round);
+  });
 }
 
 }  // namespace flowsched

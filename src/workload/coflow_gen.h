@@ -48,6 +48,12 @@ Instance GenerateCoflows(const CoflowGenConfig& config);
 void AppendCoflowRound(const CoflowGenConfig& config, Round t, Rng& rng,
                        CoflowId* next_coflow, std::vector<Flow>* out);
 
+// The width distribution above, shared with traffic/traffic_gen.h:
+// DrawCoflowWidth draws one width from [min_width, max_width],
+// CoflowWidthMean is its expectation.
+int DrawCoflowWidth(Rng& rng, int min_width, int max_width, double skew);
+double CoflowWidthMean(int min_width, int max_width, double skew);
+
 // Expected coflow width under `config`'s distribution. Drivers use this to
 // translate a per-port flow load into mean_coflows_per_round:
 // rate = load * ports / MeanCoflowWidth(config).

@@ -4,6 +4,7 @@
 
 #include "util/check.h"
 #include "util/rng.h"
+#include "workload/arrival_source.h"
 
 namespace flowsched {
 
@@ -30,19 +31,9 @@ Instance GeneratePoisson(const PoissonConfig& config) {
   FS_CHECK_GT(config.num_rounds, 0);
   FS_CHECK_GE(config.max_demand, 1);
   Rng rng(config.seed);
-  Instance instance(SwitchSpec::Uniform(config.num_inputs, config.num_outputs,
-                                        config.port_capacity),
-                    {});
-  std::vector<Flow> round;
-  for (Round t = 0; t < config.num_rounds; ++t) {
-    round.clear();
-    AppendPoissonRound(config, t, rng, &round);
-    for (const Flow& e : round) {
-      instance.AddFlow(e.src, e.dst, e.demand, e.release);
-    }
-  }
-  FS_CHECK(!instance.ValidationError().has_value());
-  return instance;
+  return DrawRounds(config, [&](Round t, std::vector<Flow>* round) {
+    AppendPoissonRound(config, t, rng, round);
+  });
 }
 
 }  // namespace flowsched

@@ -5,7 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
+#include "api/stream_source.h"
 #include "model/trace_io.h"
 #include "traffic/builtin_cdfs.h"
 #include "traffic/traffic_gen.h"
@@ -185,6 +187,66 @@ TEST(InstanceSourceTest, CdfSpecErrorsNameTheOffender) {
       LoadInstance("cdf:dist=websearch,ports=8,rounds=0", &error)
           .has_value());
   EXPECT_NE(error.find("rounds"), std::string::npos) << error;
+}
+
+// Every out-of-range value of a poisson:/coflow:/cdf: spec fails with one
+// message, naming the key, on all three paths that read specs — and never
+// reaches the generators' FS_CHECKs.
+TEST(InstanceSourceTest, OutOfRangeValuesFailAlikeOnEveryPath) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"poisson:ports=0", "ports=0 out of range"},
+      {"poisson:load=-1", "load=-1 out of range"},
+      {"poisson:rounds=0", "rounds=0 out of range"},
+      {"poisson:dmax=0", "dmax=0 out of range"},
+      {"poisson:cap=0", "cap=0 out of range"},
+      {"poisson:load=nan", "load=nan out of range"},
+      {"poisson:ports=4294967297", "ports=4294967297 out of range"},
+      {"poisson:cap=3000000000,dmax=3000000000",
+       "cap=3000000000 out of range"},
+      {"poisson:cap=4,dmax=4294967297", "dmax=4294967297 out of range"},
+      {"coflow:dmax=3000000000", "dmax=3000000000 out of range"},
+      {"coflow:width=2147483648", "width=2147483648 out of range"},
+      {"coflow:skew=2", "skew=2 out of range"},
+      {"coflow:width=0", "width=0 out of range"},
+      {"coflow:minwidth=0", "minwidth=0 out of range"},
+      {"coflow:rounds=-1", "rounds=-1 out of range"},
+      {"cdf:width=-1", "width=-1 out of range"},
+      {"cdf:unit=-2", "unit=-2 out of range"},
+  };
+  for (const auto& [spec, want] : bad) {
+    SCOPED_TRACE(spec);
+    std::string load_error;
+    EXPECT_FALSE(LoadInstance(spec, &load_error).has_value());
+    EXPECT_NE(load_error.find(want), std::string::npos) << load_error;
+    std::string validate_error;
+    EXPECT_FALSE(ValidateInstanceSpec(spec, &validate_error));
+    EXPECT_EQ(validate_error, load_error);
+    std::string stream_error;
+    EXPECT_EQ(MakeStreamSource(spec, &stream_error), nullptr);
+    EXPECT_EQ(stream_error, load_error);
+  }
+  // Untagged cdf: traffic ignores the width distribution's skew.
+  std::string error;
+  EXPECT_TRUE(ValidateInstanceSpec("cdf:width=0,skew=2", &error)) << error;
+  // The largest values in range validate, and promptly: the coflow rate's
+  // mean width must not loop past INT_MAX (validated only, since a draw
+  // would hold billions of flows).
+  for (const char* spec :
+       {"coflow:width=2147483647", "coflow:width=2147483647,skew=0.5",
+        "coflow:minwidth=2147483647,width=2147483647",
+        "poisson:cap=2147483647,dmax=2147483647"}) {
+    EXPECT_TRUE(ValidateInstanceSpec(spec, &error)) << spec << ": " << error;
+  }
+}
+
+TEST(InstanceSourceTest, InfiniteRoundsOnlyStream) {
+  const std::string spec = "poisson:ports=4,load=0.5,rounds=inf";
+  std::string error;
+  EXPECT_NE(MakeStreamSource(spec, &error), nullptr) << error;
+  EXPECT_FALSE(LoadInstance(spec, &error).has_value());
+  EXPECT_NE(error.find("rounds=inf is only for streams"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ValidateInstanceSpec(spec, &error));
 }
 
 TEST(InstanceSourceTest, MissingFileNamesThePath) {

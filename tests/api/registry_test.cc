@@ -4,6 +4,7 @@
 
 #include <algorithm>
 
+#include "api/instance_source.h"
 #include "core/online/policy.h"
 
 namespace flowsched {
@@ -170,6 +171,38 @@ TEST(SolverRegistryTest, ApproxRunsTheAuctionOnCoflowAwareMaxWeight) {
         SolverRegistry::Global().Solve(name, instance, options);
     ASSERT_TRUE(exact.ok) << exact.error;
     EXPECT_EQ(exact.diagnostics.count("auction_bids"), 0u);
+  }
+}
+
+// Whether a policy needs unit demands is asked of the built policy
+// (RequiresUnitDemands), by the online., coflow. and fabric. adapters
+// alike: a matching-based one fails the solve instead of aborting.
+TEST(SolverRegistryTest, MatchingBasedPoliciesRejectNonUnitDemands) {
+  std::string error;
+  const auto instance = LoadInstance(
+      "poisson:ports=6,load=1.5,rounds=4,seed=9,dmax=2,cap=4", &error);
+  ASSERT_TRUE(instance.has_value()) << error;
+  ASSERT_GT(instance->MaxDemand(), 1);
+  const auto solve = [&](const std::string& name) {
+    SolveOptions options;
+    if (name.rfind("fabric.", 0) == 0) options.params["shards"] = "2";
+    return SolverRegistry::Global().Solve(name, *instance, options);
+  };
+  for (const char* name :
+       {"online.maxweight", "online.minrtime", "online.maxcard",
+        "online.hybrid", "coflow.maxweight", "fabric.maxweight",
+        "fabric.minrtime", "fabric.maxcard"}) {
+    SCOPED_TRACE(name);
+    const SolveReport r = solve(name);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("requires unit demands"), std::string::npos)
+        << r.error;
+  }
+  for (const char* name : {"online.srpt", "online.fifo", "coflow.sebf",
+                           "fabric.sebf", "fabric.srpt"}) {
+    SCOPED_TRACE(name);
+    const SolveReport r = solve(name);
+    EXPECT_TRUE(r.ok) << r.error;
   }
 }
 

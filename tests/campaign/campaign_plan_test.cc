@@ -124,6 +124,20 @@ TEST(CampaignPlanTest, ExpansionErrorsNameTheGrid) {
   EXPECT_NE(error.find("adversary"), std::string::npos) << error;
 }
 
+TEST(CampaignPlanTest, OutOfRangeAxisValueFailsAtPlan) {
+  CampaignSpec spec = TwoGridCampaign();
+  spec.grids[0].instances = {"poisson:ports={ports},load=1,rounds=5"};
+  spec.grids[0].loads.clear();
+  spec.grids[0].seeds = {1};
+  spec.grids[0].ports = {0, 4};
+  CampaignPlan plan;
+  std::string error;
+  EXPECT_FALSE(
+      ExpandCampaign(spec, SolverRegistry::Global(), plan, &error));
+  EXPECT_NE(error.find("flow"), std::string::npos) << error;
+  EXPECT_NE(error.find("ports=0 out of range"), std::string::npos) << error;
+}
+
 TEST(CampaignPlanTest, TaskListTextCoversEveryTask) {
   CampaignPlan plan;
   std::string error;

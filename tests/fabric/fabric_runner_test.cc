@@ -7,10 +7,15 @@
 #include "api/instance_source.h"
 #include "api/registry.h"
 #include "coflow/coflow_metrics.h"
+#include "coflow/coflow_policies.h"
 #include "model/coflow.h"
 
 namespace flowsched {
 namespace {
+
+SeededPolicyFactory CoflowPolicy(const std::string& name) {
+  return [name](std::uint64_t seed) { return MakeCoflowPolicy(name, seed); };
+}
 
 Instance LoadedCoflowInstance() {
   std::string error;
@@ -26,8 +31,7 @@ TEST(FabricRunnerTest, MergedScheduleAssignsEveryFlowAndValidatesUnderK) {
        {FabricPartition::kBlock, FabricPartition::kHash}) {
     const FabricAssignment fa = PartitionInstance(instance, 4, partition);
     FabricRunOptions options;
-    options.policy = "sebf";
-    options.coflow_aware = true;
+    options.make_policy = CoflowPolicy("sebf");
     const FabricResult result = RunFabric(instance, fa, options);
     EXPECT_TRUE(result.schedule.AllAssigned());
     // Pods replicate remote egress: K x output capacity suffices, exact
@@ -50,8 +54,7 @@ TEST(FabricRunnerTest, ShardJobsDoNotChangeTheResult) {
   const FabricAssignment fa =
       PartitionInstance(instance, 8, FabricPartition::kHash);
   FabricRunOptions serial;
-  serial.policy = "sebf";
-  serial.coflow_aware = true;
+  serial.make_policy = CoflowPolicy("sebf");
   serial.seed = 42;
   FabricRunOptions parallel = serial;
   parallel.jobs = 8;
@@ -88,8 +91,8 @@ TEST(FabricRunnerTest, SplitCoflowCctIsTheMaxOverMemberShards) {
   ASSERT_EQ(fa.shard_of_flow, (std::vector<int>{0, 1, 1, 1}));
 
   FabricRunOptions options;
-  options.policy = "fifo";  // FIFO-of-coflows: earliest group first.
-  options.coflow_aware = true;
+  // FIFO-of-coflows: earliest group first.
+  options.make_policy = CoflowPolicy("fifo");
   const FabricResult result = RunFabric(instance, fa, options);
   ASSERT_TRUE(result.schedule.AllAssigned());
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <utility>
 
 namespace flowsched {
 namespace {
@@ -244,6 +245,32 @@ TEST(TraceIoTest, InstanceCsvReaderStreamsFlowsOneAtATime) {
   EXPECT_EQ(flow.coflow, kNoCoflow);
   EXPECT_FALSE(reader.NextFlow(&flow));  // Clean EOF...
   EXPECT_TRUE(reader.ok());              // ...is not an error.
+}
+
+TEST(TraceIoTest, InstanceCsvReaderRejectsRowsThatDoNotFitTheSwitch) {
+  // Capacities 1 and 2 on both sides: kappa is 1 on port 0, 2 on port 1.
+  const std::string header =
+      "input_capacities\n1,2\noutput_capacities\n1,2\n"
+      "src,dst,demand,release\n1,1,2,0\n";
+  const std::pair<const char*, const char*> bad[] = {
+      {"2,0,1,0\n", "line 7: input port 2 out of range"},
+      {"-1,0,1,0\n", "line 7: input port -1 out of range"},
+      {"0,5,1,0\n", "line 7: output port 5 out of range"},
+      {"0,1,2,0\n", "line 7: demand 2 exceeds kappa 1"},
+      {"1,1,0,0\n", "line 7: demand 0 < 1"},
+  };
+  for (const auto& [row, want] : bad) {
+    SCOPED_TRACE(row);
+    std::istringstream in(header + row);
+    InstanceCsvReader reader(in);
+    Flow flow;
+    ASSERT_TRUE(reader.NextFlow(&flow)) << reader.error();
+    EXPECT_FALSE(reader.NextFlow(&flow));
+    EXPECT_EQ(reader.error(), want);
+    std::string error;
+    EXPECT_FALSE(ReadInstanceCsv(header + row, &error).has_value());
+    EXPECT_EQ(error, want);
+  }
 }
 
 TEST(TraceIoTest, InstanceCsvReaderRejectsBadCapacityWithoutAborting) {

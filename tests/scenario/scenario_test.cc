@@ -365,7 +365,9 @@ TEST(ScenarioFabricTest, FabricRunDegradesAndRecoversUnderPodOutage) {
   const FabricAssignment fa =
       PartitionInstance(instance, 2, FabricPartition::kBlock);
   FabricRunOptions options;
-  options.policy = "srpt";
+  options.make_policy = [](std::uint64_t seed) {
+    return MakePolicy("srpt", seed);
+  };
   const FabricResult base = RunFabric(instance, fa, options);
   ASSERT_FALSE(base.truncated) << base.error;
   const ScenarioScript script = MustParse("PODS 2\nPOD_DOWN 10 1\nPOD_UP 30 1");

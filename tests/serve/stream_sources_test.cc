@@ -4,10 +4,14 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/stream_source.h"
+#include "core/online/policy.h"
 #include "model/trace_io.h"
+#include "serve/streaming_simulator.h"
+#include "util/json.h"
 #include "workload/coflow_gen.h"
 #include "workload/poisson.h"
 
@@ -158,6 +162,50 @@ TEST(StreamSourcesTest, TraceSourceRejectsUnsortedReleases) {
   EXPECT_NE(source.error().find("sorted by release"), std::string::npos);
 }
 
+// A row that does not fit the switch ends the stream with a line-tagged
+// error instead of reaching the simulator (where a port past the switch
+// corrupted the heap and a demand above kappa never drained).
+TEST(StreamSourcesTest, TraceSourceRejectsRowsThatDoNotFitTheSwitch) {
+  const std::string header =
+      "input_capacities\n1,1\noutput_capacities\n1,1\n"
+      "src,dst,demand,release\n0,1,1,0\n";
+  const std::pair<const char*, const char*> bad[] = {
+      {"7,1,1,1\n", "line 7: input port 7 out of range"},
+      {"0,2,1,1\n", "line 7: output port 2 out of range"},
+      {"0,1,5,1\n", "line 7: demand 5 exceeds kappa 1"},
+      {"0,1,0,1\n", "line 7: demand 0 < 1"},
+  };
+  for (const auto& [row, want] : bad) {
+    SCOPED_TRACE(row);
+    std::istringstream in(header + row);
+    TraceStreamSource source(in);
+    auto policy = MakePolicy("srpt");
+    StreamingSimulator sim(source.sw(), *policy);
+    const StreamingSummary summary = sim.Run(source);
+    EXPECT_TRUE(summary.source_error);
+    EXPECT_FALSE(summary.truncated);
+    EXPECT_EQ(summary.error, want);
+  }
+}
+
+// The DONE line is JSON: an error quoting a control character from a
+// trace row must still parse.
+TEST(StreamSourcesTest, SummaryJsonEscapesControlCharactersInTheError) {
+  std::istringstream in(
+      "input_capacities\n1,1\noutput_capacities\n1,1\n"
+      "src,dst,demand,release,coflow\n0,1,1,0,1\n0,1,1,1,a\tb\n");
+  TraceStreamSource source(in);
+  auto policy = MakePolicy("srpt");
+  StreamingSimulator sim(source.sw(), *policy);
+  const StreamingSummary summary = sim.Run(source);
+  ASSERT_TRUE(summary.source_error);
+  JsonValue done;
+  std::string error;
+  ASSERT_TRUE(ParseJson(summary.ToJson(), done, &error)) << error;
+  EXPECT_EQ(done.GetString("error"), summary.error);
+  EXPECT_NE(summary.error.find("a\tb"), std::string::npos);
+}
+
 TEST(StreamSourcesTest, TraceSourceReportsMalformedHeader) {
   std::istringstream in("definitely,not,a,trace\n");
   TraceStreamSource source(in);
@@ -184,6 +232,21 @@ TEST(MakeStreamSourceTest, InfiniteRoundsNeedPositiveLoad) {
   EXPECT_EQ(MakeStreamSource("poisson:ports=4,load=0,rounds=inf", &error),
             nullptr);
   EXPECT_NE(error.find("load > 0"), std::string::npos) << error;
+}
+
+TEST(MakeStreamSourceTest, RoundsIsAPositiveIntegerOrInf) {
+  std::string error;
+  for (const char* spec :
+       {"poisson:ports=4,load=0.5,rounds=-1", "poisson:ports=4,rounds=0",
+        "coflow:ports=4,rounds=-1", "cdf:ports=4,rounds=-5"}) {
+    SCOPED_TRACE(spec);
+    EXPECT_EQ(MakeStreamSource(spec, &error), nullptr);
+    EXPECT_NE(error.find("out of range (need 1 <= rounds < 2^31"), std::string::npos)
+        << error;
+  }
+  EXPECT_EQ(MakeStreamSource("poisson:ports=4,rounds=infinity", &error),
+            nullptr);
+  EXPECT_NE(error.find("unparsable"), std::string::npos) << error;
 }
 
 TEST(MakeStreamSourceTest, RejectsBatchOnlyGenerators) {

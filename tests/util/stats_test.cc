@@ -166,15 +166,5 @@ TEST(P2QuantileTest, ExtremesClampIntoEndMarkers) {
   EXPECT_EQ(q.count(), 7u);
 }
 
-TEST(StatsTest, IntHistogramClampsToLastBucket) {
-  const std::vector<double> v = {0.0, 1.0, 1.0, 2.0, 9.0};
-  const auto h = IntHistogram(v, 3);
-  ASSERT_EQ(h.size(), 4u);
-  EXPECT_EQ(h[0], 1u);
-  EXPECT_EQ(h[1], 2u);
-  EXPECT_EQ(h[2], 1u);
-  EXPECT_EQ(h[3], 1u);  // 9.0 clamped.
-}
-
 }  // namespace
 }  // namespace flowsched

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <map>
 
 #include "model/coflow.h"
@@ -79,6 +80,15 @@ TEST(CoflowGenTest, MeanCoflowWidthMatchesTheDistribution) {
   EXPECT_DOUBLE_EQ(MeanCoflowWidth(cfg), 2.0);  // Uniform 1..3.
   cfg.min_width = cfg.max_width = 4;
   EXPECT_DOUBLE_EQ(MeanCoflowWidth(cfg), 4.0);
+}
+
+// The widest range an int holds: the mean is finite and computed without
+// a 2^31-step loop (or signed overflow at max_width = INT_MAX).
+TEST(CoflowGenTest, WidthMeanOverTheWholeIntRange) {
+  constexpr int kMax = std::numeric_limits<int>::max();
+  EXPECT_DOUBLE_EQ(CoflowWidthMean(1, kMax, 1.0), 1073741824.0);
+  EXPECT_NEAR(CoflowWidthMean(1, kMax, 0.5), 2.0, 1e-12);
+  EXPECT_DOUBLE_EQ(CoflowWidthMean(kMax, kMax, 0.5), kMax);
 }
 
 TEST(CoflowGenTest, EmpiricalWidthTracksTheConfiguredMean) {

@@ -1,0 +1,66 @@
+#!/usr/bin/env bash
+# Bad-input probes: every out-of-range generator spec and every trace row
+# that does not fit its switch must fail with an error, never abort.
+#
+#   tools/check_bad_inputs.sh <build_dir>
+#
+# - flowsched_cli exits non-zero on each bad spec, with an "error:" line
+#   and no "CHECK failed";
+# - flowsched_serve --spec rejects rounds=-1 (only rounds=inf is unbounded);
+# - flowsched_serve --trace exits 1 with a source_error DONE line, valid
+#   JSON, on a row whose port lies past the switch;
+# - flowsched_campaign plan rejects a grid whose {ports} axis holds 0.
+set -euo pipefail
+build_dir="${1:?usage: $0 <build_dir>}"
+tools="$(cd "${build_dir}/tools" && pwd)"
+scratch="$(mktemp -d)"
+trap 'rm -rf "${scratch}"' EXIT
+
+fail() { echo "error: $*" >&2; exit 1; }
+
+for spec in poisson:ports=0 poisson:load=-1 poisson:rounds=0 \
+            poisson:dmax=0 poisson:cap=0 coflow:skew=2 coflow:width=0 \
+            poisson:rounds=inf poisson:cap=3000000000,dmax=3000000000 \
+            coflow:width=2147483648; do
+  rc=0
+  "${tools}/flowsched_cli" --instance="${spec}" --solver=online.srpt \
+      > "${scratch}/cli.out" 2>&1 || rc=$?
+  [[ "${rc}" -ne 0 ]] || fail "flowsched_cli accepted ${spec}"
+  grep -q '^error: ' "${scratch}/cli.out" \
+    || fail "flowsched_cli printed no error line for ${spec}"
+  if grep -q 'CHECK failed' "${scratch}/cli.out"; then
+    fail "flowsched_cli aborted on ${spec}"
+  fi
+done
+
+rc=0
+"${tools}/flowsched_serve" --spec=poisson:ports=4,load=0.5,rounds=-1 \
+    > "${scratch}/serve.out" 2>&1 || rc=$?
+[[ "${rc}" -ne 0 ]] || fail "flowsched_serve streamed rounds=-1"
+
+printf 'input_capacities\n1,1\noutput_capacities\n1,1\n' > "${scratch}/bad.csv"
+printf 'src,dst,demand,release\n0,1,1,0\n7,1,1,1\n' >> "${scratch}/bad.csv"
+rc=0
+"${tools}/flowsched_serve" --trace="${scratch}/bad.csv" \
+    > "${scratch}/trace.out" 2>&1 || rc=$?
+[[ "${rc}" -eq 1 ]] \
+  || fail "flowsched_serve --trace on a bad row exited ${rc}, want 1"
+tail -n 1 "${scratch}/trace.out" | python3 -c '
+import json, sys
+line = sys.stdin.read()
+assert line.startswith("DONE "), line
+done = json.loads(line[5:])
+assert done["source_error"] and "line 7" in done["error"], done
+' || fail "flowsched_serve --trace printed no source_error DONE line"
+
+printf 'name=badports\n[grid]\nname=flow\nsolvers=online.srpt\n' \
+    > "${scratch}/bad.campaign"
+printf 'instances=poisson:ports={ports},load=1,rounds=5\nports=0,4\n' \
+    >> "${scratch}/bad.campaign"
+rc=0
+"${tools}/flowsched_campaign" plan --spec="${scratch}/bad.campaign" \
+    > "${scratch}/plan.out" 2>&1 || rc=$?
+[[ "${rc}" -eq 2 ]] \
+  || fail "flowsched_campaign plan on ports=0 exited ${rc}, want 2"
+
+echo "bad inputs ok: every probe failed cleanly"

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Local mirror of .github/workflows/ci.yml: the tier-1 verify sequence in
-# Debug and Release, a CLI smoke test, the docs checks (generated
-# docs/solvers.md freshness + markdown link resolution), the bench value
-# check against BENCH_core.json, the campaign/serve/scenario smokes, the
-# Debug ASan/UBSan leg over every suite, and the Debug TSan leg over every
-# suite that starts a thread.
+# Debug and Release, a CLI smoke test, the bad-input probes, the docs
+# checks (generated docs/solvers.md freshness + markdown link resolution),
+# the bench value check against BENCH_core.json, the campaign/serve/scenario
+# smokes, the Debug ASan/UBSan leg over every suite, and the Debug TSan leg
+# over every suite that starts a thread.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,6 +18,9 @@ for build_type in Debug Release; do
       --instance=poisson:ports=6,load=1.0,rounds=6 --solver=all
   "./${build_dir}/tools/flowsched_cli" --list-solvers | grep -q '^coflow.sebf$'
   "./${build_dir}/tools/flowsched_cli" --list-solvers | grep -q '^fabric.sebf$'
+  # Bad inputs: out-of-range specs and trace rows fail with errors, never
+  # abort.
+  tools/check_bad_inputs.sh "${build_dir}"
   if [[ "${build_type}" == "Release" ]]; then
     # Docs job: docs/solvers.md must match the registry, and every relative
     # markdown link in README/docs must resolve.
