@@ -237,6 +237,8 @@ Schedule GroupRound(const Instance& instance, const ActiveWindows& windows,
     }
     const SimplexResult res = SolveLp(lp, options.simplex);
     ++rep.lp_solves;
+    rep.simplex_iterations += res.iterations;
+    if (rep.lp_solves == 1 && res.ok()) rep.first_lp_objective = res.objective;
     if (res.status != SimplexStatus::kOptimal) {
       // Forced fixes consumed more than their fractional share somewhere:
       // lift the tightest non-hard row and retry.

@@ -32,6 +32,10 @@ struct GroupRoundingReport {
   int forced_fixes = 0;   // Flows fixed by argmax after the solve budget.
   Capacity max_violation = 0;  // Measured load - c_p over all (port, round).
   Capacity bound = 0;          // 2*dmax - 1 for reference.
+  // Optimal objective of the first residual LP (its costs are random); 0
+  // when the fractional solution was already integral.
+  double first_lp_objective = 0.0;
+  long simplex_iterations = 0;  // Summed over the residual LPs.
 };
 
 // Requires a feasible fractional solution for (instance, windows). Returns

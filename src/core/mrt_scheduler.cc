@@ -79,6 +79,7 @@ MrtSchedulerResult MinimizeMaxResponse(const Instance& instance,
     TimeConstrainedSolution probe = SolveTimeConstrained(
         instance, WindowsForMaxResponse(instance, hi), options.simplex);
     ++result.binary_search_probes;
+    result.simplex_iterations += probe.simplex_iterations;
     if (probe.feasible) {
       best = std::move(probe);
       break;
@@ -92,6 +93,7 @@ MrtSchedulerResult MinimizeMaxResponse(const Instance& instance,
     TimeConstrainedSolution probe = SolveTimeConstrained(
         instance, WindowsForMaxResponse(instance, mid), options.simplex);
     ++result.binary_search_probes;
+    result.simplex_iterations += probe.simplex_iterations;
     if (probe.feasible) {
       best = std::move(probe);
       best_rho = mid;
@@ -103,6 +105,7 @@ MrtSchedulerResult MinimizeMaxResponse(const Instance& instance,
   const ActiveWindows windows = WindowsForMaxResponse(instance, best_rho);
   result.schedule = GroupRound(instance, windows, best, options.rounding,
                                &result.rounding_report);
+  result.simplex_iterations += result.rounding_report.simplex_iterations;
   // The rounded schedule stays within each flow's window, so its max
   // response is at most rho_lp; validate capacity under the realized
   // violation (theorem bound unless hard drops occurred).

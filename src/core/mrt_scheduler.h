@@ -33,6 +33,8 @@ struct MrtSchedulerResult {
   GroupRoundingReport rounding_report;
   int binary_search_probes = 0;
   Round heuristic_upper_bound = 0;
+  // Simplex pivots over every probe and the rounding's LPs.
+  long simplex_iterations = 0;
 };
 
 MrtSchedulerResult MinimizeMaxResponse(const Instance& instance,
