@@ -125,7 +125,7 @@ class RevisedSimplex {
     }
     // Initial basis: slack for <= rows, artificial otherwise.
     basis_.assign(m_, -1);
-    needs_phase1_ = false;
+    bool any_artificial = false;
     for (int i = 0; i < m_; ++i) {
       if (eff_sense_[i] == RowSense::kLe) {
         basis_[i] = slack_of_row[i];
@@ -134,7 +134,7 @@ class RevisedSimplex {
         kind_.push_back(ColKind::kArtificial);
         slack_row_.push_back(i);
         unit_value_.push_back(1.0);
-        needs_phase1_ = true;
+        any_artificial = true;
       }
     }
     total_cols_ = static_cast<int>(kind_.size());
@@ -146,6 +146,83 @@ class RevisedSimplex {
     xb_ = rhs_;
     y_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
+    if (any_artificial) Crash();
+    needs_phase1_ = false;
+    for (int j : basis_) {
+      if (kind_[j] == ColKind::kArtificial) needs_phase1_ = true;
+    }
+  }
+
+  // Crash basis. Visits, in row order, each row i whose basic column is an
+  // artificial and makes basic in its place the cheapest structural column
+  // j (lowest index on ties) that covers the row alone: a_ij > 0, every
+  // other entry of j in a <= row (whose slack is always basic here, as the
+  // crash replaces only artificials), and no such slack driven negative by
+  // x_j = b_i / a_ij. The basis then stays triangular: each crashed column
+  // has its only entry outside the slack rows on the diagonal, so B^{-1}
+  // differs from the identity only in the crashed columns, with 1 / a_ij at
+  // (i, i) and -a_kj / a_ij at (k, i) for each slack row k. Those entries
+  // are written directly, in O(nnz(j)) per crashed row, with the same
+  // arithmetic a pivot would do. Phase 1 then prices only the artificials
+  // left basic, and is skipped when none is.
+  void Crash() {
+    const ColumnMatrix& a = lp_.matrix();
+    const int* start = a.starts().data();
+    const int* rows = a.rows().data();
+    const int n = lp_.num_cols();
+    // Row -> entries index (CSR), each row's entries in column order.
+    std::vector<int> row_start(m_ + 1, 0);
+    for (int k = 0; k < start[n]; ++k) ++row_start[rows[k] + 1];
+    for (int i = 0; i < m_; ++i) row_start[i + 1] += row_start[i];
+    std::vector<int> entry_col(start[n]);
+    std::vector<int> entry_pos(start[n]);
+    std::vector<int> fill(row_start.begin(), row_start.end() - 1);
+    for (int j = 0; j < n; ++j) {
+      for (int k = start[j]; k < start[j + 1]; ++k) {
+        const int p = fill[rows[k]]++;
+        entry_col[p] = j;
+        entry_pos[p] = k;
+      }
+    }
+    for (int i = 0; i < m_; ++i) {
+      if (kind_[basis_[i]] != ColKind::kArtificial) continue;
+      int best = -1;
+      int best_pos = -1;
+      double best_cost = kInf;
+      for (int p = row_start[i]; p < row_start[i + 1]; ++p) {
+        const int j = entry_col[p];
+        const int pos = entry_pos[p];
+        const double aij = scaled_values_[pos];
+        if (aij <= 1e-9 || in_basis_[j] || lp_.objective(j) >= best_cost) {
+          continue;
+        }
+        const double theta = rhs_[i] / aij;
+        bool fits = true;
+        for (int k = start[j]; k < start[j + 1] && fits; ++k) {
+          if (k == pos) continue;
+          fits = eff_sense_[rows[k]] == RowSense::kLe &&
+                 xb_[rows[k]] - theta * scaled_values_[k] >= 0.0;
+        }
+        if (!fits) continue;
+        best = j;
+        best_pos = pos;
+        best_cost = lp_.objective(j);
+      }
+      if (best == -1) continue;
+      const double inv = 1.0 / scaled_values_[best_pos];
+      const double theta = rhs_[i] / scaled_values_[best_pos];
+      binv_[static_cast<std::size_t>(i) * m_ + i] = inv;
+      for (int k = start[best]; k < start[best + 1]; ++k) {
+        if (k == best_pos) continue;
+        const int r = rows[k];
+        binv_[static_cast<std::size_t>(r) * m_ + i] = -scaled_values_[k] * inv;
+        xb_[r] -= theta * scaled_values_[k];
+      }
+      xb_[i] = theta;
+      in_basis_[basis_[i]] = 0;
+      in_basis_[best] = 1;
+      basis_[i] = best;
+    }
   }
 
   void SetPhaseCosts(bool phase1) {

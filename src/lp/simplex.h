@@ -1,4 +1,5 @@
-// Two-phase revised primal simplex with an explicit dense basis inverse.
+// Revised primal simplex with an explicit dense basis inverse, started
+// from a crash basis, with a phase 1 only for the rows the crash leaves.
 //
 // Design targets (docs/architecture.md, "LP layer"): Theorem 1's LP(0) on
 // the offline-art benchmark instances (8 ports, ~64 unit flows) has about
@@ -9,13 +10,22 @@
 // no external dependencies. Basic optimal solutions (vertices) are
 // guaranteed, which the iterative-rounding algorithms require.
 //
+// Starting basis: a slack for each <= row. Each >= or = row, in row order,
+// takes the cheapest structural column (lowest index on ties) that covers
+// it alone: a positive entry in the row, every other entry in a <= row, and
+// no such row's slack driven negative. That is one flow's cheapest round
+// in the scheduling LPs, so most of them start primal feasible. A row no
+// column covers alone keeps an artificial, and phase 1 (minimise the sum of
+// artificials) runs only when one is left.
+//
 // Guarantees and conventions:
 //  * Rows may be <=, >= or =; variables are non-negative.
 //  * Returned duals y satisfy objective == y . rhs at optimality, with
 //    y_i <= 0 for <= rows and y_i >= 0 for >= rows (minimization convention).
 //  * Anti-cycling: Dantzig pricing switches to Bland's rule after a stall.
-//    Both keep the lowest column index on ties, so a column with the same
-//    entries as an earlier one and a strictly higher cost never enters.
+//    Pricing and the crash all keep the lowest column index on ties, so a
+//    column with the same entries as an earlier one and a strictly higher
+//    cost never enters the basis.
 #ifndef FLOWSCHED_LP_SIMPLEX_H_
 #define FLOWSCHED_LP_SIMPLEX_H_
 

@@ -132,6 +132,81 @@ TEST(SimplexTest, DualsSatisfyStrongDualityOnKnownLp) {
   EXPECT_GE(res.duals[1], -1e-9);  // >= row: y >= 0.
 }
 
+TEST(SimplexTest, DetectsInfeasibleAfterPartialCrash) {
+  // x0 >= 1 and x1 >= 1 share one unit of capacity: the crash covers row 0
+  // with x0, which leaves row 1 nothing, and phase 1 proves infeasibility.
+  LpProblem lp;
+  const int r0 = lp.AddRow(RowSense::kGe, 1);
+  const int r1 = lp.AddRow(RowSense::kGe, 1);
+  const int cap = lp.AddRow(RowSense::kLe, 1);
+  lp.AddColumn(1.0, std::vector<Entry>{{r0, 1.0}, {cap, 1.0}});
+  lp.AddColumn(1.0, std::vector<Entry>{{r1, 1.0}, {cap, 1.0}});
+  EXPECT_EQ(SolveLp(lp).status, SimplexStatus::kInfeasible);
+}
+
+// ---------------------------------------------------------------------------
+// Crash basis: each >= or = row starts basic in the cheapest column that
+// covers it alone without overdrawing a <= row's slack.
+// ---------------------------------------------------------------------------
+
+TEST(SimplexCrashTest, OptimalCrashBasisSolvesInOneIteration) {
+  // Two covering rows share a capacity row; each is covered by a cost-1
+  // column (the crash picks it over the cost-3 one), and that basis is
+  // already optimal, so phase 1 is skipped and phase 2 prices once.
+  LpProblem lp;
+  const int r0 = lp.AddRow(RowSense::kGe, 1);
+  const int r1 = lp.AddRow(RowSense::kGe, 1);
+  const int cap = lp.AddRow(RowSense::kLe, 2);
+  lp.AddColumn(3.0, std::vector<Entry>{{r0, 1.0}});
+  lp.AddColumn(1.0, std::vector<Entry>{{r0, 1.0}, {cap, 1.0}});
+  lp.AddColumn(1.0, std::vector<Entry>{{r1, 1.0}, {cap, 1.0}});
+  const SimplexResult res = SolveLp(lp);
+  ASSERT_EQ(res.status, SimplexStatus::kOptimal);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_EQ(res.objective, 2.0);
+  EXPECT_EQ(res.x, (std::vector<double>{0.0, 1.0, 1.0}));
+  EXPECT_EQ(res.duals, (std::vector<double>{1.0, 1.0, 0.0}));
+}
+
+TEST(SimplexCrashTest, RowNoColumnCoversAloneFallsBackToPhase1) {
+  // x0 + x1 >= 2 with each column capped at 1 by its own <= row: either
+  // column alone would overdraw its slack, so the row keeps its artificial
+  // and phase 1 finds x0 = x1 = 1.
+  LpProblem lp;
+  const int r0 = lp.AddRow(RowSense::kGe, 2);
+  const int c0 = lp.AddRow(RowSense::kLe, 1);
+  const int c1 = lp.AddRow(RowSense::kLe, 1);
+  lp.AddColumn(1.0, std::vector<Entry>{{r0, 1.0}, {c0, 1.0}});
+  lp.AddColumn(1.0, std::vector<Entry>{{r0, 1.0}, {c1, 1.0}});
+  const SimplexResult res = SolveLp(lp);
+  ASSERT_EQ(res.status, SimplexStatus::kOptimal);
+  EXPECT_GT(res.iterations, 1);
+  EXPECT_NEAR(res.objective, 2.0, 1e-12);
+  EXPECT_NEAR(res.x[0], 1.0, 1e-12);
+  EXPECT_NEAR(res.x[1], 1.0, 1e-12);
+}
+
+TEST(SimplexCrashTest, CrashesEqualityAndFlippedRows) {
+  // x0 = 2 (an = row) and -x1 <= -1 (flipped to x1 >= 1), both drawing on
+  // x0 + x1 <= 4. The crash covers both rows, and that basis is optimal.
+  LpProblem lp;
+  const int eq = lp.AddRow(RowSense::kEq, 2);
+  const int flipped = lp.AddRow(RowSense::kLe, -1);
+  const int cap = lp.AddRow(RowSense::kLe, 4);
+  lp.AddColumn(1.0, std::vector<Entry>{{eq, 1.0}, {cap, 1.0}});
+  lp.AddColumn(2.0, std::vector<Entry>{{flipped, -1.0}, {cap, 1.0}});
+  const SimplexResult res = SolveLp(lp);
+  ASSERT_EQ(res.status, SimplexStatus::kOptimal);
+  EXPECT_EQ(res.iterations, 1);
+  EXPECT_EQ(res.objective, 4.0);
+  EXPECT_EQ(res.x, (std::vector<double>{2.0, 1.0}));
+  // Duals in the user's orientation: y . rhs == objective, and the flipped
+  // <= row's dual is <= 0.
+  EXPECT_EQ(res.duals[eq] * 2 + res.duals[flipped] * -1 + res.duals[cap] * 4,
+            4.0);
+  EXPECT_LE(res.duals[flipped], 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: random feasible bounded LPs must satisfy
 //  (1) primal feasibility, (2) strong duality, (3) dual sign conventions.
