@@ -1,10 +1,12 @@
 // Golden lock on Theorem 1's offline pipeline: LP(0), the iterative
 // rounding and the (1+c)-augmented packing. The values below were captured
-// from the LP layer before window-dominated LP(0) columns were dropped, the
-// column store was flattened and the dense simplex kernels were vectorised;
-// all three changes keep the simplex pivot sequence, so every value here must
-// stay exactly as recorded. Any drift means a change picked different pivots
-// or a kernel changed its floating-point arithmetic.
+// from the simplex started from its crash basis. Dropping window-dominated
+// LP(0) columns, the flat column store and the vectorised dense kernels all
+// keep the simplex pivot sequence, so every value here must stay exactly as
+// recorded. Any drift means a change picked different pivots or a kernel
+// changed its floating-point arithmetic. The crash moved the optimal
+// vertices (and so the hashes and responses) but no LP(0) optimum beyond
+// its last bits.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -44,9 +46,9 @@ Instance PoissonInstance(int ports, double load, int rounds, Capacity cap,
 Instance GoldenInstance(const std::string& name) {
   // The first instance of the offline-art benchmark workload.
   if (name == "poisson8_bench") return PoissonInstance(8, 1.0, 8, 1, 1000);
-  // The rest need two or three rounding iterations.
-  if (name == "poisson8") return PoissonInstance(8, 1.0, 14, 1, 6);
-  if (name == "poisson16") return PoissonInstance(16, 1.0, 8, 1, 12);
+  // The next two need three and two rounding iterations.
+  if (name == "poisson8") return PoissonInstance(8, 1.0, 14, 1, 49);
+  if (name == "poisson16") return PoissonInstance(16, 1.0, 8, 1, 15);
   if (name == "cap3") return PoissonInstance(6, 4.5, 6, 3, 38);
   // Incast: 11 flows into one sink. The load-based initial horizon (8
   // rounds) is infeasible, so LP(0) is re-solved over a longer one.
@@ -74,11 +76,11 @@ std::string Exact(double v) {
 }
 
 const std::vector<Golden> kGoldens = {
-    {"poisson8_bench", "49.5", 1, 24, 11181867280829844036ULL, 132},
-    {"poisson8", "196.50000000000077", 3, 40, 1610131055128824488ULL, 472},
-    {"poisson16", "246.0000000000002", 2, 28, 4054905212748561232ULL, 550},
-    {"cap3", "319.50000000000023", 2, 24, 16582842997173342310ULL, 711},
-    {"incast_extension", "45.5", 1, 12, 4227627466169643179ULL, 75},
+    {"poisson8_bench", "49.5", 1, 24, 8334595648843193252ULL, 132},
+    {"poisson8", "278.50000000000028", 3, 40, 2491143595288994257ULL, 546},
+    {"poisson16", "201.5", 2, 28, 4978019690599581509ULL, 491},
+    {"cap3", "319.5", 1, 24, 14475715202174508064ULL, 730},
+    {"incast_extension", "45.5", 1, 12, 13684856561563453611ULL, 75},
 };
 
 class ArtGoldenTest : public ::testing::TestWithParam<Golden> {};

@@ -74,14 +74,14 @@ std::string Exact(double v) {
 }
 
 const std::vector<Golden> kGoldens = {
-    {"poisson8", 9, 4, "6.5026819594076324", 1, 1, 2876, 717000284824468169ULL},
-    {"cap2_dmax2", 5, 4, "5.225658355665157", 3, 2, 1069,
-     3155612980855916097ULL},
-    {"cap3_dmax3", 10, 4, "2.9753038469104487", 4, 2, 1680,
-     2934995389697560486ULL},
-    {"cap3_dmax2", 8, 5, "7.3901608939929311", 3, 2, 2460,
-     5827780822499209069ULL},
-    {"incast", 5, 3, "0", 0, 0, 47, 16906128903171949094ULL},
+    {"poisson8", 9, 4, "0", 0, 0, 434, 13977191919697284641ULL},
+    {"cap2_dmax2", 5, 4, "2.2159860619864027", 3, 2, 240,
+     2821632437102843597ULL},
+    {"cap3_dmax3", 10, 4, "0.48637559823820814", 3, 2, 163,
+     7079313977890879811ULL},
+    {"cap3_dmax2", 8, 5, "5.0052561177765229", 3, 2, 358,
+     2341482790653895424ULL},
+    {"incast", 5, 3, "0", 0, 0, 10, 8634781261969082406ULL},
 };
 
 class MrtGoldenTest : public ::testing::TestWithParam<Golden> {};
