@@ -11,8 +11,6 @@ namespace flowsched {
 namespace api_spec {
 namespace {
 
-constexpr long long kMaxInt = std::numeric_limits<int>::max();
-
 // Resolves the cdf: size distribution from `dist=` (a builtin name,
 // default websearch) or `file=` (an HPCC-format CDF file).
 bool ReadSizeCdf(const std::string& dist, const std::string& file,
@@ -72,32 +70,27 @@ bool ReadGeneratorSpec(const Spec& spec, bool allow_unbounded,
   if (!r.ok()) return Fail(error, r.error());
 
   // The first value out of range, in key order, names the key.
-  std::string bad;
-  const auto need = [&](bool ok, const char* key, auto value,
-                        const char* rule) {
-    if (ok || !bad.empty()) return;
-    std::ostringstream os;
-    os << key << "=" << value << " out of range (need " << rule << ")";
-    bad = os.str();
-  };
+  RangeCheck range;
   const bool tagged = !is_poisson && (!is_cdf || max_width != 0);
-  need(ports >= 1 && ports <= kMaxInt, "ports", ports, "1 <= ports < 2^31");
-  need(cap >= 1 && cap <= kMaxInt, "cap", cap, "1 <= cap < 2^31");
-  need(load >= 0.0 && std::isfinite(load), "load", load,
-       "a finite load >= 0");
-  need(unbounded || (rounds >= 1 && rounds <= kMaxInt), "rounds", rounds,
-       "1 <= rounds < 2^31; streams also take rounds=inf");
-  need(dmax >= 1 && dmax <= kMaxInt, "dmax", dmax, "1 <= dmax < 2^31");
-  need(min_width >= 1 && min_width <= kMaxInt, "minwidth", min_width,
-       "1 <= minwidth < 2^31");
-  need(!tagged || (max_width >= min_width && max_width <= kMaxInt), "width",
-       max_width,
-       is_cdf ? "width=0 for untagged, or minwidth <= width < 2^31"
-              : "minwidth <= width < 2^31");
-  need(!tagged || (skew > 0.0 && skew <= 1.0), "skew", skew, "0 < skew <= 1");
-  need(unit >= 0.0 && std::isfinite(unit), "unit", unit,
-       "a finite unit >= 0");
-  if (!bad.empty()) return Fail(error, bad);
+  range.Need(ports >= 1 && ports <= kMaxInt, "ports", ports,
+             "1 <= ports < 2^31");
+  range.Need(cap >= 1 && cap <= kMaxInt, "cap", cap, "1 <= cap < 2^31");
+  range.Need(load >= 0.0 && std::isfinite(load), "load", load,
+             "a finite load >= 0");
+  range.Need(unbounded || (rounds >= 1 && rounds <= kMaxInt), "rounds",
+             rounds, "1 <= rounds < 2^31; streams also take rounds=inf");
+  range.Need(dmax >= 1 && dmax <= kMaxInt, "dmax", dmax, "1 <= dmax < 2^31");
+  range.Need(min_width >= 1 && min_width <= kMaxInt, "minwidth", min_width,
+             "1 <= minwidth < 2^31");
+  range.Need(!tagged || (max_width >= min_width && max_width <= kMaxInt),
+             "width", max_width,
+             is_cdf ? "width=0 for untagged, or minwidth <= width < 2^31"
+                    : "minwidth <= width < 2^31");
+  range.Need(!tagged || (skew > 0.0 && skew <= 1.0), "skew", skew,
+             "0 < skew <= 1");
+  range.Need(unit >= 0.0 && std::isfinite(unit), "unit", unit,
+             "a finite unit >= 0");
+  if (!range.ok()) return Fail(error, range.error());
   if (unbounded && !allow_unbounded) {
     return Fail(error, "rounds=inf is only for streams (need rounds >= 1)");
   }

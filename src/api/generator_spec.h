@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdlib>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -25,6 +26,9 @@
 
 namespace flowsched {
 namespace api_spec {
+
+// Counts and rounds must fit an int.
+inline constexpr long long kMaxInt = std::numeric_limits<int>::max();
 
 struct Spec {
   std::string generator;
@@ -115,6 +119,25 @@ class SpecReader {
 
   const Spec& spec_;
   std::vector<std::string> used_;
+  std::string error_;
+};
+
+// Collects the first value out of range, in call order, as
+// "key=value out of range (need rule)": the error names the key.
+class RangeCheck {
+ public:
+  template <typename T>
+  void Need(bool ok, const char* key, T value, const char* rule) {
+    if (ok || !error_.empty()) return;
+    std::ostringstream os;
+    os << key << "=" << value << " out of range (need " << rule << ")";
+    error_ = os.str();
+  }
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+
+ private:
   std::string error_;
 };
 

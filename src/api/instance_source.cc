@@ -14,6 +14,8 @@ namespace flowsched {
 namespace {
 
 using api_spec::Fail;
+using api_spec::kMaxInt;
+using api_spec::RangeCheck;
 using api_spec::Spec;
 using api_spec::SpecReader;
 using api_spec::SplitSpec;
@@ -41,34 +43,69 @@ std::optional<Instance> Generate(const Spec& spec, std::string* error,
     if (generate) result = std::visit(BatchGenerator{}, g.config);
   } else {
     SpecReader r(spec);
+    RangeCheck range;
+    // Unknown keys and unparsable values first, then the first value out
+    // of range, so no bad value reaches a generator's precondition checks.
+    const auto checked = [&] {
+      r.CheckUnknown();
+      if (!r.ok()) return Fail(error, r.error());
+      return range.ok() || Fail(error, range.error());
+    };
     if (spec.generator == "shuffle") {
-      const int ports = static_cast<int>(r.GetInt("ports", 16));
-      const int wave = static_cast<int>(r.GetInt("wave", 4));
-      const int waves = static_cast<int>(r.GetInt("waves", 3));
-      const int period = static_cast<int>(r.GetInt("period", 4));
-      if (generate && r.ok()) result = ShuffleWaves(ports, wave, waves, period);
+      const long long ports = r.GetInt("ports", 16);
+      const long long wave = r.GetInt("wave", 4);
+      const long long waves = r.GetInt("waves", 3);
+      const long long period = r.GetInt("period", 4);
+      range.Need(ports >= 1 && ports <= kMaxInt, "ports", ports,
+                 "1 <= ports < 2^31");
+      range.Need(wave >= 1 && wave <= ports, "wave", wave,
+                 "1 <= wave <= ports");
+      range.Need(waves >= 1 && waves <= kMaxInt, "waves", waves,
+                 "1 <= waves < 2^31");
+      range.Need(period >= 1 && (waves <= 1 || period <= kMaxInt / (waves - 1)),
+                 "period", period, "period >= 1 and (waves - 1) * period < 2^31");
+      if (!checked()) return std::nullopt;
+      if (generate) {
+        result = ShuffleWaves(static_cast<int>(ports), static_cast<int>(wave),
+                              static_cast<int>(waves),
+                              static_cast<int>(period));
+      }
     } else if (spec.generator == "incast") {
-      const int ports = static_cast<int>(r.GetInt("ports", 16));
-      const int fanin = static_cast<int>(r.GetInt("fanin", ports - 1));
-      const auto release = static_cast<Round>(r.GetInt("release", 0));
-      if (generate && r.ok()) {
-        Instance instance(SwitchSpec::Uniform(ports, ports, 1), {});
-        AddIncast(instance, /*sink=*/ports - 1, fanin, release);
+      const long long ports = r.GetInt("ports", 16);
+      const long long fanin = r.GetInt("fanin", ports - 1);
+      const long long release = r.GetInt("release", 0);
+      range.Need(ports >= 1 && ports <= kMaxInt, "ports", ports,
+                 "1 <= ports < 2^31");
+      range.Need(fanin >= 0 && fanin <= ports, "fanin", fanin,
+                 "0 <= fanin <= ports");
+      range.Need(release >= 0 && release <= kMaxInt, "release", release,
+                 "0 <= release < 2^31");
+      if (!checked()) return std::nullopt;
+      if (generate) {
+        Instance instance(SwitchSpec::Uniform(static_cast<int>(ports),
+                                              static_cast<int>(ports), 1),
+                          {});
+        AddIncast(instance, /*sink=*/static_cast<PortId>(ports - 1),
+                  static_cast<int>(fanin), static_cast<Round>(release));
         result = std::move(instance);
       }
     } else if (spec.generator == "fig4a") {
-      const int phase = static_cast<int>(r.GetInt("phase", 6));
-      const int total = static_cast<int>(r.GetInt("total", 30));
-      if (generate && r.ok()) result = Fig4aInstance(phase, total);
+      const long long phase = r.GetInt("phase", 6);
+      const long long total = r.GetInt("total", 30);
+      range.Need(phase >= 1 && phase < kMaxInt, "phase", phase,
+                 "1 <= phase < 2^31 - 1");
+      range.Need(total > phase && total <= kMaxInt, "total", total,
+                 "phase < total < 2^31");
+      if (!checked()) return std::nullopt;
+      if (generate) {
+        result = Fig4aInstance(static_cast<int>(phase),
+                               static_cast<int>(total));
+      }
     } else if (spec.generator == "fig4b") {
+      if (!checked()) return std::nullopt;
       if (generate) result = Fig4bInstance();
     } else {
       Fail(error, "unknown generator \"" + spec.generator + "\"");
-      return std::nullopt;
-    }
-    r.CheckUnknown();
-    if (!r.ok()) {
-      Fail(error, r.error());
       return std::nullopt;
     }
   }

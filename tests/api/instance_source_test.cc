@@ -239,6 +239,44 @@ TEST(InstanceSourceTest, OutOfRangeValuesFailAlikeOnEveryPath) {
   }
 }
 
+// The fixed-pattern generators check their ranges too: load and plan-time
+// validation fail alike, naming the key, and no value reaches a
+// generator's FS_CHECK.
+TEST(InstanceSourceTest, PatternSpecsOutOfRangeFailWithTheKey) {
+  const std::pair<const char*, const char*> bad[] = {
+      {"shuffle:ports=0", "ports=0 out of range"},
+      {"shuffle:wave=17", "wave=17 out of range"},
+      {"shuffle:waves=0", "waves=0 out of range"},
+      {"shuffle:period=-1", "period=-1 out of range"},
+      {"shuffle:waves=3,period=1073741824", "period=1073741824 out of range"},
+      {"incast:ports=0", "ports=0 out of range"},
+      {"incast:fanin=99", "fanin=99 out of range"},
+      {"incast:release=-1", "release=-1 out of range"},
+      {"fig4a:phase=0", "phase=0 out of range"},
+      {"fig4a:phase=6,total=6", "total=6 out of range"},
+  };
+  for (const auto& [spec, want] : bad) {
+    SCOPED_TRACE(spec);
+    std::string load_error;
+    EXPECT_FALSE(LoadInstance(spec, &load_error).has_value());
+    EXPECT_NE(load_error.find(want), std::string::npos) << load_error;
+    std::string validate_error;
+    EXPECT_FALSE(ValidateInstanceSpec(spec, &validate_error));
+    EXPECT_EQ(validate_error, load_error);
+  }
+  // An unknown key is reported before a range.
+  std::string error;
+  EXPECT_FALSE(ValidateInstanceSpec("incast:fanin=99,fan=1", &error));
+  EXPECT_NE(error.find("unknown key \"fan\""), std::string::npos) << error;
+  // The edges of each range load.
+  for (const char* spec :
+       {"shuffle:ports=4,wave=4,waves=1,period=1", "incast:ports=4,fanin=4",
+        "incast:ports=4,fanin=0", "fig4a:phase=1,total=2"}) {
+    EXPECT_TRUE(LoadInstance(spec, &error).has_value())
+        << spec << ": " << error;
+  }
+}
+
 TEST(InstanceSourceTest, InfiniteRoundsOnlyStream) {
   const std::string spec = "poisson:ports=4,load=0.5,rounds=inf";
   std::string error;

@@ -6,10 +6,12 @@
 #
 # - flowsched_cli exits non-zero on each bad spec, with an "error:" line
 #   and no "CHECK failed";
-# - flowsched_serve --spec rejects rounds=-1 (only rounds=inf is unbounded);
+# - flowsched_serve --spec rejects rounds=-1 (only rounds=inf is unbounded),
+#   and wire mode rejects --ports=0 and --cap=0 with exit 2;
 # - flowsched_serve --trace exits 1 with a source_error DONE line, valid
 #   JSON, on a row whose port lies past the switch;
-# - flowsched_campaign plan rejects a grid whose {ports} axis holds 0.
+# - flowsched_campaign plan rejects a grid whose {ports} axis holds 0, and
+#   a shuffle:, incast: or fig4a: instance out of range.
 set -euo pipefail
 build_dir="${1:?usage: $0 <build_dir>}"
 tools="$(cd "${build_dir}/tools" && pwd)"
@@ -21,7 +23,9 @@ fail() { echo "error: $*" >&2; exit 1; }
 for spec in poisson:ports=0 poisson:load=-1 poisson:rounds=0 \
             poisson:dmax=0 poisson:cap=0 coflow:skew=2 coflow:width=0 \
             poisson:rounds=inf poisson:cap=3000000000,dmax=3000000000 \
-            coflow:width=2147483648; do
+            coflow:width=2147483648 shuffle:ports=0 shuffle:period=-1 \
+            shuffle:wave=17 incast:ports=0 incast:fanin=99 fig4a:phase=0 \
+            fig4a:phase=6,total=6; do
   rc=0
   "${tools}/flowsched_cli" --instance="${spec}" --solver=online.srpt \
       > "${scratch}/cli.out" 2>&1 || rc=$?
@@ -37,6 +41,17 @@ rc=0
 "${tools}/flowsched_serve" --spec=poisson:ports=4,load=0.5,rounds=-1 \
     > "${scratch}/serve.out" 2>&1 || rc=$?
 [[ "${rc}" -ne 0 ]] || fail "flowsched_serve streamed rounds=-1"
+
+for flags in --ports=0 "--ports=4 --cap=0"; do
+  rc=0
+  # shellcheck disable=SC2086  # Word-split the flag pair on purpose.
+  printf 'TICK\nSTOP\n' | "${tools}/flowsched_serve" ${flags} \
+      > "${scratch}/serve.out" 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] || fail "flowsched_serve ${flags} exited ${rc}, want 2"
+  if grep -q 'CHECK failed' "${scratch}/serve.out"; then
+    fail "flowsched_serve aborted on ${flags}"
+  fi
+done
 
 printf 'input_capacities\n1,1\noutput_capacities\n1,1\n' > "${scratch}/bad.csv"
 printf 'src,dst,demand,release\n0,1,1,0\n7,1,1,1\n' >> "${scratch}/bad.csv"
@@ -62,5 +77,18 @@ rc=0
     > "${scratch}/plan.out" 2>&1 || rc=$?
 [[ "${rc}" -eq 2 ]] \
   || fail "flowsched_campaign plan on ports=0 exited ${rc}, want 2"
+
+for instance in shuffle:ports=0 incast:fanin=99 fig4a:phase=0; do
+  printf 'name=badspec\n[grid]\nname=flow\nsolvers=online.srpt\n' \
+      > "${scratch}/bad.campaign"
+  printf 'instances=%s\n' "${instance}" >> "${scratch}/bad.campaign"
+  rc=0
+  "${tools}/flowsched_campaign" plan --spec="${scratch}/bad.campaign" \
+      > "${scratch}/plan.out" 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] \
+    || fail "flowsched_campaign plan on ${instance} exited ${rc}, want 2"
+  grep -q "${instance#*:} out of range" "${scratch}/plan.out" \
+    || fail "flowsched_campaign plan on ${instance} did not name the key"
+done
 
 echo "bad inputs ok: every probe failed cleanly"

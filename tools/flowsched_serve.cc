@@ -36,6 +36,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -197,8 +198,12 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
     } else if (count("tcp")) {
       cli.tcp_port = static_cast<int>(n);
     } else if (count("ports")) {
+      if (error.empty() && (n < 1 || n > std::numeric_limits<int>::max())) {
+        error = "--ports needs 1 <= N < 2^31, got " + value;
+      }
       cli.ports = static_cast<int>(n);
     } else if (count("cap")) {
+      if (error.empty() && n < 1) error = "--cap needs C >= 1, got " + value;
       cli.cap = n;
     } else if (count("seed")) {
       cli.serve.seed = static_cast<std::uint64_t>(n);
