@@ -89,16 +89,4 @@ Round Instance::SafeHorizon() const {
   return MaxRelease() + static_cast<Round>(flows_.size()) + 1;
 }
 
-std::vector<std::vector<FlowId>> Instance::FlowsByInputPort() const {
-  std::vector<std::vector<FlowId>> by_port(switch_.num_inputs());
-  for (const Flow& e : flows_) by_port[e.src].push_back(e.id);
-  return by_port;
-}
-
-std::vector<std::vector<FlowId>> Instance::FlowsByOutputPort() const {
-  std::vector<std::vector<FlowId>> by_port(switch_.num_outputs());
-  for (const Flow& e : flows_) by_port[e.dst].push_back(e.id);
-  return by_port;
-}
-
 }  // namespace flowsched

@@ -61,10 +61,6 @@ class Instance {
   // pending flow per round, so r_max + n rounds always suffice.
   Round SafeHorizon() const;
 
-  // Flow ids incident to input port p / output port q (the paper's F_p).
-  std::vector<std::vector<FlowId>> FlowsByInputPort() const;
-  std::vector<std::vector<FlowId>> FlowsByOutputPort() const;
-
   /// Provenance stamp: the spec text or file path this instance was loaded
   /// from (api/instance_source.h sets it; empty for programmatically built
   /// instances). Purely descriptive for most consumers — reports echo it —

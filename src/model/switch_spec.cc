@@ -44,12 +44,6 @@ Capacity SwitchSpec::Kappa(const Flow& e) const {
   return std::min(input_capacity_[e.src], output_capacity_[e.dst]);
 }
 
-bool SwitchSpec::IsUnitCapacity() const {
-  auto is_one = [](Capacity c) { return c == 1; };
-  return std::all_of(input_capacity_.begin(), input_capacity_.end(), is_one) &&
-         std::all_of(output_capacity_.begin(), output_capacity_.end(), is_one);
-}
-
 Capacity SwitchSpec::MinCapacity() const {
   return std::min(*std::min_element(input_capacity_.begin(), input_capacity_.end()),
                   *std::min_element(output_capacity_.begin(), output_capacity_.end()));

@@ -37,9 +37,6 @@ class SwitchSpec {
   // kappa_e = min(c_p, c_q) for flow e = (p, q).
   Capacity Kappa(const Flow& e) const;
 
-  // True when every port has capacity exactly 1 (matching-based scheduling).
-  bool IsUnitCapacity() const;
-
   Capacity MinCapacity() const;
   Capacity MaxCapacity() const;
 

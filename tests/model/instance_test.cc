@@ -11,8 +11,6 @@ TEST(SwitchSpecTest, UniformConstruction) {
   EXPECT_EQ(sw.num_outputs(), 2);
   EXPECT_EQ(sw.input_capacity(0), 5);
   EXPECT_EQ(sw.output_capacity(1), 5);
-  EXPECT_FALSE(sw.IsUnitCapacity());
-  EXPECT_TRUE(SwitchSpec::Uniform(2, 2, 1).IsUnitCapacity());
   EXPECT_EQ(sw.MinCapacity(), 5);
   EXPECT_EQ(sw.MaxCapacity(), 5);
 }
@@ -86,18 +84,6 @@ TEST(InstanceTest, EmptyInstanceAggregates) {
   EXPECT_EQ(instance.MaxRelease(), 0);
   EXPECT_EQ(instance.TotalDemand(), 0);
   EXPECT_FALSE(instance.ValidationError().has_value());
-}
-
-TEST(InstanceTest, FlowsByPort) {
-  Instance instance(SwitchSpec::Uniform(2, 2), {});
-  instance.AddFlow(0, 1);
-  instance.AddFlow(0, 0);
-  instance.AddFlow(1, 1);
-  const auto by_in = instance.FlowsByInputPort();
-  const auto by_out = instance.FlowsByOutputPort();
-  EXPECT_EQ(by_in[0], (std::vector<FlowId>{0, 1}));
-  EXPECT_EQ(by_in[1], (std::vector<FlowId>{2}));
-  EXPECT_EQ(by_out[1], (std::vector<FlowId>{0, 2}));
 }
 
 TEST(FlowTest, ResponseTimeConvention) {
