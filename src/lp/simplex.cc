@@ -11,6 +11,8 @@ namespace flowsched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+// Largest row violation a crash-started solve may return (see SolveLp).
+constexpr double kMaxCrashResidual = 1e-6;
 
 // Internal column kinds. Structural columns come from the LpProblem; one
 // slack/surplus is added per inequality row; artificials complete the
@@ -19,12 +21,13 @@ enum class ColKind { kStructural, kSlack, kArtificial };
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(const LpProblem& lp, const SimplexOptions& options)
+  RevisedSimplex(const LpProblem& lp, const SimplexOptions& options,
+                 bool crash)
       : lp_(lp),
         opt_(options),
         m_(lp.num_rows()),
         kernels_(simplex_kernels::BestKernels()) {
-    Setup();
+    Setup(crash);
   }
 
   SimplexResult Solve() {
@@ -80,7 +83,7 @@ class RevisedSimplex {
   }
 
  private:
-  void Setup() {
+  void Setup(bool crash) {
     max_iterations_ = opt_.max_iterations;
     // Normalize rows to rhs >= 0 via row scaling in {+1, -1} (flipping the
     // sense accordingly); coefficients are scaled on access.
@@ -146,7 +149,7 @@ class RevisedSimplex {
     xb_ = rhs_;
     y_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
-    if (any_artificial) Crash();
+    if (crash && any_artificial) Crash();
     needs_phase1_ = false;
     for (int j : basis_) {
       if (kind_[j] == ColKind::kArtificial) needs_phase1_ = true;
@@ -484,7 +487,26 @@ const char* ToString(SimplexStatus status) {
 SimplexResult SolveLp(const LpProblem& lp, const SimplexOptions& options) {
   FS_CHECK_GT(lp.num_rows(), 0);
   FS_CHECK_GT(lp.num_cols(), 0);
-  return RevisedSimplex(lp, options).Solve();
+  // From a crash basis phase 2 usually needs a small fraction of the
+  // pivots a cold start does. On some heavily loaded LPs it instead walks
+  // a long degenerate path on which the explicit inverse drifts. So a
+  // crash start gets a smaller pivot budget, and when it runs out or ends
+  // at a point that violates its rows, the LP is solved again from the
+  // slack and artificial basis, at the cost of the pivots already spent.
+  SimplexOptions crash_options = options;
+  if (crash_options.max_iterations == 0) {
+    crash_options.max_iterations = 2000 + 2L * lp.num_rows();
+  }
+  const SimplexResult crashed =
+      RevisedSimplex(lp, crash_options, /*crash=*/true).Solve();
+  const bool drifted =
+      crashed.ok() && !(crashed.primal_residual <= kMaxCrashResidual);
+  if (crashed.status != SimplexStatus::kIterationLimit && !drifted) {
+    return crashed;
+  }
+  SimplexResult cold = RevisedSimplex(lp, options, /*crash=*/false).Solve();
+  cold.iterations += crashed.iterations;
+  return cold;
 }
 
 }  // namespace flowsched
