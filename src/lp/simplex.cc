@@ -30,10 +30,15 @@ class RevisedSimplex {
     Setup(crash);
   }
 
+  // True when the crash replaced at least one artificial.
+  bool crashed() const { return crashed_; }
+
   SimplexResult Solve() {
     SimplexResult result;
     if (max_iterations_ == 0) {
-      max_iterations_ = 2000 + 60L * m_ + 2L * lp_.num_cols();
+      // A crash start gets a smaller budget: see SolveLp.
+      max_iterations_ = crashed_ ? 2000 + 2L * m_
+                                 : 2000 + 60L * m_ + 2L * lp_.num_cols();
     }
     // Phase 1: minimize the sum of artificial values.
     if (needs_phase1_) {
@@ -225,6 +230,7 @@ class RevisedSimplex {
       in_basis_[basis_[i]] = 0;
       in_basis_[best] = 1;
       basis_[i] = best;
+      crashed_ = true;
     }
   }
 
@@ -418,6 +424,7 @@ class RevisedSimplex {
   long max_iterations_ = 0;
   long iterations_ = 0;
   bool needs_phase1_ = false;
+  bool crashed_ = false;
   int total_cols_ = 0;
 
   std::vector<double> row_scale_;
@@ -493,15 +500,12 @@ SimplexResult SolveLp(const LpProblem& lp, const SimplexOptions& options) {
   // crash start gets a smaller pivot budget, and when it runs out or ends
   // at a point that violates its rows, the LP is solved again from the
   // slack and artificial basis, at the cost of the pivots already spent.
-  SimplexOptions crash_options = options;
-  if (crash_options.max_iterations == 0) {
-    crash_options.max_iterations = 2000 + 2L * lp.num_rows();
-  }
-  const SimplexResult crashed =
-      RevisedSimplex(lp, crash_options, /*crash=*/true).Solve();
+  RevisedSimplex simplex(lp, options, /*crash=*/true);
+  const SimplexResult crashed = simplex.Solve();
   const bool drifted =
       crashed.ok() && !(crashed.primal_residual <= kMaxCrashResidual);
-  if (crashed.status != SimplexStatus::kIterationLimit && !drifted) {
+  if (!simplex.crashed() ||
+      (crashed.status != SimplexStatus::kIterationLimit && !drifted)) {
     return crashed;
   }
   SimplexResult cold = RevisedSimplex(lp, options, /*crash=*/false).Solve();

@@ -16,10 +16,11 @@
 // no such row's slack driven negative; in the scheduling LPs, a flow's
 // cheapest round whose ports still have room. A row no column covers alone
 // keeps an artificial, and phase 1 (minimise the sum of artificials) runs
-// only when one is left. A crash start that runs past 2000 + 2 * num_rows
-// pivots (when max_iterations is automatic) or returns a point violating a
-// row by more than 1e-6 is thrown away, and the LP is solved again from the
-// slack and artificial basis; `iterations` then counts both solves.
+// only when one is left. A crash start that replaced an artificial and
+// runs past 2000 + 2 * num_rows pivots (when max_iterations is automatic)
+// or returns a point violating a row by more than 1e-6 is thrown away, and
+// the LP is solved again from the slack and artificial basis; `iterations`
+// then counts both solves.
 //
 // Guarantees and conventions:
 //  * Rows may be <=, >= or =; variables are non-negative.
