@@ -1,7 +1,6 @@
 #include "api/generator_spec.h"
 
 #include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "traffic/builtin_cdfs.h"
