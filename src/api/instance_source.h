@@ -50,7 +50,7 @@ bool IsGeneratorSpec(const std::string& source);
 // ("name:key=value,..." with a pathless name) is rejected too. Genuine
 // file paths return true — existence and content are load-time concerns. Sweep expansion calls this so a typo'd template
 // fails the whole campaign up front instead of per task, after other
-// tasks already ran (exp/sweep_spec.h).
+// tasks already ran (campaign/sweep_spec.h).
 bool ValidateInstanceSpec(const std::string& source,
                           std::string* error = nullptr);
 

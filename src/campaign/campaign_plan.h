@@ -1,5 +1,5 @@
 // CampaignPlan: the deterministic expansion of a CampaignSpec — every grid
-// expanded through ExpandSweep (exp/sweep_spec.h), every task given a
+// expanded through ExpandSweep (campaign/sweep_spec.h), every task given a
 // stable directory-safe id and a spec hash.
 //
 // Task identity is the resume contract (campaign/campaign_runner.h): a
@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "campaign/campaign_spec.h"
-#include "exp/sweep_spec.h"
+#include "campaign/sweep_spec.h"
 
 namespace flowsched {
 

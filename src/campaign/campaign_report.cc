@@ -7,9 +7,9 @@
 #include <map>
 #include <sstream>
 
+#include "campaign/aggregator.h"
 #include "campaign/campaign_runner.h"
 #include "campaign/svg_plot.h"
-#include "exp/aggregator.h"
 #include "util/json.h"
 #include "util/provenance.h"
 
@@ -18,40 +18,47 @@ namespace {
 
 namespace fs = std::filesystem;
 
-struct GridCollect {
-  // Parallel to plan.tasks: outcome (ok=false for failed/missing) plus
-  // whether an outcome.json was readable at all.
-  std::vector<TaskOutcome> outcomes;
-  std::vector<bool> present;
-  int ok = 0;
-  int failed = 0;
-  int missing = 0;
-};
+// The outcome metrics the report shows.
+constexpr int kAvgResponse = OutcomeMetricIndex("avg_response");
+constexpr int kP95Response = OutcomeMetricIndex("p95_response");
+constexpr int kMaxResponse = OutcomeMetricIndex("max_response");
+constexpr int kAvgCct = OutcomeMetricIndex("avg_cct");
+constexpr int kDowntimeRounds = OutcomeMetricIndex("downtime_rounds");
+constexpr int kBacklogSurge = OutcomeMetricIndex("backlog_surge");
+constexpr int kResponseInflation = OutcomeMetricIndex("response_inflation");
+constexpr int kLbAvgResponse = OutcomeMetricIndex("lb_avg_response");
+constexpr int kLbMaxResponse = OutcomeMetricIndex("lb_max_response");
 
-// Reads every task outcome of one grid from disk, in task order.
-void CollectGrid(const CampaignGrid& grid, const std::string& out_root,
-                 GridCollect& gc) {
-  const std::size_t n = grid.plan.tasks.size();
-  gc.outcomes.resize(n);
-  gc.present.assign(n, false);
+// Reads one grid's task outcomes from disk, in task order, into `agg` and
+// counts them into `summary`. Missing tasks (no readable outcome.json) are
+// not fed to `agg`, which would count them as failures. Returns the
+// incomplete tasks in task order as "<id> (failed)" / "<id> (missing)".
+std::vector<std::string> CollectGrid(const CampaignGrid& grid,
+                                     const std::string& out_root,
+                                     Aggregator& agg,
+                                     CampaignCollectSummary& summary) {
+  std::vector<std::string> incomplete;
   for (const SweepTask& task : grid.plan.tasks) {
-    const std::string dir =
-        CampaignTaskDir(out_root, grid.task_ids[task.index]);
-    std::string err;
-    TaskOutcome& o = gc.outcomes[task.index];
-    if (ReadTaskOutcome(dir, o, &err)) {
-      gc.present[task.index] = true;
-      if (o.ok) {
-        ++gc.ok;
-      } else {
-        ++gc.failed;
-      }
+    const std::string& id = grid.task_ids[task.index];
+    const std::string dir = CampaignTaskDir(out_root, id);
+    TaskOutcome o;
+    ++summary.total;
+    if (!ReadTaskOutcome(dir, o, nullptr)) {
+      ++summary.missing;
+      summary.missing_tasks.push_back(id);
+      incomplete.push_back(id + " (missing)");
+      continue;
+    }
+    agg.Add(task, o);
+    if (o.ok) {
+      ++summary.ok;
     } else {
-      o.ok = false;
-      o.error = err;
-      ++gc.missing;
+      ++summary.failed;
+      summary.failed_tasks.push_back(id);
+      incomplete.push_back(id + " (failed)");
     }
   }
+  return incomplete;
 }
 
 bool OpenForWrite(std::ofstream& out, const fs::path& path,
@@ -189,7 +196,7 @@ void WriteChart(std::ostream& out, const SweepPlan& plan,
   for (const CellAggregate& agg : cells) {
     const SweepCell& c = plan.cells[agg.cell];
     if (agg.n == 0) continue;
-    if (cct && agg.num_coflows == 0) continue;
+    if (cct && !agg.Carried(MetricGate::kCoflow)) continue;
     const std::string label =
         SeriesLabel(c, many_templates, template_index[c.instance_template]);
     auto it = series.find(label);
@@ -198,7 +205,7 @@ void WriteChart(std::ostream& out, const SweepPlan& plan,
       it = series.emplace(label, SvgSeries{}).first;
       it->second.label = label;
     }
-    const RunningStats& s = cct ? agg.avg_cct : agg.avg_response;
+    const RunningStats& s = agg.metrics[cct ? kAvgCct : kAvgResponse];
     it->second.x.push_back(XValue(c, axis));
     it->second.y.push_back(s.mean());
     it->second.ci.push_back(Ci95HalfWidth(s));
@@ -230,22 +237,22 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
     const SweepCell& c = plan.cells[agg.cell];
     const std::string key = GroupKey(c);
     if (agg.n > 0 && baseline.find(key) == baseline.end()) {
-      baseline[key] = agg.avg_response.mean();
+      baseline[key] = agg.metrics[kAvgResponse].mean();
       baseline_solver[key] = c.solver;
     }
-    if (agg.lb_avg_response.count() > 0) {
-      lb_avg.emplace(key, agg.lb_avg_response.mean());
+    if (agg.Carried(kLbAvgResponse)) {
+      lb_avg.emplace(key, agg.metrics[kLbAvgResponse].mean());
     }
-    if (agg.lb_max_response.count() > 0) {
-      lb_max.emplace(key, agg.lb_max_response.mean());
+    if (agg.Carried(kLbMaxResponse)) {
+      lb_max.emplace(key, agg.metrics[kLbMaxResponse].mean());
     }
   }
   bool any_cct = false, any_scenario = false, any_shards = false;
   bool has_load = false, has_ports = false, has_rounds = false;
   for (const CellAggregate& agg : cells) {
-    if (agg.num_coflows > 0) any_cct = true;
-    if (agg.scenario_n > 0) any_scenario = true;
-    if (agg.shards > 0) any_shards = true;
+    if (agg.Carried(MetricGate::kCoflow)) any_cct = true;
+    if (agg.Carried(MetricGate::kScenario)) any_scenario = true;
+    if (agg.Carried(MetricGate::kFabric)) any_shards = true;
   }
   for (const SweepCell& c : plan.cells) {
     if (c.load) has_load = true;
@@ -301,13 +308,14 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
       out << "</tr>\n";
       continue;
     }
-    out << "<td>" << FmtG(agg.avg_response.mean()) << " &plusmn; "
-        << FmtG(Ci95HalfWidth(agg.avg_response)) << "</td>";
-    out << "<td>" << FmtG(agg.p95_response.mean()) << "</td>";
+    const double avg = agg.metrics[kAvgResponse].mean();
+    out << "<td>" << FmtG(avg) << " &plusmn; "
+        << FmtG(Ci95HalfWidth(agg.metrics[kAvgResponse])) << "</td>";
+    out << "<td>" << FmtG(agg.metrics[kP95Response].mean()) << "</td>";
     const std::string key = GroupKey(c);
     const auto base = baseline.find(key);
-    if (base != baseline.end() && agg.avg_response.mean() > 0.0) {
-      const double speedup = base->second / agg.avg_response.mean();
+    if (base != baseline.end() && avg > 0.0) {
+      const double speedup = base->second / avg;
       out << "<td" << (c.solver == baseline_solver[key] ? " class=\"dim\"" : "")
           << ">" << FmtG(speedup) << "&times;</td>";
     } else {
@@ -323,21 +331,22 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
         out << "<td>" << FmtG(value / bound->second) << "&times;</td>";
       }
     };
-    ratio_to_bound(lb_avg, agg.avg_response.mean());
-    ratio_to_bound(lb_max, agg.max_response.mean());
+    ratio_to_bound(lb_avg, avg);
+    ratio_to_bound(lb_max, agg.metrics[kMaxResponse].mean());
     if (any_cct) {
-      if (agg.num_coflows > 0) {
-        out << "<td>" << FmtG(agg.avg_cct.mean()) << " &plusmn; "
-            << FmtG(Ci95HalfWidth(agg.avg_cct)) << "</td>";
+      if (agg.Carried(kAvgCct)) {
+        out << "<td>" << FmtG(agg.metrics[kAvgCct].mean()) << " &plusmn; "
+            << FmtG(Ci95HalfWidth(agg.metrics[kAvgCct])) << "</td>";
       } else {
         out << "<td></td>";
       }
     }
     if (any_scenario) {
-      if (agg.scenario_n > 0) {
-        out << "<td>" << FmtG(agg.downtime_rounds.mean()) << "</td><td>"
-            << FmtG(agg.backlog_surge.mean()) << "</td><td>"
-            << FmtG(agg.response_inflation.mean()) << "</td>";
+      if (agg.Carried(kDowntimeRounds)) {
+        out << "<td>" << FmtG(agg.metrics[kDowntimeRounds].mean())
+            << "</td><td>" << FmtG(agg.metrics[kBacklogSurge].mean())
+            << "</td><td>" << FmtG(agg.metrics[kResponseInflation].mean())
+            << "</td>";
       } else {
         out << "<td></td><td></td><td></td>";
       }
@@ -362,27 +371,8 @@ bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
     return false;
   }
   for (const CampaignGrid& grid : plan.grids) {
-    GridCollect gc;
-    CollectGrid(grid, out_root, gc);
-    summary.total += static_cast<int>(grid.plan.tasks.size());
-    summary.ok += gc.ok;
-    summary.failed += gc.failed;
-    summary.missing += gc.missing;
-    for (const SweepTask& task : grid.plan.tasks) {
-      if (!gc.present[task.index]) {
-        summary.missing_tasks.push_back(grid.task_ids[task.index]);
-      } else if (!gc.outcomes[task.index].ok) {
-        summary.failed_tasks.push_back(grid.task_ids[task.index]);
-      }
-    }
-
     Aggregator agg(grid.plan);
-    for (const SweepTask& task : grid.plan.tasks) {
-      // Missing tasks are absent, not failed-at-solve: feeding them would
-      // count phantom failures into the cell statistics.
-      if (!gc.present[task.index]) continue;
-      agg.Add(task, gc.outcomes[task.index]);
-    }
+    CollectGrid(grid, out_root, agg, summary);
     std::ofstream json_out, csv_out;
     if (!OpenForWrite(json_out, agg_dir / (grid.spec.name + ".json"), error) ||
         !OpenForWrite(csv_out, agg_dir / (grid.spec.name + ".csv"), error)) {
@@ -436,37 +426,26 @@ bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
       << HtmlEscape(prov.compiler_flags) << "</span></p>\n";
 
   // Campaign-level completion summary (recomputed from disk, like collect).
-  int total = 0, ok = 0, failed = 0, missing = 0;
+  CampaignCollectSummary summary;
+  std::vector<Aggregator> aggs;
+  aggs.reserve(plan.grids.size());
   std::vector<std::string> bad_tasks;
-  std::vector<GridCollect> collects(plan.grids.size());
-  for (std::size_t g = 0; g < plan.grids.size(); ++g) {
-    const CampaignGrid& grid = plan.grids[g];
-    CollectGrid(grid, out_root, collects[g]);
-    total += static_cast<int>(grid.plan.tasks.size());
-    ok += collects[g].ok;
-    failed += collects[g].failed;
-    missing += collects[g].missing;
-    for (const SweepTask& task : grid.plan.tasks) {
-      if (!collects[g].present[task.index]) {
-        bad_tasks.push_back(grid.task_ids[task.index] + " (missing)");
-      } else if (!collects[g].outcomes[task.index].ok) {
-        bad_tasks.push_back(grid.task_ids[task.index] + " (failed)");
-      }
+  for (const CampaignGrid& grid : plan.grids) {
+    aggs.emplace_back(grid.plan);
+    for (std::string& t : CollectGrid(grid, out_root, aggs.back(), summary)) {
+      bad_tasks.push_back(std::move(t));
     }
   }
-  out << "<p>" << total << " tasks: <b>" << ok << " ok</b>";
-  if (failed > 0) out << ", <b>" << failed << " failed</b>";
-  if (missing > 0) out << ", <b>" << missing << " missing</b>";
+  out << "<p>" << summary.total << " tasks: <b>" << summary.ok << " ok</b>";
+  if (summary.failed > 0) out << ", <b>" << summary.failed << " failed</b>";
+  if (summary.missing > 0) {
+    out << ", <b>" << summary.missing << " missing</b>";
+  }
   out << ".</p>\n";
 
   for (std::size_t g = 0; g < plan.grids.size(); ++g) {
     const CampaignGrid& grid = plan.grids[g];
-    const GridCollect& gc = collects[g];
-    Aggregator agg(grid.plan);
-    for (const SweepTask& task : grid.plan.tasks) {
-      if (!gc.present[task.index]) continue;
-      agg.Add(task, gc.outcomes[task.index]);
-    }
+    const Aggregator& agg = aggs[g];
     out << "<h2>" << HtmlEscape(grid.spec.name) << "</h2>\n";
     out << "<p class=\"dim\">" << grid.plan.cells.size() << " cells &middot; "
         << grid.plan.tasks.size() << " tasks &middot; spec hash "
@@ -475,7 +454,7 @@ bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
     const XAxis axis = PickXAxis(grid.plan);
     bool any_cct = false;
     for (const CellAggregate& c : agg.cells()) {
-      if (c.num_coflows > 0) any_cct = true;
+      if (c.Carried(MetricGate::kCoflow)) any_cct = true;
     }
     out << "<div class=\"charts\">\n";
     WriteChart(out, grid.plan, agg.cells(), axis, /*cct=*/false,

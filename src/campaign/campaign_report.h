@@ -2,7 +2,7 @@
 //
 // Collect merges whatever the runs/ tree holds: every task's outcome.json
 // is read back from disk — never taken from in-process memory — and fed to
-// the exp/aggregator.h Aggregator in task order. outcome.json stores every
+// the campaign/aggregator.h Aggregator in task order. outcome.json stores every
 // double in round-trip form, so the aggregates equal what an in-memory
 // aggregation of the same solves would give, and a resumed campaign's
 // report is byte-identical to an uninterrupted one. Aggregates land in

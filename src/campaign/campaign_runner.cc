@@ -13,7 +13,7 @@
 
 #include "api/instance_source.h"
 #include "api/solver.h"
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
 
@@ -114,56 +114,17 @@ TaskOutcome OutcomeFromSolveReport(const SolveReport& report) {
   TaskOutcome o;
   o.ok = report.ok;
   o.error = report.error;
-  o.wall_seconds = report.wall_seconds;
   if (!report.ok) return o;
-  o.total_response = report.metrics.total_response;
-  o.avg_response = report.metrics.avg_response;
-  o.p50_response = report.metrics.p50_response;
-  o.p95_response = report.metrics.p95_response;
-  o.p99_response = report.metrics.p99_response;
-  o.max_response = report.metrics.max_response;
-  o.stddev_response = report.metrics.stddev_response;
-  o.makespan = report.metrics.makespan;
-  o.num_flows = static_cast<long long>(report.metrics.response.size());
-  const auto& diag = report.diagnostics;
-  auto get = [&](const char* key) {
-    const auto it = diag.find(key);
-    return it == diag.end() ? 0.0 : it->second;
-  };
-  o.rounds = static_cast<long long>(get("rounds_simulated"));
-  o.peak_backlog = static_cast<long long>(get("peak_backlog"));
-  if (diag.count("num_coflows") > 0) {
-    o.num_coflows = static_cast<long long>(get("num_coflows"));
-    o.avg_cct = get("avg_cct");
-    o.p95_cct = get("p95_cct");
-    o.max_cct = get("max_cct");
-    o.avg_slowdown = get("avg_slowdown");
-  }
-  if (diag.count("shards") > 0) {
-    o.shards = static_cast<long long>(get("shards"));
-    o.load_imbalance = get("load_imbalance");
-    o.cross_shard_flows = static_cast<long long>(get("cross_shard_flows"));
-    o.split_coflows = static_cast<long long>(get("split_coflows"));
-  }
-  if (diag.count("downtime_rounds") > 0) {
-    o.has_scenario = true;
-    o.downtime_rounds = static_cast<long long>(get("downtime_rounds"));
-    o.scenario_events = static_cast<long long>(get("scenario_events"));
-    o.backlog_surge = get("backlog_surge");
-    o.recovery_drain_rounds =
-        static_cast<long long>(get("recovery_drain_rounds"));
-    o.response_inflation = get("response_inflation");
-    o.migrated_flows = static_cast<long long>(get("migrated_flows"));
-  }
-  if (report.lower_bound.has_value()) {
-    if (report.objective_name == "total_response" && o.num_flows > 0) {
-      o.lb_avg_response = *report.lower_bound / o.num_flows;
-    } else if (report.objective_name == "max_response") {
-      o.lb_max_response = *report.lower_bound;
+  for (int i = 0; i < kNumOutcomeMetrics; ++i) {
+    const OutcomeMetric& m = kOutcomeMetrics[i];
+    o[i] = m.source(report, m.key);
+    if (m.type == MetricType::kInt) {
+      o[i] = static_cast<double>(static_cast<long long>(o[i]));
     }
-  }
-  if (o.rounds > 0 && o.wall_seconds > 0.0) {
-    o.rounds_per_sec = static_cast<double>(o.rounds) / o.wall_seconds;
+    if (m.gate == MetricGate::kScenario &&
+        report.diagnostics.count(m.key) > 0) {
+      o.has_scenario = true;
+    }
   }
   return o;
 }
@@ -180,47 +141,15 @@ void WriteTaskJsonLine(std::ostream& out, const SweepCell& cell,
       << ", \"solver_seed\": " << task.solver_seed
       << ", \"ok\": " << (outcome.ok ? "true" : "false");
   if (outcome.ok) {
-    out << ", \"total_response\": " << ExactNum(outcome.total_response)
-        << ", \"avg_response\": " << ExactNum(outcome.avg_response)
-        << ", \"p50_response\": " << ExactNum(outcome.p50_response)
-        << ", \"p95_response\": " << ExactNum(outcome.p95_response)
-        << ", \"p99_response\": " << ExactNum(outcome.p99_response)
-        << ", \"max_response\": " << ExactNum(outcome.max_response)
-        << ", \"stddev_response\": " << ExactNum(outcome.stddev_response)
-        << ", \"makespan\": " << outcome.makespan
-        << ", \"num_flows\": " << outcome.num_flows
-        << ", \"rounds\": " << outcome.rounds
-        << ", \"peak_backlog\": " << outcome.peak_backlog;
-    if (outcome.num_coflows > 0) {
-      out << ", \"num_coflows\": " << outcome.num_coflows
-          << ", \"avg_cct\": " << ExactNum(outcome.avg_cct)
-          << ", \"p95_cct\": " << ExactNum(outcome.p95_cct)
-          << ", \"max_cct\": " << ExactNum(outcome.max_cct)
-          << ", \"avg_slowdown\": " << ExactNum(outcome.avg_slowdown);
+    for (int i = 0; i < kNumOutcomeMetrics; ++i) {
+      if (!outcome.Carries(i)) continue;
+      out << ", \"" << kOutcomeMetrics[i].key << "\": ";
+      if (kOutcomeMetrics[i].type == MetricType::kInt) {
+        out << static_cast<long long>(outcome[i]);
+      } else {
+        out << ExactNum(outcome[i]);
+      }
     }
-    if (outcome.shards > 0) {
-      out << ", \"shards\": " << outcome.shards
-          << ", \"load_imbalance\": " << ExactNum(outcome.load_imbalance)
-          << ", \"cross_shard_flows\": " << outcome.cross_shard_flows
-          << ", \"split_coflows\": " << outcome.split_coflows;
-    }
-    if (outcome.has_scenario) {
-      out << ", \"scenario_events\": " << outcome.scenario_events
-          << ", \"downtime_rounds\": " << outcome.downtime_rounds
-          << ", \"backlog_surge\": " << ExactNum(outcome.backlog_surge)
-          << ", \"recovery_drain_rounds\": " << outcome.recovery_drain_rounds
-          << ", \"response_inflation\": "
-          << ExactNum(outcome.response_inflation)
-          << ", \"migrated_flows\": " << outcome.migrated_flows;
-    }
-    if (outcome.lb_avg_response > 0.0) {
-      out << ", \"lb_avg_response\": " << ExactNum(outcome.lb_avg_response);
-    }
-    if (outcome.lb_max_response > 0.0) {
-      out << ", \"lb_max_response\": " << ExactNum(outcome.lb_max_response);
-    }
-    out << ", \"wall_seconds\": " << ExactNum(outcome.wall_seconds)
-        << ", \"rounds_per_sec\": " << ExactNum(outcome.rounds_per_sec);
   } else {
     out << ", " << JsonStr("error", outcome.error);
   }
@@ -267,41 +196,17 @@ bool ReadTaskOutcome(const std::string& dir, TaskOutcome& outcome,
     outcome.error = doc.GetString("error", "unknown failure");
     return true;
   }
-  outcome.total_response = doc.GetNumber("total_response");
-  outcome.avg_response = doc.GetNumber("avg_response");
-  outcome.p50_response = doc.GetNumber("p50_response");
-  outcome.p95_response = doc.GetNumber("p95_response");
-  outcome.p99_response = doc.GetNumber("p99_response");
-  outcome.max_response = doc.GetNumber("max_response");
-  outcome.stddev_response = doc.GetNumber("stddev_response");
-  outcome.makespan = doc.GetInt("makespan");
-  outcome.num_flows = doc.GetInt("num_flows");
-  outcome.rounds = doc.GetInt("rounds");
-  outcome.peak_backlog = doc.GetInt("peak_backlog");
-  outcome.num_coflows = doc.GetInt("num_coflows");
-  outcome.avg_cct = doc.GetNumber("avg_cct");
-  outcome.p95_cct = doc.GetNumber("p95_cct");
-  outcome.max_cct = doc.GetNumber("max_cct");
-  outcome.avg_slowdown = doc.GetNumber("avg_slowdown");
-  outcome.shards = doc.GetInt("shards");
-  outcome.load_imbalance = doc.GetNumber("load_imbalance");
-  outcome.cross_shard_flows = doc.GetInt("cross_shard_flows");
-  outcome.split_coflows = doc.GetInt("split_coflows");
-  // WriteTaskJsonLine only emits the robustness block for scenario runs;
-  // its presence is the has_scenario bit.
-  if (doc.Find("downtime_rounds") != nullptr) {
-    outcome.has_scenario = true;
-    outcome.scenario_events = doc.GetInt("scenario_events");
-    outcome.downtime_rounds = doc.GetInt("downtime_rounds");
-    outcome.backlog_surge = doc.GetNumber("backlog_surge");
-    outcome.recovery_drain_rounds = doc.GetInt("recovery_drain_rounds");
-    outcome.response_inflation = doc.GetNumber("response_inflation");
-    outcome.migrated_flows = doc.GetInt("migrated_flows");
+  for (int i = 0; i < kNumOutcomeMetrics; ++i) {
+    const OutcomeMetric& m = kOutcomeMetrics[i];
+    outcome[i] = m.type == MetricType::kInt
+                     ? static_cast<double>(doc.GetInt(m.key))
+                     : doc.GetNumber(m.key);
+    // WriteTaskJsonLine writes the scenario rows only for scenario runs;
+    // their presence is the has_scenario bit.
+    if (m.gate == MetricGate::kScenario && doc.Find(m.key) != nullptr) {
+      outcome.has_scenario = true;
+    }
   }
-  outcome.lb_avg_response = doc.GetNumber("lb_avg_response");
-  outcome.lb_max_response = doc.GetNumber("lb_max_response");
-  outcome.wall_seconds = doc.GetNumber("wall_seconds");
-  outcome.rounds_per_sec = doc.GetNumber("rounds_per_sec");
   return true;
 }
 

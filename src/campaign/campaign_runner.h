@@ -19,7 +19,7 @@
 //   - provenance git_sha and compiler_flags == the running binary's
 //     (results from a different commit or build flags are not comparable)
 //
-// Execution runs each grid on an exp/thread_pool.h work-stealing pool of
+// Execution runs each grid on a util/thread_pool.h work-stealing pool of
 // clamp(jobs, 1, tasks to run) workers. Instances are materialized once per
 // grid, and only the ones to-be-run tasks reference — a fully resumed grid
 // loads nothing and starts no pool. --fail-fast stops scheduling after the
@@ -42,60 +42,10 @@
 
 #include "api/registry.h"
 #include "campaign/campaign_plan.h"
+#include "campaign/task_outcome.h"
 #include "util/provenance.h"
 
 namespace flowsched {
-
-// One task's result: the scalar summary of one solve, stored as the task's
-// outcome.json and fed to the Aggregator (exp/aggregator.h). Deterministic
-// fields first; wall_seconds / rounds_per_sec are the only
-// schedule-dependent ones.
-struct TaskOutcome {
-  bool ok = false;
-  std::string error;
-  double total_response = 0.0;
-  double avg_response = 0.0;
-  double p50_response = 0.0;
-  double p95_response = 0.0;
-  double p99_response = 0.0;
-  double max_response = 0.0;
-  double stddev_response = 0.0;
-  long long makespan = 0;
-  long long num_flows = 0;
-  long long rounds = 0;        // diagnostics["rounds_simulated"] (0 offline).
-  long long peak_backlog = 0;  // diagnostics["peak_backlog"] (0 offline).
-  // Coflow completion-time diagnostics emitted by coflow.* and fabric.*
-  // solvers; num_coflows == 0 for other solvers.
-  long long num_coflows = 0;
-  double avg_cct = 0.0;
-  double p95_cct = 0.0;
-  double max_cct = 0.0;
-  double avg_slowdown = 0.0;
-  // Fabric sharding diagnostics emitted by fabric.* solvers
-  // (fabric/fabric_solvers.cc); shards == 0 for everything else.
-  long long shards = 0;
-  double load_imbalance = 0.0;
-  long long cross_shard_flows = 0;
-  long long split_coflows = 0;
-  // Robustness diagnostics emitted when the task ran under a scenario
-  // script (api/scenario_support.h); has_scenario == false for fault-free
-  // runs, which carry none of them.
-  bool has_scenario = false;
-  long long scenario_events = 0;
-  long long downtime_rounds = 0;
-  double backlog_surge = 0.0;
-  long long recovery_drain_rounds = 0;
-  double response_inflation = 0.0;
-  long long migrated_flows = 0;  // MIGRATE re-homings (0 without MIGRATE).
-  // The solver's proven lower bound (SolveReport::lower_bound) in the units
-  // of its objective: per flow for total_response solvers (LP(0) / n for
-  // art.theorem1), as is for max_response ones (rho_lp for mrt.theorem3).
-  // 0 when the solver proves none.
-  double lb_avg_response = 0.0;
-  double lb_max_response = 0.0;
-  double wall_seconds = 0.0;   // Timing — excluded from determinism checks.
-  double rounds_per_sec = 0.0;
-};
 
 enum class CampaignTaskStatus {
   kPending,   // Not yet executed (plan state before running).

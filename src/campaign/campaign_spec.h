@@ -1,5 +1,5 @@
 // CampaignSpec: a durable, resumable experiment campaign — an output root
-// plus a list of named sweep grids (exp/sweep_spec.h SweepSpec), each the
+// plus a list of named sweep grids (campaign/sweep_spec.h SweepSpec), each the
 // unit the Aggregator reports on and the HTML report charts.
 //
 // flowsched_campaign is the one experiment driver; a single sweep is a
@@ -42,7 +42,7 @@
 #include <string>
 #include <vector>
 
-#include "exp/sweep_spec.h"
+#include "campaign/sweep_spec.h"
 
 namespace flowsched {
 

@@ -53,8 +53,8 @@
 // solvers, and unknown keys or out-of-range values inside generator-spec
 // templates are all expansion-time errors (the last via
 // ValidateInstanceSpec), so a typo'd campaign dies before any task runs.
-#ifndef FLOWSCHED_EXP_SWEEP_SPEC_H_
-#define FLOWSCHED_EXP_SWEEP_SPEC_H_
+#ifndef FLOWSCHED_CAMPAIGN_SWEEP_SPEC_H_
+#define FLOWSCHED_CAMPAIGN_SWEEP_SPEC_H_
 
 #include <cstdint>
 #include <map>
@@ -159,4 +159,4 @@ bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,
 
 }  // namespace flowsched
 
-#endif  // FLOWSCHED_EXP_SWEEP_SPEC_H_
+#endif  // FLOWSCHED_CAMPAIGN_SWEEP_SPEC_H_

@@ -6,7 +6,7 @@
 
 #include "api/builtin_solvers.h"
 #include "core/online/simulator.h"
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
 

@@ -6,7 +6,7 @@
 /// its own SimulationContext, results land in a per-shard slot, and the
 /// merge walks shards in index order — so the merged schedule, metrics and
 /// diagnostics are byte-identical whether the shards ran serially or on the
-/// exp ThreadPool with any `jobs` value.
+/// util ThreadPool with any `jobs` value.
 ///
 /// The merged schedule assigns every *global* flow the round its pod chose.
 /// Pods share the round clock but not port capacity: an output port
@@ -43,7 +43,7 @@ struct FabricRunOptions {
   /// Base seed; shard s simulates with Rng::DeriveSeed(seed, s).
   std::uint64_t seed = 1;
   /// Worker threads for shard simulation (clamped to [1, shards]). Results
-  /// are byte-identical for any value; > 1 borrows the exp ThreadPool.
+  /// are byte-identical for any value; > 1 borrows the util ThreadPool.
   int jobs = 1;
   /// Per-shard simulation horizon; 0 = simulator default. Callers should
   /// pre-check it against the *global* SafeHorizon (every shard's horizon

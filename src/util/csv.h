@@ -21,7 +21,7 @@ namespace flowsched {
 // separator (instance-spec lists, inline scenario scripts) and common
 // spreadsheet importers treat bare ';' as a delimiter; report CSV columns
 // must not shear on them. Shared by CsvWriter and the hand-rolled report
-// writers (exp/aggregator.cc).
+// writers (campaign/aggregator.cc).
 std::string CsvEscapeField(std::string_view field);
 
 // Streams rows to an std::ostream. Not thread-safe.

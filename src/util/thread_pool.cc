@@ -1,4 +1,4 @@
-#include "exp/thread_pool.h"
+#include "util/thread_pool.h"
 
 #include <algorithm>
 #include <chrono>

@@ -11,8 +11,8 @@
 // (the campaign runner hands each task its own result slot and run
 // directory, so tasks never contend). Tasks must not throw: the repo's
 // failure modes are FS_CHECK aborts and error codes, not exceptions.
-#ifndef FLOWSCHED_EXP_THREAD_POOL_H_
-#define FLOWSCHED_EXP_THREAD_POOL_H_
+#ifndef FLOWSCHED_UTIL_THREAD_POOL_H_
+#define FLOWSCHED_UTIL_THREAD_POOL_H_
 
 #include <condition_variable>
 #include <deque>
@@ -65,4 +65,4 @@ class ThreadPool {
 
 }  // namespace flowsched
 
-#endif  // FLOWSCHED_EXP_THREAD_POOL_H_
+#endif  // FLOWSCHED_UTIL_THREAD_POOL_H_

@@ -1,4 +1,4 @@
-#include "exp/aggregator.h"
+#include "campaign/aggregator.h"
 
 #include <gtest/gtest.h>
 
@@ -33,17 +33,20 @@ SweepPlan TinyPlan() {
   return plan;
 }
 
+constexpr int kAvgResponse = OutcomeMetricIndex("avg_response");
+constexpr int kNumFlows = OutcomeMetricIndex("num_flows");
+
 TaskOutcome Outcome(double avg) {
   TaskOutcome o;
   o.ok = true;
-  o.avg_response = avg;
-  o.total_response = 10.0 * avg;
-  o.p50_response = avg - 1.0;
-  o.p95_response = 2.0 * avg;
-  o.p99_response = 2.5 * avg;
-  o.max_response = 3.0 * avg;
-  o.makespan = 100;
-  o.num_flows = 10;
+  o[kAvgResponse] = avg;
+  o[OutcomeMetricIndex("total_response")] = 10.0 * avg;
+  o[OutcomeMetricIndex("p50_response")] = avg - 1.0;
+  o[OutcomeMetricIndex("p95_response")] = 2.0 * avg;
+  o[OutcomeMetricIndex("p99_response")] = 2.5 * avg;
+  o[OutcomeMetricIndex("max_response")] = 3.0 * avg;
+  o[OutcomeMetricIndex("makespan")] = 100;
+  o[kNumFlows] = 10;
   return o;
 }
 
@@ -60,17 +63,17 @@ TEST(AggregatorTest, WelfordStatisticsMatchHandComputation) {
   const CellAggregate& c0 = agg.cells()[0];
   EXPECT_EQ(c0.n, 3);
   EXPECT_EQ(c0.failures, 0);
-  EXPECT_EQ(c0.num_flows, 30);
-  EXPECT_DOUBLE_EQ(c0.avg_response.mean(), 5.0);
-  EXPECT_NEAR(c0.avg_response.stddev(), std::sqrt(13.0), 1e-12);
-  EXPECT_DOUBLE_EQ(c0.avg_response.min(), 2.0);
-  EXPECT_DOUBLE_EQ(c0.avg_response.max(), 9.0);
-  EXPECT_NEAR(Ci95HalfWidth(c0.avg_response),
+  EXPECT_EQ(c0.metrics[kNumFlows].sum(), 30.0);
+  EXPECT_DOUBLE_EQ(c0.metrics[kAvgResponse].mean(), 5.0);
+  EXPECT_NEAR(c0.metrics[kAvgResponse].stddev(), std::sqrt(13.0), 1e-12);
+  EXPECT_DOUBLE_EQ(c0.metrics[kAvgResponse].min(), 2.0);
+  EXPECT_DOUBLE_EQ(c0.metrics[kAvgResponse].max(), 9.0);
+  EXPECT_NEAR(Ci95HalfWidth(c0.metrics[kAvgResponse]),
               1.96 * std::sqrt(13.0) / std::sqrt(3.0), 1e-12);
   const CellAggregate& c1 = agg.cells()[1];
   EXPECT_EQ(c1.n, 1);
-  EXPECT_DOUBLE_EQ(c1.avg_response.mean(), 7.0);
-  EXPECT_DOUBLE_EQ(Ci95HalfWidth(c1.avg_response), 0.0);  // n < 2.
+  EXPECT_DOUBLE_EQ(c1.metrics[kAvgResponse].mean(), 7.0);
+  EXPECT_DOUBLE_EQ(Ci95HalfWidth(c1.metrics[kAvgResponse]), 0.0);  // n < 2.
 }
 
 TEST(AggregatorTest, FailuresCountSeparatelyAndSkipStats) {
@@ -84,7 +87,7 @@ TEST(AggregatorTest, FailuresCountSeparatelyAndSkipStats) {
   const CellAggregate& c0 = agg.cells()[0];
   EXPECT_EQ(c0.n, 1);
   EXPECT_EQ(c0.failures, 1);
-  EXPECT_DOUBLE_EQ(c0.avg_response.mean(), 2.0);  // Unpolluted by the failure.
+  EXPECT_DOUBLE_EQ(c0.metrics[kAvgResponse].mean(), 2.0);  // Unpolluted by the failure.
 }
 
 TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedWithoutTiming) {
@@ -96,8 +99,9 @@ TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedWithoutTiming) {
   Aggregator agg(plan);
   for (int i = 0; i < 4; ++i) {
     TaskOutcome o = Outcome(2.0 + i);
-    o.wall_seconds = 0.5;  // Schedule-dependent: never reaches a report.
-    o.rounds_per_sec = 40.0;
+    // Schedule-dependent: never reaches a report.
+    o[OutcomeMetricIndex("wall_seconds")] = 0.5;
+    o[OutcomeMetricIndex("rounds_per_sec")] = 40.0;
     agg.Add(plan.tasks[i], o);
   }
 

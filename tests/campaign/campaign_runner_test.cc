@@ -129,7 +129,7 @@ TEST_F(CampaignRunnerTest, RunsEveryTaskAndWritesDurableRecords) {
     std::string error;
     ASSERT_TRUE(ReadTaskOutcome(dir, outcome, &error)) << error;
     EXPECT_TRUE(outcome.ok);
-    EXPECT_GT(outcome.num_flows, 0);
+    EXPECT_GT(outcome[OutcomeMetricIndex("num_flows")], 0);
   }
 }
 
@@ -263,16 +263,18 @@ TEST_F(CampaignRunnerTest, LowerBoundsSurviveResume) {
         outcome, &error))
         << error;
     ASSERT_TRUE(outcome.ok) << outcome.error;
+    const double lb_avg = outcome[OutcomeMetricIndex("lb_avg_response")];
+    const double lb_max = outcome[OutcomeMetricIndex("lb_max_response")];
     if (plan.cells[task.cell].solver == "art.theorem1") {
-      EXPECT_GT(outcome.lb_avg_response, 0.0);
-      EXPECT_LE(outcome.lb_avg_response, outcome.avg_response);
-      EXPECT_EQ(outcome.lb_max_response, 0.0);
+      EXPECT_GT(lb_avg, 0.0);
+      EXPECT_LE(lb_avg, outcome[OutcomeMetricIndex("avg_response")]);
+      EXPECT_EQ(lb_max, 0.0);
     } else {
       const auto instance = LoadInstance(task.instance_spec, &error);
       ASSERT_TRUE(instance.has_value()) << error;
-      EXPECT_EQ(outcome.lb_max_response,
+      EXPECT_EQ(lb_max,
                 static_cast<double>(MinimizeMaxResponse(*instance).rho_lp));
-      EXPECT_EQ(outcome.lb_avg_response, 0.0);
+      EXPECT_EQ(lb_avg, 0.0);
     }
   }
 
@@ -302,7 +304,8 @@ TEST_F(CampaignRunnerTest, MigratedFlowsSurviveResume) {
   const std::string first = Aggregate();
 
   const SweepPlan& plan = plan_.grids[0].plan;
-  long long migrated = 0;
+  constexpr int kMigratedFlows = OutcomeMetricIndex("migrated_flows");
+  double migrated = 0;
   for (const SweepTask& task : plan.tasks) {
     const SweepCell& cell = plan.cells[task.cell];
     TaskOutcome stored;
@@ -319,8 +322,8 @@ TEST_F(CampaignRunnerTest, MigratedFlowsSurviveResume) {
     const TaskOutcome fresh = OutcomeFromSolveReport(
         SolverRegistry::Global().Solve(cell.solver, *instance, solve));
     EXPECT_EQ(stored.has_scenario, fresh.has_scenario);
-    EXPECT_EQ(stored.migrated_flows, fresh.migrated_flows);
-    migrated += stored.migrated_flows;
+    EXPECT_EQ(stored[kMigratedFlows], fresh[kMigratedFlows]);
+    migrated += stored[kMigratedFlows];
   }
   EXPECT_GT(migrated, 0);
   EXPECT_NE(first.find("\"migrated_flows\": {\"mean\": "), std::string::npos);
@@ -387,48 +390,22 @@ TEST_F(CampaignRunnerTest, PoolIsClampedToTasksToRun) {
   EXPECT_EQ(summary.skipped, 8);
 }
 
-// Every TaskOutcome field set to a value that needs all 17 significant
+// Every outcome metric set to a value that needs all 17 significant
 // digits survives outcome.json bit for bit, and writing the read-back
-// outcome reproduces the record exactly — so no field is written but not
+// outcome reproduces the record exactly — so no metric is written but not
 // read back, and collect aggregates exactly what the solver reported.
 TEST_F(CampaignRunnerTest, OutcomeRecordRoundTripsEveryFieldBitExactly) {
   double next_double = 0.0;
-  auto d = [&] { return next_double += 1.0 + 1.0 / 3.0; };
   long long next_int = 1234567890123LL;
-  auto i = [&] { return next_int += 7; };
   TaskOutcome o;
   o.ok = true;
-  o.total_response = d();
-  o.avg_response = d();
-  o.p50_response = d();
-  o.p95_response = d();
-  o.p99_response = d();
-  o.max_response = d();
-  o.stddev_response = d();
-  o.makespan = i();
-  o.num_flows = i();
-  o.rounds = i();
-  o.peak_backlog = i();
-  o.num_coflows = i();
-  o.avg_cct = d();
-  o.p95_cct = d();
-  o.max_cct = d();
-  o.avg_slowdown = d();
-  o.shards = i();
-  o.load_imbalance = d();
-  o.cross_shard_flows = i();
-  o.split_coflows = i();
   o.has_scenario = true;
-  o.scenario_events = i();
-  o.downtime_rounds = i();
-  o.backlog_surge = d();
-  o.recovery_drain_rounds = i();
-  o.response_inflation = d();
-  o.migrated_flows = i();
-  o.lb_avg_response = d();
-  o.lb_max_response = d();
-  o.wall_seconds = 0.1 + 0.2;
-  o.rounds_per_sec = d();
+  for (int m = 0; m < kNumOutcomeMetrics; ++m) {
+    o[m] = kOutcomeMetrics[m].type == MetricType::kInt
+               ? static_cast<double>(next_int += 7)
+               : (next_double += 1.0 + 1.0 / 3.0);
+  }
+  o[OutcomeMetricIndex("wall_seconds")] = 0.1 + 0.2;
 
   const SweepPlan& plan = plan_.grids[0].plan;
   const SweepTask& task = plan.tasks[5];
@@ -443,37 +420,10 @@ TEST_F(CampaignRunnerTest, OutcomeRecordRoundTripsEveryFieldBitExactly) {
   std::string error;
   ASSERT_TRUE(ReadTaskOutcome(dir.string(), r, &error)) << error;
   EXPECT_EQ(r.ok, o.ok);
-  EXPECT_EQ(r.total_response, o.total_response);
-  EXPECT_EQ(r.avg_response, o.avg_response);
-  EXPECT_EQ(r.p50_response, o.p50_response);
-  EXPECT_EQ(r.p95_response, o.p95_response);
-  EXPECT_EQ(r.p99_response, o.p99_response);
-  EXPECT_EQ(r.max_response, o.max_response);
-  EXPECT_EQ(r.stddev_response, o.stddev_response);
-  EXPECT_EQ(r.makespan, o.makespan);
-  EXPECT_EQ(r.num_flows, o.num_flows);
-  EXPECT_EQ(r.rounds, o.rounds);
-  EXPECT_EQ(r.peak_backlog, o.peak_backlog);
-  EXPECT_EQ(r.num_coflows, o.num_coflows);
-  EXPECT_EQ(r.avg_cct, o.avg_cct);
-  EXPECT_EQ(r.p95_cct, o.p95_cct);
-  EXPECT_EQ(r.max_cct, o.max_cct);
-  EXPECT_EQ(r.avg_slowdown, o.avg_slowdown);
-  EXPECT_EQ(r.shards, o.shards);
-  EXPECT_EQ(r.load_imbalance, o.load_imbalance);
-  EXPECT_EQ(r.cross_shard_flows, o.cross_shard_flows);
-  EXPECT_EQ(r.split_coflows, o.split_coflows);
   EXPECT_EQ(r.has_scenario, o.has_scenario);
-  EXPECT_EQ(r.scenario_events, o.scenario_events);
-  EXPECT_EQ(r.downtime_rounds, o.downtime_rounds);
-  EXPECT_EQ(r.backlog_surge, o.backlog_surge);
-  EXPECT_EQ(r.recovery_drain_rounds, o.recovery_drain_rounds);
-  EXPECT_EQ(r.response_inflation, o.response_inflation);
-  EXPECT_EQ(r.migrated_flows, o.migrated_flows);
-  EXPECT_EQ(r.lb_avg_response, o.lb_avg_response);
-  EXPECT_EQ(r.lb_max_response, o.lb_max_response);
-  EXPECT_EQ(r.wall_seconds, o.wall_seconds);
-  EXPECT_EQ(r.rounds_per_sec, o.rounds_per_sec);
+  for (int m = 0; m < kNumOutcomeMetrics; ++m) {
+    EXPECT_EQ(r[m], o[m]) << kOutcomeMetrics[m].key;
+  }
 
   std::ostringstream rewritten;
   WriteTaskJsonLine(rewritten, cell, task, r);
@@ -490,7 +440,7 @@ TEST(OutcomeRecordTest, JsonLineCarriesTaskIdentityAndEscapesErrors) {
   task.instance_spec = "poisson:ports=8,seed=2";
   TaskOutcome o;
   o.ok = true;
-  o.avg_response = 3.0;
+  o[OutcomeMetricIndex("avg_response")] = 3.0;
   std::ostringstream out;
   WriteTaskJsonLine(out, cell, task, o);
   const std::string line = out.str();

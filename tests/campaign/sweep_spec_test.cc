@@ -1,4 +1,4 @@
-#include "exp/sweep_spec.h"
+#include "campaign/sweep_spec.h"
 
 #include <gtest/gtest.h>
 

@@ -82,7 +82,8 @@ TEST(CoflowRegressionTest, SweepOutcomesAreIdenticalAcrossJobCounts) {
   const OneGridRun run = ExpectIdenticalAcrossJobCounts(spec);
   bool saw_coflows = false;
   for (const TaskOutcome& o : run.outcomes) {
-    saw_coflows = saw_coflows || (o.num_coflows > 0 && o.avg_cct > 0.0);
+    saw_coflows = saw_coflows || (o[OutcomeMetricIndex("num_coflows")] > 0 &&
+                                  o[OutcomeMetricIndex("avg_cct")] > 0.0);
   }
   EXPECT_TRUE(saw_coflows);
   EXPECT_NE(run.aggregate.find("\"avg_cct\""), std::string::npos);

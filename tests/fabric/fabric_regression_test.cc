@@ -102,7 +102,7 @@ TEST(FabricRegressionTest, ShardSweepIsIdenticalAcrossJobCounts) {
   ASSERT_EQ(run.outcomes.size(), 24u);  // 2 solvers x 3 shards x 2 x 2.
   bool saw_fabric = false;
   for (const TaskOutcome& o : run.outcomes) {
-    saw_fabric = saw_fabric || o.shards > 0;
+    saw_fabric = saw_fabric || o[OutcomeMetricIndex("shards")] > 0;
   }
   EXPECT_TRUE(saw_fabric);
 

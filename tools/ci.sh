@@ -160,5 +160,5 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
     -DFLOWSCHED_BUILD_TOOLS=OFF
 cmake --build build-ci-tsan -j "$(nproc)"
 (cd build-ci-tsan && ctest --output-on-failure -j "$(nproc)" \
-    -R '^(exp_|campaign_|fabric_|coflow_coflow_regression_test$)')
+    -R '^(campaign_|fabric_|util_thread_pool_test$|coflow_coflow_regression_test$)')
 echo "CI OK"
