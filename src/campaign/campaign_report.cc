@@ -30,7 +30,9 @@ constexpr int kLbAvgResponse = OutcomeMetricIndex("lb_avg_response");
 constexpr int kLbMaxResponse = OutcomeMetricIndex("lb_max_response");
 
 // Reads one grid's task outcomes from disk, in task order, into `agg` and
-// counts them into `summary`. Missing tasks (no readable outcome.json) are
+// counts them into `summary`. A task counts only when its meta.json holds
+// the current grid's spec hash: after a grid edit its directory holds the
+// old grid's result, which is missing for the new one. Missing tasks are
 // not fed to `agg`, which would count them as failures. Returns the
 // incomplete tasks in task order as "<id> (failed)" / "<id> (missing)".
 std::vector<std::string> CollectGrid(const CampaignGrid& grid,
@@ -43,7 +45,8 @@ std::vector<std::string> CollectGrid(const CampaignGrid& grid,
     const std::string dir = CampaignTaskDir(out_root, id);
     TaskOutcome o;
     ++summary.total;
-    if (!ReadTaskOutcome(dir, o, nullptr)) {
+    if (!CampaignTaskOfSpec(dir, HashHex(grid.task_hashes[task.index])) ||
+        !ReadTaskOutcome(dir, o, nullptr)) {
       ++summary.missing;
       summary.missing_tasks.push_back(id);
       incomplete.push_back(id + " (missing)");

@@ -1,11 +1,13 @@
 // Collect + report for campaign runs (campaign/campaign_runner.h).
 //
-// Collect merges whatever the runs/ tree holds: every task's outcome.json
-// is read back from disk — never taken from in-process memory — and fed to
-// the campaign/aggregator.h Aggregator in task order. outcome.json stores every
-// double in round-trip form, so the aggregates equal what an in-memory
-// aggregation of the same solves would give, and a resumed campaign's
-// report is byte-identical to an uninterrupted one. Aggregates land in
+// Collect merges whatever the runs/ tree holds of the current plan: every
+// task whose meta.json carries its grid's spec hash has its outcome.json
+// read back from disk — never taken from in-process memory — and fed to
+// the campaign/aggregator.h Aggregator in task order; any other task is
+// missing. outcome.json stores every double in round-trip form, so the
+// aggregates equal what an in-memory aggregation of the same solves would
+// give, and a resumed campaign's report is byte-identical to an
+// uninterrupted one. Aggregates land in
 // <out_root>/aggregate/<grid>.json and .csv without wall-clock fields
 // (they are schedule-dependent and would break the byte comparison).
 //
@@ -31,7 +33,8 @@ struct CampaignCollectSummary {
   int total = 0;
   int ok = 0;
   int failed = 0;        // outcome.json present with ok=false.
-  int missing = 0;       // No readable outcome.json (never ran / crashed).
+  int missing = 0;       // No outcome of the current grid (never ran,
+                         // crashed, or ran before a grid edit).
   std::vector<std::string> failed_tasks;   // Task ids, plan order.
   std::vector<std::string> missing_tasks;
 };

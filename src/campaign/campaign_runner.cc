@@ -36,6 +36,12 @@ bool ReadFile(const std::string& path, std::string& out) {
   return true;
 }
 
+// A task directory's meta.json, when it parses.
+bool ReadMeta(const std::string& dir, JsonValue& meta) {
+  std::string text;
+  return ReadFile(dir + "/meta.json", text) && ParseJson(text, meta, nullptr);
+}
+
 // Write-to-.tmp + rename: the destination either holds the complete record
 // or does not exist; a kill between the two files leaves outcome.json
 // without meta.json, which resume treats as "never ran".
@@ -161,15 +167,21 @@ std::string CampaignTaskDir(const std::string& out_root,
   return out_root + "/runs/" + task_id;
 }
 
+bool CampaignTaskOfSpec(const std::string& dir,
+                        const std::string& expected_hash_hex) {
+  JsonValue meta;
+  return ReadMeta(dir, meta) &&
+         meta.GetString("spec_hash") == expected_hash_hex;
+}
+
 bool CampaignTaskUpToDate(const std::string& dir,
                           const std::string& expected_hash_hex,
                           const Provenance& prov) {
-  std::string text;
-  if (!ReadFile(dir + "/meta.json", text)) return false;
   JsonValue meta;
-  if (!ParseJson(text, meta, nullptr)) return false;
-  if (meta.GetString("status") != "ok") return false;
-  if (meta.GetString("spec_hash") != expected_hash_hex) return false;
+  if (!ReadMeta(dir, meta) || meta.GetString("status") != "ok" ||
+      meta.GetString("spec_hash") != expected_hash_hex) {
+    return false;
+  }
   const JsonValue* p = meta.Find("provenance");
   if (p == nullptr) return false;
   if (p->GetString("git_sha") != prov.git_sha) return false;

@@ -97,6 +97,12 @@ bool CampaignTaskUpToDate(const std::string& dir,
                           const std::string& expected_hash_hex,
                           const Provenance& prov);
 
+// True when `dir`'s meta.json records spec_hash == expected_hash_hex: the
+// directory holds a result of the current grid, whatever its status or
+// build. Collect and report read only such tasks.
+bool CampaignTaskOfSpec(const std::string& dir,
+                        const std::string& expected_hash_hex);
+
 // Converts one SolveReport into the task's TaskOutcome.
 TaskOutcome OutcomeFromSolveReport(const SolveReport& report);
 

@@ -12,6 +12,7 @@
 #include "campaign/campaign_runner.h"
 #include "campaign/campaign_spec.h"
 #include "core/art_rounding.h"
+#include "util/json.h"
 
 namespace flowsched {
 namespace {
@@ -159,6 +160,58 @@ TEST_F(CampaignReportTest, PartialCampaignCollectsAndReportsMissing) {
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_NE(html.find("Incomplete tasks"), std::string::npos);
   EXPECT_NE(html.find(victim + " (missing)"), std::string::npos);
+}
+
+// Editing a grid keeps its task ids but changes its spec hash. The old
+// results in those directories belong to the old grid: collect and
+// report count them as missing instead of merging them under the edited
+// grid's labels.
+TEST_F(CampaignReportTest, EditedGridCountsOldResultsAsMissing) {
+  RunSpec(
+      "name=edit\n"
+      "[grid]\n"
+      "name=g\n"
+      "solvers=online.srpt\n"
+      "instances=poisson:ports=4,load=1.0,rounds=20,seed={seed}\n"
+      "seeds=1..2\n");
+  CampaignSpec edited;
+  CampaignPlan edited_plan;
+  std::string error;
+  ASSERT_TRUE(ParseCampaignSpec(
+      "name=edit\n"
+      "[grid]\n"
+      "name=g\n"
+      "solvers=online.srpt\n"
+      "instances=poisson:ports=4,load=1.0,rounds=30,seed={seed}\n"
+      "seeds=1..2\n",
+      edited, &error))
+      << error;
+  ASSERT_TRUE(ExpandCampaign(edited, SolverRegistry::Global(), edited_plan,
+                             &error))
+      << error;
+  ASSERT_EQ(edited_plan.grids[0].task_ids, plan_.grids[0].task_ids);
+
+  CampaignCollectSummary summary;
+  ASSERT_TRUE(CollectCampaign(edited_plan, root_.string(), summary, &error))
+      << error;
+  EXPECT_EQ(summary.total, 2);
+  EXPECT_EQ(summary.ok, 0);
+  EXPECT_EQ(summary.missing, 2);
+  EXPECT_EQ(summary.missing_tasks, edited_plan.grids[0].task_ids);
+  JsonValue aggregate;
+  ASSERT_TRUE(
+      ParseJson(ReadFile(root_ / "aggregate" / "g.json"), aggregate, &error))
+      << error;
+  EXPECT_EQ(aggregate.Find("totals")->GetInt("tasks_ok"), 0);
+  ASSERT_TRUE(
+      WriteCampaignReport(edited, edited_plan, root_.string(), &error));
+  EXPECT_NE(ReadFile(root_ / "report" / "index.html")
+                .find(edited_plan.grids[0].task_ids[1] + " (missing)"),
+            std::string::npos);
+
+  // The unedited plan still owns those results.
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
+  EXPECT_EQ(summary.ok, 2);
 }
 
 // A grid without a bound-proving solver renders exactly as before the

@@ -201,6 +201,14 @@ int RunMain(int argc, char** argv) {
       std::cout << "report written to " << out_root
                 << "/report/index.html\n";
     }
+    if (!quiet) {
+      for (const std::string& id : summary.failed_tasks) {
+        std::cout << "failed " << id << "\n";
+      }
+      for (const std::string& id : summary.missing_tasks) {
+        std::cout << "missing " << id << "\n";
+      }
+    }
     std::cout << "collected " << summary.ok << "/" << summary.total
               << " tasks";
     if (summary.failed > 0) std::cout << ", " << summary.failed << " failed";
