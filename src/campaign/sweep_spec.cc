@@ -19,23 +19,17 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
+// A finite double spanning all of `text`.
 bool ParseDouble(const std::string& text, double& out) {
   char* end = nullptr;
   out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0' && end != text.c_str();
+  return end != text.c_str() && *end == '\0' && std::isfinite(out);
 }
 
-bool ParseLongLong(const std::string& text, long long& out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
-  return ec == std::errc() && ptr == last;
-}
-
-bool ParseU64(const std::string& text, std::uint64_t& out) {
-  const char* first = text.data();
-  const char* last = first + text.size();
-  auto [ptr, ec] = std::from_chars(first, last, out);
+template <typename T>
+bool ParseInt(const std::string& text, T& out) {
+  const char* last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
   return ec == std::errc() && ptr == last;
 }
 
@@ -64,42 +58,87 @@ std::string FormatAxisValue(double v) {
   return buf;
 }
 
-template <typename T, typename ParseFn>
-bool ParseAxisElements(const std::string& text, std::vector<T>& out,
-                       ParseFn parse_range, std::string* error) {
-  for (const std::string& elem : Split(text, ',')) {
-    if (!parse_range(elem, out)) {
-      return Fail(error, "axis element \"" + elem +
-                             "\" is neither a number nor a range");
-    }
+bool BadElement(const std::string& elem, std::string* error) {
+  return Fail(error, "axis element \"" + elem +
+                         "\" is neither a finite number nor a range");
+}
+
+// Checked before an element expands: the axis may hold at most
+// kMaxSweepSize values. `last` is the element's value count minus one, a
+// double because a range's count can exceed every integer type.
+bool AxisHasRoom(std::size_t size, double last, const std::string& elem,
+                 std::string* error) {
+  if (last < static_cast<double>(kMaxSweepSize - size)) return true;
+  return Fail(error, "range \"" + elem + "\" takes the axis past " +
+                         std::to_string(kMaxSweepSize) + " values");
+}
+
+// "a:b:step" inclusive range, else a plain number.
+bool AppendElement(const std::string& elem, std::vector<double>& out,
+                   std::string* error) {
+  double a = 0.0, b = 0.0, step = 0.0;
+  const auto c1 = elem.find(':');
+  if (c1 == std::string::npos) {
+    if (!ParseDouble(elem, a)) return BadElement(elem, error);
+    out.push_back(a);
+    return true;
   }
-  if (out.empty()) return Fail(error, "axis \"" + text + "\" is empty");
+  const auto c2 = elem.find(':', c1 + 1);
+  if (c2 == std::string::npos || !ParseDouble(elem.substr(0, c1), a) ||
+      !ParseDouble(elem.substr(c1 + 1, c2 - c1 - 1), b) ||
+      !ParseDouble(elem.substr(c2 + 1), step) || step <= 0.0 || b < a) {
+    return BadElement(elem, error);
+  }
+  // At most last + 1 values; the count also bounds the loop where
+  // a + i*step stops moving.
+  const double last = std::floor((b - a) / step) + 1.0;
+  if (!AxisHasRoom(out.size(), last, elem, error)) return false;
+  // i*step (not repeated +=) keeps endpoints exact enough to include `b`
+  // despite binary rounding; the epsilon absorbs the residue.
+  const double eps = step * 1e-9;
+  for (long long i = 0; i <= static_cast<long long>(last); ++i) {
+    const double v = a + static_cast<double>(i) * step;
+    if (v > b + eps) break;
+    out.push_back(std::min(v, b));
+  }
+  return true;
+}
+
+// "a..b" inclusive range, else a plain integer.
+template <typename T>
+bool AppendElement(const std::string& elem, std::vector<T>& out,
+                   std::string* error) {
+  T lo{}, hi{};
+  const auto dots = elem.find("..");
+  if (dots == std::string::npos) {
+    if (!ParseInt(elem, lo)) return BadElement(elem, error);
+    out.push_back(lo);
+    return true;
+  }
+  if (!ParseInt(elem.substr(0, dots), lo) ||
+      !ParseInt(elem.substr(dots + 2), hi) || hi < lo) {
+    return BadElement(elem, error);
+  }
+  // Unsigned arithmetic: hi - lo cannot overflow, and counting up to it
+  // never steps past hi.
+  const std::uint64_t span =
+      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
+  if (!AxisHasRoom(out.size(), static_cast<double>(span), elem, error)) {
+    return false;
+  }
+  for (std::uint64_t i = 0; i <= span; ++i) {
+    out.push_back(static_cast<T>(static_cast<std::uint64_t>(lo) + i));
+  }
   return true;
 }
 
 template <typename T>
-bool ParseIntRangeOrValue(const std::string& elem, std::vector<T>& out) {
-  const auto dots = elem.find("..");
-  if (dots == std::string::npos) {
-    T v{};
-    if constexpr (std::is_same_v<T, std::uint64_t>) {
-      if (!ParseU64(elem, v)) return false;
-    } else {
-      if (!ParseLongLong(elem, v)) return false;
-    }
-    out.push_back(v);
-    return true;
+bool ParseAxisList(const std::string& text, std::vector<T>& out,
+                   std::string* error) {
+  for (const std::string& elem : Split(text, ',')) {
+    if (!AppendElement(elem, out, error)) return false;
   }
-  T lo{}, hi{};
-  const std::string lo_s = elem.substr(0, dots);
-  const std::string hi_s = elem.substr(dots + 2);
-  if constexpr (std::is_same_v<T, std::uint64_t>) {
-    if (!ParseU64(lo_s, lo) || !ParseU64(hi_s, hi)) return false;
-  } else {
-    if (!ParseLongLong(lo_s, lo) || !ParseLongLong(hi_s, hi)) return false;
-  }
-  if (hi < lo) return false;
-  for (T v = lo; v <= hi; ++v) out.push_back(v);
+  if (out.empty()) return Fail(error, "axis \"" + text + "\" is empty");
   return true;
 }
 
@@ -107,46 +146,17 @@ bool ParseIntRangeOrValue(const std::string& elem, std::vector<T>& out) {
 
 bool ParseAxis(const std::string& text, std::vector<double>& out,
                std::string* error) {
-  auto parse_elem = [](const std::string& elem, std::vector<double>& vals) {
-    // "a:b:step" inclusive range, else a plain number.
-    const auto c1 = elem.find(':');
-    if (c1 == std::string::npos) {
-      double v = 0.0;
-      if (!ParseDouble(elem, v)) return false;
-      vals.push_back(v);
-      return true;
-    }
-    const auto c2 = elem.find(':', c1 + 1);
-    if (c2 == std::string::npos) return false;
-    double a = 0.0, b = 0.0, step = 0.0;
-    if (!ParseDouble(elem.substr(0, c1), a) ||
-        !ParseDouble(elem.substr(c1 + 1, c2 - c1 - 1), b) ||
-        !ParseDouble(elem.substr(c2 + 1), step)) {
-      return false;
-    }
-    if (step <= 0.0 || b < a) return false;
-    // i*step (not repeated +=) keeps endpoints exact enough to include `b`
-    // despite binary rounding; the epsilon absorbs the residue.
-    const double eps = step * 1e-9;
-    for (int i = 0;; ++i) {
-      const double v = a + static_cast<double>(i) * step;
-      if (v > b + eps) break;
-      vals.push_back(std::min(v, b));
-    }
-    return true;
-  };
-  return ParseAxisElements(text, out, parse_elem, error);
+  return ParseAxisList(text, out, error);
 }
 
 bool ParseAxis(const std::string& text, std::vector<long long>& out,
                std::string* error) {
-  return ParseAxisElements(text, out, ParseIntRangeOrValue<long long>, error);
+  return ParseAxisList(text, out, error);
 }
 
 bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
                std::string* error) {
-  return ParseAxisElements(text, out, ParseIntRangeOrValue<std::uint64_t>,
-                           error);
+  return ParseAxisList(text, out, error);
 }
 
 // Applies one key=value pair to the spec; the text and JSON front ends and
@@ -154,74 +164,57 @@ bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
 // so the key set cannot drift between formats.
 bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
                        const std::string& value, std::string* error) {
-  std::string axis_error;
+  // A list key replaces its whole list; an error names the key.
+  const auto list = [&](std::vector<std::string>& items, char sep) {
+    items = Split(value, sep);
+    return !items.empty() || Fail(error, key + ": empty list");
+  };
+  const auto axis = [&](auto& values) {
+    values.clear();
+    std::string axis_error;
+    return ParseAxis(value, values, &axis_error) ||
+           Fail(error, key + ": " + axis_error);
+  };
   if (key == "name") {
     spec.name = value;
-  } else if (key == "solvers") {
-    spec.solvers = Split(value, ',');
-    if (spec.solvers.empty()) return Fail(error, "solvers: empty list");
-  } else if (key == "instances" || key == "instance") {
-    spec.instances = Split(value, ';');
-    if (spec.instances.empty()) return Fail(error, "instances: empty list");
-  } else if (key == "loads") {
-    spec.loads.clear();
-    if (!ParseAxis(value, spec.loads, &axis_error)) {
-      return Fail(error, "loads: " + axis_error);
-    }
-  } else if (key == "ports") {
-    spec.ports.clear();
-    if (!ParseAxis(value, spec.ports, &axis_error)) {
-      return Fail(error, "ports: " + axis_error);
-    }
-  } else if (key == "rounds") {
-    spec.rounds.clear();
-    if (!ParseAxis(value, spec.rounds, &axis_error)) {
-      return Fail(error, "rounds: " + axis_error);
-    }
-  } else if (key == "shards") {
-    spec.shards.clear();
-    if (!ParseAxis(value, spec.shards, &axis_error)) {
-      return Fail(error, "shards: " + axis_error);
-    }
-  } else if (key == "dists") {
-    spec.dists = Split(value, ',');
-    if (spec.dists.empty()) return Fail(error, "dists: empty list");
-  } else if (key == "seeds") {
-    spec.seeds.clear();
-    if (!ParseAxis(value, spec.seeds, &axis_error)) {
-      return Fail(error, "seeds: " + axis_error);
-    }
-  } else if (key == "scenarios") {
-    // '|' separates elements because inline scenario scripts use ';' as
-    // their own line separator (scenario/scenario.h).
-    spec.scenarios = Split(value, '|');
-    if (spec.scenarios.empty()) return Fail(error, "scenarios: empty list");
-  } else if (key == "trials") {
-    long long v = 0;
-    if (!ParseLongLong(value, v) || v < 1) {
-      return Fail(error, "trials: expected a positive integer, got \"" +
-                             value + "\"");
-    }
-    spec.trials = static_cast<int>(v);
-  } else if (key == "base_seed") {
-    if (!ParseU64(value, spec.base_seed)) {
-      return Fail(error, "base_seed: unparsable value \"" + value + "\"");
-    }
-  } else if (key == "max_rounds") {
-    if (!ParseLongLong(value, spec.max_rounds) || spec.max_rounds < 0) {
-      return Fail(error, "max_rounds: expected a non-negative integer, got \"" +
-                             value + "\"");
-    }
-  } else if (key == "param") {
+    return true;
+  }
+  if (key == "solvers") return list(spec.solvers, ',');
+  if (key == "instances" || key == "instance") {
+    return list(spec.instances, ';');
+  }
+  if (key == "loads") return axis(spec.loads);
+  if (key == "ports") return axis(spec.ports);
+  if (key == "rounds") return axis(spec.rounds);
+  if (key == "shards") return axis(spec.shards);
+  if (key == "dists") return list(spec.dists, ',');
+  if (key == "seeds") return axis(spec.seeds);
+  // '|' separates scenarios because inline scenario scripts use ';' as
+  // their own line separator (scenario/scenario.h).
+  if (key == "scenarios") return list(spec.scenarios, '|');
+  if (key == "trials") {
+    return (ParseInt(value, spec.trials) && spec.trials >= 1) ||
+           Fail(error, "trials: expected a positive integer, got \"" +
+                           value + "\"");
+  }
+  if (key == "base_seed") {
+    return ParseInt(value, spec.base_seed) ||
+           Fail(error, "base_seed: unparsable value \"" + value + "\"");
+  }
+  if (key == "max_rounds") {
+    return (ParseInt(value, spec.max_rounds) && spec.max_rounds >= 0) ||
+           Fail(error, "max_rounds: expected a non-negative integer, got \"" +
+                           value + "\"");
+  }
+  if (key == "param") {
     const auto eq = value.find('=');
     if (eq == std::string::npos) {
       return Fail(error, "param: expected key=value, got \"" + value + "\"");
     }
     spec.params[value.substr(0, eq)] = value.substr(eq + 1);
-  } else {
-    return Fail(error, "unknown spec key \"" + key + "\"");
+    return true;
   }
-  return true;
+  return Fail(error, "unknown spec key \"" + key + "\"");
 }
 
 namespace {
@@ -367,6 +360,21 @@ bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,
   std::vector<std::optional<std::string>> scenarios(spec.scenarios.begin(),
                                                     spec.scenarios.end());
   if (scenarios.empty()) scenarios.push_back(std::nullopt);
+
+  // Count before building: the grid is a cross product of cells x seeds x
+  // trials, and a typo'd axis must not become an allocation failure.
+  std::uint64_t num_tasks = 1;
+  for (const std::size_t n :
+       {spec.instances.size(), loads.size(), ports.size(), rounds.size(),
+        shards.size(), dists.size(), scenarios.size(), solvers.size(),
+        seeds.size(), static_cast<std::size_t>(spec.trials)}) {
+    if (n > kMaxSweepSize / num_tasks) {
+      return Fail(error, "sweep expands to more than " +
+                             std::to_string(kMaxSweepSize) +
+                             " tasks (cells x seeds x trials)");
+    }
+    num_tasks *= n;
+  }
 
   std::map<std::string, int> instance_slots;
   for (const std::string& tmpl : spec.instances) {

@@ -66,6 +66,11 @@
 
 namespace flowsched {
 
+// The most values one axis may hold, and the most tasks one grid may
+// expand to. Both are checked before anything is allocated, so an
+// oversized range ("seeds=1..18446744073709551615") is a spec error.
+inline constexpr std::uint64_t kMaxSweepSize = 1'000'000;
+
 struct SweepSpec {
   std::string name = "sweep";            // Names the report files.
   std::vector<std::string> solvers;      // Registry names or '*' globs.
@@ -124,7 +129,9 @@ struct SweepPlan {
 
 // Parses an axis list: comma-separated elements, each a number or a range —
 // "a:b:step" (inclusive, doubles) or "a..b" (inclusive, integers). Returns
-// false and fills *error on malformed input. Values keep list order.
+// false and fills *error on malformed input: a non-finite double, a range
+// running backwards or with step <= 0, or one that would take the axis
+// past kMaxSweepSize values. Values keep list order.
 bool ParseAxis(const std::string& text, std::vector<double>& out,
                std::string* error);
 bool ParseAxis(const std::string& text, std::vector<long long>& out,
@@ -152,8 +159,8 @@ bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
 // axis values into templates, enumerates cells and tasks in a fixed
 // deterministic order, and derives per-task solver seeds. Returns false and
 // fills *error on invalid specs (empty/unknown solvers, axis/placeholder
-// mismatches, trivial grids, unknown keys inside generator-spec templates —
-// the offending key is named).
+// mismatches, trivial grids, more than kMaxSweepSize tasks, unknown keys
+// inside generator-spec templates — the offending key is named).
 bool ExpandSweep(const SweepSpec& spec, const SolverRegistry& registry,
                  SweepPlan& plan, std::string* error);
 

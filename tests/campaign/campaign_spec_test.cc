@@ -175,6 +175,36 @@ TEST(ParseCampaignSpecTest, GridErrorsNameFileLines) {
   EXPECT_EQ(error, "grid 2: line 13: unknown spec key \"bogus\"");
 }
 
+// An oversized or non-finite axis range fails where it is written, in
+// either front end, before anything expands.
+TEST(ParseCampaignSpecTest, AxisRangeErrorsNameTheirLine) {
+  CampaignSpec spec;
+  std::string error;
+  EXPECT_FALSE(ParseCampaignSpec(
+      "name=ranges\n"                                   // 1
+      "[grid]\n"                                        // 2
+      "name=g\n"                                        // 3
+      "solvers=online.srpt\n"                           // 4
+      "instances=poisson:ports=4,load=1.0,seed={seed}\n"  // 5
+      "seeds=1..18446744073709551615\n",                // 6
+      spec, &error));
+  EXPECT_EQ(error, "grid 1: line 6: seeds: range \"1..18446744073709551615\" "
+                   "takes the axis past 1000000 values");
+  EXPECT_FALSE(ParseCampaignSpec(
+      "name=ranges\n"                                   // 1
+      "[grid]\n"                                        // 2
+      "name=g\n"                                        // 3
+      "\n"                                              // 4
+      "loads=0:inf:1\n",                                // 5
+      spec, &error));
+  EXPECT_EQ(error, "grid 1: line 5: loads: axis element \"0:inf:1\" is "
+                   "neither a finite number nor a range");
+  EXPECT_FALSE(ParseCampaignSpec(
+      R"({"name": "j", "grids": [{"name": "g", "loads": "0:1:nan"}]})", spec,
+      &error));
+  EXPECT_EQ(error.rfind("grids[0]: loads: ", 0), 0u) << error;
+}
+
 TEST(ParseCampaignSpecTest, TextGridsSpeakOnlyKeyValueLines) {
   // JSON belongs in a JSON campaign; inside a text [grid] it is a bad line.
   const std::string text =

@@ -46,6 +46,62 @@ TEST(ParseAxisTest, RejectsMalformedElements) {
   EXPECT_FALSE(ParseAxis("", ivals, &error));             // empty.
 }
 
+// A range is counted before it expands: one that would take its axis past
+// kMaxSweepSize values, or that has a non-finite bound or step, is an
+// error instead of an endless loop, an overflow or an allocation failure.
+TEST(ParseAxisTest, OversizedAndNonFiniteRangesAreErrors) {
+  std::vector<std::uint64_t> seeds;
+  std::vector<long long> ports;
+  std::vector<double> loads;
+  std::string error;
+  EXPECT_FALSE(ParseAxis("1..18446744073709551615", seeds, &error));
+  EXPECT_NE(error.find("past 1000000 values"), std::string::npos) << error;
+  EXPECT_FALSE(ParseAxis("0..18446744073709551615", seeds, &error));
+  EXPECT_FALSE(ParseAxis("-9223372036854775808..9223372036854775807", ports,
+                         &error));
+  // Two ranges that fit alone but not together.
+  seeds.clear();
+  EXPECT_FALSE(ParseAxis("1..600000,1..600000", seeds, &error));
+  for (const char* bad : {"0:inf:1", "0:1:nan", "nan:1:0.5", "-inf:0:1",
+                          "inf", "nan", "0:1:1e-300", "-1e308:1e308:1"}) {
+    loads.clear();
+    EXPECT_FALSE(ParseAxis(bad, loads, &error)) << bad;
+  }
+
+  // Ranges ending at their type's maximum stop there.
+  ports.clear();
+  ASSERT_TRUE(ParseAxis("9223372036854775800..9223372036854775807", ports,
+                        &error))
+      << error;
+  ASSERT_EQ(ports.size(), 8u);
+  EXPECT_EQ(ports.back(), 9223372036854775807LL);
+  seeds.clear();
+  ASSERT_TRUE(ParseAxis("18446744073709551614..18446744073709551615", seeds,
+                        &error))
+      << error;
+  EXPECT_EQ(seeds, (std::vector<std::uint64_t>{18446744073709551614ULL,
+                                               18446744073709551615ULL}));
+  // The limit itself fits.
+  seeds.clear();
+  ASSERT_TRUE(ParseAxis("1..1000000", seeds, &error)) << error;
+  EXPECT_EQ(seeds.size(), kMaxSweepSize);
+  seeds.clear();
+  EXPECT_FALSE(ParseAxis("0..1000000", seeds, &error));
+}
+
+TEST(ParseSweepSpecTest, RangeErrorsNameTheirLine) {
+  SweepSpec spec;
+  std::string error;
+  EXPECT_FALSE(ParseSweepSpec("name=x\nseeds=1..18446744073709551615\n",
+                              spec, &error));
+  EXPECT_EQ(error.rfind("line 2: seeds: range ", 0), 0u) << error;
+  EXPECT_FALSE(ParseSweepSpec("name=x\n\nloads=0:inf:1\n", spec, &error));
+  EXPECT_EQ(error, "line 3: loads: axis element \"0:inf:1\" is neither a "
+                   "finite number nor a range");
+  EXPECT_FALSE(ParseSweepSpec("trials=99999999999\n", spec, &error));
+  EXPECT_EQ(error.rfind("line 1: trials: ", 0), 0u) << error;
+}
+
 TEST(ParseSweepSpecTest, TextFormat) {
   const std::string text =
       "# load sweep over two port counts\n"
@@ -101,6 +157,24 @@ SweepSpec GridSpec() {
   spec.trials = 2;
   spec.base_seed = 7;
   return spec;
+}
+
+// The task count (cells x seeds x trials) is checked before any cell or
+// task is built.
+TEST(ExpandSweepTest, RejectsGridsOverTheTaskLimit) {
+  SweepSpec spec = GridSpec();  // 2 solvers x 2 loads x 2 ports = 8 cells.
+  spec.seeds.clear();
+  std::string error;
+  ASSERT_TRUE(ParseAxis("1..1000", spec.seeds, &error)) << error;
+  // 8 x 1000 x 125 would be the limit itself.
+  spec.trials = 126;
+  SweepPlan plan;
+  EXPECT_FALSE(ExpandSweep(spec, SolverRegistry::Global(), plan, &error));
+  EXPECT_EQ(error, "sweep expands to more than 1000000 tasks "
+                   "(cells x seeds x trials)");
+  EXPECT_TRUE(plan.tasks.empty());
+  spec.trials = 2147483647;
+  EXPECT_FALSE(ExpandSweep(spec, SolverRegistry::Global(), plan, &error));
 }
 
 TEST(ExpandSweepTest, EnumeratesTheFullCrossProduct) {

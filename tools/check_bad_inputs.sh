@@ -10,8 +10,10 @@
 #   and wire mode rejects --ports=0 and --cap=0 with exit 2;
 # - flowsched_serve --trace exits 1 with a source_error DONE line, valid
 #   JSON, on a row whose port lies past the switch;
-# - flowsched_campaign plan rejects a grid whose {ports} axis holds 0, and
-#   a shuffle:, incast: or fig4a: instance out of range.
+# - flowsched_campaign plan rejects a grid whose {ports} axis holds 0, a
+#   shuffle:, incast: or fig4a: instance out of range, and an axis range
+#   too long or with an infinite bound (line-numbered, under a memory
+#   limit).
 set -euo pipefail
 build_dir="${1:?usage: $0 <build_dir>}"
 tools="$(cd "${build_dir}/tools" && pwd)"
@@ -89,6 +91,23 @@ for instance in shuffle:ports=0 incast:fanin=99 fig4a:phase=0; do
     || fail "flowsched_campaign plan on ${instance} exited ${rc}, want 2"
   grep -q "${instance#*:} out of range" "${scratch}/plan.out" \
     || fail "flowsched_campaign plan on ${instance} did not name the key"
+done
+
+# Axis ranges past the axis limit or with a non-finite bound fail at the
+# line that holds them. Under a memory limit, so a regression that expands
+# them fails instead of taking the machine's memory.
+for axis in seeds=1..18446744073709551615 loads=0:inf:1; do
+  printf 'name=badaxis\n[grid]\nname=flow\nsolvers=online.srpt\n' \
+      > "${scratch}/bad.campaign"
+  printf 'instances=poisson:ports=4,load={load},seed={seed}\n%s\n' \
+      "${axis}" >> "${scratch}/bad.campaign"
+  rc=0
+  (ulimit -v 1500000 && timeout 60 "${tools}/flowsched_campaign" plan \
+      --spec="${scratch}/bad.campaign") > "${scratch}/plan.out" 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] \
+    || fail "flowsched_campaign plan on ${axis} exited ${rc}, want 2"
+  grep -q "grid 1: line 6: ${axis%%=*}: " "${scratch}/plan.out" \
+    || fail "flowsched_campaign plan on ${axis} did not name line 6"
 done
 
 echo "bad inputs ok: every probe failed cleanly"
