@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace flowsched {
 namespace {
@@ -239,6 +245,136 @@ TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {
     EXPECT_EQ(spec.name, name);
     EXPECT_FALSE(spec.grids.empty());
   }
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string Join(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& line : lines) text += line + "\n";
+  return text;
+}
+
+// Seeded mutation fuzzing of both spec front ends: every checked-in
+// campaigns/*.json plus a text-form spec that sets every grid key, mutated
+// by byte flips, truncation, duplicated or swapped lines, and numbers
+// replaced by huge, negative, infinite or NaN values. ParseCampaignSpec
+// must return for every input, and every failure must say why.
+TEST(CampaignSpecFuzzTest, MutatedSpecsParseOrFailWithAnError) {
+  std::vector<std::string> seeds = {
+      "name=fuzz\n"
+      "title=Fuzz seed\n"
+      "out_root=campaign_runs/fuzz\n"
+      "[grid]\n"
+      "name=flow\n"
+      "solvers=online.fifo,online.srpt\n"
+      "instances=poisson:ports={ports},load={load},rounds={rounds},"
+      "seed={seed}\n"
+      "loads=0.5:1.0:0.25\n"
+      "ports=4,8\n"
+      "rounds=10..12\n"
+      "seeds=1..3\n"
+      "trials=2\n"
+      "base_seed=7\n"
+      "max_rounds=100\n"
+      "param=validate=1\n"
+      "[grid]\n"
+      "name=faults\n"
+      "solvers=online.srpt\n"
+      "instances=fabric:shards={shards},partition=block,cdf:dist={dist},"
+      "ports=8,load=1.0,rounds=20,seed={seed}\n"
+      "shards=1..2\n"
+      "dists=websearch,fbhdp\n"
+      "scenarios=none|inline:PORT_DOWN 5 1;PORT_UP 9 1\n"};
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(FLOWSCHED_SOURCE_DIR) + "/campaigns")) {
+    if (entry.path().extension() == ".json") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+  for (const auto& path : files) {
+    std::ifstream in(path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    seeds.push_back(buffer.str());
+  }
+  const std::vector<std::string> numbers = {
+      "18446744073709551615", "18446744073709551616", "9223372036854775807",
+      "-9223372036854775808", "99999999999999999999", "1e308",  "-1",
+      "-0.5",                 "0",                    "inf",    "-inf",
+      "nan"};
+
+  std::mt19937_64 rng(20200715);
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng() % n);
+  };
+  int accepted = 0;
+  int rejected = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    std::string text = seeds[pick(seeds.size())];
+    const std::size_t mutations = 1 + pick(3);
+    for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
+      std::vector<std::string> lines = Lines(text);
+      switch (pick(5)) {
+        case 0:  // Flip one byte to a random value.
+          text[pick(text.size())] = static_cast<char>(rng());
+          break;
+        case 1:  // Truncate.
+          text.resize(pick(text.size()));
+          break;
+        case 2: {  // Duplicate a line.
+          const std::size_t at = pick(lines.size());
+          lines.insert(lines.begin() + at, lines[at]);
+          text = Join(lines);
+          break;
+        }
+        case 3:  // Swap two lines.
+          std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
+          text = Join(lines);
+          break;
+        default: {  // Replace a number with an extreme one.
+          std::vector<std::pair<std::size_t, std::size_t>> spans;
+          for (std::size_t i = 0; i < text.size();) {
+            if (!std::isdigit(static_cast<unsigned char>(text[i]))) {
+              ++i;
+              continue;
+            }
+            std::size_t j = i;
+            while (j < text.size() &&
+                   (std::isdigit(static_cast<unsigned char>(text[j])) ||
+                    (text[j] == '.' && (j + 1 >= text.size() ||
+                                        text[j + 1] != '.')))) {
+              ++j;
+            }
+            spans.emplace_back(i, j - i);
+            i = j;
+          }
+          if (spans.empty()) break;
+          const auto [at, length] = spans[pick(spans.size())];
+          text.replace(at, length, numbers[pick(numbers.size())]);
+          break;
+        }
+      }
+    }
+    CampaignSpec spec;
+    std::string error;
+    if (ParseCampaignSpec(text, spec, &error)) {
+      ++accepted;
+      EXPECT_FALSE(spec.grids.empty()) << text;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "no error for:\n" << text;
+    }
+  }
+  // The mutations must reach both outcomes, not just one.
+  EXPECT_GT(accepted, 2000);
+  EXPECT_GT(rejected, 2000);
 }
 
 }  // namespace
