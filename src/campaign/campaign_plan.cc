@@ -19,13 +19,14 @@ std::string Num(double v) {
   return buf;
 }
 
+// "key=v1<sep>v2...\n", separated like the source grammar.
 template <typename T>
 void AppendList(std::string& out, const char* key,
-                const std::vector<T>& values) {
+                const std::vector<T>& values, char sep = ',') {
   out += key;
   out += '=';
   for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i > 0) out += ',';
+    if (i > 0) out += sep;
     if constexpr (std::is_same_v<T, double>) {
       out += Num(values[i]);
     } else if constexpr (std::is_same_v<T, std::string>) {
@@ -59,25 +60,14 @@ std::string CanonicalSweepSpecText(const SweepSpec& spec) {
   std::string out;
   out += "name=" + spec.name + "\n";
   AppendList(out, "solvers", spec.solvers);
-  // Instances join with ';' like the source grammar (they contain commas).
-  out += "instances=";
-  for (std::size_t i = 0; i < spec.instances.size(); ++i) {
-    if (i > 0) out += ';';
-    out += spec.instances[i];
-  }
-  out += '\n';
+  AppendList(out, "instances", spec.instances, ';');
   AppendList(out, "loads", spec.loads);
   AppendList(out, "ports", spec.ports);
   AppendList(out, "rounds", spec.rounds);
   AppendList(out, "shards", spec.shards);
   AppendList(out, "dists", spec.dists);
   AppendList(out, "seeds", spec.seeds);
-  out += "scenarios=";
-  for (std::size_t i = 0; i < spec.scenarios.size(); ++i) {
-    if (i > 0) out += '|';
-    out += spec.scenarios[i];
-  }
-  out += '\n';
+  AppendList(out, "scenarios", spec.scenarios, '|');
   out += "trials=" + std::to_string(spec.trials) + "\n";
   out += "base_seed=" + std::to_string(spec.base_seed) + "\n";
   out += "max_rounds=" + std::to_string(spec.max_rounds) + "\n";
@@ -120,18 +110,13 @@ bool ExpandCampaign(const CampaignSpec& spec, const SolverRegistry& registry,
       // of an edited grid must re-run even if its own coordinates happen
       // to read the same.
       std::string identity = HashHex(grid.grid_hash);
-      identity += '\0';
-      identity += cell.solver;
-      identity += '\0';
-      identity += task.instance_spec;
-      identity += '\0';
-      identity += cell.scenario ? *cell.scenario : std::string("none");
-      identity += '\0';
-      identity += std::to_string(task.instance_seed);
-      identity += '\0';
-      identity += std::to_string(task.trial);
-      identity += '\0';
-      identity += std::to_string(task.solver_seed);
+      for (const std::string& part :
+           {cell.solver, task.instance_spec, cell.scenario.value_or("none"),
+            std::to_string(task.instance_seed), std::to_string(task.trial),
+            std::to_string(task.solver_seed)}) {
+        identity += '\0';
+        identity += part;
+      }
       grid.task_hashes.push_back(Fnv1a64(identity));
     }
     plan.total_tasks += static_cast<int>(num_tasks);

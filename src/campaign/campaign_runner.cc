@@ -13,9 +13,9 @@
 
 #include "api/instance_source.h"
 #include "api/solver.h"
-#include "util/thread_pool.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace flowsched {
 namespace {

@@ -48,56 +48,40 @@ bool CheckNames(const CampaignSpec& spec, std::string* error) {
 }
 
 // ---- key=value front end -------------------------------------------------
-// Campaign keys before the first [grid]; every section after is one sweep
-// spec, parsed by accumulating its lines and handing them to ParseSweepSpec
-// (so the grid grammar is exactly the sweep-file grammar). A section keeps
-// one line per file line, blank ones included, and starts counting at the
-// line after its [grid], so its errors name file lines.
+// Campaign keys before the first [grid]; every line after a [grid] is a key
+// of that grid, in the sweep-spec grammar (ApplySweepSpecLine), and its
+// errors name the file line.
 
 bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
                        std::string* error) {
-  struct GridText {
-    int first_line;
-    std::string text;
+  int grid_keys = 0;  // Key lines in the current grid.
+  const auto grid_done = [&] {
+    return spec.grids.empty() || grid_keys > 0 ||
+           Fail(error, "grid " + std::to_string(spec.grids.size()) +
+                           ": empty sweep spec");
   };
-  std::vector<GridText> grid_texts;
-  bool in_grid = false;
-  int line_no = 0;
-  std::string line;
-  for (char c : text + "\n") {
-    if (c != '\n') {
-      line += c;
+  for (const auto& [line_no, line] : SpecLines(text)) {
+    const std::string at = "line " + std::to_string(line_no) + ": ";
+    if (line == "[grid]") {
+      if (!grid_done()) return false;
+      spec.grids.emplace_back();
+      grid_keys = 0;
       continue;
     }
-    ++line_no;
-    std::string trimmed = line;
-    line.clear();
-    const auto hash = trimmed.find('#');
-    if (hash != std::string::npos) trimmed.resize(hash);
-    const auto b = trimmed.find_first_not_of(" \t\r");
-    if (b == std::string::npos) {
-      if (in_grid) grid_texts.back().text += '\n';
-      continue;
+    std::string line_error;
+    if (!spec.grids.empty()) {
+      ++grid_keys;
+      if (ApplySweepSpecLine(spec.grids.back(), line, &line_error)) continue;
+      return Fail(error, "grid " + std::to_string(spec.grids.size()) + ": " +
+                             at + line_error);
     }
-    const auto e = trimmed.find_last_not_of(" \t\r");
-    trimmed = trimmed.substr(b, e - b + 1);
-    if (trimmed == "[grid]") {
-      in_grid = true;
-      grid_texts.push_back({line_no + 1, ""});
-      continue;
-    }
-    if (in_grid) {
-      grid_texts.back().text += trimmed + "\n";
-      continue;
-    }
-    const auto eq = trimmed.find('=');
+    const auto eq = line.find('=');
     if (eq == std::string::npos) {
-      return Fail(error, "line " + std::to_string(line_no) +
-                             ": expected key=value or [grid], got \"" +
-                             trimmed + "\"");
+      return Fail(error, at + "expected key=value or [grid], got \"" + line +
+                             "\"");
     }
-    const std::string key = trimmed.substr(0, eq);
-    const std::string value = trimmed.substr(eq + 1);
+    const std::string key = line.substr(0, eq);
+    const std::string value = line.substr(eq + 1);
     if (key == "name") {
       spec.name = value;
     } else if (key == "title") {
@@ -105,21 +89,11 @@ bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
     } else if (key == "out_root") {
       spec.out_root = value;
     } else {
-      return Fail(error, "line " + std::to_string(line_no) +
-                             ": unknown campaign key \"" + key +
+      return Fail(error, at + "unknown campaign key \"" + key +
                              "\" (grid keys go after a [grid] line)");
     }
   }
-  for (std::size_t i = 0; i < grid_texts.size(); ++i) {
-    SweepSpec grid;
-    std::string gerr;
-    if (!ParseSweepSpec(grid_texts[i].text, grid, &gerr,
-                        grid_texts[i].first_line)) {
-      return Fail(error, "grid " + std::to_string(i + 1) + ": " + gerr);
-    }
-    spec.grids.push_back(std::move(grid));
-  }
-  return CheckNames(spec, error);
+  return grid_done() && CheckNames(spec, error);
 }
 
 // ---- JSON front end ------------------------------------------------------

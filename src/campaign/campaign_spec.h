@@ -11,7 +11,7 @@
 // follows the cascade bench runner (SNIPPETS.md 2/3): per-run meta.json,
 // --resume, --dry-run, aggregate -> static report.
 //
-// Two source formats, like sweep specs:
+// Two source formats:
 //
 // key=value with [grid] sections ('#' comments, blank lines ignored):
 //
@@ -27,8 +27,7 @@
 //   name=...
 //
 // JSON: one object with "name", optional "title"/"out_root", and "grids",
-// an array of flat sweep-spec objects (the exact format
-// ParseSweepSpec accepts):
+// an array of flat objects keyed like the sweep-spec lines:
 //
 //   {"name": "paper-figs",
 //    "grids": [{"name": "fig6-art", "solvers": [...], ...}, ...]}

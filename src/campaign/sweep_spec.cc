@@ -235,36 +235,42 @@ bool References(const std::string& tmpl, const std::string& placeholder) {
 
 }  // namespace
 
+std::vector<std::pair<int, std::string>> SpecLines(const std::string& text) {
+  std::vector<std::pair<int, std::string>> lines;
+  std::size_t start = 0;
+  for (int line_no = 1; start <= text.size(); ++line_no) {
+    std::size_t end = text.find('\n', start);
+    if (end == std::string::npos) end = text.size();
+    std::string line = text.substr(start, end - start);
+    start = end + 1;
+    line.resize(std::min(line.find('#'), line.size()));
+    const auto b = line.find_first_not_of(" \t\r");
+    if (b == std::string::npos) continue;
+    const auto e = line.find_last_not_of(" \t\r");
+    lines.emplace_back(line_no, line.substr(b, e - b + 1));
+  }
+  return lines;
+}
+
+bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
+                        std::string* error) {
+  const auto eq = line.find('=');
+  if (eq == std::string::npos) {
+    return Fail(error, "expected key=value, got \"" + line + "\"");
+  }
+  return ApplySweepSpecKey(spec, line.substr(0, eq), line.substr(eq + 1),
+                           error);
+}
+
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
                     std::string* error, int first_line) {
-  if (text.find_first_not_of(" \t\r\n") == std::string::npos) {
-    return Fail(error, "empty sweep spec");
-  }
-  int line_no = first_line - 1;
-  std::string line;
-  for (char c : text + "\n") {
-    if (c != '\n') {
-      line += c;
-      continue;
-    }
-    ++line_no;
-    std::string trimmed = line;
-    line.clear();
-    const auto hash = trimmed.find('#');
-    if (hash != std::string::npos) trimmed.resize(hash);
-    const auto b = trimmed.find_first_not_of(" \t\r");
-    if (b == std::string::npos) continue;
-    const auto e = trimmed.find_last_not_of(" \t\r");
-    trimmed = trimmed.substr(b, e - b + 1);
-    const auto eq = trimmed.find('=');
-    if (eq == std::string::npos) {
-      return Fail(error, "line " + std::to_string(line_no) +
-                             ": expected key=value, got \"" + trimmed + "\"");
-    }
-    std::string perr;
-    if (!ApplySweepSpecKey(spec, trimmed.substr(0, eq), trimmed.substr(eq + 1),
-                           &perr)) {
-      return Fail(error, "line " + std::to_string(line_no) + ": " + perr);
+  const auto lines = SpecLines(text);
+  if (lines.empty()) return Fail(error, "empty sweep spec");
+  for (const auto& [line_no, line] : lines) {
+    std::string line_error;
+    if (!ApplySweepSpecLine(spec, line, &line_error)) {
+      return Fail(error, "line " + std::to_string(first_line + line_no - 1) +
+                             ": " + line_error);
     }
   }
   return true;

@@ -60,6 +60,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/registry.h"
@@ -140,18 +141,28 @@ bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
                std::string* error);
 
 // Applies one key=value pair (the spec-file line grammar) to `spec`.
-// ParseSweepSpec below and the JSON campaign parser
+// Text grids (ApplySweepSpecLine below) and the JSON campaign parser
 // (campaign/campaign_spec.h) funnel through this, so the key set cannot
 // drift between text and JSON campaign grids.
 bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
                        const std::string& value, std::string* error);
+
+// The lines of a key=value text that hold something: '#' comments and
+// surrounding blanks cut, blank lines dropped, each with its 1-based line
+// number. Sweep specs and text campaigns (campaign/campaign_spec.h) share
+// this grammar.
+std::vector<std::pair<int, std::string>> SpecLines(const std::string& text);
+
+// Applies one "key=value" line through ApplySweepSpecKey.
+bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
+                        std::string* error);
 
 // Parses a spec from key=value lines ('#' comments, blank lines ignored).
 // Keys: name, solvers, instances (';'-separated — specs contain commas),
 // loads, ports, rounds, shards, dists, seeds, scenarios ('|'-separated),
 // trials, base_seed, max_rounds, param (repeatable "key=value"). Unknown
 // keys are errors. Errors name "line N", counting the text's first line as
-// `first_line` (a campaign's [grid] section passes its file offset).
+// `first_line`.
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
                     std::string* error, int first_line = 1);
 

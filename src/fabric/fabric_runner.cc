@@ -6,9 +6,9 @@
 
 #include "api/builtin_solvers.h"
 #include "core/online/simulator.h"
-#include "util/thread_pool.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace flowsched {
 namespace {
