@@ -1,6 +1,5 @@
 #include "campaign/aggregator.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/check.h"

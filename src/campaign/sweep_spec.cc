@@ -68,8 +68,11 @@ bool BadElement(const std::string& elem, std::string* error) {
 // double because a range's count can exceed every integer type.
 bool AxisHasRoom(std::size_t size, double last, const std::string& elem,
                  std::string* error) {
-  if (last < static_cast<double>(kMaxSweepSize - size)) return true;
-  return Fail(error, "range \"" + elem + "\" takes the axis past " +
+  if (size < kMaxSweepSize &&
+      last < static_cast<double>(kMaxSweepSize - size)) {
+    return true;
+  }
+  return Fail(error, "\"" + elem + "\" takes the axis past " +
                          std::to_string(kMaxSweepSize) + " values");
 }
 
@@ -80,6 +83,7 @@ bool AppendElement(const std::string& elem, std::vector<double>& out,
   const auto c1 = elem.find(':');
   if (c1 == std::string::npos) {
     if (!ParseDouble(elem, a)) return BadElement(elem, error);
+    if (!AxisHasRoom(out.size(), 0, elem, error)) return false;
     out.push_back(a);
     return true;
   }
@@ -112,6 +116,7 @@ bool AppendElement(const std::string& elem, std::vector<T>& out,
   const auto dots = elem.find("..");
   if (dots == std::string::npos) {
     if (!ParseInt(elem, lo)) return BadElement(elem, error);
+    if (!AxisHasRoom(out.size(), 0, elem, error)) return false;
     out.push_back(lo);
     return true;
   }

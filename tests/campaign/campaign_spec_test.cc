@@ -194,7 +194,7 @@ TEST(ParseCampaignSpecTest, AxisRangeErrorsNameTheirLine) {
       "instances=poisson:ports=4,load=1.0,seed={seed}\n"  // 5
       "seeds=1..18446744073709551615\n",                // 6
       spec, &error));
-  EXPECT_EQ(error, "grid 1: line 6: seeds: range \"1..18446744073709551615\" "
+  EXPECT_EQ(error, "grid 1: line 6: seeds: \"1..18446744073709551615\" "
                    "takes the axis past 1000000 values");
   EXPECT_FALSE(ParseCampaignSpec(
       "name=ranges\n"                                   // 1

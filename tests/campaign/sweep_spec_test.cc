@@ -85,6 +85,7 @@ TEST(ParseAxisTest, OversizedAndNonFiniteRangesAreErrors) {
   seeds.clear();
   ASSERT_TRUE(ParseAxis("1..1000000", seeds, &error)) << error;
   EXPECT_EQ(seeds.size(), kMaxSweepSize);
+  EXPECT_FALSE(ParseAxis("7", seeds, &error));  // A full axis takes no more.
   seeds.clear();
   EXPECT_FALSE(ParseAxis("0..1000000", seeds, &error));
 }
@@ -94,7 +95,7 @@ TEST(ParseSweepSpecTest, RangeErrorsNameTheirLine) {
   std::string error;
   EXPECT_FALSE(ParseSweepSpec("name=x\nseeds=1..18446744073709551615\n",
                               spec, &error));
-  EXPECT_EQ(error.rfind("line 2: seeds: range ", 0), 0u) << error;
+  EXPECT_EQ(error.rfind("line 2: seeds: \"1..", 0), 0u) << error;
   EXPECT_FALSE(ParseSweepSpec("name=x\n\nloads=0:inf:1\n", spec, &error));
   EXPECT_EQ(error, "line 3: loads: axis element \"0:inf:1\" is neither a "
                    "finite number nor a range");
