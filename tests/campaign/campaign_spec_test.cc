@@ -316,11 +316,10 @@ TEST(CampaignSpecFuzzTest, MutatedSpecsParseOrFailWithAnError) {
   };
   int accepted = 0;
   int rejected = 0;
-  for (int iter = 0; iter < 10000; ++iter) {
+  for (int iter = 0; iter < 5000; ++iter) {
     std::string text = seeds[pick(seeds.size())];
     const std::size_t mutations = 1 + pick(3);
     for (std::size_t m = 0; m < mutations && !text.empty(); ++m) {
-      std::vector<std::string> lines = Lines(text);
       switch (pick(5)) {
         case 0:  // Flip one byte to a random value.
           text[pick(text.size())] = static_cast<char>(rng());
@@ -329,15 +328,18 @@ TEST(CampaignSpecFuzzTest, MutatedSpecsParseOrFailWithAnError) {
           text.resize(pick(text.size()));
           break;
         case 2: {  // Duplicate a line.
+          std::vector<std::string> lines = Lines(text);
           const std::size_t at = pick(lines.size());
           lines.insert(lines.begin() + at, lines[at]);
           text = Join(lines);
           break;
         }
-        case 3:  // Swap two lines.
+        case 3: {  // Swap two lines.
+          std::vector<std::string> lines = Lines(text);
           std::swap(lines[pick(lines.size())], lines[pick(lines.size())]);
           text = Join(lines);
           break;
+        }
         default: {  // Replace a number with an extreme one.
           std::vector<std::pair<std::size_t, std::size_t>> spans;
           for (std::size_t i = 0; i < text.size();) {
@@ -373,8 +375,8 @@ TEST(CampaignSpecFuzzTest, MutatedSpecsParseOrFailWithAnError) {
     }
   }
   // The mutations must reach both outcomes, not just one.
-  EXPECT_GT(accepted, 1000);
-  EXPECT_GT(rejected, 1000);
+  EXPECT_GT(accepted, 500);
+  EXPECT_GT(rejected, 500);
 }
 
 }  // namespace
