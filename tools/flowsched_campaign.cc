@@ -58,7 +58,7 @@ void PrintUsage(std::ostream& out) {
          "  --fail-fast    stop scheduling new tasks after the first "
          "failure\n"
          "  --no-report    run only; skip the collect + report step\n"
-         "  --quiet        suppress per-task progress lines\n"
+         "  --quiet        suppress per-task progress and task-id lines\n"
          "see docs/campaigns.md for the spec grammar, output layout,\n"
          "resume semantics, and report schema.\n";
 }
