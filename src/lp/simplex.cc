@@ -3,16 +3,20 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
-#include "lp/simplex_kernels.h"
 #include "util/check.h"
 
 namespace flowsched {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Largest row violation a crash-started solve may return (see SolveLp).
-constexpr double kMaxCrashResidual = 1e-6;
+// Largest row violation a point returned as optimal may have.
+constexpr double kMaxResidual = 1e-6;
+// Pivots between two rebuilds of the eta file (see Reinvert).
+constexpr int kReinversionInterval = 128;
+// Smallest pivot, relative to the largest tied one, Bland's rule may take.
+constexpr double kBlandPivotShare = 1e-3;
 
 // Internal column kinds. Structural columns come from the LpProblem; one
 // slack/surplus is added per inequality row; artificials complete the
@@ -21,25 +25,13 @@ enum class ColKind { kStructural, kSlack, kArtificial };
 
 class RevisedSimplex {
  public:
-  RevisedSimplex(const LpProblem& lp, const SimplexOptions& options,
-                 bool crash)
-      : lp_(lp),
-        opt_(options),
-        m_(lp.num_rows()),
-        kernels_(simplex_kernels::BestKernels()) {
-    Setup(crash);
+  RevisedSimplex(const LpProblem& lp, const SimplexOptions& options)
+      : lp_(lp), opt_(options), m_(lp.num_rows()) {
+    Setup();
   }
-
-  // True when the crash replaced at least one artificial.
-  bool crashed() const { return crashed_; }
 
   SimplexResult Solve() {
     SimplexResult result;
-    if (max_iterations_ == 0) {
-      // A crash start gets a smaller budget: see SolveLp.
-      max_iterations_ = crashed_ ? 2000 + 2L * m_
-                                 : 2000 + 60L * m_ + 2L * lp_.num_cols();
-    }
     // Phase 1: minimize the sum of artificial values.
     if (needs_phase1_) {
       SetPhaseCosts(/*phase1=*/true);
@@ -67,13 +59,7 @@ class RevisedSimplex {
     result.iterations = iterations_;
     if (ph2 != SimplexStatus::kOptimal) return result;
 
-    result.x.assign(lp_.num_cols(), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const int j = basis_[i];
-      if (kind_[j] == ColKind::kStructural) {
-        result.x[j] = std::max(0.0, xb_[i]);
-      }
-    }
+    result.x = StructuralValues();
     double obj = 0.0;
     for (int j = 0; j < lp_.num_cols(); ++j) {
       obj += lp_.objective(j) * result.x[j];
@@ -88,8 +74,11 @@ class RevisedSimplex {
   }
 
  private:
-  void Setup(bool crash) {
-    max_iterations_ = opt_.max_iterations;
+  void Setup() {
+    max_iterations_ = opt_.max_iterations != 0
+                          ? opt_.max_iterations
+                          : 2000 + 60L * m_ + 2L * lp_.num_cols();
+    stall_limit_ = opt_.stall_limit != 0 ? opt_.stall_limit : 512 + m_;
     // Normalize rows to rhs >= 0 via row scaling in {+1, -1} (flipping the
     // sense accordingly); coefficients are scaled on access.
     row_scale_.assign(m_, 1.0);
@@ -131,7 +120,8 @@ class RevisedSimplex {
     for (std::size_t k = 0; k < scaled_values_.size(); ++k) {
       scaled_values_[k] = a.values()[k] * row_scale_[a.rows()[k]];
     }
-    // Initial basis: slack for <= rows, artificial otherwise.
+    // Initial basis: slack for <= rows, artificial otherwise. B is the
+    // identity, so the eta file starts empty.
     basis_.assign(m_, -1);
     bool any_artificial = false;
     for (int i = 0; i < m_; ++i) {
@@ -148,13 +138,11 @@ class RevisedSimplex {
     total_cols_ = static_cast<int>(kind_.size());
     in_basis_.assign(total_cols_, 0);
     for (int j : basis_) in_basis_[j] = 1;
-    // B = identity initially.
-    binv_.assign(static_cast<std::size_t>(m_) * m_, 0.0);
-    for (int i = 0; i < m_; ++i) binv_[static_cast<std::size_t>(i) * m_ + i] = 1.0;
     xb_ = rhs_;
     y_.assign(m_, 0.0);
     w_.assign(m_, 0.0);
-    if (crash && any_artificial) Crash();
+    ratio_.assign(m_, kInf);
+    if (any_artificial) Crash();
     needs_phase1_ = false;
     for (int j : basis_) {
       if (kind_[j] == ColKind::kArtificial) needs_phase1_ = true;
@@ -166,13 +154,10 @@ class RevisedSimplex {
   // j (lowest index on ties) that covers the row alone: a_ij > 0, every
   // other entry of j in a <= row (whose slack is always basic here, as the
   // crash replaces only artificials), and no such slack driven negative by
-  // x_j = b_i / a_ij. The basis then stays triangular: each crashed column
-  // has its only entry outside the slack rows on the diagonal, so B^{-1}
-  // differs from the identity only in the crashed columns, with 1 / a_ij at
-  // (i, i) and -a_kj / a_ij at (k, i) for each slack row k. Those entries
-  // are written directly, in O(nnz(j)) per crashed row, with the same
-  // arithmetic a pivot would do. Phase 1 then prices only the artificials
-  // left basic, and is skipped when none is.
+  // x_j = b_i / a_ij. Column j has no entry in an earlier crashed row, so
+  // B^{-1} A_j = A_j, and its eta is A_j itself pivoted on row i: 1 / a_ij
+  // at i and -a_kj / a_ij at each slack row k. Phase 1 then prices only
+  // the artificials left basic, and is skipped when none is.
   void Crash() {
     const ColumnMatrix& a = lp_.matrix();
     const int* start = a.starts().data();
@@ -217,20 +202,18 @@ class RevisedSimplex {
         best_cost = lp_.objective(j);
       }
       if (best == -1) continue;
-      const double inv = 1.0 / scaled_values_[best_pos];
       const double theta = rhs_[i] / scaled_values_[best_pos];
-      binv_[static_cast<std::size_t>(i) * m_ + i] = inv;
       for (int k = start[best]; k < start[best + 1]; ++k) {
         if (k == best_pos) continue;
-        const int r = rows[k];
-        binv_[static_cast<std::size_t>(r) * m_ + i] = -scaled_values_[k] * inv;
-        xb_[r] -= theta * scaled_values_[k];
+        xb_[rows[k]] -= theta * scaled_values_[k];
+        eta_index_.push_back(rows[k]);
+        eta_value_.push_back(scaled_values_[k]);
       }
+      CloseEta(i, 1.0 / scaled_values_[best_pos]);
       xb_[i] = theta;
       in_basis_[basis_[i]] = 0;
       in_basis_[best] = 1;
       basis_[i] = best;
-      crashed_ = true;
     }
   }
 
@@ -245,33 +228,106 @@ class RevisedSimplex {
     }
   }
 
-  // y = cB' * Binv, accumulated row by row (contiguous).
+  // Ends the eta whose off-pivot entries were just pushed: E is the
+  // identity but for column `row`, which is 1 / w_row at `row` and
+  // -w_i / w_row at each pushed (i, w_i).
+  void CloseEta(int row, double inv_pivot) {
+    eta_row_.push_back(row);
+    eta_inv_pivot_.push_back(inv_pivot);
+    eta_start_.push_back(static_cast<int>(eta_index_.size()));
+  }
+
+  // v = E_k ... E_1 v (FTRAN: the etas oldest first).
+  void Ftran(std::vector<double>& v) const {
+    for (std::size_t e = 0; e < eta_row_.size(); ++e) {
+      const int r = eta_row_[e];
+      if (v[r] == 0.0) continue;
+      const double t = v[r] * eta_inv_pivot_[e];
+      v[r] = t;
+      for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k) {
+        v[eta_index_[k]] -= eta_value_[k] * t;
+      }
+    }
+  }
+
+  // y = cB' * Binv (BTRAN: the etas newest first).
   void ComputeY() {
-    std::fill(y_.begin(), y_.end(), 0.0);
-    for (int i = 0; i < m_; ++i) {
-      const double cb = cost_[basis_[i]];
-      if (cb == 0.0) continue;
-      kernels_.add_scaled(cb, &binv_[static_cast<std::size_t>(i) * m_],
-                          y_.data(), m_);
+    for (int i = 0; i < m_; ++i) y_[i] = cost_[basis_[i]];
+    for (std::size_t e = eta_row_.size(); e-- > 0;) {
+      const int r = eta_row_[e];
+      double s = y_[r];
+      for (int k = eta_start_[e]; k < eta_start_[e + 1]; ++k) {
+        s -= y_[eta_index_[k]] * eta_value_[k];
+      }
+      y_[r] = s * eta_inv_pivot_[e];
     }
   }
 
   // w = Binv * A_j.
   void ComputeDirection(int j) {
+    std::fill(w_.begin(), w_.end(), 0.0);
     if (kind_[j] == ColKind::kStructural) {
-      const std::vector<int>& start = lp_.matrix().starts();
-      const int k = start[j];
-      kernels_.column_product(binv_.data(), m_,
-                              lp_.matrix().rows().data() + k,
-                              scaled_values_.data() + k, start[j + 1] - k,
-                              w_.data());
-    } else {
-      const int r = slack_row_[j];
-      const double a = unit_value_[j];
-      for (int i = 0; i < m_; ++i) {
-        w_[i] = binv_[static_cast<std::size_t>(i) * m_ + r] * a;
+      const ColumnMatrix& a = lp_.matrix();
+      for (int k = a.starts()[j]; k < a.starts()[j + 1]; ++k) {
+        w_[a.rows()[k]] = scaled_values_[k];
       }
+    } else {
+      w_[slack_row_[j]] = unit_value_[j];
     }
+    Ftran(w_);
+  }
+
+  // Rebuilds the eta file from the basic columns, so that it stops
+  // growing and sheds the rounding the updates have gathered. B starts as
+  // the identity. Each basic unit column takes its own row, with an eta
+  // only for a surplus's -1. Then each structural column, in basis order,
+  // is brought in through the etas so far and pivoted on its largest |w|
+  // (lowest row on ties) among the rows no column has taken. Last, x_B is
+  // recomputed as B^{-1} b.
+  void Reinvert() {
+    eta_row_.clear();
+    eta_inv_pivot_.clear();
+    eta_start_.assign(1, 0);
+    eta_index_.clear();
+    eta_value_.clear();
+    std::vector<int> basis(m_, -1);
+    for (int j : basis_) {
+      if (kind_[j] == ColKind::kStructural) continue;
+      const int r = slack_row_[j];
+      FS_CHECK_EQ(basis[r], -1);
+      basis[r] = j;
+      if (unit_value_[j] != 1.0) CloseEta(r, 1.0 / unit_value_[j]);
+    }
+    for (int j : basis_) {
+      if (kind_[j] != ColKind::kStructural) continue;
+      ComputeDirection(j);
+      int r = -1;
+      for (int i = 0; i < m_; ++i) {
+        if (basis[i] == -1 && (r == -1 || std::abs(w_[i]) > std::abs(w_[r]))) {
+          r = i;
+        }
+      }
+      FS_CHECK_GT(std::abs(w_[r]), 1e-12);
+      basis[r] = j;
+      AppendEta(r);
+    }
+    basis_ = std::move(basis);
+    xb_ = rhs_;
+    Ftran(xb_);
+    for (double& v : xb_) {
+      if (v < 0.0 && v > -opt_.feasibility_tol) v = 0.0;
+    }
+    pivots_since_inversion_ = 0;
+  }
+
+  // Appends the eta of a pivot on `row` of the direction in w_.
+  void AppendEta(int row) {
+    for (int i = 0; i < m_; ++i) {
+      if (i == row || w_[i] == 0.0) continue;
+      eta_index_.push_back(i);
+      eta_value_.push_back(w_[i]);
+    }
+    CloseEta(row, 1.0 / w_[row]);
   }
 
   // Dantzig pricing (the most negative reduced cost, lowest index on ties),
@@ -318,51 +374,80 @@ class RevisedSimplex {
     int stall = 0;
     while (iterations_ < max_iterations_) {
       ++iterations_;
+      if (pivots_since_inversion_ >= kReinversionInterval) Reinvert();
       ComputeY();
-      const int entering = Price(phase1, stall >= opt_.stall_limit);
-      if (entering == -1) return SimplexStatus::kOptimal;
+      const bool bland = stall >= stall_limit_;
+      const int entering = Price(phase1, bland);
+      if (entering == -1) {
+        // An optimum of the updated basis must also hold in the rows: when
+        // rounding has moved x_B off them, rebuild B^{-1} and go on from
+        // the recomputed point. A fresh inverse that still misses the rows
+        // means the basis itself is not feasible enough to trust.
+        if (phase1 || PrimalResidual(StructuralValues()) <= kMaxResidual) {
+          return SimplexStatus::kOptimal;
+        }
+        if (pivots_since_inversion_ == 0) return SimplexStatus::kIterationLimit;
+        Reinvert();
+        continue;
+      }
 
       ComputeDirection(entering);
-      // Ratio test. Basic artificials must stay at zero: a direction that
-      // would increase one (w_i < 0) blocks at theta = 0 and pivots the
-      // artificial out instead.
-      int leaving = -1;
-      double theta = kInf;
-      double best_pivot = 0.0;
-      for (int i = 0; i < m_; ++i) {
-        const double wi = w_[i];
-        const bool basic_artificial =
-            kind_[basis_[i]] == ColKind::kArtificial && !phase1;
-        double ratio = kInf;
-        if (wi > 1e-9) {
-          ratio = std::max(0.0, xb_[i]) / wi;
-        } else if (basic_artificial && wi < -1e-9) {
-          ratio = 0.0;  // Block: the artificial would grow positive.
-        } else {
-          continue;
-        }
-        if (ratio < theta - 1e-12 ||
-            (ratio < theta + 1e-12 && std::abs(wi) > best_pivot)) {
-          theta = ratio;
-          leaving = i;
-          best_pivot = std::abs(wi);
-        }
-      }
+      const int leaving = RatioTest(phase1, bland);
       if (leaving == -1) {
         // No blocking row: unbounded ray (cannot happen in phase 1, whose
         // objective is bounded below by zero — if it does, it is numerical).
         return phase1 ? SimplexStatus::kIterationLimit
                       : SimplexStatus::kUnbounded;
       }
+      const double theta = ratio_[leaving];
       stall = theta <= 1e-10 ? stall + 1 : 0;
       Pivot(entering, leaving, theta);
     }
     return SimplexStatus::kIterationLimit;
   }
 
+  // Ratio test on the direction in w_: the leaving row, or -1 when no row
+  // blocks. Basic artificials must stay at zero: a direction that would
+  // increase one (w_i < 0) blocks at theta = 0 and pivots the artificial
+  // out instead. Among the rows tied at the smallest ratio the largest
+  // pivot leaves or, under Bland's rule, the lowest basic column index
+  // whose pivot is at least kBlandPivotShare of the largest: a pivot that
+  // small is rounding noise on an entry that is really zero, and pivoting
+  // on it would make the basis singular.
+  int RatioTest(bool phase1, bool bland) {
+    double theta = kInf;
+    for (int i = 0; i < m_; ++i) {
+      const double wi = w_[i];
+      ratio_[i] = kInf;
+      if (wi > 1e-9) {
+        ratio_[i] = std::max(0.0, xb_[i]) / wi;
+      } else if (!phase1 && wi < -1e-9 &&
+                 kind_[basis_[i]] == ColKind::kArtificial) {
+        ratio_[i] = 0.0;  // Block: the artificial would grow positive.
+      }
+      theta = std::min(theta, ratio_[i]);
+    }
+    if (theta == kInf) return -1;
+    int leaving = -1;
+    for (int i = 0; i < m_; ++i) {
+      if (ratio_[i] <= theta + 1e-12 &&
+          (leaving == -1 || std::abs(w_[i]) > std::abs(w_[leaving]))) {
+        leaving = i;
+      }
+    }
+    if (!bland) return leaving;
+    const double floor = kBlandPivotShare * std::abs(w_[leaving]);
+    for (int i = 0; i < m_; ++i) {
+      if (ratio_[i] <= theta + 1e-12 && std::abs(w_[i]) >= floor &&
+          basis_[i] < basis_[leaving]) {
+        leaving = i;
+      }
+    }
+    return leaving;
+  }
+
   void Pivot(int entering, int leaving, double theta) {
-    const double wr = w_[leaving];
-    FS_CHECK_GT(std::abs(wr), 1e-12);
+    FS_CHECK_GT(std::abs(w_[leaving]), 1e-12);
     // Update basic values.
     for (int i = 0; i < m_; ++i) {
       if (i == leaving) continue;
@@ -370,19 +455,8 @@ class RevisedSimplex {
       if (xb_[i] < 0.0 && xb_[i] > -opt_.feasibility_tol) xb_[i] = 0.0;
     }
     xb_[leaving] = theta;
-    // Update Binv: eliminate w in all rows except the pivot row.
-    double* pivot_row = &binv_[static_cast<std::size_t>(leaving) * m_];
-    const double inv = 1.0 / wr;
-    for (int r = 0; r < m_; ++r) pivot_row[r] *= inv;
-    for (int i = 0; i < m_; ++i) {
-      if (i == leaving) continue;
-      const double f = w_[i];
-      if (f == 0.0) continue;
-      // row - f * pivot_row, written as row + (-f) * pivot_row: negation
-      // is exact and IEEE defines x - y as x + (-y), so the bits agree.
-      kernels_.add_scaled(-f, pivot_row,
-                          &binv_[static_cast<std::size_t>(i) * m_], m_);
-    }
+    AppendEta(leaving);
+    ++pivots_since_inversion_;
     in_basis_[basis_[leaving]] = 0;
     in_basis_[entering] = 1;
     basis_[leaving] = entering;
@@ -401,47 +475,22 @@ class RevisedSimplex {
       if (found != -1) {
         // Degenerate pivot: the artificial sits at zero, so theta ~ 0.
         // (w_ still holds the direction for `found` from the search loop.)
-        PivotRowSwap(found, i);
+        Pivot(found, i, xb_[i] / w_[i]);
       }
       // If no pivot exists the row is linearly dependent; the artificial
       // stays basic at value zero and the ratio test keeps it there.
     }
   }
 
-  // Pivot `entering` into basis position `row` at value xb_[row] (which must
-  // be ~0 for this to preserve feasibility).
-  void PivotRowSwap(int entering, int row) {
-    const double wr = w_[row];
-    FS_CHECK_GT(std::abs(wr), 1e-12);
-    const double theta = xb_[row] / wr;
-    Pivot(entering, row, theta);
+  // The structural part of the current basic solution.
+  std::vector<double> StructuralValues() const {
+    std::vector<double> x(lp_.num_cols(), 0.0);
+    for (int i = 0; i < m_; ++i) {
+      const int j = basis_[i];
+      if (kind_[j] == ColKind::kStructural) x[j] = std::max(0.0, xb_[i]);
+    }
+    return x;
   }
-
-  const LpProblem& lp_;
-  SimplexOptions opt_;
-  int m_;
-  const simplex_kernels::KernelVariant& kernels_;
-  long max_iterations_ = 0;
-  long iterations_ = 0;
-  bool needs_phase1_ = false;
-  bool crashed_ = false;
-  int total_cols_ = 0;
-
-  std::vector<double> row_scale_;
-  std::vector<double> rhs_;
-  std::vector<RowSense> eff_sense_;
-  std::vector<ColKind> kind_;
-  // Row and value of the single nonzero, per non-structural column.
-  std::vector<int> slack_row_;
-  std::vector<double> unit_value_;
-  std::vector<double> scaled_values_;  // Matrix values times their row scale.
-  std::vector<int> basis_;      // basis_[i] = column in basis position i.
-  std::vector<char> in_basis_;
-  std::vector<double> binv_;    // Row-major m x m.
-  std::vector<double> xb_;      // Basic variable values.
-  std::vector<double> cost_;    // Phase-dependent costs.
-  std::vector<double> y_;       // Dual vector (scaled rows).
-  std::vector<double> w_;       // FTRAN scratch.
 
   double PrimalResidual(const std::vector<double>& x) const {
     // Recompute structural row activity and compare against senses.
@@ -473,6 +522,40 @@ class RevisedSimplex {
     }
     return worst;
   }
+
+  const LpProblem& lp_;
+  SimplexOptions opt_;
+  int m_;
+  long max_iterations_ = 0;
+  int stall_limit_ = 0;
+  long iterations_ = 0;
+  int pivots_since_inversion_ = 0;
+  bool needs_phase1_ = false;
+  int total_cols_ = 0;
+
+  std::vector<double> row_scale_;
+  std::vector<double> rhs_;
+  std::vector<RowSense> eff_sense_;
+  std::vector<ColKind> kind_;
+  // Row and value of the single nonzero, per non-structural column.
+  std::vector<int> slack_row_;
+  std::vector<double> unit_value_;
+  std::vector<double> scaled_values_;  // Matrix values times their row scale.
+  std::vector<int> basis_;      // basis_[i] = column in basis position i.
+  std::vector<char> in_basis_;
+  // Eta file, B^{-1} = E_k ... E_1: eta e pivots on row eta_row_[e] with
+  // 1 / w_row, and its off-pivot w_i are entries [eta_start_[e],
+  // eta_start_[e + 1]) of eta_index_ / eta_value_.
+  std::vector<int> eta_row_;
+  std::vector<double> eta_inv_pivot_;
+  std::vector<int> eta_start_{0};
+  std::vector<int> eta_index_;
+  std::vector<double> eta_value_;
+  std::vector<double> xb_;      // Basic variable values.
+  std::vector<double> cost_;    // Phase-dependent costs.
+  std::vector<double> y_;       // Dual vector (scaled rows).
+  std::vector<double> w_;       // FTRAN scratch.
+  std::vector<double> ratio_;   // Ratio test scratch.
 };
 
 }  // namespace
@@ -494,23 +577,7 @@ const char* ToString(SimplexStatus status) {
 SimplexResult SolveLp(const LpProblem& lp, const SimplexOptions& options) {
   FS_CHECK_GT(lp.num_rows(), 0);
   FS_CHECK_GT(lp.num_cols(), 0);
-  // From a crash basis phase 2 usually needs a small fraction of the
-  // pivots a cold start does. On some heavily loaded LPs it instead walks
-  // a long degenerate path on which the explicit inverse drifts. So a
-  // crash start gets a smaller pivot budget, and when it runs out or ends
-  // at a point that violates its rows, the LP is solved again from the
-  // slack and artificial basis, at the cost of the pivots already spent.
-  RevisedSimplex simplex(lp, options, /*crash=*/true);
-  const SimplexResult crashed = simplex.Solve();
-  const bool drifted =
-      crashed.ok() && !(crashed.primal_residual <= kMaxCrashResidual);
-  if (!simplex.crashed() ||
-      (crashed.status != SimplexStatus::kIterationLimit && !drifted)) {
-    return crashed;
-  }
-  SimplexResult cold = RevisedSimplex(lp, options, /*crash=*/false).Solve();
-  cold.iterations += crashed.iterations;
-  return cold;
+  return RevisedSimplex(lp, options).Solve();
 }
 
 }  // namespace flowsched

@@ -208,6 +208,122 @@ TEST(SimplexCrashTest, CrashesEqualityAndFlippedRows) {
 }
 
 // ---------------------------------------------------------------------------
+// Basis upkeep: the eta file is rebuilt every 128 pivots, and an optimum
+// whose point has drifted off its rows is rebuilt and re-checked before it
+// is returned.
+// ---------------------------------------------------------------------------
+
+// Theorem 1's LP shape: `flows` unit flows with random ports and release
+// rounds, one column per flow and round at cost t - release + 1/2, and unit
+// port capacities per round.
+LpProblem SchedulingLp(int ports, int flows, int releases, int horizon,
+                       std::uint64_t seed) {
+  Rng rng(seed);
+  LpProblem lp;
+  for (int e = 0; e < flows; ++e) lp.AddRow(RowSense::kGe, 1.0);
+  for (int t = 0; t < horizon; ++t) {
+    for (int p = 0; p < 2 * ports; ++p) lp.AddRow(RowSense::kLe, 1.0);
+  }
+  for (int e = 0; e < flows; ++e) {
+    const int src = rng.UniformInt(0, ports - 1);
+    const int dst = rng.UniformInt(0, ports - 1);
+    const int release = rng.UniformInt(0, releases - 1);
+    for (int t = release; t < horizon; ++t) {
+      const int base = flows + t * 2 * ports;
+      lp.AddColumn(t - release + 0.5,
+                   std::vector<Entry>{
+                       {e, 1.0}, {base + src, 1.0}, {base + ports + dst, 1.0}});
+    }
+  }
+  return lp;
+}
+
+TEST(SimplexBasisTest, LongPivotPathGoesThroughReinversion) {
+  // 707 pivots past the crash: five rebuilds of the eta file. A rebuild
+  // reorders the basis, so the pivot count pins that they happen (627
+  // pivots without them).
+  const LpProblem lp = SchedulingLp(8, 96, 12, 24, 1);
+  const SimplexResult res = SolveLp(lp);
+  ASSERT_EQ(res.status, SimplexStatus::kOptimal);
+  EXPECT_EQ(res.iterations, 707);
+  EXPECT_NEAR(res.objective, 216.0, 1e-9);
+  EXPECT_LE(res.primal_residual, 1e-9);
+  double dual_objective = 0.0;
+  for (int i = 0; i < lp.num_rows(); ++i) {
+    dual_objective += res.duals[i] * lp.rhs(i);
+  }
+  EXPECT_NEAR(dual_objective, res.objective, 1e-9);
+}
+
+TEST(SimplexBasisTest, BlandsRuleLeavesByLowestBasicColumn) {
+  // Bland's rule from the first degenerate pivot on. With the largest
+  // tied pivot leaving instead, this LP cycles into the iteration limit.
+  SimplexOptions options;
+  options.stall_limit = 1;
+  const SimplexResult res = SolveLp(SchedulingLp(8, 96, 12, 24, 1), options);
+  ASSERT_EQ(res.status, SimplexStatus::kOptimal);
+  EXPECT_NEAR(res.objective, 216.0, 1e-9);
+  EXPECT_LE(res.primal_residual, 1e-9);
+}
+
+// Three entries per column with magnitudes from 1e-6 to 1e6 and rows built
+// around a known feasible point, so the updated basis drifts within a few
+// pivots.
+LpProblem BadlyScaledLp(std::uint64_t seed) {
+  Rng rng(seed);
+  const int rows = 4 + rng.UniformInt(0, 20);
+  const int cols = 2 * rows;
+  std::vector<RowSense> senses(rows);
+  for (RowSense& sense : senses) {
+    sense = static_cast<RowSense>(rng.UniformInt(0, 2));
+  }
+  std::vector<std::vector<Entry>> columns(cols);
+  std::vector<double> activity(rows, 0.0);
+  for (std::vector<Entry>& column : columns) {
+    const double x = rng.UniformInt(0, 3);
+    for (int k = 0; k < 3; ++k) {
+      const int row = rng.UniformInt(0, rows - 1);
+      const double magnitude = std::pow(10.0, rng.UniformInt(-6, 6));
+      const double sign = rng.UniformInt(0, 1) ? 1.0 : -1.0;
+      const double value = magnitude * sign * (1 + rng.UniformInt(0, 9) / 7.0);
+      column.push_back({row, value});
+      activity[row] += value * x;
+    }
+  }
+  LpProblem lp;
+  for (int i = 0; i < rows; ++i) {
+    const double slack = senses[i] == RowSense::kLe   ? 1.0
+                         : senses[i] == RowSense::kGe ? -1.0
+                                                      : 0.0;
+    lp.AddRow(senses[i], activity[i] + slack);
+  }
+  for (const std::vector<Entry>& column : columns) {
+    lp.AddColumn(rng.UniformInt(0, 9), column);
+  }
+  return lp;
+}
+
+TEST(SimplexBasisTest, DriftedOptimumIsRebuiltBeforeItIsReturned) {
+  // Seed 144 (5 rows) reaches its first apparent optimum 2e-4 off a row;
+  // the rebuilt basis then reaches the true optimum, which the solver
+  // before the eta file (dense inverse and a cold-start fallback) also
+  // found.
+  const SimplexResult drifted = SolveLp(BadlyScaledLp(144));
+  ASSERT_EQ(drifted.status, SimplexStatus::kOptimal);
+  EXPECT_NEAR(drifted.objective, 38.72286398591713, 1e-9 * 38.7);
+  EXPECT_LE(drifted.primal_residual, 1e-6);
+  // Over the family, a point comes back optimal only on its rows.
+  int optimal = 0;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const SimplexResult res = SolveLp(BadlyScaledLp(seed));
+    if (!res.ok()) continue;
+    ++optimal;
+    EXPECT_LE(res.primal_residual, 1e-6) << "seed " << seed;
+  }
+  EXPECT_GE(optimal, 190);
+}
+
+// ---------------------------------------------------------------------------
 // Property tests: random feasible bounded LPs must satisfy
 //  (1) primal feasibility, (2) strong duality, (3) dual sign conventions.
 // Feasibility is guaranteed by construction (rhs = A * x0 + margin for <=),
