@@ -135,5 +135,72 @@ TEST(GroupRoundingTest, TightWindowsForceViolationWithinBound) {
   EXPECT_LE(report.max_violation, 1);
 }
 
+// An input that over-commits the sink, outside GroupRound's precondition
+// of an LP-feasible fractional solution: seven unit flows into one output
+// of capacity 1, windows {0, 1}, three flows integral in each round and
+// flow 3 split evenly. Fixing the integral flows leaves both sink rows 1
+// over the theorem budget, so flow 3's residual LP is infeasible.
+TimeConstrainedSolution OverCommittedSink(const Instance& instance) {
+  TimeConstrainedSolution sol;
+  sol.feasible = true;
+  for (FlowId e = 0; e < instance.num_flows(); ++e) {
+    const double x0 = e < 3 ? 1.0 : e == 3 ? 0.5 : 0.0;
+    for (Round t : {0, 1}) {
+      sol.var_flow.push_back(e);
+      sol.var_round.push_back(t);
+      sol.x.push_back(t == 0 ? x0 : 1.0 - x0);
+    }
+  }
+  return sol;
+}
+
+Instance SevenIntoOne() {
+  Instance instance(SwitchSpec::Uniform(7, 7), {});
+  for (PortId p = 0; p < 7; ++p) instance.AddFlow(p, 0, 1, 0);
+  return instance;
+}
+
+TEST(GroupRoundingTest, InfeasibleResidualLpLiftsRowsAsHardDrops) {
+  const Instance instance = SevenIntoOne();
+  const ActiveWindows windows = WindowsForMaxResponse(instance, 2);
+  GroupRoundingReport report;
+  const Schedule schedule = GroupRound(
+      instance, windows, OverCommittedSink(instance), {}, &report);
+  ASSERT_TRUE(schedule.AllAssigned());
+  // Both sink rows are lifted, one per infeasible solve.
+  EXPECT_EQ(report.hard_drops, 2);
+  EXPECT_EQ(report.lp_solves, 3);
+  // Four flows share one sink round: 3 over capacity, measured, beyond
+  // the theorem's bound of 1.
+  EXPECT_EQ(report.max_violation, 3);
+  EXPECT_GT(report.max_violation, report.bound);
+  EXPECT_FALSE(schedule
+                   .ValidationError(instance, CapacityAllowance::Additive(
+                                                  report.max_violation))
+                   .has_value());
+  EXPECT_TRUE(schedule
+                  .ValidationError(instance, CapacityAllowance::Additive(
+                                                 report.max_violation - 1))
+                  .has_value());
+}
+
+TEST(GroupRoundingTest, ForcedFlowWithNoRoundInBudgetTakesTheLeastOvershoot) {
+  // The same input with no LP solves: flow 3 has no round within budget,
+  // so it is forced to the least-overshooting round (a tie, kept at the
+  // first, round 0).
+  const Instance instance = SevenIntoOne();
+  const ActiveWindows windows = WindowsForMaxResponse(instance, 2);
+  GroupRoundingOptions options;
+  options.max_lp_solves = 0;
+  GroupRoundingReport report;
+  const Schedule schedule = GroupRound(
+      instance, windows, OverCommittedSink(instance), options, &report);
+  ASSERT_TRUE(schedule.AllAssigned());
+  EXPECT_EQ(report.forced_fixes, 1);
+  EXPECT_EQ(report.hard_drops, 0);
+  EXPECT_EQ(schedule.round_of(3), 0);
+  EXPECT_EQ(report.max_violation, 3);
+}
+
 }  // namespace
 }  // namespace flowsched

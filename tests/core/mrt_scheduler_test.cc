@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/exact.h"
+#include "util/rng.h"
 #include "workload/adversarial.h"
 #include "workload/patterns.h"
 #include "workload/poisson.h"
@@ -97,6 +100,84 @@ TEST(MrtSchedulerTest, GeneralDemandSweep) {
   EXPECT_GE(r.rho_lp, 1);
   EXPECT_LE(r.metrics.max_response, static_cast<double>(r.rho_lp));
   EXPECT_LE(r.rounding_report.max_violation, 2 * instance.MaxDemand() - 1);
+}
+
+// Theorem 3 as properties over random general-demand instances: 2-5
+// ports of capacity 1-3, demands up to 1-4, 2-6 rounds of Poisson arrivals
+// at 0.5-2 flows per port and round.
+Instance RandomGeneralDemandInstance(std::uint64_t seed) {
+  Rng rng(seed);
+  PoissonConfig cfg;
+  const int ports = rng.UniformInt(2, 5);
+  cfg.num_inputs = cfg.num_outputs = ports;
+  cfg.port_capacity = rng.UniformInt(1, 3);
+  cfg.max_demand = rng.UniformInt(1, 4);
+  cfg.mean_arrivals_per_round = (0.5 + 0.5 * rng.UniformInt(0, 3)) * ports;
+  cfg.num_rounds = rng.UniformInt(2, 6);
+  cfg.seed = seed;
+  return GeneratePoisson(cfg);
+}
+
+Capacity TheoremBound(const Instance& instance) {
+  return 2 * std::max<Capacity>(instance.MaxDemand(), 1) - 1;
+}
+
+TEST(MrtSchedulerTest, TheoremThreeHoldsOnRandomGeneralDemands) {
+  int rounded_by_lp = 0;
+  for (std::uint64_t seed = 9000; seed < 9300; ++seed) {
+    const Instance instance = RandomGeneralDemandInstance(seed);
+    if (instance.num_flows() == 0) continue;
+    const MrtSchedulerResult r = MinimizeMaxResponse(instance);
+    const GroupRoundingReport& rep = r.rounding_report;
+    EXPECT_LE(rep.max_violation, TheoremBound(instance)) << "seed " << seed;
+    EXPECT_EQ(rep.hard_drops, 0) << "seed " << seed;
+    EXPECT_EQ(r.metrics.max_response, static_cast<double>(r.rho_lp))
+        << "seed " << seed;
+    rounded_by_lp += rep.lp_solves > 0;
+  }
+  // Most fractional solutions at rho* are integral already; the rounding
+  // LPs must still have run on a fair share.
+  EXPECT_GE(rounded_by_lp, 30);
+}
+
+TEST(MrtSchedulerTest, RoundingWithoutLpSolvesForcesEveryFractionalFlow) {
+  // max_lp_solves = 0: each flow the fractional solution leaves split is
+  // fixed by force_fix_best at its heaviest in-budget round.
+  MrtSchedulerOptions options;
+  options.rounding.max_lp_solves = 0;
+  int forced = 0;
+  for (std::uint64_t seed = 9000; seed < 9300; ++seed) {
+    const Instance instance = RandomGeneralDemandInstance(seed);
+    if (instance.num_flows() == 0) continue;
+    const MrtSchedulerResult r = MinimizeMaxResponse(instance, options);
+    const GroupRoundingReport& rep = r.rounding_report;
+    EXPECT_EQ(rep.lp_solves, 0);
+    EXPECT_LE(rep.max_violation, TheoremBound(instance)) << "seed " << seed;
+    EXPECT_EQ(rep.hard_drops, 0) << "seed " << seed;
+    EXPECT_EQ(r.metrics.max_response, static_cast<double>(r.rho_lp))
+        << "seed " << seed;
+    forced += rep.forced_fixes > 0;
+  }
+  EXPECT_GE(forced, 30);
+}
+
+TEST(MrtSchedulerTest, VertexThatFixesNothingForcesOneFlowPerSolve) {
+  // integrality_tol = -1 counts no value as integral, so every residual LP
+  // vertex fixes nothing and the heaviest variable is forced instead: one
+  // flow per solve. The schedule stays in its windows and the budget.
+  MrtSchedulerOptions options;
+  options.rounding.integrality_tol = -1.0;
+  for (std::uint64_t seed = 9000; seed < 9050; ++seed) {
+    const Instance instance = RandomGeneralDemandInstance(seed);
+    if (instance.num_flows() == 0) continue;
+    const MrtSchedulerResult r = MinimizeMaxResponse(instance, options);
+    const GroupRoundingReport& rep = r.rounding_report;
+    EXPECT_EQ(rep.forced_fixes, instance.num_flows()) << "seed " << seed;
+    EXPECT_EQ(rep.lp_solves, instance.num_flows()) << "seed " << seed;
+    EXPECT_LE(rep.max_violation, TheoremBound(instance)) << "seed " << seed;
+    EXPECT_EQ(rep.hard_drops, 0) << "seed " << seed;
+    EXPECT_LE(r.metrics.max_response, static_cast<double>(r.rho_lp));
+  }
 }
 
 TEST(DeadlineSchedulerTest, FeasibleDeadlinesRespected) {
