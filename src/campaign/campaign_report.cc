@@ -10,6 +10,7 @@
 #include "campaign/aggregator.h"
 #include "campaign/campaign_runner.h"
 #include "campaign/svg_plot.h"
+#include "util/check.h"
 #include "util/json.h"
 #include "util/provenance.h"
 
@@ -33,13 +34,9 @@ constexpr int kLbMaxResponse = OutcomeMetricIndex("lb_max_response");
 // counts them into `summary`. A task counts only when its meta.json holds
 // the current grid's spec hash: after a grid edit its directory holds the
 // old grid's result, which is missing for the new one. Missing tasks are
-// not fed to `agg`, which would count them as failures. Returns the
-// incomplete tasks in task order as "<id> (failed)" / "<id> (missing)".
-std::vector<std::string> CollectGrid(const CampaignGrid& grid,
-                                     const std::string& out_root,
-                                     Aggregator& agg,
-                                     CampaignCollectSummary& summary) {
-  std::vector<std::string> incomplete;
+// not fed to `agg`, which would count them as failures.
+void CollectGrid(const CampaignGrid& grid, const std::string& out_root,
+                 Aggregator& agg, CampaignCollectSummary& summary) {
   for (const SweepTask& task : grid.plan.tasks) {
     const std::string& id = grid.task_ids[task.index];
     const std::string dir = CampaignTaskDir(out_root, id);
@@ -49,7 +46,7 @@ std::vector<std::string> CollectGrid(const CampaignGrid& grid,
         !ReadTaskOutcome(dir, o, nullptr)) {
       ++summary.missing;
       summary.missing_tasks.push_back(id);
-      incomplete.push_back(id + " (missing)");
+      summary.incomplete_tasks.push_back(id + " (missing)");
       continue;
     }
     agg.Add(task, o);
@@ -58,10 +55,9 @@ std::vector<std::string> CollectGrid(const CampaignGrid& grid,
     } else {
       ++summary.failed;
       summary.failed_tasks.push_back(id);
-      incomplete.push_back(id + " (failed)");
+      summary.incomplete_tasks.push_back(id + " (failed)");
     }
   }
-  return incomplete;
 }
 
 bool OpenForWrite(std::ofstream& out, const fs::path& path,
@@ -373,8 +369,9 @@ bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
     }
     return false;
   }
+  summary.aggregates.reserve(plan.grids.size());
   for (const CampaignGrid& grid : plan.grids) {
-    Aggregator agg(grid.plan);
+    Aggregator& agg = summary.aggregates.emplace_back(grid.plan);
     CollectGrid(grid, out_root, agg, summary);
     std::ofstream json_out, csv_out;
     if (!OpenForWrite(json_out, agg_dir / (grid.spec.name + ".json"), error) ||
@@ -388,7 +385,9 @@ bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
 }
 
 bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
+                         const CampaignCollectSummary& summary,
                          const std::string& out_root, std::string* error) {
+  FS_CHECK_EQ(summary.aggregates.size(), plan.grids.size());
   std::error_code ec;
   const fs::path report_dir = fs::path(out_root) / "report";
   fs::create_directories(report_dir, ec);
@@ -428,17 +427,6 @@ bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
       << HtmlEscape(prov.build_type) << "<br>flags: <span class=\"mono\">"
       << HtmlEscape(prov.compiler_flags) << "</span></p>\n";
 
-  // Campaign-level completion summary (recomputed from disk, like collect).
-  CampaignCollectSummary summary;
-  std::vector<Aggregator> aggs;
-  aggs.reserve(plan.grids.size());
-  std::vector<std::string> bad_tasks;
-  for (const CampaignGrid& grid : plan.grids) {
-    aggs.emplace_back(grid.plan);
-    for (std::string& t : CollectGrid(grid, out_root, aggs.back(), summary)) {
-      bad_tasks.push_back(std::move(t));
-    }
-  }
   out << "<p>" << summary.total << " tasks: <b>" << summary.ok << " ok</b>";
   if (summary.failed > 0) out << ", <b>" << summary.failed << " failed</b>";
   if (summary.missing > 0) {
@@ -448,7 +436,7 @@ bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
 
   for (std::size_t g = 0; g < plan.grids.size(); ++g) {
     const CampaignGrid& grid = plan.grids[g];
-    const Aggregator& agg = aggs[g];
+    const Aggregator& agg = summary.aggregates[g];
     out << "<h2>" << HtmlEscape(grid.spec.name) << "</h2>\n";
     out << "<p class=\"dim\">" << grid.plan.cells.size() << " cells &middot; "
         << grid.plan.tasks.size() << " tasks &middot; spec hash "
@@ -470,9 +458,9 @@ bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
     WriteGridTable(out, grid.plan, agg.cells());
   }
 
-  if (!bad_tasks.empty()) {
+  if (!summary.incomplete_tasks.empty()) {
     out << "<h2>Incomplete tasks</h2>\n<ul>\n";
-    for (const std::string& t : bad_tasks) {
+    for (const std::string& t : summary.incomplete_tasks) {
       out << "<li class=\"mono\">" << HtmlEscape(t) << "</li>\n";
     }
     out << "</ul>\n";

@@ -10,6 +10,8 @@
 // uninterrupted one. Aggregates land in
 // <out_root>/aggregate/<grid>.json and .csv without wall-clock fields
 // (they are schedule-dependent and would break the byte comparison).
+// Each task is read once: the report renders the aggregates and counts
+// that collect returns.
 //
 // Report renders <out_root>/report/index.html: a self-contained static
 // page (inline CSS, inline SVG via campaign/svg_plot.h, zero external
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "campaign/aggregator.h"
 #include "campaign/campaign_plan.h"
 #include "campaign/campaign_spec.h"
 
@@ -37,6 +40,11 @@ struct CampaignCollectSummary {
                          // crashed, or ran before a grid edit).
   std::vector<std::string> failed_tasks;   // Task ids, plan order.
   std::vector<std::string> missing_tasks;
+  // "<id> (failed)" or "<id> (missing)" for each such task, plan order.
+  std::vector<std::string> incomplete_tasks;
+  // One per plan grid, plan order: what aggregate/ was written from. Each
+  // refers to its grid's plan, so it lives no longer than the plan.
+  std::vector<Aggregator> aggregates;
 };
 
 // Reads every task outcome under <out_root>/runs/ and writes
@@ -46,10 +54,11 @@ struct CampaignCollectSummary {
 bool CollectCampaign(const CampaignPlan& plan, const std::string& out_root,
                      CampaignCollectSummary& summary, std::string* error);
 
-// Writes <out_root>/report/index.html from the same disk readback.
-// Byte-deterministic for identical runs/ contents. Returns false + *error
-// on filesystem failures.
+// Writes <out_root>/report/index.html from what CollectCampaign returned
+// for the same plan. Byte-deterministic for identical runs/ contents.
+// Returns false + *error on filesystem failures.
 bool WriteCampaignReport(const CampaignSpec& spec, const CampaignPlan& plan,
+                         const CampaignCollectSummary& summary,
                          const std::string& out_root, std::string* error);
 
 }  // namespace flowsched

@@ -155,7 +155,7 @@ TEST(CampaignGoldenTest, EveryOutputFileKeepsItsBytes) {
   EXPECT_EQ(run.ok, plan.total_tasks - 1);
   CampaignCollectSummary collect;
   ASSERT_TRUE(CollectCampaign(plan, root.string(), collect, &error)) << error;
-  ASSERT_TRUE(WriteCampaignReport(spec, plan, root.string(), &error))
+  ASSERT_TRUE(WriteCampaignReport(spec, plan, collect, root.string(), &error))
       << error;
 
   std::vector<std::pair<std::string, std::string>> actual;

@@ -118,8 +118,12 @@ TEST_F(CampaignReportTest, CollectIsByteDeterministic) {
 }
 
 TEST_F(CampaignReportTest, HtmlReportIsSelfContainedAndDeterministic) {
+  CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error))
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error))
+      << error;
+  ASSERT_TRUE(
+      WriteCampaignReport(spec_, plan_, summary, root_.string(), &error))
       << error;
   const std::string html = ReadFile(root_ / "report" / "index.html");
   // Self-contained: inline SVG, no external fetches of any kind.
@@ -140,7 +144,9 @@ TEST_F(CampaignReportTest, HtmlReportIsSelfContainedAndDeterministic) {
   EXPECT_NE(html.find("speedup"), std::string::npos);
   EXPECT_NE(html.find("10 tasks: <b>10 ok</b>"), std::string::npos);
   // Deterministic: regenerating produces identical bytes.
-  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(
+      WriteCampaignReport(spec_, plan_, summary, root_.string(), &error));
   EXPECT_EQ(ReadFile(root_ / "report" / "index.html"), html);
 }
 
@@ -156,7 +162,8 @@ TEST_F(CampaignReportTest, PartialCampaignCollectsAndReportsMissing) {
   EXPECT_EQ(summary.missing, 1);
   ASSERT_EQ(summary.missing_tasks.size(), 1u);
   EXPECT_EQ(summary.missing_tasks[0], victim);
-  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  ASSERT_TRUE(
+      WriteCampaignReport(spec_, plan_, summary, root_.string(), &error));
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_NE(html.find("Incomplete tasks"), std::string::npos);
   EXPECT_NE(html.find(victim + " (missing)"), std::string::npos);
@@ -203,8 +210,8 @@ TEST_F(CampaignReportTest, EditedGridCountsOldResultsAsMissing) {
       ParseJson(ReadFile(root_ / "aggregate" / "g.json"), aggregate, &error))
       << error;
   EXPECT_EQ(aggregate.Find("totals")->GetInt("tasks_ok"), 0);
-  ASSERT_TRUE(
-      WriteCampaignReport(edited, edited_plan, root_.string(), &error));
+  ASSERT_TRUE(WriteCampaignReport(edited, edited_plan, summary,
+                                  root_.string(), &error));
   EXPECT_NE(ReadFile(root_ / "report" / "index.html")
                 .find(edited_plan.grids[0].task_ids[1] + " (missing)"),
             std::string::npos);
@@ -222,7 +229,8 @@ TEST_F(CampaignReportTest, OnlineOnlyGridHasNoLowerBoundOutput) {
   CampaignCollectSummary summary;
   std::string error;
   ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
-  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  ASSERT_TRUE(
+      WriteCampaignReport(spec_, plan_, summary, root_.string(), &error));
   const std::string json = ReadFile(root_ / "aggregate" / "flow.json");
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_EQ(json.find("lb_"), std::string::npos);
@@ -242,8 +250,11 @@ TEST_F(CampaignReportTest, AvgVsLpIsTheRatioToLp0PerFlow) {
       "name=lp\n"
       "solvers=art.theorem1,online.maxweight\n"
       "instances=poisson:ports=8,load=1.0,rounds=8,seed=1\n");
+  CampaignCollectSummary summary;
   std::string error;
-  ASSERT_TRUE(WriteCampaignReport(spec_, plan_, root_.string(), &error));
+  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
+  ASSERT_TRUE(
+      WriteCampaignReport(spec_, plan_, summary, root_.string(), &error));
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_NE(html.find("<th>avg vs LP</th>"), std::string::npos);
   EXPECT_EQ(html.find("max vs LP"), std::string::npos);
@@ -269,8 +280,6 @@ TEST_F(CampaignReportTest, AvgVsLpIsTheRatioToLp0PerFlow) {
             std::string::npos)
       << expected << " not in " << TableRow(html, "online.maxweight");
 
-  CampaignCollectSummary summary;
-  ASSERT_TRUE(CollectCampaign(plan_, root_.string(), summary, &error));
   const std::string json = ReadFile(root_ / "aggregate" / "lp.json");
   EXPECT_NE(json.find("\"lb_avg_response\": {\"mean\": "), std::string::npos);
   EXPECT_EQ(json.find("lb_max_response"), std::string::npos);

@@ -194,7 +194,7 @@ int RunMain(int argc, char** argv) {
       return 2;
     }
     if (command == "report") {
-      if (!WriteCampaignReport(spec, plan, out_root, &error)) {
+      if (!WriteCampaignReport(spec, plan, summary, out_root, &error)) {
         std::cerr << "error: " << error << "\n";
         return 2;
       }
@@ -242,7 +242,7 @@ int RunMain(int argc, char** argv) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }
-    if (!WriteCampaignReport(spec, plan, out_root, &error)) {
+    if (!WriteCampaignReport(spec, plan, collect, out_root, &error)) {
       std::cerr << "error: " << error << "\n";
       return 2;
     }
