@@ -305,14 +305,14 @@ LpProblem BadlyScaledLp(std::uint64_t seed) {
 
 TEST(SimplexBasisTest, DriftedOptimumIsRebuiltBeforeItIsReturned) {
   // Seed 144 (5 rows) reaches its first apparent optimum 2e-4 off a row;
-  // the rebuilt basis then reaches the true optimum, which the solver
-  // before the eta file (dense inverse and a cold-start fallback) also
-  // found.
+  // the rebuilt basis then iterates on to the optimum.
   const SimplexResult drifted = SolveLp(BadlyScaledLp(144));
   ASSERT_EQ(drifted.status, SimplexStatus::kOptimal);
   EXPECT_NEAR(drifted.objective, 38.72286398591713, 1e-9 * 38.7);
   EXPECT_LE(drifted.primal_residual, 1e-6);
-  // Over the family, a point comes back optimal only on its rows.
+  // Over the family, a point comes back optimal only on its rows. Seeds
+  // 20 and 70 end at a rebuilt basis that is still off its rows, and
+  // seeds 96 and 163 come back unbounded; the other 196 are optimal.
   int optimal = 0;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const SimplexResult res = SolveLp(BadlyScaledLp(seed));
@@ -320,7 +320,7 @@ TEST(SimplexBasisTest, DriftedOptimumIsRebuiltBeforeItIsReturned) {
     ++optimal;
     EXPECT_LE(res.primal_residual, 1e-6) << "seed " << seed;
   }
-  EXPECT_GE(optimal, 190);
+  EXPECT_GE(optimal, 196);
 }
 
 // ---------------------------------------------------------------------------
