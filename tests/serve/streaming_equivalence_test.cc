@@ -2,8 +2,10 @@
 // streaming simulator must realize the byte-identical schedule and the
 // exact same aggregates as batch Simulate() — for flow-level and
 // coflow-aware policies, through both the in-memory replay source and the
-// line-at-a-time trace source. These are the golden tests ISSUE'd to lock
-// the streaming rewrite to the batch loop.
+// line-at-a-time trace source. These goldens lock the streaming rewrite to
+// the batch loop. The daemon's session layer
+// (MATCH / STATS / DONE framing on the trace and wire paths) rides the
+// same contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -297,6 +299,129 @@ TEST(StreamingEquivalenceTest, CdfCoflowGeneratorSourceMatchesBatch) {
   const StreamRun run =
       RunStreaming(*source, "coflow.sebf", instance.num_flows());
   ExpectStreamingMatchesBatch(instance, "coflow.sebf", run);
+}
+
+// The daemon's session layer (serve/daemon.h) on the same contract: the
+// trace path (RunSourceSession over CSV text) and the wire path
+// (RunWireSession over an ARRIVE/TICK script) must frame every output line
+// as MATCH, STATS or a final DONE, and their MATCH lines and summaries
+// must reproduce batch. ~6k flows over 400 rounds, so flows retire and
+// several stats windows close.
+struct SessionOutput {
+  Schedule schedule;
+  int stats_lines = 0;
+};
+
+// Parses captured session output, failing the test on any line that is not
+// a MATCH line (rounds non-decreasing, at least one id, no flow twice), a
+// stats line (wire: "STATS {...}", source: bare JSONL) or the DONE summary,
+// which must come last.
+SessionOutput ParseSessionOutput(const std::string& output, bool wire,
+                                 int num_flows) {
+  SessionOutput parsed{Schedule(num_flows), 0};
+  std::istringstream lines(output);
+  std::string line;
+  Round last_round = -1;
+  bool saw_done = false;
+  while (std::getline(lines, line)) {
+    EXPECT_FALSE(saw_done) << "line after DONE: \"" << line << "\"";
+    if (line.rfind("MATCH ", 0) == 0) {
+      std::istringstream fields(line.substr(6));
+      Round t = -1;
+      EXPECT_TRUE(fields >> t) << line;
+      EXPECT_GE(t, last_round) << line;
+      last_round = t;
+      int picked = 0;
+      FlowId id = -1;
+      while (fields >> id) {
+        EXPECT_GE(id, 0) << line;
+        EXPECT_LT(id, num_flows) << line;
+        if (id < 0 || id >= num_flows) continue;
+        EXPECT_FALSE(parsed.schedule.IsAssigned(id)) << "matched twice: " << id;
+        parsed.schedule.Assign(id, t);
+        ++picked;
+      }
+      EXPECT_GT(picked, 0) << line;
+      EXPECT_TRUE(fields.eof()) << "malformed MATCH line \"" << line << "\"";
+    } else if (line.rfind(wire ? "STATS {\"round\":" : "{\"round\":", 0) ==
+               0) {
+      ++parsed.stats_lines;
+    } else if (line.rfind("DONE {", 0) == 0) {
+      saw_done = true;
+    } else {
+      ADD_FAILURE() << "unexpected output line \"" << line << "\"";
+    }
+  }
+  EXPECT_TRUE(saw_done) << "no DONE summary line";
+  return parsed;
+}
+
+void ExpectSessionMatchesBatch(const std::string& policy, bool wire) {
+  SCOPED_TRACE(policy + (wire ? " / wire session" : " / trace session"));
+  std::string error;
+  const auto batch_policy = MakeServePolicy(policy, &error);
+  ASSERT_NE(batch_policy, nullptr) << error;
+  const Instance instance = MustLoad(
+      batch_policy->RequiresUnitDemands()
+          ? "poisson:ports=16,cap=2,load=0.95,rounds=400,dmax=1,seed=7"
+          : "poisson:ports=16,cap=2,load=0.95,rounds=400,dmax=4,seed=7");
+  const SimulationResult batch = Simulate(instance, *batch_policy);
+
+  ServeOptions options;
+  options.policy = policy;
+  options.stats_every = 128;
+  std::ostringstream out;
+  StreamingSummary summary;
+  if (wire) {
+    std::ostringstream script;
+    int next = 0;
+    for (Round t = 0; t < batch.rounds; ++t) {
+      for (; next < instance.num_flows() && instance.flow(next).release == t;
+           ++next) {
+        const Flow& f = instance.flow(next);
+        script << "ARRIVE " << f.id << ' ' << f.src << ' ' << f.dst << ' '
+               << f.demand << '\n';
+      }
+      script << "TICK\n";
+    }
+    script << "STOP\n";
+    std::istringstream in(script.str());
+    summary = RunWireSession(instance.sw(), in, out, options);
+  } else {
+    std::ostringstream csv;
+    WriteInstanceCsv(instance, csv);
+    std::istringstream in(csv.str());
+    TraceStreamSource trace(in);
+    ASSERT_TRUE(trace.ok()) << trace.error();
+    summary = RunSourceSession(trace, out, options);
+  }
+
+  const SessionOutput parsed =
+      ParseSessionOutput(out.str(), wire, instance.num_flows());
+  EXPECT_GE(parsed.stats_lines, batch.rounds / options.stats_every);
+  EXPECT_FALSE(summary.source_error) << summary.error;
+  EXPECT_TRUE(summary.error.empty()) << summary.error;
+  EXPECT_FALSE(summary.truncated);
+  EXPECT_EQ(summary.flows, instance.num_flows());
+  EXPECT_EQ(summary.arrived, instance.num_flows());
+  EXPECT_EQ(summary.rounds, batch.rounds);
+  EXPECT_EQ(summary.total_response, batch.metrics.total_response);
+  EXPECT_EQ(summary.max_response, batch.metrics.max_response);
+  EXPECT_EQ(summary.peak_backlog, batch.peak_backlog);
+  EXPECT_EQ(summary.avg_port_utilization, batch.avg_port_utilization);
+  EXPECT_EQ(ScheduleBytes(parsed.schedule), ScheduleBytes(batch.schedule));
+}
+
+TEST(StreamingEquivalenceTest, TraceSessionsMatchBatch) {
+  for (const char* policy : {"online.srpt", "coflow.sebf", "online.maxweight"}) {
+    ExpectSessionMatchesBatch(policy, /*wire=*/false);
+  }
+}
+
+TEST(StreamingEquivalenceTest, WireSessionsMatchBatch) {
+  for (const char* policy : {"online.srpt", "coflow.sebf", "online.maxweight"}) {
+    ExpectSessionMatchesBatch(policy, /*wire=*/true);
+  }
 }
 
 TEST(StreamingEquivalenceTest, TruncationReportsHonestly) {
