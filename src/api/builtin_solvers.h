@@ -1,19 +1,25 @@
-// Internal: registration hooks for the built-in solver adapters, split by
-// family (api/offline_solvers.cc, api/online_solvers.cc,
-// coflow/coflow_solvers.cc, fabric/fabric_solvers.cc). Use
-// RegisterBuiltinSolvers (api/registry.h) from application code.
+// Internal: registration hooks for the built-in solver adapters
+// (api/offline_solvers.cc, api/online_solvers.cc, fabric/fabric_solvers.cc)
+// and the one body every replay solver shares. Use RegisterBuiltinSolvers
+// (api/registry.h) from application code.
+//
+// A replay solver — online.<p>, coflow.<p> or fabric.<p> — is ReplayPolicy
+// plus a run step. Online and coflow solvers replay the instance on one
+// switch (Replay, core/online/simulator.h); fabric solvers partition it
+// across pods and merge (RunFabric, fabric/fabric_runner.h). ReplayPolicy
+// owns everything else: the shared params, the instance checks, the
+// fault-free twin of a scenario run and the diagnostics.
 #ifndef FLOWSCHED_API_BUILTIN_SOLVERS_H_
 #define FLOWSCHED_API_BUILTIN_SOLVERS_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "api/solver.h"
-#include "core/online/policy.h"
+#include "core/online/simulator.h"
 #include "model/instance.h"
-#include "model/schedule.h"
 
 namespace flowsched {
 
@@ -25,59 +31,43 @@ namespace internal {
 // art.theorem1, art.exact, mrt.theorem3, mrt.exact, mrt.deadline.
 void RegisterOfflineSolvers(SolverRegistry& registry);
 
-// online.<policy> for every AllPolicyNames() entry.
+// online.<policy> for every AllPolicyNames() entry, then coflow.<policy>
+// for every AllCoflowPolicyNames() entry.
 void RegisterOnlineSolvers(SolverRegistry& registry);
-
-// coflow.<policy> for every AllCoflowPolicyNames() entry.
-void RegisterCoflowSolvers(SolverRegistry& registry);
 
 // fabric.<policy> sharded-fabric adapters (fabric/fabric_solvers.cc):
 // coflow-aware policy names first, then the remaining flow-level ones.
 void RegisterFabricSolvers(SolverRegistry& registry);
 
-// Shared by the online and coflow adapters: the simulator numbers realized
-// flows in arrival order (stable sort of the instance by release); this
-// maps a realized-order schedule back onto the instance's flow ids.
-Schedule MapRealizedSchedule(const Instance& instance,
-                             const Schedule& realized);
+// Builds one policy from its seed and the `approx` matcher options.
+using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>(
+    std::uint64_t seed, const MatchingOptions& matching)>;
 
-// Builds a fresh policy for one replay (a scenario run builds a second one
-// for its fault-free twin).
-using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>()>;
+// One run of a replay. options.sim.scenario is the bound script, or null
+// for the fault-free twin. The result's schedule is in `instance`'s flow
+// ids.
+using ReplayStep = std::function<ReplayRun(const Instance& instance,
+                                           const ReplayOptions& options)>;
 
-// False with *error when options.max_rounds (0 = the simulator's default)
-// is below the instance's safe horizon: the simulator FS_CHECK-aborts when
-// flows are still pending at its horizon, so such horizons are refused.
-bool CheckMaxRounds(const Instance& instance, const SolveOptions& options,
-                    std::string* error);
-
-// The doc rows of ReplayPolicy's params and of its simulation diagnostics
-// (each adapter appends its matcher and scenario rows).
-std::vector<SolverKeyDoc> ReplayParamDocs();
-std::vector<SolverKeyDoc> ReplayDiagnosticDocs();
-
-// The body both adapters share: rejects non-unit demands when the policy
-// RequiresUnitDemands(), checks max_rounds (CheckMaxRounds), reads
-// the record_backlog, validate and scenario params, replays `instance`
-// under make_policy(), and reports the realized schedule with the
-// simulation and matcher diagnostics, plus, under a scenario, the
-// robustness diagnostics against a fault-free twin run.
-SolveReport ReplayPolicy(const Instance& instance,
+// The body of every replay solver. It reads the approx, record_backlog,
+// validate and scenario params (the facade has already refused keys
+// `solver` does not document), rejects non-unit demands when the policy
+// RequiresUnitDemands() and a max_rounds below the instance's safe
+// horizon, runs `step`, and reports its schedule under the step's
+// allowance plus MIGRATE's slack. The diagnostics are the step's own, the
+// run counters, and the matcher, coflow completion time (CCT) and backlog
+// rows that `solver` documents. Under a scenario it runs `step` a second
+// time without the script and adds the robustness rows against that twin.
+SolveReport ReplayPolicy(const Solver& solver, const Instance& instance,
                          const SolveOptions& options,
-                         const PolicyFactory& make_policy);
+                         const PolicyFactory& make_policy,
+                         const ReplayStep& step);
 
-// Shared by the coflow and fabric adapters (coflow/coflow_solvers.cc).
-// Reads the "approx" param (default 0 = exact) into *matching; false with
-// *error on an unparsable or negative value. ApproxParamDoc is its doc row
-// (only coflow-aware maxweight documents and uses it).
-bool LoadApproxOption(const SolveOptions& options, MatchingOptions* matching,
-                      std::string* error);
+// Doc rows the fabric adapter shares with the single-switch ones.
+SolverKeyDoc ScenarioParamDoc();
 SolverKeyDoc ApproxParamDoc();
-// The coflow completion time (CCT) diagnostics of report->schedule, with
-// flows grouped by coflow tag (untagged flows count as singletons), and
-// their doc rows.
-void AddCoflowDiagnostics(const Instance& instance, SolveReport* report);
 void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs);
+void AppendScenarioDiagnosticDocs(std::vector<SolverKeyDoc>* docs);
 
 }  // namespace internal
 }  // namespace flowsched

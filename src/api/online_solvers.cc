@@ -1,40 +1,116 @@
-// Adapters exposing every online policy (core/online/) as a registered
-// solver: "online.<policy>" replays the instance through the round-based
-// simulator with MakePolicy(<policy>). The facade covers fixed instances;
+// The replay solvers' shared body (ReplayPolicy) and the single-switch
+// adapters: "online.<policy>" replays the instance through the round-based
+// simulator with MakePolicy(<policy>), "coflow.<policy>" with
+// MakeCoflowPolicy(<policy>) and reports coflow completion time (CCT)
+// statistics alongside the usual per-flow metrics. Instances without
+// coflow tags still run — every flow degenerates to a singleton group, so
+// CCT equals per-flow response time. The facade covers fixed instances;
 // adaptive adversaries (workload/adversarial.h) drive the simulator
 // directly, since they generate flows in reaction to the policy.
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "api/builtin_solvers.h"
 #include "api/registry.h"
-#include "api/scenario_support.h"
-#include "core/online/simulator.h"
+#include "coflow/coflow_metrics.h"
+#include "coflow/coflow_policies.h"
+#include "model/coflow.h"
+#include "scenario/scenario.h"
 
 namespace flowsched {
 namespace internal {
 namespace {
 
-class OnlinePolicySolver : public Solver {
+// The CCT diagnostics read off CoflowMetrics, with their doc rows.
+struct CctDiagnostic {
+  const char* key;
+  const char* doc;
+  double CoflowMetrics::*value;
+};
+constexpr CctDiagnostic kCctDiagnostics[] = {
+    {"total_cct", "sum of per-group completion times",
+     &CoflowMetrics::total_cct},
+    {"avg_cct", "mean group completion time", &CoflowMetrics::avg_cct},
+    {"p50_cct", "median group completion time", &CoflowMetrics::p50_cct},
+    {"p95_cct", "95th-percentile group completion time",
+     &CoflowMetrics::p95_cct},
+    {"p99_cct", "99th-percentile group completion time",
+     &CoflowMetrics::p99_cct},
+    {"max_cct", "slowest group's completion time", &CoflowMetrics::max_cct},
+    {"avg_slowdown",
+     "mean CCT / isolation bound (1.0 = as fast as an empty switch)",
+     &CoflowMetrics::avg_slowdown},
+    {"max_slowdown", "worst group slowdown vs isolation",
+     &CoflowMetrics::max_slowdown}};
+
+void AddCoflowDiagnostics(const Instance& instance, SolveReport* report) {
+  const CoflowSet coflows(instance);
+  const CoflowMetrics cm =
+      ComputeCoflowMetrics(instance, coflows, report->schedule);
+  report->diagnostics["num_coflows"] = coflows.num_groups();
+  report->diagnostics["num_tagged_coflows"] = coflows.num_tagged();
+  for (const CctDiagnostic& d : kCctDiagnostics) {
+    report->diagnostics[d.key] = cm.*d.value;
+  }
+}
+
+// online.<policy> (flow-level) and coflow.<policy> (coflow-aware): the same
+// replay on one switch, differing only in the policy factory and the CCT,
+// matcher and `approx` doc rows.
+class SwitchReplaySolver : public Solver {
  public:
-  explicit OnlinePolicySolver(std::string policy)
-      : policy_(std::move(policy)), name_("online." + policy_) {}
+  SwitchReplaySolver(std::string policy, bool coflow_aware)
+      : policy_(std::move(policy)),
+        coflow_aware_(coflow_aware),
+        name_((coflow_aware ? "coflow." : "online.") + policy_) {}
 
   std::string_view name() const override { return name_; }
   std::string_view description() const override {
-    return "round-by-round simulation of the online policy (paper §5.2.1)";
+    return coflow_aware_
+               ? "round-by-round simulation of the coflow-aware policy "
+                 "(CCT diagnostics; untagged flows count as singletons)"
+               : "round-by-round simulation of the online policy (paper "
+                 "§5.2.1)";
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    return ReplayParamDocs();
+    std::vector<SolverKeyDoc> docs = {
+        {"record_backlog",
+         "0/1 (default 0): keep per-round backlog sizes; the maximum "
+         "surfaces as diagnostics max_backlog"},
+        ScenarioParamDoc(),
+        {"validate",
+         "0/1 (default 1): audit every policy selection for duplicates "
+         "and port overloads (benchmarks turn this off)"}};
+    if (HasAuction()) docs.push_back(ApproxParamDoc());
+    return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
-    std::vector<SolverKeyDoc> docs = ReplayDiagnosticDocs();
-    docs.push_back(
-        {"matcher_full_solves",
-         "rounds solved by the exact vertex-weight matcher (maxweight)"});
+    std::vector<SolverKeyDoc> docs = {
+        {"rounds_simulated", "rounds until the backlog drained"},
+        {"avg_port_utilization",
+         "scheduled demand / available bandwidth over the run (1.0 = "
+         "every port saturated every round)"},
+        {"peak_backlog", "largest backlog at any policy round"},
+        {"max_backlog",
+         "largest recorded backlog (only with record_backlog=1)"}};
+    if (coflow_aware_) AppendCoflowDiagnosticDocs(&docs);
+    docs.push_back({"matcher_full_solves",
+                    coflow_aware_
+                        ? "rounds solved by the exact Hungarian matcher "
+                          "(maxweight)"
+                        : "rounds solved by the exact vertex-weight matcher "
+                          "(maxweight)"});
+    if (HasAuction()) {
+      docs.push_back({"auction_bids", "price raises across all rounds "
+                                      "(approx>0)"});
+      docs.push_back({"auction_cold_restarts",
+                      "warm starts whose certificate failed and were re-run "
+                      "cold"});
+    }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }
@@ -42,141 +118,195 @@ class OnlinePolicySolver : public Solver {
  protected:
   SolveReport SolveImpl(const Instance& instance,
                         const SolveOptions& options) override {
-    return ReplayPolicy(instance, options,
-                        [&] { return MakePolicy(policy_, options.seed); });
+    return ReplayPolicy(
+        *this, instance, options,
+        [this](std::uint64_t seed, const MatchingOptions& matching) {
+          return coflow_aware_ ? MakeCoflowPolicy(policy_, seed, matching)
+                               : MakePolicy(policy_, seed);
+        },
+        Replay);
   }
 
  private:
+  // Coflow maxweight is the only policy with an auction path.
+  bool HasAuction() const { return coflow_aware_ && policy_ == "maxweight"; }
+
   std::string policy_;
+  bool coflow_aware_;
   std::string name_;
 };
 
 }  // namespace
 
-Schedule MapRealizedSchedule(const Instance& instance,
-                             const Schedule& realized) {
-  std::vector<FlowId> order(instance.num_flows());
-  for (FlowId e = 0; e < instance.num_flows(); ++e) order[e] = e;
-  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
-    return instance.flow(a).release < instance.flow(b).release;
-  });
-  Schedule schedule(instance.num_flows());
-  for (int k = 0; k < instance.num_flows(); ++k) {
-    schedule.Assign(order[k], realized.round_of(k));
-  }
-  return schedule;
-}
-
-bool CheckMaxRounds(const Instance& instance, const SolveOptions& options,
-                    std::string* error) {
-  if (options.max_rounds <= 0 || options.max_rounds >= instance.SafeHorizon()) {
-    return true;
-  }
-  *error = "max_rounds " + std::to_string(options.max_rounds) +
-           " is below the safe horizon " +
-           std::to_string(instance.SafeHorizon());
-  return false;
-}
-
-std::vector<SolverKeyDoc> ReplayParamDocs() {
-  return {{"record_backlog",
-           "0/1 (default 0): keep per-round backlog sizes; the maximum "
-           "surfaces as diagnostics max_backlog"},
-          ScenarioParamDoc(),
-          {"validate",
-           "0/1 (default 1): audit every policy selection for duplicates "
-           "and port overloads (benchmarks turn this off)"}};
-}
-
-std::vector<SolverKeyDoc> ReplayDiagnosticDocs() {
-  return {{"rounds_simulated", "rounds until the backlog drained"},
-          {"avg_port_utilization",
-           "scheduled demand / available bandwidth over the run (1.0 = "
-           "every port saturated every round)"},
-          {"peak_backlog", "largest backlog at any policy round"},
-          {"max_backlog",
-           "largest recorded backlog (only with record_backlog=1)"}};
-}
-
-SolveReport ReplayPolicy(const Instance& instance,
+SolveReport ReplayPolicy(const Solver& solver, const Instance& instance,
                          const SolveOptions& options,
-                         const PolicyFactory& make_policy) {
+                         const PolicyFactory& make_policy,
+                         const ReplayStep& step) {
   SolveReport report;
   report.objective_name = "total_response";
-  auto replayed = make_policy();
-  // Matching-based policies FS_CHECK-abort on non-unit demands deep in
-  // the round loop; reject such instances with a recoverable error.
-  if (replayed->RequiresUnitDemands() && instance.MaxDemand() > 1) {
-    report.error = "policy " + std::string(replayed->name()) +
-                   " is matching-based and requires unit demands";
+  std::string perr;
+  MatchingOptions matching;
+  matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
+  if (perr.empty() && matching.approx_eps < 0.0) perr = "approx must be >= 0";
+  if (!perr.empty()) {
+    report.error = perr;
     return report;
   }
-  if (!CheckMaxRounds(instance, options, &report.error)) return report;
-  SimulationOptions sim;
-  if (options.max_rounds > 0) sim.max_rounds = options.max_rounds;
-  std::string perr;
-  sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
-  sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
+  ReplayOptions run;
+  run.make_policy = [&](std::uint64_t seed) {
+    return make_policy(seed, matching);
+  };
+  run.seed = options.seed;
+  // Matching-based policies FS_CHECK-abort on non-unit demands deep in
+  // the round loop; reject such instances with a recoverable error.
+  if (instance.MaxDemand() > 1) {
+    const auto policy = run.make_policy(run.seed);
+    if (policy->RequiresUnitDemands()) {
+      report.error = "policy " + std::string(policy->name()) +
+                     " is matching-based and requires unit demands";
+      return report;
+    }
+  }
+  // The simulator FS_CHECK-aborts when flows are still pending at its
+  // horizon, so horizons below the safe one are refused. A fabric pod's
+  // safe horizon is bounded by the whole instance's (fewer flows, same
+  // releases).
+  if (options.max_rounds > 0) {
+    if (options.max_rounds < instance.SafeHorizon()) {
+      report.error = "max_rounds " + std::to_string(options.max_rounds) +
+                     " is below the safe horizon " +
+                     std::to_string(instance.SafeHorizon());
+      return report;
+    }
+    run.sim.max_rounds = options.max_rounds;
+  }
+  run.sim.record_backlog = options.IntParamOr("record_backlog", 0, &perr) != 0;
+  run.sim.validate = options.IntParamOr("validate", 1, &perr) != 0;
   if (!perr.empty()) {
     report.error = perr;
     return report;
   }
   ScenarioScript script;
-  bool has_scenario = false;
-  if (!LoadScenarioOption(options, &script, &has_scenario, &report.error)) {
-    return report;
+  const std::string scenario = options.ParamOr("scenario", "");
+  if (!scenario.empty()) {
+    if (!LoadScenarioParam(scenario, &script, &perr)) {
+      report.error = "scenario: " + perr;
+      return report;
+    }
+    run.sim.scenario = &script;
   }
-  if (has_scenario) sim.scenario = &script;
-  const SimulationResult r = Simulate(instance, *replayed, sim);
+
+  ReplayRun r = step(instance, run);
   if (r.truncated) {
     report.error = r.error;
     return report;
   }
-  report.schedule = MapRealizedSchedule(instance, r.schedule);
   report.ok = true;
+  report.schedule = std::move(r.schedule);
   // MIGRATE re-homes arrivals onto other hosts, but the facade audits
   // the schedule against the *original* instance's ports — grant the
   // destinations' capacity as additive slack (scenario/scenario.h).
-  report.allowance =
-      has_scenario && script.has_migrations()
-          ? CapacityAllowance::Additive(
-                MigrationCapacityAllowance(script, instance.sw()))
-          : CapacityAllowance::Exact();
-  report.diagnostics["rounds_simulated"] = r.rounds;
-  report.diagnostics["avg_port_utilization"] = r.avg_port_utilization;
-  report.diagnostics["peak_backlog"] = r.peak_backlog;
-  const PolicyMatchingStats ms = replayed->matching_stats();
-  if (ms.matcher_full_solves > 0) {
-    report.diagnostics["matcher_full_solves"] = ms.matcher_full_solves;
+  report.allowance = r.allowance;
+  if (script.has_migrations()) {
+    report.allowance.additive =
+        MigrationCapacityAllowance(script, instance.sw());
   }
-  if (ms.auction_bids > 0) {
-    report.diagnostics["auction_bids"] = ms.auction_bids;
-    report.diagnostics["auction_cold_restarts"] = ms.auction_cold_restarts;
+  std::map<std::string, double>& d = report.diagnostics;
+  d = std::move(r.diagnostics);
+  d["rounds_simulated"] = r.rounds;
+  d["avg_port_utilization"] = r.avg_port_utilization;
+  d["peak_backlog"] = r.peak_backlog;
+  if (run.sim.record_backlog) d["max_backlog"] = r.max_backlog;
+  const std::vector<SolverKeyDoc> docs = solver.DiagnosticDocs();
+  const auto documents = [&](std::string_view key) {
+    return std::any_of(docs.begin(), docs.end(),
+                       [&](const SolverKeyDoc& doc) { return doc.key == key; });
+  };
+  const PolicyMatchingStats& ms = r.matching;
+  if (ms.matcher_full_solves > 0 && documents("matcher_full_solves")) {
+    d["matcher_full_solves"] = ms.matcher_full_solves;
   }
-  if (sim.record_backlog && !r.backlog_trace.empty()) {
-    report.diagnostics["max_backlog"] =
-        *std::max_element(r.backlog_trace.begin(), r.backlog_trace.end());
+  if (ms.auction_bids > 0 && documents("auction_bids")) {
+    d["auction_bids"] = ms.auction_bids;
   }
-  if (has_scenario) {
-    // The fault-free baseline (same policy, same seed) anchors the
-    // robustness diagnostics.
-    SimulationOptions base_sim = sim;
-    base_sim.scenario = nullptr;
-    base_sim.record_backlog = false;
-    auto base_policy = make_policy();
-    const SimulationResult base = Simulate(instance, *base_policy, base_sim);
-    AddScenarioDiagnostics(script, r.rounds, r.downtime_rounds,
-                           r.peak_backlog, r.metrics.total_response,
-                           base.peak_backlog, base.metrics.total_response,
-                           r.migrated_flows, &report);
+  if (ms.auction_bids > 0 && documents("auction_cold_restarts")) {
+    d["auction_cold_restarts"] = ms.auction_cold_restarts;
   }
+  if (documents("num_coflows")) AddCoflowDiagnostics(instance, &report);
+  if (run.sim.scenario == nullptr) return report;
+
+  // The fault-free twin (same policy, same seed) anchors the robustness
+  // diagnostics. It replays the original instance, so the deltas include
+  // MIGRATE's effect.
+  ReplayOptions twin = run;
+  twin.sim.scenario = nullptr;
+  twin.sim.record_backlog = false;
+  const ReplayRun base = step(instance, twin);
+  const double response =
+      ComputeMetrics(instance, report.schedule).total_response;
+  const double base_response =
+      ComputeMetrics(instance, base.schedule).total_response;
+  d["scenario_events"] = static_cast<double>(script.events().size());
+  d["downtime_rounds"] = static_cast<double>(r.downtime_rounds);
+  d["backlog_surge"] = static_cast<double>(r.peak_backlog - base.peak_backlog);
+  const Round last = script.last_event_round();
+  d["recovery_drain_rounds"] =
+      static_cast<double>(r.rounds > last ? r.rounds - last : 0);
+  d["response_inflation"] =
+      base_response > 0.0 ? response / base_response : 1.0;
+  d["migrated_flows"] = static_cast<double>(r.migrated_flows);
   return report;
 }
 
+SolverKeyDoc ScenarioParamDoc() {
+  return {"scenario",
+          "fault-injection script: a file path or inline:<script> with ';' "
+          "as the line separator (grammar in docs/scenarios.md); the run "
+          "replays under timed port/pod outages and adds robustness "
+          "diagnostics vs the fault-free run"};
+}
+
+SolverKeyDoc ApproxParamDoc() {
+  return {"approx",
+          "eps > 0 (default 0 = exact Hungarian): eps-approximate auction "
+          "matcher; each round's matched weight is within backlog*eps of "
+          "optimal, schedules (and CCT) may differ"};
+}
+
+void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs) {
+  docs->insert(docs->end(),
+               {{"num_coflows",
+                 "groups in the instance (untagged flows count as singletons)"},
+                {"num_tagged_coflows", "groups that carry a real coflow tag"}});
+  for (const CctDiagnostic& d : kCctDiagnostics) {
+    docs->push_back({d.key, d.doc});
+  }
+}
+
+void AppendScenarioDiagnosticDocs(std::vector<SolverKeyDoc>* docs) {
+  docs->insert(
+      docs->end(),
+      {{"scenario_events", "timed events in the bound scenario script"},
+       {"downtime_rounds", "simulated rounds with >= 1 port side down"},
+       {"backlog_surge", "scenario peak backlog minus the fault-free run's"},
+       {"recovery_drain_rounds",
+        "rounds simulated after the last scenario event (post-recovery "
+        "drain time)"},
+       {"response_inflation",
+        "scenario total response / fault-free total response"},
+       {"migrated_flows",
+        "arrivals re-homed by MIGRATE rules (0 for scripts without "
+        "MIGRATE; nothing is ever dropped)"}});
+}
+
 void RegisterOnlineSolvers(SolverRegistry& registry) {
-  for (const std::string& policy : AllPolicyNames()) {
-    registry.Register(
-        [policy] { return std::make_unique<OnlinePolicySolver>(policy); });
+  for (const bool coflow_aware : {false, true}) {
+    for (const std::string& policy :
+         coflow_aware ? AllCoflowPolicyNames() : AllPolicyNames()) {
+      registry.Register([policy, coflow_aware] {
+        return std::make_unique<SwitchReplaySolver>(policy, coflow_aware);
+      });
+    }
   }
 }
 

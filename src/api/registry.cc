@@ -103,7 +103,6 @@ SolveReport SolverRegistry::Solve(std::string_view name,
 void RegisterBuiltinSolvers(SolverRegistry& registry) {
   internal::RegisterOfflineSolvers(registry);
   internal::RegisterOnlineSolvers(registry);
-  internal::RegisterCoflowSolvers(registry);
   internal::RegisterFabricSolvers(registry);
 }
 

@@ -1,6 +1,8 @@
 #include "core/online/simulator.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "core/online/round_engine.h"
 #include "util/check.h"
@@ -105,6 +107,38 @@ SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
   return Simulate(instance.sw(), arrivals, policy, options, context);
+}
+
+ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
+  const std::unique_ptr<SchedulingPolicy> policy =
+      options.make_policy(options.seed);
+  const SimulationResult r = Simulate(instance, *policy, options.sim);
+  ReplayRun run;
+  run.rounds = r.rounds;
+  run.peak_backlog = r.peak_backlog;
+  if (!r.backlog_trace.empty()) {
+    run.max_backlog =
+        *std::max_element(r.backlog_trace.begin(), r.backlog_trace.end());
+  }
+  run.avg_port_utilization = r.avg_port_utilization;
+  run.downtime_rounds = r.downtime_rounds;
+  run.migrated_flows = r.migrated_flows;
+  run.matching = policy->matching_stats();
+  run.truncated = r.truncated;
+  run.error = r.error;
+  if (r.truncated) return run;
+  // The realized instance numbers flows in arrival order: a stable sort of
+  // the instance by release.
+  std::vector<FlowId> order(instance.num_flows());
+  for (FlowId e = 0; e < instance.num_flows(); ++e) order[e] = e;
+  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
+    return instance.flow(a).release < instance.flow(b).release;
+  });
+  run.schedule = Schedule(instance.num_flows());
+  for (int k = 0; k < instance.num_flows(); ++k) {
+    run.schedule.Assign(order[k], r.schedule.round_of(k));
+  }
+  return run;
 }
 
 }  // namespace flowsched

@@ -15,6 +15,10 @@
 #ifndef FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 #define FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <memory>
 #include <string>
 
 #include "core/online/policy.h"
@@ -78,6 +82,43 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
                           SchedulingPolicy& policy,
                           const SimulationOptions& options = {},
                           SimulationContext* context = nullptr);
+
+// Builds a fresh policy from its seed: one per replay, one per pod of a
+// sharded fabric (fabric/fabric_runner.h).
+using SeededPolicyFactory =
+    std::function<std::unique_ptr<SchedulingPolicy>(std::uint64_t seed)>;
+
+// One replay of a fixed instance: the policy, its seed and the simulation
+// knobs.
+struct ReplayOptions {
+  SeededPolicyFactory make_policy;  // Required.
+  std::uint64_t seed = 1;
+  SimulationOptions sim;
+};
+
+// A replay as the solver facade consumes it: the schedule in the replayed
+// instance's own flow ids and the run's counters.
+struct ReplayRun {
+  Schedule schedule;  // Empty when truncated.
+  Round rounds = 0;
+  int peak_backlog = 0;
+  int max_backlog = 0;  // Largest recorded backlog (record_backlog only).
+  double avg_port_utilization = 0.0;
+  Round downtime_rounds = 0;
+  long long migrated_flows = 0;
+  PolicyMatchingStats matching;
+  bool truncated = false;
+  std::string error;
+  // The allowance `schedule` validates under before any MIGRATE slack, and
+  // counters a caller adds on top (a sharded fabric's topology).
+  CapacityAllowance allowance;
+  std::map<std::string, double> diagnostics;
+};
+
+// Simulate()s `instance` under options.make_policy(options.seed) and maps
+// the realized schedule (flows numbered in arrival order) back onto the
+// instance's flow ids.
+ReplayRun Replay(const Instance& instance, const ReplayOptions& options);
 
 }  // namespace flowsched
 

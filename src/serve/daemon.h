@@ -1,6 +1,6 @@
 // Session core of the flowsched_serve daemon: everything except transport
-// setup (stdin vs. socket, flag parsing) lives here so tests and the
-// --smoke self-check can drive full sessions over string streams.
+// setup (stdin vs. socket, flag parsing) lives here so tests can drive full
+// sessions over string streams.
 //
 // A session writes line-oriented replies:
 //   MATCH <round> <id>...   flows scheduled in a round (unless disabled)

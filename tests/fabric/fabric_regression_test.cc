@@ -1,8 +1,7 @@
 // Golden lock on the fabric subsystem, mirroring coflow_regression_test:
 // the merged metrics fabric.sebf produces on a fixed fabric spec are
-// pinned, and a {shards}-axis grid is byte-identical regardless of worker
-// count — both the campaign runner's --jobs and the fabric runner's own
-// shard-parallelism knob.
+// pinned, and a {shards}-axis grid is byte-identical regardless of the
+// campaign runner's --jobs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -62,24 +61,6 @@ TEST(FabricRegressionTest, MergedMetricsMatchGoldens) {
         << golden.solver;
     EXPECT_EQ(report.allowance.factor, 4.0) << golden.solver;
   }
-}
-
-// The shard-parallelism knob must not change anything but wall clock.
-TEST(FabricRegressionTest, ShardJobsParamIsByteInert) {
-  std::string error;
-  const auto instance = LoadInstance(kSpec, &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-  SolveOptions serial, parallel;
-  parallel.params["jobs"] = "8";
-  const SolveReport a =
-      SolverRegistry::Global().Solve("fabric.sebf", *instance, serial);
-  const SolveReport b =
-      SolverRegistry::Global().Solve("fabric.sebf", *instance, parallel);
-  ASSERT_TRUE(a.ok && b.ok) << a.error << b.error;
-  EXPECT_EQ(a.schedule.assignments(), b.schedule.assignments());
-  EXPECT_EQ(a.diagnostics.at("total_cct"), b.diagnostics.at("total_cct"));
-  EXPECT_EQ(a.diagnostics.at("peak_backlog"),
-            b.diagnostics.at("peak_backlog"));
 }
 
 // The acceptance bar: a {shards} x load grid over fabric solvers produces

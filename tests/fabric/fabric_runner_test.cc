@@ -30,9 +30,9 @@ TEST(FabricRunnerTest, MergedScheduleAssignsEveryFlowAndValidatesUnderK) {
   for (const FabricPartition partition :
        {FabricPartition::kBlock, FabricPartition::kHash}) {
     const FabricAssignment fa = PartitionInstance(instance, 4, partition);
-    FabricRunOptions options;
+    ReplayOptions options;
     options.make_policy = CoflowPolicy("sebf");
-    const FabricResult result = RunFabric(instance, fa, options);
+    const ReplayRun result = RunFabric(instance, fa, options);
     EXPECT_TRUE(result.schedule.AllAssigned());
     // Pods replicate remote egress: K x output capacity suffices, exact
     // capacity generally does not (that is the whole trade).
@@ -40,30 +40,26 @@ TEST(FabricRunnerTest, MergedScheduleAssignsEveryFlowAndValidatesUnderK) {
                                               CapacityAllowance::Factor(4)),
               std::nullopt);
     EXPECT_GT(result.rounds, 0);
-    ASSERT_EQ(result.shard_reports.size(), 4u);
-    Round max_rounds = 0;
-    for (const FabricShardReport& report : result.shard_reports) {
-      max_rounds = std::max(max_rounds, report.rounds);
+    // The fabric makespan is the slowest pod's: the last round any flow of
+    // the merged schedule occupies.
+    Round last_round = 0;
+    for (FlowId e = 0; e < instance.num_flows(); ++e) {
+      last_round = std::max(last_round, result.schedule.round_of(e));
     }
-    EXPECT_EQ(result.rounds, max_rounds);
+    EXPECT_EQ(result.rounds, last_round + 1);
+    // Every pod carries flows, and the assignment accounts for all of them.
+    ASSERT_EQ(fa.shard_instances.size(), 4u);
+    int pod_flows = 0;
+    Capacity pod_demand = 0;
+    for (int s = 0; s < fa.shards; ++s) {
+      EXPECT_GT(fa.shard_instances[s].num_flows(), 0);
+      EXPECT_EQ(fa.shard_demand[s], fa.shard_instances[s].TotalDemand());
+      pod_flows += fa.shard_instances[s].num_flows();
+      pod_demand += fa.shard_demand[s];
+    }
+    EXPECT_EQ(pod_flows, instance.num_flows());
+    EXPECT_EQ(pod_demand, instance.TotalDemand());
   }
-}
-
-TEST(FabricRunnerTest, ShardJobsDoNotChangeTheResult) {
-  const Instance instance = LoadedCoflowInstance();
-  const FabricAssignment fa =
-      PartitionInstance(instance, 8, FabricPartition::kHash);
-  FabricRunOptions serial;
-  serial.make_policy = CoflowPolicy("sebf");
-  serial.seed = 42;
-  FabricRunOptions parallel = serial;
-  parallel.jobs = 8;
-  const FabricResult a = RunFabric(instance, fa, serial);
-  const FabricResult b = RunFabric(instance, fa, parallel);
-  EXPECT_EQ(a.schedule.assignments(), b.schedule.assignments());
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_EQ(a.peak_backlog, b.peak_backlog);
-  EXPECT_DOUBLE_EQ(a.avg_port_utilization, b.avg_port_utilization);
 }
 
 // Hand-built split-coflow CCT check on a 2-pod fabric (block partition of
@@ -90,10 +86,10 @@ TEST(FabricRunnerTest, SplitCoflowCctIsTheMaxOverMemberShards) {
   EXPECT_EQ(fa.split_coflows, 1);
   ASSERT_EQ(fa.shard_of_flow, (std::vector<int>{0, 1, 1, 1}));
 
-  FabricRunOptions options;
+  ReplayOptions options;
   // FIFO-of-coflows: earliest group first.
   options.make_policy = CoflowPolicy("fifo");
-  const FabricResult result = RunFabric(instance, fa, options);
+  const ReplayRun result = RunFabric(instance, fa, options);
   ASSERT_TRUE(result.schedule.AllAssigned());
 
   // Pod 0: coflow 1's member runs immediately.

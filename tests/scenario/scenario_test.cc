@@ -364,23 +364,23 @@ TEST(ScenarioFabricTest, FabricRunDegradesAndRecoversUnderPodOutage) {
   const Instance instance = MustLoad(kSpec);
   const FabricAssignment fa =
       PartitionInstance(instance, 2, FabricPartition::kBlock);
-  FabricRunOptions options;
+  ReplayOptions options;
   options.make_policy = [](std::uint64_t seed) {
     return MakePolicy("srpt", seed);
   };
-  const FabricResult base = RunFabric(instance, fa, options);
+  const ReplayRun base = RunFabric(instance, fa, options);
   ASSERT_FALSE(base.truncated) << base.error;
   const ScenarioScript script = MustParse("PODS 2\nPOD_DOWN 10 1\nPOD_UP 30 1");
-  options.scenario = &script;
-  const FabricResult faulty = RunFabric(instance, fa, options);
+  options.sim.scenario = &script;
+  const ReplayRun faulty = RunFabric(instance, fa, options);
   ASSERT_FALSE(faulty.truncated) << faulty.error;
   EXPECT_GT(faulty.downtime_rounds, 0);
   EXPECT_EQ(base.downtime_rounds, 0);
   EXPECT_GE(faulty.rounds, base.rounds);
   // A stranded pod (no recovery) truncates the whole fabric run gracefully.
   const ScenarioScript stranded = MustParse("PODS 2\nPOD_DOWN 10 1");
-  options.scenario = &stranded;
-  const FabricResult dead = RunFabric(instance, fa, options);
+  options.sim.scenario = &stranded;
+  const ReplayRun dead = RunFabric(instance, fa, options);
   EXPECT_TRUE(dead.truncated);
   EXPECT_NE(dead.error.find("no recovery event"), std::string::npos)
       << dead.error;

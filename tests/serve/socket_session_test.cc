@@ -329,15 +329,6 @@ TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
   }
 }
 
-// The smoke's batch reference must run the same auction as its streaming
-// sessions, or the self-check compares two different matchers.
-TEST(ServeCliTest, ApproxSmokeOnCoflowMaxWeightPasses) {
-  std::string output;
-  EXPECT_EQ(RunServe("--smoke --policy=coflow.maxweight --approx=0.5", &output),
-            0);
-  EXPECT_NE(output.find("SMOKE OK"), std::string::npos) << output;
-}
-
 #else
 
 TEST(ServeSocketTest, ClosedLoopClientGetsEachRoundsReplyBeforeNextRound) {
@@ -353,10 +344,6 @@ TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
 }
 
 TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
-  GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
-}
-
-TEST(ServeCliTest, ApproxSmokeOnCoflowMaxWeightPasses) {
   GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
 }
 

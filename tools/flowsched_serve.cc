@@ -3,10 +3,6 @@
 // lines and periodic JSONL stats with O(live flows) memory.
 //
 // Modes (first match wins):
-//   --smoke          self-check: stream a generated instance through both
-//                    the trace path and the wire protocol and require the
-//                    realized schedule and aggregates to be bit-identical
-//                    to the batch simulator; exit nonzero on any mismatch
 //   --spec=SPEC      pull arrivals from a generator spec (poisson|coflow|
 //                    cdf, same keys as flowsched_cli --instance, plus
 //                    rounds=inf for an endless stream)
@@ -34,19 +30,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <limits>
-#include <map>
-#include <sstream>
+#include <memory>
 #include <string>
-#include <vector>
 
-#include "api/instance_source.h"
 #include "api/stream_source.h"
-#include "core/online/simulator.h"
-#include "model/schedule.h"
-#include "model/trace_io.h"
 #include "scenario/scenario.h"
 #include "serve/daemon.h"
 #include "serve/stream_sources.h"
@@ -93,7 +82,6 @@ struct ServeCli {
   int tcp_port = -1;
   int ports = 16;         // Wire-mode switch geometry.
   long long cap = 1;
-  bool smoke = false;
   ServeOptions serve;
 };
 
@@ -122,7 +110,6 @@ void PrintUsage(std::ostream& out) {
          "  --approx=EPS       coflow.maxweight only: eps-approximate\n"
          "                     auction matcher instead of the exact\n"
          "                     Hungarian (default 0 = exact)\n"
-         "  --smoke            run the streaming-vs-batch self-check\n"
          "With no mode flag, speaks the wire protocol on stdin/stdout\n"
          "(docs/serve-protocol.md). SIGINT/SIGTERM finish the current\n"
          "round and emit the final DONE summary.\n";
@@ -169,8 +156,6 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
     if (arg == "--help" || arg == "-h") {
       PrintUsage(std::cout);
       std::exit(0);
-    } else if (arg == "--smoke") {
-      cli.smoke = true;
     } else if (arg == "--no-match") {
       cli.serve.emit_match = false;
     } else if (arg == "--no-validate") {
@@ -362,175 +347,6 @@ int ServeUnix(const std::string& path, const SwitchSpec& sw,
 }
 #endif  // FLOWSCHED_HAVE_SOCKETS
 
-// --- --smoke: streaming-vs-batch equivalence self-check. ------------------
-
-bool SmokeFail(const std::string& what) {
-  std::cerr << "SMOKE FAIL: " << what << '\n';
-  return false;
-}
-
-// Splits captured daemon output into MATCH assignments + sanity-checks
-// every line's shape. `prefixed` selects wire framing ("STATS {...}")
-// versus source framing (bare JSONL).
-bool ParseMatchLines(const std::string& output, bool prefixed,
-                     std::map<FlowId, Round>* assigned) {
-  std::istringstream lines(output);
-  std::string line;
-  Round last_round = -1;
-  bool saw_done = false;
-  while (std::getline(lines, line)) {
-    if (line.rfind("MATCH ", 0) == 0) {
-      std::istringstream fields(line.substr(6));
-      Round t = -1;
-      if (!(fields >> t) || t < 0 || t < last_round) {
-        return SmokeFail("bad MATCH round in \"" + line + "\"");
-      }
-      last_round = t;
-      FlowId id = -1;
-      int picked = 0;
-      while (fields >> id) {
-        if (!assigned->emplace(id, t).second) {
-          return SmokeFail("flow " + std::to_string(id) + " matched twice");
-        }
-        ++picked;
-      }
-      if (picked == 0 || !fields.eof()) {
-        return SmokeFail("malformed MATCH line \"" + line + "\"");
-      }
-    } else if (line.rfind("DONE {", 0) == 0) {
-      saw_done = true;
-    } else if (prefixed ? line.rfind("STATS {\"round\":", 0) == 0
-                        : line.rfind("{\"round\":", 0) == 0) {
-      // Periodic or requested stats line; shape-checked by the prefix.
-    } else {
-      return SmokeFail("unexpected output line \"" + line + "\"");
-    }
-  }
-  if (!saw_done) return SmokeFail("no DONE summary line");
-  return true;
-}
-
-bool CheckSummary(const char* path, const StreamingSummary& summary,
-                  const SimulationResult& batch, int num_flows) {
-  const auto fail = [&](const std::string& what) {
-    return SmokeFail(std::string(path) + ": " + what);
-  };
-  if (summary.source_error || !summary.error.empty()) {
-    return fail("source error: " + summary.error);
-  }
-  if (summary.truncated) return fail("unexpectedly truncated");
-  if (summary.flows != num_flows || summary.arrived != num_flows) {
-    return fail("flows=" + std::to_string(summary.flows) + " arrived=" +
-                std::to_string(summary.arrived) + ", want " +
-                std::to_string(num_flows));
-  }
-  if (summary.rounds != batch.rounds) {
-    return fail("rounds=" + std::to_string(summary.rounds) + ", batch " +
-                std::to_string(batch.rounds));
-  }
-  if (summary.total_response != batch.metrics.total_response ||
-      summary.max_response != batch.metrics.max_response) {
-    return fail("response aggregates diverge from batch");
-  }
-  if (summary.peak_backlog != batch.peak_backlog) {
-    return fail("peak_backlog=" + std::to_string(summary.peak_backlog) +
-                ", batch " + std::to_string(batch.peak_backlog));
-  }
-  if (summary.avg_port_utilization != batch.avg_port_utilization) {
-    return fail("utilization diverges from batch");
-  }
-  return true;
-}
-
-bool CheckSchedule(const char* path, const std::map<FlowId, Round>& assigned,
-                   const SimulationResult& batch) {
-  Schedule streamed(batch.schedule.num_flows());
-  for (const auto& [id, t] : assigned) {
-    if (id < 0 || id >= streamed.num_flows()) {
-      return SmokeFail(std::string(path) + ": matched unknown flow id " +
-                       std::to_string(id));
-    }
-    streamed.Assign(id, t);
-  }
-  std::ostringstream got;
-  std::ostringstream want;
-  WriteScheduleCsv(streamed, got);
-  WriteScheduleCsv(batch.schedule, want);
-  if (got.str() != want.str()) {
-    return SmokeFail(std::string(path) +
-                     ": realized schedule differs from batch");
-  }
-  return true;
-}
-
-int RunSmoke(const ServeCli& cli) {
-  ServeOptions options = cli.serve;
-  options.stats_every = options.stats_every > 0 ? options.stats_every : 128;
-  options.emit_match = true;
-
-  // Batch reference policy (fresh policies are built inside each streaming
-  // session from the same name, seed and matching options).
-  std::string error;
-  const auto batch_policy = MakeServePolicy(options.policy, &error,
-                                            options.seed, options.matching);
-  if (batch_policy == nullptr) return SmokeFail(error), 1;
-
-  // ~6k flows: big enough to exercise retirement and stats windows, small
-  // enough for a CI leg. Matching-based policies only take unit demands.
-  const std::string spec =
-      batch_policy->RequiresUnitDemands()
-          ? "poisson:ports=16,cap=2,load=0.95,rounds=400,dmax=1,seed=7"
-          : "poisson:ports=16,cap=2,load=0.95,rounds=400,dmax=4,seed=7";
-  const auto instance = LoadInstance(spec, &error);
-  if (!instance.has_value()) return SmokeFail(error), 1;
-  const SimulationResult batch = Simulate(*instance, *batch_policy);
-
-  // Path 1: the trace pipeline (CSV text -> TraceStreamSource -> daemon).
-  std::ostringstream csv;
-  WriteInstanceCsv(*instance, csv);
-  std::istringstream trace_in(csv.str());
-  TraceStreamSource trace(trace_in);
-  std::ostringstream trace_out;
-  const StreamingSummary trace_summary =
-      RunSourceSession(trace, trace_out, options);
-  std::map<FlowId, Round> trace_assigned;
-  if (!ParseMatchLines(trace_out.str(), /*prefixed=*/false, &trace_assigned) ||
-      !CheckSummary("trace", trace_summary, batch, instance->num_flows()) ||
-      !CheckSchedule("trace", trace_assigned, batch)) {
-    return 1;
-  }
-
-  // Path 2: the wire protocol, replaying the same arrivals round by round.
-  std::ostringstream script;
-  int next_flow = 0;
-  for (Round t = 0; t < batch.rounds; ++t) {
-    while (next_flow < instance->num_flows() &&
-           instance->flow(next_flow).release == t) {
-      const Flow& f = instance->flow(next_flow);
-      script << "ARRIVE " << f.id << ' ' << f.src << ' ' << f.dst << ' '
-             << f.demand << '\n';
-      ++next_flow;
-    }
-    script << "TICK\n";
-  }
-  script << "STOP\n";
-  std::istringstream wire_in(script.str());
-  std::ostringstream wire_out;
-  const StreamingSummary wire_summary =
-      RunWireSession(instance->sw(), wire_in, wire_out, options);
-  std::map<FlowId, Round> wire_assigned;
-  if (!ParseMatchLines(wire_out.str(), /*prefixed=*/true, &wire_assigned) ||
-      !CheckSummary("wire", wire_summary, batch, instance->num_flows()) ||
-      !CheckSchedule("wire", wire_assigned, batch)) {
-    return 1;
-  }
-
-  std::cout << "SMOKE OK: " << instance->num_flows() << " flows, "
-            << batch.rounds << " rounds, policy " << options.policy
-            << ", streaming == batch on both paths\n";
-  return 0;
-}
-
 int Main(int argc, char** argv) {
   ServeCli cli;
   std::string error;
@@ -538,8 +354,6 @@ int Main(int argc, char** argv) {
     std::cerr << "flowsched_serve: " << error << '\n';
     return 2;
   }
-  if (cli.smoke) return RunSmoke(cli);
-
   InstallStopHandlers();
   cli.serve.stop = &g_stop;
   ScenarioScript scenario;
