@@ -136,12 +136,16 @@ Schedule GroupRound(const Instance& instance, const ActiveWindows& windows,
     fixed[e] = 1;
     --remaining;
   };
+  // Fixes every flow whose value at some round counts as integral, where
+  // committing it there keeps both rows within the theorem budget (a loose
+  // integrality_tol would otherwise commit flows past it).
   auto fix_integrals = [&] {
     int fixed_now = 0;
     for (int e = 0; e < n; ++e) {
       if (fixed[e]) continue;
       for (std::size_t k = 0; k < x[e].size(); ++k) {
-        if (x[e][k] >= 1.0 - options.integrality_tol) {
+        if (x[e][k] >= 1.0 - options.integrality_tol &&
+            caps.FitsBudget(instance.flow(e), windows[e][k])) {
           fix_flow(e, k);
           ++fixed_now;
           break;

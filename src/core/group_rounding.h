@@ -7,8 +7,9 @@
 // iterative LP-relaxation rounder (docs/architecture.md, "LP layer", has
 // the substitution rationale). Every capacity row starts at the paper's
 // budget c_p + (2*dmax - 1). Each pass re-solves the residual LP for a
-// vertex and permanently fixes the (numerically) integral variables; a
-// vertex that fixes nothing has its heaviest variable fixed instead. Only
+// vertex and permanently fixes the (numerically) integral variables whose
+// round stays within that budget; a vertex that fixes nothing has its
+// heaviest variable fixed instead. Only
 // when forced fixes make the LP infeasible is a row lifted to unbounded,
 // counted as `hard_drops`: violations beyond 2*dmax - 1 can only come from
 // those, and the realized worst violation is measured and reported.

@@ -138,8 +138,10 @@ TEST(GroupRoundingTest, TightWindowsForceViolationWithinBound) {
 // An input that over-commits the sink, outside GroupRound's precondition
 // of an LP-feasible fractional solution: seven unit flows into one output
 // of capacity 1, windows {0, 1}, three flows integral in each round and
-// flow 3 split evenly. Fixing the integral flows leaves both sink rows 1
-// over the theorem budget, so flow 3's residual LP is infeasible.
+// flow 3 split evenly. Only two integral flows per round fit the theorem
+// budget (capacity 1 + bound 1), so flows 2 and 6 stay unfixed with flow
+// 3, and their residual LP, with no slack left on either sink row, is
+// infeasible.
 TimeConstrainedSolution OverCommittedSink(const Instance& instance) {
   TimeConstrainedSolution sol;
   sol.feasible = true;
@@ -167,9 +169,10 @@ TEST(GroupRoundingTest, InfeasibleResidualLpLiftsRowsAsHardDrops) {
   const Schedule schedule = GroupRound(
       instance, windows, OverCommittedSink(instance), {}, &report);
   ASSERT_TRUE(schedule.AllAssigned());
-  // Both sink rows are lifted, one per infeasible solve.
+  // Both sink rows are lifted, one per infeasible solve; the three flows
+  // left take three more solves.
   EXPECT_EQ(report.hard_drops, 2);
-  EXPECT_EQ(report.lp_solves, 3);
+  EXPECT_EQ(report.lp_solves, 5);
   // Four flows share one sink round: 3 over capacity, measured, beyond
   // the theorem's bound of 1.
   EXPECT_EQ(report.max_violation, 3);
@@ -185,9 +188,9 @@ TEST(GroupRoundingTest, InfeasibleResidualLpLiftsRowsAsHardDrops) {
 }
 
 TEST(GroupRoundingTest, ForcedFlowWithNoRoundInBudgetTakesTheLeastOvershoot) {
-  // The same input with no LP solves: flow 3 has no round within budget,
-  // so it is forced to the least-overshooting round (a tie, kept at the
-  // first, round 0).
+  // The same input with no LP solves: flows 2, 3 and 6 have no round
+  // within budget, so each is forced to its least-overshooting round
+  // (flow 3's is a tie, kept at the first, round 0).
   const Instance instance = SevenIntoOne();
   const ActiveWindows windows = WindowsForMaxResponse(instance, 2);
   GroupRoundingOptions options;
@@ -196,7 +199,7 @@ TEST(GroupRoundingTest, ForcedFlowWithNoRoundInBudgetTakesTheLeastOvershoot) {
   const Schedule schedule = GroupRound(
       instance, windows, OverCommittedSink(instance), options, &report);
   ASSERT_TRUE(schedule.AllAssigned());
-  EXPECT_EQ(report.forced_fixes, 1);
+  EXPECT_EQ(report.forced_fixes, 3);
   EXPECT_EQ(report.hard_drops, 0);
   EXPECT_EQ(schedule.round_of(3), 0);
   EXPECT_EQ(report.max_violation, 3);
