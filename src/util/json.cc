@@ -96,7 +96,8 @@ bool JsonValue::GetBool(const std::string& key, bool def) const {
 namespace {
 
 // Recursive-descent parser over the whole input. Positions are byte
-// offsets; errors name them so a malformed meta.json is debuggable.
+// offsets; errors name their 1-based line and column so a malformed
+// meta.json or campaign spec is debuggable.
 class JsonParser {
  public:
   explicit JsonParser(const std::string& text) : text_(text) {}
@@ -115,7 +116,16 @@ class JsonParser {
 
   bool Fail(std::string* error, const std::string& msg) {
     if (error != nullptr) {
-      *error = "json offset " + std::to_string(pos_) + ": " + msg;
+      std::size_t line = 1;
+      std::size_t line_start = 0;
+      for (std::size_t i = 0; i < pos_ && i < text_.size(); ++i) {
+        if (text_[i] == '\n') {
+          ++line;
+          line_start = i + 1;
+        }
+      }
+      *error = "json line " + std::to_string(line) + ", column " +
+               std::to_string(pos_ - line_start + 1) + ": " + msg;
     }
     return false;
   }

@@ -61,8 +61,8 @@ class JsonValue {
 };
 
 // Parses one JSON value (object, array, or scalar) covering the whole
-// input. Returns false and fills *error (with an offset) on malformed
-// input or trailing data.
+// input. Returns false and fills *error, naming the 1-based line and
+// column, on malformed input or trailing data.
 bool ParseJson(const std::string& text, JsonValue& out, std::string* error);
 
 }  // namespace flowsched

@@ -84,6 +84,24 @@ TEST(ParseJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("{\"a\": 1} {\"b\": 2}", doc, &error));
 }
 
+TEST(ParseJsonTest, ErrorsNameTheirLineAndColumn) {
+  JsonValue doc;
+  std::string error;
+  // A missing ':' on line 3: the parser stops at the 2 in column 9.
+  EXPECT_FALSE(ParseJson("{\n  \"a\": 1,\n  \"b\"   2,\n  \"c\": 3\n}", doc,
+                         &error));
+  EXPECT_EQ(error, "json line 3, column 9: expected ':' after \"b\"");
+  // Trailing data after a complete document, on its own line.
+  EXPECT_FALSE(ParseJson("[1,\n 2]\n\n  x", doc, &error));
+  EXPECT_EQ(error, "json line 4, column 3: trailing data");
+  // An error on the first line counts columns from 1.
+  EXPECT_FALSE(ParseJson("{\"a\": nul}", doc, &error));
+  EXPECT_EQ(error.rfind("json line 1, column 7: ", 0), 0u) << error;
+  // End of input inside an unterminated array, after a trailing newline.
+  EXPECT_FALSE(ParseJson("[1,\n", doc, &error));
+  EXPECT_EQ(error.rfind("json line 2, column 1: ", 0), 0u) << error;
+}
+
 TEST(ParseJsonTest, DepthIsBounded) {
   // The parser is recursive-descent; unbounded nesting must fail cleanly
   // instead of overflowing the stack.
