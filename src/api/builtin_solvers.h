@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "api/solver.h"
@@ -39,9 +40,18 @@ void RegisterOnlineSolvers(SolverRegistry& registry);
 // coflow-aware policy names first, then the remaining flow-level ones.
 void RegisterFabricSolvers(SolverRegistry& registry);
 
-// Builds one policy from its seed and the `approx` matcher options.
-using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>(
-    std::uint64_t seed, const MatchingOptions& matching)>;
+// The policy a replay solver runs: a MakePolicy name, or a
+// MakeCoflowPolicy one when coflow_aware.
+struct ReplayedPolicy {
+  std::string name;
+  bool coflow_aware = false;
+
+  std::unique_ptr<SchedulingPolicy> Make(std::uint64_t seed,
+                                         const MatchingOptions& matching) const;
+  // Coflow maxweight is the only policy with an auction path, so the only
+  // one that documents `approx`.
+  bool HasAuction() const { return coflow_aware && name == "maxweight"; }
+};
 
 // One run of a replay. options.sim.scenario is the bound script, or null
 // for the fault-free twin. The result's schedule is in `instance`'s flow
@@ -49,19 +59,19 @@ using PolicyFactory = std::function<std::unique_ptr<SchedulingPolicy>(
 using ReplayStep = std::function<ReplayRun(const Instance& instance,
                                            const ReplayOptions& options)>;
 
-// The body of every replay solver. It reads the approx, record_backlog,
-// validate and scenario params (the facade has already refused keys
-// `solver` does not document), rejects non-unit demands when the policy
-// RequiresUnitDemands() and a max_rounds below the instance's safe
-// horizon, runs `step`, and reports its schedule under the step's
-// allowance plus MIGRATE's slack. The diagnostics are the step's own, the
-// run counters, and the matcher, coflow completion time (CCT) and backlog
-// rows that `solver` documents. Under a scenario it runs `step` a second
-// time without the script and adds the robustness rows against that twin.
-SolveReport ReplayPolicy(const Solver& solver, const Instance& instance,
-                         const SolveOptions& options,
-                         const PolicyFactory& make_policy,
-                         const ReplayStep& step);
+// The body of every replay solver, replaying `policy`. It reads the
+// approx, record_backlog, validate and scenario params (the facade has
+// already refused keys `solver` does not document), rejects non-unit
+// demands when the policy RequiresUnitDemands() and a max_rounds below the
+// instance's safe horizon, runs `step`, and reports its schedule under the
+// step's allowance plus MIGRATE's slack. The diagnostics are the step's
+// own, the run counters, and the matcher, coflow completion time (CCT) and
+// backlog rows that `solver` documents. Under a scenario it runs `step` a
+// second time without the script and adds the robustness rows against that
+// twin.
+SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
+                         const Instance& instance,
+                         const SolveOptions& options, const ReplayStep& step);
 
 // Doc rows the fabric adapter shares with the single-switch ones.
 SolverKeyDoc ScenarioParamDoc();

@@ -63,14 +63,13 @@ void AddCoflowDiagnostics(const Instance& instance, SolveReport* report) {
 // matcher and `approx` doc rows.
 class SwitchReplaySolver : public Solver {
  public:
-  SwitchReplaySolver(std::string policy, bool coflow_aware)
+  explicit SwitchReplaySolver(ReplayedPolicy policy)
       : policy_(std::move(policy)),
-        coflow_aware_(coflow_aware),
-        name_((coflow_aware ? "coflow." : "online.") + policy_) {}
+        name_((policy_.coflow_aware ? "coflow." : "online.") + policy_.name) {}
 
   std::string_view name() const override { return name_; }
   std::string_view description() const override {
-    return coflow_aware_
+    return policy_.coflow_aware
                ? "round-by-round simulation of the coflow-aware policy "
                  "(CCT diagnostics; untagged flows count as singletons)"
                : "round-by-round simulation of the online policy (paper "
@@ -85,7 +84,7 @@ class SwitchReplaySolver : public Solver {
         {"validate",
          "0/1 (default 1): audit every policy selection for duplicates "
          "and port overloads (benchmarks turn this off)"}};
-    if (HasAuction()) docs.push_back(ApproxParamDoc());
+    if (policy_.HasAuction()) docs.push_back(ApproxParamDoc());
     return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
@@ -97,14 +96,14 @@ class SwitchReplaySolver : public Solver {
         {"peak_backlog", "largest backlog at any policy round"},
         {"max_backlog",
          "largest recorded backlog (only with record_backlog=1)"}};
-    if (coflow_aware_) AppendCoflowDiagnosticDocs(&docs);
+    if (policy_.coflow_aware) AppendCoflowDiagnosticDocs(&docs);
     docs.push_back({"matcher_full_solves",
-                    coflow_aware_
+                    policy_.coflow_aware
                         ? "rounds solved by the exact Hungarian matcher "
                           "(maxweight)"
                         : "rounds solved by the exact vertex-weight matcher "
                           "(maxweight)"});
-    if (HasAuction()) {
+    if (policy_.HasAuction()) {
       docs.push_back({"auction_bids", "price raises across all rounds "
                                       "(approx>0)"});
       docs.push_back({"auction_cold_restarts",
@@ -118,30 +117,25 @@ class SwitchReplaySolver : public Solver {
  protected:
   SolveReport SolveImpl(const Instance& instance,
                         const SolveOptions& options) override {
-    return ReplayPolicy(
-        *this, instance, options,
-        [this](std::uint64_t seed, const MatchingOptions& matching) {
-          return coflow_aware_ ? MakeCoflowPolicy(policy_, seed, matching)
-                               : MakePolicy(policy_, seed);
-        },
-        Replay);
+    return ReplayPolicy(*this, policy_, instance, options, Replay);
   }
 
  private:
-  // Coflow maxweight is the only policy with an auction path.
-  bool HasAuction() const { return coflow_aware_ && policy_ == "maxweight"; }
-
-  std::string policy_;
-  bool coflow_aware_;
+  ReplayedPolicy policy_;
   std::string name_;
 };
 
 }  // namespace
 
-SolveReport ReplayPolicy(const Solver& solver, const Instance& instance,
-                         const SolveOptions& options,
-                         const PolicyFactory& make_policy,
-                         const ReplayStep& step) {
+std::unique_ptr<SchedulingPolicy> ReplayedPolicy::Make(
+    std::uint64_t seed, const MatchingOptions& matching) const {
+  return coflow_aware ? MakeCoflowPolicy(name, seed, matching)
+                      : MakePolicy(name, seed);
+}
+
+SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
+                         const Instance& instance,
+                         const SolveOptions& options, const ReplayStep& step) {
   SolveReport report;
   report.objective_name = "total_response";
   std::string perr;
@@ -154,15 +148,15 @@ SolveReport ReplayPolicy(const Solver& solver, const Instance& instance,
   }
   ReplayOptions run;
   run.make_policy = [&](std::uint64_t seed) {
-    return make_policy(seed, matching);
+    return policy.Make(seed, matching);
   };
   run.seed = options.seed;
   // Matching-based policies FS_CHECK-abort on non-unit demands deep in
   // the round loop; reject such instances with a recoverable error.
   if (instance.MaxDemand() > 1) {
-    const auto policy = run.make_policy(run.seed);
-    if (policy->RequiresUnitDemands()) {
-      report.error = "policy " + std::string(policy->name()) +
+    const auto built = run.make_policy(run.seed);
+    if (built->RequiresUnitDemands()) {
+      report.error = "policy " + std::string(built->name()) +
                      " is matching-based and requires unit demands";
       return report;
     }
@@ -304,7 +298,8 @@ void RegisterOnlineSolvers(SolverRegistry& registry) {
     for (const std::string& policy :
          coflow_aware ? AllCoflowPolicyNames() : AllPolicyNames()) {
       registry.Register([policy, coflow_aware] {
-        return std::make_unique<SwitchReplaySolver>(policy, coflow_aware);
+        return std::make_unique<SwitchReplaySolver>(
+            ReplayedPolicy{policy, coflow_aware});
       });
     }
   }

@@ -30,14 +30,14 @@ namespace {
 
 class FabricPolicySolver : public Solver {
  public:
-  FabricPolicySolver(std::string policy, bool coflow_aware)
+  explicit FabricPolicySolver(ReplayedPolicy policy)
       : policy_(std::move(policy)),
-        coflow_aware_(coflow_aware),
-        name_("fabric." + policy_),
+        name_("fabric." + policy_.name),
         description_(
             std::string("sharded fabric: partitions the instance across K "
                         "pods and simulates each with the ") +
-            (coflow_aware_ ? "coflow-aware " : "flow-level ") + policy_ +
+            (policy_.coflow_aware ? "coflow-aware " : "flow-level ") +
+            policy_.name +
             " policy (merged metrics, cross-shard CCT, load imbalance)") {}
 
   std::string_view name() const override { return name_; }
@@ -53,7 +53,7 @@ class FabricPolicySolver : public Solver {
         ScenarioParamDoc(),
         {"validate",
          "0/1 (default 1): per-round selection audits inside each pod"}};
-    if (HasAuction()) docs.push_back(ApproxParamDoc());
+    if (policy_.HasAuction()) docs.push_back(ApproxParamDoc());
     return docs;
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
@@ -71,7 +71,7 @@ class FabricPolicySolver : public Solver {
         {"load_imbalance",
          "max pod demand / mean pod demand (1.0 = balanced)"}};
     AppendCoflowDiagnosticDocs(&docs);
-    if (HasAuction()) {
+    if (policy_.HasAuction()) {
       docs.push_back({"auction_bids",
                       "price raises summed over pods (approx>0)"});
     }
@@ -90,7 +90,8 @@ class FabricPolicySolver : public Solver {
         IsFabricSpec(instance.source()) &&
         ParseFabricSpec(instance.source(), from_source, nullptr);
     const bool shards_given = options.params.count("shards") > 0;
-    int shards = static_cast<int>(options.IntParamOr("shards", 0, &report.error));
+    int shards =
+        static_cast<int>(options.IntParamOr("shards", 0, &report.error));
     if (!report.error.empty()) return report;
     if (shards_given && shards < 1) {
       report.error = "parameter shards must be >= 1, got " +
@@ -116,11 +117,7 @@ class FabricPolicySolver : public Solver {
     }
 
     return ReplayPolicy(
-        *this, instance, options,
-        [this](std::uint64_t seed, const MatchingOptions& matching) {
-          return coflow_aware_ ? MakeCoflowPolicy(policy_, seed, matching)
-                               : MakePolicy(policy_, seed);
-        },
+        *this, policy_, instance, options,
         [&](const Instance& original, const ReplayOptions& run_options) {
           // MIGRATE rules re-home arrivals *before* partitioning — a
           // migrated flow lands in (and is simulated by) its destination's
@@ -155,11 +152,7 @@ class FabricPolicySolver : public Solver {
   }
 
  private:
-  // Coflow maxweight is the only pod policy with an auction path.
-  bool HasAuction() const { return coflow_aware_ && policy_ == "maxweight"; }
-
-  std::string policy_;
-  bool coflow_aware_;
+  ReplayedPolicy policy_;
   std::string name_;
   std::string description_;
 };
@@ -170,7 +163,8 @@ void RegisterFabricSolvers(SolverRegistry& registry) {
   const std::vector<std::string> coflow_aware = AllCoflowPolicyNames();
   const auto add = [&](const std::string& policy, bool aware) {
     registry.Register([policy, aware] {
-      return std::make_unique<FabricPolicySolver>(policy, aware);
+      return std::make_unique<FabricPolicySolver>(
+          ReplayedPolicy{policy, aware});
     });
   };
   for (const std::string& p : coflow_aware) add(p, true);

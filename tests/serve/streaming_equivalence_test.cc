@@ -416,13 +416,15 @@ void ExpectSessionMatchesBatch(const std::string& policy, bool wire,
 }
 
 TEST(StreamingEquivalenceTest, TraceSessionsMatchBatch) {
-  for (const char* policy : {"online.srpt", "coflow.sebf", "online.maxweight"}) {
+  for (const char* policy :
+       {"online.srpt", "coflow.sebf", "online.maxweight"}) {
     ExpectSessionMatchesBatch(policy, /*wire=*/false);
   }
 }
 
 TEST(StreamingEquivalenceTest, WireSessionsMatchBatch) {
-  for (const char* policy : {"online.srpt", "coflow.sebf", "online.maxweight"}) {
+  for (const char* policy :
+       {"online.srpt", "coflow.sebf", "online.maxweight"}) {
     ExpectSessionMatchesBatch(policy, /*wire=*/true);
   }
 }
