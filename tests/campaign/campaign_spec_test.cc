@@ -6,10 +6,13 @@
 #include <cctype>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <sstream>
 #include <utility>
 #include <vector>
+
+#include "campaign/campaign_plan.h"
 
 namespace flowsched {
 namespace {
@@ -224,27 +227,87 @@ TEST(ParseCampaignSpecTest, TextGridsSpeakOnlyKeyValueLines) {
       << error;
 }
 
+// Every file under campaigns/ with its text, sorted by path. Tests run
+// from the build tree; campaigns/ sits in the source root.
+std::vector<std::pair<std::filesystem::path, std::string>> CheckedInSpecs() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(FLOWSCHED_SOURCE_DIR) + "/campaigns")) {
+    paths.push_back(entry.path());
+  }
+  std::sort(paths.begin(), paths.end());
+  std::vector<std::pair<std::filesystem::path, std::string>> specs;
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    specs.emplace_back(path, buffer.str());
+  }
+  return specs;
+}
+
 TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {
   // The shipped campaign files are part of the public contract; their
   // grammar is revalidated here so a spec-format change cannot silently
-  // orphan them. (Expansion is exercised in campaign_plan_test.cc.)
-  for (const char* name :
-       {"fig4", "fig6", "fig7", "core", "ci-smoke"}) {
-    SCOPED_TRACE(name);
-    // Tests run from the build tree; campaigns/ sits in the source root.
-    const std::string path = std::string(FLOWSCHED_SOURCE_DIR) +
-                             "/campaigns/" + name + ".json";
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << path;
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
+  // orphan them.
+  const auto specs = CheckedInSpecs();
+  ASSERT_FALSE(specs.empty());
+  for (const auto& [path, text] : specs) {
+    SCOPED_TRACE(path.string());
     CampaignSpec spec;
     std::string error;
-    EXPECT_TRUE(ParseCampaignSpec(buffer.str(), spec, &error))
-        << path << ": " << error;
-    EXPECT_EQ(spec.name, name);
+    EXPECT_TRUE(ParseCampaignSpec(text, spec, &error)) << error;
+    EXPECT_EQ(spec.name, path.stem().string());
     EXPECT_FALSE(spec.grids.empty());
   }
+}
+
+// Resume reuses a run directory only while its task's spec hash holds, and
+// the hash comes from the parsed grid, not from the file's bytes: a
+// checked-in spec may be rewritten in any layout, but its tasks must keep
+// their hashes or existing run directories stop resuming. Each digest is
+// FNV-1a over a grid's task hashes in task order.
+TEST(ParseCampaignSpecTest, CheckedInGridsKeepTheirTaskHashes) {
+  const std::map<std::string, std::string> pinned = {
+      {"approx/coflow-approx-eps0.05", "ed2b9972f0d71322"},
+      {"approx/coflow-approx-eps0.5", "0d4b6e71e4db0638"},
+      {"approx/coflow-exact", "2d44ac7f4556b79e"},
+      {"ci-smoke/coflow", "16392b5a62f452cf"},
+      {"ci-smoke/flow", "1ba7442eada2731d"},
+      {"ci-smoke/mixed", "fe5551fb5b6e4b73"},
+      {"core/coflow-policies", "fd8efd84a5a00f21"},
+      {"core/fabric-sharding", "05868bf887332754"},
+      {"core/fault-robustness", "93ede39352e5c153"},
+      {"core/flow-policies", "2c9a49acd9e0444a"},
+      {"fig4/fig4a-lemma51", "c747af1ae7168567"},
+      {"fig4/fig4b-lemma52", "ab84a42b90981404"},
+      {"fig6/fig6-heuristics", "3c59d6dcd9c40000"},
+      {"fig6/fig6-lp-compared", "96c5c4a0527dfc10"},
+      {"fig7/fig7-heuristics", "c532da5ab5d14699"},
+      {"fig7/fig7-lp-compared", "3f910e35b6d2c6ac"},
+      {"realistic/cdf-coflows", "40c2584c27bf2d9d"},
+      {"realistic/cdf-fabric", "71eb6ed1428244d2"},
+      {"realistic/cdf-migration", "e532a700d5a5a857"},
+      {"realistic/cdf-policies", "8ce3e99df1e15d75"},
+  };
+  std::map<std::string, std::string> digests;
+  for (const auto& [path, text] : CheckedInSpecs()) {
+    SCOPED_TRACE(path.string());
+    CampaignSpec spec;
+    CampaignPlan plan;
+    std::string error;
+    ASSERT_TRUE(ParseCampaignSpec(text, spec, &error)) << error;
+    ASSERT_TRUE(ExpandCampaign(spec, SolverRegistry::Global(), plan, &error))
+        << error;
+    for (const CampaignGrid& grid : plan.grids) {
+      std::string hashes;
+      for (const std::uint64_t hash : grid.task_hashes) {
+        hashes += HashHex(hash) + "\n";
+      }
+      digests[spec.name + "/" + grid.spec.name] = HashHex(Fnv1a64(hashes));
+    }
+  }
+  EXPECT_EQ(digests, pinned);
 }
 
 std::vector<std::string> Lines(const std::string& text) {
@@ -261,7 +324,7 @@ std::string Join(const std::vector<std::string>& lines) {
 }
 
 // Seeded mutation fuzzing of both spec front ends: every checked-in
-// campaigns/*.json plus a text-form spec that sets every grid key, mutated
+// campaigns/ file plus a text-form spec that sets every grid key, mutated
 // by byte flips, truncation, duplicated or swapped lines, and numbers
 // replaced by huge, negative, infinite or NaN values. ParseCampaignSpec
 // must return for every input, and every failure must say why.
@@ -291,19 +354,7 @@ TEST(CampaignSpecFuzzTest, MutatedSpecsParseOrFailWithAnError) {
       "shards=1..2\n"
       "dists=websearch,fbhdp\n"
       "scenarios=none|inline:PORT_DOWN 5 1;PORT_UP 9 1\n"};
-  std::vector<std::filesystem::path> files;
-  for (const auto& entry : std::filesystem::directory_iterator(
-           std::string(FLOWSCHED_SOURCE_DIR) + "/campaigns")) {
-    if (entry.path().extension() == ".json") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  ASSERT_FALSE(files.empty());
-  for (const auto& path : files) {
-    std::ifstream in(path);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    seeds.push_back(buffer.str());
-  }
+  for (const auto& [path, text] : CheckedInSpecs()) seeds.push_back(text);
   const std::vector<std::string> numbers = {
       "18446744073709551615", "18446744073709551616", "9223372036854775807",
       "-9223372036854775808", "99999999999999999999", "1e308",  "-1",
