@@ -28,31 +28,39 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-// 1-based line number of row index `i` (blank lines are skipped by
-// ParseCsv, so this is exact for files without them).
-std::string LineTag(std::size_t row_index) {
-  return "line " + std::to_string(row_index + 1) + ": ";
-}
-
-// Same tag from a CsvRowReader's physical line number (already 1-based,
-// exact even with blank lines).
-std::string LineTagAt(long long line) {
+// "line N: " for a CsvRowReader's physical line (1-based, exact with blank
+// lines and quoted fields that span lines).
+std::string LineTag(long long line) {
   return "line " + std::to_string(line) + ": ";
 }
 
-bool ParseCapacityRow(const std::vector<std::string>& row,
-                      std::size_t row_index, std::vector<Capacity>& caps,
-                      std::string* error) {
-  caps.clear();
-  caps.reserve(row.size());
-  for (const auto& field : row) {
-    std::int64_t v = 0;
-    if (!ParseInt64(field, v)) {
-      return Fail(error, LineTag(row_index) + "bad capacity: " + field);
+bool IsLabel(const std::vector<std::string>& row, const char* label) {
+  return row.size() == 1 && row[0] == label;
+}
+
+// The capacity preamble after its "input_capacities" row: the input
+// capacities, "output_capacities", the output capacities. Values must be
+// positive: SwitchSpec's capacity >= 1 invariant would abort on untrusted
+// input otherwise.
+bool ReadCapacities(CsvRowReader& rows, std::vector<std::string>& row,
+                    std::vector<Capacity>& in_caps,
+                    std::vector<Capacity>& out_caps, std::string* error) {
+  const auto read_caps = [&](std::vector<Capacity>& caps) {
+    if (!rows.Next(&row)) return Fail(error, "missing capacity header rows");
+    caps.reserve(row.size());
+    for (const auto& field : row) {
+      std::int64_t v = 0;
+      if (!ParseInt64(field, v) || v < 1) {
+        return Fail(error, LineTag(rows.line()) + "bad capacity: " + field);
+      }
+      caps.push_back(v);
     }
-    caps.push_back(v);
-  }
-  return true;
+    return true;
+  };
+  return read_caps(in_caps) &&
+         ((rows.Next(&row) && IsLabel(row, "output_capacities")) ||
+          Fail(error, "missing capacity header rows")) &&
+         read_caps(out_caps);
 }
 
 }  // namespace
@@ -92,37 +100,13 @@ void WriteInstanceCsv(const Instance& instance, std::ostream& out) {
 }
 
 InstanceCsvReader::InstanceCsvReader(std::istream& in) : rows_(in) {
-  auto expect_label = [&](const char* label) {
-    if (!rows_.Next(&row_) || row_.size() != 1 || row_[0] != label) {
-      error_ = "missing capacity header rows";
-      return false;
-    }
-    return true;
-  };
-  auto read_caps = [&](std::vector<Capacity>& caps) {
-    if (!rows_.Next(&row_)) {
-      error_ = "missing capacity header rows";
-      return false;
-    }
-    caps.reserve(row_.size());
-    for (const auto& field : row_) {
-      std::int64_t v = 0;
-      // Reject non-positive values here rather than let SwitchSpec's
-      // capacity >= 1 invariant abort on daemon-supplied input.
-      if (!ParseInt64(field, v) || v < 1) {
-        error_ = LineTagAt(rows_.line()) + "bad capacity: " + field;
-        return false;
-      }
-      caps.push_back(v);
-    }
-    return true;
-  };
   std::vector<Capacity> in_caps;
   std::vector<Capacity> out_caps;
-  if (!expect_label("input_capacities") || !read_caps(in_caps) ||
-      !expect_label("output_capacities") || !read_caps(out_caps)) {
+  if (!rows_.Next(&row_) || !IsLabel(row_, "input_capacities")) {
+    error_ = "missing capacity header rows";
     return;
   }
+  if (!ReadCapacities(rows_, row_, in_caps, out_caps, &error_)) return;
   if (!rows_.Next(&row_)) {
     error_ = "missing flow header row";
     return;
@@ -142,7 +126,7 @@ bool InstanceCsvReader::NextFlow(Flow* flow) {
   if (!error_.empty() || !rows_.Next(&row_)) return false;
   const std::size_t width = with_coflow_ ? 5 : 4;
   if (row_.size() != width) {
-    error_ = LineTagAt(rows_.line()) + "flow row has " +
+    error_ = LineTag(rows_.line()) + "flow row has " +
              std::to_string(row_.size()) + " fields, want " +
              std::to_string(width) +
              (with_coflow_ ? " (src,dst,demand,release,coflow)"
@@ -152,15 +136,15 @@ bool InstanceCsvReader::NextFlow(Flow* flow) {
   Flow e;
   if (!ParseInt(row_[0], e.src) || !ParseInt(row_[1], e.dst) ||
       !ParseInt64(row_[2], e.demand) || !ParseInt(row_[3], e.release)) {
-    error_ = LineTagAt(rows_.line()) + "unparsable flow row";
+    error_ = LineTag(rows_.line()) + "unparsable flow row";
     return false;
   }
   if (with_coflow_ && !row_[4].empty() && !ParseInt(row_[4], e.coflow)) {
-    error_ = LineTagAt(rows_.line()) + "unparsable coflow tag: " + row_[4];
+    error_ = LineTag(rows_.line()) + "unparsable coflow tag: " + row_[4];
     return false;
   }
   if (auto fit = FlowFitError(sw_, e)) {
-    error_ = LineTagAt(rows_.line()) + *fit;
+    error_ = LineTag(rows_.line()) + *fit;
     return false;
   }
   e.id = flow->id;
@@ -221,38 +205,42 @@ bool LooksLikeCoflowTrace(const std::string& content) {
   for (int newlines = 0; end < content.size() && newlines < 5; ++end) {
     if (content[end] == '\n') ++newlines;
   }
-  const auto rows = ParseCsv(std::string_view(content).substr(0, end));
-  if (!rows.empty() && rows[0] == kCoflowHeader) return true;
-  return rows.size() > 4 && !rows[0].empty() &&
-         rows[0][0] == "input_capacities" && rows[4] == kCoflowHeader;
+  std::istringstream in(content.substr(0, end));
+  CsvRowReader rows(in);
+  std::vector<std::string> row;
+  if (!rows.Next(&row)) return false;
+  if (IsLabel(row, "input_capacities")) {
+    for (int i = 0; i < 4; ++i) {
+      if (!rows.Next(&row)) return false;
+    }
+  }
+  return row == kCoflowHeader;
 }
 
 std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
                                            std::string* error) {
-  const auto rows = ParseCsv(content);
-  std::size_t first = 0;
+  std::istringstream in(content);
+  CsvRowReader rows(in);
+  std::vector<std::string> row;
   std::vector<Capacity> in_caps;
   std::vector<Capacity> out_caps;
-  if (!rows.empty() && !rows[0].empty() && rows[0][0] == "input_capacities") {
-    if (rows.size() < 4 || rows[2].empty() ||
-        rows[2][0] != "output_capacities") {
-      Fail(error, "truncated capacity preamble");
+  bool have_row = rows.Next(&row);
+  if (have_row && IsLabel(row, "input_capacities")) {
+    if (!ReadCapacities(rows, row, in_caps, out_caps, error)) {
       return std::nullopt;
     }
-    if (!ParseCapacityRow(rows[1], 1, in_caps, error)) return std::nullopt;
-    if (!ParseCapacityRow(rows[3], 3, out_caps, error)) return std::nullopt;
-    first = 4;
+    have_row = rows.Next(&row);
   }
-  if (rows.size() <= first || rows[first] != kCoflowHeader) {
+  if (!have_row || row != kCoflowHeader) {
     Fail(error, "missing coflow header row (coflow,arrival,mappers,reducers)");
     return std::nullopt;
   }
   std::vector<Flow> flows;
   PortId max_port = -1;
-  for (std::size_t i = first + 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
+  while (rows.Next(&row)) {
+    const std::string at = LineTag(rows.line());
     if (row.size() != 4) {
-      Fail(error, LineTag(i) + "coflow row has " + std::to_string(row.size()) +
+      Fail(error, at + "coflow row has " + std::to_string(row.size()) +
                       " fields, want 4 (coflow,arrival,mappers,reducers)");
       return std::nullopt;
     }
@@ -260,21 +248,21 @@ std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
     Round arrival = 0;
     if (!ParseInt(row[0], coflow) || coflow < 0 ||
         !ParseInt(row[1], arrival)) {
-      Fail(error, LineTag(i) + "unparsable coflow id / arrival");
+      Fail(error, at + "unparsable coflow id / arrival");
       return std::nullopt;
     }
     std::vector<PortId> mappers;
     for (const std::string& m : SplitSemicolons(row[2])) {
       PortId p = 0;
       if (!ParseInt(m, p) || p < 0 || p >= kMaxInferredPort) {
-        Fail(error, LineTag(i) + "bad mapper port: " + m);
+        Fail(error, at + "bad mapper port: " + m);
         return std::nullopt;
       }
       mappers.push_back(p);
       max_port = std::max(max_port, p);
     }
     if (mappers.empty()) {
-      Fail(error, LineTag(i) + "coflow has no mappers");
+      Fail(error, at + "coflow has no mappers");
       return std::nullopt;
     }
     // Each reducer's shuffle volume splits evenly over the mappers
@@ -289,7 +277,7 @@ std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
       if (colon == std::string::npos || !ParseInt(r.substr(0, colon), q) ||
           q < 0 || q >= kMaxInferredPort ||
           !ParseInt64(r.substr(colon + 1), units) || units < 1) {
-        Fail(error, LineTag(i) + "unparsable reducer spec: " + r);
+        Fail(error, at + "unparsable reducer spec: " + r);
         return std::nullopt;
       }
       any_reducer = true;
@@ -307,7 +295,7 @@ std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
       }
     }
     if (!any_reducer) {
-      Fail(error, LineTag(i) + "coflow has no reducers");
+      Fail(error, at + "coflow has no reducers");
       return std::nullopt;
     }
   }
@@ -346,22 +334,25 @@ void WriteScheduleCsv(const Schedule& schedule, std::ostream& out) {
 
 std::optional<Schedule> ReadScheduleCsv(const std::string& content,
                                         int num_flows, std::string* error) {
-  const auto rows = ParseCsv(content);
-  if (rows.empty() || rows[0] != std::vector<std::string>{"flow_id", "round"}) {
+  std::istringstream in(content);
+  CsvRowReader rows(in);
+  std::vector<std::string> row;
+  if (!rows.Next(&row) ||
+      row != std::vector<std::string>{"flow_id", "round"}) {
     Fail(error, "missing schedule header");
     return std::nullopt;
   }
   Schedule schedule(num_flows);
-  for (std::size_t i = 1; i < rows.size(); ++i) {
-    const auto& row = rows[i];
+  while (rows.Next(&row)) {
+    const std::string at = LineTag(rows.line());
     int id = 0;
     int round = 0;
     if (row.size() != 2 || !ParseInt(row[0], id) || !ParseInt(row[1], round)) {
-      Fail(error, LineTag(i) + "unparsable schedule row");
+      Fail(error, at + "unparsable schedule row");
       return std::nullopt;
     }
     if (id < 0 || id >= num_flows) {
-      Fail(error, LineTag(i) + "flow id out of range: " + row[0]);
+      Fail(error, at + "flow id out of range: " + row[0]);
       return std::nullopt;
     }
     if (round >= 0) schedule.Assign(id, round);

@@ -76,13 +76,13 @@ class InstanceCsvReader {
 
 // Parses an instance written by WriteInstanceCsv. Returns nullopt and fills
 // `error` (if non-null) on malformed input; row-level errors carry the
-// 1-based line number (exact when the file has no blank lines, which the
-// parser skips).
+// row's 1-based physical line number.
 std::optional<Instance> ReadInstanceCsv(const std::string& content,
                                         std::string* error = nullptr);
 
 // Parses a coflow trace (format above) into an instance with tagged flows.
-// Returns nullopt and fills `error` (if non-null) on malformed input.
+// Returns nullopt and fills `error` (if non-null) on malformed input;
+// row-level errors carry the row's 1-based physical line number.
 std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
                                            std::string* error = nullptr);
 

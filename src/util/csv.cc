@@ -89,52 +89,4 @@ bool CsvRowReader::Next(std::vector<std::string>* row) {
   }
 }
 
-std::vector<std::vector<std::string>> ParseCsv(std::string_view content) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&] {
-    if (field_started || !field.empty() || !row.empty()) {
-      end_field();
-      rows.push_back(std::move(row));
-      row.clear();
-    }
-  };
-  for (std::size_t i = 0; i < content.size(); ++i) {
-    const char c = content[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < content.size() && content[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-    } else if (c == '"') {
-      in_quotes = true;
-      field_started = true;
-    } else if (c == ',') {
-      end_field();
-      field_started = true;  // An empty trailing field still counts.
-    } else if (c == '\n') {
-      end_row();
-    } else if (c != '\r') {
-      field += c;
-      field_started = true;
-    }
-  }
-  end_row();
-  return rows;
-}
-
 }  // namespace flowsched

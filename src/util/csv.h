@@ -54,15 +54,11 @@ class CsvWriter {
   std::ostream& out_;
 };
 
-// Parses CSV content into rows of fields. Handles quoted fields.
-std::vector<std::vector<std::string>> ParseCsv(std::string_view content);
-
-// Line-at-a-time CSV row reader over an std::istream: the streaming
-// counterpart of ParseCsv, shared by the batch trace parsers and the
-// streaming trace source so a multi-gigabyte trace never has to be
-// materialized (or even fully read) to start serving rows. Same dialect as
-// ParseCsv: quoted fields (which may span lines), '\r' stripped, blank
-// lines skipped.
+// Line-at-a-time CSV row reader over an std::istream: the one CSV reader,
+// shared by the batch trace parsers and the streaming trace source so a
+// multi-gigabyte trace never has to be materialized (or even fully read)
+// to start serving rows. Quoted fields (which may span lines), '\r'
+// stripped, blank lines skipped.
 class CsvRowReader {
  public:
   explicit CsvRowReader(std::istream& in) : in_(in) {}

@@ -128,7 +128,7 @@ TEST(AggregatorTest, JsonAndCsvReportsAreWellFormedWithoutTiming) {
 // Instance specs contain commas ("poisson:ports=8,load=1.0") and inline
 // scenario scripts contain both commas and semicolons; unquoted they shear
 // the CSV report's columns. The regression: every row must round-trip
-// through ParseCsv with the same column count as the header.
+// through CsvRowReader with the same column count as the header.
 TEST(AggregatorTest, CsvQuotesCommaAndSemicolonBearingFields) {
   SweepPlan plan;
   SweepCell cell;
@@ -148,7 +148,10 @@ TEST(AggregatorTest, CsvQuotesCommaAndSemicolonBearingFields) {
   std::ostringstream csv;
   agg.WriteCsv(csv);
 
-  const auto rows = ParseCsv(csv.str());
+  std::istringstream in(csv.str());
+  CsvRowReader reader(in);
+  std::vector<std::vector<std::string>> rows;
+  for (std::vector<std::string> row; reader.Next(&row);) rows.push_back(row);
   ASSERT_EQ(rows.size(), 2u);  // Header + one cell.
   EXPECT_EQ(rows[0].size(), rows[1].size())
       << "data row sheared against the header";

@@ -188,6 +188,53 @@ TEST(TraceIoTest, CoflowTraceErrorsCarryTheLineNumber) {
   EXPECT_NE(error.find("header"), std::string::npos) << error;
 }
 
+// Errors name the bad row's physical line: blank lines count, and so does
+// every line a quoted field spans. No coflow-trace or schedule field can
+// hold a newline and still parse, so the spanning field sits in the bad
+// row, which is named by the line it starts on.
+TEST(TraceIoTest, TraceErrorsNameThePhysicalLine) {
+  const std::string header = "coflow,arrival,mappers,reducers\n";  // 1
+  std::string error;
+  EXPECT_FALSE(ReadCoflowTraceCsv(header +
+                                      "\n"            // 2
+                                      "1,0,0,1:1\n"   // 3
+                                      "\n"            // 4
+                                      "2,0,x,1:1\n",  // 5
+                                  &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 5: bad mapper port: x");
+  EXPECT_FALSE(ReadCoflowTraceCsv(header +
+                                      "1,0,0,1:1\n"    // 2
+                                      "\n"             // 3
+                                      "2,0,\"0;x\n"    // 4
+                                      "y\",1:1\n"      // 5
+                                      "3,0,0,1:1\n",   // 6
+                                  &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 4: bad mapper port: x\ny");
+  EXPECT_FALSE(ReadScheduleCsv("flow_id,round\n"  // 1
+                               "\n"               // 2
+                               "0,1\n"            // 3
+                               "\n"               // 4
+                               "x,2\n",           // 5
+                               2, &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 5: unparsable schedule row");
+}
+
+// A coflow trace's capacity preamble is checked like the instance CSV's:
+// a zero capacity is a parse error, not a SwitchSpec abort.
+TEST(TraceIoTest, CoflowTraceRejectsZeroCapacity) {
+  std::string error;
+  EXPECT_FALSE(ReadCoflowTraceCsv("input_capacities\n1,0\n"
+                                  "output_capacities\n1,1\n"
+                                  "coflow,arrival,mappers,reducers\n"
+                                  "1,0,0,1:1\n",
+                                  &error)
+                   .has_value());
+  EXPECT_EQ(error, "line 2: bad capacity: 0");
+}
+
 TEST(TraceIoTest, ScheduleRoundTrip) {
   Schedule s(3);
   s.Assign(0, 4);
