@@ -5,7 +5,7 @@
 //   flowsched_cli --list | --list-solvers
 //   flowsched_cli --describe-solvers [--markdown]
 //   flowsched_cli [--instance=<csv path | generator spec>]
-//                 [--solver=all | name[,name...]]
+//                 [--solver=all | name-or-glob[,name-or-glob...]]
 //                 [--param key=value]... [--seed=N] [--max-rounds=N]
 //                 [--time-limit=SECONDS] [--csv=out.csv]
 //                 [--schedule-out=schedule.csv] [--diagnostics]
@@ -15,6 +15,7 @@
 //   flowsched_cli --instance=trace.csv --solver=mrt.theorem3 \
 //       --schedule-out=plan.csv
 //   flowsched_cli --instance=fig4b --solver=online.maxweight,mrt.exact
+//   flowsched_cli --instance=coflow:ports=8 --solver='coflow.*'
 //
 // Generator specs are documented in api/instance_source.h and
 // docs/file-formats.md; per-solver parameter keys in docs/solvers.md —
@@ -63,6 +64,7 @@ void PrintUsage(std::ostream& out) {
          "                         <inner> wrapper shards any source for the\n"
          "                         fabric.* solvers\n"
          "  --solver=NAMES         'all' (default) or comma-separated names\n"
+         "                         or '*' globs ('coflow.*')\n"
          "  --param KEY=VALUE      solver-specific parameter (repeatable)\n"
          "  --seed=N               RNG seed for randomized policies\n"
          "  --max-rounds=N         online simulation horizon\n"
@@ -267,8 +269,16 @@ int Run(int argc, char** argv) {
             << instance->sw().num_outputs() << " switch, dmax="
             << instance->MaxDemand() << ")\n\n";
 
-  std::vector<std::string> names =
-      cli.solvers.empty() ? registry.Names() : cli.solvers;
+  // Each --solver entry resolves like a campaign's solvers= list: a name
+  // or a '*' glob. One that matches nothing stays as written, so it fails
+  // below as an unknown solver.
+  std::vector<std::string> names;
+  for (const std::string& entry : cli.solvers) {
+    std::vector<std::string> matches = registry.NamesMatching(entry);
+    if (matches.empty()) matches.push_back(entry);
+    names.insert(names.end(), matches.begin(), matches.end());
+  }
+  if (cli.solvers.empty()) names = registry.Names();
 
   TextTable table({"solver", "status", "total_resp", "avg_resp", "max_resp",
                    "makespan", "allowance", "lower_bound", "wall_ms"});
