@@ -9,10 +9,13 @@
 // budget c_p + (2*dmax - 1). Each pass re-solves the residual LP for a
 // vertex and permanently fixes the (numerically) integral variables whose
 // round stays within that budget; a vertex that fixes nothing has its
-// heaviest variable fixed instead. Only
-// when forced fixes make the LP infeasible is a row lifted to unbounded,
-// counted as `hard_drops`: violations beyond 2*dmax - 1 can only come from
-// those, and the realized worst violation is measured and reported.
+// heaviest variable fixed instead, in a round within budget when it has
+// one. Only when forced fixes make the LP infeasible is a row lifted to
+// unbounded, counted as `hard_drops`. Violations beyond 2*dmax - 1 come
+// from those, or from a forced fix of a flow none of whose rounds fits the
+// budget (it takes its least-overshooting round; seen only on
+// over-committed input, outside GroupRound's LP-feasible precondition).
+// The realized worst violation is measured and reported either way.
 #ifndef FLOWSCHED_CORE_GROUP_ROUNDING_H_
 #define FLOWSCHED_CORE_GROUP_ROUNDING_H_
 
