@@ -10,12 +10,12 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
+#include <thread>
 
 #include "api/instance_source.h"
 #include "api/solver.h"
 #include "util/json.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 namespace flowsched {
 namespace {
@@ -61,6 +61,25 @@ bool WriteFileAtomic(const std::string& path, const std::string& content,
     return Fail(error, "rename " + tmp + " -> " + path + ": " + ec.message());
   }
   return true;
+}
+
+// Calls body(i) for every i in [0, n) on min(workers, n) threads, the
+// caller's among them; each thread claims the next index from a shared
+// counter, so one slow task never holds up the rest. Returns when all are
+// done. Bodies must not throw (failures are FS_CHECK aborts or error
+// values here).
+template <typename Body>
+void ParallelFor(int workers, std::size_t n, const Body& body) {
+  std::atomic<std::size_t> next{0};
+  const auto work = [&] {
+    for (std::size_t i = next++; i < n; i = next++) body(i);
+  };
+  std::vector<std::thread> threads;
+  for (std::size_t w = 1; w < std::min<std::size_t>(workers, n); ++w) {
+    threads.emplace_back(work);
+  }
+  work();
+  for (std::thread& thread : threads) thread.join();
 }
 
 std::int64_t UnixMillisNow() {
@@ -255,7 +274,7 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
     statuses.assign(grid.plan.tasks.size(), CampaignTaskStatus::kPending);
 
     // Resume pass: decide per task before materializing anything.
-    int to_run = 0;
+    std::vector<std::size_t> to_run;
     for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
       if (options.resume &&
           CampaignTaskUpToDate(
@@ -264,113 +283,108 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
         statuses[t] = CampaignTaskStatus::kSkipped;
         ++summary.skipped;
       } else {
-        ++to_run;
+        to_run.push_back(t);
       }
     }
-    if (to_run == 0) continue;
-    summary.workers[g] = std::clamp(options.jobs, 1, to_run);
-    ThreadPool pool(summary.workers[g]);
+    if (to_run.empty()) continue;
+    const int workers = std::clamp(options.jobs, 1,
+                                   static_cast<int>(to_run.size()));
+    summary.workers[g] = workers;
 
     // Materialize only the instances the remaining tasks reference.
     const std::size_t num_instances = grid.plan.unique_instances.size();
     std::vector<char> needed(num_instances, 0);
-    for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
-      if (statuses[t] == CampaignTaskStatus::kPending) {
-        needed[grid.plan.tasks[t].instance_slot] = 1;
-      }
+    for (const std::size_t t : to_run) {
+      needed[grid.plan.tasks[t].instance_slot] = 1;
+    }
+    std::vector<std::size_t> to_load;
+    for (std::size_t i = 0; i < num_instances; ++i) {
+      if (needed[i]) to_load.push_back(i);
     }
     std::vector<std::optional<Instance>> instances(num_instances);
     std::vector<std::string> instance_errors(num_instances);
-    for (std::size_t i = 0; i < num_instances; ++i) {
-      if (!needed[i]) continue;
-      pool.Submit([&, i] {
-        instances[i] =
-            LoadInstance(grid.plan.unique_instances[i], &instance_errors[i]);
-      });
-    }
-    pool.Wait();
+    ParallelFor(workers, to_load.size(), [&](std::size_t k) {
+      const std::size_t i = to_load[k];
+      instances[i] =
+          LoadInstance(grid.plan.unique_instances[i], &instance_errors[i]);
+    });
 
-    for (std::size_t t = 0; t < grid.plan.tasks.size(); ++t) {
-      if (statuses[t] != CampaignTaskStatus::kPending) continue;
-      pool.Submit([&, g, t] {
-        const CampaignGrid& grid = plan.grids[g];
-        const SweepTask& task = grid.plan.tasks[t];
-        const SweepCell& cell = grid.plan.cells[task.cell];
-        auto& status = summary.statuses[g][t];
-        if (stop.load(std::memory_order_relaxed)) {
-          status = CampaignTaskStatus::kNotRun;
-          return;
-        }
-        const std::string dir =
-            CampaignTaskDir(out_root, grid.task_ids[t]);
-        std::error_code dir_ec;
-        fs::create_directories(dir, dir_ec);
+    ParallelFor(workers, to_run.size(), [&](std::size_t k) {
+      const std::size_t t = to_run[k];
+      const SweepTask& task = grid.plan.tasks[t];
+      const SweepCell& cell = grid.plan.cells[task.cell];
+      auto& status = statuses[t];
+      if (stop.load(std::memory_order_relaxed)) {
+        status = CampaignTaskStatus::kNotRun;
+        return;
+      }
+      const std::string dir = CampaignTaskDir(out_root, grid.task_ids[t]);
+      std::error_code dir_ec;
+      fs::create_directories(dir, dir_ec);
 
-        const std::int64_t start_ms = UnixMillisNow();
-        Stopwatch task_timer;
-        TaskOutcome outcome;
-        const auto& instance = instances[task.instance_slot];
-        if (dir_ec) {
-          outcome.ok = false;
-          outcome.error = "cannot create " + dir + ": " + dir_ec.message();
-        } else if (!instance.has_value()) {
-          outcome.ok = false;
-          outcome.error = "instance: " + instance_errors[task.instance_slot];
-        } else {
-          SolveOptions solve;
-          solve.seed = task.solver_seed;
-          solve.max_rounds = static_cast<Round>(grid.spec.max_rounds);
-          solve.params = grid.spec.params;
-          if (cell.scenario && *cell.scenario != "none") {
-            solve.params["scenario"] = *cell.scenario;
-          }
-          outcome = OutcomeFromSolveReport(
-              registry.Solve(cell.solver, *instance, solve));
+      const std::int64_t start_ms = UnixMillisNow();
+      Stopwatch task_timer;
+      TaskOutcome outcome;
+      const auto& instance = instances[task.instance_slot];
+      if (dir_ec) {
+        outcome.ok = false;
+        outcome.error = "cannot create " + dir + ": " + dir_ec.message();
+      } else if (!instance.has_value()) {
+        outcome.ok = false;
+        outcome.error = "instance: " + instance_errors[task.instance_slot];
+      } else {
+        SolveOptions solve;
+        solve.seed = task.solver_seed;
+        solve.max_rounds = static_cast<Round>(grid.spec.max_rounds);
+        solve.params = grid.spec.params;
+        if (cell.scenario && *cell.scenario != "none") {
+          solve.params["scenario"] = *cell.scenario;
         }
-        const double wall = task_timer.ElapsedSeconds();
-        const std::int64_t end_ms = UnixMillisNow();
+        outcome = OutcomeFromSolveReport(
+            registry.Solve(cell.solver, *instance, solve));
+      }
+      const double wall = task_timer.ElapsedSeconds();
+      const std::int64_t end_ms = UnixMillisNow();
 
-        // Durable record: outcome first, meta last (the commit marker).
-        std::string write_error;
-        bool wrote = true;
-        if (!dir_ec) {
-          std::ostringstream oj;
-          WriteTaskJsonLine(oj, cell, task, outcome);
-          wrote = WriteFileAtomic(dir + "/outcome.json", oj.str(),
-                                  &write_error) &&
-                  WriteFileAtomic(
-                      dir + "/meta.json",
-                      MetaJson(spec, grid, static_cast<int>(t),
-                               grid.task_ids[t], HashHex(grid.task_hashes[t]),
-                               prov, start_ms, end_ms, wall, outcome),
-                      &write_error);
-        }
-        if (!wrote) {
-          outcome.ok = false;
-          outcome.error = write_error;
-        }
-        status = outcome.ok ? CampaignTaskStatus::kOk
-                            : CampaignTaskStatus::kFailed;
-        if (!outcome.ok && options.fail_fast) {
-          stop.store(true, std::memory_order_relaxed);
-        }
-        std::lock_guard<std::mutex> lock(log_mu);
-        ++summary.ran;
-        outcome.ok ? ++summary.ok : ++summary.failed;
-        if (options.log != nullptr) {
-          *options.log << "[" << (summary.ran + summary.skipped) << "/"
-                       << summary.total << "] "
-                       << (outcome.ok ? "ok    " : "FAIL  ")
-                       << grid.task_ids[t];
-          char wall_buf[32];
-          std::snprintf(wall_buf, sizeof(wall_buf), " (%.2fs)", wall);
-          *options.log << wall_buf;
-          if (!outcome.ok) *options.log << "  " << outcome.error;
-          *options.log << std::endl;
-        }
-      });
-    }
-    pool.Wait();
+      // Durable record: outcome first, meta last (the commit marker).
+      std::string write_error;
+      bool wrote = true;
+      if (!dir_ec) {
+        std::ostringstream oj;
+        WriteTaskJsonLine(oj, cell, task, outcome);
+        wrote = WriteFileAtomic(dir + "/outcome.json", oj.str(),
+                                &write_error) &&
+                WriteFileAtomic(
+                    dir + "/meta.json",
+                    MetaJson(spec, grid, static_cast<int>(t),
+                             grid.task_ids[t], HashHex(grid.task_hashes[t]),
+                             prov, start_ms, end_ms, wall, outcome),
+                    &write_error);
+      }
+      if (!wrote) {
+        outcome.ok = false;
+        outcome.error = write_error;
+      }
+      status = outcome.ok ? CampaignTaskStatus::kOk
+                          : CampaignTaskStatus::kFailed;
+      if (!outcome.ok && options.fail_fast) {
+        stop.store(true, std::memory_order_relaxed);
+      }
+      std::lock_guard<std::mutex> lock(log_mu);
+      ++summary.ran;
+      outcome.ok ? ++summary.ok : ++summary.failed;
+      if (options.log != nullptr) {
+        *options.log << "[" << (summary.ran + summary.skipped) << "/"
+                     << summary.total << "] "
+                     << (outcome.ok ? "ok    " : "FAIL  ")
+                     << grid.task_ids[t];
+        char wall_buf[32];
+        std::snprintf(wall_buf, sizeof(wall_buf), " (%.2fs)", wall);
+        *options.log << wall_buf;
+        if (!outcome.ok) *options.log << "  " << outcome.error;
+        *options.log << std::endl;
+      }
+    });
     if (stop.load(std::memory_order_relaxed)) break;
   }
 

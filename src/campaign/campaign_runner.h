@@ -19,10 +19,11 @@
 //   - provenance git_sha and compiler_flags == the running binary's
 //     (results from a different commit or build flags are not comparable)
 //
-// Execution runs each grid on a util/thread_pool.h work-stealing pool of
-// clamp(jobs, 1, tasks to run) workers. Instances are materialized once per
-// grid, and only the ones to-be-run tasks reference — a fully resumed grid
-// loads nothing and starts no pool. --fail-fast stops scheduling after the
+// Execution runs each grid's tasks on clamp(jobs, 1, tasks to run) workers,
+// each claiming the next task from a shared counter. Instances are
+// materialized once per grid, the same way, and only the ones to-be-run
+// tasks reference — a fully resumed grid loads nothing and starts no
+// thread. --fail-fast stops scheduling after the
 // first failure (running tasks finish; unstarted ones are left untouched
 // for the next resume); the default keeps going so one broken cell cannot
 // void a campaign.
