@@ -12,7 +12,7 @@ bool Fail(std::string* error, const std::string& msg) {
 
 // %.15g: enough digits to round-trip the axis values the parser produced;
 // matches the sweep expander's own axis formatting so equal specs hash
-// equal regardless of source format.
+// equal however the spec spelled them ("0.70" or "0.7").
 std::string Num(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.15g", v);

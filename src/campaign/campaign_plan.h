@@ -42,7 +42,8 @@ bool ExpandCampaign(const CampaignSpec& spec, const SolverRegistry& registry,
                     CampaignPlan& plan, std::string* error);
 
 // Canonical fixed-order serialization of a sweep spec — the hashing
-// input. Stable across parse formats (key=value, JSON, CLI flags).
+// input. Stable across spec layouts (key order, comments, blank lines),
+// so rewriting a spec file keeps its task hashes.
 std::string CanonicalSweepSpecText(const SweepSpec& spec);
 
 // 64-bit FNV-1a, the repo-local content hash for resume checks.

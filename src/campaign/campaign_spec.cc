@@ -3,8 +3,6 @@
 #include <cctype>
 #include <set>
 
-#include "util/json.h"
-
 namespace flowsched {
 namespace {
 
@@ -47,13 +45,14 @@ bool CheckNames(const CampaignSpec& spec, std::string* error) {
   return true;
 }
 
-// ---- key=value front end -------------------------------------------------
+}  // namespace
+
 // Campaign keys before the first [grid]; every line after a [grid] is a key
 // of that grid, in the sweep-spec grammar (ApplySweepSpecLine), and its
 // errors name the file line.
-
-bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
+bool ParseCampaignSpec(const std::string& text, CampaignSpec& spec,
                        std::string* error) {
+  spec = CampaignSpec{};
   int grid_keys = 0;  // Key lines in the current grid.
   const auto grid_done = [&] {
     return spec.grids.empty() || grid_keys > 0 ||
@@ -94,98 +93,6 @@ bool ParseTextCampaign(const std::string& text, CampaignSpec& spec,
     }
   }
   return grid_done() && CheckNames(spec, error);
-}
-
-// ---- JSON front end ------------------------------------------------------
-// The document parses with util/json; each grid object converts member by
-// member into the key=value grammar ApplySweepSpecKey speaks (arrays join
-// with the key's list separator, params expand to repeated param=k=v).
-
-bool ApplyJsonGridMember(SweepSpec& grid, const std::string& key,
-                         const JsonValue& value, std::string* error) {
-  if (key == "params") {
-    if (value.type != JsonValue::Type::kObject) {
-      return Fail(error, "params: expected an object");
-    }
-    for (const auto& [pkey, pval] : value.members) {
-      const std::string text = pval.type == JsonValue::Type::kString
-                                   ? pval.string_value
-                                   : pval.raw;
-      if (!ApplySweepSpecKey(grid, "param", pkey + "=" + text, error)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  if (value.type == JsonValue::Type::kArray) {
-    const char sep = (key == "instances" || key == "instance") ? ';'
-                     : key == "scenarios"                      ? '|'
-                                                               : ',';
-    std::string joined;
-    for (std::size_t i = 0; i < value.items.size(); ++i) {
-      const JsonValue& item = value.items[i];
-      if (i > 0) joined += sep;
-      joined += item.type == JsonValue::Type::kString ? item.string_value
-                                                      : item.raw;
-    }
-    return ApplySweepSpecKey(grid, key, joined, error);
-  }
-  const std::string text = value.type == JsonValue::Type::kString
-                               ? value.string_value
-                               : value.raw;
-  return ApplySweepSpecKey(grid, key, text, error);
-}
-
-bool ParseJsonCampaign(const std::string& text, CampaignSpec& spec,
-                       std::string* error) {
-  JsonValue doc;
-  if (!ParseJson(text, doc, error)) return false;
-  if (doc.type != JsonValue::Type::kObject) {
-    return Fail(error, "campaign json: expected an object");
-  }
-  for (const auto& [key, value] : doc.members) {
-    if (key == "name") {
-      spec.name = value.string_value;
-    } else if (key == "title") {
-      spec.title = value.string_value;
-    } else if (key == "out_root") {
-      spec.out_root = value.string_value;
-    } else if (key == "grids") {
-      if (value.type != JsonValue::Type::kArray) {
-        return Fail(error, "grids: expected an array of grid objects");
-      }
-      for (std::size_t i = 0; i < value.items.size(); ++i) {
-        const JsonValue& grid_obj = value.items[i];
-        if (grid_obj.type != JsonValue::Type::kObject) {
-          return Fail(error, "grids[" + std::to_string(i) +
-                                 "]: expected an object");
-        }
-        SweepSpec grid;
-        for (const auto& [gkey, gval] : grid_obj.members) {
-          std::string gerr;
-          if (!ApplyJsonGridMember(grid, gkey, gval, &gerr)) {
-            return Fail(error,
-                        "grids[" + std::to_string(i) + "]: " + gerr);
-          }
-        }
-        spec.grids.push_back(std::move(grid));
-      }
-    } else {
-      return Fail(error, "unknown campaign key \"" + key + "\"");
-    }
-  }
-  return CheckNames(spec, error);
-}
-
-}  // namespace
-
-bool ParseCampaignSpec(const std::string& text, CampaignSpec& spec,
-                       std::string* error) {
-  spec = CampaignSpec{};
-  const auto first = text.find_first_not_of(" \t\r\n");
-  if (first == std::string::npos) return Fail(error, "empty campaign spec");
-  return text[first] == '{' ? ParseJsonCampaign(text, spec, error)
-                            : ParseTextCampaign(text, spec, error);
 }
 
 std::string CampaignOutRoot(const CampaignSpec& spec) {

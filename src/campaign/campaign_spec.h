@@ -11,9 +11,8 @@
 // follows the cascade bench runner (SNIPPETS.md 2/3): per-run meta.json,
 // --resume, --dry-run, aggregate -> static report.
 //
-// Two source formats:
-//
-// key=value with [grid] sections ('#' comments, blank lines ignored):
+// One source format, key=value lines with [grid] sections ('#' comments,
+// blank lines ignored), checked in as campaigns/*.campaign:
 //
 //   name=paper-figs
 //   title=Paper figure reproductions
@@ -25,12 +24,6 @@
 //   ... any sweep spec key ...
 //   [grid]
 //   name=...
-//
-// JSON: one object with "name", optional "title"/"out_root", and "grids",
-// an array of flat objects keyed like the sweep-spec lines:
-//
-//   {"name": "paper-figs",
-//    "grids": [{"name": "fig6-art", "solvers": [...], ...}, ...]}
 //
 // Grid names become directory-name prefixes, so they are restricted to
 // [A-Za-z0-9._-] and must be unique within the campaign; the campaign
@@ -52,9 +45,9 @@ struct CampaignSpec {
   std::vector<SweepSpec> grids;   // Each named, names unique.
 };
 
-// Parses a campaign from text: JSON when the first non-space character is
-// '{', otherwise the [grid]-sectioned key=value format. Returns false and
-// fills *error on malformed input, bad names, duplicate/missing grids.
+// Parses a campaign from its [grid]-sectioned key=value text. Returns false
+// and fills *error on malformed input (naming the 1-based line), bad names,
+// duplicate/missing grids.
 // Expansion-time validation (solver globs, axis/placeholder matching)
 // happens later in ExpandCampaign.
 bool ParseCampaignSpec(const std::string& text, CampaignSpec& spec,

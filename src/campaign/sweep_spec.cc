@@ -164,11 +164,14 @@ bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
   return ParseAxisList(text, out, error);
 }
 
-// Applies one key=value pair to the spec; the text and JSON front ends and
-// the campaign spec parser (campaign/campaign_spec.cc) funnel through here
-// so the key set cannot drift between formats.
-bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
-                       const std::string& value, std::string* error) {
+bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
+                        std::string* error) {
+  const auto eq = line.find('=');
+  if (eq == std::string::npos) {
+    return Fail(error, "expected key=value, got \"" + line + "\"");
+  }
+  const std::string key = line.substr(0, eq);
+  const std::string value = line.substr(eq + 1);
   // A list key replaces its whole list; an error names the key.
   const auto list = [&](std::vector<std::string>& items, char sep) {
     items = Split(value, sep);
@@ -212,11 +215,11 @@ bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
                            value + "\"");
   }
   if (key == "param") {
-    const auto eq = value.find('=');
-    if (eq == std::string::npos) {
+    const auto split = value.find('=');
+    if (split == std::string::npos) {
       return Fail(error, "param: expected key=value, got \"" + value + "\"");
     }
-    spec.params[value.substr(0, eq)] = value.substr(eq + 1);
+    spec.params[value.substr(0, split)] = value.substr(split + 1);
     return true;
   }
   return Fail(error, "unknown spec key \"" + key + "\"");
@@ -257,25 +260,15 @@ std::vector<std::pair<int, std::string>> SpecLines(const std::string& text) {
   return lines;
 }
 
-bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
-                        std::string* error) {
-  const auto eq = line.find('=');
-  if (eq == std::string::npos) {
-    return Fail(error, "expected key=value, got \"" + line + "\"");
-  }
-  return ApplySweepSpecKey(spec, line.substr(0, eq), line.substr(eq + 1),
-                           error);
-}
-
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
-                    std::string* error, int first_line) {
+                    std::string* error) {
   const auto lines = SpecLines(text);
   if (lines.empty()) return Fail(error, "empty sweep spec");
   for (const auto& [line_no, line] : lines) {
     std::string line_error;
     if (!ApplySweepSpecLine(spec, line, &line_error)) {
-      return Fail(error, "line " + std::to_string(first_line + line_no - 1) +
-                             ": " + line_error);
+      return Fail(error,
+                  "line " + std::to_string(line_no) + ": " + line_error);
     }
   }
   return true;

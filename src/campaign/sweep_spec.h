@@ -44,10 +44,9 @@
 // function of its position in the grid — byte-identical results no matter
 // how many threads execute the plan or in which order.
 //
-// Specs parse from key=value lines: one grid of a campaign spec
-// (campaign/campaign_spec.h), whose JSON form maps each grid object onto
-// the same keys through util/json. See README "Running experiment sweeps"
-// and docs/file-formats.md for the worked format reference.
+// Specs parse from key=value lines: one [grid] section of a campaign spec
+// (campaign/campaign_spec.h). See docs/campaigns.md and
+// docs/file-formats.md for the worked format reference.
 //
 // Failing fast: unknown spec keys, axis/placeholder mismatches, unknown
 // solvers, and unknown keys or out-of-range values inside generator-spec
@@ -140,31 +139,24 @@ bool ParseAxis(const std::string& text, std::vector<long long>& out,
 bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
                std::string* error);
 
-// Applies one key=value pair (the spec-file line grammar) to `spec`.
-// Text grids (ApplySweepSpecLine below) and the JSON campaign parser
-// (campaign/campaign_spec.h) funnel through this, so the key set cannot
-// drift between text and JSON campaign grids.
-bool ApplySweepSpecKey(SweepSpec& spec, const std::string& key,
-                       const std::string& value, std::string* error);
-
 // The lines of a key=value text that hold something: '#' comments and
 // surrounding blanks cut, blank lines dropped, each with its 1-based line
-// number. Sweep specs and text campaigns (campaign/campaign_spec.h) share
-// this grammar.
+// number. Sweep specs and campaign [grid] sections
+// (campaign/campaign_spec.h) share this grammar.
 std::vector<std::pair<int, std::string>> SpecLines(const std::string& text);
 
-// Applies one "key=value" line through ApplySweepSpecKey.
+// Applies one "key=value" line to `spec`; an error names the key. Keys:
+// name, solvers, instances (';'-separated — specs contain commas), loads,
+// ports, rounds, shards, dists, seeds, scenarios ('|'-separated), trials,
+// base_seed, max_rounds, param (repeatable "key=value"). A list or axis
+// key replaces its whole list. Unknown keys are errors.
 bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
                         std::string* error);
 
-// Parses a spec from key=value lines ('#' comments, blank lines ignored).
-// Keys: name, solvers, instances (';'-separated — specs contain commas),
-// loads, ports, rounds, shards, dists, seeds, scenarios ('|'-separated),
-// trials, base_seed, max_rounds, param (repeatable "key=value"). Unknown
-// keys are errors. Errors name "line N", counting the text's first line as
-// `first_line`.
+// Parses a spec from key=value lines through ApplySweepSpecLine ('#'
+// comments, blank lines ignored). Errors name the 1-based "line N".
 bool ParseSweepSpec(const std::string& text, SweepSpec& spec,
-                    std::string* error, int first_line = 1);
+                    std::string* error);
 
 // Expands the grid: resolves solver globs against `registry`, substitutes
 // axis values into templates, enumerates cells and tasks in a fixed

@@ -52,82 +52,6 @@ TEST(ParseCampaignSpecTest, TextFormatWithGridSections) {
             (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
-TEST(ParseCampaignSpecTest, JsonFormat) {
-  const std::string text = R"({
-    "name": "core",
-    "title": "Core comparison",
-    "grids": [
-      {"name": "flow",
-       "solvers": ["online.fifo", "online.srpt"],
-       "instances": ["poisson:ports=8,load={load},rounds=20,seed={seed}"],
-       "loads": "0.7,1.0",
-       "seeds": "1..2",
-       "params": {"validate": "1"}},
-      {"name": "faults",
-       "solvers": ["online.srpt"],
-       "instances": ["poisson:ports=8,load=1.0,rounds=40,seed={seed}"],
-       "seeds": [1, 2],
-       "scenarios": ["none", "inline:PORT_DOWN 10 2;PORT_UP 20 2"]}
-    ]
-  })";
-  CampaignSpec spec;
-  std::string error;
-  ASSERT_TRUE(ParseCampaignSpec(text, spec, &error)) << error;
-  EXPECT_EQ(spec.name, "core");
-  EXPECT_EQ(CampaignOutRoot(spec), "campaign_runs/core");
-  ASSERT_EQ(spec.grids.size(), 2u);
-  EXPECT_EQ(spec.grids[0].loads, (std::vector<double>{0.7, 1.0}));
-  EXPECT_EQ(spec.grids[0].params.at("validate"), "1");
-  // '|' separates the scenarios axis because inline scripts use ';'.
-  ASSERT_EQ(spec.grids[1].scenarios.size(), 2u);
-  EXPECT_EQ(spec.grids[1].scenarios[1],
-            "inline:PORT_DOWN 10 2;PORT_UP 20 2");
-  EXPECT_EQ(spec.grids[1].seeds, (std::vector<std::uint64_t>{1, 2}));
-}
-
-// Every grid key spelled as JSON: array and string axes, scalars and the
-// params object all land on the same SweepSpec fields as the text grammar.
-TEST(ParseCampaignSpecTest, JsonGridKeys) {
-  const std::string text = R"({
-    "name": "j",
-    "grids": [
-      {"name": "g",
-       "solvers": ["online.fifo", "online.*"],
-       "instances": ["poisson:ports={ports},load={load},rounds=50,seed={seed}"],
-       "loads": [0.5, 1.0],
-       "ports": "16,32",
-       "seeds": "1..3",
-       "trials": 2,
-       "base_seed": 99,
-       "params": {"validate": 0, "record_backlog": "1"}},
-      {"name": "cdf",
-       "solvers": ["online.srpt"],
-       "instances": ["cdf:dist={dist},ports=16,seed={seed}"],
-       "dists": ["alistorage"]}
-    ]
-  })";
-  CampaignSpec spec;
-  std::string error;
-  ASSERT_TRUE(ParseCampaignSpec(text, spec, &error)) << error;
-  ASSERT_EQ(spec.grids.size(), 2u);
-  const SweepSpec& grid = spec.grids[0];
-  EXPECT_EQ(grid.name, "g");
-  EXPECT_EQ(grid.solvers,
-            (std::vector<std::string>{"online.fifo", "online.*"}));
-  EXPECT_EQ(grid.loads, (std::vector<double>{0.5, 1.0}));
-  EXPECT_EQ(grid.ports, (std::vector<long long>{16, 32}));
-  EXPECT_EQ(grid.seeds, (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_EQ(grid.trials, 2);
-  EXPECT_EQ(grid.base_seed, 99u);
-  EXPECT_EQ(grid.params.at("validate"), "0");
-  EXPECT_EQ(grid.params.at("record_backlog"), "1");
-  EXPECT_EQ(spec.grids[1].dists, (std::vector<std::string>{"alistorage"}));
-
-  EXPECT_FALSE(ParseCampaignSpec(
-      R"({"name": "x", "grids": [{"name": "g", "nope": 1}]})", spec, &error));
-  EXPECT_NE(error.find("nope"), std::string::npos) << error;
-}
-
 TEST(ParseCampaignSpecTest, RejectsBadInput) {
   CampaignSpec spec;
   std::string error;
@@ -153,12 +77,6 @@ TEST(ParseCampaignSpecTest, RejectsBadInput) {
   // Grid errors carry through.
   EXPECT_FALSE(ParseCampaignSpec(
       "name=ok\n[grid]\nname=g\nbogus_key=1\n", spec, &error));
-  // JSON: grids must be an array of objects.
-  EXPECT_FALSE(ParseCampaignSpec(R"({"name": "x", "grids": 3})", spec,
-                                 &error));
-  EXPECT_FALSE(ParseCampaignSpec(R"({"name": "x", "grids": [42]})", spec,
-                                 &error));
-  EXPECT_FALSE(ParseCampaignSpec(R"({"nope": 1})", spec, &error));
 }
 
 TEST(ParseCampaignSpecTest, GridErrorsNameFileLines) {
@@ -184,8 +102,8 @@ TEST(ParseCampaignSpecTest, GridErrorsNameFileLines) {
   EXPECT_EQ(error, "grid 2: line 13: unknown spec key \"bogus\"");
 }
 
-// An oversized or non-finite axis range fails where it is written, in
-// either front end, before anything expands.
+// An oversized or non-finite axis range fails where it is written, before
+// anything expands.
 TEST(ParseCampaignSpecTest, AxisRangeErrorsNameTheirLine) {
   CampaignSpec spec;
   std::string error;
@@ -208,21 +126,22 @@ TEST(ParseCampaignSpecTest, AxisRangeErrorsNameTheirLine) {
       spec, &error));
   EXPECT_EQ(error, "grid 1: line 5: loads: axis element \"0:inf:1\" is "
                    "neither a finite number nor a range");
-  EXPECT_FALSE(ParseCampaignSpec(
-      R"({"name": "j", "grids": [{"name": "g", "loads": "0:1:nan"}]})", spec,
-      &error));
-  EXPECT_EQ(error.rfind("grids[0]: loads: ", 0), 0u) << error;
 }
 
-TEST(ParseCampaignSpecTest, TextGridsSpeakOnlyKeyValueLines) {
-  // JSON belongs in a JSON campaign; inside a text [grid] it is a bad line.
-  const std::string text =
-      "name=x\n"                                           // 1
-      "[grid]\n"                                           // 2
-      "{\"name\": \"g\", \"solvers\": [\"online.fifo\"]}\n";  // 3
+// Campaigns have one grammar: a JSON document, or JSON inside a [grid],
+// is a malformed line and the error names it.
+TEST(ParseCampaignSpecTest, JsonIsABadLine) {
   CampaignSpec spec;
   std::string error;
-  EXPECT_FALSE(ParseCampaignSpec(text, spec, &error));
+  EXPECT_FALSE(ParseCampaignSpec(
+      "\n{\"name\": \"x\", \"grids\": [{\"name\": \"g\"}]}\n", spec, &error));
+  EXPECT_EQ(error.rfind("line 2: expected key=value or [grid]", 0), 0u)
+      << error;
+  EXPECT_FALSE(ParseCampaignSpec(
+      "name=x\n"                                           // 1
+      "[grid]\n"                                           // 2
+      "{\"name\": \"g\", \"solvers\": [\"online.fifo\"]}\n",  // 3
+      spec, &error));
   EXPECT_EQ(error.rfind("grid 1: line 3: expected key=value", 0), 0u)
       << error;
 }
@@ -283,7 +202,6 @@ TEST(ParseCampaignSpecTest, CheckedInGridsKeepTheirTaskHashes) {
       {"fig4/fig4b-lemma52", "ab84a42b90981404"},
       {"fig6/fig6-heuristics", "3c59d6dcd9c40000"},
       {"fig6/fig6-lp-compared", "96c5c4a0527dfc10"},
-      {"fig7/fig7-heuristics", "c532da5ab5d14699"},
       {"fig7/fig7-lp-compared", "3f910e35b6d2c6ac"},
       {"realistic/cdf-coflows", "40c2584c27bf2d9d"},
       {"realistic/cdf-fabric", "71eb6ed1428244d2"},
@@ -323,7 +241,7 @@ std::string Join(const std::vector<std::string>& lines) {
   return text;
 }
 
-// Seeded mutation fuzzing of both spec front ends: every checked-in
+// Seeded mutation fuzzing of the spec grammar: every checked-in
 // campaigns/ file plus a text-form spec that sets every grid key, mutated
 // by byte flips, truncation, duplicated or swapped lines, and numbers
 // replaced by huge, negative, infinite or NaN values. ParseCampaignSpec

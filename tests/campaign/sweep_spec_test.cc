@@ -141,8 +141,7 @@ TEST(ParseSweepSpecTest, ErrorsCarryContext) {
   EXPECT_FALSE(ParseSweepSpec("trials=zero\n", spec, &error));
   EXPECT_NE(error.find("trials"), std::string::npos) << error;
 
-  // One grammar: JSON grids parse through the campaign spec
-  // (campaign_spec_test.cc), so a JSON object here is a malformed line.
+  // One grammar: a JSON object is a malformed line.
   error.clear();
   EXPECT_FALSE(ParseSweepSpec("\n{\"name\": \"j\"}\n", spec, &error));
   EXPECT_EQ(error, "line 2: expected key=value, got \"{\"name\": \"j\"}\"");
@@ -314,7 +313,7 @@ TEST(ExpandSweepTest, RejectsAxisPlaceholderMismatches) {
 }
 
 // Regression: unknown top-level spec keys must be parse errors naming the
-// key, never silently dropped (JSON grids: campaign_spec_test.cc).
+// key, never silently dropped.
 TEST(ParseSweepSpecTest, UnknownKeysAreNamedErrors) {
   SweepSpec spec;
   std::string error;

@@ -116,7 +116,7 @@ const std::vector<ScenarioCellSpec> kScenarios = {
 };
 
 // The coflow maxweight matcher variant: the opt-in eps-auction in place of
-// the Hungarian (campaigns/approx.json quantifies it across loads).
+// the Hungarian (campaigns/approx.campaign quantifies it across loads).
 struct VariantSpec {
   std::string instance;
   std::string solver;  // Registry name.

@@ -1,9 +1,9 @@
 // flowsched_campaign: durable, resumable experiment campaigns — the one
 // experiment driver. A single sweep grid is a campaign with one [grid].
 //
-// A campaign spec (campaigns/*.json, or the [grid]-sectioned key=value
-// format — see docs/campaigns.md) names an output root and a list of sweep
-// grids. Every expanded task gets its own directory under
+// A campaign spec ([grid]-sectioned key=value text, as in
+// campaigns/*.campaign — see docs/campaigns.md) names an output root and a
+// list of sweep grids. Every expanded task gets its own directory under
 // <out_root>/runs/<task_id>/ holding outcome.json + meta.json (params,
 // spec hash, build provenance, timestamps, exit code), so a killed
 // campaign resumes exactly where it stopped and the merged report is
@@ -17,10 +17,10 @@
 //   report    collect + write the self-contained report/index.html
 //
 // Usage:
-//   flowsched_campaign run --spec=campaigns/fig6.json --jobs=8
-//   flowsched_campaign run --spec=campaigns/fig6.json --resume
-//   flowsched_campaign plan --spec=campaigns/core.json
-//   flowsched_campaign report --spec=campaigns/fig6.json
+//   flowsched_campaign run --spec=campaigns/fig6.campaign --jobs=8
+//   flowsched_campaign run --spec=campaigns/fig6.campaign --resume
+//   flowsched_campaign plan --spec=campaigns/core.campaign
+//   flowsched_campaign report --spec=campaigns/fig6.campaign
 //
 // Exit codes: 0 all tasks ok (or nothing to do), 1 some task failed,
 // 2 usage/spec/environment error.
@@ -45,8 +45,8 @@ void PrintUsage(std::ostream& out) {
   out << "flowsched_campaign: durable, resumable experiment campaigns.\n"
          "usage: flowsched_campaign <run|plan|status|collect|report> "
          "--spec=FILE [flags]\n"
-         "  --spec=FILE    campaign spec (JSON or [grid]-sectioned "
-         "key=value)\n"
+         "  --spec=FILE    campaign spec ([grid]-sectioned key=value "
+         "text)\n"
          "  --out=DIR      output root (default: spec out_root, else "
          "campaign_runs/<name>)\n"
          "  --jobs=N       worker threads per grid, at most its tasks to "
