@@ -287,8 +287,8 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
       }
     }
     if (to_run.empty()) continue;
-    const int workers = std::clamp(options.jobs, 1,
-                                   static_cast<int>(to_run.size()));
+    const int workers =
+        std::clamp(options.jobs, 1, static_cast<int>(to_run.size()));
     summary.workers[g] = workers;
 
     // Materialize only the instances the remaining tasks reference.
@@ -297,14 +297,10 @@ bool RunCampaign(const CampaignSpec& spec, const CampaignPlan& plan,
     for (const std::size_t t : to_run) {
       needed[grid.plan.tasks[t].instance_slot] = 1;
     }
-    std::vector<std::size_t> to_load;
-    for (std::size_t i = 0; i < num_instances; ++i) {
-      if (needed[i]) to_load.push_back(i);
-    }
     std::vector<std::optional<Instance>> instances(num_instances);
     std::vector<std::string> instance_errors(num_instances);
-    ParallelFor(workers, to_load.size(), [&](std::size_t k) {
-      const std::size_t i = to_load[k];
+    ParallelFor(workers, num_instances, [&](std::size_t i) {
+      if (!needed[i]) return;
       instances[i] =
           LoadInstance(grid.plan.unique_instances[i], &instance_errors[i]);
     });
