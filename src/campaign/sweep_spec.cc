@@ -166,12 +166,12 @@ bool ParseAxis(const std::string& text, std::vector<std::uint64_t>& out,
 
 bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
                         std::string* error) {
-  const auto eq = line.find('=');
-  if (eq == std::string::npos) {
+  const auto key_end = line.find('=');
+  if (key_end == std::string::npos) {
     return Fail(error, "expected key=value, got \"" + line + "\"");
   }
-  const std::string key = line.substr(0, eq);
-  const std::string value = line.substr(eq + 1);
+  const std::string key = line.substr(0, key_end);
+  const std::string value = line.substr(key_end + 1);
   // A list key replaces its whole list; an error names the key.
   const auto list = [&](std::vector<std::string>& items, char sep) {
     items = Split(value, sep);
@@ -215,11 +215,11 @@ bool ApplySweepSpecLine(SweepSpec& spec, const std::string& line,
                            value + "\"");
   }
   if (key == "param") {
-    const auto split = value.find('=');
-    if (split == std::string::npos) {
+    const auto eq = value.find('=');
+    if (eq == std::string::npos) {
       return Fail(error, "param: expected key=value, got \"" + value + "\"");
     }
-    spec.params[value.substr(0, split)] = value.substr(split + 1);
+    spec.params[value.substr(0, eq)] = value.substr(eq + 1);
     return true;
   }
   return Fail(error, "unknown spec key \"" + key + "\"");
