@@ -112,7 +112,10 @@ SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
 ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
   const std::unique_ptr<SchedulingPolicy> policy =
       options.make_policy(options.seed);
-  const SimulationResult r = Simulate(instance, *policy, options.sim);
+  FS_CHECK(!instance.ValidationError().has_value());
+  InstanceStreamSource arrivals(instance);
+  const SimulationResult r =
+      Simulate(instance.sw(), arrivals, *policy, options.sim);
   ReplayRun run;
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;
@@ -127,13 +130,8 @@ ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
   run.truncated = r.truncated;
   run.error = r.error;
   if (r.truncated) return run;
-  // The realized instance numbers flows in arrival order: a stable sort of
-  // the instance by release.
-  std::vector<FlowId> order(instance.num_flows());
-  for (FlowId e = 0; e < instance.num_flows(); ++e) order[e] = e;
-  std::stable_sort(order.begin(), order.end(), [&](FlowId a, FlowId b) {
-    return instance.flow(a).release < instance.flow(b).release;
-  });
+  // The realized instance numbers flows in arrival order, the source's.
+  const std::vector<FlowId>& order = arrivals.order();
   run.schedule = Schedule(instance.num_flows());
   for (int k = 0; k < instance.num_flows(); ++k) {
     run.schedule.Assign(order[k], r.schedule.round_of(k));

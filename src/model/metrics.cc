@@ -1,30 +1,67 @@
 #include "model/metrics.h"
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 
 #include "util/check.h"
 #include "util/stats.h"
 
 namespace flowsched {
+namespace {
+
+// Nearest-rank p50/p95/p99 (util/stats.h's definition) of integer
+// responses in [lo, hi], from one count per value: O(n + hi - lo) instead
+// of a sorted copy. Every response is t + 1 - r, so hi - lo is at most the
+// makespan plus the latest release; a span far wider than the sample (a
+// hand-built schedule parking a flow far out) sorts instead, keeping the
+// memory O(n).
+std::array<double, 3> ResponsePercentiles(const std::vector<double>& response,
+                                          double lo, double hi) {
+  constexpr std::array<double, 3> kPs = {50.0, 95.0, 99.0};
+  const std::size_t n = response.size();
+  if (hi - lo > 4.0 * static_cast<double>(n)) {
+    const std::vector<double> p = Percentiles(response, {50.0, 95.0, 99.0});
+    return {p[0], p[1], p[2]};
+  }
+  std::vector<int> count(static_cast<std::size_t>(hi - lo) + 1);
+  for (double r : response) ++count[static_cast<std::size_t>(r - lo)];
+  std::array<double, 3> out;
+  std::size_t value = 0;
+  std::size_t at_or_below = static_cast<std::size_t>(count[0]);
+  for (std::size_t i = 0; i < kPs.size(); ++i) {
+    const auto rank = std::max<std::size_t>(
+        1, static_cast<std::size_t>(
+               std::ceil(kPs[i] / 100.0 * static_cast<double>(n))));
+    while (at_or_below < rank) {
+      at_or_below += static_cast<std::size_t>(count[++value]);
+    }
+    out[i] = lo + static_cast<double>(value);
+  }
+  return out;
+}
+
+}  // namespace
 
 ScheduleMetrics ComputeMetrics(const Instance& instance,
                                const Schedule& schedule) {
   FS_CHECK(schedule.AllAssigned());
   ScheduleMetrics m;
   m.response.reserve(instance.num_flows());
+  RunningStats stats;
   for (const Flow& e : instance.flows()) {
     const Round t = schedule.round_of(e.id);
     m.response.push_back(static_cast<double>(ResponseTime(t, e.release)));
+    stats.Add(m.response.back());
   }
   m.makespan = schedule.Makespan();
   if (!m.response.empty()) {
-    RunningStats stats;
-    for (double r : m.response) stats.Add(r);
     m.total_response = stats.sum();
     m.avg_response = stats.mean();
     m.max_response = stats.max();
     m.stddev_response = stats.stddev();
-    const std::vector<double> p = Percentiles(m.response, {50.0, 95.0, 99.0});
+    const std::array<double, 3> p =
+        ResponsePercentiles(m.response, stats.min(), stats.max());
     m.p50_response = p[0];
     m.p95_response = p[1];
     m.p99_response = p[2];

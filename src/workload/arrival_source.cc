@@ -8,9 +8,13 @@ InstanceStreamSource::InstanceStreamSource(const Instance& instance)
     : instance_(&instance) {
   order_.reserve(instance.num_flows());
   for (const Flow& e : instance.flows()) order_.push_back(e.id);
-  std::stable_sort(order_.begin(), order_.end(), [&](FlowId a, FlowId b) {
+  // Every generator emits flows in release order; sort only when not.
+  const auto by_release = [&](FlowId a, FlowId b) {
     return instance.flow(a).release < instance.flow(b).release;
-  });
+  };
+  if (!std::is_sorted(order_.begin(), order_.end(), by_release)) {
+    std::stable_sort(order_.begin(), order_.end(), by_release);
+  }
   releases_.reserve(order_.size());
   for (FlowId id : order_) releases_.push_back(instance.flow(id).release);
 }

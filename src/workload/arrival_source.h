@@ -68,6 +68,10 @@ class InstanceStreamSource : public ArrivalSource {
   bool Exhausted(Round /*t*/) override { return next_ >= order_.size(); }
   Round NextArrivalRound(Round t) override;
 
+  // The admission order: realized id k of a replay is instance flow
+  // order()[k].
+  const std::vector<FlowId>& order() const { return order_; }
+
  private:
   const Instance* instance_;
   std::vector<FlowId> order_;    // Flow ids sorted by (release, id).

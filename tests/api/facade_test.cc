@@ -102,6 +102,39 @@ TEST(FacadeGoldenTest, OnlineSolverRemapsOutOfOrderReleases) {
   EXPECT_EQ(facade.schedule.round_of(2), 2);
 }
 
+TEST(FacadeGoldenTest, OnlineSolversReplayReversedReleaseBlocksLikeSorted) {
+  // The same flows with the release blocks in reverse order, each block's
+  // flows in their original order: the replay sorts them back into the
+  // sorted twin's arrival order, so every flow must run in the same round.
+  const Instance sorted = TestInstance(8, 1.2, 12, 29);
+  ASSERT_GT(sorted.num_flows(), 0);
+  std::vector<FlowId> twin_of;  // Reversed id -> sorted id.
+  Instance reversed(sorted.sw(), {});
+  for (Round r = sorted.flows().back().release; r >= 0; --r) {
+    for (const Flow& e : sorted.flows()) {
+      if (e.release != r) continue;
+      reversed.AddFlow(e.src, e.dst, e.demand, e.release, e.coflow);
+      twin_of.push_back(e.id);
+    }
+  }
+  ASSERT_EQ(reversed.num_flows(), sorted.num_flows());
+  ASSERT_NE(reversed.flows().front().release, sorted.flows().front().release);
+  for (const char* solver : {"online.srpt", "online.maxweight"}) {
+    SCOPED_TRACE(solver);
+    const SolveReport a = SolverRegistry::Global().Solve(solver, sorted);
+    const SolveReport b = SolverRegistry::Global().Solve(solver, reversed);
+    ASSERT_TRUE(a.ok) << a.error;
+    ASSERT_TRUE(b.ok) << b.error;
+    EXPECT_FALSE(b.schedule.ValidationError(reversed).has_value());
+    for (FlowId e = 0; e < reversed.num_flows(); ++e) {
+      ASSERT_EQ(b.schedule.round_of(e), a.schedule.round_of(twin_of[e]))
+          << "flow " << e;
+    }
+    EXPECT_EQ(b.metrics.total_response, a.metrics.total_response);
+    EXPECT_EQ(b.metrics.p99_response, a.metrics.p99_response);
+  }
+}
+
 TEST(FacadeGoldenTest, MrtExactMatchesExactMinMaxResponse) {
   const Instance instance = TestInstance(3, 1.0, 3, 14);
   ASSERT_GT(instance.num_flows(), 0);
