@@ -3,6 +3,7 @@
 #include <charconv>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
 
 #include "util/csv.h"
 
@@ -22,6 +23,16 @@ bool ParseInt(const std::string& s, int& out) {
   out = static_cast<int>(v);
   return true;
 }
+
+// Reads a string in place, so a CsvRowReader over it pulls only the rows
+// it is asked for, never a copy of the whole content.
+class StringViewBuf : public std::streambuf {
+ public:
+  explicit StringViewBuf(const std::string& content) {
+    char* begin = const_cast<char*>(content.data());
+    setg(begin, begin, begin + content.size());
+  }
+};
 
 bool Fail(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
@@ -198,14 +209,12 @@ constexpr PortId kMaxInferredPort = 1 << 20;
 }  // namespace
 
 bool LooksLikeCoflowTrace(const std::string& content) {
-  // Sniff only the first five lines — the header is at row 0, or row 4
+  // Sniff only the first five CSV rows — the header is at row 0, or row 4
   // behind a capacity preamble — so routing a large file costs O(1), not a
-  // second full parse.
-  std::size_t end = 0;
-  for (int newlines = 0; end < content.size() && newlines < 5; ++end) {
-    if (content[end] == '\n') ++newlines;
-  }
-  std::istringstream in(content.substr(0, end));
+  // second full parse. Blank lines between them are skipped as the reader
+  // skips them.
+  StringViewBuf buf(content);
+  std::istream in(&buf);
   CsvRowReader rows(in);
   std::vector<std::string> row;
   if (!rows.Next(&row)) return false;

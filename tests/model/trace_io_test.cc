@@ -146,6 +146,24 @@ TEST(TraceIoTest, LooksLikeCoflowTraceDetectsBothVariants) {
   EXPECT_FALSE(LooksLikeCoflowTrace("src,dst,demand,release\n"));
 }
 
+TEST(TraceIoTest, LooksLikeCoflowTraceCountsRowsNotLines) {
+  // Blank lines inside the preamble are not rows: the header is still the
+  // fifth row, so the file goes to the coflow reader, which parses it.
+  const std::string content =
+      "input_capacities\n1,1\n\noutput_capacities\n1,1\n\n"
+      "coflow,arrival,mappers,reducers\n"
+      "0,0,0,1:1\n";
+  EXPECT_TRUE(LooksLikeCoflowTrace(content));
+  std::string error;
+  const auto parsed = ReadCoflowTraceCsv(content, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  EXPECT_EQ(parsed->num_flows(), 1);
+  // A quoted field spanning lines is one row too.
+  EXPECT_TRUE(LooksLikeCoflowTrace(
+      "\"input_capacities\"\n\"1,\n1\"\noutput_capacities\n1\n"
+      "coflow,arrival,mappers,reducers\n"));
+}
+
 TEST(TraceIoTest, CoflowTraceWithoutRowsOrPreambleIsAnErrorNotAnAbort) {
   std::string error;
   EXPECT_FALSE(ReadCoflowTraceCsv("coflow,arrival,mappers,reducers\n", &error)
