@@ -266,7 +266,7 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
   if (any_shards) out << "<th>shards</th>";
   if (any_scenario) out << "<th>scenario</th>";
   out << "<th>n</th><th>avg response &plusmn;95% CI</th>"
-         "<th>p95 response</th><th>speedup</th>";
+         "<th>p95 response</th><th>max response</th><th>speedup</th>";
   if (!lb_avg.empty()) out << "<th>avg vs LP</th>";
   if (!lb_max.empty()) out << "<th>max vs LP</th>";
   if (any_cct) out << "<th>avg CCT &plusmn;95% CI</th>";
@@ -299,7 +299,7 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
     if (agg.failures > 0) out << " (+" << agg.failures << " failed)";
     out << "</td>";
     if (agg.n == 0) {
-      out << "<td colspan=\"2\" class=\"dim\">no data</td><td></td>";
+      out << "<td colspan=\"3\" class=\"dim\">no data</td><td></td>";
       if (!lb_avg.empty()) out << "<td></td>";
       if (!lb_max.empty()) out << "<td></td>";
       if (any_cct) out << "<td></td>";
@@ -311,6 +311,7 @@ void WriteGridTable(std::ostream& out, const SweepPlan& plan,
     out << "<td>" << FmtG(avg) << " &plusmn; "
         << FmtG(Ci95HalfWidth(agg.metrics[kAvgResponse])) << "</td>";
     out << "<td>" << FmtG(agg.metrics[kP95Response].mean()) << "</td>";
+    out << "<td>" << FmtG(agg.metrics[kMaxResponse].mean()) << "</td>";
     const std::string key = GroupKey(c);
     const auto base = baseline.find(key);
     if (base != baseline.end() && avg > 0.0) {

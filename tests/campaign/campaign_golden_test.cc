@@ -132,7 +132,7 @@ const std::vector<std::pair<std::string, std::string>> kGolden = {
     {"aggregate/lp.csv", "a7935ef337117500"},
     {"aggregate/bad.json", "279f5b2c625fcce5"},
     {"aggregate/bad.csv", "906bae18586cc891"},
-    {"report/index.html", "c86cda22db47d910"},
+    {"report/index.html", "96a05555805d2e71"},
 };
 
 TEST(CampaignGoldenTest, EveryOutputFileKeepsItsBytes) {

@@ -235,8 +235,9 @@ TEST_F(CampaignReportTest, OnlineOnlyGridHasNoLowerBoundOutput) {
   const std::string html = ReadFile(root_ / "report" / "index.html");
   EXPECT_EQ(json.find("lb_"), std::string::npos);
   EXPECT_EQ(html.find("vs LP"), std::string::npos);
+  EXPECT_NE(html.find("<th>max response</th>"), std::string::npos);
   EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(json))), "2ecce8f6c995ed8d");
-  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(html))), "0a2043f4a38ff91c");
+  EXPECT_EQ(HashHex(Fnv1a64(WithoutProvenance(html))), "5da3d299b12b5038");
 }
 
 // Figure 6's comparison: every cell of a group reads as its average
