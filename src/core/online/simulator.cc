@@ -36,17 +36,19 @@ struct BatchHooks {
   }
 };
 
-}  // namespace
-
-SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
-                          SchedulingPolicy& policy,
-                          const SimulationOptions& options,
-                          SimulationContext* context) {
+// Simulate() with the number of flows the source will emit when it is
+// known (a replayed instance's), so the per-flow arrays are sized once
+// instead of growing, and being copied, in the middle of a round.
+SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
+                     SchedulingPolicy& policy, const SimulationOptions& options,
+                     SimulationContext* context, int expected_flows) {
   SimulationContext local_context;
   SimulationContext& ctx = context != nullptr ? *context : local_context;
   RoundEngine engine(sw, policy, ctx, options.validate);
   SimulationResult result;
   result.realized = Instance(sw, {});
+  result.realized.Reserve(expected_flows);
+  ctx.assigned_round.reserve(expected_flows);
   // Without a scenario the overlay stays unbound: a fault-free switch.
   const bool has_scenario =
       options.scenario_ops != nullptr || options.scenario != nullptr;
@@ -101,12 +103,22 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
   return result;
 }
 
+}  // namespace
+
+SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
+                          SchedulingPolicy& policy,
+                          const SimulationOptions& options,
+                          SimulationContext* context) {
+  return Run(sw, arrivals, policy, options, context, 0);
+}
+
 SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
                           const SimulationOptions& options,
                           SimulationContext* context) {
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
-  return Simulate(instance.sw(), arrivals, policy, options, context);
+  return Run(instance.sw(), arrivals, policy, options, context,
+             instance.num_flows());
 }
 
 ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
@@ -114,8 +126,8 @@ ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
       options.make_policy(options.seed);
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
-  const SimulationResult r =
-      Simulate(instance.sw(), arrivals, *policy, options.sim);
+  const SimulationResult r = Run(instance.sw(), arrivals, *policy, options.sim,
+                                 nullptr, instance.num_flows());
   ReplayRun run;
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;
