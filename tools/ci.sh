@@ -3,9 +3,9 @@
 # Debug and Release, a CLI smoke test, the bad-input probes, the docs
 # checks (generated docs/solvers.md freshness + markdown link resolution),
 # the bench value check against BENCH_core.json, the campaign/serve/scenario
-# smokes, the Debug ASan/UBSan leg over every suite, and the Debug TSan leg
+# smokes, the Debug ASan/UBSan leg over every suite, the Debug TSan leg
 # over every suite that starts a thread (the campaign runner's, at
-# --jobs > 1).
+# --jobs > 1), and the library line-coverage floor (tools/coverage.sh).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -163,4 +163,7 @@ cmake -B build-ci-tsan -S . -DCMAKE_BUILD_TYPE=Debug \
 cmake --build build-ci-tsan -j "$(nproc)"
 (cd build-ci-tsan && ctest --output-on-failure -j "$(nproc)" \
     -R '^(campaign_|coflow_coflow_regression_test$|fabric_fabric_regression_test$)')
+
+echo "=== Debug --coverage (library line coverage floor) ==="
+tools/coverage.sh build-ci-coverage 95.0
 echo "CI OK"
