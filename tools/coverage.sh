@@ -3,14 +3,17 @@
 # runs every ctest suite, then prints each src/ .cc file's line coverage
 # from `gcov -n` (lowest first) and the library total.
 #
-#   tools/coverage.sh [build_dir] [floor_percent]
+#   tools/coverage.sh [build_dir]
 #
-# build_dir defaults to build-coverage. With floor_percent given, exits 1
-# when the library total is below it.
+# build_dir defaults to build-coverage. Exits 1 when the library total is
+# below the floor.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 build_dir="${1:-build-coverage}"
-floor="${2:-}"
+# Library line-coverage floor, percent: 95.8% measured when the script was
+# added, less slack for other gcc versions counting lines differently.
+# CHANGES.md records how it was set.
+floor=95.0
 
 cmake -B "${build_dir}" -S . -DCMAKE_BUILD_TYPE=Debug \
     -DCMAKE_CXX_FLAGS=--coverage -DCMAKE_EXE_LINKER_FLAGS=--coverage \
@@ -45,7 +48,7 @@ awk -v floor="${floor}" '
     END {
       pct = 100 * covered / lines
       printf "library: %.1f%% of %d lines (%d covered)\n", pct, lines, covered
-      if (floor != "" && pct < floor) {
+      if (pct < floor) {
         printf "coverage: %.1f%% is below the floor of %s%%\n", pct, floor
         exit 1
       }
