@@ -4,6 +4,7 @@
 #include <ostream>
 #include <sstream>
 #include <streambuf>
+#include <string_view>
 
 #include "util/csv.h"
 
@@ -28,7 +29,7 @@ bool ParseInt(const std::string& s, int& out) {
 // it is asked for, never a copy of the whole content.
 class StringViewBuf : public std::streambuf {
  public:
-  explicit StringViewBuf(const std::string& content) {
+  explicit StringViewBuf(std::string_view content) {
     char* begin = const_cast<char*>(content.data());
     setg(begin, begin, begin + content.size());
   }
@@ -206,14 +207,25 @@ const std::vector<std::string> kCoflowHeader = {"coflow", "arrival", "mappers",
 // port number must become a parse error, not a multi-gigabyte allocation.
 constexpr PortId kMaxInferredPort = 1 << 20;
 
+// Physical lines the coflow sniff reads at most: well above the five rows
+// it needs, so blank lines and quoted fields spanning lines still fit, but
+// a malformed file (an unterminated quote, a long run of blank lines)
+// cannot make it scan the whole content.
+constexpr int kSniffLines = 64;
+
 }  // namespace
 
 bool LooksLikeCoflowTrace(const std::string& content) {
   // Sniff only the first five CSV rows — the header is at row 0, or row 4
-  // behind a capacity preamble — so routing a large file costs O(1), not a
-  // second full parse. Blank lines between them are skipped as the reader
-  // skips them.
-  StringViewBuf buf(content);
+  // behind a capacity preamble — within the first kSniffLines physical
+  // lines, so routing a large file never costs a second full parse. Blank
+  // lines between them are skipped as the reader skips them.
+  std::size_t end = 0;
+  for (int i = 0; i < kSniffLines && end < content.size(); ++i) {
+    const std::size_t newline = content.find('\n', end);
+    end = newline == std::string::npos ? content.size() : newline + 1;
+  }
+  StringViewBuf buf(std::string_view(content).substr(0, end));
   std::istream in(&buf);
   CsvRowReader rows(in);
   std::vector<std::string> row;

@@ -87,7 +87,8 @@ std::optional<Instance> ReadCoflowTraceCsv(const std::string& content,
                                            std::string* error = nullptr);
 
 // True when `content` starts with a coflow-trace header (with or without
-// the capacity preamble); instance loaders use this to route files.
+// the capacity preamble) within its first few dozen physical lines; instance
+// loaders use this to route files.
 bool LooksLikeCoflowTrace(const std::string& content);
 
 void WriteScheduleCsv(const Schedule& schedule, std::ostream& out);

@@ -164,6 +164,20 @@ TEST(TraceIoTest, LooksLikeCoflowTraceCountsRowsNotLines) {
       "coflow,arrival,mappers,reducers\n"));
 }
 
+TEST(TraceIoTest, LooksLikeCoflowTraceReadsABoundedPrefix) {
+  const std::string header = "coflow,arrival,mappers,reducers\n";
+  std::string tail;
+  for (int i = 0; i < 1000; ++i) tail += "0,0,0,1:1\n";
+  // An unterminated quote in row 1 would swallow the rest of the file
+  // into one field; the sniff gives up on it without reading it all.
+  EXPECT_FALSE(LooksLikeCoflowTrace("\"input_capacities\n1\n" + header + tail));
+  EXPECT_FALSE(LooksLikeCoflowTrace("\"" + header + tail));
+  // A header behind a long run of blank lines is past the sniffed prefix;
+  // behind a few it is found.
+  EXPECT_FALSE(LooksLikeCoflowTrace(std::string(100, '\n') + header + tail));
+  EXPECT_TRUE(LooksLikeCoflowTrace(std::string(10, '\n') + header + tail));
+}
+
 TEST(TraceIoTest, CoflowTraceWithoutRowsOrPreambleIsAnErrorNotAnAbort) {
   std::string error;
   EXPECT_FALSE(ReadCoflowTraceCsv("coflow,arrival,mappers,reducers\n", &error)
