@@ -38,10 +38,13 @@ struct BatchHooks {
 
 // Simulate() with the number of flows the source will emit when it is
 // known (a replayed instance's), so the per-flow arrays are sized once
-// instead of growing, and being copied, in the middle of a round.
+// instead of growing, and being copied, in the middle of a round. Without
+// `score` the metrics stay empty: Replay's caller scores the mapped
+// schedule instead.
 SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
                      SchedulingPolicy& policy, const SimulationOptions& options,
-                     SimulationContext* context, int expected_flows) {
+                     SimulationContext* context, int expected_flows,
+                     bool score) {
   SimulationContext local_context;
   SimulationContext& ctx = context != nullptr ? *context : local_context;
   RoundEngine engine(sw, policy, ctx, options.validate);
@@ -98,7 +101,7 @@ SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
   if (options.validate) {
     FS_CHECK(!result.schedule.ValidationError(result.realized).has_value());
   }
-  result.metrics = ComputeMetrics(result.realized, result.schedule);
+  if (score) result.metrics = ComputeMetrics(result.realized, result.schedule);
   result.avg_port_utilization = engine.AvgPortUtilization();
   return result;
 }
@@ -109,7 +112,7 @@ SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
                           SchedulingPolicy& policy,
                           const SimulationOptions& options,
                           SimulationContext* context) {
-  return Run(sw, arrivals, policy, options, context, 0);
+  return Run(sw, arrivals, policy, options, context, 0, /*score=*/true);
 }
 
 SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
@@ -118,7 +121,7 @@ SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
   return Run(instance.sw(), arrivals, policy, options, context,
-             instance.num_flows());
+             instance.num_flows(), /*score=*/true);
 }
 
 ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
@@ -127,7 +130,8 @@ ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
   const SimulationResult r = Run(instance.sw(), arrivals, *policy, options.sim,
-                                 nullptr, instance.num_flows());
+                                 nullptr, instance.num_flows(),
+                                 /*score=*/false);
   ReplayRun run;
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 
 #include "util/check.h"
 #include "util/stats.h"
@@ -18,27 +17,16 @@ namespace {
 // memory O(n).
 std::array<double, 3> ResponsePercentiles(const std::vector<double>& response,
                                           double lo, double hi) {
-  constexpr std::array<double, 3> kPs = {50.0, 95.0, 99.0};
   const std::size_t n = response.size();
   if (hi - lo > 4.0 * static_cast<double>(n)) {
     const std::vector<double> p = Percentiles(response, {50.0, 95.0, 99.0});
     return {p[0], p[1], p[2]};
   }
-  std::vector<int> count(static_cast<std::size_t>(hi - lo) + 1);
+  std::vector<std::uint64_t> count(static_cast<std::size_t>(hi - lo) + 1);
   for (double r : response) ++count[static_cast<std::size_t>(r - lo)];
-  std::array<double, 3> out;
-  std::size_t value = 0;
-  std::size_t at_or_below = static_cast<std::size_t>(count[0]);
-  for (std::size_t i = 0; i < kPs.size(); ++i) {
-    const auto rank = std::max<std::size_t>(
-        1, static_cast<std::size_t>(
-               std::ceil(kPs[i] / 100.0 * static_cast<double>(n))));
-    while (at_or_below < rank) {
-      at_or_below += static_cast<std::size_t>(count[++value]);
-    }
-    out[i] = lo + static_cast<double>(value);
-  }
-  return out;
+  const std::array<std::size_t, 3> bins = PercentileBins(count, n);
+  return {lo + static_cast<double>(bins[0]), lo + static_cast<double>(bins[1]),
+          lo + static_cast<double>(bins[2])};
 }
 
 }  // namespace

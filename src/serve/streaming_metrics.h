@@ -1,67 +1,86 @@
 // Windowed streaming metrics for the scheduler service.
 //
-// The batch path keeps a per-flow response vector and computes exact
-// percentiles at the end; on an unbounded stream that vector is exactly
-// the O(all flows) state the serve path exists to avoid. Instead this
-// keeps, for response times and coflow completion times (CCTs):
+// The batch path keeps a per-flow response vector; on an unbounded stream
+// that vector is exactly the O(all flows) state the serve path exists to
+// avoid. Instead this keeps, for response times and coflow completion
+// times (CCTs):
 //
 //   * cumulative RunningStats (Welford: count/sum/mean/stddev/min/max) —
 //     sums of small-integer round counts, so totals stay exact and
 //     byte-comparable with the batch metrics;
-//   * cumulative P² quantile markers for p50/p95/p99 (util/stats.h) —
-//     O(1)-memory estimates, not compared bit-for-bit with batch;
+//   * one count per integer value, from which p50/p95/p99 are the exact
+//     nearest-rank percentiles, equal to batch ComputeMetrics'. The counts
+//     grow with the largest value seen, up to kCountCap bins: a value at or
+//     past kCountCap rounds lands in one overflow bin, and a percentile
+//     that falls there reports the running max;
 //   * a tumbling window (reset at every stats emission) so periodic JSONL
 //     lines show current behavior, not the all-time average.
 //
-// Everything here is O(1) memory regardless of stream length.
+// Memory is O(min(largest value, kCountCap)) regardless of stream length.
 #ifndef FLOWSCHED_SERVE_STREAMING_METRICS_H_
 #define FLOWSCHED_SERVE_STREAMING_METRICS_H_
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "model/flow.h"
 #include "util/stats.h"
 
 namespace flowsched {
 
-// One metric channel: cumulative Welford + P² + the current window.
+// Appends `v` as printf's "%.10g" prints it: the number format of every
+// STATS and DONE field.
+void AppendNumber(std::string& out, double v);
+
+// One metric channel: cumulative Welford + value counts + the current
+// window.
 class StreamingDistribution {
  public:
-  void Add(double x);
+  // Values of at least this many rounds share the overflow bin.
+  static constexpr Round kCountCap = 1 << 16;
+
+  void Add(Round x);  // x >= 0.
 
   const RunningStats& total() const { return total_; }
   const RunningStats& window() const { return window_; }
-  double p50() const { return p50_.Estimate(); }
-  double p95() const { return p95_.Estimate(); }
-  double p99() const { return p99_.Estimate(); }
+  // Nearest-rank p50, p95 and p99 of every value so far, from one walk
+  // over the counts and their block sums (a few thousand steps at most,
+  // however large the values); all 0 before the first value.
+  std::array<double, 3> percentiles() const;
 
   void ResetWindow() { window_ = RunningStats(); }
 
  private:
   RunningStats total_;
   RunningStats window_;
-  P2Quantile p50_{0.50};
-  P2Quantile p95_{0.95};
-  P2Quantile p99_{0.99};
+  // counts_[v] counts the values equal to v, counts_[kCountCap] those at
+  // or past the cap; grown by doubling to 8192 bins, then to kCountCap + 1
+  // in one step.
+  // blocks_ holds their sums per kPercentileBlock bins, so a percentile
+  // walk steps over whole blocks.
+  std::vector<std::uint64_t> counts_;
+  std::vector<std::uint64_t> blocks_;
 };
 
 class StreamingMetrics {
  public:
   // A flow picked in round t that was released at round r has response
   // t + 1 - r (model/metrics.h's rho).
-  void RecordResponse(double response) {
+  void RecordResponse(Round response) {
     Split();
     response_.Add(response);
   }
   // CCT of a drained coflow group.
-  void RecordCct(double cct) {
+  void RecordCct(Round cct) {
     Split();
     cct_.Add(cct);
   }
   // An untagged flow: a singleton group whose CCT equals its response
   // (model/coflow.h's grouping). While every record is a singleton the two
   // channels hold the same values, so they share one.
-  void RecordSingleton(double response) {
+  void RecordSingleton(Round response) {
     response_.Add(response);
     if (split_) cct_.Add(response);
   }
@@ -71,13 +90,14 @@ class StreamingMetrics {
 
   // One JSONL stats object for round t (no trailing newline), then resets
   // the tumbling windows. `backlog` is the live backlog size after round
-  // t. Schema documented in docs/serve-protocol.md.
-  std::string StatsLine(Round t, std::size_t backlog);
+  // t. The line is built in a buffer that the next call reuses. Schema
+  // documented in docs/serve-protocol.md.
+  const std::string& StatsLine(Round t, std::size_t backlog);
 
  private:
   // The first response or CCT that is not a singleton's gives the CCT
-  // channel its own copy of the shared state (P² and Welford are plain
-  // values, so every later estimate is bit-identical).
+  // channel its own copy of the shared state (counts and Welford are plain
+  // values, so every later figure is bit-identical).
   void Split() {
     if (!split_) cct_ = response_;
     split_ = true;
@@ -86,6 +106,7 @@ class StreamingMetrics {
   StreamingDistribution response_;
   StreamingDistribution cct_;  // Meaningful only once split_.
   bool split_ = false;
+  std::string line_;  // StatsLine's buffer.
 };
 
 }  // namespace flowsched

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
 #include <limits>
 #include <optional>
 #include <ostream>
@@ -12,12 +11,6 @@
 
 namespace flowsched {
 namespace {
-
-void AppendNumber(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  out += buf;
-}
 
 void AppendField(std::string& out, const char* key, double v) {
   if (out.back() != '{') out += ',';
@@ -104,9 +97,9 @@ struct StreamingSimulator::Hooks {
       line += ' ';
       AppendInt(line, f.id);
     }
-    const auto response = static_cast<double>(t + 1 - f.release);
+    const Round response = t + 1 - f.release;
     ++sim.completed_;
-    if (sim.wire_mode_) sim.live_ids_.erase(f.id);
+    if (sim.wire_mode_) sim.live_ids_.Erase(f.id);
     if (f.coflow == kNoCoflow) {
       sim.completed_untagged_.push_back(f.id);
       sim.metrics_.RecordSingleton(response);
@@ -116,7 +109,7 @@ struct StreamingSimulator::Hooks {
       const auto it = sim.groups_.find(f.coflow);
       FS_CHECK(it != sim.groups_.end());
       if (--it->second.live == 0) {
-        sim.metrics_.RecordCct(static_cast<double>(t + 1 - it->second.arrival));
+        sim.metrics_.RecordCct(t + 1 - it->second.arrival);
         sim.drained_groups_.push_back(f.coflow);
         ++sim.coflows_completed_;
         sim.groups_.erase(it);
@@ -207,7 +200,7 @@ bool StreamingSimulator::Admissible(const Flow& flow,
 bool StreamingSimulator::Inject(const Flow& flow, std::string* error) {
   wire_mode_ = true;
   if (!Admissible(flow, error)) return false;
-  if (!live_ids_.insert(flow.id).second) {
+  if (!live_ids_.Insert(flow.id)) {
     if (error != nullptr) {
       *error = "flow id " + std::to_string(flow.id) +
                " is already live (ids must be unique among live flows)";
@@ -238,7 +231,7 @@ bool StreamingSimulator::ForceRecover(PortId h, std::string* error) {
   return engine_.scenario().ForceHostUp(h, error);
 }
 
-std::string StreamingSimulator::StatsLine() {
+const std::string& StreamingSimulator::StatsLine() {
   return metrics_.StatsLine(engine_.round(), ctx_.backlog.size());
 }
 
@@ -252,9 +245,10 @@ StreamingSummary StreamingSimulator::Summarize() const {
   s.mean_response = r.mean();
   s.max_response = r.max();
   s.stddev_response = r.stddev();
-  s.p50_response = metrics_.response().p50();
-  s.p95_response = metrics_.response().p95();
-  s.p99_response = metrics_.response().p99();
+  const std::array<double, 3> p = metrics_.response().percentiles();
+  s.p50_response = p[0];
+  s.p95_response = p[1];
+  s.p99_response = p[2];
   s.peak_backlog = engine_.peak_backlog();
   s.avg_port_utilization = engine_.AvgPortUtilization();
   s.coflows = coflows_completed_;

@@ -15,8 +15,8 @@
 // Admission order, id assignment, idle-gap fast-forward and the
 // termination round come from the shared engine, so on a finite input the
 // realized schedule and the exact aggregates (flows, rounds, total/max
-// response, peak backlog, utilization, total CCT) are bit-identical to
-// batch Simulate() (locked by tests/serve/).
+// response, p50/p95/p99 response, peak backlog, utilization, total CCT)
+// are bit-identical to batch Simulate() (locked by tests/serve/).
 //
 // Coflow streaming caveat: a group is retired the moment its last live
 // member completes. If a trace releases more members of the same tag
@@ -31,7 +31,6 @@
 #include <iosfwd>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/online/round_engine.h"
@@ -39,6 +38,7 @@
 #include "core/online/simulator.h"
 #include "scenario/scenario.h"
 #include "serve/streaming_metrics.h"
+#include "util/flat_id_set.h"
 #include "workload/arrival_source.h"
 
 namespace flowsched {
@@ -69,7 +69,10 @@ struct StreamingSummary {
   double mean_response = 0.0;
   double max_response = 0.0;
   double stddev_response = 0.0;  // Welford estimate of the sample stddev.
-  double p50_response = 0.0;     // P² estimates, not exact percentiles.
+  // Exact nearest-rank percentiles, as batch ComputeMetrics gives them. A
+  // percentile among responses of 2^16 rounds or more reads max_response
+  // (StreamingDistribution::kCountCap).
+  double p50_response = 0.0;
   double p95_response = 0.0;
   double p99_response = 0.0;
   int peak_backlog = 0;
@@ -115,7 +118,8 @@ class StreamingSimulator {
   bool ForceRecover(PortId h, std::string* error);
 
   // Current stats line (wire STATS command); resets the tumbling window.
-  std::string StatsLine();
+  // Valid until the next call.
+  const std::string& StatsLine();
   // Summary of everything processed so far (wire STOP / EOF).
   StreamingSummary Summarize() const;
 
@@ -146,7 +150,7 @@ class StreamingSimulator {
   std::string match_line_;  // This round's MATCH line, written at its end.
   std::string error_;
   std::unordered_map<CoflowId, GroupState> groups_;  // Live tagged groups.
-  std::unordered_set<FlowId> live_ids_;              // Wire mode only.
+  FlatIdSet live_ids_;                               // Wire mode only.
   bool wire_mode_ = false;
   std::vector<FlowId> completed_untagged_;  // Per-round retirement scratch.
   std::vector<CoflowId> drained_groups_;

@@ -51,77 +51,6 @@ double RunningStats::min() const { return min_; }
 
 double RunningStats::max() const { return max_; }
 
-P2Quantile::P2Quantile(double quantile) : quantile_(quantile) {
-  FS_CHECK(quantile > 0.0 && quantile < 1.0);
-}
-
-void P2Quantile::Add(double x) {
-  if (count_ < 5) {
-    q_[count_++] = x;
-    std::sort(q_, q_ + count_);
-    if (count_ == 5) {
-      for (int i = 0; i < 5; ++i) n_[i] = i + 1;
-      desired_[0] = 1.0;
-      desired_[1] = 1.0 + 2.0 * quantile_;
-      desired_[2] = 1.0 + 4.0 * quantile_;
-      desired_[3] = 3.0 + 2.0 * quantile_;
-      desired_[4] = 5.0;
-    }
-    return;
-  }
-  ++count_;
-  // Cell k: index of the marker interval x falls into; extremes clamp.
-  int k;
-  if (x < q_[0]) {
-    q_[0] = x;
-    k = 0;
-  } else if (x >= q_[4]) {
-    q_[4] = std::max(q_[4], x);
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= q_[k + 1]) ++k;
-  }
-  for (int i = k + 1; i < 5; ++i) n_[i] += 1.0;
-  const double inc[5] = {0.0, quantile_ / 2.0, quantile_,
-                         (1.0 + quantile_) / 2.0, 1.0};
-  for (int i = 0; i < 5; ++i) desired_[i] += inc[i];
-  // Adjust the three interior markers toward their desired positions,
-  // parabolically when that keeps the heights monotone, linearly otherwise.
-  for (int i = 1; i <= 3; ++i) {
-    const double d = desired_[i] - n_[i];
-    if ((d >= 1.0 && n_[i + 1] - n_[i] > 1.0) ||
-        (d <= -1.0 && n_[i - 1] - n_[i] < -1.0)) {
-      const double s = d >= 1.0 ? 1.0 : -1.0;
-      const double np = n_[i + 1];
-      const double nm = n_[i - 1];
-      const double ni = n_[i];
-      double qp =
-          q_[i] + s / (np - nm) *
-                      ((ni - nm + s) * (q_[i + 1] - q_[i]) / (np - ni) +
-                       (np - ni - s) * (q_[i] - q_[i - 1]) / (ni - nm));
-      if (qp <= q_[i - 1] || qp >= q_[i + 1]) {
-        // Linear fallback preserves monotonicity.
-        const int j = i + static_cast<int>(s);
-        qp = q_[i] + s * (q_[j] - q_[i]) / (n_[j] - ni);
-      }
-      q_[i] = qp;
-      n_[i] += s;
-    }
-  }
-}
-
-double P2Quantile::Estimate() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Nearest-rank over the sorted prefix.
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(quantile_ * static_cast<double>(count_)));
-    return q_[rank == 0 ? 0 : rank - 1];
-  }
-  return q_[2];
-}
-
 double Percentile(std::span<const double> values, double p) {
   return Percentiles(values, {p})[0];
 }
@@ -154,6 +83,33 @@ double Mean(std::span<const double> values) {
 double Max(std::span<const double> values) {
   FS_CHECK(!values.empty());
   return *std::max_element(values.begin(), values.end());
+}
+
+std::array<std::size_t, 3> PercentileBins(
+    std::span<const std::uint64_t> counts, std::uint64_t n,
+    std::span<const std::uint64_t> blocks) {
+  FS_CHECK_GT(n, 0u);
+  constexpr std::array<double, 3> kPs = {50.0, 95.0, 99.0};
+  std::array<std::size_t, 3> out{};
+  std::size_t bin = 0;
+  std::uint64_t below = 0;  // Values in the bins before `bin`.
+  for (std::size_t i = 0; i < kPs.size(); ++i) {
+    const auto rank = std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(
+               std::ceil(kPs[i] / 100.0 * static_cast<double>(n))));
+    while (below + counts[bin] < rank) {
+      const std::size_t block = bin / kPercentileBlock;
+      if (bin % kPercentileBlock == 0 && block < blocks.size() &&
+          below + blocks[block] < rank) {
+        below += blocks[block];
+        bin += kPercentileBlock;
+      } else {
+        below += counts[bin++];
+      }
+    }
+    out[i] = bin;
+  }
+  return out;
 }
 
 }  // namespace flowsched

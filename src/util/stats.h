@@ -2,7 +2,9 @@
 #ifndef FLOWSCHED_UTIL_STATS_H_
 #define FLOWSCHED_UTIL_STATS_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <vector>
@@ -33,32 +35,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-// Streaming quantile estimate via the P-square algorithm (Jain & Chlamtac
-// 1985): five markers, O(1) memory and O(1) per observation — the piece
-// that lets the streaming service report p50/p95/p99 response times over
-// unbounded flow streams without per-flow vectors. Exact for the first
-// five observations; afterwards an estimate whose error shrinks with the
-// sample (typically well under 1% of the value range for smooth
-// distributions).
-class P2Quantile {
- public:
-  // `quantile` in (0, 1), e.g. 0.99 for p99.
-  explicit P2Quantile(double quantile);
-
-  void Add(double x);
-  // Current estimate; exact (nearest-rank over what arrived) below five
-  // observations, 0 before any.
-  double Estimate() const;
-  std::size_t count() const { return count_; }
-
- private:
-  double quantile_;
-  std::size_t count_ = 0;
-  double q_[5];       // Marker heights.
-  double n_[5];       // Marker positions (1-based observation ranks).
-  double desired_[5];  // Desired marker positions.
-};
-
 // Exact percentile of a sample (nearest-rank). `p` in [0, 100].
 double Percentile(std::span<const double> values, double p);
 
@@ -69,6 +45,20 @@ std::vector<double> Percentiles(std::span<const double> values,
 
 double Mean(std::span<const double> values);
 double Max(std::span<const double> values);
+
+// Bins per block of PercentileBins' optional block sums.
+inline constexpr std::size_t kPercentileBlock = 256;
+
+// The nearest-rank p50, p95 and p99 of a sample kept as counts, in one
+// walk: counts[v] values fall in bin v, and n (> 0) is the sum of the
+// counts. Returns the bin each percentile falls in. With `blocks`,
+// blocks[b] sums counts[b * kPercentileBlock, (b + 1) * kPercentileBlock)
+// and the walk steps over whole blocks that end below a rank, so it takes
+// at most blocks.size() + 6 * kPercentileBlock steps instead of up to
+// counts.size().
+std::array<std::size_t, 3> PercentileBins(
+    std::span<const std::uint64_t> counts, std::uint64_t n,
+    std::span<const std::uint64_t> blocks = {});
 
 }  // namespace flowsched
 

@@ -11,6 +11,8 @@
 #include <algorithm>
 #include <map>
 #include <numeric>
+#include <random>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -24,6 +26,7 @@
 #include "serve/daemon.h"
 #include "serve/stream_sources.h"
 #include "serve/streaming_simulator.h"
+#include "util/json.h"
 
 namespace flowsched {
 namespace {
@@ -127,6 +130,9 @@ void ExpectStreamingMatchesBatch(const Instance& instance,
   // order-independent — compare with ==, not a tolerance.
   EXPECT_EQ(run.summary.total_response, batch.metrics.total_response);
   EXPECT_EQ(run.summary.max_response, batch.metrics.max_response);
+  EXPECT_EQ(run.summary.p50_response, batch.metrics.p50_response);
+  EXPECT_EQ(run.summary.p95_response, batch.metrics.p95_response);
+  EXPECT_EQ(run.summary.p99_response, batch.metrics.p99_response);
   EXPECT_EQ(run.summary.avg_port_utilization, batch.avg_port_utilization);
 
   EXPECT_EQ(ScheduleBytes(run.schedule), ScheduleBytes(batch.schedule));
@@ -249,6 +255,78 @@ TEST(StreamingEquivalenceTest, SebfWire) {
   CheckWirePath(kCoflows, "coflow.sebf");
 }
 
+// Wire ids need only be unique among live flows: an id is free again once a
+// MATCH line has retired it. Seeded runs inject random ids, many of them
+// reused right after their MATCH, and check every Inject verdict (and the
+// rejection text) against a std::set of the live ids. The live count climbs
+// past several doublings of the id set and drains again, so ids erased
+// before a growth are inserted again after it.
+TEST(StreamingEquivalenceTest, WireLiveIdsMatchASetReference) {
+  const SwitchSpec sw = SwitchSpec::Uniform(4, 4, 1);
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    std::string error;
+    const auto policy = MakeServePolicy("online.srpt", &error);
+    ASSERT_NE(policy, nullptr) << error;
+    std::ostringstream match;
+    StreamingOptions options;
+    options.match_out = &match;
+    StreamingSimulator sim(sw, *policy, options);
+    std::set<FlowId> live;
+    std::vector<FlowId> retired;  // Freed by the last round's MATCH line.
+    std::size_t peak = 0;
+    long long rejected = 0;
+    for (int round = 0; round < 600 || !live.empty(); ++round) {
+      const int arrivals = round < 150 ? static_cast<int>(rng() % 13)
+                           : round < 600 ? static_cast<int>(rng() % 4)
+                                         : 0;
+      for (int k = 0; k < arrivals; ++k) {
+        FlowId id = static_cast<FlowId>(rng() % 2000);
+        if (!retired.empty() && rng() % 3 == 0) {
+          id = retired[rng() % retired.size()];
+        } else if (rng() % 50 == 0) {
+          id = static_cast<FlowId>(rng() % 2147483648u);
+        }
+        Flow f;
+        f.id = id;
+        f.src = static_cast<PortId>(rng() % 4);
+        f.dst = static_cast<PortId>(rng() % 4);
+        f.demand = 1;
+        const bool fresh = live.insert(id).second;
+        error.clear();
+        ASSERT_EQ(sim.Inject(f, &error), fresh) << "id " << id;
+        if (!fresh) {
+          ++rejected;
+          EXPECT_EQ(error, "flow id " + std::to_string(id) +
+                               " is already live (ids must be unique among "
+                               "live flows)");
+        }
+      }
+      peak = std::max(peak, live.size());
+      match.str("");
+      sim.Step();
+      retired.clear();
+      std::istringstream fields(match.str());
+      std::string word;
+      Round t = -1;
+      if (fields >> word >> t) {
+        ASSERT_EQ(word, "MATCH");
+        FlowId id = -1;
+        while (fields >> id) {
+          ASSERT_EQ(live.erase(id), 1u) << "retired id " << id;
+          retired.push_back(id);
+        }
+      }
+      ASSERT_EQ(sim.backlog_size(), live.size());
+    }
+    // Over 128 live ids: the set doubled from 16 slots to 512.
+    EXPECT_GT(peak, 128u);
+    EXPECT_GT(rejected, 0);
+    EXPECT_EQ(sim.Summarize().flows, sim.Summarize().arrived);
+  }
+}
+
 // The generator sources must *also* reproduce batch exactly: the per-round
 // draw code is shared (AppendPoissonRound / AppendCoflowRound), so the RNG
 // consumption sequence cannot drift.
@@ -310,6 +388,7 @@ TEST(StreamingEquivalenceTest, CdfCoflowGeneratorSourceMatchesBatch) {
 struct SessionOutput {
   Schedule schedule;
   int stats_lines = 0;
+  JsonValue done;  // The DONE summary object.
 };
 
 // Parses captured session output, failing the test on any line that is not
@@ -318,7 +397,7 @@ struct SessionOutput {
 // which must come last.
 SessionOutput ParseSessionOutput(const std::string& output, bool wire,
                                  int num_flows) {
-  SessionOutput parsed{Schedule(num_flows), 0};
+  SessionOutput parsed{Schedule(num_flows), 0, {}};
   std::istringstream lines(output);
   std::string line;
   Round last_round = -1;
@@ -348,6 +427,8 @@ SessionOutput ParseSessionOutput(const std::string& output, bool wire,
       ++parsed.stats_lines;
     } else if (line.rfind("DONE {", 0) == 0) {
       saw_done = true;
+      std::string error;
+      EXPECT_TRUE(ParseJson(line.substr(5), parsed.done, &error)) << error;
     } else {
       ADD_FAILURE() << "unexpected output line \"" << line << "\"";
     }
@@ -410,6 +491,13 @@ void ExpectSessionMatchesBatch(const std::string& policy, bool wire,
   EXPECT_EQ(summary.rounds, batch.rounds);
   EXPECT_EQ(summary.total_response, batch.metrics.total_response);
   EXPECT_EQ(summary.max_response, batch.metrics.max_response);
+  // The percentiles as DONE prints them: exact nearest-rank values.
+  EXPECT_EQ(parsed.done.GetNumber("p50_response", -1),
+            batch.metrics.p50_response);
+  EXPECT_EQ(parsed.done.GetNumber("p95_response", -1),
+            batch.metrics.p95_response);
+  EXPECT_EQ(parsed.done.GetNumber("p99_response", -1),
+            batch.metrics.p99_response);
   EXPECT_EQ(summary.peak_backlog, batch.peak_backlog);
   EXPECT_EQ(summary.avg_port_utilization, batch.avg_port_utilization);
   EXPECT_EQ(ScheduleBytes(parsed.schedule), ScheduleBytes(batch.schedule));

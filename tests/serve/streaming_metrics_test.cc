@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -31,32 +32,109 @@ namespace {
 
 TEST(StreamingDistributionTest, TracksTotalsAndWindowIndependently) {
   StreamingDistribution d;
-  d.Add(2.0);
-  d.Add(4.0);
+  d.Add(2);
+  d.Add(4);
   EXPECT_EQ(d.total().count(), 2u);
   EXPECT_EQ(d.window().count(), 2u);
   d.ResetWindow();
-  d.Add(10.0);
+  d.Add(10);
   EXPECT_EQ(d.total().count(), 3u);
   EXPECT_DOUBLE_EQ(d.total().sum(), 16.0);
   EXPECT_EQ(d.window().count(), 1u);
   EXPECT_DOUBLE_EQ(d.window().mean(), 10.0);
 }
 
-TEST(StreamingDistributionTest, QuantileEstimatesConvergeOnUniformRamp) {
+TEST(StreamingDistributionTest, PercentilesAreExactOnUniformRamp) {
   StreamingDistribution d;
+  EXPECT_EQ(d.percentiles(), (std::array<double, 3>{0.0, 0.0, 0.0}));
   // 1..1000 in a deterministic scrambled order (stride coprime to 1000).
-  for (int i = 0; i < 1000; ++i) d.Add(static_cast<double>(i * 7 % 1000 + 1));
-  EXPECT_NEAR(d.p50(), 500.0, 25.0);
-  EXPECT_NEAR(d.p95(), 950.0, 25.0);
-  EXPECT_NEAR(d.p99(), 990.0, 15.0);
+  for (int i = 0; i < 1000; ++i) d.Add(i * 7 % 1000 + 1);
+  EXPECT_EQ(d.percentiles(), (std::array<double, 3>{500.0, 950.0, 990.0}));
+}
+
+// Tails many blocks long make the walk step over block sums; the
+// percentiles stay the exact nearest-rank ones at every size.
+TEST(StreamingDistributionTest, PercentilesMatchSortedOnLongTails) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    std::mt19937_64 rng(seed);
+    StreamingDistribution d;
+    std::vector<double> values;
+    const int n = 1 + static_cast<int>(rng() % 3000);
+    for (int i = 0; i < n; ++i) {
+      constexpr Round kCap = StreamingDistribution::kCountCap;
+      const Round x = static_cast<Round>(rng() % (rng() % 4 == 0 ? kCap : 50));
+      d.Add(x);
+      values.push_back(static_cast<double>(x));
+      if (i % 101 == 0 || i == n - 1) {
+        const std::vector<double> want =
+            Percentiles(values, {50.0, 95.0, 99.0});
+        ASSERT_EQ(d.percentiles(),
+                  (std::array<double, 3>{want[0], want[1], want[2]}))
+            << "seed " << seed << " value " << i;
+      }
+    }
+  }
+}
+
+// Values below kCountCap have a bin each, so their percentiles are exact;
+// a percentile that falls among values at or past the cap reads the
+// running max, which is exact when that value is the max and an upper
+// bound otherwise.
+TEST(StreamingDistributionTest, CountCapSharesOneOverflowBin) {
+  constexpr Round kCap = StreamingDistribution::kCountCap;
+  StreamingDistribution below;
+  below.Add(3);
+  below.Add(kCap - 1);
+  EXPECT_EQ(below.percentiles(), (std::array<double, 3>{3.0, kCap - 1.0,
+                                                        kCap - 1.0}));
+
+  StreamingDistribution at;
+  at.Add(1);
+  at.Add(kCap);
+  EXPECT_EQ(at.percentiles(), (std::array<double, 3>{1.0, kCap, kCap}));
+  EXPECT_EQ(at.total().max(), kCap);
+
+  // Nearest-rank p50 of {1, kCap + 5, kCap + 100} is kCap + 5; the
+  // overflow bin reports the max.
+  StreamingDistribution past;
+  past.Add(kCap + 100);
+  past.Add(1);
+  past.Add(kCap + 5);
+  EXPECT_EQ(past.percentiles(),
+            (std::array<double, 3>{kCap + 100.0, kCap + 100.0, kCap + 100.0}));
+  EXPECT_EQ(past.total().count(), 3u);
+  EXPECT_EQ(past.total().sum(), 2.0 * kCap + 106.0);
+}
+
+// The CCT channel splits off the shared singleton channel with its own
+// copy of the counts: an overflow on one channel never shows in the other.
+TEST(StreamingMetricsTest, CountCapAfterSplit) {
+  constexpr Round kCap = StreamingDistribution::kCountCap;
+  StreamingMetrics m;
+  for (int i = 1; i <= 20; ++i) m.RecordSingleton(i);
+  m.RecordCct(kCap + 7);
+  EXPECT_EQ(m.response().percentiles(),
+            (std::array<double, 3>{10.0, 19.0, 20.0}));
+  EXPECT_EQ(m.cct().percentiles(),
+            (std::array<double, 3>{11.0, 20.0, kCap + 7.0}));
+  m.RecordResponse(2 * kCap);
+  m.RecordResponse(2 * kCap);
+  EXPECT_EQ(m.response().percentiles(),
+            (std::array<double, 3>{11.0, 2.0 * kCap, 2.0 * kCap}));
+  EXPECT_EQ(m.cct().percentiles(),
+            (std::array<double, 3>{11.0, 20.0, kCap + 7.0}));
+  m.RecordSingleton(kCap - 1);
+  EXPECT_EQ(m.response().percentiles(),
+            (std::array<double, 3>{12.0, 2.0 * kCap, 2.0 * kCap}));
+  EXPECT_EQ(m.cct().percentiles(),
+            (std::array<double, 3>{11.0, kCap - 1.0, kCap + 7.0}));
 }
 
 TEST(StreamingMetricsTest, StatsLineCarriesRoundBacklogAndCounts) {
   StreamingMetrics m;
-  m.RecordResponse(3.0);
-  m.RecordResponse(5.0);
-  m.RecordCct(5.0);
+  m.RecordResponse(3);
+  m.RecordResponse(5);
+  m.RecordCct(5);
   const std::string line = m.StatsLine(41, 7);
   EXPECT_EQ(line.rfind("{\"round\":41,\"backlog\":7,", 0), 0u) << line;
   EXPECT_NE(line.find("\"resp_count\":2"), std::string::npos) << line;
@@ -68,9 +146,9 @@ TEST(StreamingMetricsTest, StatsLineCarriesRoundBacklogAndCounts) {
 
 TEST(StreamingMetricsTest, StatsLineResetsTheTumblingWindow) {
   StreamingMetrics m;
-  m.RecordResponse(8.0);
+  m.RecordResponse(8);
   (void)m.StatsLine(0, 0);
-  m.RecordResponse(2.0);
+  m.RecordResponse(2);
   const std::string line = m.StatsLine(1, 0);
   // Cumulative side remembers both; the window only sees the new sample.
   EXPECT_NE(line.find("\"resp_count\":2"), std::string::npos) << line;
@@ -92,9 +170,7 @@ void ExpectSameChannel(const StreamingDistribution& got,
                        const StreamingDistribution& want, const char* what) {
   ExpectSameStats(got.total(), want.total(), what);
   ExpectSameStats(got.window(), want.window(), what);
-  EXPECT_EQ(got.p50(), want.p50()) << what;
-  EXPECT_EQ(got.p95(), want.p95()) << what;
-  EXPECT_EQ(got.p99(), want.p99()) << what;
+  EXPECT_EQ(got.percentiles(), want.percentiles()) << what;
 }
 
 // RecordSingleton shares one channel for response and CCT until the first
@@ -114,8 +190,10 @@ TEST(StreamingMetricsTest, SingletonsMatchTwoSeparateChannels) {
     const int singletons = static_cast<int>(rng() % 4000);
     const int ops = singletons + static_cast<int>(rng() % 2000);
     for (int op = 0; op < ops; ++op) {
-      const double x = static_cast<double>(1 + rng() % 60) +
-                       (rng() % 8 == 0 ? 0.25 : 0.0);
+      // Now and then a value far out, so the count arrays grow at
+      // different times on the two sides.
+      const Round x = static_cast<Round>(1 + rng() % 60) +
+                      (rng() % 16 == 0 ? static_cast<Round>(rng() % 3000) : 0);
       const unsigned kind =
           op < singletons ? (rng() % 50 == 0 ? 3u : 0u)
                           : static_cast<unsigned>(rng() % 4);
@@ -166,7 +244,7 @@ TEST(StreamingMetricsTest, FirstTaggedRecordAfterManySingletons) {
   StreamingDistribution response;
   StreamingDistribution cct;
   for (int i = 0; i < 10000; ++i) {
-    const double x = static_cast<double>(1 + i * 7 % 50);
+    const Round x = 1 + i * 7 % 50;
     metrics.RecordSingleton(x);
     response.Add(x);
     cct.Add(x);
@@ -176,25 +254,34 @@ TEST(StreamingMetricsTest, FirstTaggedRecordAfterManySingletons) {
       cct.ResetWindow();
     }
   }
-  metrics.RecordCct(90.0);
-  cct.Add(90.0);
+  metrics.RecordCct(90);
+  cct.Add(90);
   ExpectSameChannel(metrics.response(), response, "response");
   ExpectSameChannel(metrics.cct(), cct, "cct");
-  metrics.RecordSingleton(3.0);
-  response.Add(3.0);
-  cct.Add(3.0);
+  metrics.RecordSingleton(3);
+  response.Add(3);
+  cct.Add(3);
   ExpectSameChannel(metrics.response(), response, "response");
   ExpectSameChannel(metrics.cct(), cct, "cct");
 }
 
-TEST(StreamingMetricsTest, RecordingAllocatesNothing) {
+// The count arrays grow only when a new largest value needs more bins, the
+// CCT channel copies them once when it splits, and the stats line buffer is
+// reused: once a stream has done all three, recording and stats lines
+// allocate nothing.
+TEST(StreamingMetricsTest, RecordingAllocatesNothingOnceWarm) {
   StreamingMetrics metrics;
+  auto record = [&] {
+    for (int i = 0; i < 10000; ++i) {
+      metrics.RecordSingleton(i % 40 + 1);
+      if (i == 5000) metrics.RecordCct(StreamingDistribution::kCountCap + 1);
+      if (i > 5000) metrics.RecordResponse(i % 9 + 1);
+      if (i % 100 == 0) (void)metrics.StatsLine(i, 0);
+    }
+  };
+  record();
   const long long before = g_allocations.load();
-  for (int i = 0; i < 10000; ++i) {
-    metrics.RecordSingleton(static_cast<double>(i % 40 + 1));
-    if (i == 5000) metrics.RecordCct(12.0);
-    if (i > 5000) metrics.RecordResponse(static_cast<double>(i % 9 + 1));
-  }
+  record();
   EXPECT_EQ(g_allocations.load() - before, 0);
 }
 
@@ -232,16 +319,6 @@ TEST(WireParseAllocationTest, ValidArriveAndTickLinesAllocateNothing) {
   const long long allocations = g_allocations.load() - before;
   EXPECT_EQ(parsed, 10000) << error;
   EXPECT_EQ(allocations, 0);
-}
-
-TEST(P2QuantileTest, ExactBelowFiveObservations) {
-  P2Quantile q(0.5);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 0.0);  // Empty.
-  q.Add(30.0);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 30.0);
-  q.Add(10.0);
-  q.Add(20.0);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 20.0);  // Nearest-rank median of 3.
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iterator>
 #include <vector>
 
@@ -109,61 +110,39 @@ TEST(StatsTest, PercentilesSingleValueAndDuplicates) {
             (std::vector<double>{5.0, 1.0, 3.0, 5.0}));
 }
 
+// Block sums only let the walk step over blocks: every bin it returns is
+// the one the plain walk finds, also for counts that end inside a block
+// and for long runs of empty bins and blocks.
+TEST(StatsTest, PercentileBinsWithBlocksMatchThePlainWalk) {
+  Rng rng(29);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<std::uint64_t> counts(
+        rng.UniformInt(1, 8 * static_cast<int>(kPercentileBlock) + 3));
+    std::uint64_t n = 0;
+    const int values = rng.UniformInt(1, 400);
+    for (int v = 0; v < values; ++v) {
+      // Mostly small bins, a third anywhere: tails many blocks long.
+      const int last = static_cast<int>(counts.size()) - 1;
+      const int hi = v % 3 == 0 ? last : std::min(20, last);
+      const auto bin = static_cast<std::size_t>(rng.UniformInt(0, hi));
+      const auto k = static_cast<std::uint64_t>(rng.UniformInt(1, 3));
+      counts[bin] += k;
+      n += k;
+    }
+    std::vector<std::uint64_t> blocks(
+        (counts.size() + kPercentileBlock - 1) / kPercentileBlock);
+    for (std::size_t b = 0; b < counts.size(); ++b) {
+      blocks[b / kPercentileBlock] += counts[b];
+    }
+    EXPECT_EQ(PercentileBins(counts, n, blocks), PercentileBins(counts, n))
+        << "trial " << trial;
+  }
+}
+
 TEST(StatsTest, MeanAndMax) {
   const std::vector<double> v = {2.0, 8.0, 5.0};
   EXPECT_DOUBLE_EQ(Mean(v), 5.0);
   EXPECT_DOUBLE_EQ(Max(v), 8.0);
-}
-
-TEST(P2QuantileTest, EmptyAndSmallSamplesAreExact) {
-  P2Quantile q(0.99);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 0.0);
-  q.Add(7.0);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 7.0);
-  q.Add(3.0);
-  q.Add(5.0);
-  q.Add(1.0);
-  // Below five observations the estimate is the exact nearest-rank value.
-  EXPECT_DOUBLE_EQ(q.Estimate(), 7.0);
-  EXPECT_EQ(q.count(), 4u);
-}
-
-TEST(P2QuantileTest, MedianOfSmallSampleIsNearestRank) {
-  P2Quantile q(0.5);
-  q.Add(30.0);
-  q.Add(10.0);
-  q.Add(20.0);
-  EXPECT_DOUBLE_EQ(q.Estimate(), 20.0);
-}
-
-TEST(P2QuantileTest, TracksQuantilesOfALongStream) {
-  // 1..10000 in scrambled order (stride 77 is coprime to 10000). P² keeps
-  // five markers, so compare against the exact quantile with a small
-  // relative tolerance.
-  P2Quantile p50(0.5);
-  P2Quantile p95(0.95);
-  P2Quantile p99(0.99);
-  for (int i = 0; i < 10000; ++i) {
-    const double x = static_cast<double>(i * 77 % 10000 + 1);
-    p50.Add(x);
-    p95.Add(x);
-    p99.Add(x);
-  }
-  EXPECT_NEAR(p50.Estimate(), 5000.0, 100.0);
-  EXPECT_NEAR(p95.Estimate(), 9500.0, 100.0);
-  EXPECT_NEAR(p99.Estimate(), 9900.0, 60.0);
-  EXPECT_EQ(p50.count(), 10000u);
-}
-
-TEST(P2QuantileTest, ExtremesClampIntoEndMarkers) {
-  P2Quantile q(0.5);
-  for (double x : {5.0, 6.0, 7.0, 8.0, 9.0}) q.Add(x);
-  q.Add(-100.0);  // Below the lowest marker.
-  q.Add(1000.0);  // Above the highest.
-  const double e = q.Estimate();
-  EXPECT_GE(e, -100.0);
-  EXPECT_LE(e, 1000.0);
-  EXPECT_EQ(q.count(), 7u);
 }
 
 }  // namespace

@@ -104,7 +104,8 @@ EOF
     # Streaming service (streaming == batch on the trace and wire paths is
     # serve_streaming_equivalence_test's job): a trace piped through stdin
     # end to end, every output line MATCH / stats JSONL / DONE, with a
-    # clean final summary.
+    # clean final summary whose percentiles (and every stats line's) equal
+    # the nearest-rank values recomputed from the MATCH lines.
     { printf 'input_capacities\n1,1,1,1,1,1,1,1\n'
       printf 'output_capacities\n1,1,1,1,1,1,1,1\n'
       printf 'src,dst,demand,release\n'
@@ -121,7 +122,7 @@ EOF
     tail -n 1 "${build_dir}/serve_stdin.out" \
       | grep -q '^DONE {"flows":5000,"arrived":5000,' \
       || { echo "error: flowsched_serve stdin summary wrong" >&2; exit 1; }
-    echo "serve smoke ok: stdin trace served cleanly"
+    python3 tools/check_serve_smoke.py "${build_dir}/serve_stdin.out"
     # Realistic-traffic stream: a short cdf: generator run must drain and
     # summarize cleanly (flows arrive segmented; everything completes).
     "./${build_dir}/tools/flowsched_serve" \
