@@ -25,7 +25,6 @@
 namespace flowsched {
 
 class SolverRegistry;
-struct MatchingOptions;
 
 namespace internal {
 
@@ -46,11 +45,7 @@ struct ReplayedPolicy {
   std::string name;
   bool coflow_aware = false;
 
-  std::unique_ptr<SchedulingPolicy> Make(std::uint64_t seed,
-                                         const MatchingOptions& matching) const;
-  // Coflow maxweight is the only policy with an auction path, so the only
-  // one that documents `approx`.
-  bool HasAuction() const { return coflow_aware && name == "maxweight"; }
+  std::unique_ptr<SchedulingPolicy> Make(std::uint64_t seed) const;
 };
 
 // One run of a replay. options.sim.scenario is the bound script, or null
@@ -60,7 +55,7 @@ using ReplayStep = std::function<ReplayRun(const Instance& instance,
                                            const ReplayOptions& options)>;
 
 // The body of every replay solver, replaying `policy`. It reads the
-// approx, record_backlog, validate and scenario params (the facade has
+// record_backlog, validate and scenario params (the facade has
 // already refused keys `solver` does not document), rejects non-unit
 // demands when the policy RequiresUnitDemands() and a max_rounds below the
 // instance's safe horizon, runs `step`, and reports its schedule under the
@@ -75,7 +70,6 @@ SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
 
 // Doc rows the fabric adapter shares with the single-switch ones.
 SolverKeyDoc ScenarioParamDoc();
-SolverKeyDoc ApproxParamDoc();
 void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs);
 void AppendScenarioDiagnosticDocs(std::vector<SolverKeyDoc>* docs);
 

@@ -59,8 +59,8 @@ void AddCoflowDiagnostics(const Instance& instance, SolveReport* report) {
 }
 
 // online.<policy> (flow-level) and coflow.<policy> (coflow-aware): the same
-// replay on one switch, differing only in the policy factory and the CCT,
-// matcher and `approx` doc rows.
+// replay on one switch, differing only in the policy factory and the CCT
+// and matcher doc rows.
 class SwitchReplaySolver : public Solver {
  public:
   explicit SwitchReplaySolver(ReplayedPolicy policy)
@@ -76,16 +76,13 @@ class SwitchReplaySolver : public Solver {
                  "§5.2.1)";
   }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    std::vector<SolverKeyDoc> docs = {
-        {"record_backlog",
-         "0/1 (default 0): keep per-round backlog sizes; the maximum "
-         "surfaces as diagnostics max_backlog"},
-        ScenarioParamDoc(),
-        {"validate",
-         "0/1 (default 1): audit every policy selection for duplicates "
-         "and port overloads (benchmarks turn this off)"}};
-    if (policy_.HasAuction()) docs.push_back(ApproxParamDoc());
-    return docs;
+    return {{"record_backlog",
+             "0/1 (default 0): keep per-round backlog sizes; the maximum "
+             "surfaces as diagnostics max_backlog"},
+            ScenarioParamDoc(),
+            {"validate",
+             "0/1 (default 1): audit every policy selection for duplicates "
+             "and port overloads (benchmarks turn this off)"}};
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
     std::vector<SolverKeyDoc> docs = {
@@ -97,18 +94,13 @@ class SwitchReplaySolver : public Solver {
         {"max_backlog",
          "largest recorded backlog (only with record_backlog=1)"}};
     if (policy_.coflow_aware) AppendCoflowDiagnosticDocs(&docs);
-    docs.push_back({"matcher_full_solves",
-                    policy_.coflow_aware
-                        ? "rounds solved by the exact Hungarian matcher "
-                          "(maxweight)"
-                        : "rounds solved by the exact vertex-weight matcher "
-                          "(maxweight)"});
-    if (policy_.HasAuction()) {
-      docs.push_back({"auction_bids", "price raises across all rounds "
-                                      "(approx>0)"});
-      docs.push_back({"auction_cold_restarts",
-                      "warm starts whose certificate failed and were re-run "
-                      "cold"});
+    // Only the two maxweight policies run a matcher every round.
+    if (policy_.name == "maxweight") {
+      docs.push_back({"matcher_full_solves",
+                      policy_.coflow_aware
+                          ? "rounds solved by the exact Hungarian matcher"
+                          : "rounds solved by the exact vertex-weight "
+                            "matcher"});
     }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
@@ -128,9 +120,8 @@ class SwitchReplaySolver : public Solver {
 }  // namespace
 
 std::unique_ptr<SchedulingPolicy> ReplayedPolicy::Make(
-    std::uint64_t seed, const MatchingOptions& matching) const {
-  return coflow_aware ? MakeCoflowPolicy(name, seed, matching)
-                      : MakePolicy(name, seed);
+    std::uint64_t seed) const {
+  return coflow_aware ? MakeCoflowPolicy(name, seed) : MakePolicy(name, seed);
 }
 
 SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
@@ -139,17 +130,8 @@ SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
   SolveReport report;
   report.objective_name = "total_response";
   std::string perr;
-  MatchingOptions matching;
-  matching.approx_eps = options.DoubleParamOr("approx", 0.0, &perr);
-  if (perr.empty() && matching.approx_eps < 0.0) perr = "approx must be >= 0";
-  if (!perr.empty()) {
-    report.error = perr;
-    return report;
-  }
   ReplayOptions run;
-  run.make_policy = [&](std::uint64_t seed) {
-    return policy.Make(seed, matching);
-  };
+  run.make_policy = [&](std::uint64_t seed) { return policy.Make(seed); };
   run.seed = options.seed;
   // Matching-based policies FS_CHECK-abort on non-unit demands deep in
   // the round loop; reject such instances with a recoverable error.
@@ -220,12 +202,6 @@ SolveReport ReplayPolicy(const Solver& solver, const ReplayedPolicy& policy,
   if (ms.matcher_full_solves > 0 && documents("matcher_full_solves")) {
     d["matcher_full_solves"] = ms.matcher_full_solves;
   }
-  if (ms.auction_bids > 0 && documents("auction_bids")) {
-    d["auction_bids"] = ms.auction_bids;
-  }
-  if (ms.auction_bids > 0 && documents("auction_cold_restarts")) {
-    d["auction_cold_restarts"] = ms.auction_cold_restarts;
-  }
   if (documents("num_coflows")) AddCoflowDiagnostics(instance, &report);
   if (run.sim.scenario == nullptr) return report;
 
@@ -258,13 +234,6 @@ SolverKeyDoc ScenarioParamDoc() {
           "as the line separator (grammar in docs/scenarios.md); the run "
           "replays under timed port/pod outages and adds robustness "
           "diagnostics vs the fault-free run"};
-}
-
-SolverKeyDoc ApproxParamDoc() {
-  return {"approx",
-          "eps > 0 (default 0 = exact Hungarian): eps-approximate auction "
-          "matcher; each round's matched weight is within backlog*eps of "
-          "optimal, schedules (and CCT) may differ"};
 }
 
 void AppendCoflowDiagnosticDocs(std::vector<SolverKeyDoc>* docs) {

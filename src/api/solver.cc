@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 
 #include "util/stopwatch.h"
 
@@ -36,21 +35,6 @@ std::int64_t SolveOptions::IntParamOr(const std::string& key,
   const char* last = first + it->second.size();
   auto [ptr, ec] = std::from_chars(first, last, v);
   if (ec != std::errc() || ptr != last) {
-    AppendParseError(error, key, it->second);
-    return fallback;
-  }
-  return v;
-}
-
-double SolveOptions::DoubleParamOr(const std::string& key, double fallback,
-                                   std::string* error) const {
-  const auto it = params.find(key);
-  if (it == params.end()) return fallback;
-  char* end = nullptr;
-  const double v = std::strtod(it->second.c_str(), &end);
-  // strtod also reads "nan" and "inf", which no double knob means.
-  if (end == nullptr || *end != '\0' || end == it->second.c_str() ||
-      !std::isfinite(v)) {
     AppendParseError(error, key, it->second);
     return fallback;
   }

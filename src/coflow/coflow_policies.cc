@@ -221,30 +221,21 @@ void CoflowMaxWeightPolicy::SelectFlowsInto(
     // makes edges of nearly-drained groups outbid edges of heavy ones.
     weight_[i] = 1.0 + 1.0 / (1.0 + rem);
   }
-  if (matching_.approx_eps > 0.0) {
-    auction_.Solve(g, weight_, matching_.approx_eps, picked);
-  } else {
-    ++exact_solves_;
-    matcher_.Solve(g, weight_, picked);
-  }
+  ++exact_solves_;
+  matcher_.Solve(g, weight_, picked);
 }
 
 PolicyMatchingStats CoflowMaxWeightPolicy::matching_stats() const {
   PolicyMatchingStats s;
   s.matcher_solves = exact_solves_;
   s.matcher_full_solves = exact_solves_;
-  s.auction_bids = auction_.stats().bids;
-  s.auction_cold_restarts = auction_.stats().cold_restarts;
   return s;
 }
 
-std::unique_ptr<SchedulingPolicy> MakeCoflowPolicy(
-    std::string_view name, std::uint64_t /*seed*/,
-    const MatchingOptions& matching) {
+std::unique_ptr<SchedulingPolicy> MakeCoflowPolicy(std::string_view name,
+                                                   std::uint64_t /*seed*/) {
   if (name == "sebf") return std::make_unique<CoflowSebfPolicy>();
-  if (name == "maxweight") {
-    return std::make_unique<CoflowMaxWeightPolicy>(matching);
-  }
+  if (name == "maxweight") return std::make_unique<CoflowMaxWeightPolicy>();
   if (name == "fifo") return std::make_unique<CoflowFifoPolicy>();
   FS_CHECK_MSG(false, "unknown coflow policy: " << std::string(name));
   return nullptr;

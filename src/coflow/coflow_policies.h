@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "core/online/policy.h"
-#include "graph/auction_matching.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {
@@ -143,31 +142,14 @@ class CoflowFifoPolicy : public CoflowGreedyPolicyBase {
   void RankGroups(std::vector<int>& slots) override;
 };
 
-// Matching-kernel knob for coflow maxweight, the one policy whose exact
-// path is the O(n^3) Hungarian (graph/max_weight_matching.h); sebf and fifo
-// ignore it.
-struct MatchingOptions {
-  // > 0 switches to the eps-approximate auction matcher
-  // (graph/auction_matching.h): matched weight is within backlog·eps of
-  // optimal, schedules may differ from the exact solver. Off (0) by
-  // default: approximations are opt-in.
-  double approx_eps = 0.0;
-};
-
 class CoflowMaxWeightPolicy : public SchedulingPolicy {
  public:
-  explicit CoflowMaxWeightPolicy(const MatchingOptions& matching = {})
-      : matching_(matching) {}
-
   std::string_view name() const override { return "coflow-maxweight"; }
   bool RequiresUnitDemands() const override { return true; }
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
                        std::span<const PendingFlow> pending,
                        std::vector<int>* picked) override;
-  void Reset() override {
-    stats_.Clear();
-    auction_.Reset();
-  }
+  void Reset() override { stats_.Clear(); }
   void RetireFlows(std::span<const FlowId> completed_untagged,
                    std::span<const CoflowId> drained_groups) override {
     stats_.Retire(completed_untagged, drained_groups);
@@ -175,21 +157,17 @@ class CoflowMaxWeightPolicy : public SchedulingPolicy {
   PolicyMatchingStats matching_stats() const override;
 
  private:
-  MatchingOptions matching_;
   CoflowBacklogStats stats_;
   BacklogGraphBuilder builder_;
   MaxWeightMatcher matcher_;
-  AuctionMatcher auction_;
   std::int64_t exact_solves_ = 0;
   std::vector<double> weight_;
 };
 
 // Factory mirroring MakePolicy: "sebf", "maxweight", "fifo". The seed is
 // accepted for interface symmetry; all three policies are deterministic.
-// `matching` tunes the maxweight matching kernels (ignored by sebf/fifo).
-std::unique_ptr<SchedulingPolicy> MakeCoflowPolicy(
-    std::string_view name, std::uint64_t seed = 1,
-    const MatchingOptions& matching = {});
+std::unique_ptr<SchedulingPolicy> MakeCoflowPolicy(std::string_view name,
+                                                   std::uint64_t seed = 1);
 
 // All policy names available through MakeCoflowPolicy.
 std::vector<std::string> AllCoflowPolicyNames();

@@ -41,8 +41,6 @@ struct PolicyMatchingStats {
   std::int64_t matcher_prefix_resumes = 0;
   std::int64_t matcher_reused_rows = 0;
   std::int64_t matcher_total_rows = 0;
-  std::int64_t auction_bids = 0;
-  std::int64_t auction_cold_restarts = 0;
 };
 
 class SchedulingPolicy {

@@ -114,9 +114,6 @@ ReplayRun RunFabric(const Instance& instance, const FabricAssignment& fa,
     result.downtime_rounds =
         std::max(result.downtime_rounds, run.downtime_rounds);
     result.matching.matcher_full_solves += run.matching.matcher_full_solves;
-    result.matching.auction_bids += run.matching.auction_bids;
-    result.matching.auction_cold_restarts +=
-        run.matching.auction_cold_restarts;
     result.avg_port_utilization += run.avg_port_utilization;
     ++busy_shards;
     if (run.truncated && !result.truncated) {

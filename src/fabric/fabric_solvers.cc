@@ -43,18 +43,15 @@ class FabricPolicySolver : public Solver {
   std::string_view name() const override { return name_; }
   std::string_view description() const override { return description_; }
   std::vector<SolverKeyDoc> ParamDocs() const override {
-    std::vector<SolverKeyDoc> docs = {
-        {"shards",
-         "pod count K (required unless the instance came from a "
-         "fabric: spec; overrides the spec when both are given)"},
-        {"partition",
-         "port partitioner: block or hash (default: the fabric: spec's "
-         "choice, else block)"},
-        ScenarioParamDoc(),
-        {"validate",
-         "0/1 (default 1): per-round selection audits inside each pod"}};
-    if (policy_.HasAuction()) docs.push_back(ApproxParamDoc());
-    return docs;
+    return {{"shards",
+             "pod count K (required unless the instance came from a "
+             "fabric: spec; overrides the spec when both are given)"},
+            {"partition",
+             "port partitioner: block or hash (default: the fabric: spec's "
+             "choice, else block)"},
+            ScenarioParamDoc(),
+            {"validate",
+             "0/1 (default 1): per-round selection audits inside each pod"}};
   }
   std::vector<SolverKeyDoc> DiagnosticDocs() const override {
     std::vector<SolverKeyDoc> docs = {
@@ -71,10 +68,6 @@ class FabricPolicySolver : public Solver {
         {"load_imbalance",
          "max pod demand / mean pod demand (1.0 = balanced)"}};
     AppendCoflowDiagnosticDocs(&docs);
-    if (policy_.HasAuction()) {
-      docs.push_back({"auction_bids",
-                      "price raises summed over pods (approx>0)"});
-    }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }

@@ -10,8 +10,7 @@ namespace flowsched {
 
 std::unique_ptr<SchedulingPolicy> MakeServePolicy(const std::string& name,
                                                   std::string* error,
-                                                  std::uint64_t seed,
-                                                  const MatchingOptions& matching) {
+                                                  std::uint64_t seed) {
   const auto dot = name.find('.');
   const std::string family = name.substr(0, dot);
   const std::string policy =
@@ -22,7 +21,7 @@ std::unique_ptr<SchedulingPolicy> MakeServePolicy(const std::string& name,
     }
   } else if (family == "coflow" && !policy.empty()) {
     for (const std::string& known : AllCoflowPolicyNames()) {
-      if (known == policy) return MakeCoflowPolicy(policy, seed, matching);
+      if (known == policy) return MakeCoflowPolicy(policy, seed);
     }
   }
   if (error != nullptr) {
@@ -38,8 +37,8 @@ StreamingSummary RunWireSession(const SwitchSpec& sw, std::istream& in,
                                 std::ostream& out,
                                 const ServeOptions& options) {
   std::string policy_error;
-  const auto policy = MakeServePolicy(options.policy, &policy_error,
-                                      options.seed, options.matching);
+  const auto policy =
+      MakeServePolicy(options.policy, &policy_error, options.seed);
   if (policy == nullptr) {
     out << "ERROR " << policy_error << '\n';
     StreamingSummary summary;
@@ -128,8 +127,8 @@ StreamingSummary RunSourceSession(ArrivalSource& source,
                                   std::ostream& out,
                                   const ServeOptions& options) {
   std::string policy_error;
-  const auto policy = MakeServePolicy(options.policy, &policy_error,
-                                      options.seed, options.matching);
+  const auto policy =
+      MakeServePolicy(options.policy, &policy_error, options.seed);
   if (policy == nullptr) {
     out << "ERROR " << policy_error << '\n';
     StreamingSummary summary;

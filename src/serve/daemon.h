@@ -17,7 +17,7 @@
 #include <memory>
 #include <string>
 
-#include "coflow/coflow_policies.h"
+#include "core/online/policy.h"
 #include "scenario/scenario.h"
 #include "serve/streaming_simulator.h"
 #include "workload/arrival_source.h"
@@ -36,19 +36,14 @@ struct ServeOptions {
   // Cooperative shutdown flag (SIGINT/SIGTERM): pull sessions finish the
   // round in flight and emit DONE (StreamingOptions::stop).
   const volatile std::sig_atomic_t* stop = nullptr;
-  // Matching-kernel knob for coflow.maxweight (exact Hungarian by default;
-  // approx_eps > 0 opts into the auction matcher). Every other policy
-  // ignores it, so flowsched_serve accepts --approx only with
-  // coflow.maxweight.
-  MatchingOptions matching;
 };
 
 // Builds the policy behind a registry-style name: "online.<p>" maps to
-// MakePolicy(p), "coflow.<p>" to MakeCoflowPolicy(p, seed, matching). Null
-// + *error for anything else.
-std::unique_ptr<SchedulingPolicy> MakeServePolicy(
-    const std::string& name, std::string* error, std::uint64_t seed = 1,
-    const MatchingOptions& matching = {});
+// MakePolicy(p), "coflow.<p>" to MakeCoflowPolicy(p). Null + *error for
+// anything else.
+std::unique_ptr<SchedulingPolicy> MakeServePolicy(const std::string& name,
+                                                  std::string* error,
+                                                  std::uint64_t seed = 1);
 
 // Wire-protocol session: reads commands from `in` until STOP or EOF,
 // writes MATCH/STATS/ERROR lines and the final DONE summary to `out`.

@@ -102,76 +102,22 @@ TEST(SolverRegistryTest, MalformedParameterValueFailsTheSolve) {
       SolverRegistry::Global().Solve("art.theorem1", SmallInstance(), options);
   EXPECT_FALSE(report.ok);
   EXPECT_NE(report.error.find("not_a_number"), std::string::npos);
-  // strtod reads these, but no double knob means them: approx=nan used to
-  // run the exact matcher and approx=inf an auction with unbounded eps.
-  for (const char* value : {"nan", "inf", "-inf"}) {
-    SCOPED_TRACE(value);
-    SolveOptions approx;
-    approx.params["approx"] = value;
-    const SolveReport r = SolverRegistry::Global().Solve(
-        "coflow.maxweight", SmallInstance(), approx);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find(std::string("unparsable value \"") + value + "\""),
-              std::string::npos)
-        << r.error;
-  }
 }
 
-// approx exists only on the coflow-aware maxweight solvers, whose exact path
-// is the Hungarian; everywhere else it is a typo like any other key.
-TEST(SolverRegistryTest, ApproxIsAcceptedOnlyByCoflowAwareMaxWeight) {
+// König is Theorem 1's only edge colouring: no solver takes a `coloring`
+// knob, and the facade refuses one like any other unknown key.
+TEST(SolverRegistryTest, NoSolverTakesAColoringParameter) {
   for (const std::string& name : SolverRegistry::Global().Names()) {
-    SCOPED_TRACE(name);
     const auto keys = SolverRegistry::Global().Create(name)->ParamKeys();
-    const bool has_approx =
-        std::count(keys.begin(), keys.end(), "approx") > 0;
-    EXPECT_EQ(has_approx,
-              name == "coflow.maxweight" || name == "fabric.maxweight");
-    EXPECT_EQ(std::count(keys.begin(), keys.end(), "coloring"), 0);
+    EXPECT_EQ(std::count(keys.begin(), keys.end(), "coloring"), 0) << name;
   }
-  const std::pair<const char*, const char*> rejected[] = {
-      {"online.maxweight", "approx"}, {"online.srpt", "approx"},
-      {"coflow.sebf", "approx"},      {"fabric.srpt", "approx"},
-      {"art.theorem1", "coloring"}};
-  for (const auto& [name, key] : rejected) {
-    SCOPED_TRACE(name);
-    SolveOptions options;
-    options.params[key] = key == std::string("approx") ? "0.5" : "euler";
-    if (std::string(name).rfind("fabric.", 0) == 0) {
-      options.params["shards"] = "2";
-    }
-    const SolveReport r =
-        SolverRegistry::Global().Solve(name, SmallInstance(), options);
-    EXPECT_FALSE(r.ok);
-    EXPECT_NE(r.error.find(std::string("unknown parameter \"") + key + "\""),
-              std::string::npos)
-        << r.error;
-  }
-}
-
-TEST(SolverRegistryTest, ApproxRunsTheAuctionOnCoflowAwareMaxWeight) {
-  const Instance instance = SmallInstance();
-  for (const char* name : {"coflow.maxweight", "fabric.maxweight"}) {
-    SCOPED_TRACE(name);
-    SolveOptions options;
-    options.params["approx"] = "0.5";
-    if (std::string(name).rfind("fabric.", 0) == 0) {
-      options.params["shards"] = "2";
-    }
-    const SolveReport r =
-        SolverRegistry::Global().Solve(name, instance, options);
-    ASSERT_TRUE(r.ok) << r.error;
-    EXPECT_TRUE(r.schedule.AllAssigned());
-    EXPECT_EQ(r.schedule.ValidationError(instance, r.allowance), std::nullopt);
-    ASSERT_TRUE(r.diagnostics.count("auction_bids"));
-    EXPECT_GT(r.diagnostics.at("auction_bids"), 0.0);
-    // The exact path runs no auction.
-    options.params.erase("approx");
-    const SolveReport exact =
-        SolverRegistry::Global().Solve(name, instance, options);
-    ASSERT_TRUE(exact.ok) << exact.error;
-    EXPECT_EQ(exact.diagnostics.count("auction_bids"), 0u);
-  }
+  SolveOptions options;
+  options.params["coloring"] = "euler";
+  const SolveReport r =
+      SolverRegistry::Global().Solve("art.theorem1", SmallInstance(), options);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("unknown parameter \"coloring\""), std::string::npos)
+      << r.error;
 }
 
 // Whether a policy needs unit demands is asked of the built policy

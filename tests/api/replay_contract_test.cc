@@ -16,8 +16,7 @@
 namespace flowsched {
 namespace {
 
-// Matching-based, so the unit-demand check applies to all three; the
-// coflow and fabric ones also take `approx`.
+// Matching-based, so the unit-demand check applies to all three.
 constexpr const char* kMatchingSolvers[] = {
     "online.maxweight", "coflow.maxweight", "fabric.maxweight"};
 
@@ -81,20 +80,6 @@ TEST(ReplayContractTest, NonUnitDemandsFailMatchingPolicies) {
     SCOPED_TRACE(solver);
     ExpectFailure(SolveWith(solver, instance, {}),
                   "is matching-based and requires unit demands");
-  }
-}
-
-TEST(ReplayContractTest, UnparsableOrNegativeApproxFailsTheSolve) {
-  const Instance instance = MustLoad(kUnitSpec);
-  for (const char* solver : {"coflow.maxweight", "fabric.maxweight"}) {
-    SCOPED_TRACE(solver);
-    ExpectFailure(SolveWith(solver, instance, {{"approx", "tiny"}}),
-                  "parameter approx: unparsable value \"tiny\"");
-    ExpectFailure(SolveWith(solver, instance, {{"approx", "-0.5"}}),
-                  "approx must be >= 0");
-    // Zero is the exact matcher, not an error.
-    const SolveReport exact = SolveWith(solver, instance, {{"approx", "0"}});
-    EXPECT_TRUE(exact.ok) << exact.error;
   }
 }
 
@@ -252,7 +237,8 @@ TEST(ReplayContractTest, ScenarioDiagnosticsMapsArePinned) {
 }
 
 // Every diagnostic a replay solver emits is one it documents, with and
-// without a scenario, and with the auction matcher where `approx` exists.
+// without a scenario, and every one it documents is emitted by one of
+// those runs or, where the solver takes it, by a record_backlog=1 run.
 TEST(ReplayContractTest, EveryEmittedDiagnosticIsDocumented) {
   const Instance instance = MustLoad(kUnitSpec);
   const SolverRegistry& registry = SolverRegistry::Global();
@@ -267,18 +253,24 @@ TEST(ReplayContractTest, EveryEmittedDiagnosticIsDocumented) {
       for (const SolverKeyDoc& doc : solver->DiagnosticDocs()) {
         documented[doc.key] = doc.doc;
       }
-      const auto keys = solver->ParamKeys();
-      const bool has_approx =
-          std::find(keys.begin(), keys.end(), "approx") != keys.end();
       std::vector<std::map<std::string, std::string>> runs = {
           {}, {{"scenario", kScript}}};
-      if (has_approx) runs.push_back({{"approx", "0.05"}});
+      const auto keys = solver->ParamKeys();
+      if (std::find(keys.begin(), keys.end(), "record_backlog") !=
+          keys.end()) {
+        runs.push_back({{"record_backlog", "1"}});
+      }
+      std::map<std::string, int> emitted;
       for (const auto& params : runs) {
         const SolveReport report = SolveWith(name, instance, params);
         ASSERT_TRUE(report.ok) << report.error;
         for (const auto& [key, value] : report.diagnostics) {
           EXPECT_EQ(documented.count(key), 1u) << "undocumented " << key;
+          ++emitted[key];
         }
+      }
+      for (const auto& [key, doc] : documented) {
+        EXPECT_EQ(emitted.count(key), 1u) << "never emitted " << key;
       }
     }
   }

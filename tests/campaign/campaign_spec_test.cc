@@ -188,9 +188,6 @@ TEST(ParseCampaignSpecTest, CheckedInSpecsStayParseable) {
 // FNV-1a over a grid's task hashes in task order.
 TEST(ParseCampaignSpecTest, CheckedInGridsKeepTheirTaskHashes) {
   const std::map<std::string, std::string> pinned = {
-      {"approx/coflow-approx-eps0.05", "ed2b9972f0d71322"},
-      {"approx/coflow-approx-eps0.5", "0d4b6e71e4db0638"},
-      {"approx/coflow-exact", "2d44ac7f4556b79e"},
       {"ci-smoke/coflow", "16392b5a62f452cf"},
       {"ci-smoke/flow", "1ba7442eada2731d"},
       {"ci-smoke/mixed", "fe5551fb5b6e4b73"},

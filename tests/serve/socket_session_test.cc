@@ -4,14 +4,18 @@
 // daemon that buffers replies until the session ends stalls this client;
 // every read here has a deadline so that shows up as a failure, not a hang.
 // The same closed loop runs over the default stdin/stdout transport, and
-// the --approx flag checks run the binary to completion.
+// the flag checks run the binary to completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "api/instance_source.h"
+#include "api/registry.h"
 #include "serve/daemon.h"
 
 #if defined(FLOWSCHED_SERVE_BIN) && defined(__unix__)
@@ -315,17 +319,21 @@ int RunServe(const std::string& args, std::string* output) {
   return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
-// --approx acts only on coflow.maxweight; with any other policy the daemon
-// refuses to start instead of ignoring the flag.
-TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
-  for (const char* policy : {"online.maxweight", "online.srpt", "coflow.sebf"}) {
-    SCOPED_TRACE(policy);
+// A port outside 1..65535 or a negative STATS cadence is refused while
+// the flags are parsed, before any socket is opened or a session starts.
+TEST(ServeCliTest, OutOfRangeTcpPortOrStatsCadenceExitsTwo) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"--tcp=-5", "--tcp"},
+      {"--tcp=0", "--tcp"},
+      {"--tcp=70000", "--tcp"},
+      {"--stats-every=-3", "--stats-every"}};
+  for (const auto& [args, flag] : cases) {
+    SCOPED_TRACE(args);
     std::string output;
-    EXPECT_EQ(RunServe(std::string("--approx=0.5 --ports=4 --policy=") + policy,
-                       &output),
-              2);
-    EXPECT_NE(output.find("coflow.maxweight"), std::string::npos) << output;
-    EXPECT_EQ(output.find("MATCH"), std::string::npos) << output;
+    EXPECT_EQ(RunServe(std::string(args) + " --ports=4", &output), 2);
+    EXPECT_NE(output.find(flag), std::string::npos) << output;
+    EXPECT_EQ(output.find("listening"), std::string::npos) << output;
+    EXPECT_EQ(output.find("DONE"), std::string::npos) << output;
   }
 }
 
@@ -343,10 +351,43 @@ TEST(ServeStdioTest, SigintWhileIdleEndsTheSessionWithDone) {
   GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
 }
 
-TEST(ServeCliTest, ApproxWithoutCoflowMaxWeightExitsTwo) {
+TEST(ServeCliTest, OutOfRangeTcpPortOrStatsCadenceExitsTwo) {
   GTEST_SKIP() << "needs a POSIX build with the flowsched_serve tool";
 }
 
 #endif
+
+// coflow.maxweight and fabric.maxweight run only the exact Hungarian: no
+// solver documents an `approx` knob, the facade refuses one as an unknown
+// key, and flowsched_serve has no --approx flag.
+TEST(ServeCliTest, NoSolverOrFlagSelectsAnApproximateMatcher) {
+  const flowsched::SolverRegistry& registry =
+      flowsched::SolverRegistry::Global();
+  for (const std::string& name : registry.Names()) {
+    const auto keys = registry.Create(name)->ParamKeys();
+    EXPECT_EQ(std::count(keys.begin(), keys.end(), "approx"), 0) << name;
+  }
+  std::string error;
+  const auto instance = flowsched::LoadInstance(
+      "coflow:ports=8,load=0.9,rounds=10,width=3,skew=0.5,seed=4", &error);
+  ASSERT_TRUE(instance.has_value()) << error;
+  for (const char* name : {"coflow.maxweight", "fabric.maxweight"}) {
+    SCOPED_TRACE(name);
+    flowsched::SolveOptions options;
+    options.params["approx"] = "0.5";
+    const flowsched::SolveReport r = registry.Solve(name, *instance, options);
+    EXPECT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("unknown parameter \"approx\""), std::string::npos)
+        << r.error;
+  }
+#if defined(FLOWSCHED_SERVE_BIN) && defined(__unix__)
+  std::string output;
+  EXPECT_EQ(RunServe("--approx=0.5 --ports=4 --policy=coflow.maxweight",
+                     &output),
+            2);
+  EXPECT_NE(output.find("--approx"), std::string::npos) << output;
+  EXPECT_EQ(output.find("MATCH"), std::string::npos) << output;
+#endif
+}
 
 }  // namespace

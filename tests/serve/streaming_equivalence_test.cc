@@ -437,12 +437,10 @@ SessionOutput ParseSessionOutput(const std::string& output, bool wire,
   return parsed;
 }
 
-void ExpectSessionMatchesBatch(const std::string& policy, bool wire,
-                               const MatchingOptions& matching = {}) {
+void ExpectSessionMatchesBatch(const std::string& policy, bool wire) {
   SCOPED_TRACE(policy + (wire ? " / wire session" : " / trace session"));
   std::string error;
-  const auto batch_policy =
-      MakeServePolicy(policy, &error, /*seed=*/1, matching);
+  const auto batch_policy = MakeServePolicy(policy, &error);
   ASSERT_NE(batch_policy, nullptr) << error;
   const Instance instance = MustLoad(
       batch_policy->RequiresUnitDemands()
@@ -452,7 +450,6 @@ void ExpectSessionMatchesBatch(const std::string& policy, bool wire,
 
   ServeOptions options;
   options.policy = policy;
-  options.matching = matching;
   options.stats_every = 128;
   std::ostringstream out;
   StreamingSummary summary;
@@ -514,17 +511,6 @@ TEST(StreamingEquivalenceTest, WireSessionsMatchBatch) {
   for (const char* policy :
        {"online.srpt", "coflow.sebf", "online.maxweight"}) {
     ExpectSessionMatchesBatch(policy, /*wire=*/true);
-  }
-}
-
-// The sessions build their policy from ServeOptions::matching, so the
-// auction matcher (flowsched_serve --approx) must reproduce a batch run of
-// the same auction.
-TEST(StreamingEquivalenceTest, AuctionSessionsMatchBatch) {
-  MatchingOptions matching;
-  matching.approx_eps = 0.5;
-  for (const bool wire : {false, true}) {
-    ExpectSessionMatchesBatch("coflow.maxweight", wire, matching);
   }
 }
 

@@ -8,6 +8,9 @@
 #   and no "CHECK failed";
 # - flowsched_serve --spec rejects rounds=-1 (only rounds=inf is unbounded),
 #   and wire mode rejects --ports=0 and --cap=0 with exit 2;
+# - flowsched_serve rejects --tcp outside 1..65535 and a negative
+#   --stats-every with exit 2 and an error naming the flag, while parsing
+#   flags, before any socket is opened;
 # - flowsched_serve --trace exits 1 with a source_error DONE line, valid
 #   JSON, on a row whose port lies past the switch;
 # - flowsched_campaign plan rejects a grid whose {ports} axis holds 0, a
@@ -52,6 +55,20 @@ for flags in --ports=0 "--ports=4 --cap=0"; do
   [[ "${rc}" -eq 2 ]] || fail "flowsched_serve ${flags} exited ${rc}, want 2"
   if grep -q 'CHECK failed' "${scratch}/serve.out"; then
     fail "flowsched_serve aborted on ${flags}"
+  fi
+done
+
+# Under a timeout, so a regression that binds the port and waits for a
+# client fails instead of hanging.
+for flag in --tcp=-5 --tcp=70000 --stats-every=-3; do
+  rc=0
+  printf 'TICK\nSTOP\n' | timeout 10 "${tools}/flowsched_serve" "${flag}" \
+      > "${scratch}/serve.out" 2>&1 || rc=$?
+  [[ "${rc}" -eq 2 ]] || fail "flowsched_serve ${flag} exited ${rc}, want 2"
+  grep -q -- "${flag%%=*} needs" "${scratch}/serve.out" \
+    || fail "flowsched_serve ${flag} did not name the flag"
+  if grep -q -e 'listening' -e '^DONE' "${scratch}/serve.out"; then
+    fail "flowsched_serve ${flag} opened a socket or ran a session"
   fi
 done
 

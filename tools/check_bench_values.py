@@ -6,9 +6,7 @@
 Every cell of the baseline must be present in the run, succeed, and carry
 the same schedule values (rounds, peak backlog, response totals, makespan,
 and the scenario cell's surge/drain/downtime). `allocations` is reported,
-not compared. The `coflow.maxweight+approx0.5` variant cell is also checked
-against its base cell on the same `coflow:` instance: the eps-auction's
-total response must be within 5% of the exact Hungarian's.
+not compared.
 """
 import json
 import sys
@@ -39,12 +37,6 @@ def main(baseline_path, run_path):
             if want.get(field) != got.get(field):
                 errors.append(f"{key} {field}: {got.get(field)} != "
                               f"baseline {want.get(field)}")
-
-    coflow = "coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1"
-    exact = run[(coflow, "coflow.maxweight")]["total_response"]
-    approx = run[(coflow, "coflow.maxweight+approx0.5")]["total_response"]
-    if abs(approx - exact) > 0.05 * exact:
-        errors.append(f"approx=0.5 total {approx} not within 5% of {exact}")
 
     for e in errors:
         print("error:", e, file=sys.stderr)

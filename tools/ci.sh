@@ -32,8 +32,7 @@ for build_type in Debug Release; do
     # markdown link in README/docs must resolve.
     tools/check_docs.sh "./${build_dir}/tools/flowsched_cli"
     # Bench values: every value field of every cell must match the
-    # committed BENCH_core.json, plus the coflow.maxweight approx=0.5
-    # variant check (value checks only, never wall clock).
+    # committed BENCH_core.json (value checks only, never wall clock).
     "./${build_dir}/tools/flowsched_bench" --out="${build_dir}/BENCH_run.json"
     python3 tools/check_bench_values.py BENCH_core.json \
         "${build_dir}/BENCH_run.json"

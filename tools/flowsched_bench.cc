@@ -1,9 +1,9 @@
 // flowsched_bench: the value cells CI asserts. Runs every online.*, coflow.*
 // and fabric.* solver once on a fixed set of paper-scale instances
-// (validation off, seed 7), plus streaming, fault-scenario and
-// matcher-variant cells, and writes each cell's schedule values to
-// BENCH_core.json. tools/check_bench_values.py compares a run against the
-// committed file field by field; timing lives in perfbench/.
+// (validation off, seed 7), plus streaming and fault-scenario cells, and
+// writes each cell's schedule values to BENCH_core.json.
+// tools/check_bench_values.py compares a run against the committed file
+// field by field; timing lives in perfbench/.
 //
 // Usage:
 //   flowsched_bench [--out=PATH]    (default BENCH_core.json)
@@ -15,7 +15,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -115,19 +114,6 @@ const std::vector<ScenarioCellSpec> kScenarios = {
      "PODS 4\nPOD_DOWN 60 0\nPOD_UP 120 0\n"},
 };
 
-// The coflow maxweight matcher variant: the opt-in eps-auction in place of
-// the Hungarian (campaigns/approx.campaign quantifies it across loads).
-struct VariantSpec {
-  std::string instance;
-  std::string solver;  // Registry name.
-  std::string label;   // Shown as the solver column / JSON solver field.
-  std::map<std::string, std::string> params;
-};
-const std::vector<VariantSpec> kVariants = {
-    {"coflow:ports=256,load=1.0,rounds=195,width=16,skew=0.7,seed=1",
-     "coflow.maxweight", "coflow.maxweight+approx0.5", {{"approx", "0.5"}}},
-};
-
 std::vector<std::string> SimulationSolverNames() {
   std::vector<std::string> names;
   for (const std::string& name : SolverRegistry::Global().Names()) {
@@ -156,15 +142,12 @@ long long CountAllocations(Fn&& fn) {
 }
 
 BenchCell RunCell(const std::string& instance_spec, const Instance& instance,
-                  const std::string& solver,
-                  const std::map<std::string, std::string>& extra_params = {},
-                  const std::string& label = "") {
+                  const std::string& solver) {
   BenchCell cell;
   cell.instance = instance_spec;
-  cell.solver = label.empty() ? solver : label;
+  cell.solver = solver;
   SolveOptions options;
   options.seed = kSeed;
-  options.params = extra_params;
   options.params["validate"] = "0";
   SolveReport report;
   cell.allocations = CountAllocations([&] {
@@ -341,16 +324,6 @@ int Run(int argc, char** argv) {
   }
   for (const ScenarioCellSpec& spec : kScenarios) {
     cells.push_back(RunScenarioCell(spec));
-  }
-  for (const VariantSpec& spec : kVariants) {
-    std::string error;
-    const auto instance = LoadInstance(spec.instance, &error);
-    if (!instance.has_value()) {
-      std::cerr << "error: " << spec.instance << ": " << error << "\n";
-      return 2;
-    }
-    cells.push_back(RunCell(spec.instance, *instance, spec.solver,
-                            spec.params, spec.label));
   }
 
   TextTable table({"instance", "solver", "rounds", "peak_backlog",

@@ -25,7 +25,6 @@
 // accept/read errors are logged and the daemon keeps accepting — only a
 // signal (or --tcp/--unix bind failure at startup) ends it.
 #include <cerrno>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -107,9 +106,6 @@ void PrintUsage(std::ostream& out) {
          "drain)\n"
          "  --no-match         suppress per-round MATCH lines\n"
          "  --no-validate      skip per-round selection audits\n"
-         "  --approx=EPS       coflow.maxweight only: eps-approximate\n"
-         "                     auction matcher instead of the exact\n"
-         "                     Hungarian (default 0 = exact)\n"
          "With no mode flag, speaks the wire protocol on stdin/stdout\n"
          "(docs/serve-protocol.md). SIGINT/SIGTERM finish the current\n"
          "round and emit the final DONE summary.\n";
@@ -140,7 +136,6 @@ bool ParseCount(const std::string& value, long long* out) {
 }
 
 bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
-  bool approx_given = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
@@ -160,16 +155,6 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
       cli.serve.emit_match = false;
     } else if (arg == "--no-validate") {
       cli.serve.validate = false;
-    } else if (TakeValue(argc, argv, i, "approx", &value)) {
-      char* end = nullptr;
-      cli.serve.matching.approx_eps = std::strtod(value.c_str(), &end);
-      if (end == nullptr || *end != '\0' ||
-          !std::isfinite(cli.serve.matching.approx_eps) ||
-          cli.serve.matching.approx_eps < 0.0) {
-        error = "--approx needs a finite number >= 0, got \"" + value + "\"";
-        return false;
-      }
-      approx_given = true;
     } else if (TakeValue(argc, argv, i, "spec", &value)) {
       cli.spec = value;
     } else if (TakeValue(argc, argv, i, "trace", &value)) {
@@ -181,6 +166,9 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
     } else if (TakeValue(argc, argv, i, "scenario", &value)) {
       cli.scenario = value;
     } else if (count("tcp")) {
+      if (error.empty() && (n < 1 || n > 65535)) {
+        error = "--tcp needs a port in 1..65535, got " + value;
+      }
       cli.tcp_port = static_cast<int>(n);
     } else if (count("ports")) {
       if (error.empty() && (n < 1 || n > std::numeric_limits<int>::max())) {
@@ -193,6 +181,9 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
     } else if (count("seed")) {
       cli.serve.seed = static_cast<std::uint64_t>(n);
     } else if (count("stats-every")) {
+      if (error.empty() && n < 0) {
+        error = "--stats-every needs N >= 0, got " + value;
+      }
       cli.serve.stats_every = static_cast<Round>(n);
     } else if (count("max-rounds")) {
       cli.serve.max_rounds = static_cast<Round>(n);
@@ -201,13 +192,6 @@ bool ParseArgs(int argc, char** argv, ServeCli& cli, std::string& error) {
       return false;
     }
     if (!error.empty()) return false;
-  }
-  // Only coflow.maxweight has an auction path; elsewhere --approx would
-  // silently do nothing.
-  if (approx_given && cli.serve.policy != "coflow.maxweight") {
-    error = "--approx applies only to coflow.maxweight, not " +
-            cli.serve.policy;
-    return false;
   }
   return true;
 }
