@@ -29,7 +29,7 @@
 // void a campaign.
 //
 // Determinism contract: every task runs a freshly Create()d solver (its own
-// SimulationContext, scratch, and policy state) on a read-only shared
+// round engine, scratch, and policy state) on a read-only shared
 // Instance, seeded from the task's precomputed solver_seed, and writes only
 // its own directory. Everything in outcome.json except the wall-clock
 // fields is therefore identical for any --jobs value, and so are the

@@ -1,7 +1,6 @@
 #include "coflow/coflow_policies.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "util/check.h"
 
@@ -159,30 +158,20 @@ void CoflowGreedyPolicyBase::SelectFlowsInto(
     rank_[slot_order_[r]] = static_cast<int>(r);
   }
 
-  order_.resize(pending.size());
-  std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-    const int ra = rank_[stats_.slot_of_pending(a)];
-    const int rb = rank_[stats_.slot_of_pending(b)];
-    if (ra != rb) return ra < rb;
-    if (pending[a].release != pending[b].release) {
-      return pending[a].release < pending[b].release;
-    }
-    return pending[a].id < pending[b].id;
-  });
-
-  // Greedy packing against residual capacities — the same work-conserving
-  // backfill FIFO/SRPT use, here over the group-priority order.
-  in_res_.assign(sw.input_capacities().begin(), sw.input_capacities().end());
-  out_res_.assign(sw.output_capacities().begin(), sw.output_capacities().end());
-  for (int i : order_) {
-    const PendingFlow& f = pending[i];
-    if (f.demand <= in_res_[f.src] && f.demand <= out_res_[f.dst]) {
-      in_res_[f.src] -= f.demand;
-      out_res_[f.dst] -= f.demand;
-      picked->push_back(i);
-    }
-  }
+  // The same work-conserving backfill FIFO/SRPT use, here over the
+  // group-priority order.
+  SortAndPack(
+      sw, pending,
+      [&](int a, int b) {
+        const int ra = rank_[stats_.slot_of_pending(a)];
+        const int rb = rank_[stats_.slot_of_pending(b)];
+        if (ra != rb) return ra < rb;
+        if (pending[a].release != pending[b].release) {
+          return pending[a].release < pending[b].release;
+        }
+        return pending[a].id < pending[b].id;
+      },
+      picked);
 }
 
 void CoflowSebfPolicy::RankGroups(std::vector<int>& slots) {

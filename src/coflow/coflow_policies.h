@@ -31,6 +31,8 @@
 #include <vector>
 
 #include "core/online/policy.h"
+#include "core/online/simple_policies.h"
+#include "graph/expansion.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {
@@ -98,7 +100,7 @@ class CoflowBacklogStats {
 
 // Shared shape of the two priority-ordered policies: rank the touched
 // groups, order the backlog by (group rank, release, id), greedily pack.
-class CoflowGreedyPolicyBase : public SchedulingPolicy {
+class CoflowGreedyPolicyBase : public GreedyPackPolicyBase {
  public:
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
                        std::span<const PendingFlow> pending,
@@ -119,9 +121,6 @@ class CoflowGreedyPolicyBase : public SchedulingPolicy {
  private:
   std::vector<int> slot_order_;
   std::vector<int> rank_;  // Per slot; valid for touched slots.
-  std::vector<int> order_;
-  std::vector<Capacity> in_res_;
-  std::vector<Capacity> out_res_;
 };
 
 class CoflowSebfPolicy : public CoflowGreedyPolicyBase {

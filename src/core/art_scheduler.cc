@@ -39,9 +39,9 @@ ArtSchedulerResult ScheduleArtWithAugmentation(
   const Round pseudo_end = pseudo.assignment.Makespan();
   const int num_intervals = (pseudo_end + h - 1) / h;
   // Bucket flows by pseudo interval.
-  std::vector<std::vector<FlowId>> interval_flows(num_intervals);
-  for (FlowId e = 0; e < n; ++e) {
-    interval_flows[pseudo.assignment.round_of(e) / h].push_back(e);
+  std::vector<std::vector<Flow>> interval_flows(num_intervals);
+  for (const Flow& f : instance.flows()) {
+    interval_flows[pseudo.assignment.round_of(f.id) / h].push_back(f);
   }
   // Pack each interval's matchings into the following interval, (1+c)
   // matchings per round. `cursor` never moves backwards, which keeps the
@@ -49,12 +49,13 @@ ArtSchedulerResult ScheduleArtWithAugmentation(
   // only for small n where the O(log n) constants dominate).
   const int stack = 1 + options.c;
   Round cursor = 0;
-  ReplicatedGraph rg;  // Reused across intervals.
+  BacklogGraphBuilder builder;  // Reused across intervals.
   for (int j = 0; j < num_intervals; ++j) {
     if (interval_flows[j].empty()) continue;
-    Replicate(instance, interval_flows[j], &rg);
-    const EdgeColoring ec = ColorBipartiteEdges(rg.graph);
-    if (options.validate) FS_CHECK(IsValidEdgeColoring(rg.graph, ec));
+    // Edge i of the replica graph is interval_flows[j][i].
+    const BipartiteGraph& g = builder.Build(instance.sw(), interval_flows[j]);
+    const EdgeColoring ec = ColorBipartiteEdges(g);
+    if (options.validate) FS_CHECK(IsValidEdgeColoring(g, ec));
     result.max_colors = std::max(result.max_colors, ec.num_colors);
     const Round interval_start = (j + 1) * static_cast<Round>(h);
     cursor = std::max(cursor, interval_start);
@@ -62,12 +63,12 @@ ArtSchedulerResult ScheduleArtWithAugmentation(
     for (std::size_t color = 0; color < classes.size(); ++color) {
       const Round round = cursor + static_cast<Round>(color) / stack;
       for (int edge : classes[color]) {
-        const FlowId e = interval_flows[j][rg.edge_to_input_index[edge]];
+        const Flow& f = interval_flows[j][edge];
         // Releases are respected by construction: the pseudo round is >= the
         // release and the placement round is strictly later.
-        FS_CHECK_GE(round, instance.flow(e).release);
-        result.schedule.Assign(e, round);
-        const int delay = round - pseudo.assignment.round_of(e);
+        FS_CHECK_GE(round, f.release);
+        result.schedule.Assign(f.id, round);
+        const int delay = round - pseudo.assignment.round_of(f.id);
         result.max_extra_delay = std::max(result.max_extra_delay, delay);
       }
     }

@@ -5,6 +5,7 @@
 #define FLOWSCHED_CORE_ONLINE_MAX_CARD_POLICY_H_
 
 #include "core/online/policy.h"
+#include "graph/expansion.h"
 #include "graph/hopcroft_karp.h"
 
 namespace flowsched {

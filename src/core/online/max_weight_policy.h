@@ -9,6 +9,7 @@
 #define FLOWSCHED_CORE_ONLINE_MAX_WEIGHT_POLICY_H_
 
 #include "core/online/policy.h"
+#include "graph/expansion.h"
 #include "graph/vertex_weight_matching.h"
 
 namespace flowsched {

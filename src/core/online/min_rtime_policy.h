@@ -5,6 +5,7 @@
 #define FLOWSCHED_CORE_ONLINE_MIN_RTIME_POLICY_H_
 
 #include "core/online/policy.h"
+#include "graph/expansion.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {

@@ -2,11 +2,10 @@
 //
 // Each round the simulator hands the policy the backlog (released,
 // unscheduled flows); the policy writes a capacity-feasible subset to run
-// into the simulator's reusable selection buffer (SelectFlowsInto — part of
-// the PR 2 zero-allocation refit; the allocating SelectFlows wrapper
-// remains for one-shot callers). Under unit capacities that subset is a
-// matching of the backlog graph G_t; general capacities are handled by
-// port replication.
+// into the simulator's reusable selection buffer (SelectFlowsInto; the
+// allocating SelectFlows wrapper remains for one-shot callers). Under unit
+// capacities that subset is a matching of the backlog graph G_t; general
+// capacities are handled by port replication (graph/expansion.h).
 #ifndef FLOWSCHED_CORE_ONLINE_POLICY_H_
 #define FLOWSCHED_CORE_ONLINE_POLICY_H_
 
@@ -17,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "graph/bipartite_graph.h"
 #include "model/instance.h"
 
 namespace flowsched {
@@ -66,7 +64,7 @@ class SchedulingPolicy {
   // Clears internal state (e.g. RNG) between simulations.
   virtual void Reset() {}
 
-  // True for matching-based policies (BacklogGraphBuilder expands ports
+  // True for matching-based policies (port replication expands ports
   // into unit-capacity replicas, so every flow must have demand 1). The
   // batch drivers FS_CHECK this deep in the round loop; long-running
   // callers (src/serve/) ask up front and reject non-unit flows with an
@@ -87,37 +85,6 @@ class SchedulingPolicy {
   // Reset), for diagnostics. Default: all zeros.
   virtual PolicyMatchingStats matching_stats() const { return {}; }
 };
-
-// Buffer-reusing builder for the backlog multigraph over *port replicas*:
-// edge i corresponds to pending[i]; matchings of this graph are exactly the
-// capacity-feasible unit-demand subsets. Requires unit demands. The replica
-// layout mirrors graph/expansion.cc but works from PendingFlow (the
-// simulator does not materialize an Instance mid-flight).
-//
-// Each Build() patches the previous round's graph in place: the replica
-// base offsets are recomputed only when the switch changes, and the edge /
-// adjacency storage of the held BipartiteGraph is reused, so steady-state
-// rounds touch no heap at all.
-class BacklogGraphBuilder {
- public:
-  const BipartiteGraph& Build(const SwitchSpec& sw,
-                              std::span<const PendingFlow> pending);
-
-  const BipartiteGraph& graph() const { return graph_; }
-
- private:
-  BipartiteGraph graph_{0, 0};
-  SwitchSpec cached_switch_;  // Base offsets below are valid for this spec.
-  bool have_switch_ = false;
-  std::vector<int> in_base_;
-  std::vector<int> out_base_;
-  std::vector<int> in_cursor_;
-  std::vector<int> out_cursor_;
-};
-
-// One-shot convenience wrapper around BacklogGraphBuilder.
-BipartiteGraph BuildBacklogGraph(const SwitchSpec& sw,
-                                 std::span<const PendingFlow> pending);
 
 // Factory for the policies evaluated in the paper plus extra baselines and
 // extensions: "maxcard", "minrtime", "maxweight", "fifo", "random", "srpt",

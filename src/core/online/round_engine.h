@@ -8,8 +8,9 @@
 // effective capacities — audits the pick when `validate` is set, reports
 // each picked flow to the driver and compacts the backlog in place.
 // Drive() pulls arrivals from an ArrivalSource, fast-forwards idle gaps
-// and stops a run stranded on dead ports. Every buffer lives in the
-// borrowed SimulationContext, so steady-state rounds allocate nothing.
+// and stops a run stranded on dead ports. The engine owns every per-round
+// buffer and keeps their capacity from round to round, so a round
+// allocates only while the backlog grows past its previous peak.
 //
 // Drivers plug in through a hooks object, a template parameter so the
 // per-pick call inlines:
@@ -22,11 +23,11 @@
 #define FLOWSCHED_CORE_ONLINE_ROUND_ENGINE_H_
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/online/policy.h"
-#include "core/online/simulation_context.h"
 #include "scenario/scenario.h"
 #include "workload/arrival_source.h"
 
@@ -37,9 +38,9 @@ class RoundEngine {
   // Why Drive() returned. kRoundCap may leave flows backlogged.
   enum class End { kDrained, kRoundCap, kStranded, kSourceError, kStopped };
 
-  // Clears `ctx`. The fault overlay starts unbound: a fault-free switch.
-  RoundEngine(const SwitchSpec& sw, SchedulingPolicy& policy,
-              SimulationContext& ctx, bool validate);
+  // The fault overlay starts unbound: a fault-free switch.
+  RoundEngine(const SwitchSpec& sw, SchedulingPolicy& policy, bool validate)
+      : sw_(sw), policy_(policy), validate_(validate) {}
 
   // Binds the fault overlay to `ops` (pre-projected, e.g. fabric pods),
   // else to `script`, else to an empty script. False with *error
@@ -51,6 +52,7 @@ class RoundEngine {
 
   Round round() const { return t_; }
   void NextRound() { ++t_; }
+  std::size_t backlog_size() const { return backlog_.size(); }
   int peak_backlog() const { return peak_backlog_; }
   // Policy rounds during which >= 1 port side was down.
   long long downtime_rounds() const { return downtime_rounds_; }
@@ -72,7 +74,7 @@ class RoundEngine {
     f.id = record(f);
     ++admitted_;
     admitted_demand_ += f.demand;
-    ctx_.backlog.push_back(f);
+    backlog_.push_back(f);
   }
 
   // Runs the current round on a nonempty backlog. False when every
@@ -80,21 +82,21 @@ class RoundEngine {
   template <class Hooks>
   bool RunRound(Hooks& hooks) {
     if (!Select()) return false;
-    ctx_.remove.assign(ctx_.backlog.size(), 0);
-    for (int i : ctx_.picked) {
-      const int b = mapped_ ? ctx_.pending_map[i] : i;
-      ctx_.remove[b] = 1;
-      hooks.Pick(ctx_.backlog[b]);
+    remove_.assign(backlog_.size(), 0);
+    for (int i : picked_) {
+      const int b = mapped_ ? pending_map_[i] : i;
+      remove_[b] = 1;
+      hooks.Pick(backlog_[b]);
     }
     // Stable in-place compaction of the surviving backlog.
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < ctx_.backlog.size(); ++i) {
-      if (!ctx_.remove[i]) {
-        if (kept != i) ctx_.backlog[kept] = ctx_.backlog[i];
+    for (std::size_t i = 0; i < backlog_.size(); ++i) {
+      if (!remove_[i]) {
+        if (kept != i) backlog_[kept] = backlog_[i];
         ++kept;
       }
     }
-    ctx_.backlog.resize(kept);
+    backlog_.resize(kept);
     return true;
   }
 
@@ -104,16 +106,16 @@ class RoundEngine {
   End Drive(ArrivalSource& source, Round max_rounds, Hooks& hooks) {
     for (; t_ < max_rounds; ++t_) {
       if (hooks.Stop()) return End::kStopped;
-      ctx_.arrivals.clear();
-      source.ArrivalsInto(t_, ctx_.backlog, &ctx_.arrivals);
+      arrivals_.clear();
+      source.ArrivalsInto(t_, backlog_, &arrivals_);
       if (!source.ok()) {
         error_ = source.error();
         return End::kSourceError;
       }
-      for (const Flow& f : ctx_.arrivals) {
+      for (const Flow& f : arrivals_) {
         if (!hooks.Admit(f)) return End::kStopped;
       }
-      if (ctx_.backlog.empty()) {
+      if (backlog_.empty()) {
         if (source.Exhausted(t_ + 1)) return End::kDrained;
         // Skip the idle gap, but never past the cap, so round() lands
         // where a walk-every-round loop would. AdvanceTo catches up.
@@ -124,7 +126,7 @@ class RoundEngine {
       }
       if (!RunRound(hooks) && source.Exhausted(t_ + 1) &&
           !scen_.HasOpAfter(t_)) {
-        error_ = "scenario leaves " + std::to_string(ctx_.backlog.size()) +
+        error_ = "scenario leaves " + std::to_string(backlog_.size()) +
                  " flows on dead ports with no recovery event after round " +
                  std::to_string(t_);
         return End::kStranded;
@@ -135,17 +137,31 @@ class RoundEngine {
   }
 
  private:
-  // Advances the overlay, counts the round and fills ctx_.picked. False
+  // Advances the overlay, counts the round and fills picked_. False
   // when no backlogged flow is eligible.
   bool Select();
+  // Aborts via FS_CHECK unless picked_ is a set of in-range indices into
+  // `pending` that overloads no port of `sw`.
+  void Audit(const SwitchSpec& sw, std::span<const PendingFlow> pending);
 
   const SwitchSpec& sw_;
   SchedulingPolicy& policy_;
-  SimulationContext& ctx_;
   bool validate_;
   ScenarioRuntime scen_;
   Round t_ = 0;
-  bool mapped_ = false;  // This round's policy view is ctx_.pending.
+  bool mapped_ = false;  // This round's policy view is pending_.
+  std::vector<Flow> backlog_;   // Released, unscheduled flows.
+  std::vector<Flow> arrivals_;  // Drive()'s staging for ArrivalsInto.
+  // Degraded rounds only: the backlog minus flows on dead ports, and each
+  // survivor's backlog slot. Fault-free rounds hand the policy backlog_.
+  std::vector<PendingFlow> pending_;
+  std::vector<int> pending_map_;
+  std::vector<int> picked_;   // The policy's selection for the round.
+  std::vector<char> remove_;  // Backlog compaction flags.
+  // Audit() scratch.
+  std::vector<Capacity> in_load_;
+  std::vector<Capacity> out_load_;
+  std::vector<char> used_;
   int peak_backlog_ = 0;
   long long downtime_rounds_ = 0;
   long long admitted_ = 0;

@@ -1,13 +1,14 @@
 #include "core/online/simple_policies.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace flowsched {
 
 void GreedyPackPolicyBase::Pack(const SwitchSpec& sw,
                                 std::span<const PendingFlow> pending,
                                 std::vector<int>* picked) {
+  picked->clear();
   in_res_.assign(sw.input_capacities().begin(), sw.input_capacities().end());
   out_res_.assign(sw.output_capacities().begin(), sw.output_capacities().end());
   for (int i : order_) {
@@ -23,22 +24,20 @@ void GreedyPackPolicyBase::Pack(const SwitchSpec& sw,
 void FifoGreedyPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
                                        std::span<const PendingFlow> pending,
                                        std::vector<int>* picked) {
-  picked->clear();
-  order_.resize(pending.size());
-  std::iota(order_.begin(), order_.end(), 0);
-  std::stable_sort(order_.begin(), order_.end(), [&](int a, int b) {
-    if (pending[a].release != pending[b].release) {
-      return pending[a].release < pending[b].release;
-    }
-    return pending[a].id < pending[b].id;
-  });
-  Pack(sw, pending, picked);
+  SortAndPack(
+      sw, pending,
+      [&](int a, int b) {
+        if (pending[a].release != pending[b].release) {
+          return pending[a].release < pending[b].release;
+        }
+        return pending[a].id < pending[b].id;
+      },
+      picked);
 }
 
 void RandomPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
                                    std::span<const PendingFlow> pending,
                                    std::vector<int>* picked) {
-  picked->clear();
   order_.resize(pending.size());
   std::iota(order_.begin(), order_.end(), 0);
   for (std::size_t i = order_.size(); i > 1; --i) {

@@ -3,16 +3,39 @@
 #ifndef FLOWSCHED_CORE_ONLINE_SIMPLE_POLICIES_H_
 #define FLOWSCHED_CORE_ONLINE_SIMPLE_POLICIES_H_
 
+#include <algorithm>
+#include <numeric>
+
 #include "core/online/policy.h"
 #include "util/rng.h"
 
 namespace flowsched {
 
-// Shared greedy-packing scratch: an order buffer plus residual port
-// capacities, reused across rounds.
+// The greedy packing every priority-ordered policy shares (fifo, random,
+// srpt, coflow sebf and fifo): put the backlog in the policy's order, then
+// take each flow that still fits the residual port capacities. The order
+// buffer and the residuals are reused across rounds, so packing allocates
+// only while the backlog grows past its previous peak.
 class GreedyPackPolicyBase : public SchedulingPolicy {
  protected:
-  // Packs pending flows in order_ into *picked, respecting residuals.
+  // Packs `pending` in the order `before` (a strict total order over
+  // pending indices) into *picked. The simulators keep the backlog in
+  // admission order, which often is the policy's order already; then the
+  // sort is skipped. A total order has one sorted permutation, so the
+  // unstable in-place std::sort gives what a stable sort would.
+  template <class Before>
+  void SortAndPack(const SwitchSpec& sw, std::span<const PendingFlow> pending,
+                   Before before, std::vector<int>* picked) {
+    order_.resize(pending.size());
+    std::iota(order_.begin(), order_.end(), 0);
+    if (!std::is_sorted(order_.begin(), order_.end(), before)) {
+      std::sort(order_.begin(), order_.end(), before);
+    }
+    Pack(sw, pending, picked);
+  }
+
+  // Overwrites *picked with the flows of order_ (pending indices) that fit
+  // the residual capacities, taken in order.
   void Pack(const SwitchSpec& sw, std::span<const PendingFlow> pending,
             std::vector<int>* picked);
 

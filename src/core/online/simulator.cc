@@ -14,7 +14,7 @@ namespace {
 // realized instance, every pick records its round.
 struct BatchHooks {
   RoundEngine& engine;
-  SimulationContext& ctx;
+  std::vector<Round>& assigned_round;  // Indexed by realized flow id.
   SimulationResult& result;
   bool record_backlog;
 
@@ -23,15 +23,15 @@ struct BatchHooks {
     engine.Admit(arrival, [&](const Flow& f) {
       const FlowId id = result.realized.AddFlow(f.src, f.dst, f.demand,
                                                 f.release, f.coflow);
-      ctx.assigned_round.push_back(kUnassigned);
+      assigned_round.push_back(kUnassigned);
       return id;
     });
     return true;
   }
-  void Pick(const Flow& f) { ctx.assigned_round[f.id] = engine.round(); }
+  void Pick(const Flow& f) { assigned_round[f.id] = engine.round(); }
   void EndRound() {
     if (record_backlog) {
-      result.backlog_trace.push_back(static_cast<int>(ctx.backlog.size()));
+      result.backlog_trace.push_back(static_cast<int>(engine.backlog_size()));
     }
   }
 };
@@ -43,15 +43,13 @@ struct BatchHooks {
 // schedule instead.
 SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
                      SchedulingPolicy& policy, const SimulationOptions& options,
-                     SimulationContext* context, int expected_flows,
-                     bool score) {
-  SimulationContext local_context;
-  SimulationContext& ctx = context != nullptr ? *context : local_context;
-  RoundEngine engine(sw, policy, ctx, options.validate);
+                     int expected_flows, bool score) {
+  RoundEngine engine(sw, policy, options.validate);
   SimulationResult result;
   result.realized = Instance(sw, {});
   result.realized.Reserve(expected_flows);
-  ctx.assigned_round.reserve(expected_flows);
+  std::vector<Round> assigned_round;
+  assigned_round.reserve(expected_flows);
   // Without a scenario the overlay stays unbound: a fault-free switch.
   const bool has_scenario =
       options.scenario_ops != nullptr || options.scenario != nullptr;
@@ -61,7 +59,7 @@ SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
     result.truncated = true;
     return result;
   }
-  BatchHooks hooks{engine, ctx, result, options.record_backlog};
+  BatchHooks hooks{engine, assigned_round, result, options.record_backlog};
   const RoundEngine::End end =
       engine.Drive(arrivals, options.max_rounds, hooks);
   result.rounds = engine.round();
@@ -76,16 +74,16 @@ SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
     result.migrated_flows = engine.scenario().migrated_flows();
     // A daemon-facing scenario run must degrade gracefully: hitting the
     // round cap truncates instead of aborting.
-    if (!ctx.backlog.empty() && !result.truncated) {
+    if (engine.backlog_size() != 0 && !result.truncated) {
       result.truncated = true;
       result.error = "scenario run hit max_rounds=" +
                      std::to_string(options.max_rounds) + " with " +
-                     std::to_string(ctx.backlog.size()) +
+                     std::to_string(engine.backlog_size()) +
                      " flows still pending";
     }
   } else {
-    FS_CHECK_MSG(ctx.backlog.empty(),
-                 "simulation hit max_rounds with " << ctx.backlog.size()
+    FS_CHECK_MSG(engine.backlog_size() == 0,
+                 "simulation hit max_rounds with " << engine.backlog_size()
                                                    << " flows still pending");
   }
   if (result.truncated) {
@@ -95,8 +93,8 @@ SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
   }
   result.schedule = Schedule(result.realized.num_flows());
   for (FlowId e = 0; e < result.realized.num_flows(); ++e) {
-    FS_CHECK_NE(ctx.assigned_round[e], kUnassigned);
-    result.schedule.Assign(e, ctx.assigned_round[e]);
+    FS_CHECK_NE(assigned_round[e], kUnassigned);
+    result.schedule.Assign(e, assigned_round[e]);
   }
   if (options.validate) {
     FS_CHECK(!result.schedule.ValidationError(result.realized).has_value());
@@ -110,18 +108,16 @@ SimulationResult Run(const SwitchSpec& sw, ArrivalSource& arrivals,
 
 SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
                           SchedulingPolicy& policy,
-                          const SimulationOptions& options,
-                          SimulationContext* context) {
-  return Run(sw, arrivals, policy, options, context, 0, /*score=*/true);
+                          const SimulationOptions& options) {
+  return Run(sw, arrivals, policy, options, 0, /*score=*/true);
 }
 
 SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
-                          const SimulationOptions& options,
-                          SimulationContext* context) {
+                          const SimulationOptions& options) {
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
-  return Run(instance.sw(), arrivals, policy, options, context,
-             instance.num_flows(), /*score=*/true);
+  return Run(instance.sw(), arrivals, policy, options, instance.num_flows(),
+             /*score=*/true);
 }
 
 ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
@@ -130,8 +126,7 @@ ReplayRun Replay(const Instance& instance, const ReplayOptions& options) {
   FS_CHECK(!instance.ValidationError().has_value());
   InstanceStreamSource arrivals(instance);
   const SimulationResult r = Run(instance.sw(), arrivals, *policy, options.sim,
-                                 nullptr, instance.num_flows(),
-                                 /*score=*/false);
+                                 instance.num_flows(), /*score=*/false);
   ReplayRun run;
   run.rounds = r.rounds;
   run.peak_backlog = r.peak_backlog;

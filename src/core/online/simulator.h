@@ -8,10 +8,9 @@
 //
 // The round loop itself is the RoundEngine (core/online/round_engine.h),
 // shared with the streaming simulator; Simulate() records each flow's
-// round and scores the realized schedule. It is allocation-free at steady
-// state: every per-round buffer lives in a SimulationContext that is
-// reused across rounds (and, when the caller passes one in, across whole
-// simulations).
+// round and scores the realized schedule. The engine owns the per-round
+// buffers and the per-flow arrays are sized to the instance up front, so
+// a replay's rounds allocate only while the backlog grows past its peak.
 #ifndef FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 #define FLOWSCHED_CORE_ONLINE_SIMULATOR_H_
 
@@ -22,7 +21,6 @@
 #include <string>
 
 #include "core/online/policy.h"
-#include "core/online/simulation_context.h"
 #include "model/metrics.h"
 #include "model/schedule.h"
 #include "scenario/scenario.h"
@@ -70,18 +68,15 @@ struct SimulationResult {
 };
 
 // Replays a fixed instance (the "online" policy still only sees released
-// flows each round). A caller-provided context is reused (benchmarks,
-// sweeps); when null an internal one is used.
+// flows each round).
 SimulationResult Simulate(const Instance& instance, SchedulingPolicy& policy,
-                          const SimulationOptions& options = {},
-                          SimulationContext* context = nullptr);
+                          const SimulationOptions& options = {});
 
 // Drives an arrival source (possibly adaptive) until it is exhausted and
 // the backlog drains.
 SimulationResult Simulate(const SwitchSpec& sw, ArrivalSource& arrivals,
                           SchedulingPolicy& policy,
-                          const SimulationOptions& options = {},
-                          SimulationContext* context = nullptr);
+                          const SimulationOptions& options = {});
 
 // Builds a fresh policy from its seed: one per replay, one per pod of a
 // sharded fabric (fabric/fabric_runner.h).

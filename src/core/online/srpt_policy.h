@@ -5,6 +5,8 @@
 #define FLOWSCHED_CORE_ONLINE_SRPT_POLICY_H_
 
 #include "core/online/policy.h"
+#include "core/online/simple_policies.h"
+#include "graph/expansion.h"
 #include "graph/max_weight_matching.h"
 
 namespace flowsched {
@@ -13,27 +15,21 @@ namespace flowsched {
 // SRPT rule degenerates to "shortest (cheapest) first" — it maximizes the
 // number of flows completed under a demand mix, echoing SPT on one machine.
 // Handles general demands.
-class SrptPolicy : public SchedulingPolicy {
+class SrptPolicy : public GreedyPackPolicyBase {
  public:
   std::string_view name() const override { return "srpt"; }
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
                        std::span<const PendingFlow> pending,
                        std::vector<int>* picked) override;
-
- private:
-  std::vector<int> order_;
-  std::vector<Capacity> in_res_;
-  std::vector<Capacity> out_res_;
 };
 
 // The compromise the paper's conclusion (§5.2.3) gestures at: a
 // maximum-weight matching whose edge weight mixes MinRTime's age term with
 // MaxWeight's queue-pressure term:
-//   w_e = age(e) + alpha * (qlen(src) + qlen(dst)).
-// alpha = 0 is exactly MinRTime; large alpha approaches MaxWeight.
+//   w_e = age(e) + alpha * (qlen(src) + qlen(dst)), alpha = 1/2.
+// alpha = 0 would be exactly MinRTime; large alpha approaches MaxWeight.
 class HybridPolicy : public SchedulingPolicy {
  public:
-  explicit HybridPolicy(double alpha = 0.5) : alpha_(alpha) {}
   std::string_view name() const override { return "hybrid"; }
   bool RequiresUnitDemands() const override { return true; }
   void SelectFlowsInto(const SwitchSpec& sw, Round t,
@@ -41,7 +37,8 @@ class HybridPolicy : public SchedulingPolicy {
                        std::vector<int>* picked) override;
 
  private:
-  double alpha_;
+  static constexpr double kAlpha = 0.5;
+
   BacklogGraphBuilder builder_;
   MaxWeightMatcher matcher_;
   std::vector<int> in_queue_;

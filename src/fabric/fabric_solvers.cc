@@ -68,6 +68,13 @@ class FabricPolicySolver : public Solver {
         {"load_imbalance",
          "max pod demand / mean pod demand (1.0 = balanced)"}};
     AppendCoflowDiagnosticDocs(&docs);
+    // fabric.maxweight is the coflow-aware policy: a Hungarian solve per
+    // pod per round (RunFabric sums the pods' counts).
+    if (policy_.name == "maxweight") {
+      docs.push_back({"matcher_full_solves",
+                      "rounds solved by the exact Hungarian matcher, summed "
+                      "over pods"});
+    }
     AppendScenarioDiagnosticDocs(&docs);
     return docs;
   }

@@ -1,61 +1,36 @@
 #include "graph/expansion.h"
 
-#include <numeric>
-
 #include "util/check.h"
 
 namespace flowsched {
 
-void Replicate(const Instance& instance, std::span<const FlowId> flow_ids,
-               ReplicatedGraph* out) {
-  const SwitchSpec& sw = instance.sw();
-  // Replica index ranges per port.
-  std::vector<int> in_base(sw.num_inputs() + 1, 0);
-  std::vector<int> out_base(sw.num_outputs() + 1, 0);
+const BipartiteGraph& BacklogGraphBuilder::Build(const SwitchSpec& sw,
+                                                 std::span<const Flow> flows) {
+  in_base_.assign(sw.num_inputs() + 1, 0);
+  out_base_.assign(sw.num_outputs() + 1, 0);
   for (PortId p = 0; p < sw.num_inputs(); ++p) {
-    in_base[p + 1] = in_base[p] + static_cast<int>(sw.input_capacity(p));
+    in_base_[p + 1] = in_base_[p] + static_cast<int>(sw.input_capacity(p));
   }
   for (PortId q = 0; q < sw.num_outputs(); ++q) {
-    out_base[q + 1] = out_base[q] + static_cast<int>(sw.output_capacity(q));
+    out_base_[q + 1] = out_base_[q] + static_cast<int>(sw.output_capacity(q));
   }
-  const int num_left = in_base[sw.num_inputs()];
-  const int num_right = out_base[sw.num_outputs()];
-  out->graph.Reset(num_left, num_right);
-  out->graph.ReserveEdges(static_cast<int>(flow_ids.size()));
-  out->left_port.resize(num_left);
-  out->right_port.resize(num_right);
-  for (PortId p = 0; p < sw.num_inputs(); ++p) {
-    for (int r = in_base[p]; r < in_base[p + 1]; ++r) out->left_port[r] = p;
-  }
-  for (PortId q = 0; q < sw.num_outputs(); ++q) {
-    for (int r = out_base[q]; r < out_base[q + 1]; ++r) out->right_port[r] = q;
-  }
+  graph_.Reset(in_base_[sw.num_inputs()], out_base_[sw.num_outputs()]);
+  graph_.ReserveEdges(static_cast<int>(flows.size()));
   // Round-robin cursors per port, as in the paper's construction.
-  std::vector<int> in_cursor(sw.num_inputs(), 0);
-  std::vector<int> out_cursor(sw.num_outputs(), 0);
-  out->edge_to_input_index.clear();
-  out->edge_to_input_index.reserve(flow_ids.size());
-  for (std::size_t i = 0; i < flow_ids.size(); ++i) {
-    const Flow& e = instance.flow(flow_ids[i]);
-    FS_CHECK_MSG(e.demand == 1,
-                 "Replicate requires unit demands; flow " << e.id << " has "
-                                                          << e.demand);
-    const int cap_in = static_cast<int>(sw.input_capacity(e.src));
-    const int cap_out = static_cast<int>(sw.output_capacity(e.dst));
-    const int lu = in_base[e.src] + in_cursor[e.src];
-    const int rv = out_base[e.dst] + out_cursor[e.dst];
-    in_cursor[e.src] = (in_cursor[e.src] + 1) % cap_in;
-    out_cursor[e.dst] = (out_cursor[e.dst] + 1) % cap_out;
-    out->graph.AddEdge(lu, rv);
-    out->edge_to_input_index.push_back(static_cast<int>(i));
+  in_cursor_.assign(sw.num_inputs(), 0);
+  out_cursor_.assign(sw.num_outputs(), 0);
+  for (const Flow& f : flows) {
+    FS_CHECK_MSG(f.demand == 1, "port replication requires unit demands; flow "
+                                    << f.id << " has demand " << f.demand);
+    const int u = in_base_[f.src] + in_cursor_[f.src];
+    const int v = out_base_[f.dst] + out_cursor_[f.dst];
+    in_cursor_[f.src] =
+        (in_cursor_[f.src] + 1) % static_cast<int>(sw.input_capacity(f.src));
+    out_cursor_[f.dst] =
+        (out_cursor_[f.dst] + 1) % static_cast<int>(sw.output_capacity(f.dst));
+    graph_.AddEdge(u, v);
   }
-}
-
-ReplicatedGraph Replicate(const Instance& instance,
-                          std::span<const FlowId> flow_ids) {
-  ReplicatedGraph out;
-  Replicate(instance, flow_ids, &out);
-  return out;
+  return graph_;
 }
 
 }  // namespace flowsched

@@ -4,7 +4,9 @@
 // unit-demand flow edge is attached to one replica of its input port and one
 // replica of its output port, chosen round-robin. Degrees then drop by a
 // factor of ~c, and matchings of the replicated graph are capacity-feasible
-// flow sets of the original switch.
+// flow sets of the original switch. Theorem 1 replicates each interval's
+// flows (core/art_scheduler.cc); the matching-based online policies
+// replicate the backlog every round.
 #ifndef FLOWSCHED_GRAPH_EXPANSION_H_
 #define FLOWSCHED_GRAPH_EXPANSION_H_
 
@@ -16,27 +18,25 @@
 
 namespace flowsched {
 
-struct ReplicatedGraph {
-  BipartiteGraph graph{0, 0};
-  // Maps each replicated-graph edge back to the position in the flow list it
-  // was built from (index into the `flow_ids` span handed to Replicate).
-  std::vector<int> edge_to_input_index;
-  // Replica -> original port.
-  std::vector<PortId> left_port;
-  std::vector<PortId> right_port;
+// Buffer-reusing builder of the replicated multigraph: edge i of the built
+// graph is flows[i], left vertices are input-port replicas (port p owns the
+// capacity(p) ids after those of ports < p), right vertices likewise for
+// output ports. Flows may repeat (parallel requests become parallel edges
+// spread across replicas). Each Build() reuses the previous graph's edge,
+// adjacency and cursor storage, so rebuilding a graph no larger than any
+// before it touches no heap.
+class BacklogGraphBuilder {
+ public:
+  // FS_CHECK-aborts on a flow whose demand is not 1.
+  const BipartiteGraph& Build(const SwitchSpec& sw, std::span<const Flow> flows);
+
+ private:
+  BipartiteGraph graph_{0, 0};
+  std::vector<int> in_base_;
+  std::vector<int> out_base_;
+  std::vector<int> in_cursor_;
+  std::vector<int> out_cursor_;
 };
-
-// Builds the replicated unit-capacity multigraph for the given unit-demand
-// flows. Requires demand == 1 for every listed flow. Flows may repeat
-// (parallel requests become parallel edges spread across replicas).
-ReplicatedGraph Replicate(const Instance& instance,
-                          std::span<const FlowId> flow_ids);
-
-// Buffer-reusing overload: rebuilds into *out, keeping its graph adjacency
-// and mapping storage alive. Callers replicating every interval (Theorem 1)
-// or every round reuse one ReplicatedGraph instead of reallocating.
-void Replicate(const Instance& instance, std::span<const FlowId> flow_ids,
-               ReplicatedGraph* out);
 
 }  // namespace flowsched
 

@@ -140,7 +140,7 @@ StreamingSimulator::StreamingSimulator(const SwitchSpec& sw,
     : sw_(sw),
       policy_(policy),
       options_(options),
-      engine_(sw, policy, ctx_, options.validate) {
+      engine_(sw, policy, options.validate) {
   // Always bound (an empty script by default), so wire-mode FAULT/RECOVER
   // works in any session.
   source_error_ = !engine_.BindScenario(options_.scenario, nullptr, &error_);
@@ -159,7 +159,7 @@ void StreamingSimulator::EmitPeriodicStats() {
   if (options_.stats_out == nullptr || options_.stats_every <= 0) return;
   if ((engine_.round() + 1) % options_.stats_every != 0) return;
   *options_.stats_out << metrics_.StatsLine(engine_.round(),
-                                            ctx_.backlog.size())
+                                            engine_.backlog_size())
                       << '\n';
 }
 
@@ -216,7 +216,7 @@ bool StreamingSimulator::Inject(const Flow& flow, std::string* error) {
 
 void StreamingSimulator::Step() {
   Hooks hooks{*this};
-  if (!ctx_.backlog.empty()) engine_.RunRound(hooks);
+  if (engine_.backlog_size() != 0) engine_.RunRound(hooks);
   hooks.EndRound();
   engine_.NextRound();
 }
@@ -232,7 +232,7 @@ bool StreamingSimulator::ForceRecover(PortId h, std::string* error) {
 }
 
 const std::string& StreamingSimulator::StatsLine() {
-  return metrics_.StatsLine(engine_.round(), ctx_.backlog.size());
+  return metrics_.StatsLine(engine_.round(), engine_.backlog_size());
 }
 
 StreamingSummary StreamingSimulator::Summarize() const {
@@ -258,7 +258,7 @@ StreamingSummary StreamingSimulator::Summarize() const {
   s.max_cct = c.max();
   s.downtime_rounds = engine_.downtime_rounds();
   s.migrated_flows = engine_.scenario().migrated_flows();
-  s.truncated = !ctx_.backlog.empty();
+  s.truncated = engine_.backlog_size() != 0;
   s.source_error = source_error_;
   s.error = error_;
   return s;

@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "core/online/round_engine.h"
-#include "core/online/simulation_context.h"
 #include "core/online/simulator.h"
 #include "scenario/scenario.h"
 #include "serve/streaming_metrics.h"
@@ -109,7 +108,7 @@ class StreamingSimulator {
   Round round() const { return engine_.round(); }
   bool Inject(const Flow& flow, std::string* error);
   void Step();
-  std::size_t backlog_size() const { return ctx_.backlog.size(); }
+  std::size_t backlog_size() const { return engine_.backlog_size(); }
 
   // Wire FAULT/RECOVER: immediately downs/restores host `h` on both port
   // sides. False with *error on an out-of-range host; never aborts. Flows
@@ -140,7 +139,6 @@ class StreamingSimulator {
   const SwitchSpec& sw_;
   SchedulingPolicy& policy_;
   StreamingOptions options_;
-  SimulationContext ctx_;
   StreamingMetrics metrics_;
   RoundEngine engine_;
   FlowId next_id_ = 0;  // Pull-mode ids, dense in arrival order.

@@ -7,6 +7,7 @@
 
 #include "core/online/policy.h"
 #include "graph/bipartite_graph.h"
+#include "graph/expansion.h"
 #include "graph/max_weight_matching.h"
 #include "graph/vertex_weight_matching.h"
 #include "util/rng.h"
@@ -68,7 +69,8 @@ Problem BacklogProblem(Rng& rng, int max_ports, int max_flows) {
     ++out_queue[f.dst];
   }
   Problem p;
-  p.g = BuildBacklogGraph(sw, pending);
+  BacklogGraphBuilder builder;
+  p.g = builder.Build(sw, pending);
   p.left_w.assign(p.g.num_left(), 0.0);
   p.right_w.assign(p.g.num_right(), 0.0);
   for (std::size_t i = 0; i < pending.size(); ++i) {

@@ -45,7 +45,7 @@ TEST(SrptPolicyTest, TiesBrokenByReleaseFifo) {
 
 TEST(HybridPolicyTest, InterpolatesAgeAndPressure) {
   const SwitchSpec sw = SwitchSpec::Uniform(3, 3, 1);
-  HybridPolicy policy(/*alpha=*/0.5);
+  HybridPolicy policy;  // alpha = 1/2.
   // Old flow (0,0) vs fresh flows piled on port (1,1): hybrid must still
   // schedule the old flow since it conflicts with nothing.
   std::vector<PendingFlow> pending = {

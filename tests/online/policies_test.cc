@@ -5,6 +5,7 @@
 #include "core/online/max_card_policy.h"
 #include "core/online/policy.h"
 #include "core/online/simulator.h"
+#include "graph/expansion.h"
 #include "workload/patterns.h"
 #include "workload/poisson.h"
 
@@ -26,7 +27,8 @@ TEST(PolicyFactoryDeathTest, UnknownNameAborts) {
 TEST(BacklogGraphTest, UnitCapacityGraphMirrorsPending) {
   const SwitchSpec sw = SwitchSpec::Uniform(3, 3, 1);
   std::vector<PendingFlow> pending = {{0, 0, 1, 1, 0}, {1, 2, 1, 1, 0}};
-  const BipartiteGraph g = BuildBacklogGraph(sw, pending);
+  BacklogGraphBuilder builder;
+  const BipartiteGraph& g = builder.Build(sw, pending);
   EXPECT_EQ(g.num_left(), 3);
   EXPECT_EQ(g.num_right(), 3);
   ASSERT_EQ(g.num_edges(), 2);
@@ -38,7 +40,8 @@ TEST(BacklogGraphTest, UnitCapacityGraphMirrorsPending) {
 TEST(BacklogGraphTest, CapacityCreatesReplicas) {
   const SwitchSpec sw({2}, {3});
   std::vector<PendingFlow> pending(4, PendingFlow{0, 0, 0, 1, 0});
-  const BipartiteGraph g = BuildBacklogGraph(sw, pending);
+  BacklogGraphBuilder builder;
+  const BipartiteGraph& g = builder.Build(sw, pending);
   EXPECT_EQ(g.num_left(), 2);
   EXPECT_EQ(g.num_right(), 3);
   // Round-robin: left degrees {2,2}, right degrees {2,1,1}.

@@ -104,28 +104,6 @@ TEST(SimulatorRegressionTest, MetricsMatchPreRewriteGoldens) {
   }
 }
 
-// A reused SimulationContext must not leak state between runs: the same
-// simulation through one shared context gives the same result every time.
-TEST(SimulatorRegressionTest, SharedContextIsStateless) {
-  std::string error;
-  const auto instance =
-      LoadInstance("poisson:ports=16,load=1.0,rounds=30,seed=3", &error);
-  ASSERT_TRUE(instance.has_value()) << error;
-  SimulationContext ctx;
-  for (const char* name : {"maxcard", "maxweight", "maxcard", "fifo"}) {
-    auto policy = MakePolicy(name, 7);
-    const SimulationResult fresh = Simulate(*instance, *policy);
-    policy->Reset();
-    const SimulationResult reused =
-        Simulate(*instance, *policy, SimulationOptions{}, &ctx);
-    EXPECT_DOUBLE_EQ(fresh.metrics.total_response,
-                     reused.metrics.total_response)
-        << name;
-    EXPECT_EQ(fresh.rounds, reused.rounds) << name;
-    EXPECT_EQ(fresh.peak_backlog, reused.peak_backlog) << name;
-  }
-}
-
 // validate=false must not change any result — it only skips the audits.
 TEST(SimulatorRegressionTest, ValidationFlagDoesNotChangeResults) {
   std::string error;

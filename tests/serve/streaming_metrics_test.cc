@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "core/online/policy.h"
+#include "serve/streaming_simulator.h"
 #include "serve/wire_protocol.h"
 #include "util/stats.h"
 
@@ -319,6 +321,57 @@ TEST(WireParseAllocationTest, ValidArriveAndTickLinesAllocateNothing) {
   const long long allocations = g_allocations.load() - before;
   EXPECT_EQ(parsed, 10000) << error;
   EXPECT_EQ(allocations, 0);
+}
+
+// Allocations over rounds [2000, 3000) of a wire-mode session on 16 ports
+// with validation on. Round t injects 14 flows, each pattern shifted by t
+// ports: flows k < 13 run from input k to output k, flow 13 from input 14
+// to output 0, so two flows share output t. One of them waits a round;
+// its ports are free of the next round's arrivals, so every policy serves
+// it then and the backlog a policy sees is 15 flows from round 1 on.
+// With `mixed`, capacities are 2 and every third flow has demand 2.
+long long SteadyStateRoundAllocations(const std::string& policy_name,
+                                      bool mixed, int* peak_backlog) {
+  constexpr int kPorts = 16;
+  const SwitchSpec sw = SwitchSpec::Uniform(kPorts, kPorts, mixed ? 2 : 1);
+  const auto policy = MakePolicy(policy_name, /*seed=*/1);
+  StreamingSimulator sim(sw, *policy);
+  std::string error;
+  FlowId next_id = 0;
+  long long before = 0;
+  for (Round t = 0; t < 3000; ++t) {
+    if (t == 2000) before = g_allocations.load();
+    for (int k = 0; k < 14; ++k) {
+      Flow f;
+      f.id = next_id++;
+      f.src = static_cast<PortId>(((k < 13 ? k : 14) + t) % kPorts);
+      f.dst = static_cast<PortId>((k % 13 + t) % kPorts);
+      f.demand = mixed && f.id % 3 == 0 ? 2 : 1;
+      EXPECT_TRUE(sim.Inject(f, &error)) << error;
+    }
+    sim.Step();
+  }
+  const long long allocations = g_allocations.load() - before;
+  *peak_backlog = sim.Summarize().peak_backlog;
+  return allocations;
+}
+
+// Once the backlog has reached its peak, a round of the streaming loop
+// allocates nothing: not the engine's buffers, the policy's scratch, the
+// selection audit, the metrics or the retirement of completed flows.
+TEST(RoundLoopAllocationTest, SteadyStateRoundsAllocateNothing) {
+  for (const std::string& name : AllPolicyNames()) {
+    int peak = 0;
+    EXPECT_EQ(SteadyStateRoundAllocations(name, /*mixed=*/false, &peak), 0)
+        << name;
+    EXPECT_EQ(peak, 15) << name;
+  }
+  for (const char* name : {"srpt", "fifo", "random"}) {
+    int peak = 0;
+    EXPECT_EQ(SteadyStateRoundAllocations(name, /*mixed=*/true, &peak), 0)
+        << name << " on mixed demands";
+    EXPECT_LE(peak, 15) << name << " on mixed demands";
+  }
 }
 
 }  // namespace

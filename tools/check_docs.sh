@@ -7,6 +7,10 @@
 #   2. Every relative markdown link in README.md and docs/*.md must
 #      resolve to an existing file (http(s) links and pure anchors are
 #      skipped — no network in CI).
+#   3. Every backticked source path in README.md and docs/*.md —
+#      `dir/file.h`, `dir/file.cc` or `dir/file.{h,cc}` — must name an
+#      existing file, from the repo root or from src/, so prose cannot
+#      keep pointing at a file a refactor deleted or moved.
 #
 # Usage: tools/check_docs.sh [path/to/flowsched_cli]
 set -euo pipefail
@@ -57,9 +61,26 @@ for file in README.md docs/*.md; do
     fi
   done < <(grep -oE '\]\([^)]+\)' "${file}" | sed -E 's/^\]\(//; s/\)$//')
 done
+for file in README.md docs/*.md; do
+  while IFS= read -r ref; do
+    ref="${ref//\`/}"
+    if [[ "${ref}" == *'.{h,cc}' ]]; then
+      paths=("${ref%.\{h,cc\}}.h" "${ref%.\{h,cc\}}.cc")
+    else
+      paths=("${ref}")
+    fi
+    for path in "${paths[@]}"; do
+      if [[ ! -e "${path}" && ! -e "src/${path}" ]]; then
+        echo "${file}: stale source path -> ${path}" >&2
+        status=1
+      fi
+    done
+  done < <(grep -oE '`[A-Za-z0-9_./-]+/[A-Za-z0-9_.-]+\.(h|cc|\{h,cc\})`' \
+             "${file}" || true)
+done
 if [[ ${status} -ne 0 ]]; then
-  echo "error: broken documentation links (see above)" >&2
+  echo "error: broken documentation links or source paths (see above)" >&2
 else
-  echo "docs OK: solvers.md fresh, links resolve"
+  echo "docs OK: solvers.md fresh, links and source paths resolve"
 fi
 exit ${status}
