@@ -3,6 +3,7 @@
 // is an exact comparison.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "core/online/policy.h"
@@ -38,12 +39,15 @@ Problem RandomProblem(Rng& rng, int max_side, int max_edges) {
   Problem p;
   const int nl = rng.UniformInt(0, max_side);
   const int nr = rng.UniformInt(0, max_side);
-  p.g = BipartiteGraph(nl, nr);
+  std::vector<BipartiteGraph::Edge> edges;
   if (nl > 0 && nr > 0) {
     for (int e = rng.UniformInt(0, max_edges); e > 0; --e) {
-      p.g.AddEdge(rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1));
+      // Braced initialisation draws u before v on every compiler.
+      edges.push_back({rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1)});
     }
   }
+  p.g = BipartiteGraph(nl, nr);
+  for (const BipartiteGraph::Edge& e : edges) p.g.AddEdge(e.u, e.v);
   for (int u = 0; u < nl; ++u) p.left_w.push_back(rng.UniformInt(0, 3));
   for (int v = 0; v < nr; ++v) p.right_w.push_back(rng.UniformInt(0, 3));
   return p;
@@ -163,6 +167,33 @@ TEST(VertexWeightMatcherTest, TiesGoToTheOldestEdge) {
   const std::vector<double> heavier = {3, 2};
   m.Solve(contested, heavier, zero, &out);
   EXPECT_EQ(out, std::vector<int>({1}));
+}
+
+// The weight tests above accept any maximum matching; this pins the exact
+// edges, so a rewrite that returns a different but equally heavy matching
+// (a changed tie-break or scan order) fails here. The hash is FNV-1a over
+// every returned list (its length, then its edge ids).
+TEST(VertexWeightMatcherTest, ReturnedEdgesKeepTheirFingerprint) {
+  Rng rng(2103);
+  VertexWeightMatcher m;
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](std::uint64_t x) {
+    hash = (hash ^ x) * 1099511628211ull;
+  };
+  for (int trial = 0; trial < 4000; ++trial) {
+    Rng r = rng.Fork(trial);
+    Problem p;
+    switch (trial % 4) {
+      case 0: p = RandomProblem(r, 12, 40); break;
+      case 1: p = BacklogProblem(r, 8, 40); break;
+      case 2: p = RandomProblem(r, 40, 300); break;
+      default: p = BacklogProblem(r, 24, 400); break;
+    }
+    const std::vector<int> got = SolveVertex(m, p);
+    mix(got.size());
+    for (int e : got) mix(static_cast<std::uint64_t>(e));
+  }
+  EXPECT_EQ(hash, 13929094160778542315ull);
 }
 
 // Input i > 0 is adjacent to outputs i-1 (first) and i; input 0 only to
