@@ -17,8 +17,8 @@ void MaxWeightPolicy::SelectFlowsInto(const SwitchSpec& sw, Round /*t*/,
   }
   // Edge i's weight is its ports' queue sum, so each replica vertex carries
   // its port's queue length (replicas without edges keep 0).
-  left_weight_.assign(g.num_left(), 0.0);
-  right_weight_.assign(g.num_right(), 0.0);
+  left_weight_.assign(g.num_left(), 0);
+  right_weight_.assign(g.num_right(), 0);
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const BipartiteGraph::Edge& e = g.edge(static_cast<int>(i));
     left_weight_[e.u] = in_queue_[pending[i].src];

@@ -31,8 +31,8 @@ class MaxWeightPolicy : public SchedulingPolicy {
   std::int64_t exact_solves_ = 0;
   std::vector<int> in_queue_;
   std::vector<int> out_queue_;
-  std::vector<double> left_weight_;  // Per replica vertex.
-  std::vector<double> right_weight_;
+  std::vector<int> left_weight_;  // Per replica vertex.
+  std::vector<int> right_weight_;
 };
 
 }  // namespace flowsched

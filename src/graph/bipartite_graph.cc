@@ -5,49 +5,47 @@
 #include "util/check.h"
 
 namespace flowsched {
+namespace {
 
-BipartiteGraph::BipartiteGraph(int num_left, int num_right)
-    : num_left_(num_left),
-      num_right_(num_right),
-      left_adj_(num_left),
-      right_adj_(num_right) {
-  FS_CHECK_GE(num_left, 0);
-  FS_CHECK_GE(num_right, 0);
+// Counting sort of `edges` by their `own` endpoint (n vertices) into `a`.
+// Degrees are counted two places up, so after the prefix sum start[x+1] is
+// x's first slot; placing each edge then advances start[x+1] to x's end,
+// which is x+1's start. Edges are placed in edge order, so the sort is
+// stable.
+void IndexSide(std::span<const BipartiteGraph::Edge> edges, int n,
+               int BipartiteGraph::Edge::*own, int BipartiteGraph::Edge::*far,
+               BipartiteGraph::Adjacency& a) {
+  FS_CHECK_GE(n, 0);
+  a.start.assign(n + 2, 0);
+  for (const BipartiteGraph::Edge& e : edges) {
+    const int x = e.*own;
+    FS_CHECK(x >= 0 && x < n);
+    ++a.start[x + 2];
+  }
+  for (int x = 2; x < n + 2; ++x) a.start[x] += a.start[x - 1];
+  a.edge.resize(edges.size());
+  a.other.resize(edges.size());
+  for (int e = 0; e < static_cast<int>(edges.size()); ++e) {
+    const int slot = a.start[edges[e].*own + 1]++;
+    a.edge[slot] = e;
+    a.other[slot] = edges[e].*far;
+  }
+  a.start.resize(n + 1);
 }
 
-void BipartiteGraph::Reset(int num_left, int num_right) {
-  FS_CHECK_GE(num_left, 0);
-  FS_CHECK_GE(num_right, 0);
+}  // namespace
+
+void BipartiteGraph::Index(int num_left, int num_right) {
   num_left_ = num_left;
   num_right_ = num_right;
-  edges_.clear();
-  // resize() only reallocates when growing; shrinking keeps the vector of
-  // vectors (and clear() keeps each inner capacity), so steady-state rounds
-  // touch no heap at all.
-  if (static_cast<int>(left_adj_.size()) < num_left) left_adj_.resize(num_left);
-  if (static_cast<int>(right_adj_.size()) < num_right) {
-    right_adj_.resize(num_right);
-  }
-  // Clear every stored list, including ones beyond the (possibly shrunk)
-  // vertex count, so no stale adjacency survives a dimension change.
-  for (auto& adj : left_adj_) adj.clear();
-  for (auto& adj : right_adj_) adj.clear();
-}
-
-int BipartiteGraph::AddEdge(int u, int v) {
-  FS_CHECK(u >= 0 && u < num_left_);
-  FS_CHECK(v >= 0 && v < num_right_);
-  const int e = num_edges();
-  edges_.push_back(Edge{u, v});
-  left_adj_[u].push_back(e);
-  right_adj_[v].push_back(e);
-  return e;
+  IndexSide(edges_, num_left, &Edge::u, &Edge::v, left_);
+  IndexSide(edges_, num_right, &Edge::v, &Edge::u, right_);
 }
 
 int BipartiteGraph::MaxDegree() const {
   int d = 0;
-  for (const auto& adj : left_adj_) d = std::max(d, static_cast<int>(adj.size()));
-  for (const auto& adj : right_adj_) d = std::max(d, static_cast<int>(adj.size()));
+  for (int u = 0; u < num_left_; ++u) d = std::max(d, LeftDegree(u));
+  for (int v = 0; v < num_right_; ++v) d = std::max(d, RightDegree(v));
   return d;
 }
 

@@ -22,9 +22,9 @@ namespace flowsched {
 // graph is flows[i], left vertices are input-port replicas (port p owns the
 // capacity(p) ids after those of ports < p), right vertices likewise for
 // output ports. Flows may repeat (parallel requests become parallel edges
-// spread across replicas). Each Build() reuses the previous graph's edge,
-// adjacency and cursor storage, so rebuilding a graph no larger than any
-// before it touches no heap.
+// spread across replicas). Build() writes the replica edges straight into
+// the graph it owns and reuses that graph's and the cursors' storage, so
+// rebuilding a graph no larger than any before it touches no heap.
 class BacklogGraphBuilder {
  public:
   // FS_CHECK-aborts on a flow whose demand is not 1.
@@ -34,8 +34,8 @@ class BacklogGraphBuilder {
   BipartiteGraph graph_{0, 0};
   std::vector<int> in_base_;
   std::vector<int> out_base_;
-  std::vector<int> in_cursor_;
-  std::vector<int> out_cursor_;
+  std::vector<int> in_next_;
+  std::vector<int> out_next_;
 };
 
 }  // namespace flowsched

@@ -5,125 +5,107 @@
 #include "util/check.h"
 
 namespace flowsched {
-namespace {
 
-// Side-generic views of the graph: the greedy runs once with the left side
-// as its own side and once with the right.
-template <bool kLeft>
-const std::vector<int>& Adj(const BipartiteGraph& g, int x) {
-  return kLeft ? g.left_adj(x) : g.right_adj(x);
-}
-
-template <bool kLeft>
-int Own(const BipartiteGraph::Edge& e) {
-  return kLeft ? e.u : e.v;
-}
-
-template <bool kLeft>
-int Other(const BipartiteGraph::Edge& e) {
-  return kLeft ? e.v : e.u;
-}
-
-}  // namespace
-
-// First edge of x (in edge order) whose other endpoint is free, or -1. A
+// First slot of x (in edge order) whose other endpoint is free, or -1. A
 // matched vertex stays matched for the rest of the greedy (augmenting
 // paths only grow the matched set), so the scan resumes where x's last one
 // stopped: all look-aheads of one greedy cost O(E) together.
-template <bool kLeft>
-int VertexWeightMatcher::FreeEdge(const BipartiteGraph& g, int x,
+int VertexWeightMatcher::FreeSlot(const BipartiteGraph::Adjacency& a, int x,
                                   const std::vector<int>& other_match) {
-  const std::vector<int>& adj = Adj<kLeft>(g, x);
   int& i = free_scan_[x];
-  for (; i < static_cast<int>(adj.size()); ++i) {
-    if (other_match[Other<kLeft>(g.edge(adj[i]))] == -1) return adj[i];
+  for (const int end = a.start[x + 1]; i < end; ++i) {
+    if (other_match[a.other[i]] == -1) return i;
   }
   return -1;
 }
 
-template <bool kLeft>
-void VertexWeightMatcher::Augment(const BipartiteGraph& g, int s,
+bool VertexWeightMatcher::Augment(const BipartiteGraph::Adjacency& a, int s,
                                   std::vector<int>& own_match,
                                   std::vector<int>& other_match) {
-  // Flips the path: the top vertex x takes `last`, every frame takes the
-  // edge it descended through. All writes go to distinct slots.
+  // Flips the path: the top vertex x takes slot `last`, every frame takes
+  // the slot it descended through. All writes go to distinct entries.
   const auto flip = [&](int x, int last) {
-    own_match[x] = last;
-    other_match[Other<kLeft>(g.edge(last))] = last;
+    own_match[x] = a.edge[last];
+    other_match[a.other[last]] = x;
     for (const Frame& f : stack_) {
-      own_match[f.vertex] = f.via;
-      other_match[Other<kLeft>(g.edge(f.via))] = f.via;
+      own_match[f.vertex] = a.edge[f.via];
+      other_match[a.other[f.via]] = f.vertex;
     }
     // The matching changed, so earlier dead ends may now lead somewhere.
     ++stamp_;
+    return true;
   };
   stack_.clear();
   // Look for a free neighbour before descending, at s and at every vertex
   // the search reaches.
-  if (const int e = FreeEdge<kLeft>(g, s, other_match); e != -1) {
-    flip(s, e);
-    return;
+  if (const int slot = FreeSlot(a, s, other_match); slot != -1) {
+    return flip(s, slot);
   }
-  stack_.push_back({s, 0, -1});
+  stack_.push_back({a.start[s], a.start[s + 1], s, -1});
   while (!stack_.empty()) {
     Frame& f = stack_.back();
-    const std::vector<int>& adj = Adj<kLeft>(g, f.vertex);
-    if (f.next == static_cast<int>(adj.size())) {
+    if (f.next == f.end) {
       stack_.pop_back();
       continue;
     }
-    const int e = adj[f.next++];
-    const int y = Other<kLeft>(g.edge(e));
+    const int y = a.other[f.next];
     // Every y seen is matched (the look-ahead found no free one), and a
     // failed search leaves the matching unchanged, so a y seen since the
     // last augmentation is a dead end.
-    if (seen_[y] == stamp_) continue;
-    seen_[y] = stamp_;
-    f.via = e;
-    const int x = Own<kLeft>(g.edge(other_match[y]));
-    if (const int free = FreeEdge<kLeft>(g, x, other_match); free != -1) {
-      flip(x, free);
-      return;
+    if (seen_[y] == stamp_) {
+      ++f.next;
+      continue;
     }
-    stack_.push_back({x, 0, -1});
+    seen_[y] = stamp_;
+    f.via = f.next++;
+    const int x = other_match[y];
+    if (const int slot = FreeSlot(a, x, other_match); slot != -1) {
+      return flip(x, slot);
+    }
+    stack_.push_back({a.start[x], a.start[x + 1], x, -1});
   }
+  return false;
 }
 
 template <bool kLeft>
 void VertexWeightMatcher::Greedy(const BipartiteGraph& g,
-                                 std::span<const double> weight,
+                                 std::span<const int> weight,
                                  std::vector<int>& own_match,
                                  std::vector<int>& other_match) {
+  const BipartiteGraph::Adjacency& a = kLeft ? g.left() : g.right();
+  const BipartiteGraph::Adjacency& far = kLeft ? g.right() : g.left();
   const int n_own = kLeft ? g.num_left() : g.num_right();
   const int n_other = kLeft ? g.num_right() : g.num_left();
   FS_CHECK_EQ(static_cast<int>(weight.size()), n_own);
+  // Falling weight, ties to the oldest incident edge (a vertex's first
+  // slot; no two vertices share it), packed into one ascending key.
   order_.clear();
   for (int x = 0; x < n_own; ++x) {
-    FS_CHECK_GE(weight[x], 0.0);
-    const std::vector<int>& adj = Adj<kLeft>(g, x);
-    if (weight[x] > 0.0 && !adj.empty()) {
-      order_.push_back({weight[x], adj.front(), x});
+    FS_CHECK_GE(weight[x], 0);
+    if (weight[x] > 0 && a.start[x] != a.start[x + 1]) {
+      order_.push_back(std::uint64_t{~static_cast<std::uint32_t>(weight[x])}
+                           << 32 |
+                       static_cast<std::uint32_t>(a.edge[a.start[x]]));
     }
   }
-  // Falling weight; ties to the oldest incident edge (a vertex's adjacency
-  // is in edge order, so that is its first entry; no two vertices share it).
-  std::sort(order_.begin(), order_.end(), [](const Visit& a, const Visit& b) {
-    if (a.weight != b.weight) return a.weight > b.weight;
-    return a.first_edge < b.first_edge;
-  });
+  std::sort(order_.begin(), order_.end());
+  int unmatched = 0;  // Other-side vertices with an edge and no match.
+  for (int y = 0; y < n_other; ++y) unmatched += far.start[y] != far.start[y + 1];
   own_match.assign(n_own, -1);
   other_match.assign(n_other, -1);
   seen_.assign(n_other, 0);
   stamp_ = 1;
-  free_scan_.assign(n_own, 0);
-  for (const Visit& x : order_) {
-    Augment<kLeft>(g, x.vertex, own_match, other_match);
+  free_scan_.assign(a.start.begin(), a.start.end() - 1);
+  for (const std::uint64_t key : order_) {
+    if (unmatched == 0) break;
+    const BipartiteGraph::Edge& first = g.edge(static_cast<int>(key & 0xffffffffu));
+    unmatched -= Augment(a, kLeft ? first.u : first.v, own_match, other_match);
   }
 }
 
 void VertexWeightMatcher::Solve(const BipartiteGraph& g,
-                                std::span<const double> left_weight,
-                                std::span<const double> right_weight,
+                                std::span<const int> left_weight,
+                                std::span<const int> right_weight,
                                 std::vector<int>* out) {
   out->clear();
   Greedy<true>(g, left_weight, left_match_, right_match_);

@@ -23,11 +23,18 @@
 // index (on the backlog graph, the vertex's oldest pending flow), and every
 // adjacency scan runs in edge order, so among parallel edges the oldest
 // wins. Zero-weight vertices are never added, so every returned edge has
-// positive weight. Scratch persists across calls: steady-state solves
-// allocate nothing.
+// positive weight.
+//
+// The searches walk the graph's CSR slots (bipartite_graph.h), reading the
+// far endpoint from the slot itself. Each greedy stops once every far-side
+// vertex with an edge is matched: no augmenting path exists after that,
+// and a failed search changes nothing, so the stop cannot change the
+// result. Scratch persists across calls: steady-state solves allocate
+// nothing.
 #ifndef FLOWSCHED_GRAPH_VERTEX_WEIGHT_MATCHING_H_
 #define FLOWSCHED_GRAPH_VERTEX_WEIGHT_MATCHING_H_
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -41,48 +48,43 @@ class VertexWeightMatcher {
   // `g` under edge weights left_weight[u] + right_weight[v]
   // (left_weight.size() == g.num_left(), right_weight.size() ==
   // g.num_right(), all weights >= 0), listed by ascending left vertex.
-  void Solve(const BipartiteGraph& g, std::span<const double> left_weight,
-             std::span<const double> right_weight, std::vector<int>* out);
+  void Solve(const BipartiteGraph& g, std::span<const int> left_weight,
+             std::span<const int> right_weight, std::vector<int>* out);
 
  private:
-  // One augmenting-path search frame: an own-side vertex, the next
-  // adjacency slot to try, and the edge it descended through.
+  // One augmenting-path search frame: an own-side vertex, its next and
+  // end adjacency slots, and the slot it descended through.
   struct Frame {
-    int vertex;
     int next;
+    int end;
+    int vertex;
     int via;
   };
-  // A greedy candidate with its sort key.
-  struct Visit {
-    double weight;
-    int first_edge;
-    int vertex;
-  };
 
-  // Matroid greedy over one side's vertices (kLeft: the left side).
-  // Leaves own_match[x] / other_match[y] as matched edge ids or -1.
+  // Matroid greedy over one side's vertices (kLeft: the left side). Leaves
+  // own_match[x] as x's matched edge id and other_match[y] as y's matched
+  // own-side vertex, each -1 when free.
   template <bool kLeft>
-  void Greedy(const BipartiteGraph& g, std::span<const double> weight,
+  void Greedy(const BipartiteGraph& g, std::span<const int> weight,
               std::vector<int>& own_match, std::vector<int>& other_match);
   // One augmenting-path search from the free own-side vertex s; flips the
-  // path into the matching when it finds one, else changes nothing.
-  template <bool kLeft>
-  void Augment(const BipartiteGraph& g, int s, std::vector<int>& own_match,
-               std::vector<int>& other_match);
-
-  // First edge of x, in edge order, to a free other-side vertex, or -1.
-  template <bool kLeft>
-  int FreeEdge(const BipartiteGraph& g, int x,
+  // path into the matching and returns true when it finds one, else
+  // changes nothing.
+  bool Augment(const BipartiteGraph::Adjacency& a, int s,
+               std::vector<int>& own_match, std::vector<int>& other_match);
+  // First slot of x, in edge order, to a free other-side vertex, or -1.
+  int FreeSlot(const BipartiteGraph::Adjacency& a, int x,
                const std::vector<int>& other_match);
 
-  std::vector<Visit> order_;
+  // Greedy candidates: (inverted weight << 32 | first edge), ascending.
+  std::vector<std::uint64_t> order_;
   std::vector<int> left_match_;    // M1, then the merged matching.
-  std::vector<int> right_match_;   // M1 as the greedy left it.
+  std::vector<int> right_match_;   // M1's cover, as the greedy left it.
   std::vector<int> left_match2_;   // M2.
   std::vector<int> right_match2_;
   std::vector<int> seen_;  // Other-side visit stamps of the current greedy.
   int stamp_ = 0;
-  std::vector<int> free_scan_;  // Per own-side vertex: FreeEdge's cursor.
+  std::vector<int> free_scan_;  // Per own-side vertex: FreeSlot's cursor.
   std::vector<Frame> stack_;
 };
 

@@ -21,16 +21,13 @@ TEST(BruteForceMatchingTest, EmptyGraph) {
 }
 
 TEST(BruteForceMatchingTest, SingleEdge) {
-  BipartiteGraph g(2, 2);
-  g.AddEdge(1, 0);
+  const BipartiteGraph g(2, 2, {{1, 0}});
   EXPECT_EQ(BruteForceMaxCardinality(g), 1);
   EXPECT_EQ(BruteForceMaxWeight(g, std::vector<double>{2.5}), 2.5);
 }
 
 TEST(BruteForceMatchingTest, ZeroWeightEdgesAddNothing) {
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 1);
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 1}});
   EXPECT_EQ(BruteForceMaxWeight(g, std::vector<double>{0.0, 0.0}), 0.0);
   EXPECT_EQ(BruteForceMaxCardinality(g), 2);
 }
@@ -38,18 +35,13 @@ TEST(BruteForceMatchingTest, ZeroWeightEdgesAddNothing) {
 TEST(BruteForceMatchingTest, TieWeightsPickEitherSideOfTheConflict) {
   // Two edges fight over right vertex 0 with equal weight; one of them
   // plus the free edge is the unique optimal value.
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 0);
-  g.AddEdge(1, 1);
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 0}, {1, 1}});
   EXPECT_EQ(BruteForceMaxWeight(g, std::vector<double>{3.0, 3.0, 1.0}), 4.0);
   EXPECT_EQ(BruteForceMaxCardinality(g), 2);
 }
 
 TEST(BruteForceMatchingTest, ParallelEdgesCountOnce) {
-  BipartiteGraph g(1, 1);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 0);
+  const BipartiteGraph g(1, 1, {{0, 0}, {0, 0}});
   EXPECT_EQ(BruteForceMaxCardinality(g), 1);
   EXPECT_EQ(BruteForceMaxWeight(g, std::vector<double>{1.0, 7.0}), 7.0);
 }
@@ -57,10 +49,9 @@ TEST(BruteForceMatchingTest, ParallelEdgesCountOnce) {
 TEST(BruteForceMatchingTest, HeavyEdgeBeatsLargerCardinality) {
   // Max-weight and max-cardinality disagree: one weight-10 edge blocks two
   // weight-1 edges.
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);  // 1.0
-  g.AddEdge(1, 1);  // 1.0
-  g.AddEdge(0, 1);  // 10.0, conflicts with both.
+  // Edges (0,0) and (1,1) weigh 1.0; (0,1) weighs 10.0 and conflicts with
+  // both.
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 1}, {0, 1}});
   EXPECT_EQ(BruteForceMaxWeight(g, std::vector<double>{1.0, 1.0, 10.0}),
             10.0);
   EXPECT_EQ(BruteForceMaxCardinality(g), 2);
@@ -73,12 +64,13 @@ TEST(BruteForceMatchingTest, AgreesWithHungarianOnRandomGraphs) {
     const int nl = rng.UniformInt(1, 5);
     const int nr = rng.UniformInt(1, 5);
     const int ne = rng.UniformInt(0, 10);
-    BipartiteGraph g(nl, nr);
+    std::vector<BipartiteGraph::Edge> edges;
     std::vector<double> w;
     for (int e = 0; e < ne; ++e) {
-      g.AddEdge(rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1));
+      edges.push_back({rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1)});
       w.push_back(static_cast<double>(rng.UniformInt(0, 6)));
     }
+    const BipartiteGraph g(nl, nr, edges);
     std::vector<int> out;
     exact.Solve(g, w, &out);
     double hungarian = 0.0;

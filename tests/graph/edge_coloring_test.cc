@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "graph/bipartite_graph.h"
 #include "util/rng.h"
@@ -11,18 +12,18 @@ namespace flowsched {
 namespace {
 
 TEST(EdgeColoringTest, SingleEdge) {
-  BipartiteGraph g(1, 1);
-  g.AddEdge(0, 0);
+  const BipartiteGraph g(1, 1, {{0, 0}});
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 1);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
 }
 
 TEST(EdgeColoringTest, CompleteBipartiteK33UsesThreeColors) {
-  BipartiteGraph g(3, 3);
+  std::vector<BipartiteGraph::Edge> list;
   for (int u = 0; u < 3; ++u) {
-    for (int v = 0; v < 3; ++v) g.AddEdge(u, v);
+    for (int v = 0; v < 3; ++v) list.push_back({u, v});
   }
+  const BipartiteGraph g(3, 3, list);
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 3);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
@@ -31,10 +32,7 @@ TEST(EdgeColoringTest, CompleteBipartiteK33UsesThreeColors) {
 }
 
 TEST(EdgeColoringTest, ParallelEdgesGetDistinctColors) {
-  BipartiteGraph g(1, 1);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 0);
-  g.AddEdge(0, 0);
+  const BipartiteGraph g(1, 1, {{0, 0}, {0, 0}, {0, 0}});
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 3);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
@@ -43,10 +41,7 @@ TEST(EdgeColoringTest, ParallelEdgesGetDistinctColors) {
 TEST(EdgeColoringTest, PathForcesRecoloring) {
   // A path u0-v0-u1-v1 colored greedily in adversarial order exercises the
   // alternating-path flip.
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 0);
-  g.AddEdge(1, 1);
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 0}, {1, 1}});
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 2);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
@@ -60,10 +55,11 @@ TEST_P(EdgeColoringPropertyTest, AlwaysMaxDegreeColorsAndValid) {
   Rng rng(500 + nl + nr * 7 + edges * 31);
   for (int trial = 0; trial < 25; ++trial) {
     Rng r = rng.Fork(trial);
-    BipartiteGraph g(nl, nr);
+    std::vector<BipartiteGraph::Edge> list;
     for (int i = 0; i < edges; ++i) {
-      g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
+      list.push_back({r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1)});
     }
+    const BipartiteGraph g(nl, nr, list);
     const EdgeColoring ec = ColorBipartiteEdges(g);
     // König: exactly MaxDegree colors suffice for bipartite multigraphs.
     EXPECT_EQ(ec.num_colors, std::max(g.MaxDegree(), 1));
@@ -80,18 +76,18 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(EdgeColoringTest, LargeDenseGraphStressValid) {
   Rng rng(123);
-  BipartiteGraph g(40, 40);
+  std::vector<BipartiteGraph::Edge> list;
   for (int i = 0; i < 1200; ++i) {
-    g.AddEdge(rng.UniformInt(0, 39), rng.UniformInt(0, 39));
+    list.push_back({rng.UniformInt(0, 39), rng.UniformInt(0, 39)});
   }
+  const BipartiteGraph g(40, 40, list);
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
   EXPECT_EQ(ec.num_colors, g.MaxDegree());
 }
 
 TEST(EdgeColoringTest, ParallelEdgesOnOnePairUseOneColorEach) {
-  BipartiteGraph g(1, 1);
-  for (int i = 0; i < 5; ++i) g.AddEdge(0, 0);
+  const BipartiteGraph g(1, 1, std::vector<BipartiteGraph::Edge>(5, {0, 0}));
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 5);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
@@ -104,8 +100,9 @@ TEST(EdgeColoringTest, EdgelessAndDegreeOneGraphs) {
   EXPECT_EQ(ec0.color_of_edge.size(), 0u);
   EXPECT_TRUE(IsValidEdgeColoring(empty, ec0));
   // A perfect matching needs exactly one color.
-  BipartiteGraph g(6, 6);
-  for (int i = 0; i < 6; ++i) g.AddEdge(i, (i + 2) % 6);
+  std::vector<BipartiteGraph::Edge> list;
+  for (int i = 0; i < 6; ++i) list.push_back({i, (i + 2) % 6});
+  const BipartiteGraph g(6, 6, list);
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, 1);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
@@ -118,10 +115,11 @@ TEST(EdgeColoringTest, RectangularSides) {
     const int nl = r.UniformInt(1, 12);
     const int nr = r.UniformInt(1, 12);
     const int edges = r.UniformInt(1, 4 * std::max(nl, nr));
-    BipartiteGraph g(nl, nr);
+    std::vector<BipartiteGraph::Edge> list;
     for (int i = 0; i < edges; ++i) {
-      g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
+      list.push_back({r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1)});
     }
+    const BipartiteGraph g(nl, nr, list);
     const EdgeColoring ec = ColorBipartiteEdges(g);
     EXPECT_EQ(ec.num_colors, std::max(g.MaxDegree(), 1));
     ASSERT_TRUE(IsValidEdgeColoring(g, ec));
@@ -140,45 +138,42 @@ TEST(EdgeColoringTest, MaxDegreeColorsOnRandomMultigraphShapes) {
     int nl = 0;
     int nr = 0;
     int edges = 0;
-    BipartiteGraph g(1, 1);
+    std::vector<BipartiteGraph::Edge> list;
     if (shape == 0) {  // Uniform random, sparse to dense.
       nl = r.UniformInt(1, 20);
       nr = r.UniformInt(1, 20);
       edges = r.UniformInt(0, 3 * (nl + nr));
-      g = BipartiteGraph(nl, nr);
       for (int i = 0; i < edges; ++i) {
-        g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
+        list.push_back({r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1)});
       }
     } else if (shape == 1) {  // Parallel-edge heavy: few distinct pairs.
       nl = r.UniformInt(1, 6);
       nr = r.UniformInt(1, 6);
       edges = r.UniformInt(1, 40);
-      g = BipartiteGraph(nl, nr);
       const int pairs = r.UniformInt(1, 3);
       for (int i = 0; i < edges; ++i) {
         const int p = r.UniformInt(0, pairs - 1);
-        g.AddEdge((p * 7) % nl, (p * 5) % nr);
+        list.push_back({(p * 7) % nl, (p * 5) % nr});
       }
     } else if (shape == 2) {  // Hub: one vertex carries most edges.
       nl = r.UniformInt(2, 16);
       nr = r.UniformInt(2, 16);
       edges = r.UniformInt(1, 2 * nr);
-      g = BipartiteGraph(nl, nr);
       for (int i = 0; i < edges; ++i) {
-        g.AddEdge(0, r.UniformInt(0, nr - 1));
+        list.push_back({0, r.UniformInt(0, nr - 1)});
       }
-      g.AddEdge(r.UniformInt(1, nl - 1), r.UniformInt(0, nr - 1));
+      list.push_back({r.UniformInt(1, nl - 1), r.UniformInt(0, nr - 1)});
     } else {  // Near-regular: round-robin with a few random extras.
       nl = nr = r.UniformInt(2, 12);
       const int d = r.UniformInt(1, 6);
-      g = BipartiteGraph(nl, nr);
       for (int k = 0; k < d; ++k) {
-        for (int u = 0; u < nl; ++u) g.AddEdge(u, (u + k) % nr);
+        for (int u = 0; u < nl; ++u) list.push_back({u, (u + k) % nr});
       }
       for (int i = r.UniformInt(0, 3); i > 0; --i) {
-        g.AddEdge(r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1));
+        list.push_back({r.UniformInt(0, nl - 1), r.UniformInt(0, nr - 1)});
       }
     }
+    const BipartiteGraph g(nl, nr, list);
     const EdgeColoring ec = ColorBipartiteEdges(g);
     ASSERT_EQ(ec.num_colors, std::max(g.MaxDegree(), 1)) << "trial " << trial;
     ASSERT_TRUE(IsValidEdgeColoring(g, ec)) << "trial " << trial;
@@ -189,10 +184,11 @@ TEST(EdgeColoringTest, MaxDegreeColorsOnRandomMultigraphShapes) {
 
 TEST(EdgeColoringTest, Dense48x48GraphUsesMaxDegreeColors) {
   Rng rng(55);
-  BipartiteGraph g(48, 48);
+  std::vector<BipartiteGraph::Edge> list;
   for (int i = 0; i < 4000; ++i) {
-    g.AddEdge(rng.UniformInt(0, 47), rng.UniformInt(0, 47));
+    list.push_back({rng.UniformInt(0, 47), rng.UniformInt(0, 47)});
   }
+  const BipartiteGraph g(48, 48, list);
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_EQ(ec.num_colors, g.MaxDegree());
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));

@@ -18,11 +18,11 @@ TEST(GraphStressTest, UnitWeightsMakeMaxWeightEqualMaxCardinality) {
   Rng rng(31);
   for (int trial = 0; trial < 10; ++trial) {
     Rng r = rng.Fork(trial);
-    BipartiteGraph g(30, 30);
-    const int edges = 150;
-    for (int i = 0; i < edges; ++i) {
-      g.AddEdge(r.UniformInt(0, 29), r.UniformInt(0, 29));
+    std::vector<BipartiteGraph::Edge> edges;
+    for (int i = 0; i < 150; ++i) {
+      edges.push_back({r.UniformInt(0, 29), r.UniformInt(0, 29)});
     }
+    const BipartiteGraph g(30, 30, edges);
     const std::vector<double> ones(g.num_edges(), 1.0);
     const auto hk = MaxCardinalityMatching(g);
     const auto mw = MaxWeightMatching(g, ones);
@@ -34,16 +34,16 @@ TEST(GraphStressTest, UnitWeightsMakeMaxWeightEqualMaxCardinality) {
 BipartiteGraph RandomRegularMultigraph(int ports, int degree, Rng& rng) {
   // Union of `degree` random perfect matchings: a degree-regular bipartite
   // multigraph.
-  BipartiteGraph g(ports, ports);
+  std::vector<BipartiteGraph::Edge> edges;
   std::vector<int> perm(ports);
   for (int d = 0; d < degree; ++d) {
     std::iota(perm.begin(), perm.end(), 0);
     for (int i = ports - 1; i > 0; --i) {
       std::swap(perm[i], perm[rng.UniformInt(0, i)]);
     }
-    for (int u = 0; u < ports; ++u) g.AddEdge(u, perm[u]);
+    for (int u = 0; u < ports; ++u) edges.push_back({u, perm[u]});
   }
-  return g;
+  return BipartiteGraph(ports, ports, edges);
 }
 
 TEST(GraphStressTest, RegularGraphColoringGivesPerfectMatchings) {
@@ -75,10 +75,11 @@ TEST(GraphStressTest, HopcroftKarpPerfectOnRegular) {
 
 TEST(GraphStressTest, LargeColoringStress) {
   Rng rng(79);
-  BipartiteGraph g(150, 150);
+  std::vector<BipartiteGraph::Edge> edges;
   for (int i = 0; i < 12000; ++i) {
-    g.AddEdge(rng.UniformInt(0, 149), rng.UniformInt(0, 149));
+    edges.push_back({rng.UniformInt(0, 149), rng.UniformInt(0, 149)});
   }
+  const BipartiteGraph g(150, 150, edges);
   const EdgeColoring ec = ColorBipartiteEdges(g);
   EXPECT_TRUE(IsValidEdgeColoring(g, ec));
   EXPECT_EQ(ec.num_colors, g.MaxDegree());
@@ -87,10 +88,11 @@ TEST(GraphStressTest, LargeColoringStress) {
 TEST(GraphStressTest, MaxWeightMatchesGreedyBoundLargeScale) {
   // Greedy is a 1/2-approximation; max-weight must never lose to it.
   Rng rng(80);
-  BipartiteGraph g(40, 40);
+  std::vector<BipartiteGraph::Edge> edges;
   for (int i = 0; i < 300; ++i) {
-    g.AddEdge(rng.UniformInt(0, 39), rng.UniformInt(0, 39));
+    edges.push_back({rng.UniformInt(0, 39), rng.UniformInt(0, 39)});
   }
+  const BipartiteGraph g(40, 40, edges);
   std::vector<double> w(g.num_edges());
   for (auto& x : w) x = static_cast<double>(rng.UniformInt(1, 1000));
   const auto mw = MaxWeightMatching(g, w);

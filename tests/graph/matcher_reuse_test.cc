@@ -81,6 +81,7 @@ TEST(MatcherReuseTest, ReusedMatcherMatchesOneShotOverMutationSequences) {
   MaxWeightMatcher reused;
   std::vector<int> out;
   std::vector<double> w;
+  std::vector<BipartiteGraph::Edge> graph_edges;
   int sequences = 0;
   std::int64_t int_rounds = 0;
   std::int64_t double_rounds = 0;
@@ -99,20 +100,21 @@ TEST(MatcherReuseTest, ReusedMatcherMatchesOneShotOverMutationSequences) {
                          DrawWeight(cfg.float_weights, rng)});
       }
       for (int step = 0; step < 14; ++step) {
-        BipartiteGraph g(cfg.nl, cfg.nr);
+        graph_edges.clear();
         w.clear();
         for (const BacklogEdge& e : edges) {
-          g.AddEdge(e.u, e.v);
+          graph_edges.push_back({e.u, e.v});
           w.push_back(e.w);
         }
         if (!cfg.float_weights && !edges.empty() &&
             rng.UniformInt(0, 2) == 0) {
           const BacklogEdge& e = edges[rng.UniformU64(edges.size())];
           if (e.w >= 1.0) {
-            g.AddEdge(e.u, e.v);
+            graph_edges.push_back({e.u, e.v});
             w.push_back(e.w - 0.5);
           }
         }
+        const BipartiteGraph g(cfg.nl, cfg.nr, graph_edges);
         reused.Solve(g, w, &out);
         ASSERT_EQ(out, MaxWeightMatching(g, w))
             << "config " << cfg.nl << "x" << cfg.nr << " sequence " << seq

@@ -25,20 +25,22 @@ namespace {
 using Peer = MaxWeightMatcherTestPeer;
 
 struct Problem {
-  BipartiteGraph g;
+  BipartiteGraph g{0, 0};
   std::vector<double> w;
 };
 
 // Random bipartite multigraph with integral weights in [lo, hi].
 Problem RandomProblem(int nl, int nr, int edges, std::int64_t lo,
                       std::int64_t hi, Rng& rng) {
-  Problem p{BipartiteGraph(nl, nr), {}};
+  Problem p;
+  std::vector<BipartiteGraph::Edge> list;
   for (int e = 0; e < edges; ++e) {
-    p.g.AddEdge(rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1));
+    list.push_back({rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1)});
     p.w.push_back(static_cast<double>(
         lo + static_cast<std::int64_t>(
                  rng.UniformU64(static_cast<std::uint64_t>(hi - lo + 1)))));
   }
+  p.g = BipartiteGraph(nl, nr, list);
   return p;
 }
 
@@ -56,9 +58,7 @@ std::vector<double> Scaled(const std::vector<double>& w, double factor) {
 }
 
 TEST(MatchingLanesTest, LaneFollowsWeightIntegralityAndMagnitude) {
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 1);
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 1}});
   MaxWeightMatcher m;
   std::vector<int> out;
   const double cap = MaxWeightMatcher::kIntLaneMaxWeight;
@@ -171,14 +171,15 @@ TEST(MatchingLanesTest, DoubleLaneProblemsAgreeWithIntLaneOnScaledWeights) {
   }
   EXPECT_GT(double_lane_solves, 300);
   // Just above the guard on a small graph: double lane, brute-force optimal.
-  BipartiteGraph g(3, 3);
+  std::vector<BipartiteGraph::Edge> edges;
   std::vector<double> w;
   for (int i = 0; i < 3; ++i) {
     for (int j = 0; j < 3; ++j) {
-      g.AddEdge(i, j);
+      edges.push_back({i, j});
       w.push_back(cap + 1 + ((i * 2 + j) % 3));
     }
   }
+  const BipartiteGraph g(3, 3, edges);
   int_solver.Solve(g, w, &int_out);
   EXPECT_FALSE(Peer::IntLane(int_solver));
   EXPECT_EQ(MatchedWeight(int_out, w), BruteForceMaxWeight(g, w));

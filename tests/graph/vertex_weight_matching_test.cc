@@ -20,8 +20,8 @@ namespace {
 
 struct Problem {
   BipartiteGraph g{0, 0};
-  std::vector<double> left_w;
-  std::vector<double> right_w;
+  std::vector<int> left_w;
+  std::vector<int> right_w;
 
   // Per-edge weights for the edge-weight matchers.
   std::vector<double> EdgeWeights() const {
@@ -46,8 +46,7 @@ Problem RandomProblem(Rng& rng, int max_side, int max_edges) {
       edges.push_back({rng.UniformInt(0, nl - 1), rng.UniformInt(0, nr - 1)});
     }
   }
-  p.g = BipartiteGraph(nl, nr);
-  for (const BipartiteGraph::Edge& e : edges) p.g.AddEdge(e.u, e.v);
+  p.g = BipartiteGraph(nl, nr, edges);
   for (int u = 0; u < nl; ++u) p.left_w.push_back(rng.UniformInt(0, 3));
   for (int v = 0; v < nr; ++v) p.right_w.push_back(rng.UniformInt(0, 3));
   return p;
@@ -75,8 +74,8 @@ Problem BacklogProblem(Rng& rng, int max_ports, int max_flows) {
   Problem p;
   BacklogGraphBuilder builder;
   p.g = builder.Build(sw, pending);
-  p.left_w.assign(p.g.num_left(), 0.0);
-  p.right_w.assign(p.g.num_right(), 0.0);
+  p.left_w.assign(p.g.num_left(), 0);
+  p.right_w.assign(p.g.num_right(), 0);
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const BipartiteGraph::Edge& e = p.g.edge(static_cast<int>(i));
     p.left_w[e.u] = in_queue[pending[i].src];
@@ -132,14 +131,12 @@ TEST(VertexWeightMatcherTest, EmptyAndZeroWeightGraphsMatchNothing) {
   m.Solve(BipartiteGraph(0, 0), {}, {}, &out);
   EXPECT_TRUE(out.empty());
   BipartiteGraph edgeless(3, 2);
-  const std::vector<double> l3 = {1, 2, 3};
-  const std::vector<double> r2 = {4, 5};
+  const std::vector<int> l3 = {1, 2, 3};
+  const std::vector<int> r2 = {4, 5};
   m.Solve(edgeless, l3, r2, &out);
   EXPECT_TRUE(out.empty());
-  BipartiteGraph g(2, 2);
-  g.AddEdge(0, 0);
-  g.AddEdge(1, 1);
-  const std::vector<double> zeros = {0, 0};
+  const BipartiteGraph g(2, 2, {{0, 0}, {1, 1}});
+  const std::vector<int> zeros = {0, 0};
   m.Solve(g, zeros, zeros, &out);
   EXPECT_TRUE(out.empty());
 }
@@ -148,23 +145,19 @@ TEST(VertexWeightMatcherTest, TiesGoToTheOldestEdge) {
   VertexWeightMatcher m;
   std::vector<int> out;
   // Parallel edges: the lower index wins.
-  BipartiteGraph parallel(1, 1);
-  parallel.AddEdge(0, 0);
-  parallel.AddEdge(0, 0);
-  const std::vector<double> one = {1};
+  const BipartiteGraph parallel(1, 1, {{0, 0}, {0, 0}});
+  const std::vector<int> one = {1};
   m.Solve(parallel, one, one, &out);
   EXPECT_EQ(out, std::vector<int>({0}));
   // Two equal-weight inputs want one output: the one with the older edge
   // (left vertex 1, edge 0) is visited first and keeps it.
-  BipartiteGraph contested(2, 1);
-  contested.AddEdge(1, 0);
-  contested.AddEdge(0, 0);
-  const std::vector<double> equal = {2, 2};
-  const std::vector<double> zero = {0};
+  const BipartiteGraph contested(2, 1, {{1, 0}, {0, 0}});
+  const std::vector<int> equal = {2, 2};
+  const std::vector<int> zero = {0};
   m.Solve(contested, equal, zero, &out);
   EXPECT_EQ(out, std::vector<int>({0}));
   // A heavier input beats an older one.
-  const std::vector<double> heavier = {3, 2};
+  const std::vector<int> heavier = {3, 2};
   m.Solve(contested, heavier, zero, &out);
   EXPECT_EQ(out, std::vector<int>({1}));
 }
@@ -203,17 +196,19 @@ TEST(VertexWeightMatcherTest, ReturnedEdgesKeepTheirFingerprint) {
 TEST(VertexWeightMatcherTest, LongAugmentingChainNeedsNoDeepStack) {
   constexpr int kN = 150000;
   for (bool left_side : {true, false}) {
-    BipartiteGraph g(kN, kN);
+    std::vector<BipartiteGraph::Edge> edges;
     const auto add = [&](int own, int other) {
-      return left_side ? g.AddEdge(own, other) : g.AddEdge(other, own);
+      edges.push_back(left_side ? BipartiteGraph::Edge{own, other}
+                                : BipartiteGraph::Edge{other, own});
     };
     for (int i = 1; i < kN; ++i) {
       add(i, i - 1);
       add(i, i);
     }
     add(0, 0);
-    const std::vector<double> ones(kN, 1.0);
-    const std::vector<double> zeros(kN, 0.0);
+    const BipartiteGraph g(kN, kN, edges);
+    const std::vector<int> ones(kN, 1);
+    const std::vector<int> zeros(kN, 0);
     VertexWeightMatcher m;
     std::vector<int> out;
     m.Solve(g, left_side ? ones : zeros, left_side ? zeros : ones, &out);
