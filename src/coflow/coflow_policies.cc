@@ -7,8 +7,8 @@
 namespace flowsched {
 
 void CoflowBacklogStats::Clear() {
-  tag_slot_.clear();
-  single_slot_.clear();
+  tag_slot_.Clear();
+  single_slot_.Clear();
   arrival_.clear();
   rem_.clear();
   bottleneck_.clear();
@@ -24,17 +24,12 @@ void CoflowBacklogStats::Retire(std::span<const FlowId> completed_untagged,
   // Retired slots may still sit in this round's touched_ list; the next
   // Update() zeroes their bucket_count_ marks before any slot is handed
   // out again, so recycling is race-free with the zeroing trick.
+  int slot = 0;
   for (FlowId id : completed_untagged) {
-    const auto it = single_slot_.find(id);
-    if (it == single_slot_.end()) continue;
-    free_slots_.push_back(it->second);
-    single_slot_.erase(it);
+    if (single_slot_.Erase(id, &slot)) free_slots_.push_back(slot);
   }
   for (CoflowId tag : drained_groups) {
-    const auto it = tag_slot_.find(tag);
-    if (it == tag_slot_.end()) continue;
-    free_slots_.push_back(it->second);
-    tag_slot_.erase(it);
+    if (tag_slot_.Erase(tag, &slot)) free_slots_.push_back(slot);
   }
 }
 
@@ -57,8 +52,7 @@ void CoflowBacklogStats::Update(const SwitchSpec& sw,
     // order — and hence seq order — matches slot order exactly).
     const int fresh = free_slots_.empty() ? static_cast<int>(arrival_.size())
                                           : free_slots_.back();
-    const auto [it, inserted] = by_key.try_emplace(key, fresh);
-    const int slot = it->second;
+    const auto [slot, inserted] = by_key.TryEmplace(key, fresh);
     if (inserted) {
       if (!free_slots_.empty()) {
         free_slots_.pop_back();

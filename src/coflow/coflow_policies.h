@@ -25,7 +25,6 @@
 #ifndef FLOWSCHED_COFLOW_COFLOW_POLICIES_H_
 #define FLOWSCHED_COFLOW_COFLOW_POLICIES_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "core/online/simple_policies.h"
 #include "graph/expansion.h"
 #include "graph/max_weight_matching.h"
+#include "util/flat_id_map.h"
 
 namespace flowsched {
 
@@ -77,8 +77,8 @@ class CoflowBacklogStats {
   void Clear();
 
  private:
-  std::map<CoflowId, int> tag_slot_;   // Coflow tag -> persistent slot.
-  std::map<FlowId, int> single_slot_;  // Untagged flow id -> slot.
+  FlatIdMap tag_slot_;     // Coflow tag -> persistent slot.
+  FlatIdMap single_slot_;  // Untagged flow id -> slot.
   std::vector<Round> arrival_;         // Per slot, persistent.
   std::vector<Capacity> rem_;          // Per slot, touched slots only.
   std::vector<Round> bottleneck_;

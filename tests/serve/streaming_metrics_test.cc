@@ -5,11 +5,13 @@
 #include <array>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "coflow/coflow_policies.h"
 #include "core/online/policy.h"
 #include "serve/streaming_simulator.h"
 #include "serve/wire_protocol.h"
@@ -329,12 +331,13 @@ TEST(WireParseAllocationTest, ValidArriveAndTickLinesAllocateNothing) {
 // to output 0, so two flows share output t. One of them waits a round;
 // its ports are free of the next round's arrivals, so every policy serves
 // it then and the backlog a policy sees is 15 flows from round 1 on.
-// With `mixed`, capacities are 2 and every third flow has demand 2.
-long long SteadyStateRoundAllocations(const std::string& policy_name,
+// With `mixed`, capacities are 2 and every third flow has demand 2. No
+// flow carries a coflow tag, so a coflow policy sees one new group per
+// arrival.
+long long SteadyStateRoundAllocations(std::unique_ptr<SchedulingPolicy> policy,
                                       bool mixed, int* peak_backlog) {
   constexpr int kPorts = 16;
   const SwitchSpec sw = SwitchSpec::Uniform(kPorts, kPorts, mixed ? 2 : 1);
-  const auto policy = MakePolicy(policy_name, /*seed=*/1);
   StreamingSimulator sim(sw, *policy);
   std::string error;
   FlowId next_id = 0;
@@ -362,15 +365,29 @@ long long SteadyStateRoundAllocations(const std::string& policy_name,
 TEST(RoundLoopAllocationTest, SteadyStateRoundsAllocateNothing) {
   for (const std::string& name : AllPolicyNames()) {
     int peak = 0;
-    EXPECT_EQ(SteadyStateRoundAllocations(name, /*mixed=*/false, &peak), 0)
+    EXPECT_EQ(SteadyStateRoundAllocations(MakePolicy(name, /*seed=*/1),
+                                          /*mixed=*/false, &peak),
+              0)
         << name;
     EXPECT_EQ(peak, 15) << name;
   }
   for (const char* name : {"srpt", "fifo", "random"}) {
     int peak = 0;
-    EXPECT_EQ(SteadyStateRoundAllocations(name, /*mixed=*/true, &peak), 0)
+    EXPECT_EQ(SteadyStateRoundAllocations(MakePolicy(name, /*seed=*/1),
+                                          /*mixed=*/true, &peak),
+              0)
         << name << " on mixed demands";
     EXPECT_LE(peak, 15) << name << " on mixed demands";
+  }
+  // The coflow policies too: each untagged arrival takes a group slot that
+  // its completion hands back.
+  for (const std::string& name : AllCoflowPolicyNames()) {
+    int peak = 0;
+    EXPECT_EQ(SteadyStateRoundAllocations(MakeCoflowPolicy(name, /*seed=*/1),
+                                          /*mixed=*/false, &peak),
+              0)
+        << "coflow." << name;
+    EXPECT_EQ(peak, 15) << "coflow." << name;
   }
 }
 
