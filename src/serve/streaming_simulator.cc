@@ -200,7 +200,7 @@ bool StreamingSimulator::Admissible(const Flow& flow,
 bool StreamingSimulator::Inject(const Flow& flow, std::string* error) {
   wire_mode_ = true;
   if (!Admissible(flow, error)) return false;
-  if (!live_ids_.Insert(flow.id)) {
+  if (!live_ids_.TryEmplace(flow.id, 0).second) {
     if (error != nullptr) {
       *error = "flow id " + std::to_string(flow.id) +
                " is already live (ids must be unique among live flows)";

@@ -37,7 +37,7 @@
 #include "core/online/simulator.h"
 #include "scenario/scenario.h"
 #include "serve/streaming_metrics.h"
-#include "util/flat_id_set.h"
+#include "util/flat_id_map.h"
 #include "workload/arrival_source.h"
 
 namespace flowsched {
@@ -148,7 +148,7 @@ class StreamingSimulator {
   std::string match_line_;  // This round's MATCH line, written at its end.
   std::string error_;
   std::unordered_map<CoflowId, GroupState> groups_;  // Live tagged groups.
-  FlatIdSet live_ids_;                               // Wire mode only.
+  FlatIdMap live_ids_;  // Wire mode only; values unused.
   bool wire_mode_ = false;
   std::vector<FlowId> completed_untagged_;  // Per-round retirement scratch.
   std::vector<CoflowId> drained_groups_;

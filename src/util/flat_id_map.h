@@ -2,8 +2,8 @@
 // with linear probing and backward-shift erase (no tombstones pile up
 // under churn), doubled when half full, so it allocates only when it
 // grows. It is never iterated, so slot order cannot leak into results.
-// The coflow policies key group slots in one (coflow/coflow_policies.h);
-// FlatIdSet (util/flat_id_set.h) is one with the values unused.
+// The coflow policies key group slots in one (coflow/coflow_policies.h),
+// and streaming wire mode keeps its live flow ids in one.
 #ifndef FLOWSCHED_UTIL_FLAT_ID_MAP_H_
 #define FLOWSCHED_UTIL_FLAT_ID_MAP_H_
 
