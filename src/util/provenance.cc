@@ -3,15 +3,13 @@
 #include <cstdlib>
 #include <thread>
 
+#include "flowsched_git_sha.h"  // Generated at build time (CMakeLists.txt).
 #include "util/json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
 #endif
 
-#ifndef FLOWSCHED_GIT_SHA
-#define FLOWSCHED_GIT_SHA "unknown"
-#endif
 #ifndef FLOWSCHED_CXX_FLAGS
 #define FLOWSCHED_CXX_FLAGS ""
 #endif

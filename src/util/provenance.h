@@ -16,7 +16,7 @@
 namespace flowsched {
 
 struct Provenance {
-  std::string git_sha;         // `git describe --always --dirty`, configure-time.
+  std::string git_sha;         // `git describe --always --dirty`, build-time.
   std::string compiler;        // e.g. "g++ 13.2.0" (from __VERSION__).
   std::string compiler_flags;  // CMAKE_CXX_FLAGS + per-config flags.
   std::string build_type;      // "Release", "Debug", ...
