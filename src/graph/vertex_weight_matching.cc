@@ -90,7 +90,9 @@ void VertexWeightMatcher::Greedy(const BipartiteGraph& g,
   }
   std::sort(order_.begin(), order_.end());
   int unmatched = 0;  // Other-side vertices with an edge and no match.
-  for (int y = 0; y < n_other; ++y) unmatched += far.start[y] != far.start[y + 1];
+  for (int y = 0; y < n_other; ++y) {
+    if (far.start[y] != far.start[y + 1]) ++unmatched;
+  }
   own_match.assign(n_own, -1);
   other_match.assign(n_other, -1);
   seen_.assign(n_other, 0);
@@ -98,8 +100,11 @@ void VertexWeightMatcher::Greedy(const BipartiteGraph& g,
   free_scan_.assign(a.start.begin(), a.start.end() - 1);
   for (const std::uint64_t key : order_) {
     if (unmatched == 0) break;
-    const BipartiteGraph::Edge& first = g.edge(static_cast<int>(key & 0xffffffffu));
-    unmatched -= Augment(a, kLeft ? first.u : first.v, own_match, other_match);
+    const BipartiteGraph::Edge& first =
+        g.edge(static_cast<int>(key & 0xffffffffu));
+    if (Augment(a, kLeft ? first.u : first.v, own_match, other_match)) {
+      --unmatched;
+    }
   }
 }
 
